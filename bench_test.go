@@ -1,5 +1,5 @@
 // Package repro's root benchmark suite regenerates every experiment of the
-// paper's evaluation (the E1–E12 index in DESIGN.md) plus the A1–A3
+// paper's evaluation (the E1–E16 index in DESIGN.md) plus the A1–A3
 // ablations: one benchmark per table/figure claim, each running the
 // corresponding experiment in quick mode per iteration. Run with:
 //

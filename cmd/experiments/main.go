@@ -1,6 +1,6 @@
-// Command experiments regenerates the paper's evaluation tables (E1–E15 in
-// DESIGN.md). With no arguments it runs everything; pass experiment ids
-// (e.g. "E1 E5") to run a subset, -quick for shorter virtual runs, and
+// Command experiments regenerates the paper's evaluation tables (E1–E16 and
+// A1–A3 in DESIGN.md). With no arguments it runs everything; pass experiment
+// ids (e.g. "E1 E5") to run a subset, -quick for shorter virtual runs, and
 // -markdown for EXPERIMENTS.md-ready output. Experiments run concurrently
 // (-j workers, one per CPU by default); each owns an independent simulation
 // kernel, so output is printed in experiment order and is byte-identical at

@@ -211,14 +211,14 @@ func intrinsic(pkgName, recv, name string) Fact {
 			}
 		case "Kernel":
 			switch name {
-			case "Run", "RunUntil", "run", "runBefore", "resumeProc", "Close", "closeLocal":
+			case "Run", "RunUntil", "runBefore", "resumeProc", "Close", "closeLocal":
 				return MayYield
 			case "At", "After", "Every", "schedule", "Spawn":
 				return SchedulesEvents
 			}
 		case "ShardGroup":
 			switch name {
-			case "Run", "RunUntil", "Step", "Close":
+			case "Run", "RunUntil", "Close":
 				return MayYield
 			case "Send":
 				return SchedulesEvents

@@ -3,7 +3,7 @@
 // Code running under the sim kernel is cooperatively scheduled: at most one
 // Proc executes at a time, and control transfers only at explicit yield
 // points (Proc.Sleep, Proc.Yield, Queue.Get, Kernel.Run/RunUntil, and the
-// sharded group's ShardGroup.Run/RunUntil/Step barriers). Holding
+// sharded group's ShardGroup.Run/RunUntil barriers). Holding
 // a sync.Mutex across such a point is at best useless (no other Proc can
 // run concurrently anyway) and at worst a deadlock: the parked Proc still
 // owns the lock, and whichever goroutine next contends for it blocks an OS

@@ -42,7 +42,7 @@ func badLoop(s *server, p *sim.Proc) {
 
 func badShardBarrier(s *server, g *sim.ShardGroup) {
 	s.mu.Lock()
-	g.Step() // want `sim yield point Step called while holding s\.mu`
+	g.Run() // want `sim yield point Run called while holding s\.mu`
 	s.mu.Unlock()
 }
 

@@ -45,7 +45,7 @@ func (db *database) mergeInto(dst *sketchState, id string) {
 func badMergeAcrossBarrier(db *database, g *sim.ShardGroup, dst *sketchState) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	g.Step() // want `sim yield point Step called while holding db\.mu`
+	g.Run() // want `sim yield point Run called while holding db\.mu`
 	for _, s := range db.sketches {
 		dst.count += s.count
 	}

@@ -23,6 +23,4 @@ func (g *ShardGroup) Run() int { return 0 }
 
 func (g *ShardGroup) RunUntil(d int64) int { return 0 }
 
-func (g *ShardGroup) Step() bool { return false }
-
 func (g *ShardGroup) Send(from, to int, at int64, fn func()) {}

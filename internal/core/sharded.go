@@ -51,19 +51,33 @@ func NewShardedMonitor(owner func(Path) int, members ...Monitor) *ShardedMonitor
 // Members returns the federated monitors in index order.
 func (s *ShardedMonitor) Members() []Monitor { return s.members }
 
-// Owner returns the member index collecting the given path, if known.
+// Owner returns the index of the member collecting the given path under the
+// current request, if any.
 func (s *ShardedMonitor) Owner(path PathID) (int, bool) {
 	i, ok := s.byPath[path]
 	return i, ok
 }
 
+// member is the one routing rule: every read goes to the member that owns
+// the path under the current request, and a path the request does not name
+// has no member (nil).
+func (s *ShardedMonitor) member(path PathID) Monitor {
+	if i, ok := s.byPath[path]; ok {
+		return s.members[i]
+	}
+	return nil
+}
+
 // Submit splits the request's path list by owner and submits one
 // sub-request per member (Monitor interface). Members with no owned paths
-// receive an empty request, clearing any previous one.
+// receive an empty request, clearing any previous one. The routing map is
+// rebuilt from this request alone: like any Monitor, a new request replaces
+// the old, so a path it drops stops being served.
 func (s *ShardedMonitor) Submit(req Request) {
 	if req.Mode == ReportAsync {
 		panic("core: ShardedMonitor does not support ReportAsync")
 	}
+	clear(s.byPath)
 	split := make([][]Path, len(s.members))
 	for _, p := range req.Paths {
 		i := s.owner(p)
@@ -79,87 +93,44 @@ func (s *ShardedMonitor) Submit(req Request) {
 }
 
 // Query implements current-value reporting by asking the owning member
-// (Monitor interface). Unknown paths fall back to scanning every member, so
-// reads remain possible for requests submitted to members directly.
+// (Monitor interface).
 func (s *ShardedMonitor) Query(path PathID, metric metrics.Metric) (Measurement, bool) {
-	if i, ok := s.byPath[path]; ok {
-		return s.members[i].Query(path, metric)
-	}
-	for _, m := range s.members {
-		if meas, ok := m.Query(path, metric); ok {
-			return meas, true
-		}
+	if m := s.member(path); m != nil {
+		return m.Query(path, metric)
 	}
 	return Measurement{}, false
 }
 
-// LastKnown implements last-known-value reporting across members (Monitor
-// interface).
+// LastKnown implements last-known-value reporting by asking the owning
+// member (Monitor interface).
 func (s *ShardedMonitor) LastKnown(path PathID, metric metrics.Metric) (Measurement, bool) {
-	if i, ok := s.byPath[path]; ok {
-		return s.members[i].LastKnown(path, metric)
-	}
-	for _, m := range s.members {
-		if meas, ok := m.LastKnown(path, metric); ok {
-			return meas, true
-		}
+	if m := s.member(path); m != nil {
+		return m.LastKnown(path, metric)
 	}
 	return Measurement{}, false
 }
 
-// QueryFresh implements senescence-aware reads (FreshQuerier) for members
-// that support them; members that do not are treated as always stale.
+// QueryFresh implements senescence-aware reads (FreshQuerier); an owner that
+// does not support them is treated as always stale.
 func (s *ShardedMonitor) QueryFresh(path PathID, metric metrics.Metric, now, ttl time.Duration) (Measurement, bool) {
-	if i, ok := s.byPath[path]; ok {
-		if fq, ok := s.members[i].(FreshQuerier); ok {
-			return fq.QueryFresh(path, metric, now, ttl)
-		}
-		return Measurement{}, false
-	}
-	for _, m := range s.members {
-		if fq, ok := m.(FreshQuerier); ok {
-			if meas, ok := fq.QueryFresh(path, metric, now, ttl); ok {
-				return meas, true
-			}
-		}
+	if fq, ok := s.member(path).(FreshQuerier); ok {
+		return fq.QueryFresh(path, metric, now, ttl)
 	}
 	return Measurement{}, false
 }
 
-// Quantile implements QuantileQuerier by asking the owning member's
-// sketch; unknown paths fall back to scanning every member in index
-// order.
+// Quantile implements QuantileQuerier by asking the owning member's sketch.
 func (s *ShardedMonitor) Quantile(path PathID, metric metrics.Metric, p float64) (float64, bool) {
-	if i, ok := s.byPath[path]; ok {
-		if qq, ok := s.members[i].(QuantileQuerier); ok {
-			return qq.Quantile(path, metric, p)
-		}
-		return 0, false
-	}
-	for _, m := range s.members {
-		if qq, ok := m.(QuantileQuerier); ok {
-			if v, ok := qq.Quantile(path, metric, p); ok {
-				return v, true
-			}
-		}
+	if qq, ok := s.member(path).(QuantileQuerier); ok {
+		return qq.Quantile(path, metric, p)
 	}
 	return 0, false
 }
 
-// QuantileSummary implements QuantileQuerier across members.
+// QuantileSummary implements QuantileQuerier by asking the owning member.
 func (s *ShardedMonitor) QuantileSummary(path PathID, metric metrics.Metric) (sketch.Summary, bool) {
-	if i, ok := s.byPath[path]; ok {
-		if qq, ok := s.members[i].(QuantileQuerier); ok {
-			return qq.QuantileSummary(path, metric)
-		}
-		return sketch.Summary{}, false
-	}
-	for _, m := range s.members {
-		if qq, ok := m.(QuantileQuerier); ok {
-			if sum, ok := qq.QuantileSummary(path, metric); ok {
-				return sum, true
-			}
-		}
+	if qq, ok := s.member(path).(QuantileQuerier); ok {
+		return qq.QuantileSummary(path, metric)
 	}
 	return sketch.Summary{}, false
 }
@@ -167,18 +138,8 @@ func (s *ShardedMonitor) QuantileSummary(path PathID, metric metrics.Metric) (sk
 // MergeSketchInto implements SketchMerger: the owning member's sketch for
 // the series is folded into dst.
 func (s *ShardedMonitor) MergeSketchInto(dst *sketch.Sketch, path PathID, metric metrics.Metric) bool {
-	if i, ok := s.byPath[path]; ok {
-		if sm, ok := s.members[i].(SketchMerger); ok {
-			return sm.MergeSketchInto(dst, path, metric)
-		}
-		return false
-	}
-	for _, m := range s.members {
-		if sm, ok := m.(SketchMerger); ok {
-			if sm.MergeSketchInto(dst, path, metric) {
-				return true
-			}
-		}
+	if sm, ok := s.member(path).(SketchMerger); ok {
+		return sm.MergeSketchInto(dst, path, metric)
 	}
 	return false
 }

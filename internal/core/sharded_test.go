@@ -74,14 +74,27 @@ func TestShardedMonitorQueryRoutesToOwner(t *testing.T) {
 	}
 }
 
-func TestShardedMonitorFallbackScan(t *testing.T) {
+// TestShardedMonitorSubmitReplacesRouting: a request replaces the previous
+// one, so a path it drops has no owner and the member's old sample for it is
+// no longer served.
+func TestShardedMonitorSubmitReplacesRouting(t *testing.T) {
 	sm, members, paths, done := shardedFixture(t)
 	defer done()
-	// No Submit through the meta-director: the path is unknown to byPath,
-	// but a member measured it directly.
-	members[0].Publish(Measurement{Path: paths[0].ID, Metric: metrics.Reachability, Value: 1})
-	if got, ok := sm.Query(paths[0].ID, metrics.Reachability); !ok || got.Value != 1 {
-		t.Fatalf("fallback Query = %v, %v", got, ok)
+	mets := []metrics.Metric{metrics.Throughput}
+	sm.Submit(Request{Paths: paths, Metrics: mets})
+	members[1].Publish(Measurement{Path: paths[1].ID, Metric: metrics.Throughput, Value: 42, TakenAt: time.Second})
+	sm.Submit(Request{Paths: paths[:1], Metrics: mets})
+	if i, ok := sm.Owner(paths[1].ID); ok {
+		t.Fatalf("dropped path still owned by member %d", i)
+	}
+	if got, ok := sm.Query(paths[1].ID, metrics.Throughput); ok {
+		t.Fatalf("dropped path still served: %v", got)
+	}
+	if got, ok := sm.LastKnown(paths[1].ID, metrics.Throughput); ok {
+		t.Fatalf("dropped path still has a last-known value: %v", got)
+	}
+	if i, ok := sm.Owner(paths[0].ID); !ok || i != 0 {
+		t.Fatalf("kept path: Owner = %d,%v, want 0,true", i, ok)
 	}
 }
 

@@ -47,21 +47,7 @@ func E11(quick bool) *report.Table {
 			k.RunUntil(horizon)
 			// Detection: first current sample with reachability 0 for any
 			// path ending at c3.
-			detected := time.Duration(-1)
-			for _, p := range h.PathList() {
-				if p.Hops[1].Host != "c3" {
-					continue
-				}
-				m.DB.EachHistory(p.ID, metrics.Reachability, 0, func(s core.Measurement) bool {
-					if !s.Reached() && s.TakenAt > failAt {
-						if detected < 0 || s.TakenAt < detected {
-							detected = s.TakenAt
-						}
-						return false
-					}
-					return true
-				})
-			}
+			detected := firstUnreachable(m.DB, h.PathList(), "c3", failAt)
 			if detected >= 0 {
 				latencies = append(latencies, (detected - failAt).Seconds())
 			}

@@ -124,22 +124,8 @@ func runE12(quick, enabled bool, w core.BatchSink) e12Stats {
 	// Detection latency per killed client: first reachability-0 sample on
 	// any path ending at it, after the kill.
 	var lats []float64
-	for _, c := range []string{"c7", "c8", "c9"} {
-		detected := time.Duration(-1)
-		for _, path := range paths {
-			if string(path.Hops[1].Host) != c {
-				continue
-			}
-			m.DB.EachHistory(path.ID, metrics.Reachability, 0, func(ms core.Measurement) bool {
-				if !ms.Reached() && ms.TakenAt > killAt {
-					if detected < 0 || ms.TakenAt < detected {
-						detected = ms.TakenAt
-					}
-					return false
-				}
-				return true
-			})
-		}
+	for _, c := range []netsim.Addr{"c7", "c8", "c9"} {
+		detected := firstUnreachable(m.DB, paths, c, killAt)
 		if detected >= 0 {
 			lats = append(lats, (detected - killAt).Seconds())
 		}

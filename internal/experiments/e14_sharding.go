@@ -122,12 +122,9 @@ func e14Row(sc, regions, serversPer, clientsPer int, quick bool) []any {
 	}
 	detect := time.Duration(0)
 	if i, ok := sm.Owner(victimPath.ID); ok {
-		dirs[i].Database().EachHistory(victimPath.ID, metrics.Reachability, 0, func(m core.Measurement) bool {
-			if m.TakenAt > e14FailAt && !m.Reached() && detect == 0 {
-				detect = m.TakenAt - e14FailAt
-			}
-			return true
-		})
+		if at := firstUnreachable(dirs[i].Database(), []core.Path{victimPath}, victim.Name, e14FailAt); at >= 0 {
+			detect = at - e14FailAt
+		}
 	}
 	detectCell := "not detected"
 	if detect > 0 {

@@ -1,7 +1,7 @@
 // Package experiments regenerates every quantitative claim of the paper's
-// evaluation as a table: the E1–E12 index in DESIGN.md maps each function
-// here to the section of the paper it reproduces. Each experiment accepts a
-// quick flag (shorter virtual runs for benchmarks) and returns a
+// evaluation as a table: the E1–E16 + A1–A3 index in DESIGN.md maps each
+// function here to the section of the paper it reproduces. Each experiment
+// accepts a quick flag (shorter virtual runs for benchmarks) and returns a
 // report.Table; cmd/experiments prints them all.
 package experiments
 
@@ -11,17 +11,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
 
 // shardCount selects how experiment kernels are built: 0 (default) is the
-// legacy plain kernel; n >= 1 makes every experiment run as shard 0 of an
-// n-shard group, pushing the whole suite through the windowed scheduler.
-// The experiments' workloads are single-region, so the peers stay idle and
-// the solo-shard fast path keeps the cost negligible — the point of the
-// mode is transparency: the tables must come out byte-identical, which
-// TestSingleShardBitIdentical and TestMultiShardDeterminism assert.
+// plain kernel; n >= 1 makes every experiment run as shard 0 of an n-shard
+// group. The experiments' workloads are single-region, so the peers stay
+// idle, but for n > 1 the group still cuts the run into shardLookahead
+// windows, each a barrier with shard 0's worker. The mode is a test that
+// window slicing is invisible: the tables must come out byte-identical,
+// which TestSingleShardBitIdentical and TestMultiShardDeterminism assert.
+// DESIGN.md §11 has what it costs in wall-clock time.
 var shardCount int
 
 // shardLookahead is the synthetic lookahead of transparency-mode groups.
@@ -166,4 +168,26 @@ func historySpacing(db *core.Database, path core.PathID, metric metrics.Metric) 
 		return 0
 	}
 	return (last - first) / time.Duration(n-1)
+}
+
+// firstUnreachable returns when db first recorded a host failure: the
+// TakenAt of the earliest reachability-0 sample taken after `after` on any
+// of paths that ends at host, or -1 when there is none.
+func firstUnreachable(db *core.Database, paths []core.Path, host netsim.Addr, after time.Duration) time.Duration {
+	detected := time.Duration(-1)
+	for _, p := range paths {
+		if p.Hops[len(p.Hops)-1].Host != host {
+			continue
+		}
+		db.EachHistory(p.ID, metrics.Reachability, 0, func(m core.Measurement) bool {
+			if m.Reached() || m.TakenAt <= after {
+				return true
+			}
+			if detected < 0 || m.TakenAt < detected {
+				detected = m.TakenAt
+			}
+			return false
+		})
+	}
+	return detected
 }

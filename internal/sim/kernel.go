@@ -214,6 +214,10 @@ func (k *Kernel) resumeProc(p *Proc) {
 	<-k.parked
 }
 
+// maxTime is the largest representable virtual time: the bound that makes
+// runBefore drain the queue.
+const maxTime = time.Duration(1<<63 - 1)
+
 // Run executes events until the queue is empty. It returns the number of
 // events processed. Procs blocked without timeouts when the queue drains
 // simply remain parked; call Close to release them.
@@ -225,7 +229,7 @@ func (k *Kernel) Run() int {
 	if k.group != nil {
 		return k.group.Run()
 	}
-	return k.run(-1)
+	return k.runBefore(maxTime)
 }
 
 // RunUntil executes events with timestamps at or before deadline, then sets
@@ -235,17 +239,20 @@ func (k *Kernel) RunUntil(deadline time.Duration) int {
 	if k.group != nil {
 		return k.group.RunUntil(deadline)
 	}
-	n := k.run(deadline)
+	n := k.runBefore(deadline + 1)
 	if k.now < deadline {
 		k.now = deadline
 	}
 	return n
 }
 
-// run is the dispatch loop: pop, advance the clock, fire, recycle.
+// runBefore is the dispatch loop: pop, advance the clock, fire, recycle, for
+// every event with a timestamp strictly below bound. It leaves the clock at
+// the last processed event; callers with an inclusive deadline pass
+// deadline+1 and advance the clock themselves.
 //
 //perf:noalloc
-func (k *Kernel) run(deadline time.Duration) int {
+func (k *Kernel) runBefore(bound time.Duration) int {
 	if k.running {
 		panic("sim: Run called reentrantly")
 	}
@@ -254,7 +261,7 @@ func (k *Kernel) run(deadline time.Duration) int {
 	n := 0
 	for k.events.len() > 0 {
 		ev := k.events.a[0]
-		if deadline >= 0 && ev.at > deadline {
+		if ev.at >= bound {
 			break
 		}
 		k.events.pop()
@@ -297,53 +304,6 @@ func (k *Kernel) peekNext() (time.Duration, bool) {
 		return 0, false
 	}
 	return k.events.a[0].at, true
-}
-
-// runBefore processes events with timestamps strictly below bound, leaving
-// the clock at the last processed event (it never advances the clock to
-// bound — the group does that when its whole run finishes). When stopOnSend
-// is set it additionally returns as soon as an event stages a cross-shard
-// message, so a solo-active shard can run ahead of the lookahead window
-// without risking a causality violation from a peer's reply.
-func (k *Kernel) runBefore(bound time.Duration, stopOnSend bool) int {
-	if k.running {
-		panic("sim: Run called reentrantly")
-	}
-	k.running = true
-	defer func() { k.running = false }()
-	staged0 := uint64(0)
-	if stopOnSend && k.group != nil {
-		staged0 = k.group.sendSeq[k.shard]
-	}
-	n := 0
-	for k.events.len() > 0 {
-		ev := k.events.a[0]
-		if ev.at >= bound {
-			break
-		}
-		k.events.pop()
-		k.now = ev.at
-		if ev.period > 0 {
-			ev.fn()
-			if ev.period > 0 {
-				ev.at += ev.period
-				k.seq++
-				ev.seq = k.seq
-				k.events.push(ev)
-			} else {
-				k.release(ev)
-			}
-		} else {
-			fn := ev.fn
-			k.release(ev)
-			fn()
-		}
-		n++
-		if stopOnSend && k.group != nil && k.group.sendSeq[k.shard] != staged0 {
-			break
-		}
-	}
-	return n
 }
 
 // Steps reports how many events are currently pending. Cancelled events are

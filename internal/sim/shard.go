@@ -32,7 +32,7 @@ import (
 // be touched from that shard's execution context (its events and procs).
 // The only sanctioned cross-shard interaction during a run is Send. Wiring
 // (topology construction, Spawn, scheduling the first events) happens
-// before the first Run/Step from a single goroutine.
+// before the first Run from a single goroutine.
 type ShardGroup struct {
 	shards    []*Kernel
 	lookahead time.Duration
@@ -113,9 +113,6 @@ func (g *ShardGroup) CrossShardMessages() uint64 { return g.xmsgs }
 func (g *ShardGroup) Send(from, to int, at time.Duration, fn func()) {
 	src := g.shards[from]
 	if to == from {
-		if at < src.now {
-			at = src.now
-		}
 		src.At(at, fn)
 		return
 	}
@@ -130,115 +127,65 @@ func (g *ShardGroup) Send(from, to int, at time.Duration, fn func()) {
 // Run executes events until every shard's queue is empty and no cross-shard
 // message is in flight. It returns the number of events processed across
 // the group.
-func (g *ShardGroup) Run() int { return g.run(-1) }
+func (g *ShardGroup) Run() int { return g.runBefore(maxTime) }
 
 // RunUntil executes events with timestamps at or before deadline, then sets
 // every shard's clock to deadline. It returns the number of events
 // processed across the group.
-func (g *ShardGroup) RunUntil(deadline time.Duration) int { return g.run(deadline) }
-
-// Step executes exactly one synchronization window (delivering any staged
-// cross-shard messages first) and reports whether any work remained. It is
-// the single-step debugging companion to Run and, like it, parks the caller
-// while shard procs execute.
-func (g *ShardGroup) Step() bool {
-	g.enter()
-	defer g.leave()
-	workers := g.startWorkers()
-	defer workers.stop()
-	_, ok := g.window(-1, workers)
-	return ok
+func (g *ShardGroup) RunUntil(deadline time.Duration) int {
+	n := g.runBefore(deadline + 1)
+	for _, k := range g.shards {
+		if k.now < deadline {
+			k.now = deadline
+		}
+	}
+	return n
 }
 
-func (g *ShardGroup) enter() {
+// runBefore executes conservative windows until no shard has an event below
+// end.
+func (g *ShardGroup) runBefore(end time.Duration) int {
 	if g.running {
 		panic("sim: Run called reentrantly")
 	}
 	g.running = true
-}
-
-func (g *ShardGroup) leave() { g.running = false }
-
-func (g *ShardGroup) run(deadline time.Duration) int {
-	// Single-shard fast path: no peers means no conservative constraint;
-	// this is byte-for-byte the plain Kernel loop, which is what makes
-	// 1-shard runs bit-identical to the legacy kernel.
+	defer func() { g.running = false }()
+	// A single shard has no peers, so no conservative constraint and nothing
+	// ever staged: it runs the plain Kernel loop, and Windows stays 0.
 	if len(g.shards) == 1 {
-		g.enter()
-		defer g.leave()
-		k := g.shards[0]
-		g.deliverStaged()
-		n := k.run(deadline)
-		if deadline >= 0 && k.now < deadline {
-			k.now = deadline
-		}
-		return n
+		return g.shards[0].runBefore(end)
 	}
-	g.enter()
-	defer g.leave()
 	workers := g.startWorkers()
 	defer workers.stop()
 	total := 0
 	for {
-		n, ok := g.window(deadline, workers)
+		n, ok := g.window(end, workers)
 		if !ok {
-			break
+			return total
 		}
 		total += n
 	}
-	if deadline >= 0 {
-		for _, k := range g.shards {
-			if k.now < deadline {
-				k.now = deadline
-			}
-		}
-	}
-	return total
 }
 
 // window delivers staged messages, then executes one conservative window
-// across the shards. It returns the events processed and whether there was
-// anything to do within the deadline.
-func (g *ShardGroup) window(deadline time.Duration, w *workerSet) (int, bool) {
+// [T, T+lookahead) across the shards, clipped to end. It returns the events
+// processed and whether any shard had an event below end.
+func (g *ShardGroup) window(end time.Duration, w *workerSet) (int, bool) {
 	g.deliverStaged()
-	T := time.Duration(-1)
-	active := 0
-	solo := -1
-	for i, k := range g.shards {
-		at, ok := k.peekNext()
-		if !ok {
-			continue
-		}
-		if T < 0 || at < T {
+	T := end
+	for _, k := range g.shards {
+		if at, ok := k.peekNext(); ok && at < T {
 			T = at
 		}
-		active++
-		solo = i
 	}
-	if T < 0 || (deadline >= 0 && T > deadline) {
+	if T == end {
 		return 0, false
 	}
 	bound := T + g.lookahead
-	stopOnSend := false
-	if active == 1 {
-		// Solo optimization: with every other shard idle and nothing in
-		// flight, the only future cross-shard influence would be a reply to
-		// a message this shard itself sends — so it may run arbitrarily far
-		// ahead as long as it stops the moment it stages a send.
-		bound = time.Duration(1<<63 - 1)
-		stopOnSend = true
+	if bound > end || bound < T { // bound < T: the sum overflowed
+		bound = end
 	}
-	if deadline >= 0 && bound > deadline {
-		// RunUntil semantics are inclusive of the deadline; the window bound
-		// is exclusive, so nudge it one tick past the deadline.
-		bound = deadline + 1
-	}
-	n := 0
-	if stopOnSend {
-		n = w.runOne(solo, bound, true)
-	} else {
-		n = w.runAll(g, bound)
-	}
+	n := w.runAll(g, bound)
 	g.windows++
 	return n, true
 }
@@ -267,14 +214,9 @@ func (g *ShardGroup) deliverStaged() {
 		}
 	}
 	for _, m := range all {
-		dst := g.shards[m.to]
-		at := m.at
-		if at < dst.now {
-			// Cannot happen under the lookahead rule; guard anyway so a
-			// stale clock never fires an event in the past.
-			at = dst.now
-		}
-		dst.At(at, m.fn)
+		// At clamps to the destination's clock, so even a message the
+		// lookahead rule should have made impossible never fires in the past.
+		g.shards[m.to].At(m.at, m.fn)
 		g.xmsgs++
 	}
 }
@@ -306,28 +248,23 @@ func (g *ShardGroup) Close() {
 // goroutines exist so that shard procs (which park/resume against their own
 // kernel) always find a scheduler thread to hand control back to.
 type workerSet struct {
-	work       []chan workItem
+	work       []chan time.Duration // window bound for the shard to run up to
 	done       []chan int
 	dispatched []bool // reused per-window dispatch mask
 }
 
-type workItem struct {
-	bound      time.Duration
-	stopOnSend bool
-}
-
 func (g *ShardGroup) startWorkers() *workerSet {
 	w := &workerSet{
-		work:       make([]chan workItem, len(g.shards)),
+		work:       make([]chan time.Duration, len(g.shards)),
 		done:       make([]chan int, len(g.shards)),
 		dispatched: make([]bool, len(g.shards)),
 	}
 	for i, k := range g.shards {
-		w.work[i] = make(chan workItem)
+		w.work[i] = make(chan time.Duration)
 		w.done[i] = make(chan int)
-		go func(k *Kernel, work chan workItem, done chan int) {
-			for item := range work {
-				done <- k.runBefore(item.bound, item.stopOnSend)
+		go func(k *Kernel, work chan time.Duration, done chan int) {
+			for bound := range work {
+				done <- k.runBefore(bound)
 			}
 		}(k, w.work[i], w.done[i])
 	}
@@ -343,7 +280,7 @@ func (w *workerSet) runAll(g *ShardGroup, bound time.Duration) int {
 	}
 	for i, k := range g.shards {
 		if at, ok := k.peekNext(); ok && at < bound {
-			w.work[i] <- workItem{bound: bound}
+			w.work[i] <- bound
 			dispatched[i] = true
 		}
 	}
@@ -354,12 +291,6 @@ func (w *workerSet) runAll(g *ShardGroup, bound time.Duration) int {
 		}
 	}
 	return n
-}
-
-// runOne drives a single shard through its window.
-func (w *workerSet) runOne(shard int, bound time.Duration, stopOnSend bool) int {
-	w.work[shard] <- workItem{bound: bound, stopOnSend: stopOnSend}
-	return <-w.done[shard]
 }
 
 func (w *workerSet) stop() {

@@ -144,30 +144,6 @@ func TestLookaheadViolationPanics(t *testing.T) {
 	g.Send(0, 1, time.Millisecond, func() {})
 }
 
-// TestShardStep advances one window at a time.
-func TestShardStep(t *testing.T) {
-	g := NewShardGroup(2, time.Millisecond)
-	defer g.Close()
-	fired := 0
-	g.Shard(0).At(0, func() { fired++ })
-	g.Shard(1).At(5*time.Millisecond, func() { fired++ })
-	if !g.Step() {
-		t.Fatal("first step had work")
-	}
-	if fired != 1 {
-		t.Fatalf("after one step fired=%d, want 1", fired)
-	}
-	if !g.Step() {
-		t.Fatal("second step had work")
-	}
-	if fired != 2 {
-		t.Fatalf("after two steps fired=%d, want 2", fired)
-	}
-	if g.Step() {
-		t.Fatal("third step should report empty")
-	}
-}
-
 // TestGroupedKernelRunDelegates: Run on a member kernel drives the whole
 // group, and RunUntil advances every shard's clock to the deadline.
 func TestGroupedKernelRunDelegates(t *testing.T) {
@@ -225,21 +201,83 @@ func TestShardProcsRunConcurrently(t *testing.T) {
 	}
 }
 
-// TestSoloShardFastPath: when only one shard has work the group must not
-// chop its run into lookahead windows; far fewer windows than the naive
-// span/lookahead count proves the solo path engaged.
-func TestSoloShardFastPath(t *testing.T) {
-	g := NewShardGroup(2, time.Millisecond)
-	defer g.Close()
-	ticks := 0
-	tm := g.Shard(0).Every(time.Millisecond, func() { ticks++ })
-	g.Shard(0).RunUntil(1 * time.Second)
-	tm.Stop()
-	if ticks != 1000 {
-		t.Fatalf("ticks = %d, want 1000", ticks)
+// TestIdlePeersInvisible: a workload on shard 0 of a 4-shard group whose
+// peers never have work is sliced into real lookahead windows — there is no
+// run-ahead policy for a lone active shard — and the slicing is invisible:
+// tick trace, event count and final clock equal a plain kernel's.
+func TestIdlePeersInvisible(t *testing.T) {
+	const span, lookahead = time.Second, time.Millisecond
+	ticking := func(k *Kernel, out *[]string) {
+		k.Every(700*time.Microsecond, func() {
+			*out = append(*out, fmt.Sprint(k.Now()))
+		})
 	}
-	if g.Windows() > 10 {
-		t.Fatalf("windows = %d; solo fast path should coalesce the run", g.Windows())
+	var plain, sharded []string
+	k := NewKernel()
+	ticking(k, &plain)
+	np := k.RunUntil(span)
+	k.Close()
+
+	g := NewShardGroup(4, lookahead)
+	defer g.Close()
+	sk := g.Shard(0)
+	ticking(sk, &sharded)
+	ns := sk.RunUntil(span)
+
+	if np != ns || fmt.Sprint(plain) != fmt.Sprint(sharded) {
+		t.Fatalf("plain kernel: %d events, shard 0 of 4: %d events; traces equal = %v",
+			np, ns, fmt.Sprint(plain) == fmt.Sprint(sharded))
+	}
+	if k.Now() != span || sk.Now() != span {
+		t.Fatalf("final clocks %v and %v, want %v", k.Now(), sk.Now(), span)
+	}
+	// Every window starts at a pending tick and spans one lookahead, so the
+	// count is of the order span/lookahead: between one window per tick and
+	// one per lookahead.
+	if w, ticks, floor := g.Windows(), uint64(len(plain)), uint64(span/lookahead)/2; w < floor || w > ticks {
+		t.Fatalf("windows = %d, want within [%d, %d]", w, floor, ticks)
+	}
+}
+
+// TestRunBoundaries pins the inclusive RunUntil deadline and the draining
+// Run on every route into the one dispatch loop: a plain kernel, the 1-shard
+// short-circuit, and windowed execution (with the events spread over the
+// first and last shard).
+func TestRunBoundaries(t *testing.T) {
+	const deadline = 10 * time.Millisecond
+	const far = maxTime - time.Hour
+	for _, tc := range []struct {
+		name   string
+		shards int // 0: ungrouped kernel
+	}{{"plain", 0}, {"1-shard", 1}, {"3-shard", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			last := k
+			if tc.shards > 0 {
+				g := NewShardGroup(tc.shards, time.Millisecond)
+				k, last = g.Shard(0), g.Shard(tc.shards-1)
+			}
+			defer k.Close()
+			var fired []string
+			k.At(deadline, func() { fired = append(fired, "at") })
+			last.At(deadline+1, func() { fired = append(fired, "after") })
+			last.At(far, func() { fired = append(fired, "far") })
+			for _, step := range []struct {
+				what      string
+				run       func() int
+				wantFired string
+				wantNow   time.Duration
+			}{
+				{"RunUntil(deadline)", func() int { return k.RunUntil(deadline) }, "[at]", deadline},
+				{"RunUntil(deadline+1ns)", func() int { return k.RunUntil(deadline + 1) }, "[at after]", deadline + 1},
+				{"Run()", k.Run, "[at after far]", far},
+			} {
+				if n := step.run(); n != 1 || fmt.Sprint(fired) != step.wantFired || last.Now() != step.wantNow {
+					t.Fatalf("%s: %d events, fired %v, clock %v; want 1 event, %s, %v",
+						step.what, n, fired, last.Now(), step.wantFired, step.wantNow)
+				}
+			}
+		})
 	}
 }
 

@@ -174,32 +174,6 @@ func (h *Histogram) BucketCount(i int) uint64 {
 	return h.counts[i].Load()
 }
 
-// Quantile returns an upper-bound estimate of quantile q in [0, 1]: the
-// smallest bucket bound b such that at least q of the observations are
-// <= b. Observations beyond the last bound report the largest bound.
-// Zero on an empty or nil histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	need := uint64(math.Ceil(q * float64(total)))
-	if need == 0 {
-		need = 1
-	}
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		if cum >= need {
-			return b
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Name returns the registered name; empty on a nil histogram.
 func (h *Histogram) Name() string {
 	if h == nil {
