@@ -5,9 +5,9 @@ GO ?= go
 # this floor. Raise it when coverage rises; never lower it to make a PR pass.
 COVER_FLOOR ?= 85.0
 
-.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test bench-check cover bench bench-shard test-shard experiments e15-artifact results-gate
+.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test cover bench-shard test-shard experiments e15-artifact results-gate
 
-ci: vet build test race test-shard analyze fuzz-smoke bench-smoke bench-test bench-check
+ci: vet build test race analyze fuzz-smoke bench-smoke bench-test
 
 vet:
 	$(GO) vet ./...
@@ -23,8 +23,9 @@ race:
 
 # Focused sharded-kernel suite under the race detector: the conservative
 # protocol's ownership rules (stage-then-merge, owner-goroutine-only appends)
-# are exactly what -race can falsify. The full-suite bit-identity tests also
-# run under `race` above; this target is the quick standalone entry point.
+# are exactly what -race can falsify. `race` above already runs every test
+# selected here, so `ci` does not depend on this target; it is the quick
+# standalone entry point.
 test-shard:
 	$(GO) test -race -run 'Shard|Grouped' ./internal/sim/ ./internal/topo/ ./internal/core/ ./internal/cots/ ./internal/hifi/
 	$(GO) test -race -run 'TestE14Shape' ./internal/experiments/
@@ -55,12 +56,6 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Perf-regression gate: re-run the kernel/database micro-benchmarks and fail
-# if any ns/op regresses more than 25% against the committed baseline
-# (BENCH_kernel.json). Writes the fresh run to BENCH_fresh.json.
-bench-check:
-	scripts/bench_compare.sh
-
 # Statement coverage across ./internal/..., gated on COVER_FLOOR.
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/...
@@ -69,22 +64,16 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t + 0 >= f + 0) ? 0 : 1 }' || \
 	{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor" >&2; exit 1; }
 
-# Full measurement run; writes BENCH_kernel.json (see scripts/bench.sh).
-bench:
-	scripts/bench.sh
-
-# Shard-count speedup sweep against the wall clock; writes BENCH_shard.json
-# (see scripts/bench_shard.sh). Hardware-dependent by design — on a 1-CPU
-# host expect speedup <= 1.
+# E14's workload against the wall clock at 1/2/4/8 shards, one ns/op line
+# each. Hardware-dependent by design — on a 1-CPU host expect no speedup.
 bench-shard:
-	scripts/bench_shard.sh
+	$(GO) test -run '^$$' -bench 'BenchmarkShardedWorkload$$' -benchtime 5x ./internal/experiments/
 
 experiments:
 	$(GO) run ./cmd/experiments
 
 # E15 accuracy/memory matrix as machine-readable JSON; CI uploads the file
-# alongside BENCH_shard.json so the sketch-vs-exact trajectory is archived
-# per PR like the perf numbers are.
+# so the sketch-vs-exact trajectory is archived per PR.
 e15-artifact:
 	$(GO) run ./cmd/experiments -quick -json E15 > E15_sketch.json
 

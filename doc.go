@@ -2,9 +2,7 @@
 // Network Resource Monitoring in a Distributed Environment" (Irey, Hott,
 // Marlow; NSWC-DD, IPPS 1998).
 //
-// The module root holds the benchmark harness (bench_test.go): one
-// benchmark per evaluation claim of the paper, each regenerating the
-// corresponding table from internal/experiments. The library itself lives
-// under internal/ — see README.md for the architecture and DESIGN.md for
-// the paper-to-module map.
+// The library lives under internal/ — see README.md for the architecture
+// and DESIGN.md for the paper-to-module map; cmd/experiments regenerates
+// the paper's evaluation tables, and bench/ is the repository benchmark.
 package repro

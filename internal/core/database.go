@@ -175,6 +175,15 @@ func (db *Database) FlushResults() error {
 	if db.resSink == nil {
 		return nil
 	}
+	for _, k := range db.sortedKeys() {
+		db.flushResults(k, db.series[k])
+	}
+	return db.resErr
+}
+
+// sortedKeys returns every series key in (path, metric) order, so that
+// whole-store walks are deterministic.
+func (db *Database) sortedKeys() []dbKey {
 	keys := make([]dbKey, 0, len(db.series))
 	for k := range db.series {
 		keys = append(keys, k)
@@ -185,10 +194,7 @@ func (db *Database) FlushResults() error {
 		}
 		return keys[i].metric < keys[j].metric
 	})
-	for _, k := range keys {
-		db.flushResults(k, db.series[k])
-	}
-	return db.resErr
+	return keys
 }
 
 // Record stores a measurement as the current value, updates last-known on

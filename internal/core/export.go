@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/metrics"
 )
@@ -13,21 +12,11 @@ import (
 // for offline analysis, ordered by (path, metric, time). Columns:
 // path, metric, value, unit, quality, taken_at_seconds, error.
 func (db *Database) ExportCSV(w io.Writer) error {
-	keys := make([]dbKey, 0, len(db.series))
-	for k := range db.series {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].path != keys[j].path {
-			return keys[i].path < keys[j].path
-		}
-		return keys[i].metric < keys[j].metric
-	})
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"path", "metric", "value", "unit", "quality", "taken_at_seconds", "error"}); err != nil {
 		return err
 	}
-	for _, key := range keys {
+	for _, key := range db.sortedKeys() {
 		s := db.series[key]
 		var werr error
 		if s.count > 0 {
@@ -67,16 +56,7 @@ type Summary struct {
 // Summarize folds each series' retained history into a Summary, ordered by
 // (path, metric).
 func (db *Database) Summarize() []Summary {
-	keys := make([]dbKey, 0, len(db.series))
-	for k := range db.series {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].path != keys[j].path {
-			return keys[i].path < keys[j].path
-		}
-		return keys[i].metric < keys[j].metric
-	})
+	keys := db.sortedKeys()
 	out := make([]Summary, 0, len(keys))
 	for _, key := range keys {
 		s := db.series[key]

@@ -233,20 +233,10 @@ func (m *Monitor) UseRegistry(r *AgentRegistry) { m.registry = r }
 // (other regions of a sharded topology) must be deployed with EnsureAgentOn
 // instead, since only the caller holds their node.
 func (m *Monitor) EnsureAgent(host netsim.Addr) *DeployedAgent {
-	if a, ok := m.Agents[host]; ok {
+	if a := m.deployed(host); a != nil {
 		return a
 	}
-	if m.registry != nil {
-		if a := m.registry.Lookup(host); a != nil {
-			m.Agents[host] = a
-			return a
-		}
-	}
-	node := m.nw.Node(host)
-	if node == nil {
-		return nil
-	}
-	return m.deploy(node)
+	return m.EnsureAgentOn(m.nw.Node(host))
 }
 
 // EnsureAgentOn deploys (or returns) the SNMP agent on an explicit node,
@@ -259,16 +249,25 @@ func (m *Monitor) EnsureAgentOn(node *netsim.Node) *DeployedAgent {
 	if node == nil {
 		return nil
 	}
-	if a, ok := m.Agents[node.Name]; ok {
+	if a := m.deployed(node.Name); a != nil {
+		return a
+	}
+	return m.deploy(node)
+}
+
+// deployed returns the agent already running on host, from the director's
+// own map or else the shared registry, or nil.
+func (m *Monitor) deployed(host netsim.Addr) *DeployedAgent {
+	if a, ok := m.Agents[host]; ok {
 		return a
 	}
 	if m.registry != nil {
-		if a := m.registry.Lookup(node.Name); a != nil {
-			m.Agents[node.Name] = a
+		if a := m.registry.Lookup(host); a != nil {
+			m.Agents[host] = a
 			return a
 		}
 	}
-	return m.deploy(node)
+	return nil
 }
 
 func (m *Monitor) deploy(node *netsim.Node) *DeployedAgent {

@@ -297,6 +297,9 @@ func (d *Director) Submit(req core.Request) {
 		panic("director: async report mode is not supported across the tree")
 	}
 	leaves := d.Leaves()
+	if len(leaves) == 0 && len(req.Paths) > 0 {
+		panic(fmt.Sprintf("director: %s has no leaf to take the %d submitted paths", d.Name, len(req.Paths)))
+	}
 	shares := make(map[*Director][]core.Path, len(leaves))
 	for i, p := range req.Paths {
 		l := leaves[i%len(leaves)]

@@ -1,6 +1,7 @@
 package director
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -103,6 +104,22 @@ func buildStubTree(k *sim.Kernel, nw *netsim.Network, cfg Config) (*Director, []
 		leaves = append(leaves, l)
 	}
 	return root, leaves
+}
+
+// TestSubmitWithoutLeafPanicsNamingCause: a tree with no leaf cannot own a
+// path, and says so instead of dividing by zero in the round-robin.
+func TestSubmitWithoutLeafPanicsNamingCause(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	root := New(netsim.New(k, 1).NewHost("root"), "root", Config{})
+	root.Submit(core.Request{}) // nothing to place: fine
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "root has no leaf") {
+			t.Fatalf("Submit on a leafless tree: recovered %q", msg)
+		}
+	}()
+	root.Submit(core.Request{Paths: []core.Path{{ID: "p"}}})
 }
 
 func TestTrapDropAccounting(t *testing.T) {
@@ -309,7 +326,7 @@ func TestStalenessSurfacedNotMasked(t *testing.T) {
 	defer k.Close()
 	cfg := Config{
 		Reexport: 250 * time.Millisecond, TTL: time.Second,
-		AdoptAfter: time.Hour, // no adoption: pure staleness exposure
+		AdoptAfter:    time.Hour, // no adoption: pure staleness exposure
 		WatchdogEvery: 100 * time.Millisecond,
 	}
 	h, _, root, leaves, paths := buildCotsTree(k, cfg)

@@ -52,14 +52,23 @@ func E14(quick bool) *report.Table {
 
 const e14FailAt = 5 * time.Second
 
-// e14Row runs the fixed workload on sc shards and returns one table row.
-func e14Row(sc, regions, serversPer, clientsPer int, quick bool) []any {
-	g := sim.NewShardGroup(sc, topo.WANPropDelay)
-	defer g.Close()
-	s := topo.BuildShardedScaled(g, 14, regions, serversPer, clientsPer)
+// federation is the monitored fleet E14 and E15 share: one COTS director per
+// region, federated by origin region over the cross-region paths.
+type federation struct {
+	agents *cots.AgentRegistry
+	dirs   []*cots.Monitor // by region
+	sm     *core.ShardedMonitor
+	paths  []core.Path
+}
 
-	// Per-region drifting clocks, seeded by region index so the clock map
-	// is a pure function of the topology, not the partitioning.
+// startFederation gives every region of s a drifting clock and a director
+// on its mgmt host polling every poll, all sharing one agent registry;
+// deploys agents along the cross-region paths; and submits reachability and
+// one-way latency through a ShardedMonitor before starting the directors.
+// setup, when non-nil, configures each director before any agent deploys.
+func startFederation(s *topo.ShardedScaled, poll time.Duration, setup func(*cots.Monitor)) *federation {
+	// Clocks are seeded by region index so the clock map is a pure function
+	// of the topology, not the partitioning.
 	for i, r := range s.Regions {
 		clk := &vclock.Clock{
 			Offset: time.Duration(i+1) * time.Millisecond,
@@ -69,10 +78,7 @@ func e14Row(sc, regions, serversPer, clientsPer int, quick bool) []any {
 			n.LocalClock = clk
 		}
 	}
-
-	// One director per region on its mgmt host, sharing an agent registry,
-	// federated by origin region.
-	reg := cots.NewAgentRegistry()
+	f := &federation{agents: cots.NewAgentRegistry(), paths: s.CrossRegionPaths()}
 	nodeByName := make(map[netsim.Addr]*netsim.Node)
 	regionOf := make(map[netsim.Addr]int)
 	for i, r := range s.Regions {
@@ -81,28 +87,40 @@ func e14Row(sc, regions, serversPer, clientsPer int, quick bool) []any {
 			regionOf[n.Name] = i
 		}
 	}
-	dirs := make([]*cots.Monitor, regions)
-	members := make([]core.Monitor, regions)
+	members := make([]core.Monitor, len(s.Regions))
 	for i, r := range s.Regions {
-		m := cots.New(r.Mgmt, "public", time.Second)
-		m.UseRegistry(reg)
-		dirs[i] = m
+		m := cots.New(r.Mgmt, "public", poll)
+		m.UseRegistry(f.agents)
+		if setup != nil {
+			setup(m)
+		}
+		f.dirs = append(f.dirs, m)
 		members[i] = m
 	}
-	paths := s.CrossRegionPaths()
-	for _, p := range paths {
+	for _, p := range f.paths {
 		owner := regionOf[p.Hops[0].Host]
 		for _, hop := range p.Hops {
-			dirs[owner].EnsureAgentOn(nodeByName[hop.Host])
+			f.dirs[owner].EnsureAgentOn(nodeByName[hop.Host])
 		}
 	}
-	sm := core.NewShardedMonitor(func(p core.Path) int {
+	f.sm = core.NewShardedMonitor(func(p core.Path) int {
 		return regionOf[p.Hops[0].Host]
 	}, members...)
-	sm.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability, metrics.OneWayLatency}})
-	for _, m := range dirs {
+	f.sm.Submit(core.Request{Paths: f.paths, Metrics: []metrics.Metric{metrics.Reachability, metrics.OneWayLatency}})
+	for _, m := range f.dirs {
 		m.Start()
 	}
+	return f
+}
+
+// e14Row runs the fixed workload on sc shards and returns one table row.
+func e14Row(sc, regions, serversPer, clientsPer int, quick bool) []any {
+	g := sim.NewShardGroup(sc, topo.WANPropDelay)
+	defer g.Close()
+	s := topo.BuildShardedScaled(g, 14, regions, serversPer, clientsPer)
+
+	f := startFederation(s, time.Second, nil)
+	paths, sm, dirs := f.paths, f.sm, f.dirs
 
 	// Fail region 2's first client mid-run, scheduled on its own shard.
 	victim := s.Regions[1].Clients[0]
@@ -130,6 +148,6 @@ func e14Row(sc, regions, serversPer, clientsPer int, quick bool) []any {
 	if detect > 0 {
 		detectCell = fmt.Sprintf("%v", detect)
 	}
-	return []any{sc, regions, reg.Size(), len(paths), s.CutEdges(),
+	return []any{sc, regions, f.agents.Size(), len(paths), s.CutEdges(),
 		events, g.CrossShardMessages(), g.Windows(), detectCell}
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sketch"
 	"repro/internal/topo"
-	"repro/internal/vclock"
 )
 
 // E15 converts §4's fidelity/senescence trade-off into a measured
@@ -226,24 +225,6 @@ func e15FedRow(quick bool, sc int) []any {
 	g := sim.NewShardGroup(sc, topo.WANPropDelay)
 	defer g.Close()
 	s := topo.BuildShardedScaled(g, 15, regions, 1, 2)
-	for i, r := range s.Regions {
-		clk := &vclock.Clock{
-			Offset: time.Duration(i+1) * time.Millisecond,
-			Drift:  float64(i+1) * 20e-6,
-		}
-		for _, n := range append(append([]*netsim.Node{}, r.Servers...), r.Clients...) {
-			n.LocalClock = clk
-		}
-	}
-	reg := cots.NewAgentRegistry()
-	nodeByName := make(map[netsim.Addr]*netsim.Node)
-	regionOf := make(map[netsim.Addr]int)
-	for i, r := range s.Regions {
-		for _, n := range r.Net.Nodes() {
-			nodeByName[n.Name] = n
-			regionOf[n.Name] = i
-		}
-	}
 	// Intra-region cross traffic on each LAN spreads the otherwise
 	// near-constant WAN latencies into overlapping continuous
 	// distributions; it never crosses a region (or shard) boundary, so the
@@ -257,30 +238,11 @@ func e15FedRow(quick bool, sc int) []any {
 			Seed: 400 + int64(i),
 		}).Run()
 	}
-	dirs := make([]*cots.Monitor, regions)
-	members := make([]core.Monitor, regions)
-	for i, r := range s.Regions {
-		m := cots.New(r.Mgmt, "public", 50*time.Millisecond)
-		m.UseRegistry(reg)
+	f := startFederation(s, 50*time.Millisecond, func(m *cots.Monitor) {
 		m.Database().HistoryDepth = e15Depth
 		m.Database().EnableSketches(sketch.Thresholds{})
-		dirs[i] = m
-		members[i] = m
-	}
-	paths := s.CrossRegionPaths()
-	for _, p := range paths {
-		owner := regionOf[p.Hops[0].Host]
-		for _, hop := range p.Hops {
-			dirs[owner].EnsureAgentOn(nodeByName[hop.Host])
-		}
-	}
-	sm := core.NewShardedMonitor(func(p core.Path) int {
-		return regionOf[p.Hops[0].Host]
-	}, members...)
-	sm.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability, metrics.OneWayLatency}})
-	for _, m := range dirs {
-		m.Start()
-	}
+	})
+	paths, sm, dirs := f.paths, f.sm, f.dirs
 	window := pick(quick, 8*time.Second, 16*time.Second)
 	g.Shard(0).RunUntil(window)
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"time"
 )
 
@@ -260,20 +261,72 @@ func (s *SharedSegment) deliver(from *Iface, pkt *Packet) {
 // Link is a full-duplex point-to-point medium: each direction is an
 // independent transmitter. Switched fabrics (ATM) are built from links, so
 // unicast traffic is invisible anywhere else — no Tap is offered.
+//
+// The two endpoints may live in different networks on different shards of a
+// sim.ShardGroup (see ConnectShards): the link is then the simulated form of
+// a cut edge in a partitioned topology, and traffic crossing it is handed
+// between shards as a timestamped event, with the link's propagation delay
+// providing the conservative lookahead bound. Serialization and loss happen
+// in the sending shard's context (drawing the sender network's RNG, so
+// per-shard randomness stays shard-owned); delivery at now+PropDelay is
+// scheduled through ShardGroup.Send when the endpoints are on different
+// shards and as an ordinary local event when they are not. Because the same
+// single delivery event fires either way, a topology produces identical
+// packet timing at any shard count — the property the
+// cross-shard-determinism experiments rely on (when LossProb is zero; loss
+// draws come from per-network RNGs whose consumption is
+// shard-count-independent only for loss-free links).
 type Link struct {
-	net  *Network
 	name string
 	cfg  MediumConfig
-	a, b *Iface
-	busy [2]bool
+	ends [2]linkEnd
 }
 
-// NewLink connects two nodes with a point-to-point link.
+type linkEnd struct {
+	net   *Network
+	shard int
+	ifc   *Iface
+	busy  bool
+}
+
+// NewLink connects two nodes of this network with a point-to-point link.
 func (nw *Network) NewLink(name string, a, b *Node, cfg MediumConfig) *Link {
-	l := &Link{net: nw, name: name, cfg: cfg}
-	l.a = a.addIface(l, cfg.QueueCap)
-	l.b = b.addIface(l, cfg.QueueCap)
-	nw.media = append(nw.media, l)
+	return ConnectShards(name, a, b, cfg)
+}
+
+// ConnectShards joins a node in one network to a node in another (possibly
+// the same) with a point-to-point link that may cross shard boundaries.
+// Both networks must run on kernels of the same ShardGroup — or on plain
+// ungrouped kernels sharing the same kernel. When the endpoints are on
+// different shards, cfg.PropDelay must be at least the group's lookahead;
+// anything shorter could deliver inside a window a peer has already
+// executed, so it panics at construction rather than mid-run.
+//
+// Node names should be unique across the joined networks: routing resolves
+// next hops by name, and the endpoints become each other's neighbors.
+func ConnectShards(name string, a, b *Node, cfg MediumConfig) *Link {
+	aK, bK := a.net.K, b.net.K
+	ga, gb := aK.Group(), bK.Group()
+	if ga != gb {
+		panic(fmt.Sprintf("netsim: ConnectShards %q endpoints belong to different shard groups", name))
+	}
+	if ga == nil && aK != bK {
+		panic(fmt.Sprintf("netsim: ConnectShards %q endpoints on unrelated kernels", name))
+	}
+	sa, sb := aK.ShardIndex(), bK.ShardIndex()
+	if ga != nil && sa != sb && cfg.PropDelay < ga.Lookahead() {
+		panic(fmt.Sprintf("netsim: ConnectShards %q PropDelay %v below group lookahead %v",
+			name, cfg.PropDelay, ga.Lookahead()))
+	}
+	l := &Link{name: name, cfg: cfg}
+	l.ends[0] = linkEnd{net: a.net, shard: sa}
+	l.ends[1] = linkEnd{net: b.net, shard: sb}
+	l.ends[0].ifc = a.addIface(l, cfg.QueueCap)
+	l.ends[1].ifc = b.addIface(l, cfg.QueueCap)
+	a.net.media = append(a.net.media, l)
+	if b.net != a.net {
+		b.net.media = append(b.net.media, l)
+	}
 	return l
 }
 
@@ -284,42 +337,52 @@ func (l *Link) Name() string { return l.name }
 func (l *Link) Config() MediumConfig { return l.cfg }
 
 // Ifaces implements Medium.
-func (l *Link) Ifaces() []*Iface { return []*Iface{l.a, l.b} }
+func (l *Link) Ifaces() []*Iface { return []*Iface{l.ends[0].ifc, l.ends[1].ifc} }
 
-func (l *Link) dir(ifc *Iface) int {
-	if ifc == l.a {
-		return 0
-	}
-	return 1
-}
-
-func (l *Link) peer(ifc *Iface) *Iface {
-	if ifc == l.a {
-		return l.b
-	}
-	return l.a
-}
+// CrossShard reports whether the endpoints live on different shards.
+func (l *Link) CrossShard() bool { return l.ends[0].shard != l.ends[1].shard }
 
 func (l *Link) notify(ifc *Iface) {
-	d := l.dir(ifc)
-	if l.busy[d] {
+	d := 0
+	if ifc != l.ends[0].ifc {
+		d = 1
+	}
+	end := &l.ends[d]
+	if end.busy {
 		return
 	}
 	pkt := ifc.pop()
 	if pkt == nil {
 		return
 	}
-	l.busy[d] = true
-	tx := l.cfg.txTime(pkt)
-	l.net.K.After(tx, func() {
-		l.busy[d] = false
+	end.busy = true
+	// One allocation per frame: the closure is the code pointer plus four
+	// captured words (l, d, ifc, pkt), the 48-byte size class.
+	end.net.K.After(l.cfg.txTime(pkt), func() {
+		end := &l.ends[d]
+		end.busy = false
 		ifc.countOut(pkt)
-		if l.net.lost(l.cfg.LossProb) {
-			l.net.drop(DropCorrupted, pkt)
+		if end.net.lost(l.cfg.LossProb) {
+			end.net.drop(DropCorrupted, pkt)
 		} else {
-			peer := l.peer(ifc)
-			l.net.K.After(l.cfg.PropDelay, func() { peer.receive(pkt) })
+			l.deliver(d, pkt)
 		}
 		l.notify(ifc)
 	})
+}
+
+// deliver hands the packet to the far endpoint at now+PropDelay: a local
+// event when both ends share a shard, a cross-shard send otherwise. The
+// receiving closure runs in the destination shard's context, so from there
+// on the packet is owned by that shard.
+func (l *Link) deliver(d int, pkt *Packet) {
+	src, dst := &l.ends[d], &l.ends[1-d]
+	peer := dst.ifc
+	at := src.net.K.Now() + l.cfg.PropDelay
+	g := src.net.K.Group()
+	if g == nil || src.shard == dst.shard {
+		src.net.K.At(at, func() { peer.receive(pkt) })
+		return
+	}
+	g.Send(src.shard, dst.shard, at, func() { peer.receive(pkt) })
 }

@@ -24,7 +24,7 @@
 //     values in the same order are bit-identical, and a tree of Merges
 //     evaluated in a fixed order is bit-identical across runs — the
 //     property the sharded kernel's federation relies on (see
-//     core.ShardedMonitor.AggregateSummary, which merges in globally
+//     core.ShardedMonitor.AggregateSketch, which merges in globally
 //     sorted path order so the result is independent of the shard count).
 //
 //   - Allocation-bounded. The struct is self-contained fixed-size arrays;

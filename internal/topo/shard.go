@@ -105,7 +105,7 @@ type ShardedScaled struct {
 	Group   *sim.ShardGroup
 	Regions []*Region
 	Assign  []int // region index -> shard
-	WAN     []*netsim.ShardLink
+	WAN     []*netsim.Link
 }
 
 // BuildShardedScaled constructs `regions` regions of serversPer+clientsPer

@@ -7,8 +7,7 @@
 #
 # Before trusting the gate, the script verifies the tripwire actually
 # trips: a synthetic out-of-tolerance pair must fail the compare (naming
-# the metric) and an in-tolerance pair must pass — the same discipline
-# bench_compare.sh established for the perf gate.
+# the metric) and an in-tolerance pair must pass.
 #
 # Outputs land in results/ (gitignored): one JSONL stream per scenario
 # run plus results_summary.json, which CI archives per Go version.
