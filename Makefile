@@ -9,8 +9,11 @@ COVER_FLOOR ?= 85.0
 
 ci: vet build test race analyze fuzz-smoke bench-smoke bench-test
 
+# gofmt -l prints the files it would rewrite; any name is a failure.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -6,8 +6,9 @@
 //     calling Proc, drive a kernel or shard barrier). Holding a sync mutex
 //     across such a call freezes the cooperative scheduler (locksafe).
 //   - SchedulesEvents: a call inserts events into a kernel's queue (At,
-//     After, Every, Spawn, cross-shard Send) — anything whose *order of
-//     invocation* changes the (at, seq) order of the event heap.
+//     After, Every, their Arg forms, Spawn, cross-shard Send) — anything
+//     whose *order of invocation* changes the (at, seq) order of the event
+//     heap.
 //   - RecordsToDB: a call appends to an order-sensitive data sink — the
 //     measurement database or an experiment report table — so invoking it
 //     from an unordered iteration produces nondeterministic output.
@@ -213,14 +214,14 @@ func intrinsic(pkgName, recv, name string) Fact {
 			switch name {
 			case "Run", "RunUntil", "runBefore", "resumeProc", "Close", "closeLocal":
 				return MayYield
-			case "At", "After", "Every", "schedule", "Spawn":
+			case "At", "After", "AtArg", "AfterArg", "Every", "schedule", "Spawn":
 				return SchedulesEvents
 			}
 		case "ShardGroup":
 			switch name {
 			case "Run", "RunUntil", "Close":
 				return MayYield
-			case "Send":
+			case "Send", "SendArg":
 				return SchedulesEvents
 			}
 		}

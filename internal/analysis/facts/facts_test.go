@@ -23,6 +23,12 @@ type Kernel struct{}
 
 func (k *Kernel) At(at int64, fn func()) {}
 
+func (k *Kernel) AfterArg(d int64, fn func(any), arg any) {}
+
+type ShardGroup struct{}
+
+func (g *ShardGroup) SendArg(from, to int, at int64, fn func(any), arg any) {}
+
 type Queue[T any] struct{}
 
 func (q *Queue[T]) Get(p *Proc, timeout int64) (T, bool) { var z T; return z, false }
@@ -58,6 +64,14 @@ func generic(q *sim.Queue[int], p *sim.Proc) {
 
 func scheduler(k *sim.Kernel, fn func()) {
 	k.At(10, fn)
+}
+
+func argScheduler(k *sim.Kernel, fn func(any)) {
+	k.AfterArg(10, fn, k)
+}
+
+func crossShard(g *sim.ShardGroup, fn func(any)) {
+	g.SendArg(0, 1, 10, fn, g)
 }
 
 func pure(n int) int { return n + 1 }
@@ -129,6 +143,8 @@ func TestLookup(t *testing.T) {
 	}{
 		{sim, "Sleep", facts.MayYield}, // intrinsic despite the empty body
 		{sim, "At", facts.SchedulesEvents},
+		{sim, "AfterArg", facts.SchedulesEvents},
+		{sim, "SendArg", facts.SchedulesEvents},
 		{sim, "Get", facts.MayYield}, // generic receiver Queue[T]
 		{app, "helper", facts.MayYield},
 		{app, "caller", facts.MayYield}, // two hops
@@ -137,6 +153,8 @@ func TestLookup(t *testing.T) {
 		{app, "pong", facts.MayYield},
 		{app, "generic", facts.MayYield},
 		{app, "scheduler", facts.SchedulesEvents},
+		{app, "argScheduler", facts.SchedulesEvents},
+		{app, "crossShard", facts.SchedulesEvents},
 		{app, "pure", 0},
 	} {
 		if got := db.Lookup(fn(t, tc.in, tc.name)); got != tc.want {

@@ -10,7 +10,8 @@ func bad(k *sim.Kernel) {
 func good(k *sim.Kernel) {
 	t := k.Every(10, func() {})
 	defer t.Stop()
-	k.After(5, func() {}) // one-shot timers are fire-and-forget: fine
+	k.After(5, func() {})          // one-shot timers are fire-and-forget: fine
+	k.AfterArg(5, func(any) {}, k) // so is the arg-carrying form
 	//lint:allow leaktimer process-lifetime ticker
 	k.Every(10, func() {})
 	k.Every(10, func() {}) //lint:allow leaktimer same-line form

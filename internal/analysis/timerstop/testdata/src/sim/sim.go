@@ -10,3 +10,5 @@ type Kernel struct{}
 func (k *Kernel) Every(period int64, fn func()) Timer { return Timer{} }
 
 func (k *Kernel) After(d int64, fn func()) Timer { return Timer{} }
+
+func (k *Kernel) AfterArg(d int64, fn func(any), arg any) Timer { return Timer{} }

@@ -4,8 +4,9 @@
 // the tick; discarding it creates a timer that fires forever. That was the
 // PR 1 bug class: an un-stoppable Every keeps the event queue non-empty, so
 // Kernel.Run never drains and any later phase of the run still pays for the
-// abandoned ticker. One-shot At/After timers fire once and are routinely
-// fire-and-forget, so those names are exempt; every other function that
+// abandoned ticker. One-shot At/After timers (and their arg-carrying forms
+// AtArg/AfterArg) fire once and are routinely fire-and-forget, so those
+// names are exempt; every other function that
 // returns a sim.Timer — Every itself, and wrappers like the senescence
 // watchdog (DirectorBase.StartSenescenceWatchdog) or a breaker's probe
 // ticker — hands ownership of a periodic timer to the caller, and a
@@ -75,7 +76,7 @@ func check(pass *analysis.Pass, call *ast.CallExpr) {
 
 // oneShot names the kernel's fire-once scheduling calls, whose Timer
 // handle is legitimately fire-and-forget.
-var oneShot = map[string]bool{"At": true, "After": true}
+var oneShot = map[string]bool{"At": true, "After": true, "AtArg": true, "AfterArg": true}
 
 // returnsSimTimer reports whether fn's single result is a named type Timer
 // from a package named sim.

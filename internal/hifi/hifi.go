@@ -137,11 +137,21 @@ func (m *Monitor) Submit(req core.Request) {
 
 // ProvisionServerSim installs the NTTCP measurement client on an explicit
 // node, for paths originating at hosts Submit cannot resolve because they
-// live in a foreign network — another region of a sharded topology. Call at
-// wiring time, before the run.
+// live in a foreign network — another region of a partitioned topology that
+// runs on the sequencer's own kernel. Call at wiring time, before the run.
+//
+// The sequencer drives every measurement from its own proc, so the origin's
+// socket sends and schedules events from the monitor's kernel: a node on
+// another shard of the group would have its kernel touched from outside its
+// execution context. That is rejected here, at wiring time, rather than
+// left to corrupt a run (such an origin needs a director on its own shard).
 func (m *Monitor) ProvisionServerSim(node *netsim.Node) {
 	if node == nil {
 		return
+	}
+	if nk, mk := node.Network().K, m.nw.K; nk != mk {
+		panic(fmt.Sprintf("hifi: ProvisionServerSim %q runs on shard %d, the sequencer on shard %d: a server simulator must share the sequencer's kernel",
+			node.Name, nk.ShardIndex(), mk.ShardIndex()))
 	}
 	if _, ok := m.serverSims[node.Name]; !ok {
 		m.serverSims[node.Name] = nttcp.NewClient(node, m.Cfg)

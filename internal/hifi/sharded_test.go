@@ -1,6 +1,7 @@
 package hifi
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -57,26 +58,46 @@ func TestShardedHifiCrossRegionMeasurement(t *testing.T) {
 	}
 }
 
-// TestProvisionServerSimForeignOrigin: a director can also own paths whose
-// origin is foreign, provided the server simulator is provisioned by node
-// and the sweep stays serial (the sequencer measures from its own proc).
-func TestProvisionServerSimForeignOrigin(t *testing.T) {
-	g := sim.NewShardGroup(2, topo.WANPropDelay)
-	defer g.Close()
-	s := topo.BuildShardedScaled(g, 8, 2, 1, 1)
-	r0, r1 := s.Regions[0], s.Regions[1]
+// TestProvisionServerSimRejectsForeignShard: a director can own a path whose
+// origin lives in a foreign network, provided the server simulator is
+// provisioned by node and the sweep stays serial (the sequencer measures
+// from its own proc) — but only on the sequencer's own kernel. An origin on
+// another shard would be driven from outside its execution context, so
+// wiring it panics instead of racing mid-run.
+func TestProvisionServerSimRejectsForeignShard(t *testing.T) {
 	cfg := nttcp.Config{MsgLen: 512, InterSend: 5 * time.Millisecond, Count: 4, Timeout: 2 * time.Second}
+
+	// Two regions on one shard: two networks, one kernel. Region 0's
+	// director measures the path from region 1's server to its own client.
+	g1 := sim.NewShardGroup(1, topo.WANPropDelay)
+	defer g1.Close()
+	s := topo.BuildShardedScaled(g1, 8, 2, 1, 1)
+	r0, r1 := s.Regions[0], s.Regions[1]
 	m := New(r0.Mgmt, cfg, 1)
-	// Path from region 1's server to region 0's client, owned by region 0's
-	// director: both endpoints need explicit provisioning on the origin
-	// side, and the local destination resolves via Submit.
 	paths := core.CrossProductPaths(r1.ServerRefs(), r0.ClientRefs())
 	m.ProvisionServerSim(r1.Servers[0])
 	m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability}})
 	m.Start()
-	g.Shard(0).RunUntil(30 * time.Second)
+	g1.Shard(0).RunUntil(30 * time.Second)
 	reach, ok := m.Query(paths[0].ID, metrics.Reachability)
 	if !ok || !reach.Reached() {
-		t.Fatalf("foreign-origin path: %v %v", reach, ok)
+		t.Fatalf("foreign-network origin on the same shard: %v %v", reach, ok)
 	}
+
+	// The same wiring with the regions on different shards is refused.
+	g2 := sim.NewShardGroup(2, topo.WANPropDelay)
+	defer g2.Close()
+	s = topo.BuildShardedScaled(g2, 8, 2, 1, 1)
+	r0, r1 = s.Regions[0], s.Regions[1]
+	if r0.Shard == r1.Shard {
+		t.Fatalf("regions share shard %d; the test needs them apart", r0.Shard)
+	}
+	m = New(r0.Mgmt, cfg, 1)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "must share the sequencer's kernel") {
+			t.Fatalf("ProvisionServerSim on a foreign shard: recovered %q, want the shared-kernel panic", msg)
+		}
+	}()
+	m.ProvisionServerSim(r1.Servers[0])
 }

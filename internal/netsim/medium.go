@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // MediumConfig carries the physical parameters of a segment or link.
@@ -135,14 +137,19 @@ type SharedSegment struct {
 	cfg     MediumConfig
 	ifaces  []*Iface
 	busy    bool
-	backlog []*Iface
+	backlog sim.FIFO[*Iface]
 	taps    []TapFunc
 	stats   SegmentStats
+
+	// txDoneFn and propDoneFn are the segment's two event functions, bound
+	// once here so that a frame's events carry only the packet.
+	txDoneFn, propDoneFn func(any)
 }
 
 // NewSegment creates a shared segment with the given physical parameters.
 func (nw *Network) NewSegment(name string, cfg MediumConfig) *SharedSegment {
 	s := &SharedSegment{net: nw, name: name, cfg: cfg}
+	s.txDoneFn, s.propDoneFn = s.txDone, s.propDone
 	nw.media = append(nw.media, s)
 	return s
 }
@@ -173,6 +180,7 @@ func (s *SharedSegment) Tap(fn TapFunc) { s.taps = append(s.taps, fn) }
 // fault injection for flaky-cable scenarios.
 func (s *SharedSegment) SetLossProb(p float64) { s.cfg.LossProb = p }
 
+//perf:noalloc
 func (s *SharedSegment) notify(ifc *Iface) {
 	if ifc.inBacklog || ifc.qlen() == 0 {
 		return
@@ -181,16 +189,19 @@ func (s *SharedSegment) notify(ifc *Iface) {
 		s.stats.Deferrals++
 	}
 	ifc.inBacklog = true
-	s.backlog = append(s.backlog, ifc)
+	s.backlog.Push(ifc)
 	s.serve()
 }
 
+//perf:noalloc
 func (s *SharedSegment) serve() {
-	if s.busy || len(s.backlog) == 0 {
+	if s.busy {
 		return
 	}
-	ifc := s.backlog[0]
-	s.backlog = s.backlog[1:]
+	ifc, ok := s.backlog.Pop()
+	if !ok {
+		return
+	}
 	ifc.inBacklog = false
 	pkt := ifc.pop()
 	if pkt == nil {
@@ -198,21 +209,30 @@ func (s *SharedSegment) serve() {
 		return
 	}
 	s.busy = true
-	tx := s.cfg.txTime(pkt) + s.cfg.ArbDelay
-	s.net.K.After(tx, func() {
-		s.busy = false
-		s.complete(ifc, pkt)
-		// Fair round-robin: a station with more frames rejoins the queue.
-		if ifc.qlen() > 0 && !ifc.inBacklog {
-			ifc.inBacklog = true
-			s.backlog = append(s.backlog, ifc)
-		}
-		s.serve()
-	})
+	pkt.hop = ifc
+	s.net.K.AfterArg(s.cfg.txTime(pkt)+s.cfg.ArbDelay, s.txDoneFn, pkt)
+}
+
+// txDone fires when the transmitter (pkt.hop) has put the frame on the wire.
+//
+//perf:noalloc
+func (s *SharedSegment) txDone(arg any) {
+	pkt := arg.(*Packet)
+	ifc := pkt.takeHop()
+	s.busy = false
+	s.complete(ifc, pkt)
+	// Fair round-robin: a station with more frames rejoins the queue.
+	if ifc.qlen() > 0 && !ifc.inBacklog {
+		ifc.inBacklog = true
+		s.backlog.Push(ifc)
+	}
+	s.serve()
 }
 
 // complete fires when the frame leaves the wire: update stats, run taps,
 // then deliver after propagation delay.
+//
+//perf:noalloc
 func (s *SharedSegment) complete(from *Iface, pkt *Packet) {
 	wire := int(s.cfg.wireBits(pkt) / 8)
 	lost := s.net.lost(s.cfg.LossProb)
@@ -233,7 +253,14 @@ func (s *SharedSegment) complete(from *Iface, pkt *Packet) {
 		s.net.drop(DropCorrupted, pkt)
 		return
 	}
-	s.net.K.After(s.cfg.PropDelay, func() { s.deliver(from, pkt) })
+	pkt.hop = from
+	s.net.K.AfterArg(s.cfg.PropDelay, s.propDoneFn, pkt)
+}
+
+// propDone fires when the frame sent by pkt.hop has crossed the segment.
+func (s *SharedSegment) propDone(arg any) {
+	pkt := arg.(*Packet)
+	s.deliver(pkt.takeHop(), pkt)
 }
 
 func (s *SharedSegment) deliver(from *Iface, pkt *Packet) {
@@ -280,6 +307,8 @@ type Link struct {
 	name string
 	cfg  MediumConfig
 	ends [2]linkEnd
+
+	txDoneFn func(any) // l.txDone, bound once
 }
 
 type linkEnd struct {
@@ -319,6 +348,7 @@ func ConnectShards(name string, a, b *Node, cfg MediumConfig) *Link {
 			name, cfg.PropDelay, ga.Lookahead()))
 	}
 	l := &Link{name: name, cfg: cfg}
+	l.txDoneFn = l.txDone
 	l.ends[0] = linkEnd{net: a.net, shard: sa}
 	l.ends[1] = linkEnd{net: b.net, shard: sb}
 	l.ends[0].ifc = a.addIface(l, cfg.QueueCap)
@@ -342,12 +372,17 @@ func (l *Link) Ifaces() []*Iface { return []*Iface{l.ends[0].ifc, l.ends[1].ifc}
 // CrossShard reports whether the endpoints live on different shards.
 func (l *Link) CrossShard() bool { return l.ends[0].shard != l.ends[1].shard }
 
-func (l *Link) notify(ifc *Iface) {
-	d := 0
-	if ifc != l.ends[0].ifc {
-		d = 1
+// dir returns the direction (index into ends) that ifc transmits in.
+func (l *Link) dir(ifc *Iface) int {
+	if ifc == l.ends[0].ifc {
+		return 0
 	}
-	end := &l.ends[d]
+	return 1
+}
+
+//perf:noalloc
+func (l *Link) notify(ifc *Iface) {
+	end := &l.ends[l.dir(ifc)]
 	if end.busy {
 		return
 	}
@@ -356,33 +391,48 @@ func (l *Link) notify(ifc *Iface) {
 		return
 	}
 	end.busy = true
-	// One allocation per frame: the closure is the code pointer plus four
-	// captured words (l, d, ifc, pkt), the 48-byte size class.
-	end.net.K.After(l.cfg.txTime(pkt), func() {
-		end := &l.ends[d]
-		end.busy = false
-		ifc.countOut(pkt)
-		if end.net.lost(l.cfg.LossProb) {
-			end.net.drop(DropCorrupted, pkt)
-		} else {
-			l.deliver(d, pkt)
-		}
-		l.notify(ifc)
-	})
+	pkt.hop = ifc
+	end.net.K.AfterArg(l.cfg.txTime(pkt), l.txDoneFn, pkt)
+}
+
+// txDone fires when the transmitter (pkt.hop) has serialized the frame.
+//
+//perf:noalloc
+func (l *Link) txDone(arg any) {
+	pkt := arg.(*Packet)
+	ifc := pkt.takeHop()
+	d := l.dir(ifc)
+	end := &l.ends[d]
+	end.busy = false
+	ifc.countOut(pkt)
+	if end.net.lost(l.cfg.LossProb) {
+		end.net.drop(DropCorrupted, pkt)
+	} else {
+		l.deliver(d, pkt)
+	}
+	l.notify(ifc)
 }
 
 // deliver hands the packet to the far endpoint at now+PropDelay: a local
 // event when both ends share a shard, a cross-shard send otherwise. The
-// receiving closure runs in the destination shard's context, so from there
-// on the packet is owned by that shard.
+// receive event runs in the destination shard's context, so from there on
+// the packet is owned by that shard.
+//
+//perf:noalloc
 func (l *Link) deliver(d int, pkt *Packet) {
 	src, dst := &l.ends[d], &l.ends[1-d]
-	peer := dst.ifc
+	pkt.hop = dst.ifc
 	at := src.net.K.Now() + l.cfg.PropDelay
 	g := src.net.K.Group()
 	if g == nil || src.shard == dst.shard {
-		src.net.K.At(at, func() { peer.receive(pkt) })
+		src.net.K.AtArg(at, receiveHop, pkt)
 		return
 	}
-	g.Send(src.shard, dst.shard, at, func() { peer.receive(pkt) })
+	g.SendArg(src.shard, dst.shard, at, receiveHop, pkt)
+}
+
+// receiveHop fires when a frame reaches the far end of a link (pkt.hop).
+func receiveHop(arg any) {
+	pkt := arg.(*Packet)
+	pkt.takeHop().receive(pkt)
 }

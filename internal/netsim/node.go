@@ -160,7 +160,9 @@ func (n *Node) output(pkt *Packet) {
 }
 
 // input handles a packet delivered to one of the node's interfaces.
-func (n *Node) input(pkt *Packet, _ *Iface) {
+//
+//perf:noalloc
+func (n *Node) input(pkt *Packet, ifc *Iface) {
 	if !n.up {
 		n.Counters.DownDrops++
 		n.net.drop(DropHostDown, pkt)
@@ -190,10 +192,18 @@ func (n *Node) input(pkt *Packet, _ *Iface) {
 	}
 	pkt.Hops++
 	if n.ProcDelay > 0 {
-		n.net.K.After(n.ProcDelay, func() { n.output(pkt) })
+		pkt.hop = ifc
+		n.net.K.AfterArg(n.ProcDelay, forwardHop, pkt)
 	} else {
 		n.output(pkt)
 	}
+}
+
+// forwardHop fires when a router has spent ProcDelay on a packet: the node
+// that took it in (pkt.hop's) routes it onward.
+func forwardHop(arg any) {
+	pkt := arg.(*Packet)
+	pkt.takeHop().node.output(pkt)
 }
 
 // Iface is a node's attachment to a medium, with a bounded egress queue.
@@ -201,7 +211,7 @@ type Iface struct {
 	node      *Node
 	medium    Medium
 	Index     int
-	queue     []*Packet
+	queue     sim.FIFO[*Packet]
 	queueCap  int
 	inBacklog bool
 	up        bool
@@ -237,31 +247,31 @@ func (i *Iface) SetUp(up bool) { i.up = up }
 func (i *Iface) SpeedBps() int64 { return i.medium.Config().RateBps }
 
 // QueueLen reports the instantaneous egress queue depth.
-func (i *Iface) QueueLen() int { return len(i.queue) }
+func (i *Iface) QueueLen() int { return i.queue.Len() }
 
-func (i *Iface) qlen() int { return len(i.queue) }
+func (i *Iface) qlen() int { return i.queue.Len() }
 
+//perf:noalloc
 func (i *Iface) enqueue(pkt *Packet) {
 	if !i.Up() {
 		i.Counters.OutDiscards++
 		i.node.net.drop(DropIfaceDown, pkt)
 		return
 	}
-	if len(i.queue) >= i.queueCap {
+	if i.queue.Len() >= i.queueCap {
 		i.Counters.OutDiscards++
 		i.node.net.drop(DropQueueFull, pkt)
 		return
 	}
-	i.queue = append(i.queue, pkt)
+	i.queue.Push(pkt)
 	i.medium.notify(i)
 }
 
+// pop takes the next frame to transmit, or nil when the queue is empty.
+//
+//perf:noalloc
 func (i *Iface) pop() *Packet {
-	if len(i.queue) == 0 {
-		return nil
-	}
-	pkt := i.queue[0]
-	i.queue = i.queue[1:]
+	pkt, _ := i.queue.Pop()
 	return pkt
 }
 

@@ -64,6 +64,23 @@ type Packet struct {
 	TTL     int
 	Hops    int
 	SentAt  time.Duration // virtual time the sender queued the packet
+
+	// hop is the interface the packet's pending simulator event concerns:
+	// the transmitter while the frame is on a wire, the receiver while it
+	// propagates, the ingress port while a router processes it. It lets
+	// each hop schedule one function bound once with the packet as the
+	// event argument (sim.Kernel.AfterArg) where a closure capturing both
+	// would cost an allocation per frame. Set when the event is scheduled
+	// and taken (cleared) when it fires, so it is nil whenever code outside
+	// the simulator sees the packet.
+	hop *Iface
+}
+
+// takeHop returns and clears the packet's pending-event interface.
+func (p *Packet) takeHop() *Iface {
+	ifc := p.hop
+	p.hop = nil
+	return ifc
 }
 
 // WireSize is the number of bytes the packet occupies on a medium with the

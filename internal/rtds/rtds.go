@@ -149,25 +149,37 @@ func encodeBatch(seq uint32, tracks []Track, sentAt time.Duration) []byte {
 	return buf
 }
 
-func decodeBatch(b []byte) (seq uint32, sentAt time.Duration, tracks []Track, ok bool) {
+// decodeBatch unpacks an update into scratch, growing it only when the batch
+// is larger than any before, and returns the decoded tracks as a slice of
+// it: a client that hands the same scratch back every update decodes without
+// allocating. Every field of every returned track is overwritten, so nothing
+// of an earlier batch shows through. The wire count is checked against the
+// bytes that are actually there before anything is sized by it; on failure
+// tracks is nil and the caller keeps its scratch.
+func decodeBatch(b []byte, scratch []Track) (seq uint32, sentAt time.Duration, tracks []Track, ok bool) {
 	if len(b) < 16 {
 		return 0, 0, nil, false
 	}
 	seq = binary.BigEndian.Uint32(b[0:4])
 	count := binary.BigEndian.Uint32(b[4:8])
 	sentAt = time.Duration(binary.BigEndian.Uint64(b[8:16]))
+	if uint64(count) > uint64((len(b)-16)/trackWire) {
+		return 0, 0, nil, false
+	}
+	n := int(count)
+	if cap(scratch) < n {
+		scratch = make([]Track, n)
+	}
+	tracks = scratch[:n]
 	off := 16
-	for i := uint32(0); i < count; i++ {
-		if off+trackWire > len(b) {
-			return 0, 0, nil, false
-		}
-		tracks = append(tracks, Track{
+	for i := range tracks {
+		tracks[i] = Track{
 			ID: binary.BigEndian.Uint32(b[off:]),
 			X:  math.Float64frombits(binary.BigEndian.Uint64(b[off+4:])),
 			Y:  math.Float64frombits(binary.BigEndian.Uint64(b[off+12:])),
 			VX: math.Float64frombits(binary.BigEndian.Uint64(b[off+20:])),
 			VY: math.Float64frombits(binary.BigEndian.Uint64(b[off+28:])),
-		})
+		}
 		off += trackWire
 	}
 	return seq, sentAt, tracks, true
@@ -235,6 +247,7 @@ type Client struct {
 	EngageRange float64
 
 	engaged map[uint32]bool
+	tracks  []Track // decode scratch, reused across updates
 	stopped bool
 }
 
@@ -249,23 +262,29 @@ func StartClient(host *netsim.Node) *Client {
 			if !ok {
 				continue
 			}
-			seq, sentAt, tracks, ok := decodeBatch(pkt.Payload)
-			if !ok {
-				continue
-			}
-			if c.LastSeq != 0 && seq > c.LastSeq+1 {
-				c.Gaps += int(seq - c.LastSeq - 1)
-			}
-			if seq > c.LastSeq {
-				c.LastSeq = seq
-			}
-			c.UpdatesReceived++
-			c.LastUpdate = p.Now()
-			c.LastLatency = p.Now() - sentAt
-			c.process(p.Now(), tracks)
+			c.update(p.Now(), pkt.Payload)
 		}
 	})
 	return c
+}
+
+// update consumes one update message. Malformed messages are ignored.
+func (c *Client) update(now time.Duration, payload []byte) {
+	seq, sentAt, tracks, ok := decodeBatch(payload, c.tracks)
+	if !ok {
+		return
+	}
+	c.tracks = tracks
+	if c.LastSeq != 0 && seq > c.LastSeq+1 {
+		c.Gaps += int(seq - c.LastSeq - 1)
+	}
+	if seq > c.LastSeq {
+		c.LastSeq = seq
+	}
+	c.UpdatesReceived++
+	c.LastUpdate = now
+	c.LastLatency = now - sentAt
+	c.process(now, tracks)
 }
 
 // process classifies tracks and makes engagement decisions: an inbound

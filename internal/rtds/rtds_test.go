@@ -1,6 +1,8 @@
 package rtds
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 
@@ -50,7 +52,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		{ID: 2, X: -500, Y: 300, VX: -10, VY: -20},
 	}
 	b := encodeBatch(42, tracks, 5*time.Second)
-	seq, sentAt, got, ok := decodeBatch(b)
+	seq, sentAt, got, ok := decodeBatch(b, nil)
 	if !ok || seq != 42 || sentAt != 5*time.Second || len(got) != 2 {
 		t.Fatalf("decode: %v %v %d %v", seq, sentAt, len(got), ok)
 	}
@@ -65,9 +67,107 @@ func TestBatchCapsAtMessageLength(t *testing.T) {
 	if len(b) > UpdateLen {
 		t.Fatalf("batch %d bytes exceeds L=%d", len(b), UpdateLen)
 	}
-	_, _, got, ok := decodeBatch(b)
+	_, _, got, ok := decodeBatch(b, nil)
 	if !ok || len(got) == 0 || len(got) >= 500 {
 		t.Fatalf("capped batch decode: %d tracks, %v", len(got), ok)
+	}
+}
+
+// TestDecodeBatchRejectsMalformed: the wire count is 32 bits from outside;
+// a decode that presizes from it must check it against the bytes present.
+func TestDecodeBatchRejectsMalformed(t *testing.T) {
+	two := encodeBatch(7, make([]Track, 2), time.Second)
+	withCount := func(b []byte, count uint32) []byte {
+		out := append([]byte(nil), b...)
+		binary.BigEndian.PutUint32(out[4:8], count)
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		b      []byte
+		ok     bool
+		tracks int
+	}{
+		{"empty", nil, false, 0},
+		{"short header", two[:15], false, 0},
+		{"header only, zero count", withCount(two[:16], 0), true, 0},
+		{"zero count with trailing bytes", withCount(two, 0), true, 0},
+		{"exact", two, true, 2},
+		{"truncated mid-track", two[:len(two)-1], false, 0},
+		{"truncated to one track", two[:16+trackWire], false, 0},
+		{"count one past the bytes", withCount(two, 3), false, 0},
+		{"count 2^32-1", withCount(two, math.MaxUint32), false, 0},
+		{"count below the bytes", withCount(two, 1), true, 1},
+	} {
+		scratch := make([]Track, 1, 4)
+		_, _, got, ok := decodeBatch(tc.b, scratch)
+		if ok != tc.ok || len(got) != tc.tracks {
+			t.Errorf("%s: ok=%v tracks=%d, want ok=%v tracks=%d", tc.name, ok, len(got), tc.ok, tc.tracks)
+		}
+		if !ok && got != nil {
+			t.Errorf("%s: failed decode returned tracks", tc.name)
+		}
+	}
+}
+
+// TestDecodeBatchReusesScratch: one scratch across batches of different
+// sizes — a long batch, then a short one, then a long one again — never
+// shows a track, or a field, of an earlier batch.
+func TestDecodeBatchReusesScratch(t *testing.T) {
+	mk := func(n int, base uint32) []Track {
+		out := make([]Track, n)
+		for i := range out {
+			f := float64(base) + float64(i)
+			out[i] = Track{ID: base + uint32(i), X: f, Y: -f, VX: 2 * f, VY: -2 * f}
+		}
+		return out
+	}
+	var scratch []Track
+	for round, in := range [][]Track{mk(5, 100), mk(2, 200), mk(0, 300), mk(9, 400), mk(3, 500)} {
+		// Fields the wire does not carry must not survive from a previous
+		// decode into the same slots.
+		full := scratch[:cap(scratch)]
+		for i := range full {
+			full[i].Class = Hostile
+			full[i].UpdatedAt = time.Hour
+		}
+		_, _, got, ok := decodeBatch(encodeBatch(uint32(round+1), in, 0), scratch)
+		if !ok || len(got) != len(in) {
+			t.Fatalf("round %d: ok=%v, %d tracks, want %d", round, ok, len(got), len(in))
+		}
+		for i := range in {
+			if got[i] != in[i] {
+				t.Fatalf("round %d track %d: %+v, want %+v", round, i, got[i], in[i])
+			}
+		}
+		scratch = got
+	}
+	// A failed decode hands nothing back, so the caller's scratch survives.
+	if _, _, got, ok := decodeBatch([]byte{1, 2, 3}, scratch); ok || got != nil || cap(scratch) < 9 {
+		t.Fatalf("failed decode: ok=%v got=%v cap(scratch)=%d", ok, got, cap(scratch))
+	}
+}
+
+// TestClientUpdateAllocatesNothing: with the scratch warm and no new
+// engagement to log, consuming an update message costs no allocation.
+func TestClientUpdateAllocatesNothing(t *testing.T) {
+	c := &Client{EngageRange: 40_000, engaged: make(map[uint32]bool)}
+	tracks := make([]Track, 40)
+	for i := range tracks {
+		tracks[i] = Track{ID: uint32(i + 1), X: 10_000, Y: 0, VX: -300}
+	}
+	payload := encodeBatch(1, tracks, 0)
+	c.update(time.Second, payload) // warm-up: sizes the scratch, engages all 40
+	if len(c.Engagements) != 40 {
+		t.Fatalf("warm-up engaged %d tracks, want 40", len(c.Engagements))
+	}
+	if n := testing.AllocsPerRun(100, func() { c.update(2*time.Second, payload) }); n != 0 {
+		t.Fatalf("client update allocates %v objects per message, want 0", n)
+	}
+	// A malformed message keeps the scratch: the next good one is still free.
+	c.update(3*time.Second, payload[:20])
+	if n := testing.AllocsPerRun(100, func() { c.update(4*time.Second, payload) }); n != 0 {
+		t.Fatalf("after a malformed message an update allocates %v objects, want 0", n)
 	}
 }
 

@@ -1,0 +1,149 @@
+package sim
+
+import (
+	"testing"
+	"time"
+)
+
+// The steady-state allocation guarantees of the packet path's kernel half,
+// measured rather than read off the escape analysis: the //perf:noalloc gate
+// cannot see into Queue and FIFO, whose generic bodies are compiled in the
+// packages that instantiate them.
+
+func TestAfterArgAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	type payload struct{ fired int }
+	arg := &payload{}
+	fn := func(a any) { a.(*payload).fired++ }
+	k.AfterArg(time.Microsecond, fn, arg) // warm the event pool
+	k.Run()
+	if n := testing.AllocsPerRun(200, func() {
+		k.AfterArg(time.Microsecond, fn, arg)
+		k.AtArg(k.Now()+time.Microsecond, fn, arg)
+		k.Run()
+	}); n != 0 {
+		t.Fatalf("AtArg/AfterArg + dispatch allocate %v objects per round, want 0", n)
+	}
+	if arg.fired != 1+2*201 {
+		t.Fatalf("fired %d times, want %d", arg.fired, 1+2*201)
+	}
+}
+
+func TestQueuePutGetAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+	}{
+		{"blocking Get without timeout", -1},
+		{"blocking Get with timeout", time.Second},
+	} {
+		k := NewKernel()
+		q := NewQueue[*int](k, 0)
+		item, got := new(int), 0
+		k.Spawn("consumer", func(p *Proc) {
+			for {
+				if _, ok := q.Get(p, tc.timeout); ok {
+					got++
+				}
+			}
+		})
+		// Each round: the consumer is parked in Get; Put hands it the item
+		// (stopping its timer), and the run lets it come back round to park
+		// in the next Get. The horizon stays short of the timeout.
+		round := func() {
+			q.Put(item)
+			k.RunUntil(k.Now() + time.Millisecond)
+		}
+		round()
+		round()
+		if n := testing.AllocsPerRun(200, round); n != 0 {
+			t.Errorf("%s: Put + Get allocate %v objects per item, want 0", tc.name, n)
+		}
+		if got != 203 {
+			t.Errorf("%s: consumer got %d items, want 203", tc.name, got)
+		}
+		k.Close()
+	}
+}
+
+func TestQueueTimedOutGetAllocatesNothingAndWaiterIsReusable(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	q := NewQueue[int](k, 0)
+	timeouts, sum := 0, 0
+	k.Spawn("consumer", func(p *Proc) {
+		for {
+			if v, ok := q.Get(p, time.Millisecond); ok {
+				sum += v
+			} else {
+				timeouts++
+			}
+		}
+	})
+	round := func() { k.RunUntil(k.Now() + time.Millisecond) } // one expiry
+	round()
+	round()
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("a timed-out Get allocates %v objects, want 0", n)
+	}
+	if timeouts != 203 {
+		t.Fatalf("%d timeouts, want 203", timeouts)
+	}
+	if len(q.free)+q.waiters.Len() != 1 {
+		t.Fatalf("%d waiter records for one consumer (free %d, waiting %d): timed-out waiters are not recycled",
+			len(q.free)+q.waiters.Len(), len(q.free), q.waiters.Len())
+	}
+	// The recycled record carries nothing over: the next Get on it still
+	// receives an item, and the one after still times out empty-handed.
+	q.Put(7)
+	k.RunUntil(k.Now() + time.Microsecond)
+	if sum != 7 {
+		t.Fatalf("after 203 timeouts the consumer received %d, want 7", sum)
+	}
+	round()
+	if timeouts != 204 || sum != 7 {
+		t.Fatalf("after the item: %d timeouts, sum %d; want 204 and 7", timeouts, sum)
+	}
+}
+
+// TestQueueTimeoutLeavesTheMiddle: the waiter that expires is not the
+// longest-waiting one, so it leaves the ring from the middle and the other
+// two keep their first-come-first-served order.
+func TestQueueTimeoutLeavesTheMiddle(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	q := NewQueue[int](k, 0)
+	type result struct {
+		v  int
+		ok bool
+		at time.Duration
+	}
+	res := make([]result, 3)
+	for i, timeout := range []time.Duration{-1, 5 * time.Millisecond, time.Second} {
+		i, timeout := i, timeout
+		k.Spawn("", func(p *Proc) {
+			v, ok := q.Get(p, timeout)
+			res[i] = result{v, ok, p.Now()}
+		})
+	}
+	k.After(10*time.Millisecond, func() {
+		q.Put(100)
+		q.Put(200)
+		q.Put(300) // nobody left to take it
+	})
+	k.Run()
+	want := []result{
+		{100, true, 10 * time.Millisecond},
+		{0, false, 5 * time.Millisecond},
+		{200, true, 10 * time.Millisecond},
+	}
+	for i := range want {
+		if res[i] != want[i] {
+			t.Errorf("waiter %d: %+v, want %+v", i, res[i], want[i])
+		}
+	}
+	if q.Len() != 1 {
+		t.Errorf("%d items buffered, want the third Put's 1", q.Len())
+	}
+}

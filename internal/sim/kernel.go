@@ -14,7 +14,10 @@
 // The scheduler is allocation-free in steady state: fired and cancelled
 // events return to a free list and are recycled by later At/After/Every
 // calls, and the pending set is an indexed 4-ary heap so cancellation
-// removes the event immediately instead of leaving a tombstone.
+// removes the event immediately instead of leaving a tombstone. A caller on
+// a hot path keeps its own side allocation-free too by scheduling a
+// function bound once with a per-event argument (AtArg/AfterArg) instead of
+// a fresh closure per event.
 package sim
 
 import (
@@ -110,12 +113,30 @@ func (t Timer) Pending() bool {
 // At schedules fn to run at absolute virtual time at. Times in the past run
 // at the current time (events never fire retroactively).
 func (k *Kernel) At(at time.Duration, fn func()) Timer {
-	return k.schedule(at, 0, fn)
+	return k.schedule(at, 0, callFunc, fn)
 }
 
 // After schedules fn to run d from now.
 func (k *Kernel) After(d time.Duration, fn func()) Timer {
-	return k.schedule(k.now+d, 0, fn)
+	return k.schedule(k.now+d, 0, callFunc, fn)
+}
+
+// AtArg schedules fn(arg) to run at absolute virtual time at, ordered with
+// At's events by the same (time, sequence) rule. The argument travels in the
+// pooled event, so a caller that binds fn once and passes a pointer as arg
+// schedules without allocating — where At would cost a closure per event to
+// carry the same pointer.
+//
+//perf:noalloc
+func (k *Kernel) AtArg(at time.Duration, fn func(any), arg any) Timer {
+	return k.schedule(at, 0, fn, arg)
+}
+
+// AfterArg schedules fn(arg) to run d from now; see AtArg.
+//
+//perf:noalloc
+func (k *Kernel) AfterArg(d time.Duration, fn func(any), arg any) Timer {
+	return k.schedule(k.now+d, 0, fn, arg)
 }
 
 // Every schedules fn to run every period, starting one period from now,
@@ -126,13 +147,18 @@ func (k *Kernel) Every(period time.Duration, fn func()) Timer {
 	if period <= 0 {
 		panic("sim: Every period must be positive")
 	}
-	return k.schedule(k.now+period, period, fn)
+	return k.schedule(k.now+period, period, callFunc, fn)
 }
+
+// callFunc is the event function of At, After and Every: their func() rides
+// in the event's argument slot (a func value in an interface is a pointer,
+// not an allocation), so the heap and the dispatch loop know one event shape.
+func callFunc(fn any) { fn.(func())() }
 
 // schedule inserts a pooled event into the heap and returns its handle.
 //
 //perf:noalloc
-func (k *Kernel) schedule(at, period time.Duration, fn func()) Timer {
+func (k *Kernel) schedule(at, period time.Duration, fn func(any), arg any) Timer {
 	if at < k.now {
 		at = k.now
 	}
@@ -141,6 +167,7 @@ func (k *Kernel) schedule(at, period time.Duration, fn func()) Timer {
 	ev.at = at
 	ev.seq = k.seq
 	ev.fn = fn
+	ev.arg = arg
 	ev.period = period
 	k.events.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
@@ -164,6 +191,7 @@ func (k *Kernel) alloc() *event {
 func (k *Kernel) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
+	ev.arg = nil
 	ev.period = 0
 	ev.index = -1
 	k.free = append(k.free, ev)
@@ -180,7 +208,6 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		name = fmt.Sprintf("proc-%d", k.nprocs)
 	}
 	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	p.resumeFn = func() { k.resumeProc(p) }
 	k.procs[p] = struct{}{}
 	go func() {
 		<-p.resume
@@ -198,8 +225,15 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		delete(k.procs, p)
 		k.parked <- struct{}{}
 	}()
-	k.At(k.now, p.resumeFn)
+	k.AtArg(k.now, wakeProc, p)
 	return p
+}
+
+// wakeProc is the event function that resumes a proc: Spawn, Sleep and queue
+// wake-ups schedule it with the *Proc as argument, so none of them allocates.
+func wakeProc(arg any) {
+	p := arg.(*Proc)
+	p.k.resumeProc(p)
 }
 
 // resumeProc hands control to p and blocks until p parks again or finishes.
@@ -269,7 +303,7 @@ func (k *Kernel) runBefore(bound time.Duration) int {
 		if ev.period > 0 {
 			// Periodic: keep the event alive across the callback so a
 			// mid-tick Stop can clear the period, then reschedule.
-			ev.fn()
+			ev.fn(ev.arg)
 			if ev.period > 0 {
 				ev.at += ev.period
 				k.seq++
@@ -281,9 +315,9 @@ func (k *Kernel) runBefore(bound time.Duration) int {
 		} else {
 			// One-shot: recycle before the callback so that the event is
 			// immediately reusable and stale Timer handles go dead.
-			fn := ev.fn
+			fn, arg := ev.fn, ev.arg
 			k.release(ev)
-			fn()
+			fn(arg)
 		}
 		n++
 	}
@@ -344,7 +378,8 @@ type event struct {
 	k      *Kernel
 	at     time.Duration
 	seq    uint64
-	fn     func()
+	fn     func(any)
+	arg    any
 	index  int           // position in the heap, -1 when not queued
 	gen    uint64        // incremented each time the event is recycled
 	period time.Duration // >0 marks a periodic (Every) event

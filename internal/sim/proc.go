@@ -17,9 +17,6 @@ type Proc struct {
 	resume chan struct{}
 	done   bool
 	killed bool
-	// resumeFn is bound once at Spawn so that Sleep and queue wakeups can
-	// schedule a resume without allocating a fresh closure each time.
-	resumeFn func()
 }
 
 // Name returns the name given at Spawn.
@@ -50,7 +47,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.After(d, p.resumeFn)
+	p.k.AfterArg(d, wakeProc, p)
 	p.park()
 }
 

@@ -3,23 +3,33 @@ package sim
 import "time"
 
 // Queue is an unbounded-or-bounded FIFO connecting simulated processes.
-// Producers call Put (or TryPut when the queue is bounded); consumers call
-// Get, which blocks the calling Proc until an item arrives or the timeout
-// elapses. All operations run under the kernel's cooperative scheduling, so
-// no locking is required.
+// Producers call Put, which never blocks (a full bounded queue drops the
+// item); consumers call Get, which blocks the calling Proc until an item
+// arrives or the timeout elapses. All operations run under the kernel's
+// cooperative scheduling, so no locking is required.
+//
+// Neither call allocates in steady state: items and blocked consumers sit
+// in ring buffers, and the record of a blocked Get is recycled on a
+// per-queue free list whose length is bounded by the most consumers ever
+// blocked at once.
 type Queue[T any] struct {
 	k       *Kernel
-	items   []T
+	items   FIFO[T]
 	cap     int // 0 means unbounded
 	dropped int
-	waiters []*qwaiter[T]
+	waiters FIFO[*qwaiter[T]]
+	free    []*qwaiter[T]
+	// timeoutFn is q.timeout bound once, so a timed Get schedules its
+	// expiry with the waiter as the event argument instead of a closure.
+	timeoutFn func(any)
 }
 
+// qwaiter is one blocked Get. Put hands it the item and takes it off the
+// waiter ring; the consumer returns it to the free list when it resumes.
 type qwaiter[T any] struct {
 	p     *Proc
 	item  T
 	ok    bool
-	fired bool
 	timer Timer
 }
 
@@ -27,73 +37,84 @@ type qwaiter[T any] struct {
 // unbounded. When a bounded queue is full, Put drops the item (tail drop)
 // and records it in Dropped.
 func NewQueue[T any](k *Kernel, capacity int) *Queue[T] {
-	return &Queue[T]{k: k, cap: capacity}
+	q := &Queue[T]{k: k, cap: capacity}
+	q.timeoutFn = q.timeout
+	return q
 }
 
 // Len reports the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Dropped reports the number of items discarded because the queue was full.
 func (q *Queue[T]) Dropped() int { return q.dropped }
 
 // Put appends an item, waking the longest-waiting consumer if any. On a full
 // bounded queue the item is dropped and Put reports false.
+//
+//perf:noalloc
 func (q *Queue[T]) Put(item T) bool {
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	if w, ok := q.waiters.Pop(); ok {
 		w.item = item
 		w.ok = true
-		w.fired = true
 		w.timer.Stop()
-		q.k.At(q.k.now, w.p.resumeFn)
+		q.k.AtArg(q.k.now, wakeProc, w.p)
 		return true
 	}
-	if q.cap > 0 && len(q.items) >= q.cap {
+	if q.cap > 0 && q.items.Len() >= q.cap {
 		q.dropped++
 		return false
 	}
-	q.items = append(q.items, item)
+	q.items.Push(item)
 	return true
 }
 
 // Get removes and returns the oldest item, blocking the proc until one is
 // available. A negative timeout blocks forever; a zero timeout polls. The
 // second result is false when the timeout expired first.
+//
+//perf:noalloc
 func (q *Queue[T]) Get(p *Proc, timeout time.Duration) (T, bool) {
-	if len(q.items) > 0 {
-		item := q.items[0]
-		q.items = q.items[1:]
+	if item, ok := q.items.Pop(); ok {
 		return item, true
 	}
 	var zero T
 	if timeout == 0 {
 		return zero, false
 	}
-	w := &qwaiter[T]{p: p}
-	q.waiters = append(q.waiters, w)
+	var w *qwaiter[T]
+	if n := len(q.free); n > 0 {
+		w = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		w = new(qwaiter[T]) // free-list refill: only when more consumers block at once than ever before
+	}
+	w.p = p
+	q.waiters.Push(w)
 	if timeout > 0 {
-		w.timer = q.k.After(timeout, func() {
-			if w.fired {
-				return
-			}
-			w.fired = true
-			for i, x := range q.waiters {
-				if x == w {
-					q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-					break
-				}
-			}
-			q.k.resumeProc(w.p)
-		})
+		w.timer = q.k.AfterArg(timeout, q.timeoutFn, w)
 	}
 	p.park()
-	return w.item, w.ok
+	// Put or the timeout took w off the ring and its timer is spent, so
+	// nothing else refers to it: recycle it.
+	item, ok := w.item, w.ok
+	*w = qwaiter[T]{}
+	q.free = append(q.free, w)
+	return item, ok
+}
+
+// timeout expires a blocked Get: w leaves the waiter ring (wherever in it
+// the expiry finds it) and its proc resumes empty-handed. Put stops the
+// timer of the waiter it serves, so w is still waiting when this runs.
+func (q *Queue[T]) timeout(arg any) {
+	w := arg.(*qwaiter[T])
+	for i := 0; i < q.waiters.Len(); i++ {
+		if q.waiters.At(i) == w {
+			q.waiters.Remove(i)
+			break
+		}
+	}
+	q.k.resumeProc(w.p)
 }
 
 // Drain removes and returns all buffered items without blocking.
-func (q *Queue[T]) Drain() []T {
-	items := q.items
-	q.items = nil
-	return items
-}
+func (q *Queue[T]) Drain() []T { return q.items.Drain() }

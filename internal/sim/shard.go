@@ -56,7 +56,8 @@ type xmsg struct {
 	from int
 	to   int
 	seq  uint64
-	fn   func()
+	fn   func(any)
+	arg  any
 }
 
 // NewShardGroup creates n kernels bound into one group. The lookahead is
@@ -111,17 +112,26 @@ func (g *ShardGroup) CrossShardMessages() uint64 { return g.xmsgs }
 // Send must be called from the sending shard's execution context (one of
 // its events or procs), or before the group has started running.
 func (g *ShardGroup) Send(from, to int, at time.Duration, fn func()) {
+	g.SendArg(from, to, at, callFunc, fn)
+}
+
+// SendArg is Send for a function bound once and a per-message argument, as
+// AtArg is to At: staging the message allocates nothing beyond the stage
+// slice's own growth.
+//
+//perf:noalloc
+func (g *ShardGroup) SendArg(from, to int, at time.Duration, fn func(any), arg any) {
 	src := g.shards[from]
 	if to == from {
-		src.At(at, fn)
+		src.AtArg(at, fn, arg)
 		return
 	}
 	if at < src.now+g.lookahead {
-		panic(fmt.Sprintf("sim: cross-shard send %d->%d at %v violates lookahead %v (shard %d is at %v)",
-			from, to, at, g.lookahead, from, src.now))
+		//lint:allow heapescape the message of a protocol-violation panic: no run continues past it
+		panic(fmt.Sprintf("sim: cross-shard send %d->%d at %v violates lookahead %v (shard %d is at %v)", from, to, at, g.lookahead, from, src.now))
 	}
 	g.sendSeq[from]++
-	g.stage[from] = append(g.stage[from], xmsg{at: at, from: from, to: to, seq: g.sendSeq[from], fn: fn})
+	g.stage[from] = append(g.stage[from], xmsg{at: at, from: from, to: to, seq: g.sendSeq[from], fn: fn, arg: arg})
 }
 
 // Run executes events until every shard's queue is empty and no cross-shard
@@ -216,7 +226,7 @@ func (g *ShardGroup) deliverStaged() {
 	for _, m := range all {
 		// At clamps to the destination's clock, so even a message the
 		// lookahead rule should have made impossible never fires in the past.
-		g.shards[m.to].At(m.at, m.fn)
+		g.shards[m.to].AtArg(m.at, m.fn, m.arg)
 		g.xmsgs++
 	}
 }
