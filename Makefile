@@ -5,9 +5,9 @@ GO ?= go
 # this floor. Raise it when coverage rises; never lower it to make a PR pass.
 COVER_FLOOR ?= 85.0
 
-.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test cover bench-shard test-shard experiments e15-artifact results-gate
+.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke cover bench-shard test-shard experiments e15-artifact results-gate
 
-ci: vet build test race analyze fuzz-smoke bench-smoke bench-test
+ci: vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke
 
 # gofmt -l prints the files it would rewrite; any name is a failure.
 vet:
@@ -58,6 +58,15 @@ bench-smoke:
 # workloads call and the experiment-table digest (bench/tables.sha256).
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Telemetry counts are readers resolved when the registry is dumped, so the
+# dump is where a wiring mistake shows: build the commands and run
+# `hiperd -monitor hifi|cots|hybrid -telemetry json` and `experiments -quick
+# -telemetry json`, failing on a non-zero exit, invalid JSON or an empty
+# instrument list. (`test` runs the same two tests; -count=1 keeps this step
+# from being answered out of the test cache.)
+telemetry-smoke:
+	$(GO) test -count=1 -run '^TestTelemetryDump$$' ./cmd/hiperd ./cmd/experiments
 
 # Statement coverage across ./internal/..., gated on COVER_FLOOR.
 cover:

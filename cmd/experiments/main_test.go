@@ -1,0 +1,30 @@
+package main
+
+import (
+	"encoding/json"
+	"os/exec"
+	"testing"
+)
+
+// TestTelemetryDump runs `-quick -telemetry json`: E13's instrumented chaos
+// run, dumped. The readers are resolved at dump time, so this is where a
+// wiring mistake in the cots + resilience stack would surface: the run must
+// exit 0 and print one JSON object with E13's 30 instruments and a sweep
+// trace. `make telemetry-smoke` runs exactly this.
+func TestTelemetryDump(t *testing.T) {
+	out, err := exec.Command("go", "run", ".", "-quick", "-telemetry", "json").Output()
+	if err != nil {
+		t.Fatalf("experiments -quick -telemetry json: %v", err)
+	}
+	var dump struct {
+		Instruments []struct{ Name, Kind string }
+		Spans       []struct{ Name string }
+	}
+	if err := json.Unmarshal(out, &dump); err != nil {
+		t.Fatalf("stdout is not one JSON object: %v\n%s", err, out)
+	}
+	if len(dump.Instruments) != 30 || len(dump.Spans) == 0 {
+		t.Fatalf("%d instruments, %d spans; E13's table says 30 instruments and a sweep trace",
+			len(dump.Instruments), len(dump.Spans))
+	}
+}

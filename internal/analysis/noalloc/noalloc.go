@@ -4,7 +4,7 @@
 // A function annotated with a `//perf:noalloc` line in its doc comment
 // promises that calling it allocates nothing on the heap in steady state —
 // the PR 1 hot-path guarantee for the sim kernel's schedule/proc-switch
-// loop, core.Database.Record, and the telemetry instruments. Benchmarks
+// loop, core.Database.Record, and the telemetry histograms. Benchmarks
 // check that promise only for the inputs they happen to drive; this pass
 // checks it for every path the compiler can see, by parsing the escape
 // analysis the gc toolchain already performs: it runs

@@ -1,6 +1,8 @@
 // Package telemetry is a fixture mirroring the self-measurement layer: its
-// instruments take virtual time from the caller, so any wall-clock read or
-// global-rand draw inside the package is a determinism bug.
+// spans take virtual time from the caller and its counts are readers over
+// fields the simulation wrote, so any wall-clock read or global-rand draw
+// inside the package — in a reader as much as in a span — is a determinism
+// bug.
 package telemetry
 
 import (
@@ -20,4 +22,19 @@ func badBegin() span {
 
 func badSampleJitter(s *span) {
 	s.end = s.start + time.Duration(rand.Int63n(1000)) // want `rand\.Int63n draws from the process-global source`
+}
+
+type registry struct{ readers []func() uint64 }
+
+func (r *registry) counterFunc(read func() uint64) { r.readers = append(r.readers, read) }
+
+// publish is the sanctioned shape: a reader returns the owner's own field.
+func publish(r *registry, sweeps *uint64) {
+	r.counterFunc(func() uint64 { return *sweeps })
+}
+
+func badUptimeReader(r *registry, started time.Time) {
+	r.counterFunc(func() uint64 {
+		return uint64(time.Since(started)) // want `time\.Since reads the wall clock`
+	})
 }

@@ -186,21 +186,25 @@ type Monitor interface {
 	Reports() *sim.Queue[Measurement]
 	// Stop ceases collection.
 	Stop()
+
+	FreshQuerier
+	QuantileQuerier
+	SketchMerger
 }
 
-// FreshQuerier is the senescence-aware extension of Monitor: QueryFresh
-// answers like Query, but reports ok=false when the database's entry has
-// been marked stale by a senescence watchdog or is older than ttl at
-// virtual time now. Monitors built on DirectorBase implement it.
+// FreshQuerier is the senescence-aware part of Monitor: QueryFresh answers
+// like Query, but reports ok=false when the database's entry has been
+// marked stale by a senescence watchdog or is older than ttl at virtual
+// time now.
 type FreshQuerier interface {
 	QueryFresh(path PathID, metric metrics.Metric, now, ttl time.Duration) (Measurement, bool)
 }
 
-// QuantileQuerier is the streaming-analytics extension of Monitor: it
-// answers distributional queries (p-quantiles and full digests) from
-// bounded-memory per-series sketches instead of scanning history.
-// Monitors built on DirectorBase implement it once their database has
-// sketches enabled (see Database.EnableSketches).
+// QuantileQuerier is the streaming-analytics part of Monitor: it answers
+// distributional queries (p-quantiles and full digests) from
+// bounded-memory per-series sketches instead of scanning history; ok is
+// false until the database has sketches enabled (see
+// Database.EnableSketches).
 type QuantileQuerier interface {
 	Quantile(path PathID, metric metrics.Metric, p float64) (float64, bool)
 	QuantileSummary(path PathID, metric metrics.Metric) (sketch.Summary, bool)

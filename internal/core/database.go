@@ -68,18 +68,13 @@ type Database struct {
 	// StaleMarked counts series marked stale by MarkStale over the
 	// database's lifetime (the senescence watchdog's intervention count).
 	StaleMarked uint64
+	// FreshHits and FreshMisses split the senescence-gated Fresh queries by
+	// answer: a sample served, or refused as unknown, stale or over-age.
+	FreshHits   uint64
+	FreshMisses uint64
 
 	retained  int // samples currently held across all ring buffers
 	ringSlots int // ring-buffer capacity allocated across all series
-
-	// Telemetry instrument handles (nil = disabled); see EnableTelemetry.
-	telRecords    *telemetry.Counter
-	telStaleMarks *telemetry.Counter
-	telFreshHits  *telemetry.Counter
-	telFreshMiss  *telemetry.Counter
-	telSeries     *telemetry.Gauge
-	telRetained   *telemetry.Gauge
-	telSketchB    *telemetry.Gauge
 }
 
 // NewDatabase returns an empty store.
@@ -87,20 +82,19 @@ func NewDatabase() *Database {
 	return &Database{series: make(map[dbKey]*dbSeries)}
 }
 
-// EnableTelemetry registers the database's instruments under prefix:
-// records stored, series marked stale by the watchdog, the hit/miss
-// split of senescence-gated Fresh queries (the live fresh-query hit
-// rate), and the memory-footprint gauges (series count, retained
-// samples, sketch bytes). A nil registry leaves the database
-// uninstrumented.
+// EnableTelemetry publishes the database's counts under prefix: records
+// stored, series marked stale by the watchdog, the hit/miss split of
+// senescence-gated Fresh queries (the live fresh-query hit rate), and
+// Footprint's series count, retained samples and sketch bytes as gauges. A
+// nil registry publishes nothing.
 func (db *Database) EnableTelemetry(reg *telemetry.Registry, prefix string) {
-	db.telRecords = reg.Counter(prefix + ".records")
-	db.telStaleMarks = reg.Counter(prefix + ".stale_marks")
-	db.telFreshHits = reg.Counter(prefix + ".fresh_hits")
-	db.telFreshMiss = reg.Counter(prefix + ".fresh_misses")
-	db.telSeries = reg.Gauge(prefix + ".series")
-	db.telRetained = reg.Gauge(prefix + ".retained_samples")
-	db.telSketchB = reg.Gauge(prefix + ".sketch_bytes")
+	reg.CounterFunc(prefix+".records", func() uint64 { return db.Records })
+	reg.CounterFunc(prefix+".stale_marks", func() uint64 { return db.StaleMarked })
+	reg.CounterFunc(prefix+".fresh_hits", func() uint64 { return db.FreshHits })
+	reg.CounterFunc(prefix+".fresh_misses", func() uint64 { return db.FreshMisses })
+	reg.GaugeFunc(prefix+".series", func() float64 { return float64(db.Footprint().Series) })
+	reg.GaugeFunc(prefix+".retained_samples", func() float64 { return float64(db.Footprint().Retained) })
+	reg.GaugeFunc(prefix+".sketch_bytes", func() float64 { return float64(db.Footprint().SketchBytes) })
 }
 
 // EnableSketches turns on per-series quantile sketches: every subsequent
@@ -116,9 +110,6 @@ func (db *Database) EnableSketches(t sketch.Thresholds) {
 	db.sketchOn = true
 	db.sketchTh = t
 }
-
-// SketchesEnabled reports whether EnableSketches has been called.
-func (db *Database) SketchesEnabled() bool { return db.sketchOn }
 
 // BatchSink receives closed sample batches from the durable results seam.
 // *results.Writer satisfies it; the indirection keeps the sim-facing core
@@ -231,8 +222,6 @@ func (db *Database) Record(m Measurement) {
 		}
 		db.series[key] = s
 		db.ringSlots += depth
-		db.telSeries.Set(float64(len(db.series)))
-		db.telSketchB.Set(float64(db.sketchBytes()))
 	}
 	s.current = m
 	s.stale = false
@@ -255,13 +244,11 @@ func (db *Database) Record(m Measurement) {
 		s.ring[(s.head+s.count)%len(s.ring)] = m
 		s.count++
 		db.retained++
-		db.telRetained.Set(float64(db.retained))
 	} else {
 		s.ring[s.head] = m
 		s.head = (s.head + 1) % len(s.ring)
 	}
 	db.Records++
-	db.telRecords.Inc()
 }
 
 // sketchBytes is the memory held by per-series sketches.
@@ -356,17 +343,6 @@ func (db *Database) Senescence(now time.Duration, path PathID, metric metrics.Me
 	return now - s.current.TakenAt, true
 }
 
-// CurrentWithAge returns the latest sample for the series together with its
-// age at virtual time now — the Query variant a senescence-aware resource
-// manager uses before trusting the value.
-func (db *Database) CurrentWithAge(now time.Duration, path PathID, metric metrics.Metric) (Measurement, time.Duration, bool) {
-	s := db.series[dbKey{path, metric}]
-	if s == nil {
-		return Measurement{}, 0, false
-	}
-	return s.current, now - s.current.TakenAt, true
-}
-
 // Stale reports whether the series has been marked stale by MarkStale and
 // not refreshed by a Record since.
 func (db *Database) Stale(path PathID, metric metrics.Metric) bool {
@@ -380,15 +356,11 @@ func (db *Database) Stale(path PathID, metric metrics.Metric) bool {
 // data is missing data, not evidence of health.
 func (db *Database) Fresh(now time.Duration, path PathID, metric metrics.Metric, ttl time.Duration) (Measurement, bool) {
 	s := db.series[dbKey{path, metric}]
-	if s == nil || s.stale {
-		db.telFreshMiss.Inc()
+	if s == nil || s.stale || (ttl > 0 && now-s.current.TakenAt > ttl) {
+		db.FreshMisses++
 		return Measurement{}, false
 	}
-	if ttl > 0 && now-s.current.TakenAt > ttl {
-		db.telFreshMiss.Inc()
-		return Measurement{}, false
-	}
-	db.telFreshHits.Inc()
+	db.FreshHits++
 	return s.current, true
 }
 
@@ -405,7 +377,6 @@ func (db *Database) MarkStale(now, ttl time.Duration) int {
 		}
 	}
 	db.StaleMarked += uint64(marked)
-	db.telStaleMarks.Add(uint64(marked))
 	return marked
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sketch"
@@ -133,24 +134,52 @@ func TestDatabaseFootprint(t *testing.T) {
 	}
 }
 
+// TestDatabaseFootprintTelemetry: every published instrument is read from
+// the database's own accounting — the counters from its exported counts,
+// the gauges from Footprint() — at the moment it is asked.
 func TestDatabaseFootprintTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	db := NewDatabase()
 	db.EnableSketches(sketch.Thresholds{})
 	db.EnableTelemetry(reg, "db")
+	db.EnableTelemetry(nil, "off") // a nil registry is a no-op
 	for i := 0; i < 3; i++ {
-		db.Record(Measurement{Path: "p", Metric: metrics.Throughput, Value: float64(i)})
+		db.Record(Measurement{Path: "p", Metric: metrics.Throughput, Value: float64(i), TakenAt: time.Duration(i) * time.Second})
 	}
 	db.Record(Measurement{Path: "q", Metric: metrics.Throughput, Value: 1})
-	if got := reg.Gauge("db.series").Value(); got != 2 {
-		t.Errorf("db.series gauge = %v, want 2", got)
+	db.Fresh(3*time.Second, "p", metrics.Throughput, 2*time.Second)    // hit
+	db.Fresh(3*time.Second, "q", metrics.Throughput, 2*time.Second)    // miss: over-age
+	db.Fresh(3*time.Second, "none", metrics.Throughput, 2*time.Second) // miss: unknown
+	db.MarkStale(3*time.Second, 2*time.Second)
+	db.Fresh(3*time.Second, "q", metrics.Throughput, 0) // miss: marked stale
+
+	fp := db.Footprint()
+	if fp.Series != 2 || fp.Retained != 4 || db.FreshHits != 1 || db.FreshMisses != 3 || db.StaleMarked != 1 {
+		t.Fatalf("scenario drifted: %+v, hits %d misses %d marked %d", fp, db.FreshHits, db.FreshMisses, db.StaleMarked)
 	}
-	if got := reg.Gauge("db.retained_samples").Value(); got != 4 {
-		t.Errorf("db.retained_samples gauge = %v, want 4", got)
+	counters := map[string]uint64{
+		"db.records":      db.Records,
+		"db.stale_marks":  db.StaleMarked,
+		"db.fresh_hits":   db.FreshHits,
+		"db.fresh_misses": db.FreshMisses,
 	}
-	var s sketch.Sketch
-	if got := reg.Gauge("db.sketch_bytes").Value(); got != float64(2*s.Bytes()) {
-		t.Errorf("db.sketch_bytes gauge = %v, want %v", got, 2*s.Bytes())
+	gauges := map[string]int{
+		"db.series":           fp.Series,
+		"db.retained_samples": fp.Retained,
+		"db.sketch_bytes":     fp.SketchBytes,
+	}
+	for name, want := range counters {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for name, want := range gauges {
+		if got := reg.Gauge(name).Value(); got != float64(want) {
+			t.Errorf("%s = %v, want %d", name, got, want)
+		}
+	}
+	if n := len(counters) + len(gauges); reg.Len() != n {
+		t.Errorf("%d instruments registered, %d checked against the database", reg.Len(), n)
 	}
 }
 

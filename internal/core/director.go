@@ -24,10 +24,7 @@ type DirectorBase struct {
 	Published uint64
 }
 
-var (
-	_ QuantileQuerier = (*DirectorBase)(nil)
-	_ SketchMerger    = (*DirectorBase)(nil)
-)
+var _ Monitor = (*DirectorBase)(nil)
 
 // NewDirectorBase wires a director with a fresh database and report queue.
 func NewDirectorBase(k *sim.Kernel) DirectorBase {

@@ -28,11 +28,7 @@ type ShardedMonitor struct {
 	byPath  map[PathID]int
 }
 
-var (
-	_ Monitor         = (*ShardedMonitor)(nil)
-	_ QuantileQuerier = (*ShardedMonitor)(nil)
-	_ SketchMerger    = (*ShardedMonitor)(nil)
-)
+var _ Monitor = (*ShardedMonitor)(nil)
 
 // NewShardedMonitor builds the meta-director. owner maps a path to the
 // index of the member monitor that must collect it (typically: the shard or
@@ -110,27 +106,27 @@ func (s *ShardedMonitor) LastKnown(path PathID, metric metrics.Metric) (Measurem
 	return Measurement{}, false
 }
 
-// QueryFresh implements senescence-aware reads (FreshQuerier); an owner that
-// does not support them is treated as always stale.
+// QueryFresh implements senescence-aware reads (FreshQuerier) by asking the
+// owning member.
 func (s *ShardedMonitor) QueryFresh(path PathID, metric metrics.Metric, now, ttl time.Duration) (Measurement, bool) {
-	if fq, ok := s.member(path).(FreshQuerier); ok {
-		return fq.QueryFresh(path, metric, now, ttl)
+	if m := s.member(path); m != nil {
+		return m.QueryFresh(path, metric, now, ttl)
 	}
 	return Measurement{}, false
 }
 
 // Quantile implements QuantileQuerier by asking the owning member's sketch.
 func (s *ShardedMonitor) Quantile(path PathID, metric metrics.Metric, p float64) (float64, bool) {
-	if qq, ok := s.member(path).(QuantileQuerier); ok {
-		return qq.Quantile(path, metric, p)
+	if m := s.member(path); m != nil {
+		return m.Quantile(path, metric, p)
 	}
 	return 0, false
 }
 
 // QuantileSummary implements QuantileQuerier by asking the owning member.
 func (s *ShardedMonitor) QuantileSummary(path PathID, metric metrics.Metric) (sketch.Summary, bool) {
-	if qq, ok := s.member(path).(QuantileQuerier); ok {
-		return qq.QuantileSummary(path, metric)
+	if m := s.member(path); m != nil {
+		return m.QuantileSummary(path, metric)
 	}
 	return sketch.Summary{}, false
 }
@@ -138,8 +134,8 @@ func (s *ShardedMonitor) QuantileSummary(path PathID, metric metrics.Metric) (sk
 // MergeSketchInto implements SketchMerger: the owning member's sketch for
 // the series is folded into dst.
 func (s *ShardedMonitor) MergeSketchInto(dst *sketch.Sketch, path PathID, metric metrics.Metric) bool {
-	if sm, ok := s.member(path).(SketchMerger); ok {
-		return sm.MergeSketchInto(dst, path, metric)
+	if m := s.member(path); m != nil {
+		return m.MergeSketchInto(dst, path, metric)
 	}
 	return false
 }

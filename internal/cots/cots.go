@@ -84,15 +84,10 @@ type Monitor struct {
 	// Sweeps counts completed poll sweeps.
 	Sweeps int
 
-	// Telemetry instrument handles (nil = disabled); see EnableTelemetry.
-	telReg          *telemetry.Registry
-	tracer          *telemetry.Tracer
-	telSweeps       *telemetry.Counter
-	telFastFails    *telemetry.Counter
-	telShedSweeps   *telemetry.Counter
-	telOpenFraction *telemetry.Gauge
-	telSweepSec     *telemetry.Histogram
-	telPollRTT      *telemetry.Histogram
+	// Push instruments (nil = disabled); see EnableTelemetry.
+	tracer      *telemetry.Tracer
+	telSweepSec *telemetry.Histogram
+	telPollRTT  *telemetry.Histogram
 
 	host       *netsim.Node
 	nw         *netsim.Network
@@ -181,36 +176,67 @@ func (m *Monitor) EnableResilience(cfg resilience.BreakerConfig, backoff *resili
 	if m.ShedFactor < 1 {
 		m.ShedFactor = 2
 	}
-	if m.telReg != nil {
-		// Telemetry was enabled first: instrument the new layer too.
-		m.Breakers.EnableTelemetry(m.telReg, "cots.breaker")
-		m.Client.Backoff.EnableTelemetry(m.telReg, "cots.backoff")
-	}
 }
 
-// EnableTelemetry registers the director's self-measurement instruments
-// under the "cots." prefix and records each sweep as a trace span with one
-// child span per host poll (tr may be nil to skip tracing). It also
-// instruments the SNMP client, the measurement database, and — when the
-// resilience layer is on, in either call order — the breakers and backoff.
-// The §4.3 intrusiveness and fidelity questions become live reads: the
-// breaker open-fraction gauge, the poll RTT histogram, and the fresh-query
-// hit rate.
+// EnableTelemetry publishes the director's own counts under the "cots."
+// prefix and records each sweep as a trace span with one child span per
+// host poll (tr may be nil to skip tracing). It also publishes the SNMP
+// client, the measurement database, the trap sink and the resilience
+// layer; EnableResilience and Start may come before or after this call,
+// because the readers look m.Breakers, m.Client.Backoff and the sink up
+// when they are read, and one that is not installed reads zero. The §4.3
+// intrusiveness and fidelity questions become live reads: the breaker
+// open-fraction gauge, the poll RTT histogram, and the fresh-query hit
+// rate.
 func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	m.telReg = reg
 	m.tracer = tr
-	m.telSweeps = reg.Counter("cots.sweeps")
-	m.telFastFails = reg.Counter("cots.fast_failed_polls")
-	m.telShedSweeps = reg.Counter("cots.shed_sweeps")
-	m.telOpenFraction = reg.Gauge("cots.breaker_open_fraction")
+	reg.CounterFunc("cots.sweeps", func() uint64 { return uint64(m.Sweeps) })
+	reg.CounterFunc("cots.fast_failed_polls", func() uint64 { return m.RStats.FastFailedPolls })
+	reg.CounterFunc("cots.shed_sweeps", func() uint64 { return m.RStats.ShedSweeps })
+	reg.GaugeFunc("cots.breaker_open_fraction", func() float64 {
+		if m.Breakers == nil {
+			return 0
+		}
+		return m.Breakers.OpenFraction(m.nw.K.Now())
+	})
 	m.telSweepSec = reg.Histogram("cots.sweep_s", []float64{0.01, 0.05, 0.1, 0.5, 1, 5})
 	m.telPollRTT = reg.Histogram("cots.poll_rtt_s", []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5})
 	m.Client.EnableTelemetry(reg, "cots.snmp")
 	m.DB.EnableTelemetry(reg, "cots.db")
-	if m.Breakers != nil {
-		m.Breakers.EnableTelemetry(reg, "cots.breaker")
-		m.Client.Backoff.EnableTelemetry(reg, "cots.backoff")
+
+	breakers := func() resilience.BreakerStats {
+		if m.Breakers == nil {
+			return resilience.BreakerStats{}
+		}
+		return m.Breakers.Stats()
 	}
+	reg.CounterFunc("cots.breaker.opens", func() uint64 { return breakers().Opens })
+	reg.CounterFunc("cots.breaker.closes", func() uint64 { return breakers().Closes })
+	reg.CounterFunc("cots.breaker.probes", func() uint64 { return breakers().Probes })
+	reg.CounterFunc("cots.breaker.fast_fails", func() uint64 { return breakers().FastFails })
+	backoff := func() (waits uint64, waited time.Duration) {
+		if b := m.Client.Backoff; b != nil {
+			waits, waited = b.Waits, b.Waited
+		}
+		return waits, waited
+	}
+	reg.CounterFunc("cots.backoff.waits", func() uint64 { w, _ := backoff(); return w })
+	reg.CounterFunc("cots.backoff.wait_ns", func() uint64 { _, d := backoff(); return uint64(d) })
+	sink := func() snmp.TrapSinkStats {
+		if m.sink == nil {
+			return snmp.TrapSinkStats{}
+		}
+		return m.sink.Stats
+	}
+	reg.CounterFunc("cots.trapsink.arrived", func() uint64 { return sink().Arrived })
+	reg.CounterFunc("cots.trapsink.dropped", func() uint64 { return sink().Dropped })
+	reg.CounterFunc("cots.trapsink.processed", func() uint64 { return sink().Processed })
+	reg.GaugeFunc("cots.trapsink.queue_depth", func() float64 {
+		if m.sink == nil {
+			return 0
+		}
+		return float64(m.sink.QueueLen())
+	})
 }
 
 // UseFlowMeter switches the throughput sensor from interface counter
@@ -302,9 +328,6 @@ func (m *Monitor) Start() {
 	if m.sink == nil {
 		m.sink = snmp.StartTrapSink(m.host, 0, m.TrapQueueCap, time.Millisecond)
 		m.sink.OnTrap = m.onTrap
-		if m.telReg != nil {
-			m.sink.EnableTelemetry(m.telReg, "cots.trapsink")
-		}
 	}
 	m.host.Spawn("cots-director", func(p *sim.Proc) {
 		for !m.Stopped() {
@@ -321,7 +344,6 @@ func (m *Monitor) Start() {
 				// rather than keep adding poll traffic to a sick network.
 				interval *= time.Duration(m.ShedFactor)
 				m.RStats.ShedSweeps++
-				m.telShedSweeps.Inc()
 			}
 			p.Sleep(interval)
 		}
@@ -379,7 +401,6 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request) {
 				// of spending a full timeout re-learning what the breaker
 				// already knows. The half-open probe re-checks it later.
 				m.RStats.FastFailedPolls++
-				m.telFastFails.Inc()
 				samples[host] = hostSample{}
 				continue
 			}
@@ -460,14 +481,8 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request) {
 		}
 	}
 	m.Sweeps++
-	m.telSweeps.Inc()
 	sweepSpan.End(p.Now())
 	m.telSweepSec.Observe((p.Now() - sweepStart).Seconds())
-	if m.Breakers != nil && m.telOpenFraction != nil {
-		// Guarded explicitly: OpenFraction is an O(targets) scan that the
-		// uninstrumented path must not pay just to feed a nil gauge.
-		m.telOpenFraction.Set(m.Breakers.OpenFraction(p.Now()))
-	}
 }
 
 // timedGet issues a Get and reports the round-trip time.
@@ -478,10 +493,12 @@ func (m *Monitor) timedGet(p *sim.Proc, agent netsim.Addr, oids ...mib.OID) (tim
 }
 
 // onTrap converts arriving RMON threshold traps into asynchronous
-// measurements for the path registered against the alarm.
+// measurements for the path registered against the alarm. The sink keeps
+// receiving after Stop (its counts stay true), but a stopped monitor
+// publishes nothing.
 func (m *Monitor) onTrap(msg *snmp.Message, from netsim.Addr) {
 	watch, ok := m.watches[from]
-	if !ok {
+	if !ok || m.Stopped() {
 		return
 	}
 	var sampled int64

@@ -11,6 +11,7 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/rmon"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
@@ -337,5 +338,144 @@ func TestShedStretchesPollIntervalUnderFleetFailure(t *testing.T) {
 	}
 	if frac := m.Breakers.OpenFraction(k.Now()); frac < 0.5 {
 		t.Fatalf("open fraction = %v, want >= 0.5 with all clients dead", frac)
+	}
+}
+
+// TestTelemetryReadsOwnersFields enables telemetry first and the resilience
+// layer and the trap sink afterwards — the order E13 and cmd/hiperd use —
+// then drives polls, a dead agent, retries and RMON traps, and checks that
+// every published instrument is the owning component's own field. The
+// readers resolve m.Breakers, m.Client.Backoff and the sink when read, so a
+// layer installed late is seen, and one never installed reads zero.
+func TestTelemetryReadsOwnersFields(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	h := topo.BuildHiPerD(k, 1)
+	m := New(h.Mgmt, "public", time.Second)
+	m.EnableTelemetry(nil, nil) // a nil registry is a no-op
+	reg := telemetry.NewRegistry()
+	m.EnableTelemetry(reg, telemetry.NewTracer("cots", 64))
+	reg.Each(func(c *telemetry.Counter, g *telemetry.Gauge, _ *telemetry.Histogram) {
+		if c.Value() != 0 || g.Value() != 0 {
+			t.Errorf("%s%s reads non-zero before anything is installed or has run", c.Name(), g.Name())
+		}
+	})
+
+	m.Client.Timeout = 150 * time.Millisecond
+	m.Client.Retries = 2
+	m.EnableResilience(resilience.BreakerConfig{FailThreshold: 2, OpenFor: 4 * time.Second},
+		resilience.NewBackoff(k.Rand(101), 50*time.Millisecond, 400*time.Millisecond, 0.2),
+		600*time.Millisecond)
+	paths := core.CrossProductPaths(h.ServerRefs()[:1], []core.ProcessRef{h.ClientRefs()[0], h.ClientRefs()[4]})
+	m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability}})
+	m.WatchSegment(rmon.NewProbe(h.Probe, h.Eth), paths[1].ID, time.Second, 100_000, 10_000, nil)
+	m.Start()
+	netsim.NewSink(h.Clients[4], 9)
+	k.At(2*time.Second, func() {
+		(&netsim.CBRSource{Src: h.Servers[0], Dst: "c5", DstPort: 9, Size: 8192, Interval: 30 * time.Millisecond, Count: 100}).Run()
+	})
+	k.At(3*time.Second, func() { h.Net.Node("c1").SetUp(false) })
+	h.Mgmt.Spawn("reader", func(p *sim.Proc) {
+		for {
+			p.Sleep(time.Second)
+			m.QueryFresh(paths[0].ID, metrics.Reachability, p.Now(), 1500*time.Millisecond)
+		}
+	})
+	k.RunUntil(12 * time.Second)
+
+	var br resilience.BreakerStats
+	m.Breakers.Each(func(_ string, b *resilience.Breaker) {
+		br.Opens += b.Stats.Opens
+		br.Closes += b.Stats.Closes
+		br.Probes += b.Stats.Probes
+		br.FastFails += b.Stats.FastFails
+	})
+	cs, ss, bo, fp := m.Client.Stats, m.TrapSink().Stats, m.Client.Backoff, m.DB.Footprint()
+	if m.Sweeps == 0 || m.RStats.FastFailedPolls == 0 || br.Opens == 0 || br.Probes == 0 ||
+		cs.Retries == 0 || cs.Timeouts == 0 || bo.Waits == 0 || ss.Processed < 2 || m.DB.FreshHits == 0 {
+		t.Fatalf("scenario drifted: sweeps %d rstats %+v breakers %+v client %+v backoff %d sink %+v hits %d",
+			m.Sweeps, m.RStats, br, cs, bo.Waits, ss, m.DB.FreshHits)
+	}
+	counters := map[string]uint64{
+		"cots.sweeps":             uint64(m.Sweeps),
+		"cots.fast_failed_polls":  m.RStats.FastFailedPolls,
+		"cots.shed_sweeps":        m.RStats.ShedSweeps,
+		"cots.snmp.requests":      cs.Requests,
+		"cots.snmp.retries":       cs.Retries,
+		"cots.snmp.timeouts":      cs.Timeouts,
+		"cots.snmp.responses":     cs.Responses,
+		"cots.snmp.stale_drops":   cs.StaleDrops,
+		"cots.snmp.bytes_sent":    cs.BytesSent,
+		"cots.snmp.bytes_recv":    cs.BytesRecv,
+		"cots.db.records":         m.DB.Records,
+		"cots.db.stale_marks":     m.DB.StaleMarked,
+		"cots.db.fresh_hits":      m.DB.FreshHits,
+		"cots.db.fresh_misses":    m.DB.FreshMisses,
+		"cots.breaker.opens":      br.Opens,
+		"cots.breaker.closes":     br.Closes,
+		"cots.breaker.probes":     br.Probes,
+		"cots.breaker.fast_fails": br.FastFails,
+		"cots.backoff.waits":      bo.Waits,
+		"cots.backoff.wait_ns":    uint64(bo.Waited),
+		"cots.trapsink.arrived":   ss.Arrived,
+		"cots.trapsink.dropped":   ss.Dropped,
+		"cots.trapsink.processed": ss.Processed,
+	}
+	gauges := map[string]float64{
+		"cots.breaker_open_fraction": m.Breakers.OpenFraction(k.Now()),
+		"cots.db.series":             float64(fp.Series),
+		"cots.db.retained_samples":   float64(fp.Retained),
+		"cots.db.sketch_bytes":       float64(fp.SketchBytes),
+		"cots.trapsink.queue_depth":  float64(m.TrapSink().QueueLen()),
+	}
+	for name, want := range counters {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for name, want := range gauges {
+		if got := reg.Gauge(name).Value(); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	if got, want := reg.Histogram("cots.sweep_s", nil).Count(), uint64(m.Sweeps); got != want {
+		t.Errorf("cots.sweep_s observed %d sweeps, want %d", got, want)
+	}
+	if reg.Histogram("cots.poll_rtt_s", nil).Count() == 0 {
+		t.Error("cots.poll_rtt_s observed no poll")
+	}
+	if n := len(counters) + len(gauges) + 2; reg.Len() != n || n != 30 {
+		t.Errorf("%d instruments registered, %d checked against an owner, E13 counts 30", reg.Len(), n)
+	}
+}
+
+// TestStopQuietsTrapPublishing: after Stop the station's sink still
+// receives (and counts) RMON traps, but the stopped monitor turns none of
+// them into a measurement or a queued report.
+func TestStopQuietsTrapPublishing(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	h := topo.BuildHiPerD(k, 1)
+	m := New(h.Mgmt, "public", 30*time.Second)
+	path := core.NewPath(h.ServerRefs()[0], h.ClientRefs()[4])
+	m.Submit(core.Request{Paths: []core.Path{path}, Metrics: []metrics.Metric{metrics.Throughput}, Mode: core.ReportAsync})
+	m.Start()
+	events := 0
+	m.WatchSegment(rmon.NewProbe(h.Probe, h.Eth), path.ID, time.Second, 100_000, 10_000,
+		func(bool, core.Measurement) { events++ })
+	netsim.NewSink(h.Clients[4], 9)
+	k.RunUntil(2 * time.Second)
+	m.Stop()
+	records, queued := m.DB.Records, m.Reports().Len()
+	k.At(3*time.Second, func() {
+		(&netsim.CBRSource{Src: h.Servers[0], Dst: "c5", DstPort: 9, Size: 8192, Interval: 30 * time.Millisecond, Count: 100}).Run()
+	})
+	k.RunUntil(15 * time.Second)
+	if m.TrapSink().Stats.Processed < 2 {
+		t.Fatalf("sink processed %d traps, want the rising and the falling one", m.TrapSink().Stats.Processed)
+	}
+	if m.DB.Records != records || m.Reports().Len() != queued || events != 0 {
+		t.Errorf("after Stop: records %d -> %d, queued %d -> %d, %d watch events",
+			records, m.DB.Records, queued, m.Reports().Len(), events)
 	}
 }

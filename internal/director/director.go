@@ -200,18 +200,9 @@ type Director struct {
 	started bool
 
 	resSink core.BatchSink // durable results seam; nil = disabled
-
-	telTrapsIn, telTrapsDropped, telTrapsCoalesced *telemetry.Counter
-	telRecordsIn, telRecordsDropped                *telemetry.Counter
-	telTrapDepth, telRecDepth, telWindowNs         *telemetry.Gauge
 }
 
-var (
-	_ core.Monitor         = (*Director)(nil)
-	_ core.FreshQuerier    = (*Director)(nil)
-	_ core.QuantileQuerier = (*Director)(nil)
-	_ core.SketchMerger    = (*Director)(nil)
-)
+var _ core.Monitor = (*Director)(nil)
 
 // New builds an interior (or root) director on host.
 func New(host *netsim.Node, name string, cfg Config) *Director {
@@ -271,18 +262,20 @@ func (d *Director) Leaves() []*Director {
 // Assigned returns the paths the director's subtree currently owns.
 func (d *Director) Assigned() []core.Path { return d.assigned }
 
-// EnableTelemetry registers the director's instruments under
-// "director.<name>." in reg. Call before Start.
+// EnableTelemetry publishes the director's ledger under "director.<name>."
+// in reg — the trap and record counts of Stats, the coalescer's absorbed
+// count, both ingest queue depths and the current coalescing window — and
+// does the same for every child. A nil registry publishes nothing.
 func (d *Director) EnableTelemetry(reg *telemetry.Registry) {
 	p := "director." + d.Name + "."
-	d.telTrapsIn = reg.Counter(p + "traps_in")
-	d.telTrapsDropped = reg.Counter(p + "traps_dropped")
-	d.telTrapsCoalesced = reg.Counter(p + "traps_coalesced")
-	d.telRecordsIn = reg.Counter(p + "records_in")
-	d.telRecordsDropped = reg.Counter(p + "records_dropped")
-	d.telTrapDepth = reg.Gauge(p + "trap_queue_depth")
-	d.telRecDepth = reg.Gauge(p + "record_queue_depth")
-	d.telWindowNs = reg.Gauge(p + "coalesce_window_ns")
+	reg.CounterFunc(p+"traps_in", func() uint64 { return d.Stats.TrapsIn })
+	reg.CounterFunc(p+"traps_dropped", func() uint64 { return d.Stats.TrapsDropped })
+	reg.CounterFunc(p+"traps_coalesced", func() uint64 { return d.co.Coalesced })
+	reg.CounterFunc(p+"records_in", func() uint64 { return d.Stats.RecordsIn })
+	reg.CounterFunc(p+"records_dropped", func() uint64 { return d.Stats.RecordsDropped })
+	reg.GaugeFunc(p+"trap_queue_depth", func() float64 { return float64(d.trapQ.Len()) })
+	reg.GaugeFunc(p+"record_queue_depth", func() float64 { return float64(d.recQ.Len()) })
+	reg.GaugeFunc(p+"coalesce_window_ns", func() float64 { return float64(d.co.Window()) })
 	for _, c := range d.children {
 		c.EnableTelemetry(reg)
 	}
@@ -385,13 +378,10 @@ func (d *Director) OfferTrap(t Trap) bool {
 		return false
 	}
 	d.Stats.TrapsIn++
-	d.telTrapsIn.Inc()
 	if !d.trapQ.Put(t) {
 		d.Stats.TrapsDropped++
-		d.telTrapsDropped.Inc()
 		return false
 	}
-	d.telTrapDepth.Set(float64(d.trapQ.Len()))
 	return true
 }
 
@@ -405,11 +395,8 @@ func (d *Director) trapLoop(p *sim.Proc) {
 		}
 		p.Sleep(d.Cfg.TrapProcTime)
 		d.Stats.TrapsProcessed++
-		before := d.co.Coalesced
 		d.co.Offer(t, p.Now())
-		d.telTrapsCoalesced.Add(d.co.Coalesced - before)
 		d.dispatch(d.co.Take())
-		d.telTrapDepth.Set(float64(d.trapQ.Len()))
 	}
 }
 
@@ -526,10 +513,7 @@ func (d *Director) offerBatch(b batch) {
 	if !d.recQ.Put(b) {
 		d.Stats.BatchesDropped++
 		d.Stats.RecordsDropped += uint64(len(b.meas))
-		d.telRecordsDropped.Add(uint64(len(b.meas)))
-		return
 	}
-	d.telRecDepth.Set(float64(d.recQ.Len()))
 }
 
 // ingestLoop drains children's summary batches into the local database,
@@ -555,8 +539,6 @@ func (d *Director) ingestLoop(p *sim.Proc) {
 		}
 		d.Stats.BatchesIn++
 		d.Stats.RecordsIn += uint64(len(b.meas))
-		d.telRecordsIn.Add(uint64(len(b.meas)))
-		d.telRecDepth.Set(float64(d.recQ.Len()))
 	}
 }
 
@@ -611,7 +593,6 @@ func (d *Director) applyPressure() {
 			w = d.Cfg.MaxWindow
 		}
 		d.co.SetWindow(w)
-		d.telWindowNs.Set(float64(w))
 	}
 	for _, c := range d.children {
 		c.setStretch(d.level)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/sketch"
+	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
@@ -386,5 +387,85 @@ func TestManagerRunsUnchangedOverTree(t *testing.T) {
 	}
 	if mgr.Reconfigs[0].From != "s1" || mgr.Reconfigs[0].To == "s1" {
 		t.Fatalf("unexpected reconfig %v", mgr.Reconfigs[0])
+	}
+}
+
+// TestTelemetryReadsOwnersFields turns on the director tree's telemetry —
+// which nothing else in the repository does — on a 2-leaf tree with small
+// queues and a slow root, under a short trap storm. Every published
+// instrument of every director must be that director's own ledger: Stats,
+// the coalescer's absorbed count and window, and both queue depths — read
+// live from a kernel event mid-storm, and again after the run.
+func TestTelemetryReadsOwnersFields(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	cfg := Config{
+		QueueCap: 4, HighWater: 3, LowWater: 1, Supervise: 50 * time.Millisecond,
+		TrapProcTime: 5 * time.Millisecond, RecordProcTime: 150 * time.Millisecond,
+		CoalesceWindow: 20 * time.Millisecond, MaxWindow: 160 * time.Millisecond,
+		Reexport: 100 * time.Millisecond, TTL: 2 * time.Second,
+	}
+	_, _, root, leaves, paths := buildCotsTree(k, cfg)
+	root.EnableTelemetry(nil) // a nil registry is a no-op
+	reg := telemetry.NewRegistry()
+	root.EnableTelemetry(reg)
+	root.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability, metrics.OneWayLatency}})
+	root.Start()
+
+	check := func(when string) {
+		t.Helper()
+		for _, d := range append([]*Director{root}, leaves...) {
+			p := "director." + d.Name + "."
+			for name, want := range map[string]uint64{
+				"traps_in":        d.Stats.TrapsIn,
+				"traps_dropped":   d.Stats.TrapsDropped,
+				"traps_coalesced": d.co.Coalesced,
+				"records_in":      d.Stats.RecordsIn,
+				"records_dropped": d.Stats.RecordsDropped,
+			} {
+				if got := reg.Counter(p + name).Value(); got != want {
+					t.Errorf("%s: %s%s = %d, want %d", when, p, name, got, want)
+				}
+			}
+			for name, want := range map[string]float64{
+				"trap_queue_depth":   float64(d.trapQ.Len()),
+				"record_queue_depth": float64(d.recQ.Len()),
+				"coalesce_window_ns": float64(d.co.Window()),
+			} {
+				if got := reg.Gauge(p + name).Value(); got != want {
+					t.Errorf("%s: %s%s = %v, want %v", when, p, name, got, want)
+				}
+			}
+		}
+	}
+	// The storm: 120 traps a leaf in 120 ms, alternating between two paths
+	// so some coalesce and some lead; 4-deep queues overflow.
+	for i := 0; i < 120; i++ {
+		i := i
+		k.At(time.Second+time.Duration(i)*time.Millisecond, func() {
+			for _, l := range leaves {
+				l.OfferTrap(trap("s", paths[i%2].ID, i%4 < 2))
+			}
+		})
+	}
+	var midDepth int
+	var midWindow time.Duration
+	k.At(time.Second+110*time.Millisecond, func() {
+		midDepth, midWindow = leaves[0].trapQ.Len(), root.co.Window()
+		check("mid-storm")
+	})
+	k.RunUntil(3 * time.Second)
+	check("after the run")
+
+	l0 := leaves[0]
+	if midDepth == 0 || midWindow <= cfg.CoalesceWindow {
+		t.Errorf("scenario drifted: mid-storm leaf0 queue depth %d, root window %v: the live gauges saw nothing", midDepth, midWindow)
+	}
+	if l0.Stats.TrapsIn != 120 || l0.Stats.TrapsDropped == 0 || l0.co.Coalesced == 0 ||
+		root.Stats.TrapsIn == 0 || root.Stats.RecordsIn == 0 || root.Stats.RecordsDropped == 0 {
+		t.Errorf("scenario drifted: leaf0 %+v coalesced %d, root %+v", l0.Stats, l0.co.Coalesced, root.Stats)
+	}
+	if reg.Len() != 3*8 {
+		t.Errorf("%d instruments registered, want 8 for each of 3 directors", reg.Len())
 	}
 }

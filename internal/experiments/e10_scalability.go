@@ -101,8 +101,6 @@ func E10(quick bool) *report.Table {
 				}
 			}
 			meanAge := time.Duration(metrics.Mean(ages) * float64(time.Second))
-			covered := fmt.Sprintf("%d/%d", len(ages), nPaths)
-			_ = covered
 			t.AddRow(nPaths, im.name, report.Bps(loadBps), report.Dur(meanAge), quality)
 			k.Close()
 		}

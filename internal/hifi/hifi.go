@@ -55,14 +55,17 @@ type Monitor struct {
 	SweepTime time.Duration
 	// TrafficBytes accumulates measurement overhead put on the wire.
 	TrafficBytes int64
+	// Samples counts NTTCP measurements actually run (skipped paths are
+	// not samples).
+	Samples uint64
+	// SweepOverheadBps is the measurement traffic of the last sweep that
+	// took virtual time, averaged over that sweep, in bits/s — the paper's
+	// L/P ≈ 2.18 Mb/s intrusiveness figure (§5.1.3) as a live read.
+	SweepOverheadBps float64
 
-	// Telemetry instrument handles (nil = disabled); see EnableTelemetry.
-	tracer         *telemetry.Tracer
-	telSweeps      *telemetry.Counter
-	telSamples     *telemetry.Counter
-	telSkipped     *telemetry.Counter
-	telOverheadBps *telemetry.Gauge
-	telSweepSec    *telemetry.Histogram
+	// Push instruments (nil = disabled); see EnableTelemetry.
+	tracer      *telemetry.Tracer
+	telSweepSec *telemetry.Histogram
 
 	host       *netsim.Node
 	nw         *netsim.Network
@@ -90,19 +93,17 @@ func New(host *netsim.Node, cfg nttcp.Config, concurrency int) *Monitor {
 	}
 }
 
-// EnableTelemetry registers the sequencer's self-measurement instruments
-// under the "hifi." prefix and records each path measurement as a trace
-// span tagged with the path id, nested under a per-sweep span (tr may be
-// nil to skip tracing). The serialized-sweep overhead gauge reports the
-// measurement traffic averaged over the last sweep in bits/s — the paper's
-// own 2.18 Mb/s intrusiveness figure (§5.1.3) as a live read. It also
-// instruments the measurement database.
+// EnableTelemetry publishes the sequencer's own counts under the "hifi."
+// prefix — Sweeps, Samples, SkippedPaths and the SweepOverheadBps gauge —
+// and records each path measurement as a trace span tagged with the path
+// id, nested under a per-sweep span (tr may be nil to skip tracing). It
+// also publishes the measurement database.
 func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	m.tracer = tr
-	m.telSweeps = reg.Counter("hifi.sweeps")
-	m.telSamples = reg.Counter("hifi.samples")
-	m.telSkipped = reg.Counter("hifi.skipped_paths")
-	m.telOverheadBps = reg.Gauge("hifi.sweep_overhead_bps")
+	reg.CounterFunc("hifi.sweeps", func() uint64 { return uint64(m.Sweeps) })
+	reg.CounterFunc("hifi.samples", func() uint64 { return m.Samples })
+	reg.CounterFunc("hifi.skipped_paths", func() uint64 { return m.SkippedPaths })
+	reg.GaugeFunc("hifi.sweep_overhead_bps", func() float64 { return m.SweepOverheadBps })
 	m.telSweepSec = reg.Histogram("hifi.sweep_s", []float64{0.1, 0.5, 1, 5, 10, 30})
 	m.DB.EnableTelemetry(reg, "hifi.db")
 }
@@ -118,19 +119,17 @@ func (m *Monitor) Submit(req core.Request) {
 		}
 		from := path.Hops[0].Host
 		to := path.Hops[len(path.Hops)-1].Host
+		// Two independent lookups: an origin in a foreign network (wired
+		// by ProvisionServerSim) must not cost the path its responder.
 		if _, ok := m.serverSims[from]; !ok {
-			node := m.nw.Node(from)
-			if node == nil {
-				continue
+			if node := m.nw.Node(from); node != nil {
+				m.serverSims[from] = nttcp.NewClient(node, m.Cfg)
 			}
-			m.serverSims[from] = nttcp.NewClient(node, m.Cfg)
 		}
 		if _, ok := m.responders[to]; !ok {
-			node := m.nw.Node(to)
-			if node == nil {
-				continue
+			if node := m.nw.Node(to); node != nil {
+				m.responders[to] = nttcp.StartServer(node, 0)
 			}
-			m.responders[to] = nttcp.StartServer(node, 0)
 		}
 	}
 }
@@ -192,12 +191,9 @@ func (m *Monitor) Start() {
 			m.Sweeps++
 			m.SweepTime = p.Now() - start
 			sweepSpan.End(p.Now())
-			m.telSweeps.Inc()
 			m.telSweepSec.Observe(m.SweepTime.Seconds())
 			if m.SweepTime > 0 {
-				// Live intrusiveness: measurement traffic averaged over the
-				// serialized sweep — the paper's L/P ≈ 2.18 Mb/s figure.
-				m.telOverheadBps.Set(float64(m.TrafficBytes-traffic0) * 8 / m.SweepTime.Seconds())
+				m.SweepOverheadBps = float64(m.TrafficBytes-traffic0) * 8 / m.SweepTime.Seconds()
 			}
 			if m.SweepInterval > 0 {
 				p.Sleep(m.SweepInterval)
@@ -311,13 +307,12 @@ func (m *Monitor) measurePath(p *sim.Proc, path core.Path, wanted []metrics.Metr
 			// NTTCP test window; the breaker's half-open probe (or another
 			// monitor sharing the set) will re-admit the host later.
 			m.SkippedPaths++
-			m.telSkipped.Inc()
 			span.End(p.Now())
 			return m.fastFail(path.ID, wanted, p.Now(), host)
 		}
 	}
 	res, err := cli.Measure(p, to, 0)
-	m.telSamples.Inc()
+	m.Samples++
 	span.End(p.Now())
 	if m.Breakers != nil {
 		if res.Reached {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/nttcp"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
@@ -431,5 +432,61 @@ func TestBreakerRecoversWhenHostReturns(t *testing.T) {
 	}
 	if br := m.Breakers.For("c1"); br.Stats.Closes == 0 {
 		t.Fatalf("breaker never closed after recovery: %+v", br.Stats)
+	}
+}
+
+// TestTelemetryReadsOwnersFields: with a dead host behind a breaker the
+// sequencer sweeps, samples and skips; every published instrument must be
+// the monitor's (or its database's) own field, read when asked.
+func TestTelemetryReadsOwnersFields(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	h := topo.BuildHiPerD(k, 1)
+	m := New(h.Mgmt, smallCfg(), 1)
+	m.Breakers = resilience.NewBreakerSet(resilience.BreakerConfig{FailThreshold: 1, OpenFor: 3 * time.Second})
+	m.EnableTelemetry(nil, nil) // a nil registry is a no-op
+	reg := telemetry.NewRegistry()
+	m.EnableTelemetry(reg, telemetry.NewTracer("hifi", 64))
+	paths := core.CrossProductPaths(h.ServerRefs()[:1], h.ClientRefs()[:2])
+	m.Submit(core.Request{Paths: paths, Metrics: allMetrics})
+	m.Start()
+	h.Net.Node("c1").SetUp(false)
+	k.RunUntil(10 * time.Second)
+
+	if m.Sweeps == 0 || m.Samples == 0 || m.SkippedPaths == 0 || m.SweepOverheadBps == 0 {
+		t.Fatalf("scenario drifted: sweeps %d samples %d skipped %d overhead %g",
+			m.Sweeps, m.Samples, m.SkippedPaths, m.SweepOverheadBps)
+	}
+	fp := m.DB.Footprint()
+	counters := map[string]uint64{
+		"hifi.sweeps":          uint64(m.Sweeps),
+		"hifi.samples":         m.Samples,
+		"hifi.skipped_paths":   m.SkippedPaths,
+		"hifi.db.records":      m.DB.Records,
+		"hifi.db.stale_marks":  m.DB.StaleMarked,
+		"hifi.db.fresh_hits":   m.DB.FreshHits,
+		"hifi.db.fresh_misses": m.DB.FreshMisses,
+	}
+	gauges := map[string]float64{
+		"hifi.sweep_overhead_bps":  m.SweepOverheadBps,
+		"hifi.db.series":           float64(fp.Series),
+		"hifi.db.retained_samples": float64(fp.Retained),
+		"hifi.db.sketch_bytes":     float64(fp.SketchBytes),
+	}
+	for name, want := range counters {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for name, want := range gauges {
+		if got := reg.Gauge(name).Value(); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	if got, want := reg.Histogram("hifi.sweep_s", nil).Count(), uint64(m.Sweeps); got != want {
+		t.Errorf("hifi.sweep_s observed %d sweeps, want %d", got, want)
+	}
+	if n := len(counters) + len(gauges) + 1; reg.Len() != n {
+		t.Errorf("%d instruments registered, %d checked against an owner", reg.Len(), n)
 	}
 }

@@ -101,3 +101,27 @@ func TestProvisionServerSimRejectsForeignShard(t *testing.T) {
 	}()
 	m.ProvisionServerSim(r1.Servers[0])
 }
+
+// TestSubmitProvisionsResponderDespiteForeignOrigin: resolving the origin
+// and resolving the destination are two independent lookups. An origin in
+// a foreign network (same kernel) that Submit cannot resolve — it is wired
+// afterwards with ProvisionServerSim — must not cost the path the responder
+// on its own, resolvable, destination.
+func TestSubmitProvisionsResponderDespiteForeignOrigin(t *testing.T) {
+	cfg := nttcp.Config{MsgLen: 512, InterSend: 5 * time.Millisecond, Count: 4, Timeout: 2 * time.Second}
+	g := sim.NewShardGroup(1, topo.WANPropDelay)
+	defer g.Close()
+	s := topo.BuildShardedScaled(g, 8, 2, 1, 1)
+	r0, r1 := s.Regions[0], s.Regions[1]
+	m := New(r0.Mgmt, cfg, 1)
+	paths := core.CrossProductPaths(r1.ServerRefs(), r0.ClientRefs())
+	m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability}})
+	m.ProvisionServerSim(r1.Servers[0]) // after Submit: the origin was unresolvable there
+	m.Start()
+	g.Shard(0).RunUntil(30 * time.Second)
+	for _, p := range paths {
+		if reach, ok := m.Query(p.ID, metrics.Reachability); !ok || !reach.Reached() {
+			t.Errorf("%s: %v (ok=%v), want reachable: no responder was provisioned on the destination", p.ID, reach, ok)
+		}
+	}
+}

@@ -55,9 +55,6 @@ type Monitor struct {
 	// Escalations counts targeted NTTCP measurements triggered.
 	Escalations int
 
-	// Telemetry instrument handles (nil = disabled); see EnableTelemetry.
-	telEscalations *telemetry.Counter
-
 	cotsMon     *cots.Monitor
 	hifiMon     *hifi.Monitor
 	host        *netsim.Node
@@ -83,12 +80,12 @@ func New(host *netsim.Node, community string, cfg Config) *Monitor {
 	return m
 }
 
-// EnableTelemetry instruments both sub-monitors under their own prefixes
+// EnableTelemetry publishes both sub-monitors under their own prefixes
 // ("cots.", "hifi."), the hybrid's merged database under "hybrid.db", and
-// the escalation counter under "hybrid.escalations". Spans from the COTS
-// sweeps and the targeted hifi rechecks share tr (which may be nil).
+// Escalations under "hybrid.escalations". Spans from the COTS sweeps and
+// the targeted hifi rechecks share tr (which may be nil).
 func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	m.telEscalations = reg.Counter("hybrid.escalations")
+	reg.CounterFunc("hybrid.escalations", func() uint64 { return uint64(m.Escalations) })
 	m.cotsMon.EnableTelemetry(reg, tr)
 	m.hifiMon.EnableTelemetry(reg, tr)
 	m.DB.EnableTelemetry(reg, "hybrid.db")
@@ -134,6 +131,16 @@ func (m *Monitor) Start() {
 	})
 }
 
+// Stop ceases collection on the hybrid director and on both sub-monitors.
+// Without the second half the COTS side keeps sweeping — and, being in
+// ReportAsync mode, keeps filling the unbounded Reports queue that the
+// exited director no longer drains.
+func (m *Monitor) Stop() {
+	m.DirectorBase.Stop()
+	m.cotsMon.Stop()
+	m.hifiMon.Stop()
+}
+
 // anomalous applies the escalation rule to an approximate measurement.
 func (m *Monitor) anomalous(meas core.Measurement) bool {
 	switch {
@@ -163,7 +170,6 @@ func (m *Monitor) maybeEscalate(p *sim.Proc, meas core.Measurement) {
 	}
 	m.lastRecheck[path.ID] = now
 	m.Escalations++
-	m.telEscalations.Inc()
 	req, _ := m.Request()
 	for _, direct := range m.hifiMon.MeasurePath(p, path, req.Metrics) {
 		m.Publish(direct)

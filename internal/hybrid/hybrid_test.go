@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nttcp"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
@@ -115,4 +116,80 @@ func TestLowThroughputEscalates(t *testing.T) {
 		t.Fatal("no throughput recorded")
 	}
 	_ = tp
+}
+
+// TestStopStopsTheSubMonitors: Stop must quiet the COTS surveillance under
+// the hybrid, not just the hybrid's own director. Otherwise the sub-monitor
+// keeps polling a network nobody reads for and — being in ReportAsync mode —
+// keeps filling the unbounded Reports queue the exited director has stopped
+// draining.
+func TestStopStopsTheSubMonitors(t *testing.T) {
+	k, h, m := build(t, Config{PollInterval: time.Second})
+	m.Submit(core.Request{Paths: h.PathList(), Metrics: []metrics.Metric{metrics.Reachability}})
+	m.Start()
+	k.RunUntil(10 * time.Second)
+	if m.DB.Records == 0 {
+		t.Fatal("no surveillance before Stop")
+	}
+	m.Stop()
+	k.RunUntil(k.Now() + m.Cfg.PollInterval) // the sweep and the Get in flight finish
+	requests, queued, records := m.COTS().Client.Stats.Requests, m.COTS().Reports().Len(), m.DB.Records
+	k.RunUntil(k.Now() + 60*time.Second)
+	if got := m.COTS().Client.Stats.Requests; got != requests {
+		t.Errorf("SNMP requests went %d -> %d in the 60 s after Stop", requests, got)
+	}
+	if got := m.COTS().Reports().Len(); got != queued {
+		t.Errorf("undrained reports went %d -> %d in the 60 s after Stop", queued, got)
+	}
+	if m.DB.Records != records {
+		t.Errorf("records went %d -> %d after Stop", records, m.DB.Records)
+	}
+}
+
+// TestTelemetryReadsOwnersFields: the hybrid publishes its escalation count
+// and its merged database next to both sub-monitors' instruments; each is
+// the owner's own field.
+func TestTelemetryReadsOwnersFields(t *testing.T) {
+	k, h, m := build(t, Config{PollInterval: time.Second})
+	m.EnableTelemetry(nil, nil) // a nil registry is a no-op
+	reg := telemetry.NewRegistry()
+	m.EnableTelemetry(reg, telemetry.NewTracer("hybrid", 64))
+	paths := core.CrossProductPaths(h.ServerRefs()[:1], h.ClientRefs()[:3])
+	m.Submit(core.Request{Paths: paths, Metrics: allMetrics})
+	m.Start()
+	k.At(5*time.Second, func() { h.Clients[0].SetUp(false) })
+	k.RunUntil(30 * time.Second)
+	if m.Escalations == 0 || m.HiFi().Samples == 0 || m.COTS().Sweeps == 0 {
+		t.Fatalf("scenario drifted: %d escalations, %d hifi samples, %d cots sweeps",
+			m.Escalations, m.HiFi().Samples, m.COTS().Sweeps)
+	}
+	fp := m.DB.Footprint()
+	for name, want := range map[string]float64{
+		"hybrid.escalations":         float64(m.Escalations),
+		"hybrid.db.records":          float64(m.DB.Records),
+		"hybrid.db.stale_marks":      float64(m.DB.StaleMarked),
+		"hybrid.db.fresh_hits":       float64(m.DB.FreshHits),
+		"hybrid.db.fresh_misses":     float64(m.DB.FreshMisses),
+		"hybrid.db.series":           float64(fp.Series),
+		"hybrid.db.retained_samples": float64(fp.Retained),
+		"hybrid.db.sketch_bytes":     float64(fp.SketchBytes),
+		// One instrument of each sub-monitor: their own packages check the rest.
+		"cots.sweeps":        float64(m.COTS().Sweeps),
+		"cots.snmp.requests": float64(m.COTS().Client.Stats.Requests),
+		"cots.db.records":    float64(m.COTS().DB.Records),
+		"hifi.samples":       float64(m.HiFi().Samples),
+		"hifi.db.records":    float64(m.HiFi().DB.Records),
+	} {
+		got := reg.Gauge(name).Value()
+		if c := reg.Counter(name); c != nil {
+			got = float64(c.Value())
+		}
+		if got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	// 8 of the hybrid's own, cots' 30 and hifi's 12.
+	if reg.Len() != 8+30+12 {
+		t.Errorf("%d instruments registered, want %d", reg.Len(), 8+30+12)
+	}
 }

@@ -117,12 +117,13 @@ type Manager struct {
 	// Policy.MaxStaleness — each one is a decision the manager declined to
 	// base on senescent data.
 	StaleReads uint64
-
-	// Telemetry instrument handles (nil = disabled); see EnableTelemetry.
-	telEvals      *telemetry.Counter
-	telFailovers  *telemetry.Counter
-	telStaleReads *telemetry.Counter
-	telTailViols  *telemetry.Counter
+	// Evaluations counts policy evaluations run; Failovers the host moves
+	// they led to (not pool-exhausted stalls); TailViolations the paths
+	// found over a p95/p99 latency ceiling or under the p95-confidence
+	// throughput floor.
+	Evaluations    uint64
+	Failovers      uint64
+	TailViolations uint64
 
 	host       *netsim.Node
 	mon        core.Monitor
@@ -157,17 +158,14 @@ func New(host *netsim.Node, mon core.Monitor, policy Policy) *Manager {
 	return m
 }
 
-// EnableTelemetry registers the manager's decision instruments under
-// prefix: policy evaluations run, failovers executed (actual host moves,
-// not pool-exhausted stalls), queries rejected as stale under
-// Policy.MaxStaleness, and tail policy violations (p95/p99 latency
-// ceilings, p95-confidence throughput floor). A nil registry leaves the
-// manager uninstrumented.
+// EnableTelemetry publishes the manager's decision counts under prefix:
+// Evaluations, Failovers, StaleReads and TailViolations. A nil registry
+// publishes nothing.
 func (m *Manager) EnableTelemetry(reg *telemetry.Registry, prefix string) {
-	m.telEvals = reg.Counter(prefix + ".evaluations")
-	m.telFailovers = reg.Counter(prefix + ".failovers")
-	m.telStaleReads = reg.Counter(prefix + ".stale_reads")
-	m.telTailViols = reg.Counter(prefix + ".tail_violations")
+	reg.CounterFunc(prefix+".evaluations", func() uint64 { return m.Evaluations })
+	reg.CounterFunc(prefix+".failovers", func() uint64 { return m.Failovers })
+	reg.CounterFunc(prefix+".stale_reads", func() uint64 { return m.StaleReads })
+	reg.CounterFunc(prefix+".tail_violations", func() uint64 { return m.TailViolations })
 }
 
 // DefinePool registers the replicated host pool for a role.
@@ -268,7 +266,7 @@ func (m *Manager) submit(roleFrom, roleTo string) {
 // evaluate inspects the database's current values for every path and
 // reconfigures processes that persistently violate policy.
 func (m *Manager) evaluate(p *sim.Proc, roleFrom, roleTo string) {
-	m.telEvals.Inc()
+	m.Evaluations++
 	paths := m.PathList(roleFrom, roleTo)
 	type verdict struct {
 		bad, seen int
@@ -335,29 +333,17 @@ func (m *Manager) evaluate(p *sim.Proc, roleFrom, roleTo string) {
 // query reads one current value, applying the Policy.MaxStaleness gate:
 // a sample older than the bound (or one the monitor's senescence watchdog
 // has marked stale) reports ok=false, exactly as if never recorded.
-// Monitors implementing core.FreshQuerier get the database-side check
-// (which also sees watchdog marks); others fall back to an age test on
-// the sample's TakenAt.
 func (m *Manager) query(id core.PathID, metric metrics.Metric) (core.Measurement, bool) {
 	meas, ok := m.mon.Query(id, metric)
 	if !ok || m.Policy.MaxStaleness <= 0 {
 		return meas, ok
 	}
 	now := m.host.Network().K.Now()
-	if fq, isFresh := m.mon.(core.FreshQuerier); isFresh {
-		if fresh, fok := fq.QueryFresh(id, metric, now, m.Policy.MaxStaleness); fok {
-			return fresh, true
-		}
-		m.StaleReads++
-		m.telStaleReads.Inc()
-		return core.Measurement{}, false
+	if fresh, fok := m.mon.QueryFresh(id, metric, now, m.Policy.MaxStaleness); fok {
+		return fresh, true
 	}
-	if now-meas.TakenAt > m.Policy.MaxStaleness {
-		m.StaleReads++
-		m.telStaleReads.Inc()
-		return core.Measurement{}, false
-	}
-	return meas, true
+	m.StaleReads++
+	return core.Measurement{}, false
 }
 
 // pathViolates checks the current database values for one path against the
@@ -405,40 +391,36 @@ func (m *Manager) pathViolates(id core.PathID) (bad, have bool) {
 // tailViolates evaluates the distributional policies — the p95/p99
 // latency ceilings and the p95-confidence throughput floor — against the
 // monitor's quantile sketches for the path. ok is false when no tail
-// policy is set, the monitor cannot answer quantile queries, or no
-// consulted series has Policy.TailMinSamples observations yet.
+// policy is set or no consulted series has Policy.TailMinSamples
+// observations yet.
 func (m *Manager) tailViolates(id core.PathID) (bad, ok bool) {
 	latTail := m.Policy.LatencyP95Max > 0 || m.Policy.LatencyP99Max > 0
 	tpTail := m.Policy.ThroughputP95Min > 0
 	if !latTail && !tpTail {
 		return false, false
 	}
-	qq, isQQ := m.mon.(core.QuantileQuerier)
-	if !isQQ {
-		return false, false
-	}
 	if latTail {
-		sum, have := qq.QuantileSummary(id, metrics.OneWayLatency)
+		sum, have := m.mon.QuantileSummary(id, metrics.OneWayLatency)
 		if have && sum.Count >= uint64(m.Policy.TailMinSamples) {
 			ok = true
 			if m.Policy.LatencyP95Max > 0 && sum.P95 > m.Policy.LatencyP95Max.Seconds() {
-				m.telTailViols.Inc()
+				m.TailViolations++
 				return true, true
 			}
 			if m.Policy.LatencyP99Max > 0 && sum.P99 > m.Policy.LatencyP99Max.Seconds() {
-				m.telTailViols.Inc()
+				m.TailViolations++
 				return true, true
 			}
 		}
 	}
 	if tpTail {
-		sum, have := qq.QuantileSummary(id, metrics.Throughput)
+		sum, have := m.mon.QuantileSummary(id, metrics.Throughput)
 		if have && sum.Count >= uint64(m.Policy.TailMinSamples) {
 			ok = true
 			// The 5th-percentile sample is the throughput sustained 95% of
 			// the time; below the floor, the path starves too often.
-			if p05, qok := qq.Quantile(id, metrics.Throughput, 0.05); qok && p05 < m.Policy.ThroughputP95Min {
-				m.telTailViols.Inc()
+			if p05, qok := m.mon.Quantile(id, metrics.Throughput, 0.05); qok && p05 < m.Policy.ThroughputP95Min {
+				m.TailViolations++
 				return true, true
 			}
 		}
@@ -469,7 +451,7 @@ func (m *Manager) failover(p *sim.Proc, process, roleFrom, roleTo string) {
 	pl.Incarnation++
 	rec := Reconfig{At: p.Now(), Process: process, From: old, To: newHost, Reason: "policy violation"}
 	m.Reconfigs = append(m.Reconfigs, rec)
-	m.telFailovers.Inc()
+	m.Failovers++
 	m.submit(roleFrom, roleTo)
 	if m.OnReconfig != nil {
 		m.OnReconfig(rec)

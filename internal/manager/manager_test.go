@@ -368,3 +368,78 @@ func TestTailPolicySkippedWithoutSketches(t *testing.T) {
 		t.Fatalf("unexpected reconfigurations: %v", m.Reconfigs)
 	}
 }
+
+// TestTelemetryReadsOwnersFields: the four published counts are the
+// manager's own fields, under a host death read through a tight staleness
+// gate (failover, stale reads) and under each unmeetable tail policy.
+func TestTelemetryReadsOwnersFields(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		policy   Policy
+		sketches bool
+		kill     bool
+		moved    func(m *Manager) uint64 // the count the scenario exists to move
+	}{
+		{name: "failover behind a staleness gate",
+			policy: Policy{RequireReachable: true, Grace: 2, EvalInterval: 500 * time.Millisecond, MaxStaleness: 300 * time.Millisecond},
+			kill:   true,
+			moved:  func(m *Manager) uint64 { return min(m.Failovers, m.StaleReads) }},
+		{name: "p95 latency ceiling",
+			policy: Policy{RequireReachable: true, LatencyP95Max: time.Nanosecond,
+				Grace: 2, EvalInterval: 500 * time.Millisecond, TailMinSamples: 4},
+			sketches: true,
+			moved:    func(m *Manager) uint64 { return m.TailViolations }},
+		{name: "p99 latency ceiling",
+			policy: Policy{RequireReachable: true, LatencyP99Max: time.Nanosecond,
+				Grace: 2, EvalInterval: 500 * time.Millisecond, TailMinSamples: 4},
+			sketches: true,
+			moved:    func(m *Manager) uint64 { return m.TailViolations }},
+		{name: "p95-confidence throughput floor",
+			policy: Policy{RequireReachable: true, ThroughputP95Min: 1e12,
+				Grace: 2, EvalInterval: 500 * time.Millisecond, TailMinSamples: 4},
+			sketches: true,
+			moved:    func(m *Manager) uint64 { return m.TailViolations }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, h, m := build(t, tc.policy)
+			if tc.sketches {
+				enableSketches(t, m)
+			}
+			m.EnableTelemetry(nil, "off") // a nil registry is a no-op
+			reg := telemetry.NewRegistry()
+			m.EnableTelemetry(reg, "mgr")
+			m.Start("server", "client")
+			if tc.kill {
+				k.At(3*time.Second, func() { h.Servers[1].SetUp(false) })
+			}
+			k.RunUntil(20 * time.Second)
+			if m.Evaluations == 0 || tc.moved(m) == 0 {
+				t.Fatalf("scenario drifted: evaluations %d failovers %d stale reads %d tail violations %d",
+					m.Evaluations, m.Failovers, m.StaleReads, m.TailViolations)
+			}
+			moves := uint64(0)
+			for _, r := range m.Reconfigs {
+				if r.From != r.To {
+					moves++
+				}
+			}
+			if m.Failovers != moves {
+				t.Errorf("Failovers = %d, the decision log holds %d host moves", m.Failovers, moves)
+			}
+			want := map[string]uint64{
+				"mgr.evaluations":     m.Evaluations,
+				"mgr.failovers":       m.Failovers,
+				"mgr.stale_reads":     m.StaleReads,
+				"mgr.tail_violations": m.TailViolations,
+			}
+			for name, w := range want {
+				if got := reg.Counter(name).Value(); got != w {
+					t.Errorf("%s = %d, want %d", name, got, w)
+				}
+			}
+			if reg.Len() != len(want) {
+				t.Errorf("%d instruments registered, %d checked against the manager", reg.Len(), len(want))
+			}
+		})
+	}
+}

@@ -36,11 +36,12 @@ type Backoff struct {
 	// (0 disables jitter). Requires a non-nil rng.
 	JitterFrac float64
 
-	rng *rand.Rand
+	// Waits counts the non-zero delays Delay has handed out; Waited is the
+	// virtual time they add up to.
+	Waits  uint64
+	Waited time.Duration
 
-	// Telemetry instrument handles (nil = disabled); see EnableTelemetry.
-	telWaits  *telemetry.Counter
-	telWaitNs *telemetry.Counter
+	rng *rand.Rand
 }
 
 // NewBackoff builds a backoff schedule. rng supplies the jitter stream;
@@ -49,15 +50,14 @@ func NewBackoff(rng *rand.Rand, base, max time.Duration, jitterFrac float64) *Ba
 	return &Backoff{Base: base, Max: max, JitterFrac: jitterFrac, rng: rng}
 }
 
-// EnableTelemetry registers the backoff's instruments under prefix: a count
-// of non-zero waits handed out and the total virtual time they add up to.
-// Delay records into them; a nil registry leaves the backoff silent.
+// EnableTelemetry publishes Waits and Waited (in nanoseconds) under prefix.
+// A nil backoff or registry publishes nothing.
 func (b *Backoff) EnableTelemetry(reg *telemetry.Registry, prefix string) {
 	if b == nil {
 		return
 	}
-	b.telWaits = reg.Counter(prefix + ".waits")
-	b.telWaitNs = reg.Counter(prefix + ".wait_ns")
+	reg.CounterFunc(prefix+".waits", func() uint64 { return b.Waits })
+	reg.CounterFunc(prefix+".wait_ns", func() uint64 { return uint64(b.Waited) })
 }
 
 // Delay returns the wait before retransmission number attempt (0-based).
@@ -85,8 +85,8 @@ func (b *Backoff) Delay(attempt int) time.Duration {
 		}
 	}
 	if d > 0 {
-		b.telWaits.Inc()
-		b.telWaitNs.Add(uint64(d))
+		b.Waits++
+		b.Waited += d
 	}
 	return d
 }
@@ -151,15 +151,6 @@ type BreakerStats struct {
 	Closes uint64
 }
 
-// breakerTel is the set of shared instruments a BreakerSet hands each of
-// its breakers. The zero value (all nil) is the disabled layer.
-type breakerTel struct {
-	opens     *telemetry.Counter
-	closes    *telemetry.Counter
-	probes    *telemetry.Counter
-	fastFails *telemetry.Counter
-}
-
 // Breaker is a per-target circuit breaker on the virtual clock. It is not
 // safe for concurrent use from multiple OS threads; under the simulation
 // kernel all calls are serialized anyway.
@@ -172,7 +163,6 @@ type Breaker struct {
 	succs    int
 	openedAt time.Duration
 	probing  bool
-	tel      breakerTel
 }
 
 // NewBreaker returns a closed breaker.
@@ -201,22 +191,18 @@ func (b *Breaker) Allow(now time.Duration) bool {
 			b.state = HalfOpen
 			b.probing = true
 			b.Stats.Probes++
-			b.tel.probes.Inc()
 			return true
 		}
 		b.Stats.FastFails++
-		b.tel.fastFails.Inc()
 		return false
 	default: // HalfOpen
 		if b.probing {
 			// A probe is already in flight; everyone else fast-fails.
 			b.Stats.FastFails++
-			b.tel.fastFails.Inc()
 			return false
 		}
 		b.probing = true
 		b.Stats.Probes++
-		b.tel.probes.Inc()
 		return true
 	}
 }
@@ -242,7 +228,6 @@ func (b *Breaker) close() {
 	b.state = Closed
 	b.succs = 0
 	b.Stats.Closes++
-	b.tel.closes.Inc()
 }
 
 // Failure records a failed (timed-out) call finishing at virtual time now.
@@ -256,13 +241,11 @@ func (b *Breaker) Failure(now time.Duration) {
 		b.state = Open
 		b.openedAt = now
 		b.Stats.Opens++
-		b.tel.opens.Inc()
 	case Closed:
 		if b.fails >= b.cfg.FailThreshold {
 			b.state = Open
 			b.openedAt = now
 			b.Stats.Opens++
-			b.tel.opens.Inc()
 		}
 	}
 }
@@ -274,22 +257,16 @@ type BreakerSet struct {
 
 	m     map[string]*Breaker
 	order []string
-	tel   breakerTel
 }
 
-// EnableTelemetry registers fleet-wide transition counters under prefix
-// (opens, closes, probes, fast_fails) and installs them into every breaker
-// the set already holds or will create. A nil registry disables the layer.
+// EnableTelemetry publishes the fleet-wide transition counts under prefix
+// (opens, closes, probes, fast_fails): each is Stats' sum over the breakers
+// the set holds when it is read. A nil registry publishes nothing.
 func (s *BreakerSet) EnableTelemetry(reg *telemetry.Registry, prefix string) {
-	s.tel = breakerTel{
-		opens:     reg.Counter(prefix + ".opens"),
-		closes:    reg.Counter(prefix + ".closes"),
-		probes:    reg.Counter(prefix + ".probes"),
-		fastFails: reg.Counter(prefix + ".fast_fails"),
-	}
-	for _, t := range s.order {
-		s.m[t].tel = s.tel
-	}
+	reg.CounterFunc(prefix+".opens", func() uint64 { return s.Stats().Opens })
+	reg.CounterFunc(prefix+".closes", func() uint64 { return s.Stats().Closes })
+	reg.CounterFunc(prefix+".probes", func() uint64 { return s.Stats().Probes })
+	reg.CounterFunc(prefix+".fast_fails", func() uint64 { return s.Stats().FastFails })
 }
 
 // NewBreakerSet returns an empty set with the given shared config.
@@ -303,7 +280,6 @@ func (s *BreakerSet) For(target string) *Breaker {
 		return b
 	}
 	b := NewBreaker(s.Cfg)
-	b.tel = s.tel
 	s.m[target] = b
 	s.order = append(s.order, target)
 	return b

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func TestBackoffExponentialCapped(t *testing.T) {
@@ -139,5 +140,67 @@ func TestBreakerSetSharedConfigAndAggregation(t *testing.T) {
 	s.Each(func(target string, _ *Breaker) { order = append(order, target) })
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("Each order = %v", order)
+	}
+}
+
+// TestTelemetryReadsOwnersFields: the published counts are the breakers'
+// and the backoff's own fields — summed over the set in creation order,
+// including breakers created after EnableTelemetry — not a second copy.
+func TestTelemetryReadsOwnersFields(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := NewBreakerSet(BreakerConfig{FailThreshold: 1, OpenFor: time.Second})
+	s.For("early").Failure(0)
+	s.EnableTelemetry(reg, "br")
+	bo := NewBackoff(nil, 50*time.Millisecond, 400*time.Millisecond, 0)
+	bo.EnableTelemetry(reg, "bo")
+
+	s.For("early").Allow(0)               // fast-fail
+	s.For("early").Allow(2 * time.Second) // probe
+	s.For("early").Success(2 * time.Second)
+	s.For("late").Failure(3 * time.Second) // created after EnableTelemetry
+	s.For("late").Allow(3 * time.Second)
+	for i := 0; i < 4; i++ {
+		bo.Delay(i)
+	}
+
+	var sum BreakerStats
+	s.Each(func(_ string, b *Breaker) {
+		sum.Opens += b.Stats.Opens
+		sum.Closes += b.Stats.Closes
+		sum.Probes += b.Stats.Probes
+		sum.FastFails += b.Stats.FastFails
+	})
+	if sum != (BreakerStats{Opens: 2, FastFails: 2, Probes: 1, Closes: 1}) {
+		t.Fatalf("scenario drifted: summed stats = %+v", sum)
+	}
+	want := []struct {
+		name string
+		want uint64
+	}{
+		{"br.opens", sum.Opens},
+		{"br.closes", sum.Closes},
+		{"br.probes", sum.Probes},
+		{"br.fast_fails", sum.FastFails},
+		{"bo.waits", bo.Waits},
+		{"bo.wait_ns", uint64(bo.Waited)},
+	}
+	for _, c := range want {
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if bo.Waits != 4 || bo.Waited != 750*time.Millisecond {
+		t.Errorf("backoff handed out %d waits totalling %v, want 4 and 750ms", bo.Waits, bo.Waited)
+	}
+	if reg.Len() != len(want) {
+		t.Errorf("%d instruments registered, %d checked against an owner", reg.Len(), len(want))
+	}
+
+	// A nil registry or a nil backoff publishes nothing and must not panic.
+	s.EnableTelemetry(nil, "x")
+	bo.EnableTelemetry(nil, "x")
+	(*Backoff)(nil).EnableTelemetry(reg, "nil")
+	if reg.Len() != len(want) {
+		t.Errorf("a nil backoff registered %d instruments", reg.Len()-len(want))
 	}
 }

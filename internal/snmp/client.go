@@ -48,16 +48,6 @@ type Client struct {
 
 	Stats ClientStats
 
-	// Telemetry instrument handles; nil (the default) disables each at the
-	// cost of one pointer test. Install via EnableTelemetry.
-	telRequests   *telemetry.Counter
-	telRetries    *telemetry.Counter
-	telTimeouts   *telemetry.Counter
-	telResponses  *telemetry.Counter
-	telStaleDrops *telemetry.Counter
-	telBytesSent  *telemetry.Counter
-	telBytesRecv  *telemetry.Counter
-
 	node  *netsim.Node
 	sock  *netsim.UDPSock
 	reqID int32
@@ -78,18 +68,16 @@ func NewClient(node *netsim.Node, community string) *Client {
 // Node returns the hosting node.
 func (c *Client) Node() *netsim.Node { return c.node }
 
-// EnableTelemetry registers this client's instruments under prefix (e.g.
-// "cots.snmp") and starts recording protocol activity into them. Passing a
-// nil registry leaves the client uninstrumented; the hot path then pays
-// only nil tests.
+// EnableTelemetry publishes Stats under prefix (e.g. "cots.snmp"), one
+// counter per field. A nil registry publishes nothing.
 func (c *Client) EnableTelemetry(reg *telemetry.Registry, prefix string) {
-	c.telRequests = reg.Counter(prefix + ".requests")
-	c.telRetries = reg.Counter(prefix + ".retries")
-	c.telTimeouts = reg.Counter(prefix + ".timeouts")
-	c.telResponses = reg.Counter(prefix + ".responses")
-	c.telStaleDrops = reg.Counter(prefix + ".stale_drops")
-	c.telBytesSent = reg.Counter(prefix + ".bytes_sent")
-	c.telBytesRecv = reg.Counter(prefix + ".bytes_recv")
+	reg.CounterFunc(prefix+".requests", func() uint64 { return c.Stats.Requests })
+	reg.CounterFunc(prefix+".retries", func() uint64 { return c.Stats.Retries })
+	reg.CounterFunc(prefix+".timeouts", func() uint64 { return c.Stats.Timeouts })
+	reg.CounterFunc(prefix+".responses", func() uint64 { return c.Stats.Responses })
+	reg.CounterFunc(prefix+".stale_drops", func() uint64 { return c.Stats.StaleDrops })
+	reg.CounterFunc(prefix+".bytes_sent", func() uint64 { return c.Stats.BytesSent })
+	reg.CounterFunc(prefix+".bytes_recv", func() uint64 { return c.Stats.BytesRecv })
 }
 
 func (c *Client) request(p *sim.Proc, agent netsim.Addr, port netsim.Port, pdu PDU) (*Message, error) {
@@ -113,15 +101,12 @@ func (c *Client) request(p *sim.Proc, agent netsim.Addr, port netsim.Port, pdu P
 				p.Sleep(wait)
 			}
 			c.Stats.Retries++
-			c.telRetries.Inc()
 		}
 		if hard >= 0 && p.Now() >= hard {
 			break
 		}
 		c.Stats.Requests++
-		c.telRequests.Inc()
 		c.Stats.BytesSent += uint64(len(b))
-		c.telBytesSent.Add(uint64(len(b)))
 		c.sock.SendTo(agent, port, b)
 		deadline := p.Now() + c.Timeout
 		if hard >= 0 && deadline > hard {
@@ -143,18 +128,14 @@ func (c *Client) request(p *sim.Proc, agent netsim.Addr, port netsim.Port, pdu P
 			if resp.PDU.RequestID != pdu.RequestID {
 				// Stale response from an earlier retry.
 				c.Stats.StaleDrops++
-				c.telStaleDrops.Inc()
 				continue
 			}
 			c.Stats.Responses++
-			c.telResponses.Inc()
 			c.Stats.BytesRecv += uint64(len(pkt.Payload))
-			c.telBytesRecv.Add(uint64(len(pkt.Payload)))
 			return resp, nil
 		}
 	}
 	c.Stats.Timeouts++
-	c.telTimeouts.Inc()
 	return nil, ErrTimeout
 }
 
@@ -293,10 +274,6 @@ type TrapSink struct {
 
 	sock  *netsim.UDPSock
 	queue *sim.Queue[trapItem]
-
-	// Telemetry instrument handles (nil = disabled); see EnableTelemetry.
-	telArrived, telDropped, telProcessed *telemetry.Counter
-	telDepth                             *telemetry.Gauge
 }
 
 type trapItem struct {
@@ -309,14 +286,14 @@ type trapItem struct {
 // accounting, never buffer without limit.
 const DefaultTrapQueueCap = 256
 
-// EnableTelemetry registers the sink's overflow accounting under
-// prefix: arrived/dropped/processed trap counters and the current queue
-// depth. A nil registry leaves the sink silent.
+// EnableTelemetry publishes the sink's overflow accounting under prefix:
+// the arrived/dropped/processed counts of Stats and the current depth of
+// the ingest queue. A nil registry publishes nothing.
 func (s *TrapSink) EnableTelemetry(reg *telemetry.Registry, prefix string) {
-	s.telArrived = reg.Counter(prefix + ".arrived")
-	s.telDropped = reg.Counter(prefix + ".dropped")
-	s.telProcessed = reg.Counter(prefix + ".processed")
-	s.telDepth = reg.Gauge(prefix + ".queue_depth")
+	reg.CounterFunc(prefix+".arrived", func() uint64 { return s.Stats.Arrived })
+	reg.CounterFunc(prefix+".dropped", func() uint64 { return s.Stats.Dropped })
+	reg.CounterFunc(prefix+".processed", func() uint64 { return s.Stats.Processed })
+	reg.GaugeFunc(prefix+".queue_depth", func() float64 { return float64(s.QueueLen()) })
 }
 
 // StartTrapSink binds the sink and spawns its receiver and processor
@@ -351,11 +328,8 @@ func StartTrapSink(n *netsim.Node, port netsim.Port, queueCap int, procTime time
 			case TrapV1, TrapV2:
 				if s.queue.Put(trapItem{msg, pkt.Src}) {
 					s.Stats.Arrived++
-					s.telArrived.Inc()
-					s.telDepth.Set(float64(s.queue.Len()))
 				} else {
 					s.Stats.Dropped++
-					s.telDropped.Inc()
 				}
 			case InformRequest:
 				// Acknowledge only what the station can actually ingest;
@@ -363,14 +337,11 @@ func StartTrapSink(n *netsim.Node, port netsim.Port, queueCap int, procTime time
 				if s.queue.Put(trapItem{msg, pkt.Src}) {
 					s.Stats.Arrived++
 					s.Stats.InformsAcked++
-					s.telArrived.Inc()
-					s.telDepth.Set(float64(s.queue.Len()))
 					ack := &Message{Version: msg.Version, Community: msg.Community}
 					ack.PDU = PDU{Type: GetResponse, RequestID: msg.PDU.RequestID, VarBinds: msg.PDU.VarBinds}
 					s.sock.SendTo(pkt.Src, pkt.SrcPort, ack.Encode())
 				} else {
 					s.Stats.Dropped++
-					s.telDropped.Inc()
 				}
 			}
 		}
@@ -385,8 +356,6 @@ func StartTrapSink(n *netsim.Node, port netsim.Port, queueCap int, procTime time
 				p.Sleep(s.ProcTime)
 			}
 			s.Stats.Processed++
-			s.telProcessed.Inc()
-			s.telDepth.Set(float64(s.queue.Len()))
 			if s.OnTrap != nil {
 				s.OnTrap(item.msg, item.from)
 			}
@@ -394,6 +363,9 @@ func StartTrapSink(n *netsim.Node, port netsim.Port, queueCap int, procTime time
 	})
 	return s
 }
+
+// QueueLen reports how many accepted traps wait in the ingest queue.
+func (s *TrapSink) QueueLen() int { return s.queue.Len() }
 
 // SocketDrops reports traps lost in the kernel socket buffer.
 func (s *TrapSink) SocketDrops() uint64 { return s.sock.Drops }

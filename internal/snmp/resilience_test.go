@@ -9,6 +9,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // lossyFixture is agentFixture plus the segment, so tests can inject loss.
@@ -173,5 +174,52 @@ func TestStaleResponseDroppedNotMiscounted(t *testing.T) {
 	}
 	if lateLen == 0 || s.BytesRecv >= uint64(2*lateLen) {
 		t.Fatalf("BytesRecv = %d (response len %d): stale response was counted", s.BytesRecv, lateLen)
+	}
+}
+
+// TestClientTelemetryReadsStats: every counter the client publishes is a
+// field of Stats, read when asked — through a lost attempt, a retry that
+// succeeds and a request that times out for good.
+func TestClientTelemetryReadsStats(t *testing.T) {
+	k, seg, client := lossyFixture(t)
+	client.Timeout = 100 * time.Millisecond
+	client.Retries = 1
+	reg := telemetry.NewRegistry()
+	client.EnableTelemetry(reg, "c")
+	client.EnableTelemetry(nil, "off") // a nil registry is a no-op
+	seg.SetLossProb(1.0)
+	k.At(50*time.Millisecond, func() { seg.SetLossProb(0) })
+	k.At(time.Second, func() { seg.SetLossProb(1.0) })
+
+	client.Node().Spawn("tester", func(p *sim.Proc) {
+		client.Get(p, "agent1", mib.SysUpTime) // first attempt lost, retry answered
+		p.Sleep(2 * time.Second)
+		client.Get(p, "agent1", mib.SysUpTime) // both attempts lost
+	})
+	k.RunUntil(10 * time.Second)
+
+	s := client.Stats
+	if s.Requests != 4 || s.Retries != 2 || s.Responses != 1 || s.Timeouts != 1 || s.BytesRecv == 0 {
+		t.Fatalf("scenario drifted: stats = %+v", s)
+	}
+	want := []struct {
+		name string
+		want uint64
+	}{
+		{"c.requests", s.Requests},
+		{"c.retries", s.Retries},
+		{"c.timeouts", s.Timeouts},
+		{"c.responses", s.Responses},
+		{"c.stale_drops", s.StaleDrops},
+		{"c.bytes_sent", s.BytesSent},
+		{"c.bytes_recv", s.BytesRecv},
+	}
+	for _, c := range want {
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if reg.Len() != len(want) {
+		t.Errorf("%d instruments registered, %d checked against Stats", reg.Len(), len(want))
 	}
 }

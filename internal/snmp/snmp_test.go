@@ -347,6 +347,44 @@ func TestTrapSinkDefaultCapAndTelemetry(t *testing.T) {
 			t.Errorf("telemetry %s = %d, want %d (sink stats %+v)", name, got, want, sink.Stats)
 		}
 	}
+	if got := reg.Gauge("snmp.trapsink.queue_depth").Value(); got != float64(sink.QueueLen()) {
+		t.Errorf("telemetry queue_depth = %v, want %d", got, sink.QueueLen())
+	}
+	if reg.Len() != 4 {
+		t.Errorf("%d instruments registered, 4 checked against the sink", reg.Len())
+	}
+}
+
+// TestTrapSinkQueueDepthIsLive: the depth gauge reads the queue itself, so
+// a dump taken from a kernel event mid-flood sees the backlog.
+func TestTrapSinkQueueDepthIsLive(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	nw := netsim.New(k, 9)
+	station := nw.NewHost("station")
+	src := nw.NewHost("prober")
+	seg := nw.NewSegment("lan", netsim.Ethernet100())
+	seg.Attach(station)
+	seg.Attach(src)
+	sink := StartTrapSink(station, 0, 8, 50*time.Millisecond)
+	reg := telemetry.NewRegistry()
+	sink.EnableTelemetry(reg, "sink")
+	agent := NewAgent(mib.NewTree(), "public")
+	agent.AddTrapDestSim(src, "station", 0)
+	k.At(time.Millisecond, func() {
+		for i := 0; i < 5; i++ {
+			agent.SendTrap(mib.Enterprise, nil, TrapEnterpriseSpecific, i, nil)
+		}
+	})
+	var mid float64
+	k.At(20*time.Millisecond, func() { mid = reg.Gauge("sink.queue_depth").Value() })
+	k.RunUntil(time.Second)
+	if mid != 4 { // five arrived, the first is being processed
+		t.Errorf("depth read mid-flood = %v, want 4", mid)
+	}
+	if end := reg.Gauge("sink.queue_depth").Value(); end != 0 || sink.Stats.Processed != 5 {
+		t.Errorf("depth after the drain = %v with %d processed, want 0 and 5", end, sink.Stats.Processed)
+	}
 }
 
 func TestPollerPolls(t *testing.T) {

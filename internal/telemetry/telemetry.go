@@ -3,30 +3,40 @@
 // intrusiveness, and scalability numbers (§4.3) live, instead of requiring
 // an ad-hoc experiment per question.
 //
-// Three rules shape the design:
+// Counts and last values are pulled, not pushed. A component already keeps
+// the number in a plain field (snmp.ClientStats, director.Stats,
+// Database.Records, ...) that its experiments and tests read as the truth;
+// its EnableTelemetry registers a reader — a name and a func that returns
+// the field — and the registry calls it when it is exported or looked up.
+// The field is the only copy, so nothing on a hot path knows telemetry
+// exists and the two can never disagree.
 //
-//   - Sim-time aware. Instruments never read the wall clock; every
-//     timestamped operation takes the current virtual time explicitly, so
-//     instrumented runs stay bit-for-bit reproducible and the
-//     simdeterminism analyzer covers this package like any other
-//     simulation-facing one.
+// Readers are plain loads of fields their kernel writes, so a registry is
+// read where its kernel is not running: after the run, or from one of the
+// kernel's own events (the rule the Tracer already imposes). That is also
+// why counters need no atomics: every EnableTelemetry call site binds one
+// registry to one kernel, and the cooperative scheduler serializes the
+// writers.
 //
-//   - Free when off. Every instrument method is nil-safe: a nil *Counter,
-//     *Gauge, *Histogram, *Tracer, or *Registry no-ops at the cost of one
-//     pointer test — no allocation, no branch on a config struct, no
-//     interface call. Components hold typed instrument pointers that stay
-//     nil until EnableTelemetry is called, so the uninstrumented hot path
-//     is unchanged (asserted by benchmark: 0 B/op, single-digit ns/op).
+// Histograms and spans have no plain twin and stay push instruments:
 //
-//   - Cheap when on. Counters and gauges are single atomic operations;
-//     histograms are fixed-bucket (chosen at registration) with a linear
-//     scan over a handful of bounds; spans write into a preallocated ring.
-//     Nothing on an instrument hot path allocates.
+//   - Sim-time aware. They never read the wall clock; every timestamped
+//     operation takes the current virtual time explicitly, so instrumented
+//     runs stay bit-for-bit reproducible and the simdeterminism analyzer
+//     covers this package like any other simulation-facing one.
 //
-// Counters, gauges, and histograms are safe for concurrent use from
-// multiple OS threads (the experiment harness runs kernels in parallel
-// goroutines). Tracers belong to one kernel, whose cooperative scheduler
-// already serializes all Begin/End calls.
+//   - Free when off. A nil *Histogram, *Tracer, or *Registry no-ops at the
+//     cost of one pointer test, and a nil registry makes every
+//     EnableTelemetry a no-op.
+//
+//   - Cheap when on. Histograms are fixed-bucket (chosen at registration)
+//     with a linear scan over a handful of bounds; spans write into a
+//     preallocated ring. Neither allocates.
+//
+// Registration and histograms are safe for concurrent use from multiple OS
+// threads (the experiment harness runs kernels in parallel goroutines).
+// Tracers belong to one kernel, whose cooperative scheduler already
+// serializes all Begin/End calls.
 package telemetry
 
 import (
@@ -35,36 +45,20 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing event count.
+// Counter is a registered event count: a name and the reader that fetches
+// the count from the component that owns it.
 type Counter struct {
 	name string
-	v    atomic.Uint64
+	read func() uint64
 }
 
-// Inc adds one. A nil counter no-ops.
-//
-//perf:noalloc
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds n. A nil counter no-ops.
-//
-//perf:noalloc
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count; zero on a nil counter.
+// Value reads the current count; zero on a nil counter (a name the
+// registry does not hold).
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.read()
 }
 
 // Name returns the registered name; empty on a nil counter.
@@ -75,28 +69,20 @@ func (c *Counter) Name() string {
 	return c.name
 }
 
-// Gauge is a last-value-wins float instrument (e.g. an open-breaker
-// fraction, a live intrusiveness figure in bits/s).
+// Gauge is a registered current value (e.g. an open-breaker fraction, a
+// queue depth, a live intrusiveness figure in bits/s): a name and the
+// reader that fetches it from its owner.
 type Gauge struct {
 	name string
-	bits atomic.Uint64 // math.Float64bits of the value
+	read func() float64
 }
 
-// Set records v. A nil gauge no-ops.
-//
-//perf:noalloc
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the last value set; zero on a nil or never-set gauge.
+// Value reads the current value; zero on a nil gauge.
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return math.Float64frombits(g.bits.Load())
+	return g.read()
 }
 
 // Name returns the registered name; empty on a nil gauge.
@@ -182,64 +168,83 @@ func (h *Histogram) Name() string {
 	return h.name
 }
 
-// Registry owns a set of named instruments. Registration (Counter, Gauge,
-// Histogram) is mutex-guarded and idempotent by name; the instruments it
-// returns are then used lock-free. A nil *Registry is the disabled layer:
-// it hands out nil instruments, which no-op everywhere.
+// Registry owns a set of named instruments, exported in registration
+// order. Registration and lookup are mutex-guarded; the mutex is never held
+// while a reader runs. A nil *Registry is the disabled layer: registration
+// no-ops, lookups and Histogram return nil.
 type Registry struct {
-	mu     sync.Mutex
-	counts map[string]*Counter
-	gauges map[string]*Gauge
-	hists  map[string]*Histogram
-	order  []string // registration order, for deterministic export
-	kinds  map[string]byte
+	mu    sync.Mutex
+	rows  []instrument // registration order, for deterministic export
+	index map[string]int
+}
+
+// instrument is one registered row; exactly one field is non-nil.
+type instrument struct {
+	c *Counter
+	g *Gauge
+	h *Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counts: make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
-		hists:  make(map[string]*Histogram),
-		kinds:  make(map[string]byte),
-	}
+	return &Registry{index: make(map[string]int)}
 }
 
-// Counter returns the counter registered under name, creating it on first
-// use. A nil registry returns a nil (disabled) counter.
-func (r *Registry) Counter(name string) *Counter {
+// put stores in under name: a new name is appended, a known one keeps its
+// place in the export order. The caller holds r.mu.
+func (r *Registry) put(name string, in instrument) {
+	if i, ok := r.index[name]; ok {
+		r.rows[i] = in
+		return
+	}
+	r.index[name] = len(r.rows)
+	r.rows = append(r.rows, in)
+}
+
+// get returns the row registered under name; the zero row when there is
+// none or the registry is nil.
+func (r *Registry) get(name string) instrument {
 	if r == nil {
-		return nil
+		return instrument{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counts[name]; ok {
-		return c
+	if i, ok := r.index[name]; ok {
+		return r.rows[i]
 	}
-	c := &Counter{name: name}
-	r.counts[name] = c
-	r.order = append(r.order, name)
-	r.kinds[name] = 'c'
-	return c
+	return instrument{}
 }
 
-// Gauge returns the gauge registered under name, creating it on first use.
-// A nil registry returns a nil (disabled) gauge.
-func (r *Registry) Gauge(name string) *Gauge {
+// CounterFunc registers read as the counter called name. read must return
+// a count its owner only ever increases; registering a name again rebinds
+// it. A nil registry registers nothing.
+func (r *Registry) CounterFunc(name string, read func() uint64) {
 	if r == nil {
-		return nil
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	r.order = append(r.order, name)
-	r.kinds[name] = 'g'
-	return g
+	r.put(name, instrument{c: &Counter{name: name, read: read}})
 }
+
+// GaugeFunc registers read as the gauge called name; registering a name
+// again rebinds it. A nil registry registers nothing.
+func (r *Registry) GaugeFunc(name string, read func() float64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.put(name, instrument{g: &Gauge{name: name, read: read}})
+}
+
+// Counter looks up the counter registered under name; nil (which reads
+// zero) when there is none.
+func (r *Registry) Counter(name string) *Counter { return r.get(name).c }
+
+// Gauge looks up the gauge registered under name; nil (which reads zero)
+// when there is none.
+func (r *Registry) Gauge(name string) *Gauge { return r.get(name).g }
 
 // Histogram returns the histogram registered under name, creating it with
 // the given ascending bucket bounds on first use (later calls ignore
@@ -250,46 +255,31 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
+	if i, ok := r.index[name]; ok && r.rows[i].h != nil {
+		return r.rows[i].h
 	}
 	h := &Histogram{
 		name:   name,
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
-	r.hists[name] = h
-	r.order = append(r.order, name)
-	r.kinds[name] = 'h'
+	r.put(name, instrument{h: h})
 	return h
 }
 
 // Each visits every instrument in registration order. Exactly one of the
 // callback's pointers is non-nil per call. A nil registry visits nothing.
+// The rows are copied out first: fn — and any reader it calls — runs with
+// the registry unlocked.
 func (r *Registry) Each(fn func(c *Counter, g *Gauge, h *Histogram)) {
 	if r == nil {
 		return
 	}
-	type row struct {
-		c *Counter
-		g *Gauge
-		h *Histogram
-	}
 	r.mu.Lock()
-	rows := make([]row, len(r.order))
-	for i, name := range r.order {
-		switch r.kinds[name] {
-		case 'c':
-			rows[i].c = r.counts[name]
-		case 'g':
-			rows[i].g = r.gauges[name]
-		case 'h':
-			rows[i].h = r.hists[name]
-		}
-	}
+	rows := append([]instrument(nil), r.rows...)
 	r.mu.Unlock()
-	for _, rw := range rows {
-		fn(rw.c, rw.g, rw.h)
+	for _, in := range rows {
+		fn(in.c, in.g, in.h)
 	}
 }
 
@@ -300,5 +290,5 @@ func (r *Registry) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.order)
+	return len(r.rows)
 }
