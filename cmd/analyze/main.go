@@ -7,12 +7,18 @@
 //
 //	analyze [-run name,name] [-list] [-v] [-p n] [-json file] [packages]
 //
-// With no packages, ./... is analyzed. -run restricts the suite to a
-// comma-separated subset of analyzer names; -list prints the suite; -v
-// prints per-analyzer wall time; -p bounds how many packages are analyzed
-// concurrently (default GOMAXPROCS; output order is deterministic either
-// way); -json writes a machine-readable diagnostics artifact (written even
-// when the tree is clean, so CI always has something to upload).
+// With no packages, ./... is analyzed. On the whole tree (no packages, or
+// ./...) the nested bench/ module, which `go list ./...` does not enter, is
+// loaded as a second root and analyzed with the rest: unusedexport judges a
+// name by every caller in the program, and the benchmark's workloads are
+// callers.
+//
+// -run restricts the suite to a comma-separated subset of analyzer names;
+// -list prints the suite; -v prints per-analyzer wall time; -p bounds how
+// many packages are analyzed concurrently (default GOMAXPROCS; output order
+// is deterministic either way); -json writes a machine-readable diagnostics
+// artifact (written even when the tree is clean, so CI always has something
+// to upload).
 //
 // When the full suite runs, the driver additionally audits //lint:allow
 // comments and reports stale or unknown-key suppressions under the
@@ -26,6 +32,7 @@ import (
 	"fmt"
 	"go/token"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -37,6 +44,7 @@ import (
 	"repro/internal/analysis/noalloc"
 	"repro/internal/analysis/simdeterminism"
 	"repro/internal/analysis/timerstop"
+	"repro/internal/analysis/unusedexport"
 )
 
 // suite is every registered pass, in report order.
@@ -47,6 +55,7 @@ var suite = []*analysis.Analyzer{
 	locksafe.Analyzer,
 	maprange.Analyzer,
 	noalloc.Analyzer,
+	unusedexport.Analyzer,
 }
 
 func main() {
@@ -89,7 +98,12 @@ func main() {
 		os.Exit(2)
 	}
 	loadStart := time.Now()
-	pkgs, fset, err := analysis.Load(cwd, flag.Args()...)
+	fset := token.NewFileSet()
+	patterns := flag.Args()
+	pkgs, err := analysis.Load(fset, cwd, patterns...)
+	if wholeTree := len(patterns) == 0 || len(patterns) == 1 && patterns[0] == "./..."; err == nil && wholeTree {
+		pkgs, err = loadNested(fset, filepath.Join(cwd, "bench"), pkgs)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(2)
@@ -106,8 +120,8 @@ func main() {
 	}
 
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "analyze: %d package(s), load %s, facts %s\n",
-			stats.Packages, loadTime.Round(time.Millisecond), stats.FactsTime.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "analyze: %d package(s), load %s, facts %s, refs %s\n",
+			stats.Packages, loadTime.Round(time.Millisecond), stats.FactsTime.Round(time.Millisecond), stats.RefsTime.Round(time.Millisecond))
 		names := make([]string, 0, len(stats.AnalyzerTime))
 		for name := range stats.AnalyzerTime {
 			names = append(names, name)
@@ -130,6 +144,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "analyze: %d finding(s) in %d package(s)\n", len(diags), stats.Packages)
 		os.Exit(1)
 	}
+}
+
+// loadNested loads the module rooted at dir, if there is one, and appends
+// the packages the first root did not already supply (the nested module
+// depends on the outer one, so most of its load is a second view of the same
+// source).
+func loadNested(fset *token.FileSet, dir string, pkgs []*analysis.Package) ([]*analysis.Package, error) {
+	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
+		return pkgs, nil
+	}
+	nested, err := analysis.Load(fset, dir, "./...")
+	if err != nil {
+		return nil, err
+	}
+	have := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		have[p.PkgPath] = true
+	}
+	for _, p := range nested {
+		if !have[p.PkgPath] {
+			pkgs = append(pkgs, p)
+		}
+	}
+	return pkgs, nil
 }
 
 // artifact is the schema of the -json diagnostics file CI uploads.
@@ -157,6 +195,7 @@ func writeJSON(path string, fset *token.FileSet, diags []analysis.Diagnostic, st
 		TimingMS: map[string]int64{
 			"load":  loadTime.Milliseconds(),
 			"facts": stats.FactsTime.Milliseconds(),
+			"refs":  stats.RefsTime.Milliseconds(),
 		},
 	}
 	for _, a := range analyzers {

@@ -6,9 +6,10 @@
 // runs a suite of analyzers over loaded packages in parallel (see run.go).
 //
 // The project-specific passes live in subpackages (simdeterminism,
-// berencheck, timerstop, locksafe, maprange, noalloc) and are wired together
-// by cmd/analyze, which `make analyze` and `make ci` run over the whole
-// repository.
+// berencheck, timerstop, locksafe, maprange, noalloc, unusedexport) and are
+// wired together by cmd/analyze, which `make analyze` and `make ci` run over
+// the whole repository — the root module and the nested bench/ module, one
+// Load each into a shared file set.
 //
 // # Interprocedural facts
 //
@@ -20,6 +21,14 @@
 // locksafe sees through helper functions to a transitive yield and how
 // maprange knows a loop body eventually records measurements.
 //
+// # Whole-program references
+//
+// The driver likewise computes one reference index over every loaded
+// package (see the refs subpackage): which declarations some non-test file
+// mentions from outside themselves, with interface satisfaction counted as
+// a mention of the satisfying methods. unusedexport reports what the index
+// lacks, via Pass.Refs.Used.
+//
 // # Suppressing a finding
 //
 // Every analyzer honours a line-scoped allowlist comment:
@@ -28,10 +37,10 @@
 //
 // placed either on the flagged line or on the line directly above it. Keys
 // are per-analyzer ("wallclock", "globalrand", "hostcpu", "droperr",
-// "leaktimer", "lockyield", "maporder", "heapescape"); the reason text is
-// free-form but strongly encouraged. The simdeterminism pass additionally
-// exempts whole real-network files by basename: real.go and *_real.go are
-// never simulation-driven.
+// "leaktimer", "lockyield", "maporder", "heapescape", "unusedexport"); the
+// reason text is free-form but strongly encouraged. The simdeterminism pass
+// additionally exempts whole real-network files by basename: real.go and
+// *_real.go are never simulation-driven.
 //
 // Suppressions are themselves checked: when the full suite runs, the driver
 // flags any //lint:allow comment that no analyzer consulted — either its
@@ -49,6 +58,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis/facts"
+	"repro/internal/analysis/refs"
 )
 
 // Analyzer describes one static-analysis pass.
@@ -87,6 +97,10 @@ type Pass struct {
 	// records-to-db) for any statically resolved callee. The driver computes
 	// it once over the whole load universe.
 	Facts *facts.DB
+
+	// Refs answers whether any loaded file, in any load root, references a
+	// declaration from outside it. Computed once, like Facts.
+	Refs *refs.Index
 
 	// Report delivers one finding. The driver fills it in.
 	Report func(Diagnostic)

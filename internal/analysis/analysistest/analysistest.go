@@ -9,6 +9,7 @@
 // comments:
 //
 //	k.Every(period, fn) // want `discarded`
+//	//lint:allow leaktimer no longer true // want `suppresses nothing`
 //
 // where each backquoted or quoted string is a regular expression that must
 // match a diagnostic reported on that line. Every diagnostic must be
@@ -29,7 +30,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/facts"
 )
 
 // reporter is the slice of testing.T the harness needs; the indirection
@@ -40,11 +40,14 @@ type reporter interface {
 	Fatalf(format string, args ...any)
 }
 
-// Run loads each fixture package from dir (typically "testdata") and applies
-// the analyzer, comparing diagnostics against the package's want comments.
-// Interprocedural facts are computed over every fixture package loaded so
-// far (the target and its fixture-local imports), mirroring the real
-// driver.
+// Run loads the fixture packages from dir (typically "testdata") and drives
+// the analyzer over them with the real driver, analysis.Run, comparing each
+// listed package's diagnostics against its want comments. The driver's
+// universe — what interprocedural facts and the reference index are computed
+// over — is every listed package plus its fixture-local imports, so a
+// fixture that only exists to call another one is listed too. Suppressions
+// are audited as in a full-suite run: a //lint:allow that suppresses nothing
+// is a "suppress" diagnostic the fixture must expect.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	run(t, dir, a, pkgs...)
@@ -55,64 +58,43 @@ func run(t reporter, dir string, a *analysis.Analyzer, pkgs ...string) {
 	l := &loader{
 		src:     filepath.Join(dir, "src"),
 		fset:    token.NewFileSet(),
-		checked: make(map[string]*fixturePkg),
+		checked: make(map[string]*analysis.Package),
 	}
 	for _, pkg := range pkgs {
-		fp, err := l.load(pkg)
-		if err != nil {
+		if _, err := l.load(pkg); err != nil {
 			t.Fatalf("load %s: %v", pkg, err)
 		}
-		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      l.fset,
-			Files:     fp.files,
-			Pkg:       fp.types,
-			TypesInfo: fp.info,
-			PkgPath:   pkg,
-			Dir:       filepath.Join(l.src, pkg),
-			Facts:     l.facts(),
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("%s: run on %s: %v", a.Name, pkg, err)
-		}
-		check(t, l.fset, fp, pkg, diags)
 	}
-}
-
-// facts computes the interprocedural fact database over every fixture
-// package loaded so far, in deterministic package order.
-func (l *loader) facts() *facts.DB {
 	names := make([]string, 0, len(l.checked))
 	for name := range l.checked {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	srcs := make([]facts.Source, 0, len(names))
-	for _, name := range names {
-		fp := l.checked[name]
-		srcs = append(srcs, facts.Source{Files: fp.files, Info: fp.info})
+	universe := make([]*analysis.Package, len(names))
+	for i, name := range names {
+		universe[i] = l.checked[name]
 	}
-	return facts.Compute(srcs)
-}
-
-type fixturePkg struct {
-	files []*ast.File
-	types *types.Package
-	info  *types.Info
+	diags, _, err := analysis.Run(universe, l.fset, []*analysis.Analyzer{a}, analysis.Options{CheckSuppressions: true})
+	if err != nil {
+		t.Fatalf("%v", err)
+	}
+	for _, pkg := range pkgs {
+		check(t, l.fset, l.checked[pkg], diags)
+	}
 }
 
 type loader struct {
 	src     string
 	fset    *token.FileSet
-	checked map[string]*fixturePkg
+	checked map[string]*analysis.Package
 	exports map[string]string
 	gc      types.Importer
 }
 
-// load parses and type-checks one fixture package (memoized).
-func (l *loader) load(pkg string) (*fixturePkg, error) {
+// load parses and type-checks one fixture package (memoized). Like
+// analysis.Load it never reads _test.go files, so a name only they use is
+// unused.
+func (l *loader) load(pkg string) (*analysis.Package, error) {
 	if fp, ok := l.checked[pkg]; ok {
 		return fp, nil
 	}
@@ -123,7 +105,7 @@ func (l *loader) load(pkg string) (*fixturePkg, error) {
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
@@ -141,7 +123,7 @@ func (l *loader) load(pkg string) (*fixturePkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp := &fixturePkg{files: files, types: tpkg, info: info}
+	fp := &analysis.Package{PkgPath: pkg, Name: tpkg.Name(), Dir: dir, Files: files, Types: tpkg, Info: info}
 	l.checked[pkg] = fp
 	return fp, nil
 }
@@ -156,7 +138,7 @@ func (l *loader) importPkg(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		return fp.types, nil
+		return fp.Types, nil
 	}
 	if l.gc == nil {
 		l.exports = make(map[string]string)
@@ -188,14 +170,22 @@ type expectation struct {
 
 var wantRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
-// check compares diagnostics to // want comments.
-func check(t reporter, fset *token.FileSet, fp *fixturePkg, pkg string, diags []analysis.Diagnostic) {
+// check compares the diagnostics that fall in fp's files to its // want
+// comments.
+func check(t reporter, fset *token.FileSet, fp *analysis.Package, diags []analysis.Diagnostic) {
 	t.Helper()
 	var wants []*expectation
-	for _, f := range fp.files {
+	inPkg := make(map[string]bool, len(fp.Files))
+	for _, f := range fp.Files {
+		inPkg[fset.Position(f.Pos()).Filename] = true
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				// A want may trail another comment on its line — the only
+				// way to expect a finding about that comment itself.
+				if i := strings.Index(text, "// want "); i >= 0 {
+					text = text[i+len("// "):]
+				}
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}
@@ -216,6 +206,9 @@ func check(t reporter, fset *token.FileSet, fp *fixturePkg, pkg string, diags []
 	}
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
+		if !inPkg[pos.Filename] {
+			continue
+		}
 		found := false
 		for _, w := range wants {
 			if !w.matched && w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
@@ -225,7 +218,7 @@ func check(t reporter, fset *token.FileSet, fp *fixturePkg, pkg string, diags []
 			}
 		}
 		if !found {
-			t.Errorf("%s: unexpected diagnostic in %s: %s", pos, pkg, d.Message)
+			t.Errorf("%s: unexpected diagnostic in %s: %s", pos, fp.PkgPath, d.Message)
 		}
 	}
 	for _, w := range wants {

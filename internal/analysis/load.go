@@ -37,15 +37,19 @@ type listedPackage struct {
 }
 
 // Load builds the analysis view of the packages matching patterns, resolving
-// relative patterns against dir. It works fully offline: `go list -deps
-// -export` compiles every dependency into the build cache and reports the
-// export-data files, and each target package is then parsed from source and
-// type-checked against that export data — the same scheme `go vet` uses.
+// relative patterns against dir, and parses them into fset. One `go list`
+// sees one module, so a tree with a nested module (bench/) takes one Load per
+// root; sharing fset lets the driver treat the union as one program.
+//
+// It works fully offline: `go list -deps -export` compiles every dependency
+// into the build cache and reports the export-data files, and each target
+// package is then parsed from source and type-checked against that export
+// data — the same scheme `go vet` uses.
 //
 // Only non-test files are loaded; test files may freely use wall clocks and
 // drop errors. Packages that fail to compile abort the load with the
 // toolchain's error.
-func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
+func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -57,7 +61,7 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 
 	exports := make(map[string]string)
@@ -68,7 +72,7 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, nil, fmt.Errorf("go list output: %v", err)
+			return nil, fmt.Errorf("go list output: %v", err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -78,7 +82,6 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 		}
 	}
 
-	fset := token.NewFileSet()
 	imp := ExportImporter(fset, exports)
 	var pkgs []*Package
 	for _, t := range targets {
@@ -91,7 +94,7 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 		for _, name := range t.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			files = append(files, f)
 		}
@@ -102,7 +105,7 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 		conf := types.Config{Importer: imp}
 		tpkg, err := conf.Check(t.ImportPath, fset, files, info)
 		if err != nil {
-			return nil, nil, fmt.Errorf("type-check %s: %v", t.ImportPath, err)
+			return nil, fmt.Errorf("type-check %s: %v", t.ImportPath, err)
 		}
 		pkgs = append(pkgs, &Package{
 			PkgPath: t.ImportPath,
@@ -113,7 +116,7 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 			Info:    info,
 		})
 	}
-	return pkgs, fset, nil
+	return pkgs, nil
 }
 
 // NewInfo returns a types.Info with every map analyzers rely on allocated.

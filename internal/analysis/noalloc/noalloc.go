@@ -58,14 +58,6 @@ const Marker = "//perf:noalloc"
 // fixtures without a module context.
 var escapeOutput = runCompiler
 
-// SetEscapeOutputForTest replaces the compiler invocation and returns a
-// restore function.
-func SetEscapeOutputForTest(f func(dir string, isMain bool) ([]byte, error)) (restore func()) {
-	old := escapeOutput
-	escapeOutput = f
-	return func() { escapeOutput = old }
-}
-
 func runCompiler(dir string, isMain bool) ([]byte, error) {
 	args := []string{"build", "-gcflags=-m=1"}
 	if isMain {

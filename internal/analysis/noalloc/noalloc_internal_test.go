@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// SetEscapeOutputForTest replaces the compiler invocation and returns a
+// restore function; declared here so only the external test package sees it.
+func SetEscapeOutputForTest(f func(dir string, isMain bool) ([]byte, error)) (restore func()) {
+	old := escapeOutput
+	escapeOutput = f
+	return func() { escapeOutput = old }
+}
+
 func TestParseEscapes(t *testing.T) {
 	out := strings.Join([]string{
 		"./k.go:10:6: can inline alloc",            // chatter: dropped

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/analysis/facts"
+	"repro/internal/analysis/refs"
 )
 
 // SuppressCheckName is the pseudo-analyzer name under which the driver
@@ -33,8 +34,10 @@ type Options struct {
 
 // Stats reports where a driver run spent its time.
 type Stats struct {
-	// FactsTime is the interprocedural fact-computation pre-pass.
+	// FactsTime is the interprocedural fact-computation pre-pass, RefsTime
+	// the whole-program reference index.
 	FactsTime time.Duration
+	RefsTime  time.Duration
 	// AnalyzerTime is total wall time per analyzer, summed across packages
 	// (concurrent package runs each contribute their full duration).
 	AnalyzerTime map[string]time.Duration
@@ -42,10 +45,10 @@ type Stats struct {
 	Packages int
 }
 
-// Run computes interprocedural facts over the whole universe, then applies
-// every analyzer to every package — packages in parallel, with
-// deterministic output ordering — and returns the collected diagnostics
-// sorted by position. An analyzer error aborts the run.
+// Run computes interprocedural facts and the reference index over the whole
+// universe, then applies every analyzer to every package — packages in
+// parallel, with deterministic output ordering — and returns the collected
+// diagnostics sorted by position. An analyzer error aborts the run.
 func Run(pkgs []*Package, fset *token.FileSet, analyzers []*Analyzer, opts Options) ([]Diagnostic, *Stats, error) {
 	stats := &Stats{AnalyzerTime: make(map[string]time.Duration), Packages: len(pkgs)}
 
@@ -56,6 +59,14 @@ func Run(pkgs []*Package, fset *token.FileSet, analyzers []*Analyzer, opts Optio
 	}
 	db := facts.Compute(srcs)
 	stats.FactsTime = time.Since(factsStart)
+
+	refsStart := time.Now()
+	refSrcs := make([]refs.Source, len(pkgs))
+	for i, pkg := range pkgs {
+		refSrcs[i] = refs.Source{Files: pkg.Files, Info: pkg.Info, Pkg: pkg.Types}
+	}
+	ix := refs.Compute(fset, refSrcs)
+	stats.RefsTime = time.Since(refsStart)
 
 	knownKeys := make(map[string]bool)
 	for _, a := range analyzers {
@@ -85,7 +96,7 @@ func Run(pkgs []*Package, fset *token.FileSet, analyzers []*Analyzer, opts Optio
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				perPkg[i], errs[i] = runPackage(pkgs[i], fset, analyzers, db, opts, knownKeys, func(name string, d time.Duration) {
+				perPkg[i], errs[i] = runPackage(pkgs[i], fset, analyzers, db, ix, opts, knownKeys, func(name string, d time.Duration) {
 					mu.Lock()
 					stats.AnalyzerTime[name] += d
 					mu.Unlock()
@@ -124,7 +135,7 @@ func Run(pkgs []*Package, fset *token.FileSet, analyzers []*Analyzer, opts Optio
 
 // runPackage applies the analyzers to one package (serially — concurrency
 // is across packages) and then audits the package's suppressions.
-func runPackage(pkg *Package, fset *token.FileSet, analyzers []*Analyzer, db *facts.DB, opts Options, knownKeys map[string]bool, timing func(string, time.Duration)) ([]Diagnostic, error) {
+func runPackage(pkg *Package, fset *token.FileSet, analyzers []*Analyzer, db *facts.DB, ix *refs.Index, opts Options, knownKeys map[string]bool, timing func(string, time.Duration)) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	allows := BuildAllowIndex(fset, pkg.Files)
 	for _, a := range analyzers {
@@ -137,6 +148,7 @@ func runPackage(pkg *Package, fset *token.FileSet, analyzers []*Analyzer, db *fa
 			PkgPath:   pkg.PkgPath,
 			Dir:       pkg.Dir,
 			Facts:     db,
+			Refs:      ix,
 			Report:    func(d Diagnostic) { diags = append(diags, d) },
 			allows:    allows,
 		}

@@ -15,6 +15,8 @@ import (
 )
 
 // Universal and SNMP application tags.
+//
+//lint:allow unusedexport RFC 1155/1157 tag numbers: the block stays complete though nothing encodes an Opaque
 const (
 	TagInteger     byte = 0x02
 	TagOctetString byte = 0x04
@@ -148,6 +150,8 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 func (r *Reader) Empty() bool { return r.pos >= len(r.b) }
 
 // Peek returns the next tag without consuming it.
+//
+//lint:allow unusedexport test-pinned by TestPeek; retire the two together
 func (r *Reader) Peek() (byte, error) {
 	if r.Empty() {
 		return 0, ErrTruncated

@@ -93,6 +93,8 @@ func (s *Schedule) Flap(host netsim.Addr, start time.Duration, period, downFor t
 
 // CutIface takes one interface down (a cable pull) at the given time; the
 // host stays up and its other interfaces keep working.
+//
+//lint:allow unusedexport test-pinned by TestCutIfaceIsolatesButHostLives and TestRestoreIface; retire together
 func (s *Schedule) CutIface(host netsim.Addr, ifaceIndex int, at time.Duration) *Schedule {
 	s.k.At(at, func() {
 		n := s.nw.Node(host)
@@ -110,6 +112,8 @@ func (s *Schedule) CutIface(host netsim.Addr, ifaceIndex int, at time.Duration) 
 }
 
 // RestoreIface brings an interface back at the given time.
+//
+//lint:allow unusedexport test-pinned by TestRestoreIface; retire together with CutIface
 func (s *Schedule) RestoreIface(host netsim.Addr, ifaceIndex int, at time.Duration) *Schedule {
 	s.k.At(at, func() {
 		n := s.nw.Node(host)

@@ -254,7 +254,11 @@ func TestFaultsSurfaceThroughMonitorRun(t *testing.T) {
 	if len(s.Log) != 2 || s.Log[0].Kind != "kill" || s.Log[1].Kind != "restore" {
 		t.Fatalf("injection log = %v", s.Log)
 	}
-	hist := m.DB.History(path.ID, metrics.Reachability, 0)
+	var hist []core.Measurement
+	m.DB.EachHistory(path.ID, metrics.Reachability, 0, func(ms core.Measurement) bool {
+		hist = append(hist, ms)
+		return true
+	})
 	if len(hist) == 0 {
 		t.Fatal("monitor recorded no reachability samples")
 	}

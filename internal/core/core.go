@@ -9,6 +9,11 @@
 // each; the monitor reports (path, metric)-tuples back synchronously
 // (Query) or asynchronously (Reports).
 //
+// This package holds the director and the database (DirectorBase,
+// Database) and the Monitor interface the resource manager sees. Sensors
+// are concrete, in the instantiations below; there is no sensor interface
+// here, because nothing would call through it.
+//
 // Two instantiations live in sibling packages: hifi (the NTTCP-based
 // high-fidelity monitor of §5.1) and cots (the SNMP/RMON-based scalable
 // monitor of §5.2); hybrid combines them (§7).
@@ -58,18 +63,6 @@ func NewPath(hops ...ProcessRef) Path {
 		parts[i] = h.String()
 	}
 	return Path{ID: PathID(strings.Join(parts, "->")), Hops: hops}
-}
-
-// Segments returns the adjacent (from, to) pairs of the path.
-func (p Path) Segments() [][2]ProcessRef {
-	if len(p.Hops) < 2 {
-		return nil
-	}
-	segs := make([][2]ProcessRef, len(p.Hops)-1)
-	for i := 0; i < len(p.Hops)-1; i++ {
-		segs[i] = [2]ProcessRef{p.Hops[i], p.Hops[i+1]}
-	}
-	return segs
 }
 
 // Valid reports whether the path has at least two hops.
@@ -159,19 +152,6 @@ type Request struct {
 	Mode    ReportMode
 }
 
-// Pairs enumerates the (path, metric) combinations of the request.
-func (r Request) Pairs() int { return len(r.Paths) * len(r.Metrics) }
-
-// Sensor collects one metric for one path segment. Implementations decide
-// the instrumentation point (Figure 3) and therefore the quality.
-type Sensor interface {
-	// Name identifies the sensor type in diagnostics.
-	Name() string
-	// Measure collects the metric for the segment from->to, blocking the
-	// proc for as long as the collection takes.
-	Measure(p *sim.Proc, from, to ProcessRef, metric metrics.Metric) Measurement
-}
-
 // Monitor is the resource manager's view of a network resource monitor.
 type Monitor interface {
 	// Submit installs a monitoring request, replacing the previous one.
@@ -220,6 +200,8 @@ type SketchMerger interface {
 // ComposeSegments folds per-segment measurements into a path-level value:
 // throughput is the bottleneck minimum, latency the sum, reachability the
 // conjunction. Any failed segment fails the path.
+//
+//lint:allow unusedexport test-pinned by TestComposeSegments, TestComposeSegmentsQualityAndSenescence and hifi's TestComposeAcrossSegments; retire together
 func ComposeSegments(metric metrics.Metric, segs []Measurement) Measurement {
 	if len(segs) == 0 {
 		return Measurement{Metric: metric, Err: "no segments"}

@@ -19,12 +19,8 @@ func TestNewPathIDAndSegments(t *testing.T) {
 	if p.ID != "s1/rtds->r1/router->c1/client" {
 		t.Fatalf("ID = %q", p.ID)
 	}
-	segs := p.Segments()
-	if len(segs) != 2 {
-		t.Fatalf("segments = %d", len(segs))
-	}
-	if segs[0][1] != ref("r1", "router") || segs[1][0] != ref("r1", "router") {
-		t.Fatalf("segments = %v", segs)
+	if len(p.Hops) != 3 || p.Hops[1] != ref("r1", "router") {
+		t.Fatalf("hops = %v", p.Hops)
 	}
 	if !p.Valid() {
 		t.Fatal("valid path reported invalid")
@@ -193,6 +189,16 @@ func TestDatabaseCurrentVsLastKnown(t *testing.T) {
 	}
 }
 
+// historyValues collects what EachHistory visits, oldest first.
+func historyValues(db *Database, p PathID, metric metrics.Metric, n int) []float64 {
+	var vals []float64
+	db.EachHistory(p, metric, n, func(m Measurement) bool {
+		vals = append(vals, m.Value)
+		return true
+	})
+	return vals
+}
+
 func TestDatabaseHistoryBounded(t *testing.T) {
 	db := NewDatabase()
 	db.HistoryDepth = 4
@@ -200,27 +206,27 @@ func TestDatabaseHistoryBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		db.Record(Measurement{Path: p, Metric: metrics.OneWayLatency, Value: float64(i)})
 	}
-	h := db.History(p, metrics.OneWayLatency, 0)
+	h := historyValues(db, p, metrics.OneWayLatency, 0)
 	if len(h) != 4 {
 		t.Fatalf("history length = %d, want 4", len(h))
 	}
-	if h[0].Value != 6 || h[3].Value != 9 {
-		t.Fatalf("history window = %v..%v, want 6..9", h[0].Value, h[3].Value)
+	if h[0] != 6 || h[3] != 9 {
+		t.Fatalf("history window = %v..%v, want 6..9", h[0], h[3])
 	}
-	if got := db.History(p, metrics.OneWayLatency, 2); len(got) != 2 || got[1].Value != 9 {
-		t.Fatalf("History(2) = %v", got)
+	if got := historyValues(db, p, metrics.OneWayLatency, 2); len(got) != 2 || got[1] != 9 {
+		t.Fatalf("EachHistory(2) = %v", got)
 	}
 }
 
 func TestDatabaseHistoryContract(t *testing.T) {
-	// History returns nil — never an empty non-nil slice — when nothing
-	// would be returned, and trims to the newest n when n is in (0, count).
+	// EachHistory visits nothing for an unknown series, everything retained
+	// for n <= 0, and the newest n when n is in (0, count).
 	cases := []struct {
 		name    string
 		depth   int
 		records int
 		n       int
-		want    []float64 // expected Values, oldest first; nil means nil slice
+		want    []float64 // expected Values, oldest first
 	}{
 		{"unknown series", 4, 0, 0, nil},
 		{"n=0 returns all retained", 4, 3, 0, []float64{0, 1, 2}},
@@ -242,22 +248,13 @@ func TestDatabaseHistoryContract(t *testing.T) {
 			for i := 0; i < tc.records; i++ {
 				db.Record(Measurement{Path: p, Metric: metrics.Throughput, Value: float64(i)})
 			}
-			got := db.History(p, metrics.Throughput, tc.n)
-			if tc.want == nil {
-				if got != nil {
-					t.Fatalf("History = %v, want nil", got)
-				}
-				return
-			}
-			if got == nil {
-				t.Fatalf("History = nil, want %v", tc.want)
-			}
+			got := historyValues(db, p, metrics.Throughput, tc.n)
 			if len(got) != len(tc.want) {
-				t.Fatalf("History len = %d, want %d", len(got), len(tc.want))
+				t.Fatalf("visited %v, want %v", got, tc.want)
 			}
 			for i, v := range tc.want {
-				if got[i].Value != v {
-					t.Fatalf("History[%d].Value = %g, want %g (%v)", i, got[i].Value, v, got)
+				if got[i] != v {
+					t.Fatalf("visit %d = %g, want %g (%v)", i, got[i], v, got)
 				}
 			}
 		})
@@ -271,19 +268,20 @@ func TestDatabaseEachHistoryMatchesHistory(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		db.Record(Measurement{Path: p, Metric: metrics.Throughput, Value: float64(i)})
 	}
+	// The ring retains 5..8; a walk of n is its newest n, in order.
+	retained := []float64{5, 6, 7, 8}
 	for _, n := range []int{0, 1, 3, 4, 99} {
-		var walked []float64
-		db.EachHistory(p, metrics.Throughput, n, func(m Measurement) bool {
-			walked = append(walked, m.Value)
-			return true
-		})
-		copied := db.History(p, metrics.Throughput, n)
-		if len(walked) != len(copied) {
-			t.Fatalf("n=%d: EachHistory visited %d, History returned %d", n, len(walked), len(copied))
+		want := retained
+		if n > 0 && n < len(retained) {
+			want = retained[len(retained)-n:]
 		}
-		for i := range copied {
-			if walked[i] != copied[i].Value {
-				t.Fatalf("n=%d: walk diverged at %d: %v vs %v", n, i, walked, copied)
+		walked := historyValues(db, p, metrics.Throughput, n)
+		if len(walked) != len(want) {
+			t.Fatalf("n=%d: EachHistory visited %v, want %v", n, walked, want)
+		}
+		for i := range want {
+			if walked[i] != want[i] {
+				t.Fatalf("n=%d: walk diverged at %d: %v vs %v", n, i, walked, want)
 			}
 		}
 	}
@@ -301,8 +299,8 @@ func TestDatabaseEachHistoryMatchesHistory(t *testing.T) {
 		t.Fatal("visited sample of unknown series")
 		return false
 	})
-	if got := db.HistoryLen(p, metrics.Throughput); got != 4 {
-		t.Fatalf("HistoryLen = %d, want 4", got)
+	if got := db.series[dbKey{p, metrics.Throughput}].count; got != 4 {
+		t.Fatalf("retained count = %d, want 4", got)
 	}
 }
 
@@ -316,10 +314,6 @@ func TestDatabaseSenescence(t *testing.T) {
 	}
 	if _, ok := db.Senescence(0, "nope", metrics.Reachability); ok {
 		t.Fatal("senescence of unknown series reported ok")
-	}
-	db.Record(Measurement{Path: "c->d", Metric: metrics.Reachability, Value: 1, TakenAt: time.Second})
-	if got := db.MaxSenescence(10 * time.Second); got != 9*time.Second {
-		t.Fatalf("max senescence = %v", got)
 	}
 }
 
@@ -390,8 +384,9 @@ func TestRequestPairs(t *testing.T) {
 		Paths:   CrossProductPaths(make([]ProcessRef, 3), make([]ProcessRef, 9)),
 		Metrics: []metrics.Metric{metrics.Throughput, metrics.OneWayLatency, metrics.Reachability},
 	}
-	if req.Pairs() != 81 {
-		t.Fatalf("pairs = %d, want 81", req.Pairs())
+	// Figure 4(b): C·S paths, each wanted for every metric.
+	if pairs := len(req.Paths) * len(req.Metrics); pairs != 81 {
+		t.Fatalf("pairs = %d, want 81", pairs)
 	}
 }
 

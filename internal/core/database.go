@@ -278,24 +278,6 @@ func (db *Database) LastKnown(path PathID, metric metrics.Metric) (Measurement, 
 	return s.lastKnown, true
 }
 
-// History returns a copy of up to n retained samples, oldest first; n <= 0
-// returns all retained. It returns nil — never an empty non-nil slice —
-// when the series is unknown or holds no samples. Internal consumers that
-// only scan should prefer EachHistory, which does not copy.
-func (db *Database) History(path PathID, metric metrics.Metric, n int) []Measurement {
-	s := db.series[dbKey{path, metric}]
-	cnt := historyCount(s, n)
-	if cnt == 0 {
-		return nil
-	}
-	out := make([]Measurement, cnt)
-	start := s.head + s.count - cnt
-	for i := range out {
-		out[i] = s.ring[(start+i)%len(s.ring)]
-	}
-	return out
-}
-
 // EachHistory visits up to n retained samples (n <= 0 meaning all), oldest
 // first, without copying the series; it stops early when fn returns false.
 // The visited values are only valid during the call.
@@ -317,11 +299,6 @@ func (s *dbSeries) each(cnt int, fn func(Measurement) bool) {
 	}
 }
 
-// HistoryLen reports how many samples the series currently retains.
-func (db *Database) HistoryLen(path PathID, metric metrics.Metric) int {
-	return historyCount(db.series[dbKey{path, metric}], 0)
-}
-
 // historyCount resolves the request size n against what s retains.
 func historyCount(s *dbSeries, n int) int {
 	if s == nil {
@@ -341,13 +318,6 @@ func (db *Database) Senescence(now time.Duration, path PathID, metric metrics.Me
 		return 0, false
 	}
 	return now - s.current.TakenAt, true
-}
-
-// Stale reports whether the series has been marked stale by MarkStale and
-// not refreshed by a Record since.
-func (db *Database) Stale(path PathID, metric metrics.Metric) bool {
-	s := db.series[dbKey{path, metric}]
-	return s != nil && s.stale
 }
 
 // Fresh returns the current sample only when it is trustworthy at virtual
@@ -378,29 +348,6 @@ func (db *Database) MarkStale(now, ttl time.Duration) int {
 	}
 	db.StaleMarked += uint64(marked)
 	return marked
-}
-
-// StaleCount reports how many series are currently marked stale.
-func (db *Database) StaleCount() int {
-	n := 0
-	for _, s := range db.series {
-		if s.stale {
-			n++
-		}
-	}
-	return n
-}
-
-// MaxSenescence returns the largest current-sample age across all series —
-// the worst-case data staleness a resource manager decision would act on.
-func (db *Database) MaxSenescence(now time.Duration) time.Duration {
-	var max time.Duration
-	for _, s := range db.series {
-		if age := now - s.current.TakenAt; age > max {
-			max = age
-		}
-	}
-	return max
 }
 
 // Series reports the number of (path, metric) series recorded.

@@ -44,20 +44,3 @@ func TestExportCSV(t *testing.T) {
 		t.Fatalf("last row = %v", records[4])
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	sums := exportFixture().Summarize()
-	if len(sums) != 2 {
-		t.Fatalf("summaries = %d", len(sums))
-	}
-	tp := sums[0]
-	if tp.Path != "a->b" || tp.Samples != 3 || tp.Failures != 1 {
-		t.Fatalf("summary = %+v", tp)
-	}
-	if tp.Mean != 2e6 || tp.Min != 1e6 || tp.Max != 3e6 {
-		t.Fatalf("stats = %+v", tp)
-	}
-	if tp.Last.OK() {
-		t.Fatal("last sample should be the failure")
-	}
-}

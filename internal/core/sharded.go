@@ -44,9 +44,6 @@ func NewShardedMonitor(owner func(Path) int, members ...Monitor) *ShardedMonitor
 	}
 }
 
-// Members returns the federated monitors in index order.
-func (s *ShardedMonitor) Members() []Monitor { return s.members }
-
 // Owner returns the index of the member collecting the given path under the
 // current request, if any.
 func (s *ShardedMonitor) Owner(path PathID) (int, bool) {

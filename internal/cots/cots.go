@@ -533,6 +533,8 @@ type watch struct {
 // its rising/falling traps back as asynchronous throughput reports for the
 // given path — "a trap could be set up in an RMON probe ... to monitor
 // network capacity on the specified path" (§5.2.2).
+//
+//lint:allow unusedexport test-pinned by TestWatchSegmentTrapsBecomeAsyncReports, TestStopQuietsTrapPublishing and TestTelemetryReadsOwnersFields (the only trap source they have); retire together with rmon's alarm group
 func (m *Monitor) WatchSegment(probe *rmon.Probe, path core.PathID, interval time.Duration,
 	risingOctets, fallingOctets int64, onEvent func(rising bool, meas core.Measurement)) {
 

@@ -98,13 +98,11 @@ func TestBackgroundPollingDetectsFailure(t *testing.T) {
 	}
 	// Reachability polls always "succeed" (they measure up or down), so
 	// last-known tracks current; the healthy samples remain in history.
-	hist := m.DB.History(paths[0].ID, metrics.Reachability, 0)
 	sawHealthy := false
-	for _, s := range hist {
-		if s.Reached() && s.TakenAt < failAt {
-			sawHealthy = true
-		}
-	}
+	m.DB.EachHistory(paths[0].ID, metrics.Reachability, 0, func(s core.Measurement) bool {
+		sawHealthy = s.Reached() && s.TakenAt < failAt
+		return !sawHealthy
+	})
 	if !sawHealthy {
 		t.Fatal("history lost the pre-failure healthy samples")
 	}
@@ -220,14 +218,12 @@ func TestCounterWrapHandledInThroughput(t *testing.T) {
 	k.RunUntil(15 * time.Second)
 	// Every post-warm-up estimate must be sane (~2.2 Mb/s), including the
 	// sample that straddled the wrap.
-	for _, s := range m.DB.History(paths[0].ID, metrics.Throughput, 0) {
-		if !s.OK() {
-			continue
+	m.DB.EachHistory(paths[0].ID, metrics.Throughput, 0, func(s core.Measurement) bool {
+		if s.OK() && (s.Value < 1e6 || s.Value > 5e6) {
+			t.Errorf("wrap-corrupted estimate: %v", s)
 		}
-		if s.Value < 1e6 || s.Value > 5e6 {
-			t.Fatalf("wrap-corrupted estimate: %v", s)
-		}
-	}
+		return true
+	})
 }
 
 func TestFlowMeterThroughputIsPathSpecific(t *testing.T) {
@@ -383,13 +379,7 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 	})
 	k.RunUntil(12 * time.Second)
 
-	var br resilience.BreakerStats
-	m.Breakers.Each(func(_ string, b *resilience.Breaker) {
-		br.Opens += b.Stats.Opens
-		br.Closes += b.Stats.Closes
-		br.Probes += b.Stats.Probes
-		br.FastFails += b.Stats.FastFails
-	})
+	br := m.Breakers.Stats() // the sum over the per-target breakers: resilience's TestTelemetryReadsOwnersFields
 	cs, ss, bo, fp := m.Client.Stats, m.TrapSink().Stats, m.Client.Backoff, m.DB.Footprint()
 	if m.Sweeps == 0 || m.RStats.FastFailedPolls == 0 || br.Opens == 0 || br.Probes == 0 ||
 		cs.Retries == 0 || cs.Timeouts == 0 || bo.Waits == 0 || ss.Processed < 2 || m.DB.FreshHits == 0 {

@@ -84,16 +84,10 @@ func NewCoalescer(window time.Duration) *Coalescer {
 	return &Coalescer{window: window, pending: make(map[coalesceKey]*crun)}
 }
 
-// Window reports the current coalescing window (backpressure widens it).
-func (c *Coalescer) Window() time.Duration { return c.window }
-
 // SetWindow adjusts the coalescing window; pending runs keep their opening
 // time, so widening takes effect immediately and narrowing flushes on the
 // next Flush call.
 func (c *Coalescer) SetWindow(w time.Duration) { c.window = w }
-
-// Pending reports the number of open accumulation runs.
-func (c *Coalescer) Pending() int { return len(c.order) }
 
 // Offer feeds one trap at virtual time now. Leading edges (new stream or
 // direction change) are appended to the emit buffer immediately;
@@ -144,17 +138,6 @@ func (c *Coalescer) Flush(now time.Duration) {
 		delete(c.pending, k)
 	}
 	c.order = kept
-}
-
-// FlushAll force-closes every pending run regardless of window age.
-func (c *Coalescer) FlushAll() {
-	for _, k := range c.order {
-		if r := c.pending[k]; r != nil {
-			c.emitRun(k, r)
-			delete(c.pending, k)
-		}
-	}
-	c.order = c.order[:0]
 }
 
 // Take returns the emit buffer and resets it; the slice is reused by the

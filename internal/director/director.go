@@ -10,7 +10,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/sketch"
-	"repro/internal/telemetry"
 )
 
 // Member is the concrete monitor a leaf director drives: anything built on
@@ -241,12 +240,6 @@ func (d *Director) AddChild(c *Director) {
 	d.childSketch = append(d.childSketch, nil)
 }
 
-// Children returns the direct children in attachment order.
-func (d *Director) Children() []*Director { return d.children }
-
-// Member returns the leaf's concrete monitor (nil on interior directors).
-func (d *Director) Member() Member { return d.member }
-
 // Leaves returns the leaf directors of d's subtree in tree order.
 func (d *Director) Leaves() []*Director {
 	if d.member != nil {
@@ -257,28 +250,6 @@ func (d *Director) Leaves() []*Director {
 		out = append(out, c.Leaves()...)
 	}
 	return out
-}
-
-// Assigned returns the paths the director's subtree currently owns.
-func (d *Director) Assigned() []core.Path { return d.assigned }
-
-// EnableTelemetry publishes the director's ledger under "director.<name>."
-// in reg — the trap and record counts of Stats, the coalescer's absorbed
-// count, both ingest queue depths and the current coalescing window — and
-// does the same for every child. A nil registry publishes nothing.
-func (d *Director) EnableTelemetry(reg *telemetry.Registry) {
-	p := "director." + d.Name + "."
-	reg.CounterFunc(p+"traps_in", func() uint64 { return d.Stats.TrapsIn })
-	reg.CounterFunc(p+"traps_dropped", func() uint64 { return d.Stats.TrapsDropped })
-	reg.CounterFunc(p+"traps_coalesced", func() uint64 { return d.co.Coalesced })
-	reg.CounterFunc(p+"records_in", func() uint64 { return d.Stats.RecordsIn })
-	reg.CounterFunc(p+"records_dropped", func() uint64 { return d.Stats.RecordsDropped })
-	reg.GaugeFunc(p+"trap_queue_depth", func() float64 { return float64(d.trapQ.Len()) })
-	reg.GaugeFunc(p+"record_queue_depth", func() float64 { return float64(d.recQ.Len()) })
-	reg.GaugeFunc(p+"coalesce_window_ns", func() float64 { return float64(d.co.Window()) })
-	for _, c := range d.children {
-		c.EnableTelemetry(reg)
-	}
 }
 
 // Submit installs the monitoring request (Monitor interface), sharding the

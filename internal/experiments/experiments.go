@@ -35,9 +35,6 @@ const shardLookahead = time.Millisecond
 // It must not be called concurrently with RunAll.
 func SetShards(n int) { shardCount = n }
 
-// Shards reports the current kernel construction mode.
-func Shards() int { return shardCount }
-
 // newKernel builds the kernel an experiment runs on, honoring SetShards.
 // Closing the returned kernel closes its whole group.
 func newKernel() *sim.Kernel {

@@ -17,7 +17,7 @@ func runScenarioStream(t *testing.T, name string, shards int) []byte {
 	if !ok {
 		t.Fatalf("unknown scenario %q", name)
 	}
-	old := Shards()
+	old := shardCount
 	SetShards(shards)
 	defer SetShards(old)
 	var buf bytes.Buffer

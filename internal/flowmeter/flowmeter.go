@@ -134,6 +134,8 @@ func (m *Meter) Attach(seg *netsim.SharedSegment) *Meter {
 }
 
 // StartExpiry spawns the idle-flow garbage collector on node.
+//
+//lint:allow unusedexport test-pinned by TestIdleExpiry; retire together with IdleTimeout
 func (m *Meter) StartExpiry(node *netsim.Node, scan time.Duration) {
 	if m.IdleTimeout <= 0 {
 		return
@@ -208,15 +210,6 @@ func (m *Meter) Flows() []Flow {
 	return out
 }
 
-// Lookup returns one flow's accumulated state.
-func (m *Meter) Lookup(key Key) (Flow, bool) {
-	f, ok := m.flows[key]
-	if !ok {
-		return Flow{}, false
-	}
-	return *f, true
-}
-
 // Reader computes flow rates from successive snapshots — the RTFM "meter
 // reader" role. Each reader keeps its own previous snapshot, so multiple
 // managers can read one meter independently.
@@ -274,6 +267,8 @@ func (r *Reader) Rates() []Rate {
 
 // RateFor returns the rate of one key since the previous Rates/RateFor
 // call for that key, without advancing other keys' snapshots.
+//
+//lint:allow unusedexport test-pinned by TestReaderRateFor; retire together
 func (r *Reader) RateFor(key Key) (Rate, bool) {
 	now := r.meter.k.Now()
 	window := now - r.at

@@ -68,10 +68,10 @@ func TestHostPairGranularityAndIgnore(t *testing.T) {
 	if len(flows) != 2 {
 		t.Fatalf("flows = %+v", flows)
 	}
-	if _, ok := m.Lookup(Key{Src: "b", Dst: "c"}); ok {
+	if _, ok := m.flows[Key{Src: "b", Dst: "c"}]; ok {
 		t.Fatal("ignored traffic was metered")
 	}
-	ab, ok := m.Lookup(Key{Src: "a", Dst: "b"})
+	ab, ok := m.flows[Key{Src: "a", Dst: "b"}]
 	if !ok || ab.Packets != 30 {
 		t.Fatalf("a->b pair = %+v, %v", ab, ok)
 	}
@@ -82,7 +82,7 @@ func TestByDstAggregation(t *testing.T) {
 	m.AddRule(Rule{Granularity: ByDst})
 	runTraffic(k, nw)
 	k.Run()
-	c, ok := m.Lookup(Key{Dst: "c"})
+	c, ok := m.flows[Key{Dst: "c"}]
 	if !ok || c.Packets != 15 { // 10 from a + 5 from b
 		t.Fatalf("dst c = %+v, %v", c, ok)
 	}
@@ -94,11 +94,11 @@ func TestRuleOrderFirstMatchWins(t *testing.T) {
 	m.AddRule(Rule{Granularity: ByFlow})
 	runTraffic(k, nw)
 	k.Run()
-	if _, ok := m.Lookup(Key{Dst: "c"}); !ok {
+	if _, ok := m.flows[Key{Dst: "c"}]; !ok {
 		t.Fatal("dst rule did not fire first")
 	}
 	// Traffic to b fell through to the flow rule.
-	if _, ok := m.Lookup(Key{Src: "a", Dst: "b", SrcPort: 49153, DstPort: 9}); !ok {
+	if _, ok := m.flows[Key{Src: "a", Dst: "b", SrcPort: 49153, DstPort: 9}]; !ok {
 		flows := m.Flows()
 		t.Fatalf("flow rule rows: %+v", flows)
 	}

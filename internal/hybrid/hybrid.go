@@ -91,12 +91,6 @@ func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer)
 	m.DB.EnableTelemetry(reg, "hybrid.db")
 }
 
-// COTS exposes the surveillance sub-monitor (for traffic accounting).
-func (m *Monitor) COTS() *cots.Monitor { return m.cotsMon }
-
-// HiFi exposes the targeted sub-monitor (for traffic accounting).
-func (m *Monitor) HiFi() *hifi.Monitor { return m.hifiMon }
-
 // Submit installs the request on both sub-monitors; the COTS side runs it
 // asynchronously, the hifi side only provisions its simulators.
 func (m *Monitor) Submit(req core.Request) {

@@ -71,13 +71,11 @@ func TestEscalationPublishesDirectQuality(t *testing.T) {
 	m.Start()
 	k.At(3*time.Second, func() { h.Clients[0].SetUp(false) })
 	k.RunUntil(15 * time.Second)
-	hist := m.DB.History(paths[0].ID, metrics.Reachability, 0)
 	sawDirect := false
-	for _, s := range hist {
-		if s.Quality == core.QualityDirect {
-			sawDirect = true
-		}
-	}
+	m.DB.EachHistory(paths[0].ID, metrics.Reachability, 0, func(s core.Measurement) bool {
+		sawDirect = s.Quality == core.QualityDirect
+		return !sawDirect
+	})
 	if !sawDirect {
 		t.Fatal("no direct-quality measurement after escalation")
 	}
@@ -90,10 +88,10 @@ func TestHybridCheaperThanAlwaysOnHiFi(t *testing.T) {
 	m.Submit(core.Request{Paths: h.PathList(), Metrics: allMetrics})
 	m.Start()
 	k.RunUntil(60 * time.Second)
-	if m.HiFi().TrafficBytes != 0 {
-		t.Fatalf("hifi traffic %d bytes on a healthy system", m.HiFi().TrafficBytes)
+	if m.hifiMon.TrafficBytes != 0 {
+		t.Fatalf("hifi traffic %d bytes on a healthy system", m.hifiMon.TrafficBytes)
 	}
-	snmpBps := float64(m.COTS().Client.Stats.BytesSent+m.COTS().Client.Stats.BytesRecv) * 8 / 60
+	snmpBps := float64(m.cotsMon.Client.Stats.BytesSent+m.cotsMon.Client.Stats.BytesRecv) * 8 / 60
 	alwaysOn := 27.0 * nttcp.PeakOverheadBps(nttcp.Config{MsgLen: 8192, InterSend: 30 * time.Millisecond})
 	if snmpBps > alwaysOn/100 {
 		t.Fatalf("hybrid background load %.0f b/s not << always-on %.0f b/s", snmpBps, alwaysOn)
@@ -133,12 +131,12 @@ func TestStopStopsTheSubMonitors(t *testing.T) {
 	}
 	m.Stop()
 	k.RunUntil(k.Now() + m.Cfg.PollInterval) // the sweep and the Get in flight finish
-	requests, queued, records := m.COTS().Client.Stats.Requests, m.COTS().Reports().Len(), m.DB.Records
+	requests, queued, records := m.cotsMon.Client.Stats.Requests, m.cotsMon.Reports().Len(), m.DB.Records
 	k.RunUntil(k.Now() + 60*time.Second)
-	if got := m.COTS().Client.Stats.Requests; got != requests {
+	if got := m.cotsMon.Client.Stats.Requests; got != requests {
 		t.Errorf("SNMP requests went %d -> %d in the 60 s after Stop", requests, got)
 	}
-	if got := m.COTS().Reports().Len(); got != queued {
+	if got := m.cotsMon.Reports().Len(); got != queued {
 		t.Errorf("undrained reports went %d -> %d in the 60 s after Stop", queued, got)
 	}
 	if m.DB.Records != records {
@@ -159,9 +157,9 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 	m.Start()
 	k.At(5*time.Second, func() { h.Clients[0].SetUp(false) })
 	k.RunUntil(30 * time.Second)
-	if m.Escalations == 0 || m.HiFi().Samples == 0 || m.COTS().Sweeps == 0 {
+	if m.Escalations == 0 || m.hifiMon.Samples == 0 || m.cotsMon.Sweeps == 0 {
 		t.Fatalf("scenario drifted: %d escalations, %d hifi samples, %d cots sweeps",
-			m.Escalations, m.HiFi().Samples, m.COTS().Sweeps)
+			m.Escalations, m.hifiMon.Samples, m.cotsMon.Sweeps)
 	}
 	fp := m.DB.Footprint()
 	for name, want := range map[string]float64{
@@ -174,11 +172,11 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 		"hybrid.db.retained_samples": float64(fp.Retained),
 		"hybrid.db.sketch_bytes":     float64(fp.SketchBytes),
 		// One instrument of each sub-monitor: their own packages check the rest.
-		"cots.sweeps":        float64(m.COTS().Sweeps),
-		"cots.snmp.requests": float64(m.COTS().Client.Stats.Requests),
-		"cots.db.records":    float64(m.COTS().DB.Records),
-		"hifi.samples":       float64(m.HiFi().Samples),
-		"hifi.db.records":    float64(m.HiFi().DB.Records),
+		"cots.sweeps":        float64(m.cotsMon.Sweeps),
+		"cots.snmp.requests": float64(m.cotsMon.Client.Stats.Requests),
+		"cots.db.records":    float64(m.cotsMon.DB.Records),
+		"hifi.samples":       float64(m.hifiMon.Samples),
+		"hifi.db.records":    float64(m.hifiMon.DB.Records),
 	} {
 		got := reg.Gauge(name).Value()
 		if c := reg.Counter(name); c != nil {

@@ -237,9 +237,6 @@ func (m *Manager) PathList(roleFrom, roleTo string) []core.Path {
 	return core.CrossProductPaths(from, to)
 }
 
-// Monitor exposes the attached monitor.
-func (m *Manager) Monitor() core.Monitor { return m.mon }
-
 // Start submits the monitoring request for paths between the two roles and
 // begins the evaluation loop.
 func (m *Manager) Start(roleFrom, roleTo string) {

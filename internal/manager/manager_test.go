@@ -292,7 +292,7 @@ func TestStaleDataTreatedAsMissingNotHealthy(t *testing.T) {
 	if mgr.StaleReads == 0 {
 		t.Fatal("manager never rejected a stale sample")
 	}
-	if mon.DB.StaleCount() == 0 {
+	if mon.DB.StaleMarked == 0 {
 		t.Fatal("watchdog marked nothing stale after collection froze")
 	}
 	// Crucially, stale data is missing data, not a violation: no failover
@@ -306,9 +306,9 @@ func TestStaleDataTreatedAsMissingNotHealthy(t *testing.T) {
 // must run before the kernel starts recording.
 func enableSketches(t *testing.T, m *Manager) {
 	t.Helper()
-	hm, ok := m.Monitor().(*hifi.Monitor)
+	hm, ok := m.mon.(*hifi.Monitor)
 	if !ok {
-		t.Fatalf("monitor is %T, want *hifi.Monitor", m.Monitor())
+		t.Fatalf("monitor is %T, want *hifi.Monitor", m.mon)
 	}
 	hm.Database().EnableSketches(sketch.Thresholds{})
 }

@@ -4,7 +4,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -74,44 +73,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)-1))
 }
 
-// Percentile returns the p-th percentile (0..100) by nearest-rank; 0 for
-// empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
-// MinMax returns the extremes; zeros for empty input.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // RelErr returns |got-want|/|want|, or 0 when want is 0.
 func RelErr(got, want float64) float64 {
 	if want == 0 {
@@ -121,6 +82,8 @@ func RelErr(got, want float64) float64 {
 }
 
 // Durations converts to float seconds for the helpers above.
+//
+//lint:allow unusedexport test-pinned by TestDurations; retire together
 func Durations(ds []time.Duration) []float64 {
 	out := make([]float64, len(ds))
 	for i, d := range ds {

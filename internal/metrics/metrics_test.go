@@ -41,36 +41,7 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if Percentile(xs, 50) != 5 {
-		t.Fatalf("p50 = %v", Percentile(xs, 50))
-	}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 10 {
-		t.Fatal("extremes")
-	}
-	if Percentile(xs, 90) != 9 {
-		t.Fatalf("p90 = %v", Percentile(xs, 90))
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile")
-	}
-	// Percentile must not mutate its input.
-	ys := []float64{3, 1, 2}
-	Percentile(ys, 50)
-	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
-		t.Fatalf("input mutated: %v", ys)
-	}
-}
-
 func TestMinMaxAndRelErr(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("minmax = %v, %v", min, max)
-	}
-	if min, max := MinMax(nil); min != 0 || max != 0 {
-		t.Fatal("empty minmax")
-	}
 	if RelErr(110, 100) != 0.1 {
 		t.Fatalf("relerr = %v", RelErr(110, 100))
 	}
@@ -98,24 +69,16 @@ func TestPropertyStatsInvariants(t *testing.T) {
 		for i, r := range raw {
 			xs[i] = float64(r)
 		}
-		mean := Mean(xs)
-		min, max := MinMax(xs)
-		if mean < min-1e-9 || mean > max+1e-9 {
+		min, max := xs[0], xs[0]
+		for _, x := range xs {
+			min, max = math.Min(min, x), math.Max(max, x)
+		}
+		if mean := Mean(xs); mean < min-1e-9 || mean > max+1e-9 {
 			return false
 		}
-		if StdDev(xs) < 0 {
-			return false
-		}
-		// Percentiles are monotone and bounded by the extremes.
-		prev := min
-		for p := 0.0; p <= 100; p += 10 {
-			v := Percentile(xs, p)
-			if v < prev-1e-9 || v > max+1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return true
+		// The deviation is non-negative and no wider than the range.
+		sd := StdDev(xs)
+		return sd >= 0 && sd <= max-min+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,8 @@ import (
 )
 
 // Well-known OID prefixes (RFC 1213 and friends).
+//
+//lint:allow unusedexport RFC 1213 group OIDs: the MIB-II arc stays complete though nothing registers under mgmt, system or tcp by name
 var (
 	Mgmt       = MustOID("1.3.6.1.2.1")
 	System     = MustOID("1.3.6.1.2.1.1")
@@ -72,7 +74,6 @@ type NodeView struct {
 	node *netsim.Node
 
 	listeners []*rstream.Listener
-	dialed    []*rstream.Conn
 }
 
 // NewNodeView constructs the view and registers all groups.
@@ -90,9 +91,6 @@ func NewNodeView(n *netsim.Node) *NodeView {
 // AddListener exposes a stream listener's connections in tcpConnTable.
 func (v *NodeView) AddListener(l *rstream.Listener) { v.listeners = append(v.listeners, l) }
 
-// AddConn exposes a dialed connection in tcpConnTable.
-func (v *NodeView) AddConn(c *rstream.Conn) { v.dialed = append(v.dialed, c) }
-
 func (v *NodeView) registerSystem() {
 	n := v.node
 	v.Tree.RegisterConst(SysDescr, Str("repro simulated agent ("+string(n.Name)+", "+n.Role.String()+")"))
@@ -104,7 +102,7 @@ func (v *NodeView) registerSystem() {
 		return Ticks(uint64(n.LocalTime().Milliseconds() / 10))
 	})
 	v.Tree.RegisterConst(MustOID("1.3.6.1.2.1.1.4.0"), Str("NSWC-DD repro"))
-	v.Tree.RegisterConst(MustOID("1.3.6.1.2.1.1.5.0"), Str(string(n.Name)))
+	v.Tree.RegisterConst(SysName, Str(string(n.Name)))
 	v.Tree.RegisterConst(MustOID("1.3.6.1.2.1.1.6.0"), Str("simulated testbed"))
 	v.Tree.RegisterConst(MustOID("1.3.6.1.2.1.1.7.0"), Int(72))
 }
@@ -188,7 +186,6 @@ func (v *NodeView) registerTCP() {
 		for _, l := range v.listeners {
 			conns = append(conns, l.Conns()...)
 		}
-		conns = append(conns, v.dialed...)
 		type row struct {
 			index OID
 			vars  rstream.StateVars

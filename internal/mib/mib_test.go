@@ -172,7 +172,7 @@ func TestTreeWalkPrefix(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("Walk(1) = %d entries", len(entries))
 	}
-	all := tr.All()
+	all := tr.Walk(nil)
 	if len(all) != 3 {
 		t.Fatalf("All = %d entries", len(all))
 	}

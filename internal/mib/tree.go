@@ -132,6 +132,8 @@ func (t *Tree) Next(oid OID) (OID, Value, bool) {
 }
 
 // Walk returns every entry under prefix in traversal order.
+//
+//lint:allow unusedexport test-pinned by TestTreeWalkPrefix, TestPropertyWalkReturnsAllUnderPrefix and the rmon MIB-exposure tests; retire together
 func (t *Tree) Walk(prefix OID) []Entry {
 	var out []Entry
 	cur := prefix.Clone()
@@ -143,9 +145,4 @@ func (t *Tree) Walk(prefix OID) []Entry {
 		out = append(out, Entry{OID: oid, Value: v})
 		cur = oid
 	}
-}
-
-// All returns every entry in the tree.
-func (t *Tree) All() []Entry {
-	return t.Walk(OID{})
 }

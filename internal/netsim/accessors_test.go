@@ -44,7 +44,7 @@ func TestAccessorsAndStringers(t *testing.T) {
 	if ifa.SpeedBps() != 100_000_000 {
 		t.Fatalf("SpeedBps = %d", ifa.SpeedBps())
 	}
-	if ifa.QueueLen() != 0 {
+	if ifa.queue.Len() != 0 {
 		t.Fatal("fresh queue nonempty")
 	}
 	if seg.Name() != "lan" || seg.Config().RateBps != 100_000_000 {
@@ -58,10 +58,6 @@ func TestAccessorsAndStringers(t *testing.T) {
 	}
 	if UDP.String() != "udp" || RDP.String() != "rdp" {
 		t.Fatal("proto strings")
-	}
-	p := &Packet{Size: 100}
-	if p.WireSize(38) != 100+HeaderOverhead+38 {
-		t.Fatalf("WireSize = %d", p.WireSize(38))
 	}
 }
 

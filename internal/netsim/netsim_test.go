@@ -424,7 +424,8 @@ func TestDeterministicNetwork(t *testing.T) {
 		seg.Attach(a)
 		seg.Attach(b)
 		sink := NewSink(b, 9)
-		(&PoissonSource{Src: a, Dst: "b", DstPort: 9, Size: 200, MeanGap: time.Millisecond, Seed: 5, Until: time.Second}).Run()
+		(&OnOffSource{Src: a, Dst: "b", DstPort: 9, Size: 200, PeakBps: 2_000_000,
+			MeanOn: 20 * time.Millisecond, MeanOff: 20 * time.Millisecond, Seed: 5, Until: time.Second}).Run()
 		k.Run()
 		return sink.Received, seg.Stats().Octets
 	}

@@ -246,9 +246,6 @@ func (i *Iface) SetUp(up bool) { i.up = up }
 // SpeedBps returns the medium rate (MIB ifSpeed).
 func (i *Iface) SpeedBps() int64 { return i.medium.Config().RateBps }
 
-// QueueLen reports the instantaneous egress queue depth.
-func (i *Iface) QueueLen() int { return i.queue.Len() }
-
 func (i *Iface) qlen() int { return i.queue.Len() }
 
 //perf:noalloc

@@ -83,12 +83,6 @@ func (p *Packet) takeHop() *Iface {
 	return ifc
 }
 
-// WireSize is the number of bytes the packet occupies on a medium with the
-// given per-frame framing overhead.
-func (p *Packet) WireSize(frameOverhead int) int {
-	return p.Size + HeaderOverhead + frameOverhead
-}
-
 // clone returns a shallow copy; used for broadcast delivery so that each
 // receiver observes independent hop metadata.
 func (p *Packet) clone() *Packet {

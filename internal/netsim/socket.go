@@ -47,9 +47,6 @@ func (n *Node) OpenUDP(port Port) *UDPSock {
 	return s
 }
 
-// Node returns the owning node.
-func (s *UDPSock) Node() *Node { return s.node }
-
 // Port returns the bound port.
 func (s *UDPSock) Port() Port { return s.port }
 
@@ -105,9 +102,6 @@ func (s *UDPSock) send(dst Addr, dport Port, payload []byte, size int, proto Pro
 func (s *UDPSock) Recv(p *sim.Proc, timeout time.Duration) (*Packet, bool) {
 	return s.rq.Get(p, timeout)
 }
-
-// Pending reports the number of queued arrivals.
-func (s *UDPSock) Pending() int { return s.rq.Len() }
 
 func (s *UDPSock) deliver(pkt *Packet) {
 	if s.closed {

@@ -82,33 +82,6 @@ func (o *OnOffSource) Run() *sim.Proc {
 	})
 }
 
-// PoissonSource emits datagrams with exponential inter-arrival times, the
-// classic background-load model.
-type PoissonSource struct {
-	Src     *Node
-	Dst     Addr
-	DstPort Port
-	Size    int
-	MeanGap time.Duration
-	Seed    int64
-	Until   time.Duration
-
-	Sent int
-}
-
-// Run starts the source on the kernel.
-func (s *PoissonSource) Run() *sim.Proc {
-	rng := s.Src.net.K.Rand(s.Seed)
-	sock := s.Src.OpenUDP(0)
-	return s.Src.Spawn("poisson", func(p *sim.Proc) {
-		for s.Until == 0 || p.Now() < s.Until {
-			sock.SendSize(s.Dst, s.DstPort, s.Size)
-			s.Sent++
-			p.Sleep(time.Duration(rng.ExpFloat64() * float64(s.MeanGap)))
-		}
-	})
-}
-
 // Sink opens a socket that consumes and counts everything sent to it.
 type Sink struct {
 	Sock     *UDPSock

@@ -18,10 +18,6 @@ type RealServer struct {
 	tests atomic.Int64
 }
 
-// Tests reports how many burst measurements the server has completed. It is
-// safe to call while Serve runs on another goroutine.
-func (s *RealServer) Tests() int { return int(s.tests.Load()) }
-
 // ListenReal binds the responder to a real UDP address like ":5010".
 func ListenReal(addr string) (*RealServer, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)

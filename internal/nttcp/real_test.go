@@ -50,8 +50,8 @@ func TestRealMeasureLoopback(t *testing.T) {
 	if res.ThroughputBps < 1e6 {
 		t.Fatalf("throughput = %.0f b/s", res.ThroughputBps)
 	}
-	if srv.Tests() != 1 {
-		t.Fatalf("server completed %d tests", srv.Tests())
+	if srv.tests.Load() != 1 {
+		t.Fatalf("server completed %d tests", srv.tests.Load())
 	}
 }
 

@@ -51,6 +51,8 @@ func startStreamServer(node *netsim.Node, port netsim.Port) *streamServer {
 // last acknowledgement. Reached reflects connection establishment;
 // OneWayLatency is estimated as SRTT/2 (transport-level, marked by the
 // caller as approximate when it matters).
+//
+//lint:allow unusedexport test-pinned by the four TestStreamMeasure* tests; retire together with the stream server
 func (c *Client) MeasureStream(p *sim.Proc, target netsim.Addr, port netsim.Port) (res Result, err error) {
 	if port == 0 {
 		port = Port + StreamPortOffset

@@ -19,8 +19,6 @@ package resilience
 import (
 	"math/rand"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // Backoff computes retransmission delays: attempt n waits Base·2ⁿ, capped
@@ -48,16 +46,6 @@ type Backoff struct {
 // pass one derived from sim.Kernel.Rand so the schedule is deterministic.
 func NewBackoff(rng *rand.Rand, base, max time.Duration, jitterFrac float64) *Backoff {
 	return &Backoff{Base: base, Max: max, JitterFrac: jitterFrac, rng: rng}
-}
-
-// EnableTelemetry publishes Waits and Waited (in nanoseconds) under prefix.
-// A nil backoff or registry publishes nothing.
-func (b *Backoff) EnableTelemetry(reg *telemetry.Registry, prefix string) {
-	if b == nil {
-		return
-	}
-	reg.CounterFunc(prefix+".waits", func() uint64 { return b.Waits })
-	reg.CounterFunc(prefix+".wait_ns", func() uint64 { return uint64(b.Waited) })
 }
 
 // Delay returns the wait before retransmission number attempt (0-based).
@@ -259,16 +247,6 @@ type BreakerSet struct {
 	order []string
 }
 
-// EnableTelemetry publishes the fleet-wide transition counts under prefix
-// (opens, closes, probes, fast_fails): each is Stats' sum over the breakers
-// the set holds when it is read. A nil registry publishes nothing.
-func (s *BreakerSet) EnableTelemetry(reg *telemetry.Registry, prefix string) {
-	reg.CounterFunc(prefix+".opens", func() uint64 { return s.Stats().Opens })
-	reg.CounterFunc(prefix+".closes", func() uint64 { return s.Stats().Closes })
-	reg.CounterFunc(prefix+".probes", func() uint64 { return s.Stats().Probes })
-	reg.CounterFunc(prefix+".fast_fails", func() uint64 { return s.Stats().FastFails })
-}
-
 // NewBreakerSet returns an empty set with the given shared config.
 func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
 	return &BreakerSet{Cfg: cfg.withDefaults(), m: make(map[string]*Breaker)}
@@ -283,16 +261,6 @@ func (s *BreakerSet) For(target string) *Breaker {
 	s.m[target] = b
 	s.order = append(s.order, target)
 	return b
-}
-
-// Len reports how many targets have breakers.
-func (s *BreakerSet) Len() int { return len(s.order) }
-
-// Each visits every breaker in creation order.
-func (s *BreakerSet) Each(fn func(target string, b *Breaker)) {
-	for _, t := range s.order {
-		fn(t, s.m[t])
-	}
 }
 
 // OpenFraction reports the fraction of targets whose breaker is open or

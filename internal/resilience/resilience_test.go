@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 func TestBackoffExponentialCapped(t *testing.T) {
@@ -117,14 +116,14 @@ func TestBreakerConsecutiveFailureCounterResets(t *testing.T) {
 
 func TestBreakerSetSharedConfigAndAggregation(t *testing.T) {
 	s := NewBreakerSet(BreakerConfig{FailThreshold: 1, OpenFor: time.Second})
-	if s.Len() != 0 || s.OpenFraction(0) != 0 {
+	if len(s.order) != 0 || s.OpenFraction(0) != 0 {
 		t.Fatal("empty set not neutral")
 	}
 	s.For("a").Failure(0)
 	s.For("b")
 	s.For("c")
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.order) != 3 {
+		t.Fatalf("%d breakers, want 3", len(s.order))
 	}
 	if got := s.OpenFraction(0); got < 0.33 || got > 0.34 {
 		t.Fatalf("OpenFraction = %v, want 1/3", got)
@@ -136,71 +135,45 @@ func TestBreakerSetSharedConfigAndAggregation(t *testing.T) {
 	if st := s.Stats(); st.Opens != 1 || st.FastFails != 1 {
 		t.Fatalf("aggregate stats = %+v", st)
 	}
-	var order []string
-	s.Each(func(target string, _ *Breaker) { order = append(order, target) })
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("Each order = %v", order)
+	if order := s.order; len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
+		t.Fatalf("creation order = %v", order)
 	}
 }
 
-// TestTelemetryReadsOwnersFields: the published counts are the breakers'
-// and the backoff's own fields — summed over the set in creation order,
-// including breakers created after EnableTelemetry — not a second copy.
+// TestTelemetryReadsOwnersFields: the counts a monitor publishes (cots
+// registers them, as cots.breaker.* and cots.backoff.*) are the breakers'
+// and the backoff's own fields — Stats sums the set in creation order,
+// including breakers created after a reader was bound — not a second copy.
 func TestTelemetryReadsOwnersFields(t *testing.T) {
-	reg := telemetry.NewRegistry()
 	s := NewBreakerSet(BreakerConfig{FailThreshold: 1, OpenFor: time.Second})
 	s.For("early").Failure(0)
-	s.EnableTelemetry(reg, "br")
+	read := s.Stats // what a registered reader holds: the method, not a snapshot
 	bo := NewBackoff(nil, 50*time.Millisecond, 400*time.Millisecond, 0)
-	bo.EnableTelemetry(reg, "bo")
 
 	s.For("early").Allow(0)               // fast-fail
 	s.For("early").Allow(2 * time.Second) // probe
 	s.For("early").Success(2 * time.Second)
-	s.For("late").Failure(3 * time.Second) // created after EnableTelemetry
+	s.For("late").Failure(3 * time.Second) // created after the reader was bound
 	s.For("late").Allow(3 * time.Second)
 	for i := 0; i < 4; i++ {
 		bo.Delay(i)
 	}
 
 	var sum BreakerStats
-	s.Each(func(_ string, b *Breaker) {
+	for _, target := range s.order {
+		b := s.m[target]
 		sum.Opens += b.Stats.Opens
 		sum.Closes += b.Stats.Closes
 		sum.Probes += b.Stats.Probes
 		sum.FastFails += b.Stats.FastFails
-	})
+	}
 	if sum != (BreakerStats{Opens: 2, FastFails: 2, Probes: 1, Closes: 1}) {
 		t.Fatalf("scenario drifted: summed stats = %+v", sum)
 	}
-	want := []struct {
-		name string
-		want uint64
-	}{
-		{"br.opens", sum.Opens},
-		{"br.closes", sum.Closes},
-		{"br.probes", sum.Probes},
-		{"br.fast_fails", sum.FastFails},
-		{"bo.waits", bo.Waits},
-		{"bo.wait_ns", uint64(bo.Waited)},
-	}
-	for _, c := range want {
-		if got := reg.Counter(c.name).Value(); got != c.want {
-			t.Errorf("%s = %d, want %d", c.name, got, c.want)
-		}
+	if got := read(); got != sum {
+		t.Errorf("Stats() = %+v, want the per-breaker sum %+v", got, sum)
 	}
 	if bo.Waits != 4 || bo.Waited != 750*time.Millisecond {
 		t.Errorf("backoff handed out %d waits totalling %v, want 4 and 750ms", bo.Waits, bo.Waited)
-	}
-	if reg.Len() != len(want) {
-		t.Errorf("%d instruments registered, %d checked against an owner", reg.Len(), len(want))
-	}
-
-	// A nil registry or a nil backoff publishes nothing and must not panic.
-	s.EnableTelemetry(nil, "x")
-	bo.EnableTelemetry(nil, "x")
-	(*Backoff)(nil).EnableTelemetry(reg, "nil")
-	if reg.Len() != len(want) {
-		t.Errorf("a nil backoff registered %d instruments", reg.Len()-len(want))
 	}
 }

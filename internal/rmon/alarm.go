@@ -11,6 +11,8 @@ import (
 type SampleType int
 
 // Alarm sampling modes.
+//
+//lint:allow unusedexport RFC 2819 alarmSampleType values: absoluteValue(1) stays beside deltaValue(2) though only delta alarms are installed
 const (
 	// AbsoluteValue compares the sampled value directly.
 	AbsoluteValue SampleType = 1
@@ -45,7 +47,6 @@ type Alarm struct {
 	havePrev  bool
 	armedUp   bool // may fire rising
 	armedDown bool // may fire falling
-	startedUp bool
 }
 
 // AddAlarm installs and starts an alarm sampling proc. The variable is

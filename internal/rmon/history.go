@@ -33,6 +33,8 @@ type History struct {
 
 // AddHistory starts periodic sampling with the given interval and bucket
 // count (oldest buckets are discarded, as the MIB specifies).
+//
+//lint:allow unusedexport test-pinned by TestHistorySampling, TestHistoryControlTableExposed and TestRegisterExposesTables; retire together with the history group
 func (p *Probe) AddHistory(interval time.Duration, buckets int) *History {
 	h := &History{
 		Index:    len(p.histories) + 1,
@@ -68,18 +70,6 @@ func (h *History) sample(now time.Duration) {
 	if len(h.samples) > h.Buckets {
 		h.samples = h.samples[len(h.samples)-h.Buckets:]
 	}
-}
-
-// Samples returns the retained buckets, oldest first.
-func (h *History) Samples() []HistorySample { return h.samples }
-
-// Latest returns the most recent bucket; ok is false before the first
-// interval completes.
-func (h *History) Latest() (HistorySample, bool) {
-	if len(h.samples) == 0 {
-		return HistorySample{}, false
-	}
-	return h.samples[len(h.samples)-1], true
 }
 
 // historyControlEntries exposes the historyControlTable (RFC 2819 16.2.1):

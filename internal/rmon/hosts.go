@@ -85,15 +85,6 @@ func (g *HostGroup) host(a netsim.Addr) *HostStats {
 	return h
 }
 
-// Host returns the stats for one station, if seen.
-func (g *HostGroup) Host(a netsim.Addr) (HostStats, bool) {
-	h, ok := g.hosts[a]
-	if !ok {
-		return HostStats{}, false
-	}
-	return *h, true
-}
-
 // Hosts returns all stations in discovery order.
 func (g *HostGroup) Hosts() []HostStats {
 	out := make([]HostStats, 0, len(g.order))
@@ -129,15 +120,6 @@ func (g *MatrixGroup) observe(f netsim.Frame) {
 	if f.Err {
 		c.Errors++
 	}
-}
-
-// Conversation returns one src->dst row, if seen.
-func (g *MatrixGroup) Conversation(src, dst netsim.Addr) (ConvStats, bool) {
-	c, ok := g.convs[[2]netsim.Addr{src, dst}]
-	if !ok {
-		return ConvStats{}, false
-	}
-	return *c, true
 }
 
 // Conversations returns all rows sorted by (src, dst) for determinism.

@@ -37,15 +37,15 @@ func TestHostGroupCounts(t *testing.T) {
 	k, probe := hostsFixture(t)
 	hg := probe.EnableHosts()
 	k.Run()
-	a, ok := hg.Host("a")
+	a, ok := hg.hosts["a"]
 	if !ok || a.OutPkts != 40 || a.InPkts != 0 {
 		t.Fatalf("host a = %+v, %v", a, ok)
 	}
-	b, _ := hg.Host("b")
+	b := hg.hosts["b"]
 	if b.InPkts != 30 || b.OutPkts != 5 {
 		t.Fatalf("host b = %+v", b)
 	}
-	c, _ := hg.Host("c")
+	c := hg.hosts["c"]
 	if c.InPkts != 15 {
 		t.Fatalf("host c = %+v", c)
 	}
@@ -72,11 +72,11 @@ func TestMatrixGroupConversations(t *testing.T) {
 	k, probe := hostsFixture(t)
 	mg := probe.EnableMatrix()
 	k.Run()
-	ab, ok := mg.Conversation("a", "b")
+	ab, ok := mg.convs[[2]netsim.Addr{"a", "b"}]
 	if !ok || ab.Pkts != 30 {
 		t.Fatalf("a->b = %+v, %v", ab, ok)
 	}
-	if _, ok := mg.Conversation("b", "a"); ok {
+	if _, ok := mg.convs[[2]netsim.Addr{"b", "a"}]; ok {
 		t.Fatal("phantom reverse conversation")
 	}
 	convs := mg.Conversations()

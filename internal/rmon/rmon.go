@@ -1,6 +1,6 @@
 // Package rmon implements a remote network monitoring probe after RFC 2819:
-// the statistics, history, alarm, event, and channel/capture groups, fed by
-// a promiscuous tap on a shared simulated segment and exposed through the
+// the statistics, history, alarm, event, host and matrix groups, fed by a
+// promiscuous tap on a shared simulated segment and exposed through the
 // SNMP agent's MIB tree.
 //
 // The probe is the "scalable" sensor of the paper's §5.2: it observes the
@@ -23,7 +23,6 @@ var (
 	historyEntry = mib.RMONRoot.Append(2, 2, 1) // etherHistoryEntry
 	alarmEntry   = mib.RMONRoot.Append(3, 1, 1) // alarmEntry
 	eventEntry   = mib.RMONRoot.Append(9, 1, 1) // eventEntry
-	captureEntry = mib.RMONRoot.Append(8, 2, 1) // bufferControl-ish capture
 )
 
 // EtherStats mirrors the etherStatsTable counters.
@@ -57,7 +56,6 @@ type Probe struct {
 	histories   []*History
 	alarms      []*Alarm
 	events      []*Event
-	channels    []*Channel
 	hostGroup   *HostGroup
 	matrixGroup *MatrixGroup
 
@@ -110,9 +108,6 @@ func (p *Probe) onFrame(f netsim.Frame) {
 	default:
 		s.Oversize++
 		s.Pkts1024to1518++
-	}
-	for _, ch := range p.channels {
-		ch.offer(f)
 	}
 	if p.hostGroup != nil {
 		p.hostGroup.observe(f)
@@ -173,7 +168,6 @@ func (p *Probe) Register(tree *mib.Tree) {
 	tree.RegisterSubtree(hostEntry, p.hostEntries)
 	tree.RegisterSubtree(matrixEntry, p.matrixEntries)
 	tree.RegisterSubtree(eventEntry, p.eventEntries)
-	tree.RegisterSubtree(captureEntry, p.captureEntries)
 }
 
 // EtherStatsOID returns the OID of an etherStats column for alarm

@@ -71,7 +71,7 @@ func TestHistorySampling(t *testing.T) {
 	src := &netsim.CBRSource{Src: a, Dst: "b", DstPort: 9, Size: 500, Interval: 10 * time.Millisecond, Count: 200}
 	src.Run()
 	k.RunUntil(2100 * time.Millisecond)
-	samples := h.Samples()
+	samples := h.samples
 	if len(samples) != 5 {
 		t.Fatalf("retained %d buckets, want 5 (ring)", len(samples))
 	}
@@ -150,29 +150,6 @@ func TestAlarmTrapEmission(t *testing.T) {
 	k.RunUntil(5 * time.Second)
 	if len(traps) != 1 || traps[0] != 1 {
 		t.Fatalf("traps = %v, want one rising (specific=1)", traps)
-	}
-}
-
-func TestChannelFilterAndCapture(t *testing.T) {
-	k, _, _, probe, a, b := fixture(t, netsim.Ethernet10())
-	netsim.NewSink(b, 9)
-	netsim.NewSink(a, 9)
-	ch := probe.AddChannel(Filter{Src: "a", AnyProto: true}, 10, 16)
-	(&netsim.CBRSource{Src: a, Dst: "b", DstPort: 9, Size: 100, Interval: time.Millisecond, Count: 20}).Run()
-	(&netsim.CBRSource{Src: b, Dst: "a", DstPort: 9, Size: 100, Interval: time.Millisecond, Count: 20}).Run()
-	k.Run()
-	if ch.Accepted != 20 {
-		t.Fatalf("channel accepted %d, want 20 (only a's frames)", ch.Accepted)
-	}
-	if ch.Buffered() != 10 || ch.Dropped != 10 {
-		t.Fatalf("buffer %d / dropped %d, want 10/10", ch.Buffered(), ch.Dropped)
-	}
-	frames := ch.Download()
-	if len(frames) != 10 || frames[0].Src != "a" {
-		t.Fatalf("download: %d frames, first src %s", len(frames), frames[0].Src)
-	}
-	if ch.Buffered() != 0 {
-		t.Fatal("download did not drain buffer")
 	}
 }
 

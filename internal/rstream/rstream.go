@@ -188,15 +188,6 @@ func newConn(node *netsim.Node, sock *netsim.UDPSock, owner *Listener) *Conn {
 // Vars returns a snapshot of all 22 connection state variables.
 func (c *Conn) Vars() StateVars { return c.vars }
 
-// State returns the connection state.
-func (c *Conn) State() State { return c.vars.State }
-
-// LocalPort returns the bound port.
-func (c *Conn) LocalPort() netsim.Port { return c.vars.LocalPort }
-
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() netsim.Addr { return c.vars.RemoteAddr }
-
 func (c *Conn) k() *sim.Kernel { return c.node.Network().K }
 
 // Dial opens a connection from node to addr:port. It blocks the proc until
@@ -537,7 +528,6 @@ type Listener struct {
 	// AllConns retains every connection ever accepted, for MIB table walks.
 	accepted []*Conn
 	backlog  *sim.Queue[*Conn]
-	closed   bool
 }
 
 type connKey struct {
@@ -554,7 +544,7 @@ func Listen(node *netsim.Node, port netsim.Port) *Listener {
 		backlog: sim.NewQueue[*Conn](node.Network().K, 0),
 	}
 	node.Spawn(fmt.Sprintf("rstream-listen-%d", port), func(p *sim.Proc) {
-		for !l.closed {
+		for {
 			pkt, ok := l.sock.Recv(p, -1)
 			if !ok {
 				return
@@ -623,24 +613,6 @@ func (l *Listener) Accept(p *sim.Proc, timeout time.Duration) (*Conn, bool) {
 // Conns returns every connection the listener has accepted, live or closed;
 // the MIB tcpConnTable walks this.
 func (l *Listener) Conns() []*Conn { return l.accepted }
-
-// Node returns the listening node.
-func (l *Listener) Node() *netsim.Node { return l.node }
-
-// Port returns the listening port.
-func (l *Listener) Port() netsim.Port { return l.sock.Port() }
-
-// Close shuts the listener and all its connections.
-func (l *Listener) Close() {
-	if l.closed {
-		return
-	}
-	l.closed = true
-	for _, c := range l.accepted {
-		c.teardown()
-	}
-	l.sock.Close()
-}
 
 func (l *Listener) remove(c *Conn) {
 	delete(l.conns, connKey{c.vars.RemoteAddr, c.vars.RemotePort})

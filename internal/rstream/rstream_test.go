@@ -44,11 +44,11 @@ func TestHandshake(t *testing.T) {
 	if clientConn == nil || serverConn == nil {
 		t.Fatal("handshake did not complete")
 	}
-	if clientConn.State() != StateEstablished || serverConn.State() != StateEstablished {
-		t.Fatalf("states: %v / %v", clientConn.State(), serverConn.State())
+	if clientConn.vars.State != StateEstablished || serverConn.vars.State != StateEstablished {
+		t.Fatalf("states: %v / %v", clientConn.vars.State, serverConn.vars.State)
 	}
-	if serverConn.RemoteAddr() != "client" {
-		t.Fatalf("server sees peer %q", serverConn.RemoteAddr())
+	if serverConn.vars.RemoteAddr != "client" {
+		t.Fatalf("server sees peer %q", serverConn.vars.RemoteAddr)
 	}
 }
 

@@ -29,34 +29,12 @@ const (
 	ClientPort netsim.Port = 6001
 )
 
-// Classification of a track.
-type Classification uint8
-
-// Track classifications.
-const (
-	Unknown Classification = iota
-	Friendly
-	Hostile
-)
-
-func (c Classification) String() string {
-	switch c {
-	case Friendly:
-		return "friendly"
-	case Hostile:
-		return "hostile"
-	default:
-		return "unknown"
-	}
-}
-
 // Track is one radar track: position and velocity in a flat 2-D ocean
 // sector, in meters and meters/second.
 type Track struct {
 	ID     uint32
 	X, Y   float64
 	VX, VY float64
-	Class  Classification
 	// UpdatedAt is the radar time of the last plot.
 	UpdatedAt time.Duration
 }
@@ -248,7 +226,6 @@ type Client struct {
 
 	engaged map[uint32]bool
 	tracks  []Track // decode scratch, reused across updates
-	stopped bool
 }
 
 // StartClient runs an RTDS client instance.
@@ -257,7 +234,7 @@ func StartClient(host *netsim.Node) *Client {
 	sock := host.OpenUDP(ClientPort)
 	host.Spawn("rtds-client", func(p *sim.Proc) {
 		defer sock.Close()
-		for !c.stopped {
+		for {
 			pkt, ok := sock.Recv(p, time.Second)
 			if !ok {
 				continue
@@ -299,9 +276,6 @@ func (c *Client) process(now time.Duration, tracks []Track) {
 		}
 	}
 }
-
-// Stop ends this instance.
-func (c *Client) Stop() { c.stopped = true }
 
 // Staleness reports the age of the client's track picture.
 func (c *Client) Staleness(now time.Duration) time.Duration {

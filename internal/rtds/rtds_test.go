@@ -128,7 +128,6 @@ func TestDecodeBatchReusesScratch(t *testing.T) {
 		// decode into the same slots.
 		full := scratch[:cap(scratch)]
 		for i := range full {
-			full[i].Class = Hostile
 			full[i].UpdatedAt = time.Hour
 		}
 		_, _, got, ok := decodeBatch(encodeBatch(uint32(round+1), in, 0), scratch)

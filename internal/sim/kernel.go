@@ -198,7 +198,8 @@ func (k *Kernel) release(ev *event) {
 }
 
 // Spawn creates a new simulated process that begins executing fn at the
-// current virtual time. The name appears in diagnostics.
+// current virtual time. The name labels the Proc in a debugger; nothing reads
+// it at run time.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	if k.closed {
 		panic("sim: Spawn on closed kernel")
@@ -338,12 +339,6 @@ func (k *Kernel) peekNext() (time.Duration, bool) {
 		return 0, false
 	}
 	return k.events.a[0].at, true
-}
-
-// Steps reports how many events are currently pending. Cancelled events are
-// removed from the heap eagerly, so this is O(1).
-func (k *Kernel) Steps() int {
-	return k.events.len()
 }
 
 // Close terminates all parked procs and releases their goroutines. The

@@ -117,8 +117,8 @@ func TestEverySelfStop(t *testing.T) {
 	if ticks != 3 {
 		t.Fatalf("ticks = %d, want 3 (timer kept firing after self-stop)", ticks)
 	}
-	if k.Steps() != 0 {
-		t.Fatalf("Steps() = %d after self-stop, want 0", k.Steps())
+	if k.events.len() != 0 {
+		t.Fatalf("%d pending events after self-stop, want 0", k.events.len())
 	}
 	if tm.Stop() {
 		t.Fatal("Stop() = true on already-stopped Every timer")
@@ -208,8 +208,8 @@ func TestStopRemovesFromHeapImmediately(t *testing.T) {
 			t.Fatal("Stop() = false on pending timer")
 		}
 	}
-	if k.Steps() != 50 {
-		t.Fatalf("Steps() = %d after stopping half, want 50", k.Steps())
+	if k.events.len() != 50 {
+		t.Fatalf("%d pending events after stopping half, want 50", k.events.len())
 	}
 	if n := k.Run(); n != 50 {
 		t.Fatalf("Run() processed %d, want 50", n)
@@ -330,8 +330,8 @@ func TestQueueBoundedDrops(t *testing.T) {
 	if q.Put(3) {
 		t.Fatal("put beyond capacity succeeded")
 	}
-	if q.Dropped() != 1 {
-		t.Fatalf("Dropped() = %d, want 1", q.Dropped())
+	if q.dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", q.dropped)
 	}
 	if q.Len() != 2 {
 		t.Fatalf("Len() = %d, want 2", q.Len())
@@ -508,8 +508,8 @@ func TestStepsExcludesCancelled(t *testing.T) {
 	k.After(time.Second, func() {})
 	tm := k.After(2*time.Second, func() {})
 	tm.Stop()
-	if k.Steps() != 1 {
-		t.Fatalf("Steps() = %d, want 1", k.Steps())
+	if k.events.len() != 1 {
+		t.Fatalf("%d pending events, want 1", k.events.len())
 	}
 }
 

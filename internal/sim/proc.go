@@ -19,12 +19,6 @@ type Proc struct {
 	killed bool
 }
 
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the kernel this proc runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 

@@ -45,9 +45,6 @@ func NewQueue[T any](k *Kernel, capacity int) *Queue[T] {
 // Len reports the number of buffered items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// Dropped reports the number of items discarded because the queue was full.
-func (q *Queue[T]) Dropped() int { return q.dropped }
-
 // Put appends an item, waking the longest-waiting consumer if any. On a full
 // bounded queue the item is dropped and Put reports false.
 //

@@ -63,8 +63,8 @@ func FuzzSketchInvariants(f *testing.F) {
 		if whole.Count() != uint64(len(finite)) {
 			t.Fatalf("Count = %d, want %d", whole.Count(), len(finite))
 		}
-		if whole.Dropped() != uint64(len(vals)-len(finite)) {
-			t.Fatalf("Dropped = %d, want %d", whole.Dropped(), len(vals)-len(finite))
+		if whole.dropped != uint64(len(vals)-len(finite)) {
+			t.Fatalf("Dropped = %d, want %d", whole.dropped, len(vals)-len(finite))
 		}
 		if len(finite) == 0 {
 			return
@@ -87,7 +87,7 @@ func FuzzSketchInvariants(f *testing.F) {
 				t.Fatalf("Quantile not monotone: Quantile(%v) = %v < %v", p, q, prev)
 			}
 			prev = q
-			if whole.Exact() {
+			if whole.inMarkers == 0 {
 				if want := Exact(finite, p); q != want {
 					t.Fatalf("small-sample Quantile(%v) = %v, want exact %v", p, q, want)
 				}

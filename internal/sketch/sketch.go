@@ -147,9 +147,6 @@ func (s *Sketch) SetThresholds(t Thresholds) { s.thresholds = t }
 // Count returns how many observations the sketch has accepted.
 func (s *Sketch) Count() uint64 { return s.count }
 
-// Dropped returns how many non-finite observations were rejected.
-func (s *Sketch) Dropped() uint64 { return s.dropped }
-
 // Min returns the exact minimum observation; 0 when empty.
 func (s *Sketch) Min() float64 {
 	if s.count == 0 {
@@ -174,17 +171,8 @@ func (s *Sketch) Mean() float64 {
 	return s.sum / float64(s.count)
 }
 
-// Stalls returns the threshold counters.
-func (s *Sketch) Stalls() (stalls, microStalls uint64) {
-	return s.stalls, s.microStalls
-}
-
 // Bytes reports the fixed memory footprint of one sketch.
 func (s *Sketch) Bytes() int { return int(unsafe.Sizeof(*s)) }
-
-// Exact reports whether every observation is still individually retained,
-// so Quantile answers with zero estimation error.
-func (s *Sketch) Exact() bool { return s.inMarkers == 0 }
 
 // Update folds one observation into the sketch. Non-finite values (NaN,
 // ±Inf) are counted in Dropped and otherwise ignored — they would poison

@@ -47,7 +47,7 @@ func TestExactMode(t *testing.T) {
 	for _, x := range xs {
 		s.Update(x)
 	}
-	if !s.Exact() {
+	if s.inMarkers != 0 {
 		t.Fatal("sketch left exact mode with count < BufCap")
 	}
 	for _, p := range []float64{0, 0.1, 0.25, 0.5, 0.77, 0.95, 0.99, 1} {
@@ -71,7 +71,7 @@ func TestGracefulDegrade(t *testing.T) {
 		all = append(all, v)
 		s.Update(v)
 	}
-	if s.Exact() {
+	if s.inMarkers == 0 {
 		t.Fatal("sketch still exact after 10*BufCap updates")
 	}
 	for _, p := range []float64{0.5, 0.95, 0.99} {
@@ -144,8 +144,8 @@ func TestNonFiniteDropped(t *testing.T) {
 	s.Update(math.Inf(1))
 	s.Update(math.Inf(-1))
 	s.Update(2)
-	if s.Count() != 2 || s.Dropped() != 3 {
-		t.Fatalf("count=%d dropped=%d, want 2, 3", s.Count(), s.Dropped())
+	if s.Count() != 2 || s.dropped != 3 {
+		t.Fatalf("count=%d dropped=%d, want 2, 3", s.Count(), s.dropped)
 	}
 	if s.Min() != 1 || s.Max() != 2 {
 		t.Errorf("min/max = %v/%v, want 1/2", s.Min(), s.Max())
@@ -158,7 +158,7 @@ func TestThresholdCounters(t *testing.T) {
 	for _, v := range []float64{0.05, 0.3, 0.5, 1.5, 2.0, 0.1} {
 		s.Update(v)
 	}
-	stalls, micro := s.Stalls()
+	stalls, micro := s.stalls, s.microStalls
 	if stalls != 2 || micro != 2 {
 		t.Errorf("stalls=%d micro=%d, want 2, 2", stalls, micro)
 	}
@@ -208,7 +208,7 @@ func TestMergeCountExact(t *testing.T) {
 			if n > 0 && (a.Min() != min || a.Max() != max) {
 				t.Errorf("(%d,%d): merged min/max = %v/%v, want %v/%v", na, nb, a.Min(), a.Max(), min, max)
 			}
-			if st, _ := a.Stalls(); st != wantStalls {
+			if st := a.stalls; st != wantStalls {
 				t.Errorf("(%d,%d): merged stalls = %d, want %d", na, nb, st, wantStalls)
 			}
 			if n > 0 && relErr(a.Mean(), sum/float64(n)) > 1e-9 {

@@ -225,6 +225,8 @@ func (a *Agent) AddTrapDestSim(n *netsim.Node, dst netsim.Addr, port netsim.Port
 }
 
 // AddTrapDestFunc registers an arbitrary trap transport (real UDP).
+//
+//lint:allow unusedexport test-pinned by TestAddTrapDestFunc; retire together
 func (a *Agent) AddTrapDestFunc(send func([]byte)) {
 	a.trapSend = append(a.trapSend, send)
 }
@@ -236,6 +238,8 @@ var snmpTrapOIDObj = mib.MustOID("1.3.6.1.6.3.1.1.4.1.0")
 // SendTrapV2 emits an SNMPv2c trap: the notification identity travels in
 // the var-bind list (sysUpTime.0 then snmpTrapOID.0), not in a special
 // header as v1 traps do.
+//
+//lint:allow unusedexport test-pinned by TestTrapV2Delivery; retire together
 func (a *Agent) SendTrapV2(trapOID mib.OID, binds []VarBind) {
 	var ts uint32
 	if a.sysUp != nil {
@@ -281,6 +285,8 @@ func (a *Agent) SendTrap(enterprise mib.OID, agentAddr []byte, generic, specific
 
 // Poller periodically issues the same Get through a client and hands the
 // results to a callback; the building block of manager-side monitoring.
+//
+//lint:allow unusedexport test-pinned by TestPollerPolls and TestPollerTimeoutPath; retire together
 type Poller struct {
 	Client   *Client
 	Agent    netsim.Addr
@@ -293,6 +299,8 @@ type Poller struct {
 }
 
 // Run spawns the polling proc on the client's node.
+//
+//lint:allow unusedexport test-pinned with Poller
 func (po *Poller) Run() *sim.Proc {
 	return po.Client.node.Spawn("snmp-poller", func(p *sim.Proc) {
 		for {

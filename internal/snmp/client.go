@@ -65,9 +65,6 @@ func NewClient(node *netsim.Node, community string) *Client {
 	}
 }
 
-// Node returns the hosting node.
-func (c *Client) Node() *netsim.Node { return c.node }
-
 // EnableTelemetry publishes Stats under prefix (e.g. "cots.snmp"), one
 // counter per field. A nil registry publishes nothing.
 func (c *Client) EnableTelemetry(reg *telemetry.Registry, prefix string) {
@@ -171,18 +168,6 @@ func (c *Client) GetNext(p *sim.Proc, agent netsim.Addr, oids ...mib.OID) ([]Var
 	return resp.PDU.VarBinds, nil
 }
 
-// Set writes values at agent.
-func (c *Client) Set(p *sim.Proc, agent netsim.Addr, binds ...VarBind) error {
-	resp, err := c.request(p, agent, 0, PDU{Type: SetRequest, VarBinds: binds})
-	if err != nil {
-		return err
-	}
-	if resp.PDU.ErrorStatus != ErrNoError {
-		return fmt.Errorf("snmp: set: error status %d at index %d", resp.PDU.ErrorStatus, resp.PDU.ErrorIndex)
-	}
-	return nil
-}
-
 // GetBulk issues a bulk request (v2c).
 func (c *Client) GetBulk(p *sim.Proc, agent netsim.Addr, nonRepeaters, maxReps int, oids ...mib.OID) ([]VarBind, error) {
 	resp, err := c.request(p, agent, 0, PDU{
@@ -245,12 +230,13 @@ func (c *Client) BulkWalk(p *sim.Proc, agent netsim.Addr, prefix mib.OID, maxRep
 	}
 }
 
-// TrapSinkStats tracks the lifecycle of arriving traps.
+// TrapSinkStats tracks the lifecycle of traps that reached the application
+// queue. Traps lost earlier, in the socket receive buffer, are counted by the
+// socket: TrapSink.SocketDrops is the one source for that number.
 type TrapSinkStats struct {
 	Arrived   uint64 // reached the application queue
 	Dropped   uint64 // lost at the application queue (station overrun)
 	Processed uint64
-	SockDrops uint64 // lost in the socket receive buffer
 	// InformsAcked counts InformRequests acknowledged; unacked informs
 	// (queue full) leave the sender to retry — natural backpressure that
 	// plain traps lack.
@@ -285,16 +271,6 @@ type trapItem struct {
 // passes no explicit capacity: a station overrun must shed traps with
 // accounting, never buffer without limit.
 const DefaultTrapQueueCap = 256
-
-// EnableTelemetry publishes the sink's overflow accounting under prefix:
-// the arrived/dropped/processed counts of Stats and the current depth of
-// the ingest queue. A nil registry publishes nothing.
-func (s *TrapSink) EnableTelemetry(reg *telemetry.Registry, prefix string) {
-	reg.CounterFunc(prefix+".arrived", func() uint64 { return s.Stats.Arrived })
-	reg.CounterFunc(prefix+".dropped", func() uint64 { return s.Stats.Dropped })
-	reg.CounterFunc(prefix+".processed", func() uint64 { return s.Stats.Processed })
-	reg.GaugeFunc(prefix+".queue_depth", func() float64 { return float64(s.QueueLen()) })
-}
 
 // StartTrapSink binds the sink and spawns its receiver and processor
 // procs. A non-positive queueCap gets DefaultTrapQueueCap — the queue is
@@ -367,5 +343,6 @@ func StartTrapSink(n *netsim.Node, port netsim.Port, queueCap int, procTime time
 // QueueLen reports how many accepted traps wait in the ingest queue.
 func (s *TrapSink) QueueLen() int { return s.queue.Len() }
 
-// SocketDrops reports traps lost in the kernel socket buffer.
+// SocketDrops reports traps lost in the socket receive buffer, before the
+// application queue saw them — the count Stats does not carry.
 func (s *TrapSink) SocketDrops() uint64 { return s.sock.Drops }

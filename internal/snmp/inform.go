@@ -102,6 +102,8 @@ func (n *Notifier) Inform(p *sim.Proc, binds []VarBind) error {
 
 // InformAsync fires an inform from its own proc (non-blocking for the
 // caller); failures only show in Stats.
+//
+//lint:allow unusedexport test-pinned by TestInformAsync; retire together
 func (n *Notifier) InformAsync(binds []VarBind) {
 	n.node.Spawn("inform", func(p *sim.Proc) {
 		n.Inform(p, binds) //lint:allow droperr async by contract: failures are counted in Stats.Failed

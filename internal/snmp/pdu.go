@@ -64,6 +64,8 @@ func (t PDUType) String() string {
 }
 
 // Error status codes (RFC 1157).
+//
+//lint:allow unusedexport RFC 1157 error-status values 0-5: the block stays complete though this agent never answers badValue, readOnly or genErr
 const (
 	ErrNoError    = 0
 	ErrTooBig     = 1
@@ -74,6 +76,8 @@ const (
 )
 
 // Generic trap codes (RFC 1157).
+//
+//lint:allow unusedexport RFC 1157 generic-trap values 0-6: the block stays complete though only enterpriseSpecific traps are sent
 const (
 	TrapColdStart          = 0
 	TrapWarmStart          = 1

@@ -42,7 +42,7 @@ func TestRetryRecoversAfterSegmentLossClears(t *testing.T) {
 	k.At(120*time.Millisecond, func() { seg.SetLossProb(0) })
 
 	var err error
-	client.Node().Spawn("tester", func(p *sim.Proc) {
+	client.node.Spawn("tester", func(p *sim.Proc) {
 		_, err = client.Get(p, "agent1", mib.SysUpTime)
 	})
 	k.RunUntil(5 * time.Second)
@@ -66,7 +66,7 @@ func TestAllRetriesLostCountsOneTimeout(t *testing.T) {
 	seg.SetLossProb(1.0)
 
 	var err error
-	client.Node().Spawn("tester", func(p *sim.Proc) {
+	client.node.Spawn("tester", func(p *sim.Proc) {
 		_, err = client.Get(p, "agent1", mib.SysUpTime)
 	})
 	k.RunUntil(10 * time.Second)
@@ -93,7 +93,7 @@ func TestBudgetCapsAttemptsUnderLoss(t *testing.T) {
 
 	var err error
 	var took time.Duration
-	client.Node().Spawn("tester", func(p *sim.Proc) {
+	client.node.Spawn("tester", func(p *sim.Proc) {
 		start := p.Now()
 		_, err = client.Get(p, "agent1", mib.SysUpTime)
 		took = p.Now() - start
@@ -155,7 +155,7 @@ func TestStaleResponseDroppedNotMiscounted(t *testing.T) {
 	client.Retries = 0
 
 	var err1, err2 error
-	client.Node().Spawn("tester", func(p *sim.Proc) {
+	client.node.Spawn("tester", func(p *sim.Proc) {
 		_, err1 = client.Get(p, "agent1", mib.SysUpTime)
 		// The stale answer to request 1 lands inside this request's listen
 		// window; only request 2's own response may be counted.
@@ -191,7 +191,7 @@ func TestClientTelemetryReadsStats(t *testing.T) {
 	k.At(50*time.Millisecond, func() { seg.SetLossProb(0) })
 	k.At(time.Second, func() { seg.SetLossProb(1.0) })
 
-	client.Node().Spawn("tester", func(p *sim.Proc) {
+	client.node.Spawn("tester", func(p *sim.Proc) {
 		client.Get(p, "agent1", mib.SysUpTime) // first attempt lost, retry answered
 		p.Sleep(2 * time.Second)
 		client.Get(p, "agent1", mib.SysUpTime) // both attempts lost

@@ -8,7 +8,6 @@ import (
 	"repro/internal/mib"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -123,7 +122,7 @@ func TestGetOverSimNetwork(t *testing.T) {
 	k, _, client, _, _ := agentFixture(t)
 	var binds []VarBind
 	var err error
-	client.Node().Spawn("tester", func(p *sim.Proc) {
+	client.node.Spawn("tester", func(p *sim.Proc) {
 		binds, err = client.Get(p, "agent1", mib.MustOID("1.3.6.1.2.1.1.5.0"))
 	})
 	k.RunUntil(5 * time.Second)
@@ -139,7 +138,7 @@ func TestGetUnknownOIDv2ReturnsNoSuchObject(t *testing.T) {
 	k, _, client, _, _ := agentFixture(t)
 	var binds []VarBind
 	var err error
-	client.Node().Spawn("tester", func(p *sim.Proc) {
+	client.node.Spawn("tester", func(p *sim.Proc) {
 		binds, err = client.Get(p, "agent1", mib.MustOID("1.3.9.9.9.0"))
 	})
 	k.RunUntil(5 * time.Second)
@@ -155,7 +154,7 @@ func TestWalkSystemGroup(t *testing.T) {
 	k, _, client, _, _ := agentFixture(t)
 	var binds []VarBind
 	var err error
-	client.Node().Spawn("tester", func(p *sim.Proc) {
+	client.node.Spawn("tester", func(p *sim.Proc) {
 		binds, err = client.Walk(p, "agent1", mib.System)
 	})
 	k.RunUntil(30 * time.Second)
@@ -170,7 +169,7 @@ func TestWalkSystemGroup(t *testing.T) {
 func TestBulkWalkMatchesWalk(t *testing.T) {
 	k, _, client, _, _ := agentFixture(t)
 	var w1, w2 []VarBind
-	client.Node().Spawn("tester", func(p *sim.Proc) {
+	client.node.Spawn("tester", func(p *sim.Proc) {
 		w1, _ = client.Walk(p, "agent1", mib.Interfaces)
 		w2, _ = client.BulkWalk(p, "agent1", mib.Interfaces, 8)
 	})
@@ -196,7 +195,7 @@ func TestCommunityAuth(t *testing.T) {
 	client.Timeout = 100 * time.Millisecond
 	client.Retries = 0
 	var err error
-	client.Node().Spawn("tester", func(p *sim.Proc) {
+	client.node.Spawn("tester", func(p *sim.Proc) {
 		_, err = client.Get(p, "agent1", mib.SysUpTime)
 	})
 	k2.RunUntil(5 * time.Second)
@@ -210,13 +209,21 @@ func TestCommunityAuth(t *testing.T) {
 
 func TestSetReadOnly(t *testing.T) {
 	k, _, client, _, _ := agentFixture(t)
+	// The agent answers a SetRequest from the wire whoever sends it; the
+	// client has no Set of its own, so the test speaks the PDU directly.
+	var resp *Message
 	var err error
-	client.Node().Spawn("tester", func(p *sim.Proc) {
-		err = client.Set(p, "agent1", VarBind{OID: mib.SysDescr, Value: mib.Str("x")})
+	client.node.Spawn("tester", func(p *sim.Proc) {
+		resp, err = client.request(p, "agent1", 0, PDU{Type: SetRequest,
+			VarBinds: []VarBind{{OID: mib.SysDescr, Value: mib.Str("x")}}})
 	})
 	k.RunUntil(5 * time.Second)
-	if err == nil {
-		t.Fatal("set of read-only object succeeded")
+	if err != nil {
+		t.Fatalf("set request: %v", err)
+	}
+	if resp.PDU.ErrorStatus != ErrNoSuchName || resp.PDU.ErrorIndex != 1 {
+		t.Fatalf("set of read-only object: status %d index %d, want noSuchName at 1",
+			resp.PDU.ErrorStatus, resp.PDU.ErrorIndex)
 	}
 }
 
@@ -238,7 +245,7 @@ func TestRequestRetry(t *testing.T) {
 	client.Timeout = 200 * time.Millisecond
 	client.Retries = 8
 	ok := 0
-	client.Node().Spawn("tester", func(p *sim.Proc) {
+	client.node.Spawn("tester", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
 			if _, err := client.Get(p, "agent1", mib.SysUpTime); err == nil {
 				ok++
@@ -307,8 +314,8 @@ func TestTrapSinkOverrun(t *testing.T) {
 
 // TestTrapSinkDefaultCapAndTelemetry floods a sink built with queueCap 0:
 // the queue must be bounded at DefaultTrapQueueCap (never unbounded), and
-// the telemetry instruments must agree exactly with the sink's own
-// overflow accounting.
+// the overflow accounting a monitor publishes (cots registers Stats and
+// QueueLen as cots.trapsink.*) must add up.
 func TestTrapSinkDefaultCapAndTelemetry(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
@@ -319,8 +326,6 @@ func TestTrapSinkDefaultCapAndTelemetry(t *testing.T) {
 	seg.Attach(station)
 	seg.Attach(src)
 	sink := StartTrapSink(station, 0, 0, 5*time.Millisecond)
-	reg := telemetry.NewRegistry()
-	sink.EnableTelemetry(reg, "snmp.trapsink")
 	agent := NewAgent(mib.NewTree(), "public")
 	agent.AddTrapDestSim(src, "station", 0)
 	send := 3 * DefaultTrapQueueCap
@@ -338,25 +343,20 @@ func TestTrapSinkDefaultCapAndTelemetry(t *testing.T) {
 		t.Fatalf("arrived %d exceeds %d sent — queue not bounded at the default cap?",
 			sink.Stats.Arrived, send)
 	}
-	for name, want := range map[string]uint64{
-		"snmp.trapsink.arrived":   sink.Stats.Arrived,
-		"snmp.trapsink.dropped":   sink.Stats.Dropped,
-		"snmp.trapsink.processed": sink.Stats.Processed,
-	} {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Errorf("telemetry %s = %d, want %d (sink stats %+v)", name, got, want, sink.Stats)
-		}
+	// Every trap that left the socket was queued or dropped, and every
+	// queued one is processed or still waiting.
+	if got := sink.Stats.Arrived + sink.Stats.Dropped + sink.SocketDrops(); got != uint64(send) {
+		t.Errorf("arrived %d + dropped %d + socket drops %d = %d, want the %d sent",
+			sink.Stats.Arrived, sink.Stats.Dropped, sink.SocketDrops(), got, send)
 	}
-	if got := reg.Gauge("snmp.trapsink.queue_depth").Value(); got != float64(sink.QueueLen()) {
-		t.Errorf("telemetry queue_depth = %v, want %d", got, sink.QueueLen())
-	}
-	if reg.Len() != 4 {
-		t.Errorf("%d instruments registered, 4 checked against the sink", reg.Len())
+	if got := sink.Stats.Processed + uint64(sink.QueueLen()); got != sink.Stats.Arrived {
+		t.Errorf("processed %d + waiting %d = %d, want the %d arrived",
+			sink.Stats.Processed, sink.QueueLen(), got, sink.Stats.Arrived)
 	}
 }
 
-// TestTrapSinkQueueDepthIsLive: the depth gauge reads the queue itself, so
-// a dump taken from a kernel event mid-flood sees the backlog.
+// TestTrapSinkQueueDepthIsLive: QueueLen reads the queue itself, so a
+// reader called from a kernel event mid-flood sees the backlog.
 func TestTrapSinkQueueDepthIsLive(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
@@ -367,8 +367,6 @@ func TestTrapSinkQueueDepthIsLive(t *testing.T) {
 	seg.Attach(station)
 	seg.Attach(src)
 	sink := StartTrapSink(station, 0, 8, 50*time.Millisecond)
-	reg := telemetry.NewRegistry()
-	sink.EnableTelemetry(reg, "sink")
 	agent := NewAgent(mib.NewTree(), "public")
 	agent.AddTrapDestSim(src, "station", 0)
 	k.At(time.Millisecond, func() {
@@ -376,13 +374,13 @@ func TestTrapSinkQueueDepthIsLive(t *testing.T) {
 			agent.SendTrap(mib.Enterprise, nil, TrapEnterpriseSpecific, i, nil)
 		}
 	})
-	var mid float64
-	k.At(20*time.Millisecond, func() { mid = reg.Gauge("sink.queue_depth").Value() })
+	var mid int
+	k.At(20*time.Millisecond, func() { mid = sink.QueueLen() })
 	k.RunUntil(time.Second)
 	if mid != 4 { // five arrived, the first is being processed
 		t.Errorf("depth read mid-flood = %v, want 4", mid)
 	}
-	if end := reg.Gauge("sink.queue_depth").Value(); end != 0 || sink.Stats.Processed != 5 {
+	if end := sink.QueueLen(); end != 0 || sink.Stats.Processed != 5 {
 		t.Errorf("depth after the drain = %v with %d processed, want 0 and 5", end, sink.Stats.Processed)
 	}
 }

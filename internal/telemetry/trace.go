@@ -94,14 +94,6 @@ func (s Span) End(now time.Duration) {
 	}
 }
 
-// Name returns the tracer's name; empty on nil.
-func (t *Tracer) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
-
 // Len reports how many spans are currently retained; zero on nil.
 func (t *Tracer) Len() int {
 	if t == nil {

@@ -186,16 +186,6 @@ func (s *ShardedScaled) CutEdges() int {
 	return n
 }
 
-// Hosts returns every server and client across all regions, region-major.
-func (s *ShardedScaled) Hosts() []*netsim.Node {
-	var out []*netsim.Node
-	for _, r := range s.Regions {
-		out = append(out, r.Servers...)
-		out = append(out, r.Clients...)
-	}
-	return out
-}
-
 // CrossRegionPaths returns one path set for monitoring: each region's
 // servers to the next region's clients (ring order), so every path crosses
 // a WAN link — and, when regions land on different shards, a shard

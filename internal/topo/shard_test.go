@@ -120,8 +120,12 @@ func TestShardedScaledPathsAndHosts(t *testing.T) {
 	g := sim.NewShardGroup(1, WANPropDelay)
 	defer g.Close()
 	s := BuildShardedScaled(g, 11, 4, 2, 3)
-	if got := len(s.Hosts()); got != 20 {
-		t.Fatalf("hosts = %d, want 20", got)
+	hosts := 0
+	for _, r := range s.Regions {
+		hosts += len(r.Servers) + len(r.Clients)
+	}
+	if hosts != 20 {
+		t.Fatalf("hosts = %d, want 20", hosts)
 	}
 	if got := len(s.CrossRegionPaths()); got != 4*2*3 {
 		t.Fatalf("cross-region paths = %d, want 24", got)

@@ -104,7 +104,7 @@ func TestSyncOnceStandalone(t *testing.T) {
 	if e := cc.ErrorAt(k.Now()); e > time.Millisecond || e < -time.Millisecond {
 		t.Fatalf("residual after one-shot sync = %v", e)
 	}
-	if cc.FreqAdj() != 0 {
+	if cc.freqAdj != 0 {
 		t.Fatal("one-shot sync should not touch frequency")
 	}
 }

@@ -112,7 +112,9 @@ func (c *SyncClient) Run() *sim.Proc {
 }
 
 // SyncOnce performs a single burst exchange and adjustment from an existing
-// proc; used by tests and by the hybrid monitor.
+// proc.
+//
+//lint:allow unusedexport test-pinned by TestSyncOnceStandalone; retire together
 func (c *SyncClient) SyncOnce(p *sim.Proc) {
 	if c.Port == 0 {
 		c.Port = NTPPort

@@ -56,9 +56,6 @@ func (c *Clock) AdjustFreq(simNow time.Duration, delta float64) {
 	c.freqAdj += delta
 }
 
-// FreqAdj reports the accumulated rate correction.
-func (c *Clock) FreqAdj() float64 { return c.freqAdj }
-
 // ErrorAt returns the difference between local and true time at simNow —
 // the residual error a perfect observer would see.
 func (c *Clock) ErrorAt(simNow time.Duration) time.Duration {
@@ -67,6 +64,8 @@ func (c *Clock) ErrorAt(simNow time.Duration) time.Duration {
 
 // OffsetBetween returns the instantaneous offset a measurement between two
 // hosts would need to correct: local(b) - local(a) at the same true instant.
+//
+//lint:allow unusedexport test-pinned by TestOffsetBetween; retire together
 func OffsetBetween(a, b *Clock, simNow time.Duration) time.Duration {
 	return b.Now(simNow) - a.Now(simNow)
 }
