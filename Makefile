@@ -5,9 +5,9 @@ GO ?= go
 # this floor. Raise it when coverage rises; never lower it to make a PR pass.
 COVER_FLOOR ?= 85.0
 
-.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke cover bench-shard test-shard experiments e15-artifact results-gate
+.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke loopback-smoke cover bench-shard test-shard experiments e15-artifact results-gate
 
-ci: vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke
+ci: vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke loopback-smoke
 
 # gofmt -l prints the files it would rewrite; any name is a failure.
 vet:
@@ -70,6 +70,14 @@ bench-test:
 # from being answered out of the test cache.)
 telemetry-smoke:
 	$(GO) test -count=1 -run '^TestTelemetryDump$$' ./cmd/hiperd ./cmd/experiments
+
+# The real-UDP tools run the same SNMP and NTTCP engines the simulator does,
+# behind a socket adapter: build them, start `snmpd -listen 127.0.0.1:0` and
+# `nttcp -serve 127.0.0.1:0`, read the address each prints, and require
+# `snmpget get|getnext|walk|set` and `nttcp -target … [-ping|-offset]` to
+# exit 0 with well-formed output. (`test` runs the same two tests.)
+loopback-smoke:
+	$(GO) test -count=1 -run '^TestLoopbackSmoke$$' ./cmd/nttcp ./cmd/snmpget
 
 # Statement coverage across ./internal/..., gated on COVER_FLOOR.
 cover:

@@ -45,6 +45,13 @@ func main() {
 	must(err)
 	trapGot := make(chan *snmp.Message, 1)
 	go snmp.ListenTraps(trapConn, func(m *snmp.Message, _ *net.UDPAddr) { trapGot <- m }) //lint:allow droperr listener ends with the socket
+	// The agent's trap destination: a UDP socket toward the station.
+	trapOut, err := net.DialUDP("udp", nil, trapConn.LocalAddr().(*net.UDPAddr))
+	must(err)
+	agent.AddTrapDestFunc(func(b []byte) {
+		_, err := trapOut.Write(b)
+		must(err)
+	})
 
 	// Manager: walk the whole MIB.
 	c := snmp.NewRealClient("public")
@@ -65,9 +72,8 @@ func main() {
 		v := int64(got[0].Value.Uint)
 		fmt.Printf("  poll %d: counter = %d\n", i+1, v)
 		if v >= 2 {
-			must(agent.SendTrapUDP(trapConn.LocalAddr().String(), mib.Enterprise, []byte{127, 0, 0, 1},
-				snmp.TrapEnterpriseSpecific, 1,
-				[]snmp.VarBind{{OID: mib.Enterprise.Append(1, 0), Value: mib.Counter(uint64(v))}}))
+			agent.SendTrap(mib.Enterprise, []byte{127, 0, 0, 1}, snmp.TrapEnterpriseSpecific, 1,
+				[]snmp.VarBind{{OID: mib.Enterprise.Append(1, 0), Value: mib.Counter(uint64(v))}})
 			break
 		}
 	}

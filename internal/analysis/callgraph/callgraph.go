@@ -10,7 +10,9 @@
 // — through interface methods or function-typed values — cannot be resolved
 // without points-to analysis and produce no edge; passes built on the graph
 // are therefore lint-grade underapproximations, never sources of false
-// positives from infeasible paths.
+// positives from infeasible paths. The one exception is a call through an
+// unexported named interface, which gets an edge to each implementation in
+// the interface's own package (see seamCallees).
 //
 // Functions are identified by Key, a string stable across how a package was
 // loaded (from source or from gc export data), so facts attached to nodes
@@ -102,9 +104,46 @@ func scanBody(body *ast.BlockStmt, info *types.Info, emit func(*types.Func)) {
 		}
 		if fn := StaticCallee(info, call); fn != nil {
 			emit(fn)
+		} else if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			// A method StaticCallee turned down is an interface's.
+			if fn, ok := info.Uses[sel.Sel].(*types.Func); ok {
+				seamCallees(fn, emit)
+			}
 		}
 		return true
 	})
+}
+
+// seamCallees resolves fn, a method of an unexported named interface, to
+// the same method of every type in the interface's package that implements
+// it. Nothing outside that package can name the interface to implement it,
+// so its own types are the whole set — which makes this the one dynamic
+// dispatch worth following. It is how facts cross a transport seam (snmp's
+// conn, nttcp's link): the protocol engine receives and sleeps through the
+// interface, and the simulator adapter behind it parks the proc.
+func seamCallees(fn *types.Func, emit func(*types.Func)) {
+	named, ok := fn.Type().(*types.Signature).Recv().Type().(*types.Named)
+	if !ok || named.Obj().Exported() {
+		return
+	}
+	scope := named.Obj().Pkg().Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		t, ok := tn.Type().(*types.Named)
+		if !ok || t.TypeParams().Len() > 0 || types.IsInterface(t) {
+			continue
+		}
+		ptr := types.NewPointer(t)
+		if !types.Implements(ptr, named.Underlying().(*types.Interface)) {
+			continue
+		}
+		if m, ok := types.NewMethodSet(ptr).Lookup(fn.Pkg(), fn.Name()).Obj().(*types.Func); ok {
+			emit(m)
+		}
+	}
 }
 
 // StaticCallee resolves the *types.Func a call expression statically invokes:

@@ -84,6 +84,51 @@ func TestGraphEdges(t *testing.T) {
 	}
 }
 
+// TestSeamEdges: a call through an unexported named interface gets an edge
+// to each implementation in the package — promoted methods included — and
+// a call through an exported one still gets none.
+func TestSeamEdges(t *testing.T) {
+	const src = `package p
+
+type proc struct{}
+
+func (*proc) Sleep() {}
+
+type seam interface {
+	recv()
+	Sleep()
+}
+
+type simSide struct{ *proc }
+
+func (*simSide) recv() {}
+
+type realSide struct{}
+
+func (realSide) recv()  {}
+func (realSide) Sleep() {}
+
+type bystander struct{}
+
+func (bystander) recv() {}
+
+type Open interface{ recv() }
+
+func engine(s seam, o Open) {
+	s.recv()
+	s.Sleep()
+	o.recv()
+}
+`
+	files, info := checkSrc(t, "p", src)
+	g := callgraph.New()
+	g.AddPackage(files, info)
+	want := []string{"(p.realSide).recv", "(*p.simSide).recv", "(p.realSide).Sleep", "(*p.proc).Sleep"}
+	if got := g.Nodes["p.engine"].Calls; !reflect.DeepEqual(got, want) {
+		t.Errorf("engine calls %v, want %v", got, want)
+	}
+}
+
 func keys(m map[string]*callgraph.Node) []string {
 	var out []string
 	for k := range m {

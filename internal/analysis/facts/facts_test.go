@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/facts"
 )
 
@@ -233,4 +234,45 @@ func (p *Proc) Sleep(d int64) {}
 		}
 	}
 	t.Fatal("Sleep not found")
+}
+
+// TestTransportSeamsKeepFacts: the SNMP manager and the NTTCP client reach
+// the simulator through an unexported interface (snmp's conn, nttcp's link),
+// which a purely static call graph would cut — and with it locksafe's and
+// maprange's knowledge that these entry points park the calling proc and
+// schedule its wake-up. Computed over the real packages, the facts must
+// still be there.
+func TestTransportSeamsKeepFacts(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := analysis.Load(fset, "../../..", "./internal/snmp", "./internal/nttcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := make([]facts.Source, len(pkgs))
+	byName := make(map[string]*types.Package)
+	for i, p := range pkgs {
+		srcs[i] = facts.Source{Files: p.Files, Info: p.Info}
+		byName[p.Name] = p.Types
+	}
+	db := facts.Compute(srcs)
+	const want = facts.MayYield | facts.SchedulesEvents
+	for _, m := range []struct{ pkg, typ, method string }{
+		{"snmp", "Client", "Get"},
+		{"snmp", "Client", "Walk"},
+		{"snmp", "Client", "BulkWalk"},
+		{"snmp", "Notifier", "Inform"},
+		{"nttcp", "Client", "Measure"},
+		{"nttcp", "Client", "Reachability"},
+	} {
+		recv := types.NewPointer(byName[m.pkg].Scope().Lookup(m.typ).Type())
+		obj, _, _ := types.LookupFieldOrMethod(recv, true, byName[m.pkg], m.method)
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			t.Errorf("%s.%s.%s not found", m.pkg, m.typ, m.method)
+			continue
+		}
+		if got := db.Lookup(fn); got&want != want {
+			t.Errorf("%s.%s.%s carries %v, want %v", m.pkg, m.typ, m.method, got, want)
+		}
+	}
 }

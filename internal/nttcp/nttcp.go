@@ -136,18 +136,6 @@ type Result struct {
 	Retransmissions int
 }
 
-// Server is the NTTCP responder: it echoes probes, participates in offset
-// exchanges, and measures incoming bursts, reporting receiver-side results.
-type Server struct {
-	Node *netsim.Node
-	Port netsim.Port
-
-	// Tests counts completed burst measurements.
-	Tests int
-
-	sock *netsim.UDPSock
-}
-
 type burstState struct {
 	received  int
 	bytes     int
@@ -157,191 +145,182 @@ type burstState struct {
 	expected  int
 }
 
-// StartServer spawns the responder on node:port.
-func StartServer(node *netsim.Node, port netsim.Port) *Server {
-	if port == 0 {
-		port = Port
-	}
-	s := &Server{Node: node, Port: port, sock: node.OpenUDP(port)}
-	node.Spawn("nttcp-server", func(p *sim.Proc) { s.serve(p) })
-	startStreamServer(node, port+StreamPortOffset)
-	return s
-}
-
 // burstKey identifies a burst by its originating endpoint as well as the
 // client's test ID, so concurrent clients cannot collide.
-type burstKey struct {
-	src    netsim.Addr
-	port   netsim.Port
+type burstKey[P comparable] struct {
+	from   P
 	testID uint32
 }
 
-func (s *Server) serve(p *sim.Proc) {
-	bursts := make(map[burstKey]*burstState)
-	for {
-		pkt, ok := s.sock.Recv(p, -1)
-		if !ok {
-			return
+// responder is the NTTCP responder's state machine: it echoes probes,
+// participates in offset exchanges, and measures incoming bursts, reporting
+// receiver-side results. The sim Server and RealServer feed it datagrams;
+// P is the transport's own comparable endpoint type, so the burst table
+// costs neither a string nor an interface per datagram. The zero value is
+// ready to use.
+type responder[P comparable] struct {
+	bursts map[burstKey[P]]*burstState
+}
+
+// handle consumes one datagram — size bytes on the wire (a simulated burst
+// message is larger than the payload it carries), arrived from a peer at
+// local clock time now — and returns the reply to send back, if any. done
+// reports a completed burst measurement.
+func (r *responder[P]) handle(from P, payload []byte, size int, now time.Duration) (reply header, done, ok bool) {
+	h, ok := decodeHeader(payload)
+	if !ok {
+		return header{}, false, false
+	}
+	key := burstKey[P]{from, h.testID}
+	switch h.typ {
+	case msgEcho:
+		return header{typ: msgEchoReply, testID: h.testID, seq: h.seq, t1: h.t1}, false, true
+	case msgOffsetProbe:
+		return header{typ: msgOffsetReply, testID: h.testID, seq: h.seq, t1: h.t1, t2: now}, false, true
+	case msgStart:
+		if r.bursts == nil {
+			r.bursts = make(map[burstKey[P]]*burstState)
 		}
-		h, ok := decodeHeader(pkt.Payload)
-		if !ok {
-			continue
-		}
-		key := burstKey{pkt.Src, pkt.SrcPort, h.testID}
-		switch h.typ {
-		case msgEcho:
-			s.reply(pkt, header{typ: msgEchoReply, testID: h.testID, seq: h.seq, t1: h.t1})
-		case msgOffsetProbe:
-			s.reply(pkt, header{typ: msgOffsetReply, testID: h.testID, seq: h.seq, t1: h.t1, t2: s.Node.LocalTime()})
-		case msgStart:
-			bursts[key] = &burstState{expected: int(h.extra)}
-			s.reply(pkt, header{typ: msgReady, testID: h.testID})
-		case msgData:
-			b := bursts[key]
-			if b == nil {
-				continue
-			}
-			now := s.Node.LocalTime()
+		r.bursts[key] = &burstState{expected: int(h.extra)}
+		return header{typ: msgReady, testID: h.testID}, false, true
+	case msgData:
+		if b := r.bursts[key]; b != nil {
 			if b.received == 0 {
 				b.firstAt = now
 			}
 			b.received++
-			b.bytes += pkt.Size
+			b.bytes += size
 			b.lastAt = now
 			b.sumRawLat += now - h.t1
-		case msgDataEnd:
-			b := bursts[key]
-			if b == nil {
-				continue
-			}
-			delete(bursts, key)
-			s.Tests++
-			span := b.lastAt - b.firstAt
-			var bps uint64
-			if span > 0 && b.received > 1 {
-				// Receiver-side throughput over the arrival span,
-				// excluding the first message's bytes (standard
-				// inter-arrival accounting).
-				bps = uint64(float64(b.bytes-b.bytes/b.received) * 8 / span.Seconds())
-			}
-			var meanRaw time.Duration
-			if b.received > 0 {
-				meanRaw = b.sumRawLat / time.Duration(b.received)
-			}
-			s.reply(pkt, header{
-				typ:    msgResult,
-				testID: h.testID,
-				seq:    uint32(b.received),
-				t1:     meanRaw,
-				extra:  bps,
-			})
 		}
+	case msgDataEnd:
+		b := r.bursts[key]
+		if b == nil {
+			break
+		}
+		delete(r.bursts, key)
+		span := b.lastAt - b.firstAt
+		var bps uint64
+		if span > 0 && b.received > 1 {
+			// Receiver-side throughput over the arrival span,
+			// excluding the first message's bytes (standard
+			// inter-arrival accounting).
+			bps = uint64(float64(b.bytes-b.bytes/b.received) * 8 / span.Seconds())
+		}
+		var meanRaw time.Duration
+		if b.received > 0 {
+			meanRaw = b.sumRawLat / time.Duration(b.received)
+		}
+		return header{typ: msgResult, testID: h.testID, seq: uint32(b.received), t1: meanRaw, extra: bps}, true, true
+	}
+	return header{}, false, false
+}
+
+// link is all the client engine sees of the network: a datagram endpoint
+// pointed at one responder, and its host's two clocks. The engine is
+// written once against it; simLink (below) and udpLink (real.go) are the
+// two implementations. SNMP needs other things of a transport and has its
+// own.
+type link interface {
+	// send queues h as a datagram of size bytes (at least the header).
+	send(h header, size int)
+	// recv returns the next datagram's payload, false after timeout.
+	recv(timeout time.Duration) ([]byte, bool)
+	// Now times deadlines and elapsed spans; localTime is the host clock
+	// stamped into messages, which on a simulated host drifts away from it
+	// (what the offset exchange is for).
+	Now() time.Duration
+	localTime() time.Duration
+	Sleep(d time.Duration)
+}
+
+// put sends h and charges the datagram to the measurement's overhead.
+func put(l link, res *Result, h header, size int) {
+	l.send(h, size)
+	res.OverheadBytes += int64(size) + netsim.HeaderOverhead
+	res.OverheadPackets++
+}
+
+// await receives until a typ message of test id — and, when seq >= 0, of
+// that sequence number — arrives or timeout passes; anything else is
+// skipped without extending the wait. A match is charged to res, if given.
+func await(l link, typ byte, id uint32, seq int, timeout time.Duration, res *Result) (header, bool) {
+	deadline := l.Now() + timeout
+	for {
+		remain := deadline - l.Now()
+		if remain <= 0 {
+			return header{}, false
+		}
+		b, ok := l.recv(remain)
+		if !ok {
+			return header{}, false
+		}
+		h, ok := decodeHeader(b)
+		if !ok || h.typ != typ || h.testID != id || seq >= 0 && h.seq != uint32(seq) {
+			continue
+		}
+		if res != nil {
+			res.OverheadBytes += headerSize + netsim.HeaderOverhead
+			res.OverheadPackets++
+		}
+		return h, true
 	}
 }
 
-func (s *Server) reply(req *netsim.Packet, h header) {
-	s.sock.SendTo(req.Src, req.SrcPort, h.encode())
-}
-
-// Client runs measurements from a node toward NTTCP servers.
-type Client struct {
-	Node   *netsim.Node
+// prober is the NTTCP client engine — burst configuration, test-id sequence
+// and the measurement procedures — that Client and RealClient embed.
+type prober struct {
 	Config Config
 
 	testID uint32
 }
 
-// NewClient returns a measurement client on node.
-func NewClient(node *netsim.Node, cfg Config) *Client {
-	return &Client{Node: node, Config: cfg.withDefaults()}
-}
-
-// Reachability sends one echo and reports whether a reply arrived within
+// reachability sends one echo and reports whether a reply arrived within
 // the timeout, with the round-trip time on success.
-func (c *Client) Reachability(p *sim.Proc, target netsim.Addr, port netsim.Port) (bool, time.Duration) {
-	if port == 0 {
-		port = Port
+func (pr *prober) reachability(l link) (bool, time.Duration) {
+	pr.testID++
+	id := pr.testID
+	start := l.Now()
+	l.send(header{typ: msgEcho, testID: id, t1: l.localTime()}, headerSize)
+	if _, ok := await(l, msgEchoReply, id, -1, pr.Config.Timeout, nil); !ok {
+		return false, 0
 	}
-	cfg := c.Config
-	sock := c.Node.OpenUDP(0)
-	defer sock.Close()
-	c.testID++
-	id := c.testID
-	start := p.Now()
-	sock.SendTo(target, port, header{typ: msgEcho, testID: id, t1: c.Node.LocalTime()}.encode())
-	for {
-		remain := cfg.Timeout - (p.Now() - start)
-		if remain <= 0 {
-			return false, 0
-		}
-		pkt, ok := sock.Recv(p, remain)
-		if !ok {
-			return false, 0
-		}
-		if h, ok2 := decodeHeader(pkt.Payload); ok2 && h.typ == msgEchoReply && h.testID == id {
-			return true, p.Now() - start
-		}
-	}
+	return true, l.Now() - start
 }
 
 // estimateOffset performs the per-measurement clock-offset exchange the
 // paper found "significantly intrusive compared to ... NTP" (§5.1.3).
-func (c *Client) estimateOffset(p *sim.Proc, sock *netsim.UDPSock, target netsim.Addr, port netsim.Port, id uint32, res *Result) (time.Duration, bool) {
-	cfg := c.Config
+func (pr *prober) estimateOffset(l link, id uint32, res *Result) (time.Duration, bool) {
 	var samples []vclock.Sample
-	for i := 0; i < cfg.OffsetSamples; i++ {
-		t1 := c.Node.LocalTime()
-		h := header{typ: msgOffsetProbe, testID: id, seq: uint32(i), t1: t1}
-		sock.SendTo(target, port, h.encode())
-		res.OverheadBytes += headerSize + netsim.HeaderOverhead
-		res.OverheadPackets++
-		deadline := p.Now() + cfg.Timeout
-		for {
-			remain := deadline - p.Now()
-			if remain <= 0 {
-				break
-			}
-			pkt, ok := sock.Recv(p, remain)
-			if !ok {
-				break
-			}
-			rh, ok2 := decodeHeader(pkt.Payload)
-			if !ok2 || rh.typ != msgOffsetReply || rh.seq != uint32(i) {
-				continue
-			}
-			res.OverheadBytes += headerSize + netsim.HeaderOverhead
-			res.OverheadPackets++
-			t4 := c.Node.LocalTime()
-			samples = append(samples, vclock.Sample{
-				Offset: vclock.EstimateOffset(rh.t1, rh.t2, t4),
-				RTT:    t4 - rh.t1,
-			})
-			break
+	for i := 0; i < pr.Config.OffsetSamples; i++ {
+		put(l, res, header{typ: msgOffsetProbe, testID: id, seq: uint32(i), t1: l.localTime()}, headerSize)
+		rh, ok := await(l, msgOffsetReply, id, i, pr.Config.Timeout, res)
+		if !ok {
+			continue
 		}
+		t4 := l.localTime()
+		samples = append(samples, vclock.Sample{
+			Offset: vclock.EstimateOffset(rh.t1, rh.t2, t4),
+			RTT:    t4 - rh.t1,
+		})
 	}
 	best, ok := vclock.BestSample(samples)
 	return best.Offset, ok
 }
 
-// Measure runs one burst measurement against target, mimicking the traffic
-// shape configured (the RTDS shape by default) and returns the metrics.
-func (c *Client) Measure(p *sim.Proc, target netsim.Addr, port netsim.Port) (res Result, err error) {
-	if port == 0 {
-		port = Port
-	}
-	cfg := c.Config
-	sock := c.Node.OpenUDP(0)
-	defer sock.Close()
-	c.testID++
-	id := c.testID
-	start := p.Now()
-	defer func() { res.Elapsed = p.Now() - start }()
+// measure runs one burst measurement over l, mimicking the traffic shape
+// configured (the RTDS shape by default), and returns the metrics; target
+// names the responder in errors.
+func (pr *prober) measure(l link, target string) (res Result, err error) {
+	cfg := pr.Config
+	pr.testID++
+	id := pr.testID
+	start := l.Now()
+	defer func() { res.Elapsed = l.Now() - start }()
 
 	// Control: announce the burst.
-	sock.SendTo(target, port, header{typ: msgStart, testID: id, extra: uint64(cfg.Count)}.encode())
-	res.OverheadBytes += headerSize + netsim.HeaderOverhead
-	res.OverheadPackets++
-	if !c.awaitType(p, sock, msgReady, id, cfg.Timeout, &res) {
+	put(l, &res, header{typ: msgStart, testID: id, extra: uint64(cfg.Count)}, headerSize)
+	if _, ok := await(l, msgReady, id, -1, cfg.Timeout, &res); !ok {
 		return res, fmt.Errorf("nttcp: %s: no response to start", target)
 	}
 	res.Reached = true
@@ -349,7 +328,7 @@ func (c *Client) Measure(p *sim.Proc, target netsim.Addr, port netsim.Port) (res
 	// Optional clock-offset exchange.
 	offset := cfg.KnownOffset
 	if cfg.ComputeOffset {
-		est, ok := c.estimateOffset(p, sock, target, port, id, &res)
+		est, ok := pr.estimateOffset(l, id, &res)
 		if !ok {
 			return res, fmt.Errorf("nttcp: %s: offset exchange failed", target)
 		}
@@ -359,20 +338,15 @@ func (c *Client) Measure(p *sim.Proc, target netsim.Addr, port netsim.Port) (res
 
 	// Data burst: Count messages of MsgLen every InterSend.
 	for i := 0; i < cfg.Count; i++ {
-		h := header{typ: msgData, testID: id, seq: uint32(i), t1: c.Node.LocalTime()}
-		sock.SendProto(target, port, h.encode(), cfg.MsgLen, netsim.UDP)
+		put(l, &res, header{typ: msgData, testID: id, seq: uint32(i), t1: l.localTime()}, cfg.MsgLen)
 		res.Sent++
-		res.OverheadBytes += int64(cfg.MsgLen) + netsim.HeaderOverhead
-		res.OverheadPackets++
-		p.Sleep(cfg.InterSend)
+		l.Sleep(cfg.InterSend)
 	}
 	// End marker and result collection (retry: the end marker itself can
 	// be lost under load).
 	for attempt := 0; attempt < 3; attempt++ {
-		sock.SendTo(target, port, header{typ: msgDataEnd, testID: id}.encode())
-		res.OverheadBytes += headerSize + netsim.HeaderOverhead
-		res.OverheadPackets++
-		if h, ok := c.awaitHeader(p, sock, msgResult, id, cfg.Timeout, &res); ok {
+		put(l, &res, header{typ: msgDataEnd, testID: id}, headerSize)
+		if h, ok := await(l, msgResult, id, -1, cfg.Timeout, &res); ok {
 			res.Received = int(h.seq)
 			res.ThroughputBps = float64(h.extra)
 			rawLat := h.t1
@@ -386,30 +360,125 @@ func (c *Client) Measure(p *sim.Proc, target netsim.Addr, port netsim.Port) (res
 	return res, fmt.Errorf("nttcp: %s: burst result lost", target)
 }
 
-func (c *Client) awaitType(p *sim.Proc, sock *netsim.UDPSock, typ byte, id uint32, timeout time.Duration, res *Result) bool {
-	_, ok := c.awaitHeader(p, sock, typ, id, timeout, res)
-	return ok
+// simPeer is a simulated endpoint: the responder's burst-table key and the
+// client adapter's destination.
+type simPeer struct {
+	addr netsim.Addr
+	port netsim.Port
 }
 
-func (c *Client) awaitHeader(p *sim.Proc, sock *netsim.UDPSock, typ byte, id uint32, timeout time.Duration, res *Result) (header, bool) {
-	deadline := p.Now() + timeout
-	for {
-		remain := deadline - p.Now()
-		if remain <= 0 {
-			return header{}, false
-		}
-		pkt, ok := sock.Recv(p, remain)
-		if !ok {
-			return header{}, false
-		}
-		h, ok2 := decodeHeader(pkt.Payload)
-		if !ok2 || h.typ != typ || h.testID != id {
-			continue
-		}
-		res.OverheadBytes += headerSize + netsim.HeaderOverhead
-		res.OverheadPackets++
-		return h, true
+// Server is the NTTCP responder on a simulated node.
+type Server struct {
+	Node *netsim.Node
+	Port netsim.Port
+
+	// Tests counts completed burst measurements.
+	Tests int
+
+	sock *netsim.UDPSock
+}
+
+// StartServer spawns the responder on node:port.
+func StartServer(node *netsim.Node, port netsim.Port) *Server {
+	if port == 0 {
+		port = Port
 	}
+	s := &Server{Node: node, Port: port, sock: node.OpenUDP(port)}
+	node.Spawn("nttcp-server", func(p *sim.Proc) { s.serve(p) })
+	startStreamServer(node, port+StreamPortOffset)
+	return s
+}
+
+func (s *Server) serve(p *sim.Proc) {
+	var r responder[simPeer]
+	for {
+		pkt, ok := s.sock.Recv(p, -1)
+		if !ok {
+			return
+		}
+		reply, done, ok := r.handle(simPeer{pkt.Src, pkt.SrcPort}, pkt.Payload, pkt.Size, s.Node.LocalTime())
+		if done {
+			s.Tests++
+		}
+		if ok {
+			s.sock.SendTo(pkt.Src, pkt.SrcPort, reply.encode())
+		}
+	}
+}
+
+// simLink runs the engine on the simulator: the calling proc (whose Now
+// and Sleep it promotes), its node's clock, a socket opened for the call
+// and the responder it is pointed at.
+type simLink struct {
+	*sim.Proc
+	node *netsim.Node
+	sock *netsim.UDPSock
+	to   simPeer
+}
+
+func (l *simLink) send(h header, size int) {
+	l.sock.SendProto(l.to.addr, l.to.port, h.encode(), size, netsim.UDP)
+}
+
+func (l *simLink) recv(timeout time.Duration) ([]byte, bool) {
+	pkt, ok := l.sock.Recv(l.Proc, timeout)
+	if !ok {
+		return nil, false
+	}
+	return pkt.Payload, true
+}
+
+func (l *simLink) localTime() time.Duration { return l.node.LocalTime() }
+
+// Client runs measurements from a node toward NTTCP servers.
+type Client struct {
+	Node *netsim.Node
+	prober
+
+	idle []*simLink // adapters between calls
+}
+
+// NewClient returns a measurement client on node.
+func NewClient(node *netsim.Node, cfg Config) *Client {
+	return &Client{Node: node, prober: prober{Config: cfg.withDefaults()}}
+}
+
+// dial opens a socket for one call and points an adapter at target:port.
+// Several procs can be inside one Client at once (hifi measures paths that
+// share a source concurrently), so socket and adapter are per call; hangUp
+// keeps the adapter, so that a measurement allocates nothing for the seam.
+func (c *Client) dial(p *sim.Proc, target netsim.Addr, port netsim.Port) *simLink {
+	if port == 0 {
+		port = Port
+	}
+	if len(c.idle) == 0 {
+		c.idle = append(c.idle, new(simLink))
+	}
+	l := c.idle[len(c.idle)-1]
+	c.idle = c.idle[:len(c.idle)-1]
+	*l = simLink{Proc: p, node: c.Node, sock: c.Node.OpenUDP(0), to: simPeer{target, port}}
+	return l
+}
+
+func (c *Client) hangUp(l *simLink) {
+	l.sock.Close()
+	c.idle = append(c.idle, l)
+}
+
+// Reachability sends one echo and reports whether a reply arrived within
+// the timeout, with the round-trip time on success.
+func (c *Client) Reachability(p *sim.Proc, target netsim.Addr, port netsim.Port) (bool, time.Duration) {
+	l := c.dial(p, target, port)
+	defer c.hangUp(l)
+	return c.reachability(l)
+}
+
+// Measure runs one burst measurement against target, mimicking the traffic
+// shape configured (the RTDS shape by default) and returns the metrics.
+func (c *Client) Measure(p *sim.Proc, target netsim.Addr, port netsim.Port) (Result, error) {
+	l := c.dial(p, target, port)
+	defer c.hangUp(l)
+	return c.measure(l, string(target))
 }
 
 // PeakOverheadBps returns the offered load of one active measurement with

@@ -24,9 +24,9 @@ type AgentStats struct {
 }
 
 // Agent serves a MIB tree using community authentication. The core request
-// processing is transport-neutral (Handle); ServeSim attaches it to a
-// simulated node and ServeFunc adapts any byte transport (the real-UDP
-// daemon in cmd/snmpd uses it).
+// processing is transport-neutral (Handle: request datagram in, response
+// datagram out); ServeSim feeds it from a simulated node's socket and
+// ServeUDP (real.go) from a real one, as cmd/snmpd does.
 type Agent struct {
 	Tree      *mib.Tree
 	Community string
@@ -224,9 +224,8 @@ func (a *Agent) AddTrapDestSim(n *netsim.Node, dst netsim.Addr, port netsim.Port
 	_ = agentIP
 }
 
-// AddTrapDestFunc registers an arbitrary trap transport (real UDP).
-//
-//lint:allow unusedexport test-pinned by TestAddTrapDestFunc; retire together
+// AddTrapDestFunc registers an arbitrary trap transport: SendTrap hands
+// send each encoded trap, which is how a real-UDP destination is attached.
 func (a *Agent) AddTrapDestFunc(send func([]byte)) {
 	a.trapSend = append(a.trapSend, send)
 }

@@ -29,8 +29,21 @@ type ClientStats struct {
 	StaleDrops uint64
 }
 
-// Client is a manager-side SNMP endpoint on a simulated node.
-type Client struct {
+// conn is all the manager engine sees of the network: a datagram endpoint
+// pointed at one agent, and that host's timer. The engine is written once
+// against it; simConn (below) and udpConn (real.go) are the two
+// implementations. NTTCP needs other things of a transport and has its own.
+type conn interface {
+	send(b []byte) error
+	// recv returns the next datagram's payload, false after timeout.
+	recv(timeout time.Duration) ([]byte, bool)
+	Now() time.Duration
+	Sleep(d time.Duration)
+}
+
+// manager is the SNMP manager engine — retry policy, counters and the one
+// request loop — that Client and RealClient embed and Notifier drives.
+type manager struct {
 	Community string
 	Version   Version
 	Timeout   time.Duration
@@ -40,100 +53,86 @@ type Client struct {
 	// before going back on the wire, so a congested segment is not
 	// hammered at a fixed cadence.
 	Backoff *resilience.Backoff
-	// Budget, when > 0, caps the total virtual time one request may spend
-	// across all attempts (listen windows and backoff waits included) — a
+	// Budget, when > 0, caps the total time one request may spend across
+	// all attempts (listen windows and backoff waits included) — a
 	// per-request deadline so a dead agent costs a bounded slice of the
 	// sweep, not Timeout·(Retries+1).
 	Budget time.Duration
 
 	Stats ClientStats
 
-	node  *netsim.Node
-	sock  *netsim.UDPSock
 	reqID int32
 }
 
-// NewClient opens a manager endpoint on node.
-func NewClient(node *netsim.Node, community string) *Client {
-	return &Client{
-		Community: community,
-		Version:   V2c,
-		Timeout:   500 * time.Millisecond,
-		Retries:   1,
-		node:      node,
-		sock:      node.OpenUDP(0),
-	}
-}
-
-// EnableTelemetry publishes Stats under prefix (e.g. "cots.snmp"), one
-// counter per field. A nil registry publishes nothing.
-func (c *Client) EnableTelemetry(reg *telemetry.Registry, prefix string) {
-	reg.CounterFunc(prefix+".requests", func() uint64 { return c.Stats.Requests })
-	reg.CounterFunc(prefix+".retries", func() uint64 { return c.Stats.Retries })
-	reg.CounterFunc(prefix+".timeouts", func() uint64 { return c.Stats.Timeouts })
-	reg.CounterFunc(prefix+".responses", func() uint64 { return c.Stats.Responses })
-	reg.CounterFunc(prefix+".stale_drops", func() uint64 { return c.Stats.StaleDrops })
-	reg.CounterFunc(prefix+".bytes_sent", func() uint64 { return c.Stats.BytesSent })
-	reg.CounterFunc(prefix+".bytes_recv", func() uint64 { return c.Stats.BytesRecv })
-}
-
-func (c *Client) request(p *sim.Proc, agent netsim.Addr, port netsim.Port, pdu PDU) (*Message, error) {
-	if port == 0 {
-		port = AgentPort
-	}
-	c.reqID++
-	pdu.RequestID = c.reqID
-	msg := &Message{Version: c.Version, Community: c.Community, PDU: pdu}
+func (m *manager) request(t conn, pdu PDU) (*Message, error) {
+	m.reqID++
+	pdu.RequestID = m.reqID
+	msg := &Message{Version: m.Version, Community: m.Community, PDU: pdu}
 	b := msg.Encode()
 	hard := time.Duration(-1) // absolute per-request deadline, <0 = none
-	if c.Budget > 0 {
-		hard = p.Now() + c.Budget
+	if m.Budget > 0 {
+		hard = t.Now() + m.Budget
 	}
-	for attempt := 0; attempt <= c.Retries; attempt++ {
+	for attempt := 0; attempt <= m.Retries; attempt++ {
 		if attempt > 0 {
-			if wait := c.Backoff.Delay(attempt - 1); wait > 0 {
-				if hard >= 0 && p.Now()+wait >= hard {
+			if wait := m.Backoff.Delay(attempt - 1); wait > 0 {
+				if hard >= 0 && t.Now()+wait >= hard {
 					break // budget would expire mid-wait: give up now
 				}
-				p.Sleep(wait)
+				t.Sleep(wait)
 			}
-			c.Stats.Retries++
+			m.Stats.Retries++
 		}
-		if hard >= 0 && p.Now() >= hard {
+		if hard >= 0 && t.Now() >= hard {
 			break
 		}
-		c.Stats.Requests++
-		c.Stats.BytesSent += uint64(len(b))
-		c.sock.SendTo(agent, port, b)
-		deadline := p.Now() + c.Timeout
+		m.Stats.Requests++
+		m.Stats.BytesSent += uint64(len(b))
+		if err := t.send(b); err != nil {
+			return nil, err
+		}
+		deadline := t.Now() + m.Timeout
 		if hard >= 0 && deadline > hard {
 			deadline = hard
 		}
 		for {
-			remain := deadline - p.Now()
+			remain := deadline - t.Now()
 			if remain <= 0 {
 				break
 			}
-			pkt, ok := c.sock.Recv(p, remain)
+			payload, ok := t.recv(remain)
 			if !ok {
 				break
 			}
-			resp, err := Decode(pkt.Payload)
+			resp, err := Decode(payload)
 			if err != nil || resp.PDU.Type != GetResponse {
 				continue
 			}
 			if resp.PDU.RequestID != pdu.RequestID {
 				// Stale response from an earlier retry.
-				c.Stats.StaleDrops++
+				m.Stats.StaleDrops++
 				continue
 			}
-			c.Stats.Responses++
-			c.Stats.BytesRecv += uint64(len(pkt.Payload))
+			m.Stats.Responses++
+			m.Stats.BytesRecv += uint64(len(payload))
 			return resp, nil
 		}
 	}
-	c.Stats.Timeouts++
+	m.Stats.Timeouts++
 	return nil, ErrTimeout
+}
+
+// exchange is one Get, GetNext or Set: a request whose answer carries an
+// error status, reported as an error naming the operation.
+func (m *manager) exchange(t conn, typ PDUType, binds []VarBind) ([]VarBind, error) {
+	resp, err := m.request(t, PDU{Type: typ, VarBinds: binds})
+	if err != nil {
+		return nil, err
+	}
+	if resp.PDU.ErrorStatus != ErrNoError {
+		return nil, fmt.Errorf("snmp: %s: error status %d at index %d", typ, resp.PDU.ErrorStatus, resp.PDU.ErrorIndex)
+	}
+	return resp.PDU.VarBinds, nil
 }
 
 func bindsFor(oids []mib.OID) []VarBind {
@@ -144,50 +143,11 @@ func bindsFor(oids []mib.OID) []VarBind {
 	return binds
 }
 
-// Get fetches exact OIDs from agent.
-func (c *Client) Get(p *sim.Proc, agent netsim.Addr, oids ...mib.OID) ([]VarBind, error) {
-	resp, err := c.request(p, agent, 0, PDU{Type: GetRequest, VarBinds: bindsFor(oids)})
-	if err != nil {
-		return nil, err
-	}
-	if resp.PDU.ErrorStatus != ErrNoError {
-		return nil, fmt.Errorf("snmp: get: error status %d at index %d", resp.PDU.ErrorStatus, resp.PDU.ErrorIndex)
-	}
-	return resp.PDU.VarBinds, nil
-}
-
-// GetNext fetches lexicographic successors.
-func (c *Client) GetNext(p *sim.Proc, agent netsim.Addr, oids ...mib.OID) ([]VarBind, error) {
-	resp, err := c.request(p, agent, 0, PDU{Type: GetNextRequest, VarBinds: bindsFor(oids)})
-	if err != nil {
-		return nil, err
-	}
-	if resp.PDU.ErrorStatus != ErrNoError {
-		return nil, fmt.Errorf("snmp: getnext: error status %d", resp.PDU.ErrorStatus)
-	}
-	return resp.PDU.VarBinds, nil
-}
-
-// GetBulk issues a bulk request (v2c).
-func (c *Client) GetBulk(p *sim.Proc, agent netsim.Addr, nonRepeaters, maxReps int, oids ...mib.OID) ([]VarBind, error) {
-	resp, err := c.request(p, agent, 0, PDU{
-		Type:        GetBulkRequest,
-		ErrorStatus: nonRepeaters,
-		ErrorIndex:  maxReps,
-		VarBinds:    bindsFor(oids),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.PDU.VarBinds, nil
-}
-
-// Walk retrieves every object under prefix using GetNext.
-func (c *Client) Walk(p *sim.Proc, agent netsim.Addr, prefix mib.OID) ([]VarBind, error) {
+func (m *manager) walk(t conn, prefix mib.OID) ([]VarBind, error) {
 	var out []VarBind
 	cur := prefix
 	for {
-		binds, err := c.GetNext(p, agent, cur)
+		binds, err := m.exchange(t, GetNextRequest, bindsFor([]mib.OID{cur}))
 		if err != nil {
 			return out, err
 		}
@@ -206,17 +166,18 @@ func (c *Client) Walk(p *sim.Proc, agent netsim.Addr, prefix mib.OID) ([]VarBind
 	}
 }
 
-// BulkWalk retrieves every object under prefix using GetBulk.
-func (c *Client) BulkWalk(p *sim.Proc, agent netsim.Addr, prefix mib.OID, maxReps int) ([]VarBind, error) {
+func (m *manager) bulkWalk(t conn, prefix mib.OID, maxReps int) ([]VarBind, error) {
 	var out []VarBind
 	cur := prefix
 	for {
-		binds, err := c.GetBulk(p, agent, 0, maxReps, cur)
+		// A bulk request carries max-repetitions in the error-index field
+		// and its response has no status to check.
+		resp, err := m.request(t, PDU{Type: GetBulkRequest, ErrorIndex: maxReps, VarBinds: bindsFor([]mib.OID{cur})})
 		if err != nil {
 			return out, err
 		}
 		progressed := false
-		for _, vb := range binds {
+		for _, vb := range resp.PDU.VarBinds {
 			if vb.Value.Kind == mib.KindEndOfMIB || !vb.OID.HasPrefix(prefix) {
 				return out, nil
 			}
@@ -228,6 +189,82 @@ func (c *Client) BulkWalk(p *sim.Proc, agent netsim.Addr, prefix mib.OID, maxRep
 			return out, nil
 		}
 	}
+}
+
+// simConn runs the engine on the simulator: the calling proc (whose Now
+// and Sleep it promotes), the endpoint's socket and the peer.
+type simConn struct {
+	*sim.Proc
+	sock *netsim.UDPSock
+	dst  netsim.Addr
+	port netsim.Port
+}
+
+func (s *simConn) send(b []byte) error {
+	s.sock.SendTo(s.dst, s.port, b)
+	return nil
+}
+
+func (s *simConn) recv(timeout time.Duration) ([]byte, bool) {
+	pkt, ok := s.sock.Recv(s.Proc, timeout)
+	if !ok {
+		return nil, false
+	}
+	return pkt.Payload, true
+}
+
+// Client is a manager-side SNMP endpoint on a simulated node: the manager
+// engine on one simulated socket.
+type Client struct {
+	manager
+
+	node *netsim.Node
+	conn simConn
+}
+
+// NewClient opens a manager endpoint on node.
+func NewClient(node *netsim.Node, community string) *Client {
+	return &Client{
+		manager: manager{Community: community, Version: V2c, Timeout: 500 * time.Millisecond, Retries: 1},
+		node:    node,
+		conn:    simConn{sock: node.OpenUDP(0), port: AgentPort},
+	}
+}
+
+// EnableTelemetry publishes Stats under prefix (e.g. "cots.snmp"), one
+// counter per field. A nil registry publishes nothing.
+func (c *Client) EnableTelemetry(reg *telemetry.Registry, prefix string) {
+	reg.CounterFunc(prefix+".requests", func() uint64 { return c.Stats.Requests })
+	reg.CounterFunc(prefix+".retries", func() uint64 { return c.Stats.Retries })
+	reg.CounterFunc(prefix+".timeouts", func() uint64 { return c.Stats.Timeouts })
+	reg.CounterFunc(prefix+".responses", func() uint64 { return c.Stats.Responses })
+	reg.CounterFunc(prefix+".stale_drops", func() uint64 { return c.Stats.StaleDrops })
+	reg.CounterFunc(prefix+".bytes_sent", func() uint64 { return c.Stats.BytesSent })
+	reg.CounterFunc(prefix+".bytes_recv", func() uint64 { return c.Stats.BytesRecv })
+}
+
+// to points the client's adapter at agent on behalf of p. A Client is
+// single-proc by construction — every call shares its socket and request-id
+// sequence — so one adapter, held by value, serves them all without
+// allocating.
+func (c *Client) to(p *sim.Proc, agent netsim.Addr) conn {
+	c.conn.Proc, c.conn.dst = p, agent
+	return &c.conn
+}
+
+// Get fetches exact OIDs from agent.
+func (c *Client) Get(p *sim.Proc, agent netsim.Addr, oids ...mib.OID) ([]VarBind, error) {
+	return c.exchange(c.to(p, agent), GetRequest, bindsFor(oids))
+}
+
+// Walk retrieves every object under prefix using GetNext.
+func (c *Client) Walk(p *sim.Proc, agent netsim.Addr, prefix mib.OID) ([]VarBind, error) {
+	return c.walk(c.to(p, agent), prefix)
+}
+
+// BulkWalk retrieves every object under prefix using GetBulk.
+func (c *Client) BulkWalk(p *sim.Proc, agent netsim.Addr, prefix mib.OID, maxReps int) ([]VarBind, error) {
+	return c.bulkWalk(c.to(p, agent), prefix, maxReps)
 }
 
 // TrapSinkStats tracks the lifecycle of traps that reached the application

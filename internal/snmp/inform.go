@@ -64,40 +64,23 @@ func NewNotifier(node *netsim.Node, dst netsim.Addr, port netsim.Port, community
 }
 
 // Inform sends one notification and blocks the proc until acknowledged or
-// the retry budget is exhausted.
+// the retry budget is exhausted. An inform is an ordinary confirmed request
+// — the station answers with a Response PDU — so it rides the manager's
+// request loop. InformAsync puts several procs in here at once, so engine
+// and adapter are per call; only the request-id sequence is shared.
 func (n *Notifier) Inform(p *sim.Proc, binds []VarBind) error {
-	n.reqID++
-	msg := &Message{Version: V2c, Community: n.Community}
-	msg.PDU = PDU{Type: InformRequest, RequestID: n.reqID, VarBinds: binds}
-	b := msg.Encode()
-	for attempt := 0; attempt <= n.Retries; attempt++ {
-		if attempt > 0 {
-			if wait := n.Backoff.Delay(attempt - 1); wait > 0 {
-				p.Sleep(wait)
-			}
-		}
-		n.Stats.Sent++
-		n.sock.SendTo(n.dst, n.port, b)
-		deadline := p.Now() + n.Timeout
-		for {
-			remain := deadline - p.Now()
-			if remain <= 0 {
-				break
-			}
-			pkt, ok := n.sock.Recv(p, remain)
-			if !ok {
-				break
-			}
-			resp, err := Decode(pkt.Payload)
-			if err != nil || resp.PDU.Type != GetResponse || resp.PDU.RequestID != msg.PDU.RequestID {
-				continue
-			}
-			n.Stats.Acked++
-			return nil
-		}
+	m := manager{Community: n.Community, Version: V2c, Timeout: n.Timeout,
+		Retries: n.Retries, Backoff: n.Backoff, reqID: n.reqID}
+	n.reqID++ // the id m.request takes
+	_, err := m.request(&simConn{Proc: p, sock: n.sock, dst: n.dst, port: n.port},
+		PDU{Type: InformRequest, VarBinds: binds})
+	n.Stats.Sent += m.Stats.Requests
+	if err != nil {
+		n.Stats.Failed++
+		return ErrInformDropped
 	}
-	n.Stats.Failed++
-	return ErrInformDropped
+	n.Stats.Acked++
+	return nil
 }
 
 // InformAsync fires an inform from its own proc (non-blocking for the

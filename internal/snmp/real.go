@@ -1,16 +1,18 @@
 package snmp
 
 import (
-	"fmt"
 	"net"
 	"time"
 
 	"repro/internal/mib"
 )
 
-// This file adapts the transport-neutral agent and message codec to real
-// UDP sockets, making cmd/snmpd and cmd/snmpget genuine SNMP tools (they
-// interoperate at the BER level with the covered v1/v2c subset).
+// This file is the package's real-UDP face and holds no protocol logic: the
+// agent's and the trap listener's socket loops, and udpConn, which runs the
+// manager engine of client.go on a real socket. It makes cmd/snmpd and
+// cmd/snmpget genuine SNMP tools (they interoperate at the BER level with
+// the covered v1/v2c subset), and only here may the package read the wall
+// clock.
 
 // ServeUDP runs the agent on a real UDP socket until the socket closes.
 func (a *Agent) ServeUDP(conn *net.UDPConn) error {
@@ -26,111 +28,75 @@ func (a *Agent) ServeUDP(conn *net.UDPConn) error {
 	}
 }
 
-// RealClient is a manager endpoint over real UDP.
-type RealClient struct {
-	Community string
-	Version   Version
-	Timeout   time.Duration
-	Retries   int
+// udpConn is the engine's conn over a real socket connected to one agent.
+// It owns the receive buffer: Decode copies what it keeps.
+type udpConn struct {
+	c     *net.UDPConn
+	buf   []byte
+	start time.Time
+}
 
-	reqID int32
+func (u *udpConn) send(b []byte) error {
+	_, err := u.c.Write(b)
+	return err
+}
+
+func (u *udpConn) recv(timeout time.Duration) ([]byte, bool) {
+	u.c.SetReadDeadline(time.Now().Add(timeout))
+	n, err := u.c.Read(u.buf)
+	if err != nil {
+		return nil, false
+	}
+	return u.buf[:n], true
+}
+
+func (u *udpConn) Now() time.Duration    { return time.Since(u.start) }
+func (u *udpConn) Sleep(d time.Duration) { time.Sleep(d) }
+
+// RealClient is a manager endpoint over real UDP: the same engine as
+// Client, on a socket dialled per operation.
+type RealClient struct {
+	manager
 }
 
 // NewRealClient returns a client with sane defaults.
 func NewRealClient(community string) *RealClient {
-	return &RealClient{Community: community, Version: V2c, Timeout: 2 * time.Second, Retries: 1}
+	return &RealClient{manager{Community: community, Version: V2c, Timeout: 2 * time.Second, Retries: 1}}
 }
 
-func (c *RealClient) request(agent string, pdu PDU) (*Message, error) {
+// over runs op on a socket connected to agent.
+func (c *RealClient) over(agent string, op func(conn) ([]VarBind, error)) ([]VarBind, error) {
 	ua, err := net.ResolveUDPAddr("udp", agent)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.DialUDP("udp", nil, ua)
+	uc, err := net.DialUDP("udp", nil, ua)
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	c.reqID++
-	pdu.RequestID = c.reqID
-	msg := &Message{Version: c.Version, Community: c.Community, PDU: pdu}
-	b := msg.Encode()
-	buf := make([]byte, 65536)
-	for attempt := 0; attempt <= c.Retries; attempt++ {
-		if _, err := conn.Write(b); err != nil {
-			return nil, err
-		}
-		conn.SetReadDeadline(time.Now().Add(c.Timeout))
-		for {
-			n, err := conn.Read(buf)
-			if err != nil {
-				break
-			}
-			resp, derr := Decode(buf[:n])
-			if derr != nil || resp.PDU.Type != GetResponse || resp.PDU.RequestID != pdu.RequestID {
-				continue
-			}
-			return resp, nil
-		}
-	}
-	return nil, ErrTimeout
+	defer uc.Close()
+	return op(&udpConn{c: uc, buf: make([]byte, 65536), start: time.Now()})
 }
 
 // Get fetches exact OIDs.
 func (c *RealClient) Get(agent string, oids ...mib.OID) ([]VarBind, error) {
-	resp, err := c.request(agent, PDU{Type: GetRequest, VarBinds: bindsFor(oids)})
-	if err != nil {
-		return nil, err
-	}
-	if resp.PDU.ErrorStatus != ErrNoError {
-		return nil, fmt.Errorf("snmp: get: error status %d", resp.PDU.ErrorStatus)
-	}
-	return resp.PDU.VarBinds, nil
+	return c.over(agent, func(t conn) ([]VarBind, error) { return c.exchange(t, GetRequest, bindsFor(oids)) })
 }
 
 // GetNext fetches lexicographic successors.
 func (c *RealClient) GetNext(agent string, oids ...mib.OID) ([]VarBind, error) {
-	resp, err := c.request(agent, PDU{Type: GetNextRequest, VarBinds: bindsFor(oids)})
-	if err != nil {
-		return nil, err
-	}
-	if resp.PDU.ErrorStatus != ErrNoError {
-		return nil, fmt.Errorf("snmp: getnext: error status %d", resp.PDU.ErrorStatus)
-	}
-	return resp.PDU.VarBinds, nil
+	return c.over(agent, func(t conn) ([]VarBind, error) { return c.exchange(t, GetNextRequest, bindsFor(oids)) })
 }
 
 // Set writes values.
 func (c *RealClient) Set(agent string, binds ...VarBind) error {
-	resp, err := c.request(agent, PDU{Type: SetRequest, VarBinds: binds})
-	if err != nil {
-		return err
-	}
-	if resp.PDU.ErrorStatus != ErrNoError {
-		return fmt.Errorf("snmp: set: error status %d at index %d", resp.PDU.ErrorStatus, resp.PDU.ErrorIndex)
-	}
-	return nil
+	_, err := c.over(agent, func(t conn) ([]VarBind, error) { return c.exchange(t, SetRequest, binds) })
+	return err
 }
 
 // Walk retrieves every object under prefix.
 func (c *RealClient) Walk(agent string, prefix mib.OID) ([]VarBind, error) {
-	var out []VarBind
-	cur := prefix
-	for {
-		binds, err := c.GetNext(agent, cur)
-		if err != nil {
-			return out, err
-		}
-		if len(binds) == 0 {
-			return out, nil
-		}
-		vb := binds[0]
-		if vb.Value.Kind == mib.KindEndOfMIB || !vb.OID.HasPrefix(prefix) {
-			return out, nil
-		}
-		out = append(out, vb)
-		cur = vb.OID
-	}
+	return c.over(agent, func(t conn) ([]VarBind, error) { return c.walk(t, prefix) })
 }
 
 // ListenTraps receives traps on a real UDP socket, invoking fn per trap,
@@ -148,31 +114,4 @@ func ListenTraps(conn *net.UDPConn, fn func(*Message, *net.UDPAddr)) error {
 		}
 		fn(msg, from)
 	}
-}
-
-// SendTrapUDP emits a v1 trap to a real UDP destination.
-func (a *Agent) SendTrapUDP(dst string, enterprise mib.OID, agentAddr []byte, generic, specific int, binds []VarBind) error {
-	ua, err := net.ResolveUDPAddr("udp", dst)
-	if err != nil {
-		return err
-	}
-	conn, err := net.DialUDP("udp", nil, ua)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	var ts uint32
-	if a.sysUp != nil {
-		ts = a.sysUp()
-	}
-	msg := &Message{Version: V1, Community: a.Community}
-	msg.PDU = PDU{
-		Type: TrapV1, Enterprise: enterprise, AgentAddr: agentAddr,
-		GenericTrap: generic, SpecificTrap: specific, Timestamp: ts, VarBinds: binds,
-	}
-	_, err = conn.Write(msg.Encode())
-	if err == nil {
-		a.Stats.TrapsSent++
-	}
-	return err
 }

@@ -81,11 +81,18 @@ func TestRealTrapDelivery(t *testing.T) {
 		default:
 		}
 	})
-	agent := NewAgent(demoTree(), "public")
-	if err := agent.SendTrapUDP(lc.LocalAddr().String(), mib.Enterprise,
-		[]byte{127, 0, 0, 1}, TrapEnterpriseSpecific, 42, nil); err != nil {
+	out, err := net.DialUDP("udp", nil, lc.LocalAddr().(*net.UDPAddr))
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer out.Close()
+	agent := NewAgent(demoTree(), "public")
+	agent.AddTrapDestFunc(func(b []byte) {
+		if _, err := out.Write(b); err != nil {
+			t.Error(err)
+		}
+	})
+	agent.SendTrap(mib.Enterprise, []byte{127, 0, 0, 1}, TrapEnterpriseSpecific, 42, nil)
 	select {
 	case m := <-got:
 		if m.PDU.SpecificTrap != 42 {

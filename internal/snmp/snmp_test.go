@@ -214,7 +214,7 @@ func TestSetReadOnly(t *testing.T) {
 	var resp *Message
 	var err error
 	client.node.Spawn("tester", func(p *sim.Proc) {
-		resp, err = client.request(p, "agent1", 0, PDU{Type: SetRequest,
+		resp, err = client.request(client.to(p, "agent1"), PDU{Type: SetRequest,
 			VarBinds: []VarBind{{OID: mib.SysDescr, Value: mib.Str("x")}}})
 	})
 	k.RunUntil(5 * time.Second)
