@@ -9,8 +9,9 @@ import (
 // TestTelemetryDump runs `-quick -telemetry json`: E13's instrumented chaos
 // run, dumped. The readers are resolved at dump time, so this is where a
 // wiring mistake in the cots + resilience stack would surface: the run must
-// exit 0 and print one JSON object with E13's 30 instruments and a sweep
-// trace. `make telemetry-smoke` runs exactly this.
+// exit 0 and print one JSON object with E13's 30 instruments, the kernel's
+// sim.proc_switches and a sweep trace. `make telemetry-smoke` runs exactly
+// this.
 func TestTelemetryDump(t *testing.T) {
 	out, err := exec.Command("go", "run", ".", "-quick", "-telemetry", "json").Output()
 	if err != nil {
@@ -23,8 +24,11 @@ func TestTelemetryDump(t *testing.T) {
 	if err := json.Unmarshal(out, &dump); err != nil {
 		t.Fatalf("stdout is not one JSON object: %v\n%s", err, out)
 	}
-	if len(dump.Instruments) != 30 || len(dump.Spans) == 0 {
-		t.Fatalf("%d instruments, %d spans; E13's table says 30 instruments and a sweep trace",
+	if len(dump.Instruments) != 31 || len(dump.Spans) == 0 {
+		t.Fatalf("%d instruments, %d spans; E13's table says 30 instruments and a sweep trace, and the kernel adds one",
 			len(dump.Instruments), len(dump.Spans))
+	}
+	if last := dump.Instruments[30]; last.Name != "sim.proc_switches" || last.Kind != "counter" {
+		t.Fatalf("last instrument is %+v, want the sim.proc_switches counter", last)
 	}
 }

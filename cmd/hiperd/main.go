@@ -5,12 +5,14 @@
 //
 //	hiperd -fail s2 -failat 10s -duration 40s
 //	hiperd -monitor hybrid -fail c1
+//	hiperd -duration 400s -cpuprofile hiperd.prof   # the benchmark's hiperd-rtds-hifi run, profiled
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/core"
@@ -33,6 +35,7 @@ func main() {
 	failAt := flag.Duration("failat", 10*time.Second, "failure time")
 	duration := flag.Duration("duration", 40*time.Second, "virtual time to run")
 	telem := flag.String("telemetry", "", "dump the stack's self-telemetry after the run (text | json)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run (set-up excluded) to this file")
 	flag.Parse()
 	if *telem != "" && *telem != "text" && *telem != "json" {
 		fmt.Fprintf(os.Stderr, "hiperd: unknown -telemetry format %q (use text or json)\n", *telem)
@@ -89,6 +92,7 @@ func main() {
 			EnableTelemetry(*telemetry.Registry, *telemetry.Tracer)
 		}
 		mon.(telemetric).EnableTelemetry(reg, tracer)
+		reg.CounterFunc("sim.proc_switches", k.ProcSwitches)
 	}
 	type startable interface{ Start() }
 	mon.(startable).Start()
@@ -154,7 +158,9 @@ func main() {
 		}
 		say("status: %d/9 clients with fresh track data; %d engagements logged", fresh, engagements)
 	})
+	stopProfile := profileCPU(*cpuProfile)
 	k.RunUntil(*duration)
+	stopProfile()
 	timelineTick.Stop()
 	statusTick.Stop()
 
@@ -191,5 +197,28 @@ func main() {
 		fmt.Print(", \"spans\": ")
 		tracer.WriteJSON(os.Stdout)
 		fmt.Println("}")
+	}
+}
+
+// profileCPU starts a CPU profile into path and returns the function that
+// finishes it; with no path both do nothing.
+func profileCPU(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.StartCPUProfile(f)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hiperd: -cpuprofile: %v\n", err)
+		os.Exit(2)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "hiperd: -cpuprofile: %v\n", err)
+			os.Exit(2)
+		}
 	}
 }

@@ -27,6 +27,7 @@ type e13Outcome struct {
 	Sweeps        int
 	FastFails     uint64
 	Records       uint64
+	ProcSwitches  uint64 // kernel switches into procs: the run's control flow, counted
 
 	// Self-telemetry readings.
 	Instruments int
@@ -102,6 +103,7 @@ func runE13(quick, telemetryOn bool) e13Outcome {
 		Sweeps:        m.Sweeps,
 		FastFails:     m.RStats.FastFailedPolls,
 		Records:       m.DB.Records,
+		ProcSwitches:  k.ProcSwitches(),
 		Instruments:   reg.Len(),
 		Spans:         tracer.Total(),
 		reg:           reg,
@@ -111,9 +113,12 @@ func runE13(quick, telemetryOn bool) e13Outcome {
 
 // CollectTelemetry runs the instrumented E13 chaos scenario once and
 // returns the populated registry and tracer, for cmd/experiments'
-// -telemetry export.
+// -telemetry export. The export carries one instrument more than E13's
+// table counts: the kernel's own sim.proc_switches, registered here so that
+// the table's 30 stays the monitor stack's.
 func CollectTelemetry(quick bool) (*telemetry.Registry, *telemetry.Tracer) {
 	out := runE13(quick, true)
+	out.reg.CounterFunc("sim.proc_switches", func() uint64 { return out.ProcSwitches })
 	return out.reg, out.tracer
 }
 

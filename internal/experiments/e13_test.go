@@ -24,6 +24,9 @@ func TestE13ZeroPerturbation(t *testing.T) {
 	if off.Records != on.Records {
 		t.Errorf("db records perturbed: off %d, on %d", off.Records, on.Records)
 	}
+	if off.ProcSwitches != on.ProcSwitches || on.ProcSwitches == 0 {
+		t.Errorf("proc switches perturbed or uncounted: off %d, on %d", off.ProcSwitches, on.ProcSwitches)
+	}
 	if off.Instruments != 0 || off.Spans != 0 {
 		t.Errorf("disabled run reported instruments=%d spans=%d, want 0/0", off.Instruments, off.Spans)
 	}

@@ -30,6 +30,38 @@ func TestAfterArgAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestProcSwitchAllocatesNothing: once a proc's coroutine exists, switching
+// into it and back costs no allocation, by either road into resumeProc — the
+// wake-up event of a Sleep, and a Put that finds the proc blocked in Get.
+func TestProcSwitchAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	q := NewQueue[int](k, 0)
+	k.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(time.Millisecond)
+		}
+	})
+	k.Spawn("consumer", func(p *Proc) {
+		for {
+			q.Get(p, -1)
+		}
+	})
+	round := func() {
+		q.Put(1)
+		k.RunUntil(k.Now() + time.Millisecond)
+	}
+	round()
+	round()
+	before := k.ProcSwitches()
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("a Sleep round trip plus a Put -> blocked-Get wake allocate %v objects, want 0", n)
+	}
+	if got := k.ProcSwitches() - before; got != 2*201 {
+		t.Fatalf("%d proc switches over 201 rounds, want one per proc per round", got)
+	}
+}
+
 func TestQueuePutGetAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

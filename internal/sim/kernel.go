@@ -2,14 +2,16 @@
 // simulation kernel.
 //
 // A Kernel owns a virtual clock and an event queue. Simulated activities are
-// written as ordinary sequential Go code running in a Proc: a goroutine that
+// written as ordinary sequential Go code running in a Proc: a coroutine that
 // the kernel schedules cooperatively, one at a time, so that all simulated
 // state is accessed without data races and every run with the same seed is
 // bit-for-bit reproducible.
 //
-// Procs block on Proc.Sleep and on Queue operations; while a Proc runs, the
-// kernel waits, so at most one Proc executes at any instant. Time advances
-// only between events.
+// Procs block on Proc.Sleep and on Queue operations. Resuming a Proc is a
+// direct switch from the kernel's dispatch loop into the Proc's stack on the
+// same thread, and blocking is the switch back — no channel, no scheduler
+// wake-up — so at most one Proc executes at any instant and a process switch
+// costs about what two events do. Time advances only between events.
 //
 // The scheduler is allocation-free in steady state: fired and cancelled
 // events return to a free list and are recycled by later At/After/Every
@@ -23,6 +25,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"time"
 )
 
@@ -33,12 +36,15 @@ type Kernel struct {
 	now     time.Duration
 	seq     uint64
 	events  eventQueue
-	free    []*event      // recycled events awaiting reuse
-	parked  chan struct{} // signalled when the running proc parks or ends
-	procs   map[*Proc]struct{}
+	free    []*event // recycled events awaiting reuse
 	running bool
 	closed  bool
 	nprocs  int // procs spawned over the kernel lifetime (for naming)
+
+	// firstLive..lastLive is the list of procs that have not finished, in
+	// spawn order: the order Close unwinds them in.
+	firstLive, lastLive *Proc
+	procSwitches        uint64
 
 	// group/shard are set when the kernel is one wheel of a ShardGroup;
 	// Run/RunUntil/Close then drive the whole group so that member kernels
@@ -48,12 +54,7 @@ type Kernel struct {
 }
 
 // NewKernel returns an empty kernel with the clock at zero.
-func NewKernel() *Kernel {
-	return &Kernel{
-		parked: make(chan struct{}),
-		procs:  make(map[*Proc]struct{}),
-	}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time as an offset from the start of the
 // simulation.
@@ -198,8 +199,15 @@ func (k *Kernel) release(ev *event) {
 }
 
 // Spawn creates a new simulated process that begins executing fn at the
-// current virtual time. The name labels the Proc in a debugger; nothing reads
-// it at run time.
+// current virtual time. The name labels the Proc in a debugger and in the
+// message of a panic that escapes fn; nothing else reads it.
+//
+// A panic in fn ends the proc and surfaces from the Run or RunUntil call that
+// resumed it, on that caller's goroutine (for a multi-shard ShardGroup, the
+// shard's worker goroutine), where it can be recovered; the kernel is left
+// idle and can still be run and closed. The value that surfaces is an error
+// whose message names the proc and carries fn's panic value and the proc's
+// stack, which the switch back to the caller would otherwise lose.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	if k.closed {
 		panic("sim: Spawn on closed kernel")
@@ -208,26 +216,48 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	if name == "" {
 		name = fmt.Sprintf("proc-%d", k.nprocs)
 	}
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	k.procs[p] = struct{}{}
-	go func() {
-		<-p.resume
-		if !p.killed {
-			func() {
-				defer func() {
-					if r := recover(); r != nil && r != errKilled {
-						panic(r)
-					}
-				}()
-				fn(p)
-			}()
-		}
-		p.done = true
-		delete(k.procs, p)
-		k.parked <- struct{}{}
-	}()
+	p := &Proc{k: k, name: name}
+	p.next, p.stop = newCoroutine(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer k.retire(p)
+		defer func() {
+			if r := recover(); r != nil && r != errKilled {
+				// The coroutine's stack is gone by the time Run's caller
+				// sees the panic, so it travels in the value.
+				panic(fmt.Errorf("sim: proc %q panicked: %v\n\n%s", p.name, r, debug.Stack()))
+			}
+		}()
+		fn(p)
+	})
+	p.prevLive = k.lastLive
+	if k.lastLive != nil {
+		k.lastLive.nextLive = p
+	} else {
+		k.firstLive = p
+	}
+	k.lastLive = p
 	k.AtArg(k.now, wakeProc, p)
 	return p
+}
+
+// retire marks p finished and takes it off the live list. A proc retires
+// itself as its function returns or panics; closeLocal retires the rest.
+func (k *Kernel) retire(p *Proc) {
+	if p.done {
+		return
+	}
+	p.done = true
+	if p.prevLive != nil {
+		p.prevLive.nextLive = p.nextLive
+	} else {
+		k.firstLive = p.nextLive
+	}
+	if p.nextLive != nil {
+		p.nextLive.prevLive = p.prevLive
+	} else {
+		k.lastLive = p.prevLive
+	}
+	p.prevLive, p.nextLive = nil, nil
 }
 
 // wakeProc is the event function that resumes a proc: Spawn, Sleep and queue
@@ -237,7 +267,7 @@ func wakeProc(arg any) {
 	p.k.resumeProc(p)
 }
 
-// resumeProc hands control to p and blocks until p parks again or finishes.
+// resumeProc switches to p and returns when p parks again or finishes.
 // It must only be called from event context (inside Run).
 //
 //perf:noalloc
@@ -245,9 +275,14 @@ func (k *Kernel) resumeProc(p *Proc) {
 	if p.done {
 		return
 	}
-	p.resume <- struct{}{}
-	<-k.parked
+	k.procSwitches++
+	p.next()
 }
+
+// ProcSwitches reports how many times the kernel has switched into a proc:
+// one per wake-up that found its proc alive, each paired with the switch
+// back when the proc parks or ends.
+func (k *Kernel) ProcSwitches() uint64 { return k.procSwitches }
 
 // maxTime is the largest representable virtual time: the bound that makes
 // runBefore drain the queue.
@@ -255,7 +290,7 @@ const maxTime = time.Duration(1<<63 - 1)
 
 // Run executes events until the queue is empty. It returns the number of
 // events processed. Procs blocked without timeouts when the queue drains
-// simply remain parked; call Close to release them.
+// simply remain parked; call Close to unwind them.
 //
 // For a kernel that is a member of a ShardGroup, Run drives the whole group
 // (all shards advance together under the lookahead protocol) and returns
@@ -341,7 +376,9 @@ func (k *Kernel) peekNext() (time.Duration, bool) {
 	return k.events.a[0].at, true
 }
 
-// Close terminates all parked procs and releases their goroutines. The
+// Close ends every live proc, in spawn order: one parked mid-function
+// unwinds from where it blocked, running its deferred calls; one that never
+// started never runs. Afterwards no coroutine of the kernel is left. The
 // kernel must not be used afterwards. It is safe to call more than once.
 // Closing a grouped kernel closes the whole ShardGroup: member kernels
 // only ever live and die together.
@@ -359,10 +396,9 @@ func (k *Kernel) closeLocal() {
 		return
 	}
 	k.closed = true
-	for p := range k.procs {
-		p.killed = true
-		p.resume <- struct{}{}
-		<-k.parked
+	for p := k.firstLive; p != nil; p = k.firstLive {
+		k.retire(p)
+		p.stop()
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -380,21 +383,143 @@ func TestQueueDrain(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesParkedProcs: Close unwinds a proc parked mid-function
+// from where it blocked; its deferred cleanup runs, once, and Close a second
+// time finds nothing left to do.
 func TestCloseReleasesParkedProcs(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k, 0)
-	cleanedUp := false
+	cleanups, returned := 0, false
 	k.Spawn("stuck", func(p *Proc) {
-		defer func() { cleanedUp = true }()
+		defer func() { cleanups++ }()
 		q.Get(p, -1) // never satisfied
+		returned = true
 	})
 	k.Run()
-	k.Close()
-	if cleanedUp {
-		t.Log("deferred cleanup ran on Close") // defers are skipped by design: the panic sentinel unwinds
+	if cleanups != 0 {
+		t.Fatal("deferred cleanup ran while the proc was still parked")
 	}
-	if len(k.procs) != 0 {
-		t.Fatalf("procs remaining after Close: %d", len(k.procs))
+	k.Close()
+	k.Close()
+	if cleanups != 1 || returned {
+		t.Fatalf("after Close: cleanup ran %d times (want 1), Get returned = %v (want an unwind, not a return)", cleanups, returned)
+	}
+	if k.firstLive != nil || k.lastLive != nil {
+		t.Fatal("procs remaining on the live list after Close")
+	}
+}
+
+// TestCloseUnwindsInSpawnOrder: Close ends a kernel's procs — parked ones by
+// unwinding, ones whose start event has not fired by never running them — in
+// the order they were spawned, whatever order they last ran or exited in.
+func TestCloseUnwindsInSpawnOrder(t *testing.T) {
+	k := NewKernel()
+	var unwound []int
+	for i := 0; i < 8; i++ {
+		i := i
+		k.Spawn("", func(p *Proc) {
+			if i%3 == 0 {
+				return // exits during the run: leaves the middle of the list
+			}
+			defer func() { unwound = append(unwound, i) }()
+			p.Sleep(time.Duration(8-i) * time.Second) // last spawned wakes first
+			p.Sleep(time.Hour)
+		})
+	}
+	k.RunUntil(10 * time.Second)
+	ran := false
+	k.Spawn("unstarted", func(p *Proc) { ran = true })
+	k.Close()
+	if want := []int{1, 2, 4, 5, 7}; !reflect.DeepEqual(unwound, want) {
+		t.Fatalf("unwind order %v, want spawn order %v", unwound, want)
+	}
+	if ran {
+		t.Fatal("a proc whose start event never fired ran its function on Close")
+	}
+	if k.firstLive != nil {
+		t.Fatal("procs remaining on the live list after Close")
+	}
+}
+
+// TestCloseLeavesNoGoroutines: every proc's coroutine is backed by a
+// goroutine of the runtime's; Close must leave none behind, whether the proc
+// had finished, was parked, or had never started.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	q := NewQueue[int](k, 0)
+	for i := 0; i < 10; i++ {
+		k.Spawn("finished", func(p *Proc) { p.Sleep(time.Millisecond) })
+		k.Spawn("sleeping", func(p *Proc) { p.Sleep(time.Hour) })
+		k.Spawn("waiting", func(p *Proc) { q.Get(p, -1) })
+	}
+	k.RunUntil(time.Second)
+	for i := 0; i < 10; i++ {
+		k.Spawn("unstarted", func(p *Proc) { t.Error("unstarted proc ran") })
+	}
+	if n := runtime.NumGoroutine(); n < base+30 {
+		t.Fatalf("%d goroutines with 30 live procs over a baseline of %d: the test no longer measures what Close must release", n, base)
+	}
+	k.Close()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after Close, %d before NewKernel", n, base)
+	}
+}
+
+// TestProcPanicSurfacesFromRun: a panic in a proc comes out of the Run that
+// resumed it, on the caller's goroutine, where it can be recovered, as an
+// error that names the proc and shows the value panicked with and the proc's
+// stack; the proc is finished, the kernel idle, and both Run and Close still
+// work.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	k := NewKernel()
+	cleanups := 0
+	k.Spawn("bystander", func(p *Proc) {
+		defer func() { cleanups++ }()
+		p.Sleep(time.Hour)
+	})
+	bad := k.Spawn("bad", func(p *Proc) {
+		defer func() { cleanups++ }()
+		p.Sleep(time.Second)
+		panic("boom")
+	})
+	ticks := 0
+	k.Every(time.Second, func() { ticks++ })
+	func() {
+		defer func() {
+			err, _ := recover().(error)
+			if err == nil {
+				t.Fatal("RunUntil did not surface the proc's panic as an error")
+			}
+			for _, want := range []string{`proc "bad"`, "boom", "TestProcPanicSurfacesFromRun.func"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("panic message lacks %q:\n%v", want, err)
+				}
+			}
+		}()
+		k.RunUntil(time.Minute)
+		t.Fatal("RunUntil returned past a panicking proc")
+	}()
+	if !bad.done || cleanups != 1 {
+		t.Fatalf("panicked proc: done = %v, %d cleanups ran (want true, 1)", bad.done, cleanups)
+	}
+	if k.firstLive == bad || k.lastLive == bad || k.firstLive != k.lastLive {
+		t.Fatal("panicked proc still on the live list")
+	}
+	if k.running {
+		t.Fatal("kernel still marked running after the panic unwound Run")
+	}
+	// The kernel carries on from the instant of the panic.
+	if k.Now() != time.Second {
+		t.Fatalf("clock at %v after the panic, want 1s", k.Now())
+	}
+	k.RunUntil(10 * time.Second)
+	if ticks < 9 {
+		t.Fatalf("%d ticks by 10s: the kernel did not keep running after the panic", ticks)
+	}
+	k.Close()
+	if cleanups != 2 || k.firstLive != nil {
+		t.Fatalf("after Close: %d cleanups (want 2), live list empty = %v", cleanups, k.firstLive == nil)
 	}
 }
 

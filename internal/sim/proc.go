@@ -5,18 +5,28 @@ import (
 	"time"
 )
 
-// errKilled is the sentinel panic value used to unwind a Proc goroutine when
-// the kernel is closed.
+// errKilled is the sentinel panic value that unwinds a Proc parked when its
+// kernel closes: park raises it, the proc's deferred calls run, and the
+// coroutine body swallows it.
 var errKilled = errors.New("sim: proc killed")
 
-// Proc is a simulated sequential process. Its methods must only be called
-// from within the process's own function.
+// Proc is a simulated sequential process: a coroutine the kernel switches to
+// when one of the proc's wake-up events fires and that switches back when it
+// blocks. Its methods must only be called from within the process's own
+// function.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-	done   bool
-	killed bool
+	k    *Kernel
+	name string
+	done bool
+
+	// The coroutine (see newCoroutine): the kernel calls next to run the proc
+	// up to its next park and stop to unwind it; the proc calls yield to park.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	// Links of the kernel's spawn-ordered list of live procs.
+	prevLive, nextLive *Proc
 }
 
 // Now returns the current virtual time.
@@ -26,10 +36,8 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 //
 //perf:noalloc
 func (p *Proc) park() {
-	p.k.parked <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(errKilled)
+	if !p.yield(struct{}{}) {
+		panic(errKilled) // the kernel is closing
 	}
 }
 

@@ -241,8 +241,8 @@ func lessMsg(a, b xmsg) bool {
 	return a.seq < b.seq
 }
 
-// Close tears down every shard kernel (releasing parked procs) and the
-// group. It is safe to call more than once.
+// Close tears down every shard kernel (unwinding its live procs, shard by
+// shard in index order) and the group. It is safe to call more than once.
 func (g *ShardGroup) Close() {
 	if g.closed {
 		return
@@ -253,10 +253,11 @@ func (g *ShardGroup) Close() {
 	}
 }
 
-// workerSet owns one goroutine per shard for the duration of a run; each
-// window is a pair of channel operations per active shard. Worker
-// goroutines exist so that shard procs (which park/resume against their own
-// kernel) always find a scheduler thread to hand control back to.
+// workerSet owns one goroutine per shard for the duration of a run, so that
+// shards execute a window in parallel; each window is a pair of channel
+// operations per active shard. A shard's procs are coroutines of whichever
+// goroutine is running the shard's dispatch loop — here its worker, a
+// different one each run — so a proc's panic surfaces on the worker.
 type workerSet struct {
 	work       []chan time.Duration // window bound for the shard to run up to
 	done       []chan int

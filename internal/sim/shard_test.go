@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -297,25 +298,21 @@ func TestNewShardGroupValidation(t *testing.T) {
 	}
 }
 
-// TestGroupedCloseReleasesAllShards: Close via any member releases parked
-// procs on every shard.
+// TestGroupedCloseReleasesAllShards: Close via any member unwinds parked
+// procs on every shard, shard by shard, before it returns.
 func TestGroupedCloseReleasesAllShards(t *testing.T) {
 	g := NewShardGroup(2, time.Millisecond)
-	released := make(chan int, 2)
+	var released []int
 	for s := 0; s < 2; s++ {
 		s := s
 		g.Shard(s).Spawn("parked", func(p *Proc) {
-			defer func() { released <- s }()
+			defer func() { released = append(released, s) }()
 			p.Sleep(time.Hour)
 		})
 	}
 	g.Shard(0).RunUntil(time.Millisecond)
 	g.Shard(1).Close() // member Close must close the whole group
-	for i := 0; i < 2; i++ {
-		select {
-		case <-released:
-		case <-time.After(5 * time.Second): //lint:allow wallclock test watchdog only
-			t.Fatal("parked procs not released by group close")
-		}
+	if !reflect.DeepEqual(released, []int{0, 1}) {
+		t.Fatalf("procs unwound by group close: shards %v, want [0 1]", released)
 	}
 }
