@@ -5,6 +5,8 @@
 // (-j workers, one per CPU by default); each owns an independent simulation
 // kernel, so output is printed in experiment order and is byte-identical at
 // any worker count.
+//
+//	experiments -quick -j 1 -cpuprofile exp.prof E5 E9 A3   # the Get-under-load, Walk and BulkWalk shapes, profiled
 package main
 
 import (
@@ -12,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/experiments"
@@ -29,6 +32,7 @@ func main() {
 	telem := flag.String("telemetry", "", "instead of tables, run the instrumented chaos scenario and dump its self-telemetry (text | json)")
 	resultsPath := flag.String("results", "", "append schema-versioned JSONL result envelopes to this file (one record per table row, or per sample batch with -scenario)")
 	scenario := flag.String("scenario", "", "instead of tables, run the named comparison scenario and stream its result envelopes to -results (see -list)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	flag.Parse()
 
 	experiments.SetShards(*shards)
@@ -103,7 +107,10 @@ func main() {
 		defer f.Close()
 		resW = results.NewWriter(f, "suite", *shards, runMeta())
 	}
-	for i, r := range experiments.RunAll(selected, *quick, *workers) {
+	stopProfile := profileCPU(*cpuProfile)
+	ran := experiments.RunAll(selected, *quick, *workers)
+	stopProfile()
+	for i, r := range ran {
 		if resW != nil {
 			// Tables convert to envelopes after the fact, so recording can
 			// never perturb an experiment's outcome.
@@ -140,6 +147,29 @@ func main() {
 	}
 	if *jsonOut {
 		fmt.Println("\n]")
+	}
+}
+
+// profileCPU starts a CPU profile into path and returns the function that
+// finishes it; with no path both do nothing.
+func profileCPU(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.StartCPUProfile(f)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: -cpuprofile: %v\n", err)
+		os.Exit(2)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: -cpuprofile: %v\n", err)
+			os.Exit(2)
+		}
 	}
 }
 

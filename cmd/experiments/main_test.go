@@ -2,9 +2,35 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"testing"
 )
+
+// TestCPUProfileFlag: -cpuprofile leaves a profile `go tool pprof` can read
+// (a non-empty gzip stream) of the experiments named — here E9's Walk — and
+// the tables still print; an unwritable path is refused with exit status 2.
+func TestCPUProfileFlag(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	out, err := exec.Command("go", "run", ".", "-quick", "-cpuprofile", prof, "E9").Output()
+	if err != nil || len(out) == 0 {
+		t.Fatalf("experiments -cpuprofile: %v, %d bytes of tables", err, len(out))
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("profile is %d bytes and does not start with the gzip magic", len(b))
+	}
+	err = exec.Command("go", "run", ".", "-quick", "-cpuprofile", filepath.Join(prof, "under-a-file"), "E9").Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) {
+		t.Fatalf("unwritable -cpuprofile path: %v, want a failing exit", err)
+	}
+}
 
 // TestTelemetryDump runs `-quick -telemetry json`: E13's instrumented chaos
 // run, dumped. The readers are resolved at dump time, so this is where a

@@ -4,7 +4,8 @@
 // and the SNMP application types (IpAddress, Counter32, Gauge32, TimeTicks,
 // Opaque, Counter64).
 //
-// Encoding is append-style over byte slices; decoding uses a cursor Reader.
+// Encoding is append-style over one byte slice (a constructed value's
+// children go between BeginTLV and EndTLV); decoding uses a cursor Reader.
 // The package is wire-compatible with real SNMP agents for the covered
 // subset.
 package asn1ber
@@ -12,6 +13,8 @@ package asn1ber
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Universal and SNMP application tags.
@@ -58,6 +61,27 @@ func AppendTLV(dst []byte, tag byte, content []byte) []byte {
 	return append(dst, content...)
 }
 
+// BeginTLV opens a TLV whose content the caller appends next, and returns
+// where it starts: what EndTLV takes once the content is written.
+func BeginTLV(dst []byte, tag byte) ([]byte, int) { return append(dst, tag, 0), len(dst) }
+
+// EndTLV closes the TLV opened at dst[start] by patching its length in. A
+// content of 128 octets or more is moved up to make room for the long form:
+// the bytes are the minimal encoding AppendTLV would have written.
+func EndTLV(dst []byte, start int) []byte {
+	n := len(dst) - start - 2
+	if n < 0x80 {
+		dst[start+1] = byte(n)
+		return dst
+	}
+	var tmp [9]byte
+	length := appendLength(tmp[:0], n)
+	dst = append(dst, length[1:]...) // as many octets as the content moves up
+	copy(dst[start+1+len(length):], dst[start+2:start+2+n])
+	copy(dst[start+1:], length)
+	return dst
+}
+
 // AppendInt appends a two's complement INTEGER with the given tag.
 func AppendInt(dst []byte, tag byte, v int64) []byte {
 	var tmp [9]byte
@@ -76,23 +100,12 @@ func AppendInt(dst []byte, tag byte, v int64) []byte {
 
 // AppendUint appends an unsigned integer (Counter32, Gauge32, TimeTicks,
 // Counter64) with minimal content octets and a leading zero when the high
-// bit would otherwise read as a sign.
+// bit would otherwise read as a sign: as an INTEGER, nine octets past int64.
 func AppendUint(dst []byte, tag byte, v uint64) []byte {
-	var tmp [9]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte(v)
-		v >>= 8
-		if v == 0 {
-			break
-		}
+	if v <= math.MaxInt64 {
+		return AppendInt(dst, tag, int64(v))
 	}
-	if tmp[i]&0x80 != 0 {
-		i--
-		tmp[i] = 0
-	}
-	return AppendTLV(dst, tag, tmp[i:])
+	return append(dst, tag, 9, 0, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // AppendString appends an OCTET STRING (or IpAddress/Opaque via tag).
@@ -108,7 +121,7 @@ func AppendNull(dst []byte) []byte { return append(dst, TagNull, 0x00) }
 // two arcs combine in uint64 space, so a large second arc survives the
 // decode→encode round trip instead of wrapping at 2^32.
 func AppendOID(dst []byte, arcs []uint32) []byte {
-	var content []byte
+	dst, start := BeginTLV(dst, TagOID)
 	var first, second uint32
 	if len(arcs) > 0 {
 		first = arcs[0]
@@ -116,11 +129,11 @@ func AppendOID(dst []byte, arcs []uint32) []byte {
 	if len(arcs) > 1 {
 		second = arcs[1]
 	}
-	content = appendBase128(content, uint64(first)*40+uint64(second))
+	dst = appendBase128(dst, uint64(first)*40+uint64(second))
 	for _, arc := range arcs[min(2, len(arcs)):] {
-		content = appendBase128(content, uint64(arc))
+		dst = appendBase128(dst, uint64(arc))
 	}
-	return AppendTLV(dst, TagOID, content)
+	return EndTLV(dst, start)
 }
 
 func appendBase128(dst []byte, v uint64) []byte {
@@ -148,16 +161,6 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
 // Empty reports whether the cursor has consumed all input.
 func (r *Reader) Empty() bool { return r.pos >= len(r.b) }
-
-// Peek returns the next tag without consuming it.
-//
-//lint:allow unusedexport test-pinned by TestPeek; retire the two together
-func (r *Reader) Peek() (byte, error) {
-	if r.Empty() {
-		return 0, ErrTruncated
-	}
-	return r.b[r.pos], nil
-}
 
 // ReadTLV consumes one TLV and returns its tag and content bytes.
 func (r *Reader) ReadTLV() (tag byte, content []byte, err error) {
@@ -209,10 +212,14 @@ func (r *Reader) ReadInt() (byte, int64, error) {
 	return tag, v, err
 }
 
-// ParseInt decodes two's complement content octets.
+// ParseInt decodes two's complement content octets, minimal or not, that fit
+// int64: a ninth octet only as the sign extension of the eight below it.
 func ParseInt(content []byte) (int64, error) {
 	if len(content) == 0 || len(content) > 9 {
 		return 0, fmt.Errorf("asn1ber: integer of %d octets", len(content))
+	}
+	if len(content) == 9 && content[0] != byte(int8(content[1])>>7) { // 0x00 or 0xff, as the next octet's sign has it
+		return 0, errors.New("asn1ber: integer overflow")
 	}
 	v := int64(0)
 	if content[0]&0x80 != 0 {
@@ -239,28 +246,33 @@ func ParseUint(content []byte) (uint64, error) {
 	return v, nil
 }
 
-// ParseOID decodes OBJECT IDENTIFIER content octets into an arc list. Arcs
-// must fit in uint32 (the combined first subidentifier may reach 2*40 +
-// 2^32-1, since X.690 folds the first two arcs together); anything larger
-// is rejected rather than silently truncated, so a decoded OID always
-// re-encodes to the same bytes.
-func ParseOID(content []byte) ([]uint32, error) {
+// ParseOID is AppendArcs into an arc list of its own.
+func ParseOID(content []byte) ([]uint32, error) { return AppendArcs(nil, content) }
+
+// AppendArcs decodes OBJECT IDENTIFIER content octets and appends the arcs
+// to dst, so that many OIDs can be cut from one slice. Arcs must fit in
+// uint32 (the combined first subidentifier may reach 2*40 + 2^32-1, since
+// X.690 folds the first two arcs together); anything larger is rejected
+// rather than silently truncated, so a decoded OID always re-encodes to the
+// same bytes. On error dst comes back at its old length.
+func AppendArcs(dst []uint32, content []byte) ([]uint32, error) {
 	if len(content) == 0 {
-		return nil, errors.New("asn1ber: empty OID")
+		return dst, errors.New("asn1ber: empty OID")
 	}
 	// Largest value any subidentifier may take: the folded first pair.
 	const maxSubID = 2*40 + 0xffffffff
-	var arcs []uint32
+	start := len(dst)
+	dst = slices.Grow(dst, len(content)+1) // one arc per octet at most, two from the first
 	var v uint64
 	first := true
 	for i, b := range content {
 		v = v<<7 | uint64(b&0x7f)
 		if v > maxSubID {
-			return nil, errOIDArcOverflow
+			return dst[:start], errOIDArcOverflow
 		}
 		if b&0x80 != 0 {
 			if i == len(content)-1 {
-				return nil, ErrTruncated
+				return dst[:start], ErrTruncated
 			}
 			continue
 		}
@@ -269,17 +281,17 @@ func ParseOID(content []byte) ([]uint32, error) {
 			if x > 2 {
 				x = 2
 			}
-			arcs = append(arcs, uint32(x), uint32(v-x*40))
+			dst = append(dst, uint32(x), uint32(v-x*40))
 			first = false
 		} else {
 			if v > 0xffffffff {
-				return nil, errOIDArcOverflow
+				return dst[:start], errOIDArcOverflow
 			}
-			arcs = append(arcs, uint32(v))
+			dst = append(dst, uint32(v))
 		}
 		v = 0
 	}
-	return arcs, nil
+	return dst, nil
 }
 
 var errOIDArcOverflow = errors.New("asn1ber: OID arc overflow")

@@ -211,16 +211,3 @@ func TestNullEncoding(t *testing.T) {
 		t.Fatalf("null = % x", b)
 	}
 }
-
-func TestPeek(t *testing.T) {
-	b := AppendInt(nil, TagInteger, 5)
-	r := NewReader(b)
-	tag, err := r.Peek()
-	if err != nil || tag != TagInteger {
-		t.Fatalf("Peek = %x, %v", tag, err)
-	}
-	r.ReadTLV()
-	if _, err := r.Peek(); err == nil {
-		t.Fatal("Peek at end succeeded")
-	}
-}

@@ -21,6 +21,7 @@ func FuzzBERRoundTrip(f *testing.F) {
 	f.Add(AppendOID(nil, []uint32{2, 0xffffffff}))
 	f.Add(AppendTLV(nil, TagSequence, AppendNull(AppendInt(nil, TagInteger, 7))))
 	f.Add(AppendString(nil, TagOctetString, bytes.Repeat([]byte{'x'}, 200))) // long-form length
+	f.Add([]byte{TagInteger, 9, 0x7f, 0xff, 0, 0, 0, 0, 0, 0, 5})            // nine octets, too wide for int64
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
 		for !r.Empty() {
@@ -54,6 +55,7 @@ func FuzzBERRoundTrip(f *testing.F) {
 					t.Fatalf("uint round trip: %d -> %d (err %v)", u, u2, err)
 				}
 			case TagOID:
+				checkOIDAgainstOracle(t, content)
 				arcs, err := ParseOID(content)
 				if err != nil {
 					continue

@@ -100,7 +100,16 @@ type Monitor struct {
 
 	// per-path previous counter samples for delta throughput
 	prev map[core.PathID]counterSample
+
+	// One sweep's working set, emptied and refilled by the next.
+	hostOrder []netsim.Addr
+	seen      map[netsim.Addr]bool
+	samples   map[netsim.Addr]hostSample
+	flowRates map[[2]netsim.Addr]float64
 }
+
+// ifInOctets1 is the counter a host poll reads beside sysUpTime.
+var ifInOctets1 = mib.IfEntry.Append(10, 1)
 
 type counterSample struct {
 	octets uint64
@@ -156,6 +165,8 @@ func New(host *netsim.Node, community string, pollInterval time.Duration) *Monit
 		host:         host,
 		nw:           host.Network(),
 		prev:         make(map[core.PathID]counterSample),
+		seen:         make(map[netsim.Addr]bool),
+		samples:      make(map[netsim.Addr]hostSample),
 	}
 	m.Client.Timeout = 500 * time.Millisecond
 	m.Client.Retries = 1
@@ -247,6 +258,7 @@ func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer)
 func (m *Monitor) UseFlowMeter(meter *flowmeter.Meter) {
 	m.meter = meter
 	m.flowReader = meter.NewReader()
+	m.flowRates = make(map[[2]netsim.Addr]float64)
 }
 
 // UseRegistry shares agent deployments with other directors: EnsureAgent
@@ -371,8 +383,9 @@ type hostSample struct {
 func (m *Monitor) sweep(p *sim.Proc, req core.Request) {
 	sweepStart := p.Now()
 	sweepSpan := m.tracer.Begin("cots.sweep", "", sweepStart)
-	var hostOrder []netsim.Addr
-	seen := make(map[netsim.Addr]bool)
+	hostOrder, seen, samples := m.hostOrder[:0], m.seen, m.samples
+	clear(seen)
+	clear(samples)
 	for _, path := range req.Paths {
 		if !path.Valid() {
 			continue
@@ -384,14 +397,14 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request) {
 			}
 		}
 	}
-	var flowRates map[[2]netsim.Addr]float64
+	m.hostOrder = hostOrder
+	flowRates := m.flowRates // nil without a flow meter
 	if m.flowReader != nil {
-		flowRates = make(map[[2]netsim.Addr]float64)
+		clear(flowRates)
 		for _, r := range m.flowReader.Rates() {
 			flowRates[[2]netsim.Addr{r.Key.Src, r.Key.Dst}] += r.BitsPS
 		}
 	}
-	samples := make(map[netsim.Addr]hostSample, len(hostOrder))
 	for _, host := range hostOrder {
 		var br *resilience.Breaker
 		if m.Breakers != nil {
@@ -406,10 +419,7 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request) {
 			}
 		}
 		pollSpan := sweepSpan.Child("cots.poll", string(host), p.Now())
-		rtt, binds, err := m.timedGet(p, host,
-			mib.SysUpTime,
-			mib.IfEntry.Append(10, 1), // ifInOctets.1
-		)
+		rtt, binds, err := m.timedGet(p, host, mib.SysUpTime, ifInOctets1)
 		pollSpan.End(p.Now())
 		m.telPollRTT.Observe(rtt.Seconds())
 		s := hostSample{rtt: rtt}

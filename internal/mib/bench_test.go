@@ -10,13 +10,12 @@ func benchTree(scalars, rows int) *Tree {
 	for i := 0; i < scalars; i++ {
 		tr.RegisterConst(MustOID(fmt.Sprintf("1.3.6.1.2.1.1.%d.0", i+1)), Int(int64(i)))
 	}
-	tr.RegisterSubtree(IfEntry, func() []Entry {
-		entries := make([]Entry, 0, rows)
-		for i := 0; i < rows; i++ {
-			entries = append(entries, Entry{OID: IfEntry.Append(1, uint32(i+1)), Value: Int(int64(i))})
-		}
-		return entries
-	})
+	var index []OID
+	for i := 0; i < rows; i++ {
+		index = append(index, OID{uint32(i + 1)})
+	}
+	registerRows(tr, IfEntry, []uint32{1}, func() []OID { return index },
+		func(arc uint32, row OID) Value { return Int(int64(row[0]) - 1) })
 	return tr
 }
 

@@ -27,33 +27,6 @@ var (
 	Enterprise = MustOID("1.3.6.1.4.1.5307") // private arc for this stack
 )
 
-// ifEntry column numbers (RFC 1213 ifTable).
-const (
-	ifIndexCol       = 1
-	ifDescrCol       = 2
-	ifTypeCol        = 3
-	ifMtuCol         = 4
-	ifSpeedCol       = 5
-	ifOperStatusCol  = 8
-	ifInOctetsCol    = 10
-	ifInUcastCol     = 11
-	ifInDiscardsCol  = 13
-	ifInErrorsCol    = 14
-	ifOutOctetsCol   = 16
-	ifOutUcastCol    = 17
-	ifOutDiscardsCol = 19
-	ifOutErrorsCol   = 20
-)
-
-// tcpConnEntry column numbers.
-const (
-	tcpConnStateCol = 1
-	tcpConnLocalCol = 2
-	tcpConnLPortCol = 3
-	tcpConnRemCol   = 4
-	tcpConnRPortCol = 5
-)
-
 // PseudoIP derives a stable 4-byte pseudo IP address for a simulated node
 // name, so MIB table indices look like real tcpConnTable indices.
 func PseudoIP(a netsim.Addr) []byte {
@@ -110,43 +83,34 @@ func (v *NodeView) registerSystem() {
 func (v *NodeView) registerInterfaces() {
 	n := v.node
 	v.Tree.RegisterScalar(IfNumber, func() Value { return Int(int64(len(n.Ifaces()))) })
-	v.Tree.RegisterSubtree(IfEntry, func() []Entry {
-		ifaces := n.Ifaces()
-		cols := []struct {
-			col int
-			get func(*netsim.Iface) Value
-		}{
-			{ifIndexCol, func(i *netsim.Iface) Value { return Int(int64(i.Index)) }},
-			{ifDescrCol, func(i *netsim.Iface) Value { return Str(i.Medium().Name()) }},
-			{ifTypeCol, func(i *netsim.Iface) Value { return Int(6) }}, // ethernetCsmacd as generic
-			{ifMtuCol, func(i *netsim.Iface) Value { return Int(1500) }},
-			{ifSpeedCol, func(i *netsim.Iface) Value { return Gauge(uint64(i.SpeedBps())) }},
-			{ifOperStatusCol, func(i *netsim.Iface) Value {
-				if i.Up() {
-					return Int(1)
-				}
-				return Int(2)
-			}},
-			{ifInOctetsCol, func(i *netsim.Iface) Value { return Counter(i.Counters.InOctets) }},
-			{ifInUcastCol, func(i *netsim.Iface) Value { return Counter(i.Counters.InPkts) }},
-			{ifInDiscardsCol, func(i *netsim.Iface) Value { return Counter(i.Counters.InDiscards) }},
-			{ifInErrorsCol, func(i *netsim.Iface) Value { return Counter(i.Counters.InErrors) }},
-			{ifOutOctetsCol, func(i *netsim.Iface) Value { return Counter(i.Counters.OutOctets) }},
-			{ifOutUcastCol, func(i *netsim.Iface) Value { return Counter(i.Counters.OutPkts) }},
-			{ifOutDiscardsCol, func(i *netsim.Iface) Value { return Counter(i.Counters.OutDiscards) }},
-			{ifOutErrorsCol, func(i *netsim.Iface) Value { return Counter(i.Counters.OutErrors) }},
+	RegisterTable(v.Tree, IfEntry, ifColumns, n.Ifaces, ifIndex)
+}
+
+// ifIndex indexes ifTable and ifXTable: interfaces are numbered in attach
+// order, the order Node.Ifaces returns them in.
+func ifIndex(dst OID, i *netsim.Iface) OID { return append(dst, uint32(i.Index)) }
+
+// ifColumns are the ifEntry columns this agent has (RFC 1213 ifTable).
+var ifColumns = []Column[*netsim.Iface]{
+	{1, func(i *netsim.Iface) Value { return Int(int64(i.Index)) }},
+	{2, func(i *netsim.Iface) Value { return Str(i.Medium().Name()) }},
+	{3, func(i *netsim.Iface) Value { return Int(6) }},    // ifType: ethernetCsmacd as generic
+	{4, func(i *netsim.Iface) Value { return Int(1500) }}, // ifMtu
+	{5, func(i *netsim.Iface) Value { return Gauge(uint64(i.SpeedBps())) }},
+	{8, func(i *netsim.Iface) Value { // ifOperStatus: up(1), down(2)
+		if i.Up() {
+			return Int(1)
 		}
-		entries := make([]Entry, 0, len(cols)*len(ifaces))
-		for _, c := range cols {
-			for _, ifc := range ifaces {
-				entries = append(entries, Entry{
-					OID:   IfEntry.Append(uint32(c.col), uint32(ifc.Index)),
-					Value: c.get(ifc),
-				})
-			}
-		}
-		return entries
-	})
+		return Int(2)
+	}},
+	{10, func(i *netsim.Iface) Value { return Counter(i.Counters.InOctets) }},
+	{11, func(i *netsim.Iface) Value { return Counter(i.Counters.InPkts) }},
+	{13, func(i *netsim.Iface) Value { return Counter(i.Counters.InDiscards) }},
+	{14, func(i *netsim.Iface) Value { return Counter(i.Counters.InErrors) }},
+	{16, func(i *netsim.Iface) Value { return Counter(i.Counters.OutOctets) }},
+	{17, func(i *netsim.Iface) Value { return Counter(i.Counters.OutPkts) }},
+	{19, func(i *netsim.Iface) Value { return Counter(i.Counters.OutDiscards) }},
+	{20, func(i *netsim.Iface) Value { return Counter(i.Counters.OutErrors) }},
 }
 
 func (v *NodeView) registerUDP() {
@@ -181,48 +145,41 @@ func tcpConnState(s rstream.State) int64 {
 }
 
 func (v *NodeView) registerTCP() {
-	v.Tree.RegisterSubtree(TCPConn, func() []Entry {
-		var conns []*rstream.Conn
-		for _, l := range v.listeners {
-			conns = append(conns, l.Conns()...)
-		}
-		type row struct {
-			index OID
-			vars  rstream.StateVars
-		}
-		rows := make([]row, 0, len(conns))
-		for _, c := range conns {
+	RegisterTable(v.Tree, TCPConn, tcpConnColumns, v.tcpConns,
+		func(dst OID, r tcpConnRow) OID { return append(dst, r.index[:]...) })
+}
+
+// tcpConnRow is a tcpConnTable row, indexed by (local address, local port,
+// remote address, remote port).
+type tcpConnRow struct {
+	index [10]uint32
+	vars  rstream.StateVars
+}
+
+// tcpConnColumns: state, local address and port, remote address and port.
+var tcpConnColumns = []Column[tcpConnRow]{
+	{1, func(r tcpConnRow) Value { return Int(tcpConnState(r.vars.State)) }},
+	{2, func(r tcpConnRow) Value { return IP(PseudoIP(r.vars.LocalAddr)) }},
+	{3, func(r tcpConnRow) Value { return Int(int64(r.vars.LocalPort)) }},
+	{4, func(r tcpConnRow) Value { return IP(PseudoIP(r.vars.RemoteAddr)) }},
+	{5, func(r tcpConnRow) Value { return Int(int64(r.vars.RemotePort)) }},
+}
+
+// tcpConns gathers the connections the registered listeners have now.
+func (v *NodeView) tcpConns() []tcpConnRow {
+	var rows []tcpConnRow
+	for _, l := range v.listeners {
+		for _, c := range l.Conns() {
 			vars := c.Vars()
 			lip, rip := PseudoIP(vars.LocalAddr), PseudoIP(vars.RemoteAddr)
-			idx := OID{
+			rows = append(rows, tcpConnRow{vars: vars, index: [10]uint32{
 				uint32(lip[0]), uint32(lip[1]), uint32(lip[2]), uint32(lip[3]),
 				uint32(vars.LocalPort),
 				uint32(rip[0]), uint32(rip[1]), uint32(rip[2]), uint32(rip[3]),
 				uint32(vars.RemotePort),
-			}
-			rows = append(rows, row{index: idx, vars: vars})
+			}})
 		}
-		sort.Slice(rows, func(a, b int) bool { return rows[a].index.Cmp(rows[b].index) < 0 })
-		var entries []Entry
-		for col := tcpConnStateCol; col <= tcpConnRPortCol; col++ {
-			for _, r := range rows {
-				oid := TCPConn.Append(uint32(col)).Append(r.index...)
-				var val Value
-				switch col {
-				case tcpConnStateCol:
-					val = Int(tcpConnState(r.vars.State))
-				case tcpConnLocalCol:
-					val = IP(PseudoIP(r.vars.LocalAddr))
-				case tcpConnLPortCol:
-					val = Int(int64(r.vars.LocalPort))
-				case tcpConnRemCol:
-					val = IP(PseudoIP(r.vars.RemoteAddr))
-				case tcpConnRPortCol:
-					val = Int(int64(r.vars.RemotePort))
-				}
-				entries = append(entries, Entry{OID: oid, Value: val})
-			}
-		}
-		return entries
-	})
+	}
+	sort.Slice(rows, func(a, b int) bool { return OID(rows[a].index[:]).Cmp(rows[b].index[:]) < 0 })
+	return rows
 }

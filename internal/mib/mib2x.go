@@ -15,14 +15,6 @@ var (
 	IfXEntry = MustOID("1.3.6.1.2.1.31.1.1.1")
 )
 
-// ifXTable column numbers (subset).
-const (
-	ifNameCol        = 1
-	ifHCInOctetsCol  = 6
-	ifHCOutOctetsCol = 10
-	ifHighSpeedCol   = 15
-)
-
 // registerIP exposes the ip group scalars from node counters.
 func (v *NodeView) registerIP() {
 	n := v.node
@@ -74,30 +66,13 @@ func (v *NodeView) registerIP() {
 
 // registerIfX exposes the high-capacity interface table.
 func (v *NodeView) registerIfX() {
-	n := v.node
-	v.Tree.RegisterSubtree(IfXEntry, func() []Entry {
-		ifaces := n.Ifaces()
-		var entries []Entry
-		cols := []struct {
-			col uint32
-			get func(*netsim.Iface) Value
-		}{
-			{ifNameCol, func(i *netsim.Iface) Value { return Str(i.Medium().Name()) }},
-			{ifHCInOctetsCol, func(i *netsim.Iface) Value { return Counter64Val(i.Counters.InOctets) }},
-			{ifHCOutOctetsCol, func(i *netsim.Iface) Value { return Counter64Val(i.Counters.OutOctets) }},
-			{ifHighSpeedCol, func(i *netsim.Iface) Value {
-				// ifHighSpeed is in Mb/s.
-				return Gauge(uint64(i.SpeedBps() / 1_000_000))
-			}},
-		}
-		for _, c := range cols {
-			for _, ifc := range ifaces {
-				entries = append(entries, Entry{
-					OID:   IfXEntry.Append(c.col, uint32(ifc.Index)),
-					Value: c.get(ifc),
-				})
-			}
-		}
-		return entries
-	})
+	RegisterTable(v.Tree, IfXEntry, ifXColumns, v.node.Ifaces, ifIndex)
+}
+
+// ifXColumns: ifName, ifHCInOctets, ifHCOutOctets, ifHighSpeed (in Mb/s).
+var ifXColumns = []Column[*netsim.Iface]{
+	{1, func(i *netsim.Iface) Value { return Str(i.Medium().Name()) }},
+	{6, func(i *netsim.Iface) Value { return Counter64Val(i.Counters.InOctets) }},
+	{10, func(i *netsim.Iface) Value { return Counter64Val(i.Counters.OutOctets) }},
+	{15, func(i *netsim.Iface) Value { return Gauge(uint64(i.SpeedBps() / 1_000_000)) }},
 }

@@ -13,6 +13,16 @@ import (
 	"repro/internal/vclock"
 )
 
+// registerRows binds a table whose rows are their own index arcs; the cell
+// in column arc of a row is cell(arc, row).
+func registerRows(tr *Tree, prefix OID, arcs []uint32, rows func() []OID, cell func(arc uint32, row OID) Value) {
+	var cols []Column[OID]
+	for _, arc := range arcs {
+		cols = append(cols, Column[OID]{arc, func(row OID) Value { return cell(arc, row) }})
+	}
+	RegisterTable(tr, prefix, cols, rows, func(dst OID, row OID) OID { return append(dst, row...) })
+}
+
 func TestParseOID(t *testing.T) {
 	o, err := ParseOID(".1.3.6.1.2.1.1.1.0")
 	if err != nil {
@@ -109,13 +119,14 @@ func TestTreeNextTraversal(t *testing.T) {
 	tr := NewTree()
 	tr.RegisterConst(MustOID("1.3.6.1.2.1.1.1.0"), Str("descr"))
 	tr.RegisterConst(MustOID("1.3.6.1.2.1.1.3.0"), Ticks(100))
-	tr.RegisterSubtree(MustOID("1.3.6.1.2.1.2.2.1"), func() []Entry {
-		return []Entry{
-			{OID: MustOID("1.3.6.1.2.1.2.2.1.1.1"), Value: Int(1)},
-			{OID: MustOID("1.3.6.1.2.1.2.2.1.1.2"), Value: Int(2)},
-			{OID: MustOID("1.3.6.1.2.1.2.2.1.10.1"), Value: Counter(500)},
-		}
-	})
+	registerRows(tr, MustOID("1.3.6.1.2.1.2.2.1"), []uint32{1, 10},
+		func() []OID { return []OID{{1}, {2}} },
+		func(arc uint32, row OID) Value {
+			if arc == 10 {
+				return Counter(500)
+			}
+			return Int(int64(row[0]))
+		})
 	tr.RegisterConst(MustOID("1.3.6.1.2.1.7.1.0"), Counter(3))
 
 	var walk []string
@@ -134,6 +145,7 @@ func TestTreeNextTraversal(t *testing.T) {
 		".1.3.6.1.2.1.2.2.1.1.1",
 		".1.3.6.1.2.1.2.2.1.1.2",
 		".1.3.6.1.2.1.2.2.1.10.1",
+		".1.3.6.1.2.1.2.2.1.10.2",
 		".1.3.6.1.2.1.7.1.0",
 	}
 	if len(walk) != len(want) {
@@ -148,12 +160,9 @@ func TestTreeNextTraversal(t *testing.T) {
 
 func TestTreeNextFromMiddleOfSubtree(t *testing.T) {
 	tr := NewTree()
-	tr.RegisterSubtree(MustOID("1.2"), func() []Entry {
-		return []Entry{
-			{OID: MustOID("1.2.1.1"), Value: Int(1)},
-			{OID: MustOID("1.2.1.2"), Value: Int(2)},
-		}
-	})
+	registerRows(tr, MustOID("1.2"), []uint32{1},
+		func() []OID { return []OID{{1}, {2}} },
+		func(arc uint32, row OID) Value { return Int(int64(row[0])) })
 	oid, v, ok := tr.Next(MustOID("1.2.1.1"))
 	if !ok || oid.String() != ".1.2.1.2" || v.Int != 2 {
 		t.Fatalf("Next = %v %v %v", oid, v, ok)
@@ -276,6 +285,20 @@ func TestNodeViewInterfacesLiveCounters(t *testing.T) {
 	status, _ = v.Tree.Get(IfEntry.Append(8, 1))
 	if status.Int != 2 {
 		t.Fatalf("ifOperStatus after down = %d", status.Int)
+	}
+}
+
+// TestGetDoesNotAllocate: the two objects a cots poll reads, a scalar and
+// a table cell, resolve without allocating.
+func TestGetDoesNotAllocate(t *testing.T) {
+	_, _, _, v := nodeViewFixture(t)
+	for _, oid := range []OID{SysUpTime, IfEntry.Append(10, 1)} {
+		if _, ok := v.Tree.Get(oid); !ok {
+			t.Fatalf("%s missing from the node view", oid)
+		}
+		if n := testing.AllocsPerRun(200, func() { v.Tree.Get(oid) }); n != 0 {
+			t.Errorf("Get(%s) allocates %v times, want 0", oid, n)
+		}
 	}
 }
 

@@ -109,37 +109,22 @@ func (a *Alarm) sampleOnce() {
 	}
 }
 
-func (p *Probe) alarmEntries() []mib.Entry {
-	var entries []mib.Entry
-	type colDef struct {
-		col uint32
-		get func(a *Alarm) mib.Value
+var alarmColumns = []mib.Column[*Alarm]{
+	{Arc: 1, Get: func(a *Alarm) mib.Value { return mib.Int(int64(a.Index)) }},
+	{Arc: 2, Get: func(a *Alarm) mib.Value { return mib.Int(int64(a.Interval / time.Second)) }},
+	{Arc: 3, Get: func(a *Alarm) mib.Value { return mib.OIDVal(a.Variable) }},
+	{Arc: 4, Get: func(a *Alarm) mib.Value { return mib.Int(int64(a.SampleType)) }},
+	{Arc: 5, Get: func(a *Alarm) mib.Value { return mib.Int(a.LastValue) }},
+	{Arc: 7, Get: func(a *Alarm) mib.Value { return mib.Int(a.Rising) }},
+	{Arc: 8, Get: func(a *Alarm) mib.Value { return mib.Int(a.Falling) }},
+	{Arc: 9, Get: func(a *Alarm) mib.Value { return mib.Int(eventIndex(a.RisingEvent)) }},
+	{Arc: 10, Get: func(a *Alarm) mib.Value { return mib.Int(eventIndex(a.FallingEvent)) }},
+}
+
+// eventIndex is the eventIndex an alarm names, 0 for none.
+func eventIndex(e *Event) int64 {
+	if e == nil {
+		return 0
 	}
-	cols := []colDef{
-		{1, func(a *Alarm) mib.Value { return mib.Int(int64(a.Index)) }},
-		{2, func(a *Alarm) mib.Value { return mib.Int(int64(a.Interval / time.Second)) }},
-		{3, func(a *Alarm) mib.Value { return mib.OIDVal(a.Variable) }},
-		{4, func(a *Alarm) mib.Value { return mib.Int(int64(a.SampleType)) }},
-		{5, func(a *Alarm) mib.Value { return mib.Int(a.LastValue) }},
-		{7, func(a *Alarm) mib.Value { return mib.Int(a.Rising) }},
-		{8, func(a *Alarm) mib.Value { return mib.Int(a.Falling) }},
-		{9, func(a *Alarm) mib.Value {
-			if a.RisingEvent != nil {
-				return mib.Int(int64(a.RisingEvent.Index))
-			}
-			return mib.Int(0)
-		}},
-		{10, func(a *Alarm) mib.Value {
-			if a.FallingEvent != nil {
-				return mib.Int(int64(a.FallingEvent.Index))
-			}
-			return mib.Int(0)
-		}},
-	}
-	for _, c := range cols {
-		for _, a := range p.alarms {
-			entries = append(entries, mib.Entry{OID: alarmEntry.Append(c.col, uint32(a.Index)), Value: c.get(a)})
-		}
-	}
-	return entries
+	return int64(e.Index)
 }

@@ -72,60 +72,44 @@ func (h *History) sample(now time.Duration) {
 	}
 }
 
-// historyControlEntries exposes the historyControlTable (RFC 2819 16.2.1):
-// one row per History describing its sampling regime.
-func (p *Probe) historyControlEntries() []mib.Entry {
-	var entries []mib.Entry
-	for col := uint32(1); col <= 5; col++ {
-		for _, h := range p.histories {
-			var v mib.Value
-			switch col {
-			case 1:
-				v = mib.Int(int64(h.Index))
-			case 2:
-				v = mib.OIDVal(mib.IfEntry.Append(1, 1)) // dataSource
-			case 3, 4:
-				v = mib.Int(int64(h.Buckets)) // requested == granted here
-			case 5:
-				v = mib.Int(int64(h.Interval / time.Second))
-			}
-			entries = append(entries, mib.Entry{
-				OID:   mib.RMONRoot.Append(2, 1, 1, col, uint32(h.Index)),
-				Value: v,
-			})
-		}
-	}
-	return entries
+// historyControlColumns are the historyControlTable (RFC 2819 16.2.1): one
+// row per History describing its sampling regime.
+var historyControlColumns = []mib.Column[*History]{
+	{Arc: 1, Get: func(h *History) mib.Value { return mib.Int(int64(h.Index)) }},
+	{Arc: 2, Get: func(h *History) mib.Value { return mib.OIDVal(dataSource) }},
+	{Arc: 3, Get: func(h *History) mib.Value { return mib.Int(int64(h.Buckets)) }},
+	{Arc: 4, Get: func(h *History) mib.Value { return mib.Int(int64(h.Buckets)) }}, // requested == granted here
+	{Arc: 5, Get: func(h *History) mib.Value { return mib.Int(int64(h.Interval / time.Second)) }},
 }
 
-func (p *Probe) historyEntries() []mib.Entry {
-	var entries []mib.Entry
-	// Columns of etherHistoryEntry: 1 index, 2 sampleIndex, 3 intervalStart,
-	// 4 dropEvents(0), 5 octets, 6 pkts, 7 broadcast, 9 crcAlign,
-	// 15 utilization (in hundredths of a percent, as an integer).
-	type colDef struct {
-		col uint32
-		get func(h *History, s HistorySample) mib.Value
-	}
-	cols := []colDef{
-		{1, func(h *History, s HistorySample) mib.Value { return mib.Int(int64(h.Index)) }},
-		{2, func(h *History, s HistorySample) mib.Value { return mib.Int(int64(s.Index)) }},
-		{3, func(h *History, s HistorySample) mib.Value {
-			return mib.Ticks(uint64(s.IntervalStart.Milliseconds() / 10))
-		}},
-		{5, func(h *History, s HistorySample) mib.Value { return mib.Counter(s.Octets) }},
-		{6, func(h *History, s HistorySample) mib.Value { return mib.Counter(s.Pkts) }},
-		{7, func(h *History, s HistorySample) mib.Value { return mib.Counter(s.BroadcastPkts) }},
-		{9, func(h *History, s HistorySample) mib.Value { return mib.Counter(s.CRCAlignErr) }},
-		{15, func(h *History, s HistorySample) mib.Value { return mib.Int(int64(s.Utilization * 100)) }},
-	}
-	for _, c := range cols {
-		for _, h := range p.histories {
-			for _, s := range h.samples {
-				oid := historyEntry.Append(c.col, uint32(h.Index), uint32(s.Index))
-				entries = append(entries, mib.Entry{OID: oid, Value: c.get(h, s)})
-			}
+// bucket is an etherHistoryTable row, indexed by (historyControlIndex,
+// sampleIndex).
+type bucket struct {
+	h *History
+	s *HistorySample
+}
+
+// buckets lists every bucket still held, history by history, oldest first.
+func (p *Probe) buckets() []bucket {
+	var rows []bucket
+	for _, h := range p.histories {
+		for i := range h.samples {
+			rows = append(rows, bucket{h, &h.samples[i]})
 		}
 	}
-	return entries
+	return rows
+}
+
+// Columns of etherHistoryEntry: 1 index, 2 sampleIndex, 3 intervalStart,
+// 5 octets, 6 pkts, 7 broadcast, 9 crcAlign, 15 utilization (in hundredths
+// of a percent, as an integer).
+var historyColumns = []mib.Column[bucket]{
+	{Arc: 1, Get: func(b bucket) mib.Value { return mib.Int(int64(b.h.Index)) }},
+	{Arc: 2, Get: func(b bucket) mib.Value { return mib.Int(int64(b.s.Index)) }},
+	{Arc: 3, Get: func(b bucket) mib.Value { return mib.Ticks(uint64(b.s.IntervalStart.Milliseconds() / 10)) }},
+	{Arc: 5, Get: func(b bucket) mib.Value { return mib.Counter(b.s.Octets) }},
+	{Arc: 6, Get: func(b bucket) mib.Value { return mib.Counter(b.s.Pkts) }},
+	{Arc: 7, Get: func(b bucket) mib.Value { return mib.Counter(b.s.BroadcastPkts) }},
+	{Arc: 9, Get: func(b bucket) mib.Value { return mib.Counter(b.s.CRCAlignErr) }},
+	{Arc: 15, Get: func(b bucket) mib.Value { return mib.Int(int64(b.s.Utilization * 100)) }},
 }

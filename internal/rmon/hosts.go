@@ -137,79 +137,49 @@ func (g *MatrixGroup) Conversations() []ConvStats {
 	return out
 }
 
-// hostEntries exposes the host group as MIB rows, indexed by discovery
-// order: columns 1 addr(string), 2 inPkts, 3 outPkts, 4 inOctets,
-// 5 outOctets, 6 broadcasts.
-func (p *Probe) hostEntries() []mib.Entry {
+// hostRows are the hostTable's rows by discovery order; none until EnableHosts.
+func (p *Probe) hostRows() []HostStats {
 	if p.hostGroup == nil {
 		return nil
 	}
-	hosts := p.hostGroup.Hosts()
-	var entries []mib.Entry
-	for col := uint32(1); col <= 6; col++ {
-		for _, h := range hosts {
-			var v mib.Value
-			switch col {
-			case 1:
-				v = mib.Str(string(h.Addr))
-			case 2:
-				v = mib.Counter(h.InPkts)
-			case 3:
-				v = mib.Counter(h.OutPkts)
-			case 4:
-				v = mib.Counter(h.InOctets)
-			case 5:
-				v = mib.Counter(h.OutOctets)
-			case 6:
-				v = mib.Counter(h.Broadcasts)
-			}
-			entries = append(entries, mib.Entry{
-				OID:   hostEntry.Append(col, uint32(h.CreationOrder)),
-				Value: v,
-			})
-		}
-	}
-	return entries
+	return p.hostGroup.Hosts()
 }
 
-// matrixEntries exposes the matrix group as MIB rows indexed by the pseudo
-// IPs of source and destination: columns 1 pkts, 2 octets, 3 errors.
-func (p *Probe) matrixEntries() []mib.Entry {
+var hostColumns = []mib.Column[HostStats]{
+	{Arc: 1, Get: func(h HostStats) mib.Value { return mib.Str(string(h.Addr)) }},
+	{Arc: 2, Get: func(h HostStats) mib.Value { return mib.Counter(h.InPkts) }},
+	{Arc: 3, Get: func(h HostStats) mib.Value { return mib.Counter(h.OutPkts) }},
+	{Arc: 4, Get: func(h HostStats) mib.Value { return mib.Counter(h.InOctets) }},
+	{Arc: 5, Get: func(h HostStats) mib.Value { return mib.Counter(h.OutOctets) }},
+	{Arc: 6, Get: func(h HostStats) mib.Value { return mib.Counter(h.Broadcasts) }},
+}
+
+// matrixRow is a matrixSDTable row, indexed by source and destination pseudo IP.
+type matrixRow struct {
+	index [8]uint32
+	conv  ConvStats
+}
+
+// matrixRows are the matrixSDTable's rows; none until EnableMatrix.
+func (p *Probe) matrixRows() []matrixRow {
 	if p.matrixGroup == nil {
 		return nil
 	}
 	convs := p.matrixGroup.Conversations()
-	type row struct {
-		idx  mib.OID
-		conv ConvStats
-	}
-	rows := make([]row, 0, len(convs))
+	rows := make([]matrixRow, 0, len(convs))
 	for _, c := range convs {
 		sip, dip := mib.PseudoIP(c.Src), mib.PseudoIP(c.Dst)
-		idx := mib.OID{
+		rows = append(rows, matrixRow{conv: c, index: [8]uint32{
 			uint32(sip[0]), uint32(sip[1]), uint32(sip[2]), uint32(sip[3]),
 			uint32(dip[0]), uint32(dip[1]), uint32(dip[2]), uint32(dip[3]),
-		}
-		rows = append(rows, row{idx, c})
+		}})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].idx.Cmp(rows[j].idx) < 0 })
-	var entries []mib.Entry
-	for col := uint32(1); col <= 3; col++ {
-		for _, r := range rows {
-			var v mib.Value
-			switch col {
-			case 1:
-				v = mib.Counter(r.conv.Pkts)
-			case 2:
-				v = mib.Counter(r.conv.Octets)
-			case 3:
-				v = mib.Counter(r.conv.Errors)
-			}
-			entries = append(entries, mib.Entry{
-				OID:   matrixEntry.Append(col).Append(r.idx...),
-				Value: v,
-			})
-		}
-	}
-	return entries
+	sort.Slice(rows, func(i, j int) bool { return mib.OID(rows[i].index[:]).Cmp(rows[j].index[:]) < 0 })
+	return rows
+}
+
+var matrixColumns = []mib.Column[matrixRow]{
+	{Arc: 1, Get: func(r matrixRow) mib.Value { return mib.Counter(r.conv.Pkts) }},
+	{Arc: 2, Get: func(r matrixRow) mib.Value { return mib.Counter(r.conv.Octets) }},
+	{Arc: 3, Get: func(r matrixRow) mib.Value { return mib.Counter(r.conv.Errors) }},
 }

@@ -19,13 +19,18 @@ import (
 
 // MIB locations (RFC 2819 under mib-2.16).
 var (
-	statsEntry   = mib.RMONRoot.Append(1, 1, 1) // etherStatsEntry
-	historyEntry = mib.RMONRoot.Append(2, 2, 1) // etherHistoryEntry
-	alarmEntry   = mib.RMONRoot.Append(3, 1, 1) // alarmEntry
-	eventEntry   = mib.RMONRoot.Append(9, 1, 1) // eventEntry
+	statsEntry          = mib.RMONRoot.Append(1, 1, 1) // etherStatsEntry
+	historyControlEntry = mib.RMONRoot.Append(2, 1, 1) // historyControlEntry
+	historyEntry        = mib.RMONRoot.Append(2, 2, 1) // etherHistoryEntry
+	alarmEntry          = mib.RMONRoot.Append(3, 1, 1) // alarmEntry
+	eventEntry          = mib.RMONRoot.Append(9, 1, 1) // eventEntry
+
+	// dataSource names what every group here samples: ifIndex.1.
+	dataSource = mib.IfEntry.Append(1, 1)
 )
 
-// EtherStats mirrors the etherStatsTable counters.
+// EtherStats mirrors the etherStatsTable counters the probe keeps itself;
+// etherStatsCollisions is read off the segment.
 type EtherStats struct {
 	DropEvents     uint64
 	Octets         uint64
@@ -37,7 +42,6 @@ type EtherStats struct {
 	Oversize       uint64
 	Fragments      uint64
 	Jabbers        uint64
-	Collisions     uint64
 	Pkts64         uint64
 	Pkts65to127    uint64
 	Pkts128to255   uint64
@@ -129,45 +133,44 @@ func UtilizationPercent(deltaOctets uint64, window time.Duration, rateBps int64)
 // Register exposes the probe's groups in a MIB tree under the standard RMON
 // OIDs, with etherStats index 1 (single data source).
 func (p *Probe) Register(tree *mib.Tree) {
-	tree.RegisterSubtree(statsEntry, func() []mib.Entry {
-		s := p.Stats
-		s.Collisions = p.Seg.Stats().Deferrals // arbitration conflicts stand in for collisions
-		cols := []struct {
-			col uint32
-			val mib.Value
-		}{
-			{1, mib.Int(1)},
-			{2, mib.OIDVal(mib.IfEntry.Append(1, 1))}, // dataSource: ifIndex.1
-			{3, mib.Counter(s.DropEvents)},
-			{4, mib.Counter(s.Octets)},
-			{5, mib.Counter(s.Pkts)},
-			{6, mib.Counter(s.BroadcastPkts)},
-			{7, mib.Counter(s.MulticastPkts)},
-			{8, mib.Counter(s.CRCAlignErrors)},
-			{9, mib.Counter(s.Undersize)},
-			{10, mib.Counter(s.Oversize)},
-			{11, mib.Counter(s.Fragments)},
-			{12, mib.Counter(s.Jabbers)},
-			{13, mib.Counter(s.Collisions)},
-			{14, mib.Counter(s.Pkts64)},
-			{15, mib.Counter(s.Pkts65to127)},
-			{16, mib.Counter(s.Pkts128to255)},
-			{17, mib.Counter(s.Pkts256to511)},
-			{18, mib.Counter(s.Pkts512to1023)},
-			{19, mib.Counter(s.Pkts1024to1518)},
-		}
-		entries := make([]mib.Entry, len(cols))
-		for i, c := range cols {
-			entries[i] = mib.Entry{OID: statsEntry.Append(c.col, 1), Value: c.val}
-		}
-		return entries
-	})
-	tree.RegisterSubtree(mib.RMONRoot.Append(2, 1, 1), p.historyControlEntries)
-	tree.RegisterSubtree(historyEntry, p.historyEntries)
-	tree.RegisterSubtree(alarmEntry, p.alarmEntries)
-	tree.RegisterSubtree(hostEntry, p.hostEntries)
-	tree.RegisterSubtree(matrixEntry, p.matrixEntries)
-	tree.RegisterSubtree(eventEntry, p.eventEntries)
+	self := []*Probe{p}
+	mib.RegisterTable(tree, statsEntry, statsColumns, func() []*Probe { return self },
+		func(dst mib.OID, _ *Probe) mib.OID { return append(dst, 1) })
+	mib.RegisterTable(tree, historyControlEntry, historyControlColumns, func() []*History { return p.histories },
+		func(dst mib.OID, h *History) mib.OID { return append(dst, uint32(h.Index)) })
+	mib.RegisterTable(tree, historyEntry, historyColumns, p.buckets,
+		func(dst mib.OID, b bucket) mib.OID { return append(dst, uint32(b.h.Index), uint32(b.s.Index)) })
+	mib.RegisterTable(tree, alarmEntry, alarmColumns, func() []*Alarm { return p.alarms },
+		func(dst mib.OID, a *Alarm) mib.OID { return append(dst, uint32(a.Index)) })
+	mib.RegisterTable(tree, hostEntry, hostColumns, p.hostRows,
+		func(dst mib.OID, h HostStats) mib.OID { return append(dst, uint32(h.CreationOrder)) })
+	mib.RegisterTable(tree, matrixEntry, matrixColumns, p.matrixRows,
+		func(dst mib.OID, r matrixRow) mib.OID { return append(dst, r.index[:]...) })
+	mib.RegisterTable(tree, eventEntry, eventColumns, func() []*Event { return p.events },
+		func(dst mib.OID, e *Event) mib.OID { return append(dst, uint32(e.Index)) })
+}
+
+var statsColumns = []mib.Column[*Probe]{
+	{Arc: 1, Get: func(*Probe) mib.Value { return mib.Int(1) }},
+	{Arc: 2, Get: func(*Probe) mib.Value { return mib.OIDVal(dataSource) }},
+	{Arc: 3, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.DropEvents) }},
+	{Arc: 4, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Octets) }},
+	{Arc: 5, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Pkts) }},
+	{Arc: 6, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.BroadcastPkts) }},
+	{Arc: 7, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.MulticastPkts) }},
+	{Arc: 8, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.CRCAlignErrors) }},
+	{Arc: 9, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Undersize) }},
+	{Arc: 10, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Oversize) }},
+	{Arc: 11, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Fragments) }},
+	{Arc: 12, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Jabbers) }},
+	// Arbitration conflicts stand in for collisions.
+	{Arc: 13, Get: func(p *Probe) mib.Value { return mib.Counter(p.Seg.Stats().Deferrals) }},
+	{Arc: 14, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Pkts64) }},
+	{Arc: 15, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Pkts65to127) }},
+	{Arc: 16, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Pkts128to255) }},
+	{Arc: 17, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Pkts256to511) }},
+	{Arc: 18, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Pkts512to1023) }},
+	{Arc: 19, Get: func(p *Probe) mib.Value { return mib.Counter(p.Stats.Pkts1024to1518) }},
 }
 
 // EtherStatsOID returns the OID of an etherStats column for alarm
@@ -226,32 +229,19 @@ func (p *Probe) fire(e *Event, alarmIdx int, rising bool, sampled int64) {
 	}
 }
 
-func (p *Probe) eventEntries() []mib.Entry {
-	var entries []mib.Entry
-	for col := uint32(1); col <= 4; col++ {
-		for _, e := range p.events {
-			var v mib.Value
-			switch col {
-			case 1:
-				v = mib.Int(int64(e.Index))
-			case 2:
-				v = mib.Str(e.Description)
-			case 3:
-				switch {
-				case e.Log && e.Trap:
-					v = mib.Int(4) // log-and-trap
-				case e.Trap:
-					v = mib.Int(3)
-				case e.Log:
-					v = mib.Int(2)
-				default:
-					v = mib.Int(1)
-				}
-			case 4:
-				v = mib.Ticks(uint64(e.LastTimeSent.Milliseconds() / 10))
-			}
-			entries = append(entries, mib.Entry{OID: eventEntry.Append(col, uint32(e.Index)), Value: v})
+var eventColumns = []mib.Column[*Event]{
+	{Arc: 1, Get: func(e *Event) mib.Value { return mib.Int(int64(e.Index)) }},
+	{Arc: 2, Get: func(e *Event) mib.Value { return mib.Str(e.Description) }},
+	{Arc: 3, Get: func(e *Event) mib.Value {
+		switch {
+		case e.Log && e.Trap:
+			return mib.Int(4) // log-and-trap
+		case e.Trap:
+			return mib.Int(3)
+		case e.Log:
+			return mib.Int(2)
 		}
-	}
-	return entries
+		return mib.Int(1)
+	}},
+	{Arc: 4, Get: func(e *Event) mib.Value { return mib.Ticks(uint64(e.LastTimeSent.Milliseconds() / 10)) }},
 }

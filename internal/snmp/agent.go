@@ -1,7 +1,7 @@
 package snmp
 
 import (
-	"time"
+	"bytes"
 
 	"repro/internal/mib"
 	"repro/internal/netsim"
@@ -42,6 +42,14 @@ type Agent struct {
 	// trap destinations
 	trapSend []func([]byte)
 	sysUp    func() uint32
+
+	scratch *agentScratch // allocated by the first request
+}
+
+// agentScratch is what Handle decodes into, answers from and encodes in.
+type agentScratch struct {
+	req, resp Message
+	buf       []byte
 }
 
 // NewAgent returns an agent over tree with the given read community.
@@ -51,57 +59,59 @@ func NewAgent(tree *mib.Tree, community string) *Agent {
 
 // Handle processes one request datagram and returns the response datagram,
 // or nil when no response should be sent (bad community, undecodable, or a
-// trap addressed to us by mistake).
+// trap addressed to us by mistake). The response is the caller's to keep.
 func (a *Agent) Handle(req []byte) []byte {
-	msg, err := Decode(req)
-	if err != nil {
+	if a.scratch == nil {
+		a.scratch = new(agentScratch)
+	}
+	msg, resp := &a.scratch.req, &a.scratch.resp
+	if err := msg.Unmarshal(req); err != nil {
 		a.Stats.Malformed++
 		return nil
 	}
 	a.Stats.InRequests++
+	want := a.Community
 	switch msg.PDU.Type {
 	case GetRequest, GetNextRequest, GetBulkRequest:
-		if msg.Community != a.Community {
-			a.Stats.AuthFailures++
-			return nil
-		}
 	case SetRequest:
-		want := a.WriteCommunity
-		if want == "" {
-			want = a.Community
-		}
-		if msg.Community != want {
-			a.Stats.AuthFailures++
-			return nil
+		if a.WriteCommunity != "" {
+			want = a.WriteCommunity
 		}
 	default:
 		return nil
 	}
+	if msg.Community != want {
+		a.Stats.AuthFailures++
+		return nil
+	}
 
-	resp := &Message{Version: msg.Version, Community: msg.Community}
-	resp.PDU.Type = GetResponse
-	resp.PDU.RequestID = msg.PDU.RequestID
+	resp.Version, resp.Community = msg.Version, msg.Community
+	resp.PDU = PDU{Type: GetResponse, RequestID: msg.PDU.RequestID, VarBinds: resp.PDU.VarBinds[:0]}
 
-	if msg.PDU.Type != GetBulkRequest && len(msg.PDU.VarBinds) > a.MaxVarBinds {
+	switch {
+	case msg.PDU.Type != GetBulkRequest && len(msg.PDU.VarBinds) > a.MaxVarBinds:
 		// Real agents bound their response size; oversized requests get
 		// tooBig rather than a fragmented answer.
 		resp.PDU.ErrorStatus = ErrTooBig
-		a.Stats.OutResponses++
-		return resp.Encode()
-	}
-
-	switch msg.PDU.Type {
-	case GetRequest:
+	case msg.PDU.Type == GetRequest:
 		a.doGet(msg, resp)
-	case GetNextRequest:
+	case msg.PDU.Type == GetNextRequest:
 		a.doGetNext(msg, resp)
-	case GetBulkRequest:
+	case msg.PDU.Type == GetBulkRequest:
 		a.doGetBulk(msg, resp)
-	case SetRequest:
+	case msg.PDU.Type == SetRequest:
 		a.doSet(msg, resp)
 	}
 	a.Stats.OutResponses++
-	return resp.Encode()
+	a.scratch.buf = resp.AppendTo(a.scratch.buf[:0])
+	return bytes.Clone(a.scratch.buf)
+}
+
+// noSuchName turns resp into the error answer for the request's bind i.
+func noSuchName(req, resp *Message, i int) {
+	resp.PDU.ErrorStatus = ErrNoSuchName
+	resp.PDU.ErrorIndex = i + 1
+	resp.PDU.VarBinds = append(resp.PDU.VarBinds[:0], req.PDU.VarBinds...)
 }
 
 func (a *Agent) doGet(req, resp *Message) {
@@ -111,9 +121,7 @@ func (a *Agent) doGet(req, resp *Message) {
 			if req.Version >= V2c {
 				v = mib.NoSuchObject()
 			} else {
-				resp.PDU.ErrorStatus = ErrNoSuchName
-				resp.PDU.ErrorIndex = i + 1
-				resp.PDU.VarBinds = req.PDU.VarBinds
+				noSuchName(req, resp, i)
 				return
 			}
 		}
@@ -121,20 +129,24 @@ func (a *Agent) doGet(req, resp *Message) {
 	}
 }
 
+// next answers one GetNext bind; at the end of the MIB view it answers
+// endOfMibView for oid itself and reports false.
+func (a *Agent) next(oid mib.OID) (VarBind, bool) {
+	next, v, ok := a.Tree.Next(oid)
+	if !ok {
+		return VarBind{OID: oid, Value: mib.EndOfMIB()}, false
+	}
+	return VarBind{OID: next, Value: v}, true
+}
+
 func (a *Agent) doGetNext(req, resp *Message) {
 	for i, vb := range req.PDU.VarBinds {
-		oid, v, ok := a.Tree.Next(vb.OID)
-		if !ok {
-			if req.Version >= V2c {
-				resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: vb.OID, Value: mib.EndOfMIB()})
-				continue
-			}
-			resp.PDU.ErrorStatus = ErrNoSuchName
-			resp.PDU.ErrorIndex = i + 1
-			resp.PDU.VarBinds = req.PDU.VarBinds
+		next, ok := a.next(vb.OID)
+		if !ok && req.Version < V2c {
+			noSuchName(req, resp, i)
 			return
 		}
-		resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: oid, Value: v})
+		resp.PDU.VarBinds = append(resp.PDU.VarBinds, next)
 	}
 }
 
@@ -145,27 +157,21 @@ func (a *Agent) doGetBulk(req, resp *Message) {
 		maxReps = 10
 	}
 	for i, vb := range req.PDU.VarBinds {
+		reps := maxReps
 		if i < nonRepeaters {
-			oid, v, ok := a.Tree.Next(vb.OID)
-			if !ok {
-				resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: vb.OID, Value: mib.EndOfMIB()})
-			} else {
-				resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: oid, Value: v})
-			}
-			continue
+			reps = 1
 		}
 		cur := vb.OID
-		for rep := 0; rep < maxReps; rep++ {
-			if len(resp.PDU.VarBinds) >= a.MaxVarBinds {
+		for rep := 0; rep < reps; rep++ {
+			if i >= nonRepeaters && len(resp.PDU.VarBinds) >= a.MaxVarBinds {
 				return
 			}
-			oid, v, ok := a.Tree.Next(cur)
+			next, ok := a.next(cur)
+			resp.PDU.VarBinds = append(resp.PDU.VarBinds, next)
 			if !ok {
-				resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: cur, Value: mib.EndOfMIB()})
 				break
 			}
-			resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: oid, Value: v})
-			cur = oid
+			cur = next.OID
 		}
 	}
 }
@@ -175,13 +181,11 @@ func (a *Agent) doSet(req, resp *Message) {
 	// enough for the monitor's needs.
 	for i, vb := range req.PDU.VarBinds {
 		if err := a.Tree.Set(vb.OID, vb.Value); err != nil {
-			resp.PDU.ErrorStatus = ErrNoSuchName
-			resp.PDU.ErrorIndex = i + 1
-			resp.PDU.VarBinds = req.PDU.VarBinds
+			noSuchName(req, resp, i)
 			return
 		}
 	}
-	resp.PDU.VarBinds = req.PDU.VarBinds
+	resp.PDU.VarBinds = append(resp.PDU.VarBinds, req.PDU.VarBinds...)
 }
 
 // ServeSim binds the agent to a node's UDP port and spawns its server proc.
@@ -214,14 +218,12 @@ func (a *Agent) AddTrapDestSim(n *netsim.Node, dst netsim.Addr, port netsim.Port
 		port = TrapPort
 	}
 	sock := n.OpenUDP(0)
-	agentIP := mib.PseudoIP(n.Name)
 	a.trapSend = append(a.trapSend, func(b []byte) {
 		sock.SendTo(dst, port, b)
 	})
 	if a.sysUp == nil {
 		a.sysUp = func() uint32 { return uint32(n.LocalTime().Milliseconds() / 10) }
 	}
-	_ = agentIP
 }
 
 // AddTrapDestFunc registers an arbitrary trap transport: SendTrap hands
@@ -240,75 +242,41 @@ var snmpTrapOIDObj = mib.MustOID("1.3.6.1.6.3.1.1.4.1.0")
 //
 //lint:allow unusedexport test-pinned by TestTrapV2Delivery; retire together
 func (a *Agent) SendTrapV2(trapOID mib.OID, binds []VarBind) {
-	var ts uint32
-	if a.sysUp != nil {
-		ts = a.sysUp()
-	}
 	full := make([]VarBind, 0, len(binds)+2)
 	full = append(full,
-		VarBind{OID: mib.SysUpTime, Value: mib.Ticks(uint64(ts))},
+		VarBind{OID: mib.SysUpTime, Value: mib.Ticks(uint64(a.upTime()))},
 		VarBind{OID: snmpTrapOIDObj, Value: mib.OIDVal(trapOID)},
 	)
 	full = append(full, binds...)
-	msg := &Message{Version: V2c, Community: a.Community}
-	msg.PDU = PDU{Type: TrapV2, RequestID: int32(a.Stats.TrapsSent + 1), VarBinds: full}
-	b := msg.Encode()
-	for _, send := range a.trapSend {
-		send(b)
-	}
-	a.Stats.TrapsSent++
+	a.sendTrap(&Message{Version: V2c, Community: a.Community,
+		PDU: PDU{Type: TrapV2, RequestID: int32(a.Stats.TrapsSent + 1), VarBinds: full}})
 }
 
 // SendTrap emits an SNMPv1 trap to every registered destination.
 func (a *Agent) SendTrap(enterprise mib.OID, agentAddr []byte, generic, specific int, binds []VarBind) {
-	var ts uint32
-	if a.sysUp != nil {
-		ts = a.sysUp()
-	}
-	msg := &Message{Version: V1, Community: a.Community}
-	msg.PDU = PDU{
+	a.sendTrap(&Message{Version: V1, Community: a.Community, PDU: PDU{
 		Type:         TrapV1,
 		Enterprise:   enterprise,
 		AgentAddr:    agentAddr,
 		GenericTrap:  generic,
 		SpecificTrap: specific,
-		Timestamp:    ts,
+		Timestamp:    a.upTime(),
 		VarBinds:     binds,
+	}})
+}
+
+// upTime is the agent's sysUpTime in ticks, 0 before it serves a node.
+func (a *Agent) upTime() uint32 {
+	if a.sysUp == nil {
+		return 0
 	}
+	return a.sysUp()
+}
+
+func (a *Agent) sendTrap(msg *Message) {
 	b := msg.Encode()
 	for _, send := range a.trapSend {
 		send(b)
 	}
 	a.Stats.TrapsSent++
-}
-
-// Poller periodically issues the same Get through a client and hands the
-// results to a callback; the building block of manager-side monitoring.
-//
-//lint:allow unusedexport test-pinned by TestPollerPolls and TestPollerTimeoutPath; retire together
-type Poller struct {
-	Client   *Client
-	Agent    netsim.Addr
-	OIDs     []mib.OID
-	Interval time.Duration
-	// OnResult receives the polled binds; err is non-nil on timeout.
-	OnResult func(binds []VarBind, err error)
-
-	Polls uint64
-}
-
-// Run spawns the polling proc on the client's node.
-//
-//lint:allow unusedexport test-pinned with Poller
-func (po *Poller) Run() *sim.Proc {
-	return po.Client.node.Spawn("snmp-poller", func(p *sim.Proc) {
-		for {
-			binds, err := po.Client.Get(p, po.Agent, po.OIDs...)
-			po.Polls++
-			if po.OnResult != nil {
-				po.OnResult(binds, err)
-			}
-			p.Sleep(po.Interval)
-		}
-	})
 }

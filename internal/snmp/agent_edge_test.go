@@ -149,30 +149,6 @@ func TestAgentMalformedCounting(t *testing.T) {
 	}
 }
 
-func TestPollerTimeoutPath(t *testing.T) {
-	// Poller against a nonexistent agent: OnResult sees errors, keeps going.
-	k := sim.NewKernel()
-	defer k.Close()
-	nw := newTwoHostNet(k)
-	client := NewClient(nw.Node("mgr"), "public")
-	client.Timeout = 100 * time.Millisecond
-	client.Retries = 0
-	errs := 0
-	(&Poller{
-		Client: client, Agent: "agent1", OIDs: []mib.OID{mib.SysUpTime},
-		Interval: 500 * time.Millisecond,
-		OnResult: func(_ []VarBind, err error) {
-			if err != nil {
-				errs++
-			}
-		},
-	}).Run()
-	k.RunUntil(3 * time.Second)
-	if errs < 4 {
-		t.Fatalf("poller errors = %d", errs)
-	}
-}
-
 func TestAgentV1GetNextNoSuchName(t *testing.T) {
 	a := edgeAgent()
 	resp := handleMsg(t, a, &Message{Version: V1, Community: "public",

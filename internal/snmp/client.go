@@ -1,6 +1,7 @@
 package snmp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -62,13 +63,21 @@ type manager struct {
 	Stats ClientStats
 
 	reqID int32
+	// Reused from one request to the next.
+	resp  Message
+	buf   []byte
+	binds []VarBind
 }
 
+// request sends pdu and waits for its answer, retrying as configured. The
+// answer is valid until the engine's next request, which decodes over it.
 func (m *manager) request(t conn, pdu PDU) (*Message, error) {
 	m.reqID++
 	pdu.RequestID = m.reqID
-	msg := &Message{Version: m.Version, Community: m.Community, PDU: pdu}
-	b := msg.Encode()
+	msg := Message{Version: m.Version, Community: m.Community, PDU: pdu}
+	m.buf = msg.AppendTo(m.buf[:0])
+	b := bytes.Clone(m.buf) // the transport keeps what it is handed
+	resp := &m.resp
 	hard := time.Duration(-1) // absolute per-request deadline, <0 = none
 	if m.Budget > 0 {
 		hard = t.Now() + m.Budget
@@ -104,8 +113,7 @@ func (m *manager) request(t conn, pdu PDU) (*Message, error) {
 			if !ok {
 				break
 			}
-			resp, err := Decode(payload)
-			if err != nil || resp.PDU.Type != GetResponse {
+			if err := resp.Unmarshal(payload); err != nil || resp.PDU.Type != GetResponse {
 				continue
 			}
 			if resp.PDU.RequestID != pdu.RequestID {
@@ -135,19 +143,26 @@ func (m *manager) exchange(t conn, typ PDUType, binds []VarBind) ([]VarBind, err
 	return resp.PDU.VarBinds, nil
 }
 
-func bindsFor(oids []mib.OID) []VarBind {
-	binds := make([]VarBind, len(oids))
-	for i, o := range oids {
-		binds[i] = VarBind{OID: o, Value: mib.Null()}
-	}
-	return binds
+// read is an exchange asking for oids.
+func (m *manager) read(t conn, typ PDUType, oids ...mib.OID) ([]VarBind, error) {
+	return m.exchange(t, typ, m.nullBinds(oids...))
 }
 
+func (m *manager) nullBinds(oids ...mib.OID) []VarBind {
+	m.binds = m.binds[:0]
+	for _, o := range oids {
+		m.binds = append(m.binds, VarBind{OID: o, Value: mib.Null()})
+	}
+	return m.binds
+}
+
+// walk gathers binds over many requests, so (as bulkWalk does) it copies
+// each name out of the reused answer; a value owns its storage already.
 func (m *manager) walk(t conn, prefix mib.OID) ([]VarBind, error) {
 	var out []VarBind
 	cur := prefix
 	for {
-		binds, err := m.exchange(t, GetNextRequest, bindsFor([]mib.OID{cur}))
+		binds, err := m.read(t, GetNextRequest, cur)
 		if err != nil {
 			return out, err
 		}
@@ -161,6 +176,7 @@ func (m *manager) walk(t conn, prefix mib.OID) ([]VarBind, error) {
 		if len(out) > 0 && vb.OID.Cmp(out[len(out)-1].OID) <= 0 {
 			return out, fmt.Errorf("snmp: walk: agent OID ordering violation at %s", vb.OID)
 		}
+		vb.OID = vb.OID.Clone()
 		out = append(out, vb)
 		cur = vb.OID
 	}
@@ -172,7 +188,7 @@ func (m *manager) bulkWalk(t conn, prefix mib.OID, maxReps int) ([]VarBind, erro
 	for {
 		// A bulk request carries max-repetitions in the error-index field
 		// and its response has no status to check.
-		resp, err := m.request(t, PDU{Type: GetBulkRequest, ErrorIndex: maxReps, VarBinds: bindsFor([]mib.OID{cur})})
+		resp, err := m.request(t, PDU{Type: GetBulkRequest, ErrorIndex: maxReps, VarBinds: m.nullBinds(cur)})
 		if err != nil {
 			return out, err
 		}
@@ -181,6 +197,7 @@ func (m *manager) bulkWalk(t conn, prefix mib.OID, maxReps int) ([]VarBind, erro
 			if vb.Value.Kind == mib.KindEndOfMIB || !vb.OID.HasPrefix(prefix) {
 				return out, nil
 			}
+			vb.OID = vb.OID.Clone()
 			out = append(out, vb)
 			cur = vb.OID
 			progressed = true
@@ -252,17 +269,20 @@ func (c *Client) to(p *sim.Proc, agent netsim.Addr) conn {
 	return &c.conn
 }
 
-// Get fetches exact OIDs from agent.
+// Get fetches exact OIDs from agent. The binds are decoded into storage
+// the client reuses: they are valid until its next request.
 func (c *Client) Get(p *sim.Proc, agent netsim.Addr, oids ...mib.OID) ([]VarBind, error) {
-	return c.exchange(c.to(p, agent), GetRequest, bindsFor(oids))
+	return c.read(c.to(p, agent), GetRequest, oids...)
 }
 
-// Walk retrieves every object under prefix using GetNext.
+// Walk retrieves every object under prefix using GetNext. The binds are
+// copies: they stay valid whatever the client does next.
 func (c *Client) Walk(p *sim.Proc, agent netsim.Addr, prefix mib.OID) ([]VarBind, error) {
 	return c.walk(c.to(p, agent), prefix)
 }
 
-// BulkWalk retrieves every object under prefix using GetBulk.
+// BulkWalk retrieves every object under prefix using GetBulk. The binds are
+// copies, as Walk's are.
 func (c *Client) BulkWalk(p *sim.Proc, agent netsim.Addr, prefix mib.OID, maxReps int) ([]VarBind, error) {
 	return c.bulkWalk(c.to(p, agent), prefix, maxReps)
 }

@@ -140,7 +140,7 @@ func TestConformanceBothTransports(t *testing.T) {
 		check   func(*testing.T, *manager, conn)
 	}{
 		{"get", honest, func(t *testing.T, m *manager, c conn) {
-			binds, err := m.exchange(c, GetRequest, bindsFor([]mib.OID{mib.SysDescr}))
+			binds, err := m.read(c, GetRequest, mib.SysDescr)
 			if err != nil || len(binds) != 1 || string(binds[0].Value.Str) != "loopback agent" {
 				t.Errorf("get: %+v, %v", binds, err)
 			}
@@ -149,7 +149,7 @@ func TestConformanceBothTransports(t *testing.T) {
 			}
 		}},
 		{"getnext", honest, func(t *testing.T, m *manager, c conn) {
-			binds, err := m.exchange(c, GetNextRequest, bindsFor([]mib.OID{mib.SysDescr}))
+			binds, err := m.read(c, GetNextRequest, mib.SysDescr)
 			if err != nil || len(binds) != 1 || binds[0].OID.Cmp(mib.SysUpTime) != 0 {
 				t.Errorf("getnext: %+v, %v", binds, err)
 			}
@@ -165,7 +165,7 @@ func TestConformanceBothTransports(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			binds, err := m.exchange(c, GetRequest, bindsFor([]mib.OID{knob}))
+			binds, err := m.read(c, GetRequest, knob)
 			if err != nil || binds[0].Value.Int != 7 {
 				t.Errorf("after set: %+v, %v", binds, err)
 			}
@@ -177,7 +177,7 @@ func TestConformanceBothTransports(t *testing.T) {
 		}},
 		{"wrong community times out", honest, func(t *testing.T, m *manager, c conn) {
 			m.Community = "wrong"
-			if _, err := m.exchange(c, GetRequest, bindsFor([]mib.OID{mib.SysDescr})); !errors.Is(err, ErrTimeout) {
+			if _, err := m.read(c, GetRequest, mib.SysDescr); !errors.Is(err, ErrTimeout) {
 				t.Errorf("err = %v, want ErrTimeout", err)
 			}
 			if m.Stats.Timeouts != 1 || m.Stats.Responses != 0 {
@@ -185,7 +185,7 @@ func TestConformanceBothTransports(t *testing.T) {
 			}
 		}},
 		{"stale response dropped and counted", staleFirst, func(t *testing.T, m *manager, c conn) {
-			if _, err := m.exchange(c, GetRequest, bindsFor([]mib.OID{mib.SysDescr})); err != nil {
+			if _, err := m.read(c, GetRequest, mib.SysDescr); err != nil {
 				t.Error(err)
 				return
 			}
@@ -229,5 +229,48 @@ func TestRealWalkStopsOnOrderingViolation(t *testing.T) {
 	binds, err := c.Walk(serveUDP(t, stuck(50)), mib.System)
 	if err == nil || !strings.Contains(err.Error(), "ordering violation") || len(binds) != 1 {
 		t.Fatalf("walk: %d objects, err = %v, want ordering violation after 1", len(binds), err)
+	}
+}
+
+// TestWalkResultsSurviveLaterRequests: a Get's binds live in storage the
+// engine reuses, but what Walk and BulkWalk return are copies — unchanged
+// after the engine has decoded other answers over the ones they came from.
+func TestWalkResultsSurviveLaterRequests(t *testing.T) {
+	walks := map[string]func(*manager, conn) ([]VarBind, error){
+		"walk":     func(m *manager, c conn) ([]VarBind, error) { return m.walk(c, mib.MustOID("1.3.6.1")) },
+		"bulkwalk": func(m *manager, c conn) ([]VarBind, error) { return m.bulkWalk(c, mib.MustOID("1.3.6.1"), 2) },
+	}
+	for name, run := range map[string]transportUnderTest{"sim": overSim, "udp": overUDP} {
+		for kind, walk := range walks {
+			t.Run(name+"/"+kind, func(t *testing.T) {
+				run(t, honest(), func(m *manager, c conn) {
+					binds, err := walk(m, c)
+					if err != nil || len(binds) != 3 {
+						t.Errorf("%s: %d objects, %v", kind, len(binds), err)
+						return
+					}
+					var before []string
+					for _, vb := range binds {
+						before = append(before, vb.OID.String()+" = "+vb.Value.String())
+					}
+					// Longer names, another order, other values: whatever
+					// these decode into must not be what binds points at.
+					if _, err := m.read(c, GetRequest, mib.Enterprise.Append(1, 0), mib.SysUpTime, mib.SysDescr); err != nil {
+						t.Error(err)
+					}
+					if _, err := walk(m, c); err != nil {
+						t.Error(err)
+					}
+					if _, err := m.read(c, GetNextRequest, mib.MustOID("1.3")); err != nil {
+						t.Error(err)
+					}
+					for i, vb := range binds {
+						if now := vb.OID.String() + " = " + vb.Value.String(); now != before[i] {
+							t.Errorf("%s result %d changed under later requests: %s, was %s", kind, i, now, before[i])
+						}
+					}
+				})
+			})
+		}
 	}
 }

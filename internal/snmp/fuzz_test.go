@@ -12,7 +12,9 @@ import (
 // decode again, and re-encoding that second decode must reproduce the same
 // bytes. (We do not require Encode(Decode(data)) == data — the decoder
 // tolerates non-canonical BER and lossy widths, e.g. a 5-octet agent
-// address or a 64-bit timestamp, which the encoder normalizes.)
+// address or a 64-bit timestamp, which the encoder normalizes.) Every input
+// also goes through checkAgainstOracle: Decode, Unmarshal into dirty scratch
+// messages and Encode against the allocating codec they replaced.
 func FuzzMessageRoundTrip(f *testing.F) {
 	get := &Message{Version: V2c, Community: "public", PDU: PDU{
 		Type: GetRequest, RequestID: 42,
@@ -40,6 +42,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add(bulk.Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstOracle(t, data)
 		m, err := Decode(data)
 		if err != nil {
 			return

@@ -10,6 +10,7 @@
 package snmp
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/asn1ber"
@@ -40,27 +41,16 @@ const (
 	TrapV2         PDUType = 0xA7
 )
 
+var pduNames = map[PDUType]string{
+	GetRequest: "get", GetNextRequest: "getnext", GetResponse: "response", SetRequest: "set",
+	TrapV1: "trap", GetBulkRequest: "getbulk", InformRequest: "inform", TrapV2: "trapv2",
+}
+
 func (t PDUType) String() string {
-	switch t {
-	case GetRequest:
-		return "get"
-	case GetNextRequest:
-		return "getnext"
-	case GetResponse:
-		return "response"
-	case SetRequest:
-		return "set"
-	case TrapV1:
-		return "trap"
-	case GetBulkRequest:
-		return "getbulk"
-	case InformRequest:
-		return "inform"
-	case TrapV2:
-		return "trapv2"
-	default:
-		return fmt.Sprintf("pdu-0x%02x", byte(t))
+	if name, ok := pduNames[t]; ok {
+		return name
 	}
+	return fmt.Sprintf("pdu-0x%02x", byte(t))
 }
 
 // Error status codes (RFC 1157).
@@ -118,139 +108,182 @@ type Message struct {
 	Version   Version
 	Community string
 	PDU       PDU
+
+	arcs []uint32 // what Unmarshal cuts the message's OIDs from
 }
 
-// Encode serializes the message to BER bytes.
+// Encode serializes the message to BER bytes the caller owns.
 func (m *Message) Encode() []byte {
-	var pdu []byte
+	var buf [128]byte // a poll or a trap fits; a longer message grows past it
+	return bytes.Clone(m.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the message's BER encoding to dst, nested TLVs in place.
+//
+//perf:noalloc
+func (m *Message) AppendTo(dst []byte) []byte {
+	dst, msg := asn1ber.BeginTLV(dst, asn1ber.TagSequence)
+	dst = asn1ber.AppendInt(dst, asn1ber.TagInteger, int64(m.Version))
+	dst, community := asn1ber.BeginTLV(dst, asn1ber.TagOctetString)
+	dst = append(dst, m.Community...)
+	dst = asn1ber.EndTLV(dst, community)
+
+	dst, pdu := asn1ber.BeginTLV(dst, byte(m.PDU.Type))
 	if m.PDU.Type == TrapV1 {
-		pdu = asn1ber.AppendOID(pdu, m.PDU.Enterprise)
+		dst = asn1ber.AppendOID(dst, m.PDU.Enterprise)
 		addr := m.PDU.AgentAddr
 		if len(addr) != 4 {
 			addr = []byte{0, 0, 0, 0}
 		}
-		pdu = asn1ber.AppendString(pdu, asn1ber.TagIPAddress, addr)
-		pdu = asn1ber.AppendInt(pdu, asn1ber.TagInteger, int64(m.PDU.GenericTrap))
-		pdu = asn1ber.AppendInt(pdu, asn1ber.TagInteger, int64(m.PDU.SpecificTrap))
-		pdu = asn1ber.AppendUint(pdu, asn1ber.TagTimeTicks, uint64(m.PDU.Timestamp))
+		dst = asn1ber.AppendString(dst, asn1ber.TagIPAddress, addr)
+		dst = asn1ber.AppendInt(dst, asn1ber.TagInteger, int64(m.PDU.GenericTrap))
+		dst = asn1ber.AppendInt(dst, asn1ber.TagInteger, int64(m.PDU.SpecificTrap))
+		dst = asn1ber.AppendUint(dst, asn1ber.TagTimeTicks, uint64(m.PDU.Timestamp))
 	} else {
-		pdu = asn1ber.AppendInt(pdu, asn1ber.TagInteger, int64(m.PDU.RequestID))
-		pdu = asn1ber.AppendInt(pdu, asn1ber.TagInteger, int64(m.PDU.ErrorStatus))
-		pdu = asn1ber.AppendInt(pdu, asn1ber.TagInteger, int64(m.PDU.ErrorIndex))
+		dst = asn1ber.AppendInt(dst, asn1ber.TagInteger, int64(m.PDU.RequestID))
+		dst = asn1ber.AppendInt(dst, asn1ber.TagInteger, int64(m.PDU.ErrorStatus))
+		dst = asn1ber.AppendInt(dst, asn1ber.TagInteger, int64(m.PDU.ErrorIndex))
 	}
-	var binds []byte
-	for _, vb := range m.PDU.VarBinds {
-		var one []byte
-		one = asn1ber.AppendOID(one, vb.OID)
-		one = vb.Value.Encode(one)
-		binds = asn1ber.AppendTLV(binds, asn1ber.TagSequence, one)
+	dst, binds := asn1ber.BeginTLV(dst, asn1ber.TagSequence)
+	var bind int // declared out here: := in the loop would shadow dst
+	for i := range m.PDU.VarBinds {
+		dst, bind = asn1ber.BeginTLV(dst, asn1ber.TagSequence)
+		dst = asn1ber.AppendOID(dst, m.PDU.VarBinds[i].OID)
+		dst = m.PDU.VarBinds[i].Value.Encode(dst)
+		dst = asn1ber.EndTLV(dst, bind)
 	}
-	pdu = asn1ber.AppendTLV(pdu, asn1ber.TagSequence, binds)
-
-	var body []byte
-	body = asn1ber.AppendInt(body, asn1ber.TagInteger, int64(m.Version))
-	body = asn1ber.AppendString(body, asn1ber.TagOctetString, []byte(m.Community))
-	body = asn1ber.AppendTLV(body, byte(m.PDU.Type), pdu)
-	return asn1ber.AppendTLV(nil, asn1ber.TagSequence, body)
+	dst = asn1ber.EndTLV(dst, binds)
+	dst = asn1ber.EndTLV(dst, pdu)
+	return asn1ber.EndTLV(dst, msg)
 }
 
-// Decode parses a BER message.
+// Decode parses a BER message into a Message of its own.
 func Decode(b []byte) (*Message, error) {
+	m := new(Message)
+	if err := m.Unmarshal(b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Unmarshal parses a BER message into m in place of what m held, reusing m's
+// var-bind slice and cutting the bind names and the trap enterprise from one
+// arena m keeps: they and the slice are valid until the next Unmarshal into
+// m. Values own their storage and never alias b. On error m is left empty.
+//
+//perf:noalloc
+func (m *Message) Unmarshal(b []byte) error {
+	*m = Message{Community: m.Community, PDU: PDU{VarBinds: m.PDU.VarBinds[:0]}, arcs: m.arcs[:0]}
+	err := m.unmarshal(b)
+	if err != nil {
+		*m = Message{PDU: PDU{VarBinds: m.PDU.VarBinds[:0]}, arcs: m.arcs[:0]}
+	}
+	return err
+}
+
+// oid decodes OBJECT IDENTIFIER content octets into the message's arena.
+func (m *Message) oid(content []byte) (oid mib.OID, err error) {
+	start := len(m.arcs)
+	m.arcs, err = asn1ber.AppendArcs(m.arcs, content)
+	return m.arcs[start:len(m.arcs):len(m.arcs)], err
+}
+
+// unmarshal is Unmarshal onto an emptied m.
+//
+//perf:noalloc
+func (m *Message) unmarshal(b []byte) error {
 	outer, err := asn1ber.NewReader(b).ReadExpect(asn1ber.TagSequence)
 	if err != nil {
-		return nil, fmt.Errorf("snmp: message: %w", err)
+		return fmt.Errorf("snmp: message: %w", err)
 	}
 	r := asn1ber.NewReader(outer)
 	_, ver, err := r.ReadInt()
 	if err != nil {
-		return nil, fmt.Errorf("snmp: version: %w", err)
+		return fmt.Errorf("snmp: version: %w", err)
 	}
 	community, err := r.ReadExpect(asn1ber.TagOctetString)
 	if err != nil {
-		return nil, fmt.Errorf("snmp: community: %w", err)
+		return fmt.Errorf("snmp: community: %w", err)
 	}
 	pduTag, pduBytes, err := r.ReadTLV()
 	if err != nil {
-		return nil, fmt.Errorf("snmp: pdu: %w", err)
+		return fmt.Errorf("snmp: pdu: %w", err)
 	}
-	m := &Message{Version: Version(ver), Community: string(community)}
+	m.Version = Version(ver)
+	if m.Community != string(community) {
+		m.Community = string(community) //lint:allow heapescape a scratch message sees one community: the string it holds already
+	}
 	m.PDU.Type = PDUType(pduTag)
 	pr := asn1ber.NewReader(pduBytes)
 	if m.PDU.Type == TrapV1 {
 		entBytes, err := pr.ReadExpect(asn1ber.TagOID)
 		if err != nil {
-			return nil, fmt.Errorf("snmp: trap enterprise: %w", err)
+			return fmt.Errorf("snmp: trap enterprise: %w", err)
 		}
-		arcs, err := asn1ber.ParseOID(entBytes)
-		if err != nil {
-			return nil, err
+		if m.PDU.Enterprise, err = m.oid(entBytes); err != nil {
+			return err
 		}
-		m.PDU.Enterprise = mib.OID(arcs)
 		addr, err := pr.ReadExpect(asn1ber.TagIPAddress)
 		if err != nil {
-			return nil, fmt.Errorf("snmp: trap agent-addr: %w", err)
+			return fmt.Errorf("snmp: trap agent-addr: %w", err)
 		}
 		m.PDU.AgentAddr = append([]byte(nil), addr...)
-		if _, g, err := pr.ReadInt(); err == nil {
-			m.PDU.GenericTrap = int(g)
-		} else {
-			return nil, err
+		_, generic, err := pr.ReadInt()
+		if err != nil {
+			return err
 		}
-		if _, s, err := pr.ReadInt(); err == nil {
-			m.PDU.SpecificTrap = int(s)
-		} else {
-			return nil, err
+		_, specific, err := pr.ReadInt()
+		if err != nil {
+			return err
 		}
 		ts, err := pr.ReadExpect(asn1ber.TagTimeTicks)
 		if err != nil {
-			return nil, fmt.Errorf("snmp: trap timestamp: %w", err)
+			return fmt.Errorf("snmp: trap timestamp: %w", err)
 		}
 		u, err := asn1ber.ParseUint(ts)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		m.PDU.Timestamp = uint32(u)
+		m.PDU.GenericTrap, m.PDU.SpecificTrap, m.PDU.Timestamp = int(generic), int(specific), uint32(u)
 	} else {
 		_, reqID, err := pr.ReadInt()
 		if err != nil {
-			return nil, fmt.Errorf("snmp: request-id: %w", err)
+			return fmt.Errorf("snmp: request-id: %w", err)
 		}
 		_, errStatus, err := pr.ReadInt()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		_, errIndex, err := pr.ReadInt()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		m.PDU.RequestID = int32(reqID)
-		m.PDU.ErrorStatus = int(errStatus)
-		m.PDU.ErrorIndex = int(errIndex)
+		m.PDU.RequestID, m.PDU.ErrorStatus, m.PDU.ErrorIndex = int32(reqID), int(errStatus), int(errIndex)
 	}
 	bindsBytes, err := pr.ReadExpect(asn1ber.TagSequence)
 	if err != nil {
-		return nil, fmt.Errorf("snmp: var-bind list: %w", err)
+		return fmt.Errorf("snmp: var-bind list: %w", err)
 	}
 	br := asn1ber.NewReader(bindsBytes)
 	for !br.Empty() {
 		one, err := br.ReadExpect(asn1ber.TagSequence)
 		if err != nil {
-			return nil, fmt.Errorf("snmp: var-bind: %w", err)
+			return fmt.Errorf("snmp: var-bind: %w", err)
 		}
 		vr := asn1ber.NewReader(one)
 		oidBytes, err := vr.ReadExpect(asn1ber.TagOID)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		arcs, err := asn1ber.ParseOID(oidBytes)
+		oid, err := m.oid(oidBytes)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		val, err := mib.DecodeValue(vr)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		m.PDU.VarBinds = append(m.PDU.VarBinds, VarBind{OID: mib.OID(arcs), Value: val})
+		m.PDU.VarBinds = append(m.PDU.VarBinds, VarBind{OID: oid, Value: val})
 	}
-	return m, nil
+	return nil
 }

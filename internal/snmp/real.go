@@ -29,7 +29,7 @@ func (a *Agent) ServeUDP(conn *net.UDPConn) error {
 }
 
 // udpConn is the engine's conn over a real socket connected to one agent.
-// It owns the receive buffer: Decode copies what it keeps.
+// It owns the receive buffer: Unmarshal copies what it keeps.
 type udpConn struct {
 	c     *net.UDPConn
 	buf   []byte
@@ -78,14 +78,15 @@ func (c *RealClient) over(agent string, op func(conn) ([]VarBind, error)) ([]Var
 	return op(&udpConn{c: uc, buf: make([]byte, 65536), start: time.Now()})
 }
 
-// Get fetches exact OIDs.
+// Get fetches exact OIDs. The binds are valid until the client's next
+// request, as Client.Get's are.
 func (c *RealClient) Get(agent string, oids ...mib.OID) ([]VarBind, error) {
-	return c.over(agent, func(t conn) ([]VarBind, error) { return c.exchange(t, GetRequest, bindsFor(oids)) })
+	return c.over(agent, func(t conn) ([]VarBind, error) { return c.read(t, GetRequest, oids...) })
 }
 
-// GetNext fetches lexicographic successors.
+// GetNext fetches lexicographic successors, valid as Get's binds are.
 func (c *RealClient) GetNext(agent string, oids ...mib.OID) ([]VarBind, error) {
-	return c.over(agent, func(t conn) ([]VarBind, error) { return c.exchange(t, GetNextRequest, bindsFor(oids)) })
+	return c.over(agent, func(t conn) ([]VarBind, error) { return c.read(t, GetNextRequest, oids...) })
 }
 
 // Set writes values.

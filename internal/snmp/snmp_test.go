@@ -384,24 +384,3 @@ func TestTrapSinkQueueDepthIsLive(t *testing.T) {
 		t.Errorf("depth after the drain = %v with %d processed, want 0 and 5", end, sink.Stats.Processed)
 	}
 }
-
-func TestPollerPolls(t *testing.T) {
-	k, _, client, _, _ := agentFixture(t)
-	var results int
-	po := &Poller{
-		Client:   client,
-		Agent:    "agent1",
-		OIDs:     []mib.OID{mib.SysUpTime},
-		Interval: time.Second,
-		OnResult: func(binds []VarBind, err error) {
-			if err == nil {
-				results++
-			}
-		},
-	}
-	po.Run()
-	k.RunUntil(10500 * time.Millisecond)
-	if results < 10 {
-		t.Fatalf("poller produced %d results in 10.5s at 1s interval", results)
-	}
-}
