@@ -5,9 +5,9 @@ GO ?= go
 # this floor. Raise it when coverage rises; never lower it to make a PR pass.
 COVER_FLOOR ?= 85.0
 
-.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke loopback-smoke cover bench-shard test-shard experiments e15-artifact results-gate
+.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke loopback-smoke tables-digest cover bench-shard test-shard experiments e15-artifact results-gate
 
-ci: vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke loopback-smoke
+ci: vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke loopback-smoke tables-digest
 
 # gofmt -l prints the files it would rewrite; any name is a failure.
 vet:
@@ -78,6 +78,13 @@ telemetry-smoke:
 # exit 0 with well-formed output. (`test` runs the same two tests.)
 loopback-smoke:
 	$(GO) test -count=1 -run '^TestLoopbackSmoke$$' ./cmd/nttcp ./cmd/snmpget
+
+# The oracle of every performance change: the full suite at -shards 0, 1 and
+# 8 and the -quick suite print the bytes whose SHA-256 is pinned in
+# internal/experiments/testdata/tables.sha256. A mismatch names the run and
+# the first differing table (see scripts/tables_digest.sh).
+tables-digest:
+	scripts/tables_digest.sh
 
 # Statement coverage across ./internal/..., gated on COVER_FLOOR.
 cover:

@@ -272,17 +272,16 @@ func (s *SharedSegment) deliver(from *Iface, pkt *Packet) {
 		}
 		return
 	}
-	for _, ifc := range s.ifaces {
-		if ifc.node.Name == pkt.NextHop {
-			if s.cfg.DupProb > 0 && s.net.rng.Float64() < s.cfg.DupProb {
-				ifc.receive(pkt.clone())
-			}
-			ifc.receive(pkt)
-			return
-		}
+	ifc := pkt.rcv
+	if ifc == nil {
+		s.stats.NoStation++
+		s.net.drop(DropNoStation, pkt)
+		return
 	}
-	s.stats.NoStation++
-	s.net.drop(DropNoStation, pkt)
+	if s.cfg.DupProb > 0 && s.net.rng.Float64() < s.cfg.DupProb {
+		ifc.receive(pkt.clone())
+	}
+	ifc.receive(pkt)
 }
 
 // Link is a full-duplex point-to-point medium: each direction is an
@@ -331,8 +330,10 @@ func (nw *Network) NewLink(name string, a, b *Node, cfg MediumConfig) *Link {
 // anything shorter could deliver inside a window a peer has already
 // executed, so it panics at construction rather than mid-run.
 //
-// Node names should be unique across the joined networks: routing resolves
-// next hops by name, and the endpoints become each other's neighbors.
+// Node names should be unique across the joined networks: a route names its
+// next hop, the endpoints become each other's neighbors under their names,
+// and a packet that crosses is forwarded on by its destination's name (its
+// interned id is the sending network's and is dropped at the link).
 func ConnectShards(name string, a, b *Node, cfg MediumConfig) *Link {
 	aK, bK := a.net.K, b.net.K
 	ga, gb := aK.Group(), bK.Group()
@@ -422,6 +423,9 @@ func (l *Link) txDone(arg any) {
 func (l *Link) deliver(d int, pkt *Packet) {
 	src, dst := &l.ends[d], &l.ends[1-d]
 	pkt.hop = dst.ifc
+	if dst.net != src.net {
+		pkt.dst = 0
+	}
 	at := src.net.K.Now() + l.cfg.PropDelay
 	g := src.net.K.Group()
 	if g == nil || src.shard == dst.shard {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -13,10 +14,22 @@ import (
 // within sim procs.
 type Network struct {
 	K      *sim.Kernel
-	nodes  map[Addr]*Node
+	nodes  []*Node // creation order
+	byName map[Addr]*Node
 	media  []Medium
 	rng    *rand.Rand
 	nextID uint64
+
+	// ids interns destination addresses: a packet carries its destination's
+	// id (valid in this network only, never 0) and each node indexes its
+	// resolved forwarding entries by it. A node's name is interned as the
+	// node is created — a forwarding table is as long as the largest id its
+	// node has sent toward, and what a fleet sends toward is the station and
+	// the routers built before it — any other name when first sent to. gen
+	// is the routing generation those entries are valid for; every change to
+	// a route or an adjacency bumps it.
+	ids map[Addr]int32
+	gen uint32
 
 	// PacketsSent and PacketsDelivered count end-to-end datagrams handed to
 	// sockets, for loss accounting in experiments.
@@ -89,28 +102,29 @@ func (nw *Network) drop(reason DropReason, pkt *Packet) {
 // random decision in the network (loss, jitter), making runs reproducible.
 func New(k *sim.Kernel, seed int64) *Network {
 	return &Network{
-		K:     k,
-		nodes: make(map[Addr]*Node),
-		rng:   k.Rand(seed),
+		K:      k,
+		byName: make(map[Addr]*Node),
+		rng:    k.Rand(seed),
+		ids:    make(map[Addr]int32),
+		gen:    1,
 	}
 }
 
 // Node returns the named node, or nil.
-func (nw *Network) Node(name Addr) *Node { return nw.nodes[name] }
+func (nw *Network) Node(name Addr) *Node { return nw.byName[name] }
 
-// Nodes returns all nodes in creation order.
-func (nw *Network) Nodes() []*Node {
-	out := make([]*Node, 0, len(nw.nodes))
-	for _, n := range nw.nodes {
-		out = append(out, n)
+// Nodes returns all nodes in creation order, in a slice the caller owns.
+func (nw *Network) Nodes() []*Node { return slices.Clone(nw.nodes) }
+
+// intern returns the dense id of a destination address, assigning the next
+// one the first time the address is seen.
+func (nw *Network) intern(dst Addr) int32 {
+	id, ok := nw.ids[dst]
+	if !ok {
+		id = int32(len(nw.ids) + 1)
+		nw.ids[dst] = id
 	}
-	// map order is random; sort by creation sequence for determinism
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].seq > out[j].seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
+	return id
 }
 
 // Media returns every medium (segment or link) in creation order.
@@ -141,19 +155,20 @@ func (nw *Network) newNode(name Addr, role Role) *Node {
 	if name == "" || name == Broadcast {
 		panic("netsim: invalid node name")
 	}
-	if _, dup := nw.nodes[name]; dup {
+	if _, dup := nw.byName[name]; dup {
 		panic(fmt.Sprintf("netsim: duplicate node %q", name))
 	}
 	n := &Node{
 		net:     nw,
 		Name:    name,
 		Role:    role,
-		seq:     len(nw.nodes),
 		up:      true,
 		sockets: make(map[Port]*UDPSock),
 		routes:  make(map[Addr]Addr),
 	}
-	nw.nodes[name] = n
+	nw.nodes = append(nw.nodes, n)
+	nw.byName[name] = n
+	nw.intern(name)
 	return n
 }
 

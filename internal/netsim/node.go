@@ -29,7 +29,6 @@ type Node struct {
 	net  *Network
 	Name Addr
 	Role Role
-	seq  int
 
 	// ProcDelay is the per-packet forwarding latency of routers/switches.
 	ProcDelay time.Duration
@@ -42,6 +41,7 @@ type Node struct {
 	neighbors map[Addr]*Iface
 	routes    map[Addr]Addr // destination -> next hop
 	defRoute  Addr
+	fwd       []fwdEntry // resolved routes, indexed by Packet.dst
 	sockets   map[Port]*UDPSock
 	nextPort  Port
 	up        bool
@@ -87,11 +87,14 @@ func (n *Node) addIface(m Medium, queueCap int) *Iface {
 		n.neighbors = make(map[Addr]*Iface)
 	}
 	// Existing stations on the medium become neighbors, and we become
-	// theirs.
+	// theirs; each side's network — two, across a ConnectShards link — has a
+	// new adjacency for its forwarding entries to catch up with.
 	for _, other := range m.Ifaces() {
 		if other != nil && other.node != n {
 			n.neighbors[other.node.Name] = ifc
 			other.node.neighbors[n.Name] = other
+			n.net.gen++
+			other.node.net.gen++
 		}
 	}
 	return ifc
@@ -102,16 +105,51 @@ func (n *Node) addIface(m Medium, queueCap int) *Iface {
 // paper's §4.3 reachability discussion depends on that.
 func (n *Node) AddRoute(dst, nexthop Addr) {
 	n.routes[dst] = nexthop
+	n.net.gen++
 }
 
 // SetDefaultRoute installs the next hop for destinations with no explicit
 // route.
-func (n *Node) SetDefaultRoute(nexthop Addr) { n.defRoute = nexthop }
+func (n *Node) SetDefaultRoute(nexthop Addr) {
+	n.defRoute = nexthop
+	n.net.gen++
+}
 
-// route resolves the egress interface and next hop for a destination.
-// Explicit host routes take precedence over direct adjacency so that
-// asymmetric and broken paths can be configured even between neighbors
-// (§4.3's scenarios need this); then direct neighbors; then the default.
+// fwdEntry is one destination's resolved route at one node: what route
+// answered in generation gen, plus the station on the egress medium that
+// the next hop names. A nil out is "no route".
+type fwdEntry struct {
+	gen      uint32
+	out, rcv *Iface
+	nh       Addr
+}
+
+// resolve fills n's forwarding entry for an interned destination: what
+// route answers now, stamped with the generation it answered in. Interface
+// and node state is no part of an entry — up/down is checked when a frame is
+// queued and when it is received.
+func (n *Node) resolve(id int32, dst Addr) *fwdEntry {
+	if grow := int(id) + 1 - len(n.fwd); grow > 0 {
+		n.fwd = append(n.fwd, make([]fwdEntry, grow)...)
+	}
+	e := &n.fwd[id]
+	*e = fwdEntry{gen: n.net.gen}
+	if e.out, e.nh = n.route(dst); e.out != nil {
+		for _, ifc := range e.out.medium.Ifaces() {
+			if ifc.node.Name == e.nh {
+				e.rcv = ifc
+				break
+			}
+		}
+	}
+	return e
+}
+
+// route resolves the egress interface and next hop for a destination, on a
+// forwarding-table miss. Explicit host routes take precedence over direct
+// adjacency so that asymmetric and broken paths can be configured even
+// between neighbors (§4.3's scenarios need this); then direct neighbors;
+// then the default. A route whose next hop is not a neighbor is no route.
 func (n *Node) route(dst Addr) (*Iface, Addr) {
 	if nh, ok := n.routes[dst]; ok {
 		if ifc, ok := n.neighbors[nh]; ok {
@@ -131,6 +169,8 @@ func (n *Node) route(dst Addr) (*Iface, Addr) {
 }
 
 // output queues a packet toward its destination.
+//
+//perf:noalloc
 func (n *Node) output(pkt *Packet) {
 	if !n.up {
 		n.Counters.DownDrops++
@@ -149,14 +189,22 @@ func (n *Node) output(pkt *Packet) {
 		n.ifaces[0].enqueue(pkt)
 		return
 	}
-	ifc, nh := n.route(pkt.Dst)
-	if ifc == nil {
+	if pkt.dst == 0 {
+		pkt.dst = n.net.intern(pkt.Dst)
+	}
+	var e *fwdEntry
+	if id := int(pkt.dst); id < len(n.fwd) && n.fwd[id].gen == n.net.gen {
+		e = &n.fwd[id]
+	} else {
+		e = n.resolve(pkt.dst, pkt.Dst)
+	}
+	if e.out == nil {
 		n.Counters.NoRoute++
 		n.net.drop(DropNoRoute, pkt)
 		return
 	}
-	pkt.NextHop = nh
-	ifc.enqueue(pkt)
+	pkt.NextHop, pkt.rcv = e.nh, e.rcv
+	e.out.enqueue(pkt)
 }
 
 // input handles a packet delivered to one of the node's interfaces.
@@ -190,7 +238,6 @@ func (n *Node) input(pkt *Packet, ifc *Iface) {
 		n.net.drop(DropTTLExpired, pkt)
 		return
 	}
-	pkt.Hops++
 	if n.ProcDelay > 0 {
 		pkt.hop = ifc
 		n.net.K.AfterArg(n.ProcDelay, forwardHop, pkt)

@@ -61,19 +61,31 @@ type Packet struct {
 	Proto   Proto
 	Payload []byte
 	Size    int // payload bytes; wire size adds HeaderOverhead and framing
-	TTL     int
-	Hops    int
-	SentAt  time.Duration // virtual time the sender queued the packet
+	TTL     int32
+	// dst is Dst's interned id in the network the packet is crossing, the
+	// index of every node's forwarding entry for it; 0 means not interned
+	// yet (Node.output does it), which is also how a packet enters a second
+	// network over a ConnectShards link, because ids are per network.
+	dst    int32
+	SentAt time.Duration // virtual time the sender queued the packet
 
 	// hop is the interface the packet's pending simulator event concerns:
 	// the transmitter while the frame is on a wire, the receiver while it
-	// propagates, the ingress port while a router processes it. It lets
-	// each hop schedule one function bound once with the packet as the
-	// event argument (sim.Kernel.AfterArg) where a closure capturing both
-	// would cost an allocation per frame. Set when the event is scheduled
-	// and taken (cleared) when it fires, so it is nil whenever code outside
-	// the simulator sees the packet.
+	// propagates along a link, the ingress port while a router processes
+	// it. It lets each hop schedule one function bound once with the packet
+	// as the event argument (sim.Kernel.AfterArg) where a closure capturing
+	// both would cost an allocation per frame. Set when the event is
+	// scheduled and taken (cleared) when it fires, so it is nil whenever
+	// code outside the simulator sees the packet.
 	hop *Iface
+	// rcv is the station NextHop names on the egress medium, from the
+	// forwarding entry Node.output used: a shared segment hands the frame to
+	// it without searching its stations. Node.output sets it with NextHop
+	// for every unicast hop and nothing reads it once the hop is made.
+	rcv *Iface
+
+	// The struct is 128 bytes, exactly a malloc size class; one more word
+	// would cost every datagram 16 (TestPacketIs128Bytes).
 }
 
 // takeHop returns and clears the packet's pending-event interface.

@@ -19,6 +19,16 @@ type UDPSock struct {
 	rq     *sim.Queue[*Packet]
 	closed bool
 
+	// consume, when set, takes each arriving datagram in the event that
+	// delivers it, in place of the receive queue and a proc blocked in Recv:
+	// for an endpoint that keeps no state a stack is needed for.
+	consume func(*Packet)
+
+	// lastDst/lastID cache the interned id of the previous destination, so
+	// a socket that keeps one peer skips the network's intern table.
+	lastDst Addr
+	lastID  int32
+
 	// Drops counts arrivals discarded because the receive queue was full.
 	Drops uint64
 }
@@ -80,6 +90,9 @@ func (s *UDPSock) send(dst Addr, dport Port, payload []byte, size int, proto Pro
 	if s.closed || !s.node.up {
 		return
 	}
+	if dst != s.lastDst {
+		s.lastDst, s.lastID = dst, s.node.net.intern(dst)
+	}
 	pkt := &Packet{
 		ID:      s.node.net.pktID(),
 		Src:     s.node.Name,
@@ -90,6 +103,7 @@ func (s *UDPSock) send(dst Addr, dport Port, payload []byte, size int, proto Pro
 		Payload: payload,
 		Size:    size,
 		TTL:     32,
+		dst:     s.lastID,
 		SentAt:  s.node.net.K.Now(),
 	}
 	s.node.net.PacketsSent++
@@ -103,17 +117,21 @@ func (s *UDPSock) Recv(p *sim.Proc, timeout time.Duration) (*Packet, bool) {
 	return s.rq.Get(p, timeout)
 }
 
+//perf:noalloc
 func (s *UDPSock) deliver(pkt *Packet) {
 	if s.closed {
 		s.node.Counters.NoPort++
 		s.node.net.drop(DropNoPort, pkt)
 		return
 	}
-	if s.rq.Put(pkt) {
-		s.node.net.PacketsDelivered++
-		s.node.Counters.UDPIn++
-	} else {
+	if s.consume == nil && !s.rq.Put(pkt) {
 		s.Drops++
 		s.node.net.drop(DropSockFull, pkt)
+		return
+	}
+	s.node.net.PacketsDelivered++
+	s.node.Counters.UDPIn++
+	if s.consume != nil {
+		s.consume(pkt)
 	}
 }
