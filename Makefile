@@ -102,10 +102,11 @@ bench-shard:
 experiments:
 	$(GO) run ./cmd/experiments
 
-# E15 accuracy/memory matrix as machine-readable JSON; CI uploads the file
-# so the sketch-vs-exact trajectory is archived per PR.
+# E15 accuracy/memory matrix as a results stream (one envelope per numeric
+# cell; `cmd/results summary` reads it); CI uploads the file so the
+# sketch-vs-exact trajectory is archived per PR.
 e15-artifact:
-	$(GO) run ./cmd/experiments -quick -json E15 > E15_sketch.json
+	$(GO) run ./cmd/experiments -quick -results E15_sketch.jsonl E15
 
 # Scenario pass/fail gate over the durable results pipeline: runs the
 # comparison scenarios with -results, verifies the tolerance tripwire

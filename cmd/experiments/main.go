@@ -25,7 +25,6 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "shorter virtual runs")
 	markdown := flag.Bool("markdown", false, "emit markdown tables")
-	jsonOut := flag.Bool("json", false, "emit tables as a JSON array (machine-readable artifact form)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	workers := flag.Int("j", runtime.NumCPU(), "experiments to run concurrently")
 	shards := flag.Int("shards", 0, "run each experiment's kernel as shard 0 of an n-shard group (0 = plain kernel); tables are byte-identical at any value")
@@ -94,9 +93,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "[run: %d experiment(s), -j %d, -shards %d, GOMAXPROCS %d, effective parallelism %d%s]\n",
 		len(selected), *workers, *shards, maxprocs, effective, capped)
-	if *jsonOut {
-		fmt.Println("[")
-	}
 	var resW *results.Writer
 	if *resultsPath != "" {
 		f, err := os.Create(*resultsPath)
@@ -121,32 +117,15 @@ func main() {
 				}
 			}
 		}
-		switch {
-		case *jsonOut:
-			b, err := r.Table.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", r.Experiment.ID, err)
-				os.Exit(2)
-			}
-			if i > 0 {
-				fmt.Println(",")
-			}
-			os.Stdout.Write(b)
-		case *markdown:
-			if i > 0 {
-				fmt.Println()
-			}
+		if i > 0 {
+			fmt.Println()
+		}
+		if *markdown {
 			fmt.Println(r.Table.Markdown())
-		default:
-			if i > 0 {
-				fmt.Println()
-			}
+		} else {
 			fmt.Print(r.Table.String())
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", r.Experiment.ID, r.Elapsed.Round(time.Millisecond))
-	}
-	if *jsonOut {
-		fmt.Println("\n]")
 	}
 }
 

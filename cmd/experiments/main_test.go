@@ -6,7 +6,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/results"
 )
 
 // TestCPUProfileFlag: -cpuprofile leaves a profile `go tool pprof` can read
@@ -56,5 +60,43 @@ func TestTelemetryDump(t *testing.T) {
 	}
 	if last := dump.Instruments[30]; last.Name != "sim.proc_switches" || last.Kind != "counter" {
 		t.Fatalf("last instrument is %+v, want the sim.proc_switches counter", last)
+	}
+}
+
+// TestResultsArtifact: `-quick -results <file> E15` — what `make
+// e15-artifact` runs and CI uploads — leaves a stream results.Read accepts,
+// holding one record for every numeric cell of the E15 table the same run
+// prints.
+func TestResultsArtifact(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "E15_sketch.jsonl")
+	if out, err := exec.Command("go", "run", ".", "-quick", "-results", path, "E15").Output(); err != nil || len(out) == 0 {
+		t.Fatalf("experiments -quick -results: %v, %d bytes of tables", err, len(out))
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	set, err := results.Read(f)
+	if err != nil || set.Truncated {
+		t.Fatalf("results.Read: %v (truncated %v)", err, set != nil && set.Truncated)
+	}
+	e15, _ := experiments.ByID("E15")
+	table := experiments.RunAll([]experiments.Experiment{e15}, true, 1)[0].Table
+	want := 0
+	for _, row := range table.Rows {
+		for _, cell := range row {
+			if _, _, ok := results.ParseCell(cell); ok {
+				want++
+			}
+		}
+	}
+	if want == 0 || len(set.Records) != want {
+		t.Fatalf("%d records for %d numeric E15 cells", len(set.Records), want)
+	}
+	for _, rec := range set.Records {
+		if !strings.HasPrefix(rec.Batch, "E15/row") || len(rec.Samples) != 1 {
+			t.Fatalf("record %+v is not one E15 cell", rec)
+		}
 	}
 }

@@ -146,14 +146,11 @@ func main() {
 	// Periodic status.
 	statusTick := k.Every(5*time.Second, func() {
 		fresh := 0
-		for name, c := range clients {
+		engagements := 0
+		for _, c := range clients {
 			if c.Staleness(k.Now()) < 500*time.Millisecond {
 				fresh++
 			}
-			_ = name
-		}
-		engagements := 0
-		for _, c := range clients {
 			engagements += len(c.Engagements)
 		}
 		say("status: %d/9 clients with fresh track data; %d engagements logged", fresh, engagements)

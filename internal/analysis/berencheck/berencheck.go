@@ -1,14 +1,10 @@
 // Package berencheck enforces error discipline around the hand-rolled
-// protocol codecs and the measurement-database export paths.
+// protocol codecs.
 //
 // SNMP rides unreliable transports and our BER codec is hand-written, so a
-// dropped decode error is a silently corrupted measurement; likewise a
-// dropped export error is a silently truncated results file. This pass
-// flags any call that discards an error returned by:
-//
-//   - any function or method of packages asn1ber, snmp, or mib (the codec
-//     and protocol layers), or
-//   - a core.Database Export* method (the results-export layer).
+// dropped decode error is a silently corrupted measurement. This pass flags
+// any call that discards an error returned by a function or method of
+// packages asn1ber, snmp, or mib (the codec and protocol layers).
 //
 // "Discards" means the call appears as a bare statement (including go and
 // defer) or the error result is assigned to the blank identifier. Lines
@@ -19,7 +15,6 @@ package berencheck
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -27,7 +22,7 @@ import (
 // Analyzer is the berencheck pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "berencheck",
-	Doc:  "flag dropped errors from asn1ber/snmp/mib codecs and core.Database exports",
+	Doc:  "flag dropped errors from the asn1ber/snmp/mib codecs",
 	Keys: []string{"droperr"},
 	Run:  run,
 }
@@ -113,11 +108,7 @@ func target(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	if !ok || fn.Pkg() == nil {
 		return nil
 	}
-	pkgName := fn.Pkg().Name()
-	if codecPackages[pkgName] {
-		return fn
-	}
-	if pkgName == "core" && strings.HasPrefix(fn.Name(), "Export") {
+	if codecPackages[fn.Pkg().Name()] {
 		return fn
 	}
 	return nil

@@ -1,14 +1,12 @@
 package a
 
 import (
-	"io"
-
 	"asn1ber"
 	"core"
 	"snmp"
 )
 
-func bad(r *asn1ber.Reader, c *snmp.Client, db *core.Database, w io.Writer) {
+func bad(r *asn1ber.Reader, c *snmp.Client) {
 	r.ReadTLV()                   // want `error returned by asn1ber\.ReadTLV is discarded`
 	_, _, _ = r.ReadTLV()         // want `error returned by asn1ber\.ReadTLV is assigned to _`
 	v, _ := asn1ber.ParseInt(nil) // want `error returned by asn1ber\.ParseInt is assigned to _`
@@ -16,11 +14,10 @@ func bad(r *asn1ber.Reader, c *snmp.Client, db *core.Database, w io.Writer) {
 	snmp.Decode(nil)      // want `error returned by snmp\.Decode is discarded`
 	vbs, _ := c.Walk("h") // want `error returned by snmp\.Walk is assigned to _`
 	_ = vbs
-	db.ExportCSV(w)       // want `error returned by core\.ExportCSV is discarded`
-	defer db.ExportCSV(w) // want `error returned by core\.ExportCSV is discarded`
+	defer snmp.Decode(nil) // want `error returned by snmp\.Decode is discarded`
 }
 
-func good(r *asn1ber.Reader, c *snmp.Client, db *core.Database, w io.Writer) error {
+func good(r *asn1ber.Reader, c *snmp.Client, db *core.Database) error {
 	if _, _, err := r.ReadTLV(); err != nil {
 		return err
 	}
@@ -35,8 +32,10 @@ func good(r *asn1ber.Reader, c *snmp.Client, db *core.Database, w io.Writer) err
 	_ = db.Summarize()                // no error result: fine
 	_ = asn1ber.AppendInt(nil, 2, 7)  // no error result: fine
 	_ = (*snmp.Message)(nil).Encode() // no error result: fine
-	//lint:allow droperr best-effort trailer write
-	db.ExportCSV(w)
-	db.ExportCSV(w) //lint:allow droperr same-line form
-	return db.ExportCSV(w)
+	db.FlushResults()                 // not a codec package: fine
+	//lint:allow droperr best-effort probe
+	snmp.Decode(nil)
+	snmp.Decode(nil) //lint:allow droperr same-line form
+	_, err = snmp.Decode(nil)
+	return err
 }

@@ -40,7 +40,7 @@ type ResilienceStats struct {
 	// breaker was open; each one is a timeout the sweep did not wait out.
 	FastFailedPolls uint64
 	// ShedSweeps counts poll cycles deferred because the open-breaker
-	// fraction crossed ShedOpenFraction (fleet-wide timeout spike).
+	// fraction reached shedOpenFraction (fleet-wide timeout spike).
 	ShedSweeps uint64
 }
 
@@ -54,30 +54,15 @@ type Monitor struct {
 	// detection latency and senescence against intrusiveness (§5.2.4).
 	PollInterval time.Duration
 
-	// TrapQueueCap bounds the station trap sink's ingest queue; 0 takes
-	// snmp.DefaultTrapQueueCap. Set before Start.
-	TrapQueueCap int
-
-	// OnTrapEvent, when set, observes every RMON threshold event the
-	// station ingests (after it is published as a measurement) — the hook
-	// a leaf director uses to feed its trap-coalescing stage.
-	OnTrapEvent func(source netsim.Addr, path core.PathID, rising bool, meas core.Measurement)
-
 	// Agents tracks the agents deployed by EnsureAgents, per host.
 	Agents map[netsim.Addr]*DeployedAgent
 
 	// Breakers, when non-nil, holds one circuit breaker per polled agent:
 	// an open breaker fast-fails the host's poll (recording reachability 0
 	// immediately) instead of burning a timeout every sweep. Install via
-	// EnableResilience.
+	// EnableResilience. While shedOpenFraction of them are not closed the
+	// director stretches the next poll interval by shedFactor.
 	Breakers *resilience.BreakerSet
-	// ShedOpenFraction: when the fraction of non-closed breakers reaches
-	// this threshold (0 disables), the director sheds load by stretching
-	// the next poll interval by ShedFactor — a fleet-wide timeout spike
-	// means the network needs fewer packets, not more.
-	ShedOpenFraction float64
-	// ShedFactor multiplies PollInterval while shedding (minimum 1).
-	ShedFactor int
 
 	// RStats counts resilience-layer interventions.
 	RStats ResilienceStats
@@ -181,13 +166,15 @@ func (m *Monitor) EnableResilience(cfg resilience.BreakerConfig, backoff *resili
 	m.Breakers = resilience.NewBreakerSet(cfg)
 	m.Client.Backoff = backoff
 	m.Client.Budget = budget
-	if m.ShedOpenFraction == 0 {
-		m.ShedOpenFraction = 0.5
-	}
-	if m.ShedFactor < 1 {
-		m.ShedFactor = 2
-	}
 }
+
+// Load shedding: a fleet-wide timeout spike means the network needs fewer
+// packets, not more, so once this fraction of the breakers is not closed
+// the next poll interval is multiplied by shedFactor.
+const (
+	shedOpenFraction = 0.5
+	shedFactor       = 2
+)
 
 // EnableTelemetry publishes the director's own counts under the "cots."
 // prefix and records each sweep as a trace span with one child span per
@@ -338,7 +325,7 @@ func (m *Monitor) Start() {
 	}
 	m.started = true
 	if m.sink == nil {
-		m.sink = snmp.StartTrapSink(m.host, 0, m.TrapQueueCap, time.Millisecond)
+		m.sink = snmp.StartTrapSink(m.host, 0, snmp.DefaultTrapQueueCap, time.Millisecond)
 		m.sink.OnTrap = m.onTrap
 	}
 	m.host.Spawn("cots-director", func(p *sim.Proc) {
@@ -350,11 +337,8 @@ func (m *Monitor) Start() {
 			}
 			m.sweep(p, req)
 			interval := m.PollInterval
-			if m.Breakers != nil && m.ShedOpenFraction > 0 &&
-				m.Breakers.OpenFraction(p.Now()) >= m.ShedOpenFraction {
-				// Fleet-wide timeout spike: back off the whole sweep cadence
-				// rather than keep adding poll traffic to a sick network.
-				interval *= time.Duration(m.ShedFactor)
+			if m.Breakers != nil && m.Breakers.OpenFraction(p.Now()) >= shedOpenFraction {
+				interval *= shedFactor
 				m.RStats.ShedSweeps++
 			}
 			p.Sleep(interval)
@@ -456,13 +440,13 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request) {
 				}
 			case metrics.OneWayLatency:
 				if !dst.up {
-					meas.Err = "snmp: request timed out"
+					meas.Err = snmp.ErrTimeout.Error()
 				} else {
 					meas.Value = (dst.rtt / 2).Seconds()
 				}
 			case metrics.Throughput:
 				if !dst.up {
-					meas.Err = "snmp: request timed out"
+					meas.Err = snmp.ErrTimeout.Error()
 					m.prev[path.ID] = counterSample{}
 					break
 				}
@@ -527,9 +511,6 @@ func (m *Monitor) onTrap(msg *snmp.Message, from netsim.Addr) {
 	m.Publish(meas)
 	if watch.onEvent != nil {
 		watch.onEvent(msg.PDU.SpecificTrap == 1, meas)
-	}
-	if m.OnTrapEvent != nil {
-		m.OnTrapEvent(from, watch.path, msg.PDU.SpecificTrap == 1, meas)
 	}
 }
 

@@ -83,7 +83,6 @@ func E9(quick bool) *report.Table {
 	instrumented := 0
 	if dialed != nil {
 		instrumented = rstream.NumStateVars
-		_ = dialed.Vars()
 	}
 	t.AddRow("instrumented endpoint (direct)", instrumented,
 		fmt.Sprintf("%d/%d", instrumented, rstream.NumStateVars),

@@ -102,10 +102,6 @@ func (r Rule) key(p *netsim.Packet) Key {
 
 // Meter observes tapped segments and maintains the flow table.
 type Meter struct {
-	// IdleTimeout expires flows with no traffic for this long (zero
-	// disables expiry).
-	IdleTimeout time.Duration
-
 	// Matched and Unmatched count classified and default-rule packets.
 	Matched   uint64
 	Unmatched uint64
@@ -131,26 +127,6 @@ func (m *Meter) AddRule(r Rule) *Meter {
 func (m *Meter) Attach(seg *netsim.SharedSegment) *Meter {
 	seg.Tap(m.observe)
 	return m
-}
-
-// StartExpiry spawns the idle-flow garbage collector on node.
-//
-//lint:allow unusedexport test-pinned by TestIdleExpiry; retire together with IdleTimeout
-func (m *Meter) StartExpiry(node *netsim.Node, scan time.Duration) {
-	if m.IdleTimeout <= 0 {
-		return
-	}
-	node.Spawn("flowmeter-gc", func(p *sim.Proc) {
-		for {
-			p.Sleep(scan)
-			now := p.Now()
-			for key, f := range m.flows {
-				if now-f.LastSeen > m.IdleTimeout {
-					delete(m.flows, key)
-				}
-			}
-		}
-	})
 }
 
 func (m *Meter) observe(fr netsim.Frame) {

@@ -14,7 +14,7 @@ func fixture(t *testing.T) (*sim.Kernel, *netsim.Network, *Meter) {
 	k := sim.NewKernel()
 	t.Cleanup(k.Close)
 	nw := netsim.New(k, 91)
-	for _, n := range []netsim.Addr{"a", "b", "c", "meterhost"} {
+	for _, n := range []netsim.Addr{"a", "b", "c"} {
 		nw.NewHost(n)
 	}
 	seg := nw.NewSegment("lan", netsim.Ethernet10())
@@ -151,17 +151,6 @@ func TestReaderRateFor(t *testing.T) {
 	}
 	if _, ok := reader.RateFor(Key{Src: "ghost", Dst: "b"}); ok {
 		t.Fatal("rate for unknown flow")
-	}
-}
-
-func TestIdleExpiry(t *testing.T) {
-	k, nw, m := fixture(t)
-	m.IdleTimeout = 2 * time.Second
-	m.StartExpiry(nw.Node("meterhost"), 500*time.Millisecond)
-	runTraffic(k, nw) // all done within ~30ms
-	k.RunUntil(5 * time.Second)
-	if len(m.Flows()) != 0 {
-		t.Fatalf("idle flows not expired: %+v", m.Flows())
 	}
 }
 

@@ -36,9 +36,6 @@ type Monitor struct {
 	// Concurrency bounds simultaneous path measurements: 1 is the paper's
 	// test sequencer; >= number of paths is the fully parallel variant.
 	Concurrency int
-	// SweepInterval pauses between full sweeps of the path list; zero
-	// means continuous monitoring.
-	SweepInterval time.Duration
 
 	// Breakers, when non-nil, holds per-host circuit breakers shared with
 	// (or private to) this monitor: the sequencer skips paths whose
@@ -175,7 +172,8 @@ func (m *Monitor) ProvisionResponder(node *netsim.Node) {
 	}
 }
 
-// Start spawns the NetMon collector / test sequencer proc.
+// Start spawns the NetMon collector / test sequencer proc. Monitoring is
+// continuous: a sweep follows the last with no pause.
 func (m *Monitor) Start() {
 	if m.started {
 		return
@@ -199,9 +197,7 @@ func (m *Monitor) Start() {
 			if m.SweepTime > 0 {
 				m.SweepOverheadBps = float64(m.TrafficBytes-traffic0) * 8 / m.SweepTime.Seconds()
 			}
-			if m.SweepInterval > 0 {
-				p.Sleep(m.SweepInterval)
-			} else if m.SweepTime == 0 {
+			if m.SweepTime == 0 {
 				// Every path fast-failed (open breakers): the sweep consumed
 				// no virtual time, so yielding would spin the collector at a
 				// single instant forever. Pace it at a nominal beat instead.

@@ -22,6 +22,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nttcp"
 	"repro/internal/sim"
+	"repro/internal/snmp"
 	"repro/internal/telemetry"
 )
 
@@ -31,8 +32,6 @@ type Config struct {
 	PollInterval time.Duration
 	// MinThroughputBps marks approximate throughput below this anomalous.
 	MinThroughputBps float64
-	// RecheckCooldown bounds how often one path may be escalated.
-	RecheckCooldown time.Duration
 	// NTTCP is the burst configuration for targeted measurements.
 	NTTCP nttcp.Config
 }
@@ -40,9 +39,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.PollInterval <= 0 {
 		c.PollInterval = 5 * time.Second
-	}
-	if c.RecheckCooldown <= 0 {
-		c.RecheckCooldown = 2 * c.PollInterval
 	}
 	return c
 }
@@ -74,8 +70,6 @@ func New(host *netsim.Node, community string, cfg Config) *Monitor {
 		cotsMon:      cots.New(host, community, cfg.PollInterval),
 		hifiMon:      hifi.New(host, cfg.NTTCP, 1),
 		host:         host,
-		paths:        make(map[core.PathID]core.Path),
-		lastRecheck:  make(map[core.PathID]time.Duration),
 	}
 	return m
 }
@@ -92,9 +86,13 @@ func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer)
 }
 
 // Submit installs the request on both sub-monitors; the COTS side runs it
-// asynchronously, the hifi side only provisions its simulators.
+// asynchronously, the hifi side only provisions its simulators. A request
+// replaces the previous one: a path it no longer names is neither
+// published nor escalated again, whatever the COTS side still has queued.
 func (m *Monitor) Submit(req core.Request) {
 	m.DirectorBase.Submit(req)
+	m.paths = make(map[core.PathID]core.Path, len(req.Paths))
+	m.lastRecheck = make(map[core.PathID]time.Duration, len(req.Paths))
 	for _, p := range req.Paths {
 		m.paths[p.ID] = p
 	}
@@ -117,9 +115,13 @@ func (m *Monitor) Start() {
 			if !ok {
 				continue
 			}
+			path, ok := m.paths[meas.Path]
+			if !ok {
+				continue // measured for a request since replaced
+			}
 			m.Publish(meas) // the approximate view is still a view
 			if m.anomalous(meas) {
-				m.maybeEscalate(p, meas)
+				m.maybeEscalate(p, path)
 			}
 		}
 	})
@@ -143,7 +145,7 @@ func (m *Monitor) anomalous(meas core.Measurement) bool {
 	case !meas.OK():
 		// Failed collections include SNMP timeouts and counter warm-up;
 		// only timeouts are anomalies worth burst traffic.
-		return meas.Err == "snmp: request timed out"
+		return meas.Err == snmp.ErrTimeout.Error()
 	case meas.Metric == metrics.Throughput && m.Cfg.MinThroughputBps > 0 &&
 		meas.Value < m.Cfg.MinThroughputBps:
 		return true
@@ -152,20 +154,20 @@ func (m *Monitor) anomalous(meas core.Measurement) bool {
 }
 
 // maybeEscalate runs a targeted NTTCP measurement unless the path was
-// rechecked too recently.
-func (m *Monitor) maybeEscalate(p *sim.Proc, meas core.Measurement) {
-	path, ok := m.paths[meas.Path]
-	if !ok {
-		return
-	}
+// rechecked within the last two poll intervals.
+func (m *Monitor) maybeEscalate(p *sim.Proc, path core.Path) {
 	now := p.Now()
-	if last, ok := m.lastRecheck[path.ID]; ok && now-last < m.Cfg.RecheckCooldown {
+	if last, ok := m.lastRecheck[path.ID]; ok && now-last < 2*m.Cfg.PollInterval {
 		return
 	}
 	m.lastRecheck[path.ID] = now
 	m.Escalations++
 	req, _ := m.Request()
-	for _, direct := range m.hifiMon.MeasurePath(p, path, req.Metrics) {
+	results := m.hifiMon.MeasurePath(p, path, req.Metrics)
+	if _, ok := m.paths[path.ID]; !ok {
+		return // dropped by a resubmit during the burst
+	}
+	for _, direct := range results {
 		m.Publish(direct)
 	}
 }

@@ -191,3 +191,45 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 		t.Errorf("%d instruments registered, want %d", reg.Len(), 8+30+12)
 	}
 }
+
+// TestResubmitDropsPaths: a request replaces the previous one. The COTS side
+// reports asynchronously through an unbounded queue, so at the moment of the
+// resubmit — here in the middle of the dead path's NTTCP burst — measurements
+// of the dropped path are still queued; none of them may be published or buy
+// another burst.
+func TestResubmitDropsPaths(t *testing.T) {
+	k, h, m := build(t, Config{PollInterval: time.Second})
+	paths := core.CrossProductPaths(h.ServerRefs()[:1], h.ClientRefs()[:2])
+	kept, dropped := paths[0], paths[1]
+	m.Submit(core.Request{Paths: paths, Metrics: allMetrics})
+	m.Start()
+	samples := func(id core.PathID) (n int) {
+		for _, metric := range allMetrics {
+			m.DB.EachHistory(id, metric, 0, func(core.Measurement) bool { n++; return true })
+		}
+		return n
+	}
+	k.At(2*time.Second, func() { h.Clients[1].SetUp(false) })
+	// 5.5 s is inside the second burst on the dead path, with the rest of
+	// that sweep's reports waiting behind it (checked below).
+	const resubmitAt = 5500 * time.Millisecond
+	var escalations, droppedSamples, keptSamples, queued int
+	k.At(resubmitAt, func() {
+		m.Submit(core.Request{Paths: paths[:1], Metrics: allMetrics})
+		escalations, droppedSamples, keptSamples = m.Escalations, samples(dropped.ID), samples(kept.ID)
+		queued = m.cotsMon.Reports().Len()
+	})
+	k.RunUntil(resubmitAt + 20*time.Second)
+	if escalations == 0 || queued == 0 {
+		t.Fatalf("at the resubmit: %d escalations, %d reports queued; the test needs both", escalations, queued)
+	}
+	if m.Escalations != escalations {
+		t.Errorf("escalations went %d -> %d after the path was dropped", escalations, m.Escalations)
+	}
+	if got := samples(dropped.ID); got != droppedSamples {
+		t.Errorf("dropped path's samples went %d -> %d after the resubmit", droppedSamples, got)
+	}
+	if got := samples(kept.ID); got <= keptSamples {
+		t.Errorf("kept path's samples stayed at %d after the resubmit", got)
+	}
+}

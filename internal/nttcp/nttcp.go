@@ -82,12 +82,11 @@ type Config struct {
 	// Timeout bounds each wait on the network.
 	Timeout time.Duration
 	// ComputeOffset enables the per-measurement clock-offset exchange; when
-	// false, one-way latency is corrected with KnownOffset (e.g. from NTP).
+	// false, the clocks are taken to agree already (e.g. through NTP) and
+	// one-way latency is left uncorrected.
 	ComputeOffset bool
 	// OffsetSamples is the number of probe exchanges when ComputeOffset.
 	OffsetSamples int
-	// KnownOffset is the externally supplied clock offset (server-client).
-	KnownOffset time.Duration
 }
 
 // withDefaults fills the RTDS-era defaults: L=8192, P=30ms (§5.1.2.1).
@@ -326,7 +325,7 @@ func (pr *prober) measure(l link, target string) (res Result, err error) {
 	res.Reached = true
 
 	// Optional clock-offset exchange.
-	offset := cfg.KnownOffset
+	var offset time.Duration
 	if cfg.ComputeOffset {
 		est, ok := pr.estimateOffset(l, id, &res)
 		if !ok {

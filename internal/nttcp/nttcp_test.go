@@ -107,7 +107,7 @@ func TestMeasureLatencyWithSkewedClockAndOffsetExchange(t *testing.T) {
 
 func TestOffsetExchangeCostsMorePackets(t *testing.T) {
 	// The §5.1.3 tradeoff: ComputeOffset adds 2·OffsetSamples packets per
-	// measurement versus the KnownOffset (NTP) variant.
+	// measurement versus the synchronised-clocks (NTP) variant.
 	k, srv, cli := fixture(t, netsim.Ethernet10())
 	StartServer(srv, 0)
 	withWithout := [2]Result{}

@@ -25,23 +25,17 @@ type Chart struct {
 	Title  string
 	YLabel string
 	Series []Series
-	// Width and Height are the plot area in characters; zero values get
-	// defaults (64x12).
-	Width, Height int
 }
+
+// chartWidth and chartHeight are the plot area in characters.
+const chartWidth, chartHeight = 64, 12
 
 // seriesGlyphs distinguish overlapping series.
 var seriesGlyphs = []byte{'*', 'o', '+', 'x', '#'}
 
 // String renders the chart.
 func (c *Chart) String() string {
-	w, h := c.Width, c.Height
-	if w <= 0 {
-		w = 64
-	}
-	if h <= 0 {
-		h = 12
-	}
+	w, h := chartWidth, chartHeight
 	var minX, maxX time.Duration
 	minY, maxY := math.Inf(1), math.Inf(-1)
 	first := true

@@ -15,20 +15,20 @@ func rampSeries(name string, n int) Series {
 }
 
 func TestChartRendersRamp(t *testing.T) {
-	c := &Chart{Title: "ramp", Series: []Series{rampSeries("up", 20)}, Width: 40, Height: 10}
+	c := &Chart{Title: "ramp", Series: []Series{rampSeries("up", 20)}}
 	out := c.String()
 	if !strings.Contains(out, "ramp") {
 		t.Fatal("missing title")
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// title + 10 rows + axis + x labels = 13 lines.
-	if len(lines) != 13 {
+	// The plot area is 64x12: title + 12 rows + axis + x labels = 15 lines.
+	if len(lines) != 15 || !strings.HasSuffix(lines[13], " +"+strings.Repeat("-", 64)) {
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
 	}
 	// Monotonic ramp: the glyph in the first plot row (max Y) must be to
 	// the right of the glyph in the last plot row (min Y).
 	firstIdx := strings.IndexByte(lines[1], '*')
-	lastIdx := strings.IndexByte(lines[10], '*')
+	lastIdx := strings.IndexByte(lines[12], '*')
 	if firstIdx <= lastIdx {
 		t.Fatalf("ramp not increasing: top at %d, bottom at %d\n%s", firstIdx, lastIdx, out)
 	}

@@ -3,7 +3,6 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -91,19 +90,6 @@ func (t *Table) Markdown() string {
 		fmt.Fprintf(&b, "\n*%s*\n", n)
 	}
 	return b.String()
-}
-
-// JSON renders the table as an indented JSON object — the machine-readable
-// form CI archives for artifact tables (e.g. E15's accuracy/memory matrix).
-func (t *Table) JSON() ([]byte, error) {
-	return json.MarshalIndent(struct {
-		ID      string     `json:"id"`
-		Title   string     `json:"title"`
-		Paper   string     `json:"paper,omitempty"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-		Notes   []string   `json:"notes,omitempty"`
-	}{t.ID, t.Title, t.Paper, t.Columns, t.Rows, t.Notes}, "", "  ")
 }
 
 // Bps formats a bit rate with engineering units.

@@ -109,9 +109,6 @@ type BreakerConfig struct {
 	// half-open probe — the "reduced rate" at which a dead target is
 	// re-checked.
 	OpenFor time.Duration
-	// SuccessThreshold is how many consecutive half-open successes close
-	// the breaker again.
-	SuccessThreshold int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -120,9 +117,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = 5 * time.Second
-	}
-	if c.SuccessThreshold <= 0 {
-		c.SuccessThreshold = 1
 	}
 	return c
 }
@@ -148,7 +142,6 @@ type Breaker struct {
 	cfg      BreakerConfig
 	state    BreakerState
 	fails    int
-	succs    int
 	openedAt time.Duration
 	probing  bool
 }
@@ -195,33 +188,21 @@ func (b *Breaker) Allow(now time.Duration) bool {
 	}
 }
 
-// Success records a successful call finishing at virtual time now.
+// Success records a successful call finishing at virtual time now. A
+// half-open probe's success closes the breaker, and so does evidence of
+// life from outside the probe path while it is open (e.g. a trap arrived).
 func (b *Breaker) Success(now time.Duration) {
 	b.probing = false
 	b.fails = 0
-	switch b.state {
-	case HalfOpen:
-		b.succs++
-		if b.succs >= b.cfg.SuccessThreshold {
-			b.close()
-		}
-	case Open:
-		// Evidence of life from outside the probe path (e.g. a trap
-		// arrived): close immediately.
-		b.close()
+	if b.state != Closed {
+		b.state = Closed
+		b.Stats.Closes++
 	}
-}
-
-func (b *Breaker) close() {
-	b.state = Closed
-	b.succs = 0
-	b.Stats.Closes++
 }
 
 // Failure records a failed (timed-out) call finishing at virtual time now.
 func (b *Breaker) Failure(now time.Duration) {
 	b.probing = false
-	b.succs = 0
 	b.fails++
 	switch b.state {
 	case HalfOpen:

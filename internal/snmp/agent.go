@@ -30,9 +30,6 @@ type AgentStats struct {
 type Agent struct {
 	Tree      *mib.Tree
 	Community string
-	// WriteCommunity, when non-empty, is required for Set; otherwise Set
-	// uses Community.
-	WriteCommunity string
 	// MaxVarBinds bounds response size as real agents do; requests needing
 	// more return tooBig.
 	MaxVarBinds int
@@ -70,17 +67,12 @@ func (a *Agent) Handle(req []byte) []byte {
 		return nil
 	}
 	a.Stats.InRequests++
-	want := a.Community
 	switch msg.PDU.Type {
-	case GetRequest, GetNextRequest, GetBulkRequest:
-	case SetRequest:
-		if a.WriteCommunity != "" {
-			want = a.WriteCommunity
-		}
+	case GetRequest, GetNextRequest, GetBulkRequest, SetRequest:
 	default:
 		return nil
 	}
-	if msg.Community != want {
+	if msg.Community != a.Community {
 		a.Stats.AuthFailures++
 		return nil
 	}

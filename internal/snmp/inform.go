@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mib"
 	"repro/internal/netsim"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 )
 
@@ -32,11 +31,6 @@ type Notifier struct {
 	Community string
 	Timeout   time.Duration
 	Retries   int
-	// Backoff, when non-nil, spaces retransmissions of an unacked inform
-	// by an exponential schedule instead of firing them back-to-back —
-	// under the very congestion that lost the first copy, an immediate
-	// retransmit is the worst possible timing.
-	Backoff *resilience.Backoff
 
 	Stats NotifierStats
 
@@ -70,7 +64,7 @@ func NewNotifier(node *netsim.Node, dst netsim.Addr, port netsim.Port, community
 // and adapter are per call; only the request-id sequence is shared.
 func (n *Notifier) Inform(p *sim.Proc, binds []VarBind) error {
 	m := manager{Community: n.Community, Version: V2c, Timeout: n.Timeout,
-		Retries: n.Retries, Backoff: n.Backoff, reqID: n.reqID}
+		Retries: n.Retries, reqID: n.reqID}
 	n.reqID++ // the id m.request takes
 	_, err := m.request(&simConn{Proc: p, sock: n.sock, dst: n.dst, port: n.port},
 		PDU{Type: InformRequest, VarBinds: binds})

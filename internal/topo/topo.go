@@ -119,13 +119,6 @@ func (h *HiPerD) wireRoutes() {
 	for _, ifc := range h.Eth.Ifaces() {
 		ethSide[ifc.Node().Name] = true
 	}
-	var fddiHosts []*netsim.Node
-	for _, ifc := range h.FDDI.Ifaces() {
-		n := ifc.Node()
-		if n != h.R1 && n != h.R2 {
-			fddiHosts = append(fddiHosts, n)
-		}
-	}
 	for _, n := range h.Net.Nodes() {
 		switch n.Name {
 		case "r1":
@@ -155,7 +148,6 @@ func (h *HiPerD) wireRoutes() {
 			n.SetDefaultRoute("r2")
 		}
 	}
-	_ = fddiHosts
 }
 
 // ServerRefs returns the RTDS server pool as process references.
