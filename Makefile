@@ -33,15 +33,15 @@ test-shard:
 	$(GO) test -race -run 'Shard|Grouped' ./internal/sim/ ./internal/topo/ ./internal/core/ ./internal/cots/ ./internal/hifi/
 	$(GO) test -race -run 'TestE14Shape' ./internal/experiments/
 
-# Project-specific static analysis: simulation determinism, BER/SNMP error
-# discipline, timer leaks, locks held across yield points, map-order
-# determinism, the //perf:noalloc escape gate, and unusedexport — no
+# Project-specific static analysis: simulation determinism (no wall clock,
+# global rand, host-CPU probe or mutex in sim code), BER/SNMP error
+# discipline, timer leaks, map-order determinism, and unusedexport — no
 # internal/ name that only tests call (see DESIGN.md §8). cmd/analyze loads
 # the nested bench/ module as a second root beside ./..., so a benchmark
-# workload's call counts as a use. Writes the machine-readable findings to
-# analyze_diags.json for CI to archive.
+# workload's call counts as a use. The allocation contract is measured by
+# the AllocsPerRun floor tests that `test` runs.
 analyze:
-	$(GO) run ./cmd/analyze -json analyze_diags.json ./...
+	$(GO) run ./cmd/analyze ./...
 
 # A few seconds of coverage-guided fuzzing per target — enough to
 # exercise the checked-in corpora plus a short exploration burst.

@@ -3,23 +3,22 @@
 // repository carries no external dependencies. It provides the Analyzer /
 // Pass / Diagnostic vocabulary, a package loader that type-checks the module
 // offline using the toolchain's export data (see load.go), and a driver that
-// runs a suite of analyzers over loaded packages in parallel (see run.go).
+// runs a suite of analyzers over the loaded packages (see run.go).
 //
 // The project-specific passes live in subpackages (simdeterminism,
-// berencheck, timerstop, locksafe, maprange, noalloc, unusedexport) and are
-// wired together by cmd/analyze, which `make analyze` and `make ci` run over
-// the whole repository — the root module and the nested bench/ module, one
-// Load each into a shared file set.
+// berencheck, timerstop, maprange, unusedexport) and are wired together by
+// cmd/analyze, which `make analyze` and `make ci` run over the whole
+// repository — the root module and the nested bench/ module, one Load each
+// into a shared file set.
 //
 // # Interprocedural facts
 //
 // Before any pass runs, the driver computes per-function summary facts
-// (mayYield / schedulesEvents / recordsToDB — see the facts subpackage)
-// bottom-up over the SCC condensation of a whole-universe call graph, and
-// hands the resulting database to every Pass. Passes query it with
-// Pass.Facts.Lookup on any statically resolved callee, which is how
-// locksafe sees through helper functions to a transitive yield and how
-// maprange knows a loop body eventually records measurements.
+// (schedulesEvents / recordsToDB — see the facts subpackage) over a
+// whole-universe call graph, and hands the resulting database to every Pass.
+// Passes query it with Pass.Facts.Lookup on any statically resolved callee,
+// which is how maprange knows a loop body eventually schedules events or
+// records measurements.
 //
 // # Whole-program references
 //
@@ -35,18 +34,18 @@
 //
 //	//lint:allow <key> [reason]
 //
-// placed either on the flagged line or on the line directly above it. Keys
-// are per-analyzer ("wallclock", "globalrand", "hostcpu", "droperr",
-// "leaktimer", "lockyield", "maporder", "heapescape", "unusedexport"); the
-// reason text is free-form but strongly encouraged. The simdeterminism pass
-// additionally exempts whole real-network files by basename: real.go and
-// *_real.go are never simulation-driven.
+// A comment that shares its line with code covers that line only; a comment
+// alone on its line covers the line below. Keys are per-analyzer
+// ("wallclock", "globalrand", "hostcpu", "mutex", "droperr", "leaktimer",
+// "maporder", "unusedexport"); the reason text is free-form but strongly
+// encouraged. The simdeterminism pass additionally exempts whole
+// real-network files by basename: real.go and *_real.go are never
+// simulation-driven.
 //
-// Suppressions are themselves checked: when the full suite runs, the driver
-// flags any //lint:allow comment that no analyzer consulted — either its
-// key is unknown to every registered pass, or no diagnostic occurs on its
-// line any more — so stale suppressions rot out of the tree instead of
-// accumulating (see Run).
+// Suppressions are themselves checked: the driver flags any //lint:allow
+// comment that no analyzer consulted — either its key is unknown to every
+// registered pass, or no diagnostic occurs on its line any more — so stale
+// suppressions rot out of the tree instead of accumulating (see Run).
 package analysis
 
 import (
@@ -63,8 +62,8 @@ import (
 
 // Analyzer describes one static-analysis pass.
 type Analyzer struct {
-	// Name identifies the pass in diagnostics and -run filters. It must be
-	// a valid Go identifier.
+	// Name identifies the pass in diagnostics. It must be a valid Go
+	// identifier.
 	Name string
 	// Doc is the help text: first line is a one-line summary.
 	Doc string
@@ -88,12 +87,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// PkgPath is the package's import path and Dir its source directory
-	// (needed by passes that re-invoke the toolchain, e.g. noalloc).
-	PkgPath string
-	Dir     string
-
-	// Facts answers interprocedural queries (may-yield, schedules-events,
+	// Facts answers interprocedural queries (schedules-events,
 	// records-to-db) for any statically resolved callee. The driver computes
 	// it once over the whole load universe.
 	Facts *facts.DB
@@ -107,9 +101,8 @@ type Pass struct {
 
 	// allows indexes the package's //lint:allow comments, shared between
 	// all analyzers running on the package so that suppression usage can be
-	// audited afterwards. Built lazily when a Pass is constructed by hand
-	// (tests); the driver always pre-fills it.
-	allows *AllowIndex
+	// audited afterwards.
+	allows *allowIndex
 }
 
 // Diagnostic is one finding at a source position.
@@ -129,15 +122,12 @@ func (p *Pass) Filename(pos token.Pos) string {
 	return filepath.Base(p.Fset.Position(pos).Filename)
 }
 
-// Allowed reports whether a `//lint:allow <key>` comment covers pos: the
-// comment may sit on the same line as the flagged code or on the line
+// Allowed reports whether a `//lint:allow <key>` comment covers pos: a
+// trailing comment on the flagged line, or a comment alone on the line
 // directly above it. Consulting a suppression marks it used for the
 // driver's stale-suppression audit.
 func (p *Pass) Allowed(pos token.Pos, key string) bool {
-	if p.allows == nil {
-		p.allows = BuildAllowIndex(p.Fset, p.Files)
-	}
-	return p.allows.Allowed(p.Fset, pos, key)
+	return p.allows.allowed(p.Fset, pos, key)
 }
 
 // SimFacing reports whether pkgName names a package whose code runs under
@@ -155,26 +145,26 @@ var simPackages = map[string]bool{
 	"telemetry": true, "sketch": true, "director": true,
 }
 
-// AllowEntry is one //lint:allow comment: its key, position, and whether
+// allowEntry is one //lint:allow comment: its key, position, and whether
 // any analyzer consulted it.
-type AllowEntry struct {
-	Key  string
-	Pos  token.Pos
+type allowEntry struct {
+	key  string
+	pos  token.Pos
 	used bool
 }
 
-// AllowIndex indexes a package's //lint:allow comments by the source lines
-// they cover (their own line and the one below) and records which entries
-// were actually consulted by a matching diagnostic check.
-type AllowIndex struct {
-	byLine map[string][]*AllowEntry // "file:line" -> entries covering it
-	all    []*AllowEntry            // in file/position order
+// allowIndex indexes a package's //lint:allow comments by the source line
+// each covers and records which entries a matching check consulted.
+type allowIndex struct {
+	byLine map[string][]*allowEntry // "file:line" -> entries covering it
+	all    []*allowEntry            // in file/position order
 }
 
-// BuildAllowIndex scans the files' comments for //lint:allow markers.
-func BuildAllowIndex(fset *token.FileSet, files []*ast.File) *AllowIndex {
-	ix := &AllowIndex{byLine: make(map[string][]*AllowEntry)}
+// buildAllowIndex scans the files' comments for //lint:allow markers.
+func buildAllowIndex(fset *token.FileSet, files []*ast.File) *allowIndex {
+	ix := &allowIndex{byLine: make(map[string][]*allowEntry)}
 	for _, f := range files {
+		var code map[int]bool // lines holding code, computed on first need
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
@@ -185,41 +175,48 @@ func BuildAllowIndex(fset *token.FileSet, files []*ast.File) *AllowIndex {
 				if len(fields) == 0 {
 					continue
 				}
-				cp := fset.Position(c.Pos())
-				e := &AllowEntry{Key: fields[0], Pos: c.Pos()}
-				ix.all = append(ix.all, e)
-				// The comment covers its own line and the next one, so both
-				// trailing and preceding placements work.
-				for _, line := range []int{cp.Line, cp.Line + 1} {
-					k := fmt.Sprintf("%s:%d", cp.Filename, line)
-					ix.byLine[k] = append(ix.byLine[k], e)
+				if code == nil {
+					code = codeLines(fset, f)
 				}
+				cp := fset.Position(c.Pos())
+				e := &allowEntry{key: fields[0], pos: c.Pos()}
+				ix.all = append(ix.all, e)
+				line := cp.Line
+				if !code[line] {
+					line++ // alone on its line: covers the next one
+				}
+				k := fmt.Sprintf("%s:%d", cp.Filename, line)
+				ix.byLine[k] = append(ix.byLine[k], e)
 			}
 		}
 	}
 	return ix
 }
 
-// Allowed reports whether an entry with key covers pos, marking it used.
-func (ix *AllowIndex) Allowed(fset *token.FileSet, pos token.Pos, key string) bool {
+// codeLines returns the lines of f on which some syntax node other than a
+// comment starts or ends. Every line of gofmt'ed code has one.
+func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	lines := make(map[int]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup:
+			return false
+		}
+		lines[fset.Position(n.Pos()).Line] = true
+		lines[fset.Position(n.End()).Line] = true
+		return true
+	})
+	return lines
+}
+
+// allowed reports whether an entry with key covers pos, marking it used.
+func (ix *allowIndex) allowed(fset *token.FileSet, pos token.Pos, key string) bool {
 	pp := fset.Position(pos)
 	for _, e := range ix.byLine[fmt.Sprintf("%s:%d", pp.Filename, pp.Line)] {
-		if e.Key == key {
+		if e.key == key {
 			e.used = true
 			return true
 		}
 	}
 	return false
-}
-
-// Unused returns the entries never consulted by any analyzer, in source
-// order.
-func (ix *AllowIndex) Unused() []*AllowEntry {
-	var out []*AllowEntry
-	for _, e := range ix.all {
-		if !e.used {
-			out = append(out, e)
-		}
-	}
-	return out
 }

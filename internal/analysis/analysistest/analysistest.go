@@ -46,7 +46,7 @@ type reporter interface {
 // universe — what interprocedural facts and the reference index are computed
 // over — is every listed package plus its fixture-local imports, so a
 // fixture that only exists to call another one is listed too. Suppressions
-// are audited as in a full-suite run: a //lint:allow that suppresses nothing
+// are audited as in `make analyze`: a //lint:allow that suppresses nothing
 // is a "suppress" diagnostic the fixture must expect.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
@@ -74,7 +74,7 @@ func run(t reporter, dir string, a *analysis.Analyzer, pkgs ...string) {
 	for i, name := range names {
 		universe[i] = l.checked[name]
 	}
-	diags, _, err := analysis.Run(universe, l.fset, []*analysis.Analyzer{a}, analysis.Options{CheckSuppressions: true})
+	diags, err := analysis.Run(universe, l.fset, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -123,7 +123,7 @@ func (l *loader) load(pkg string) (*analysis.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp := &analysis.Package{PkgPath: pkg, Name: tpkg.Name(), Dir: dir, Files: files, Types: tpkg, Info: info}
+	fp := &analysis.Package{PkgPath: pkg, Name: tpkg.Name(), Files: files, Types: tpkg, Info: info}
 	l.checked[pkg] = fp
 	return fp, nil
 }

@@ -23,7 +23,6 @@ package callgraph
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // Key canonically names fn across load boundaries. Generic instantiations
@@ -170,79 +169,4 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return fn
-}
-
-// SCCs returns the graph's strongly connected components in reverse
-// topological order of the condensation: every edge leaving a component
-// points at an earlier component in the returned slice, so processing
-// components in order sees all callees before their callers. The result is
-// deterministic for a given graph. Keys with no node (external callees) form
-// no component.
-func (g *Graph) SCCs() [][]string {
-	// Tarjan's algorithm, iterating roots in sorted order so the component
-	// order is independent of map iteration.
-	keys := make([]string, 0, len(g.Nodes))
-	for k := range g.Nodes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	t := &tarjan{
-		graph: g,
-		index: make(map[string]int, len(keys)),
-		low:   make(map[string]int, len(keys)),
-		on:    make(map[string]bool, len(keys)),
-	}
-	for _, k := range keys {
-		if _, seen := t.index[k]; !seen {
-			t.strongconnect(k)
-		}
-	}
-	return t.sccs
-}
-
-type tarjan struct {
-	graph *Graph
-	next  int
-	index map[string]int
-	low   map[string]int
-	on    map[string]bool
-	stack []string
-	sccs  [][]string
-}
-
-func (t *tarjan) strongconnect(v string) {
-	t.index[v] = t.next
-	t.low[v] = t.next
-	t.next++
-	t.stack = append(t.stack, v)
-	t.on[v] = true
-
-	for _, w := range t.graph.Nodes[v].Calls {
-		if t.graph.Nodes[w] == nil {
-			continue // external callee: no node, no component
-		}
-		if _, seen := t.index[w]; !seen {
-			t.strongconnect(w)
-			if t.low[w] < t.low[v] {
-				t.low[v] = t.low[w]
-			}
-		} else if t.on[w] && t.index[w] < t.low[v] {
-			t.low[v] = t.index[w]
-		}
-	}
-
-	if t.low[v] == t.index[v] {
-		var scc []string
-		for {
-			w := t.stack[len(t.stack)-1]
-			t.stack = t.stack[:len(t.stack)-1]
-			t.on[w] = false
-			scc = append(scc, w)
-			if w == v {
-				break
-			}
-		}
-		t.sccs = append(t.sccs, scc)
-	}
 }

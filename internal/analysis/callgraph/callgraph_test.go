@@ -137,49 +137,6 @@ func keys(m map[string]*callgraph.Node) []string {
 	return out
 }
 
-func TestSCCsReverseTopological(t *testing.T) {
-	const src = `package p
-
-func a() { b() }
-func b() { c(); e() }
-func c() { a(); d() } // a-b-c form a cycle
-func d() {}
-func e() { d() }
-`
-	files, info := checkSrc(t, "p", src)
-	g := callgraph.New()
-	g.AddPackage(files, info)
-
-	sccs := g.SCCs()
-	order := make(map[string]int)
-	for i, scc := range sccs {
-		for _, k := range scc {
-			order[k] = i
-		}
-	}
-	// Every callee's component comes no later than its caller's.
-	for k, n := range g.Nodes {
-		for _, callee := range n.Calls {
-			if order[callee] > order[k] {
-				t.Errorf("callee %s (component %d) ordered after caller %s (component %d)",
-					callee, order[callee], k, order[k])
-			}
-		}
-	}
-	// The cycle is one component of three.
-	if got := len(sccs[order["p.a"]]); got != 3 {
-		t.Errorf("cycle component has %d members, want 3", got)
-	}
-	if order["p.a"] != order["p.b"] || order["p.b"] != order["p.c"] {
-		t.Errorf("a, b, c not in one component: %v", sccs)
-	}
-
-	// Determinism: recomputing yields the identical slice.
-	if again := g.SCCs(); !reflect.DeepEqual(sccs, again) {
-		t.Errorf("SCCs not deterministic:\n%v\n%v", sccs, again)
-	}
-}
-
 func TestStaticCallee(t *testing.T) {
 	files, info := checkSrc(t, "p", graphSrc)
 	resolved := make(map[string]bool)

@@ -2,9 +2,6 @@
 // the spirit of golang.org/x/tools/go/analysis facts but over the repo's
 // stdlib-only loader. A fact is a property of calling a function:
 //
-//   - MayYield: a call may re-enter the simulation scheduler (park the
-//     calling Proc, drive a kernel or shard barrier). Holding a sync mutex
-//     across such a call freezes the cooperative scheduler (locksafe).
 //   - SchedulesEvents: a call inserts events into a kernel's queue (At,
 //     After, Every, their Arg forms, Spawn, cross-shard Send) — anything
 //     whose *order of invocation* changes the (at, seq) order of the event
@@ -14,14 +11,14 @@
 //     from an unordered iteration produces nondeterministic output.
 //
 // Ground-truth facts are intrinsic to a handful of sim/core/report
-// signatures (see Intrinsic) and are recognized structurally — by package
+// signatures (see intrinsic) and are recognized structurally — by package
 // name, receiver type name, and method name — so they hold whether the
 // defining package was loaded from source or from gc export data, and so
 // analyzer test fixtures that mirror those signatures participate for free.
-// Everything else is derived bottom-up over the SCC condensation of the
-// call graph: a function acquires a fact when any statically resolvable
-// call in its body (outside nested function literals, which run at another
-// time) reaches a function holding that fact.
+// Everything else is derived by iterating over the call graph to a fixpoint:
+// a function acquires a fact when any statically resolvable call in its body
+// (outside nested function literals, which run at another time) reaches a
+// function holding that fact.
 //
 // Facts cross package boundaries by construction: functions are keyed by
 // callgraph.Key, which is identical for the source-checked definition of a
@@ -32,6 +29,7 @@ package facts
 import (
 	"go/ast"
 	"go/types"
+	"sort"
 	"strings"
 
 	"repro/internal/analysis/callgraph"
@@ -41,19 +39,15 @@ import (
 type Fact uint8
 
 const (
-	MayYield Fact = 1 << iota
-	SchedulesEvents
+	SchedulesEvents Fact = 1 << iota
 	RecordsToDB
 
-	numFacts = 3
+	numFacts = 2
 )
 
-// String names the set, e.g. "mayYield|schedulesEvents".
+// String names the set, e.g. "schedulesEvents|recordsToDB".
 func (f Fact) String() string {
 	var parts []string
-	if f&MayYield != 0 {
-		parts = append(parts, "mayYield")
-	}
 	if f&SchedulesEvents != 0 {
 		parts = append(parts, "schedulesEvents")
 	}
@@ -75,7 +69,6 @@ type Source struct {
 
 // DB holds the computed facts for a load universe.
 type DB struct {
-	graph   *callgraph.Graph
 	derived map[string]Fact
 	// witness[i][key] is the callee key through which fact bit i first
 	// reached key, for reconstructing a call chain in diagnostics.
@@ -83,39 +76,41 @@ type DB struct {
 }
 
 // Compute builds the call graph over pkgs and propagates intrinsic facts
-// bottom-up. The result is deterministic for a given universe.
+// from callee to caller until nothing changes. The result is deterministic
+// for a given universe.
 func Compute(pkgs []Source) *DB {
 	g := callgraph.New()
 	for _, p := range pkgs {
 		g.AddPackage(p.Files, p.Info)
 	}
-	db := &DB{graph: g, derived: make(map[string]Fact, len(g.Nodes))}
+	db := &DB{derived: make(map[string]Fact, len(g.Nodes))}
 	for i := range db.witness {
 		db.witness[i] = make(map[string]string)
 	}
+	keys := make([]string, 0, len(g.Nodes))
+	for k := range g.Nodes {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 
-	// Reverse-topological component order: callees are final before any
-	// caller is visited. Within a cyclic component, members converge to the
-	// component-wide union by iterating until fixpoint (at most numFacts
-	// rounds, since the union only grows).
-	for _, scc := range g.SCCs() {
-		for changed := true; changed; {
-			changed = false
-			for _, key := range scc {
-				f := db.derived[key]
-				for _, callee := range g.Nodes[key].Calls {
-					cf := db.derived[callee] | intrinsicKey(callee)
-					if add := cf &^ f; add != 0 {
-						f |= add
-						for i := 0; i < numFacts; i++ {
-							if add&(1<<i) != 0 {
-								db.witness[i][key] = callee
-							}
-						}
-						changed = true
+	// Facts only grow, so the sweeps stop. A witness is recorded when its
+	// bit arrives, from a callee that already held it, so following
+	// witnesses always ends at an intrinsic root.
+	for changed := true; changed; {
+		changed = false
+		for _, key := range keys {
+			for _, callee := range g.Nodes[key].Calls {
+				add := (db.derived[callee] | intrinsic(callee)) &^ db.derived[key]
+				if add == 0 {
+					continue
+				}
+				db.derived[key] |= add
+				for i := 0; i < numFacts; i++ {
+					if add&(1<<i) != 0 {
+						db.witness[i][key] = callee
 					}
 				}
-				db.derived[key] = f
+				changed = true
 			}
 		}
 	}
@@ -128,42 +123,34 @@ func (db *DB) Lookup(fn *types.Func) Fact {
 	if fn == nil {
 		return 0
 	}
-	return Intrinsic(fn) | db.derived[callgraph.Key(fn)]
+	key := callgraph.Key(fn)
+	return intrinsic(key) | db.derived[key]
 }
 
-// Chain reconstructs one call path by which fn acquired fact — from fn
-// through intermediate callees down to the intrinsic root — as a slice of
-// short function names (e.g. ["poll", "drain", "(*Proc).Sleep"]). A
-// function holding the fact intrinsically yields a one-element chain.
+// Chain reconstructs one call path by which fn acquired fact (its lowest
+// bit, when fact holds several) — from fn through intermediate callees down
+// to the intrinsic root — as a slice of short function names (e.g.
+// ["flush", "store", "Database.Record"]). A function holding the fact
+// intrinsically yields a one-element chain.
 func (db *DB) Chain(fn *types.Func, fact Fact) []string {
 	if fn == nil || fact == 0 {
 		return nil
 	}
-	bit := -1
-	for i := 0; i < numFacts; i++ {
-		if fact&(1<<i) != 0 {
-			bit = i
-			break
-		}
+	bit := 0
+	for fact&(1<<bit) == 0 {
+		bit++
 	}
 	key := callgraph.Key(fn)
 	chain := []string{shortName(key)}
-	if Intrinsic(fn)&fact != 0 {
-		return chain
-	}
-	seen := map[string]bool{key: true}
-	for {
+	for intrinsic(key)&(1<<bit) == 0 {
 		next, ok := db.witness[bit][key]
-		if !ok || seen[next] {
-			return chain
+		if !ok {
+			break
 		}
-		seen[next] = true
 		chain = append(chain, shortName(next))
-		if intrinsicKey(next)&fact != 0 || db.derived[next]&fact == 0 {
-			return chain
-		}
 		key = next
 	}
+	return chain
 }
 
 // shortName strips the package path from a callgraph key:
@@ -177,53 +164,24 @@ func shortName(key string) string {
 	return name
 }
 
-// Intrinsic returns the ground-truth facts carried by fn's signature
-// itself, independent of its body. Matching is structural — package *name*,
-// receiver type name, method name — so it works identically for
-// repro/internal/sim loaded from source, the same package seen through
-// export data, and test fixtures that mirror the signatures.
-func Intrinsic(fn *types.Func) Fact {
-	if fn == nil || fn.Pkg() == nil {
-		return 0
-	}
-	fn = fn.Origin()
-	return intrinsic(fn.Pkg().Name(), recvTypeName(fn), fn.Name())
-}
-
-// intrinsicKey is Intrinsic over a callgraph key, for callees referenced by
-// the graph but defined outside the load universe.
-func intrinsicKey(key string) Fact {
-	pkg, recv, name := splitKey(key)
-	return intrinsic(pkg, recv, name)
-}
-
-func intrinsic(pkgName, recv, name string) Fact {
+// intrinsic returns the ground-truth facts carried by a function's
+// signature itself, independent of its body. Matching is structural — the
+// last element of the package path, receiver type name, method name — so it
+// works identically for repro/internal/sim loaded from source, the same
+// package seen through export data, a callee outside the load universe, and
+// test fixtures that mirror the signatures.
+func intrinsic(key string) Fact {
+	pkgName, recv, name := splitKey(key)
 	switch pkgName {
 	case "sim":
-		switch recv {
-		case "Proc":
+		switch {
+		case recv == "Kernel":
 			switch name {
-			case "Sleep", "Yield", "park":
-				return MayYield
-			}
-		case "Queue":
-			if name == "Get" {
-				return MayYield
-			}
-		case "Kernel":
-			switch name {
-			case "Run", "RunUntil", "runBefore", "resumeProc", "Close", "closeLocal":
-				return MayYield
 			case "At", "After", "AtArg", "AfterArg", "Every", "schedule", "Spawn":
 				return SchedulesEvents
 			}
-		case "ShardGroup":
-			switch name {
-			case "Run", "RunUntil", "Close":
-				return MayYield
-			case "Send", "SendArg":
-				return SchedulesEvents
-			}
+		case recv == "ShardGroup" && (name == "Send" || name == "SendArg"):
+			return SchedulesEvents
 		}
 	case "core":
 		if recv == "Database" && name == "Record" {
@@ -237,26 +195,9 @@ func intrinsic(pkgName, recv, name string) Fact {
 	return 0
 }
 
-// recvTypeName returns the name of fn's receiver's named type ("" for plain
-// functions), looking through pointers.
-func recvTypeName(fn *types.Func) string {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return ""
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
 // splitKey decomposes a callgraph key into (package name, receiver type
-// name, function name). The package path keeps only its last element, to
-// match Intrinsic's structural scheme.
+// name, function name). The package path keeps only its last element, for
+// intrinsic's structural scheme.
 func splitKey(key string) (pkg, recv, name string) {
 	if strings.HasPrefix(key, "(") {
 		// "(*path/pkg.Recv).Name" or "(path/pkg.Recv).Name"

@@ -12,13 +12,10 @@ import (
 	"repro/internal/analysis/facts"
 )
 
-// simSrc mirrors the real kernel's intrinsic signatures; bodies are empty,
-// proving that intrinsics are structural, not derived from implementations.
+// simSrc mirrors the real kernel's intrinsic signatures. Their bodies are
+// empty, proving that intrinsics are structural, not derived from
+// implementations; Queue.Put's fact comes from its body.
 const simSrc = `package sim
-
-type Proc struct{}
-
-func (p *Proc) Sleep(d int64) {}
 
 type Kernel struct{}
 
@@ -30,41 +27,37 @@ type ShardGroup struct{}
 
 func (g *ShardGroup) SendArg(from, to int, at int64, fn func(any), arg any) {}
 
-type Queue[T any] struct{}
+type Queue[T any] struct{ k *Kernel }
 
-func (q *Queue[T]) Get(p *Proc, timeout int64) (T, bool) { var z T; return z, false }
+func (q *Queue[T]) Put(v T) { q.k.At(0, nil) }
 `
 
 const appSrc = `package app
 
 import "sim"
 
-func helper(p *sim.Proc) { p.Sleep(1) }
+func helper(k *sim.Kernel) { k.At(1, nil) }
 
-func caller(p *sim.Proc) { helper(p) }
+func caller(k *sim.Kernel) { helper(k) }
 
-func viaClosure(p *sim.Proc) {
-	fn := func() { helper(p) }
+func viaClosure(k *sim.Kernel) {
+	fn := func() { helper(k) }
 	_ = fn
 }
 
-func ping(p *sim.Proc, n int) {
+func ping(k *sim.Kernel, n int) {
 	if n > 0 {
-		pong(p, n-1)
+		pong(k, n-1)
 	}
 }
 
-func pong(p *sim.Proc, n int) {
-	p.Sleep(1)
-	ping(p, n)
+func pong(k *sim.Kernel, n int) {
+	k.At(1, nil)
+	ping(k, n)
 }
 
-func generic(q *sim.Queue[int], p *sim.Proc) {
-	q.Get(p, 5)
-}
-
-func scheduler(k *sim.Kernel, fn func()) {
-	k.At(10, fn)
+func generic(q *sim.Queue[int]) {
+	q.Put(5)
 }
 
 func argScheduler(k *sim.Kernel, fn func(any)) {
@@ -142,18 +135,16 @@ func TestLookup(t *testing.T) {
 		name string
 		want facts.Fact
 	}{
-		{sim, "Sleep", facts.MayYield}, // intrinsic despite the empty body
-		{sim, "At", facts.SchedulesEvents},
+		{sim, "At", facts.SchedulesEvents}, // intrinsic despite the empty body
 		{sim, "AfterArg", facts.SchedulesEvents},
 		{sim, "SendArg", facts.SchedulesEvents},
-		{sim, "Get", facts.MayYield}, // generic receiver Queue[T]
-		{app, "helper", facts.MayYield},
-		{app, "caller", facts.MayYield}, // two hops
-		{app, "viaClosure", 0},          // closure bodies are not the caller's calls
-		{app, "ping", facts.MayYield},   // mutual recursion converges
-		{app, "pong", facts.MayYield},
-		{app, "generic", facts.MayYield},
-		{app, "scheduler", facts.SchedulesEvents},
+		{sim, "Put", facts.SchedulesEvents}, // generic receiver Queue[T]
+		{app, "helper", facts.SchedulesEvents},
+		{app, "caller", facts.SchedulesEvents}, // two hops
+		{app, "viaClosure", 0},                 // closure bodies are not the caller's calls
+		{app, "ping", facts.SchedulesEvents},   // mutual recursion converges
+		{app, "pong", facts.SchedulesEvents},
+		{app, "generic", facts.SchedulesEvents},
 		{app, "argScheduler", facts.SchedulesEvents},
 		{app, "crossShard", facts.SchedulesEvents},
 		{app, "pure", 0},
@@ -174,18 +165,21 @@ func TestChain(t *testing.T) {
 		{Files: app.files, Info: app.info},
 	})
 
-	if got := db.Chain(fn(t, app, "caller"), facts.MayYield); !reflect.DeepEqual(got, []string{"caller", "helper", "Proc.Sleep"}) {
-		t.Errorf("Chain(caller) = %v", got)
+	for _, tc := range []struct {
+		in   checked
+		name string
+		want []string
+	}{
+		{app, "caller", []string{"caller", "helper", "Kernel.At"}},
+		{sim, "At", []string{"Kernel.At"}},
+		// A cycle's chain leaves it for the intrinsic root.
+		{app, "ping", []string{"ping", "pong", "Kernel.At"}},
+	} {
+		if got := db.Chain(fn(t, tc.in, tc.name), facts.SchedulesEvents); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Chain(%s) = %v, want %v", tc.name, got, tc.want)
+		}
 	}
-	if got := db.Chain(fn(t, sim, "Sleep"), facts.MayYield); !reflect.DeepEqual(got, []string{"Proc.Sleep"}) {
-		t.Errorf("Chain(Sleep) = %v", got)
-	}
-	// A cyclic chain terminates instead of looping.
-	chain := db.Chain(fn(t, app, "ping"), facts.MayYield)
-	if len(chain) == 0 || len(chain) > 4 {
-		t.Errorf("Chain(ping) = %v, want short terminating chain", chain)
-	}
-	if got := db.Chain(nil, facts.MayYield); got != nil {
+	if got := db.Chain(nil, facts.SchedulesEvents); got != nil {
 		t.Errorf("Chain(nil) = %v, want nil", got)
 	}
 }
@@ -196,10 +190,9 @@ func TestFactString(t *testing.T) {
 		want string
 	}{
 		{0, "none"},
-		{facts.MayYield, "mayYield"},
 		{facts.SchedulesEvents, "schedulesEvents"},
 		{facts.RecordsToDB, "recordsToDB"},
-		{facts.MayYield | facts.RecordsToDB, "mayYield|recordsToDB"},
+		{facts.SchedulesEvents | facts.RecordsToDB, "schedulesEvents|recordsToDB"},
 	} {
 		if got := tc.f.String(); got != tc.want {
 			t.Errorf("Fact(%d).String() = %q, want %q", tc.f, got, tc.want)
@@ -208,40 +201,35 @@ func TestFactString(t *testing.T) {
 }
 
 func TestIntrinsicIgnoresOtherPackages(t *testing.T) {
-	// A method named Sleep on a Proc type in a package NOT named sim carries
+	// A method named At on a Kernel type in a package NOT named sim carries
 	// no intrinsic fact: matching is (package, receiver, name), not name-only.
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "x.go", `package other
 
-type Proc struct{}
+type Kernel struct{}
 
-func (p *Proc) Sleep(d int64) {}
+func (k *Kernel) At(at int64, fn func()) {}
 `, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := &types.Info{Defs: make(map[*ast.Ident]types.Object)}
+	info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
 	var conf types.Config
 	if _, err := conf.Check("other", fset, []*ast.File{f}, info); err != nil {
 		t.Fatal(err)
 	}
-	for _, obj := range info.Defs {
-		if fnObj, ok := obj.(*types.Func); ok && fnObj.Name() == "Sleep" {
-			if got := facts.Intrinsic(fnObj); got != 0 {
-				t.Errorf("Intrinsic(other.Proc.Sleep) = %v, want 0", got)
-			}
-			return
-		}
+	db := facts.Compute([]facts.Source{{Files: []*ast.File{f}, Info: info}})
+	at := fn(t, checked{info: info}, "At")
+	if got := db.Lookup(at); got != 0 {
+		t.Errorf("Lookup(other.Kernel.At) = %v, want 0", got)
 	}
-	t.Fatal("Sleep not found")
 }
 
 // TestTransportSeamsKeepFacts: the SNMP manager and the NTTCP client reach
 // the simulator through an unexported interface (snmp's conn, nttcp's link),
-// which a purely static call graph would cut — and with it locksafe's and
-// maprange's knowledge that these entry points park the calling proc and
-// schedule its wake-up. Computed over the real packages, the facts must
-// still be there.
+// which a purely static call graph would cut — and with it maprange's
+// knowledge that these entry points schedule the calling proc's wake-up.
+// Computed over the real packages, the fact must still be there.
 func TestTransportSeamsKeepFacts(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := analysis.Load(fset, "../../..", "./internal/snmp", "./internal/nttcp")
@@ -255,7 +243,7 @@ func TestTransportSeamsKeepFacts(t *testing.T) {
 		byName[p.Name] = p.Types
 	}
 	db := facts.Compute(srcs)
-	const want = facts.MayYield | facts.SchedulesEvents
+	const want = facts.SchedulesEvents
 	for _, m := range []struct{ pkg, typ, method string }{
 		{"snmp", "Client", "Get"},
 		{"snmp", "Client", "Walk"},

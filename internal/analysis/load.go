@@ -19,7 +19,6 @@ import (
 type Package struct {
 	PkgPath string
 	Name    string
-	Dir     string
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
@@ -110,7 +109,6 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 		pkgs = append(pkgs, &Package{
 			PkgPath: t.ImportPath,
 			Name:    t.Name,
-			Dir:     t.Dir,
 			Files:   files,
 			Types:   tpkg,
 			Info:    info,

@@ -37,6 +37,7 @@ package maprange
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
@@ -50,9 +51,6 @@ var Analyzer = &analysis.Analyzer{
 	Keys: []string{"maporder"},
 	Run:  run,
 }
-
-// sinkFacts are the summary facts that make a loop body order-sensitive.
-const sinkFacts = facts.SchedulesEvents | facts.RecordsToDB
 
 func run(pass *analysis.Pass) error {
 	if !analysis.SimFacing(pass.Pkg.Name()) {
@@ -78,7 +76,8 @@ func run(pass *analysis.Pass) error {
 			if pass.Allowed(rng.Pos(), "maporder") {
 				return true
 			}
-			chain := chainString(pass, fn, f)
+			// The call path down to the intrinsic sink, e.g. "flush -> Database.Record".
+			chain := strings.Join(pass.Facts.Chain(fn, f), " -> ")
 			pass.Reportf(rng.Pos(), "map iteration order is random, but this loop body reaches an order-sensitive sink (%s) via %s: sort the keys first, or annotate //lint:allow maporder if the effects commute", f, chain)
 			return true
 		})
@@ -87,8 +86,8 @@ func run(pass *analysis.Pass) error {
 }
 
 // firstSink returns the first call in body (in lexical order, outside
-// nested function literals) whose callee carries a sink fact, along with
-// the facts that make it one.
+// nested function literals) whose callee carries a fact, along with its
+// facts: schedulesEvents and recordsToDB each mark an order-sensitive sink.
 func firstSink(pass *analysis.Pass, body *ast.BlockStmt) (*types.Func, facts.Fact) {
 	var foundFn *types.Func
 	var foundFact facts.Fact
@@ -107,7 +106,7 @@ func firstSink(pass *analysis.Pass, body *ast.BlockStmt) (*types.Func, facts.Fac
 		if fn == nil {
 			return true
 		}
-		f := lookup(pass, fn) & sinkFacts
+		f := pass.Facts.Lookup(fn)
 		if f == 0 {
 			return true
 		}
@@ -115,34 +114,4 @@ func firstSink(pass *analysis.Pass, body *ast.BlockStmt) (*types.Func, facts.Fac
 		return false
 	})
 	return foundFn, foundFact
-}
-
-func lookup(pass *analysis.Pass, fn *types.Func) facts.Fact {
-	if pass.Facts != nil {
-		return pass.Facts.Lookup(fn)
-	}
-	return facts.Intrinsic(fn)
-}
-
-// chainString renders the call path from the loop body's call down to the
-// intrinsic sink, e.g. "flush -> Database.Record".
-func chainString(pass *analysis.Pass, fn *types.Func, f facts.Fact) string {
-	if pass.Facts == nil {
-		return fn.Name()
-	}
-	// Prefer the first single fact bit for a coherent chain.
-	for _, bit := range []facts.Fact{facts.SchedulesEvents, facts.RecordsToDB} {
-		if f&bit != 0 {
-			chain := pass.Facts.Chain(fn, bit)
-			out := ""
-			for i, link := range chain {
-				if i > 0 {
-					out += " -> "
-				}
-				out += link
-			}
-			return out
-		}
-	}
-	return fn.Name()
 }

@@ -87,7 +87,7 @@ func render(fset *token.FileSet, diags []Diagnostic) string {
 func TestRunSuppressionAudit(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs := testPackages(t, fset)
-	diags, stats, err := Run(pkgs, fset, []*Analyzer{stubAnalyzer}, Options{CheckSuppressions: true})
+	diags, err := Run(pkgs, fset, []*Analyzer{stubAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,47 +109,5 @@ func TestRunSuppressionAudit(t *testing.T) {
 	// The consumed BadTwo suppression must not be reported stale.
 	if strings.Contains(out, "p1/p1.go:5") {
 		t.Errorf("consumed suppression reported stale:\n%s", out)
-	}
-	if stats.Packages != 2 {
-		t.Errorf("stats.Packages = %d, want 2", stats.Packages)
-	}
-	if _, ok := stats.AnalyzerTime["stub"]; !ok {
-		t.Errorf("stats.AnalyzerTime missing stub entry: %v", stats.AnalyzerTime)
-	}
-}
-
-func TestRunWithoutAuditSkipsSuppressFindings(t *testing.T) {
-	fset := token.NewFileSet()
-	diags, _, err := Run(testPackages(t, fset), fset, []*Analyzer{stubAnalyzer}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		if d.Analyzer == SuppressCheckName {
-			t.Errorf("suppress finding emitted without CheckSuppressions: %s", d.Message)
-		}
-	}
-	if len(diags) != 3 {
-		t.Errorf("got %d diagnostics, want 3:\n%s", len(diags), render(fset, diags))
-	}
-}
-
-func TestRunParallelDeterministic(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs := testPackages(t, fset)
-	var first string
-	for i := 0; i < 5; i++ {
-		diags, _, err := Run(pkgs, fset, []*Analyzer{stubAnalyzer}, Options{Parallel: 4, CheckSuppressions: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := render(fset, diags)
-		if i == 0 {
-			first = out
-			continue
-		}
-		if out != first {
-			t.Fatalf("run %d output differs:\n%s\nvs\n%s", i, out, first)
-		}
 	}
 }

@@ -1,5 +1,5 @@
-// Package simdeterminism forbids wall-clock and global-randomness escape
-// hatches in simulation-facing packages.
+// Package simdeterminism forbids wall-clock, global-randomness and locking
+// escape hatches in simulation-facing packages.
 //
 // The experiment tables are byte-identical across runs and worker counts
 // only because every source of time and randomness flows from the kernel's
@@ -18,14 +18,21 @@
 //     Sharded runs must produce identical tables for a fixed (seed,
 //     shard-count) on any machine, so shard workers and the code they call
 //     must never branch on how parallel the host happens to be. Picking a
-//     shard count belongs in cmd mains (unchecked), not in the simulation.
+//     shard count belongs in cmd mains (unchecked), not in the simulation;
+//   - any use of the types sync.Mutex and sync.RWMutex. Simulation code
+//     runs cooperatively, one goroutine per shard, so a lock there is at
+//     best useless and at worst a frozen run: a proc that parks while
+//     holding it keeps it, and whoever contends next blocks the goroutine
+//     the scheduler needs. No lock at all implies no lock across a yield,
+//     without a call graph. Every lock needs a variable of one of the two
+//     types, so flagging the type flags the lock where it is declared.
 //
 // The real-network layer is exempt: files named real.go or *_real.go talk
 // to actual sockets and legitimately use the wall clock, and packages not
 // on the simulation-facing list (cmd mains, the analysis suite itself) are
 // not checked at all. Individual lines opt out with
-// `//lint:allow wallclock <reason>`, `//lint:allow globalrand <reason>`, or
-// `//lint:allow hostcpu <reason>`.
+// `//lint:allow wallclock <reason>`, `//lint:allow globalrand <reason>`,
+// `//lint:allow hostcpu <reason>` or `//lint:allow mutex <reason>`.
 package simdeterminism
 
 import (
@@ -39,8 +46,8 @@ import (
 // Analyzer is the simdeterminism pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "simdeterminism",
-	Doc:  "forbid wall-clock time, global math/rand, and host-CPU probes in simulation-facing packages",
-	Keys: []string{"wallclock", "globalrand", "hostcpu"},
+	Doc:  "forbid wall-clock time, global math/rand, host-CPU probes and mutexes in simulation-facing packages",
+	Keys: []string{"wallclock", "globalrand", "hostcpu", "mutex"},
 	Run:  run,
 }
 
@@ -81,9 +88,14 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-			if ok {
-				check(pass, id, fn)
+			switch obj := pass.TypesInfo.Uses[id].(type) {
+			case *types.Func:
+				check(pass, id, obj)
+			case *types.TypeName:
+				if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && (obj.Name() == "Mutex" || obj.Name() == "RWMutex") &&
+					!pass.Allowed(id.Pos(), "mutex") {
+					pass.Reportf(id.Pos(), "sync.%s in simulation-facing package %s: sim code runs cooperatively on one goroutine per shard, so a lock is useless at best and a frozen run if held across a yield (or annotate //lint:allow mutex)", obj.Name(), pass.Pkg.Name())
+				}
 			}
 			return true
 		})

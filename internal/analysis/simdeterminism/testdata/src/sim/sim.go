@@ -37,6 +37,13 @@ func allowed() time.Duration {
 	return time.Since(start) //lint:allow wallclock same-line form
 }
 
+// trailingAllow: a comment that shares its line with code covers that line
+// only, so the bare call below it is still flagged.
+func trailingAllow() time.Duration {
+	start := time.Now()      //lint:allow wallclock covers this line only
+	return time.Since(start) // want `time\.Since reads the wall clock`
+}
+
 func good(k *Kernel, rng *rand.Rand) time.Duration {
 	_ = rand.New(rand.NewSource(1)) // constructors build private sources: fine
 	return k.Now() + time.Duration(rng.Intn(10))*time.Second

@@ -2,11 +2,12 @@
 // spans take virtual time from the caller and its counts are readers over
 // fields the simulation wrote, so any wall-clock read or global-rand draw
 // inside the package — in a reader as much as in a span — is a determinism
-// bug.
+// bug, and so is a lock.
 package telemetry
 
 import (
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -37,4 +38,19 @@ func badUptimeReader(r *registry, started time.Time) {
 	r.counterFunc(func() uint64 {
 		return uint64(time.Since(started)) // want `time\.Since reads the wall clock`
 	})
+}
+
+// lockedRegistry guards its table as if readers ran concurrently; in sim
+// code they never do.
+type lockedRegistry struct {
+	mu   sync.RWMutex // want `sync\.RWMutex in simulation-facing package telemetry`
+	rows []func() uint64
+}
+
+// sharedRegistry is reached from parallel experiment goroutines, outside
+// any one simulation.
+type sharedRegistry struct {
+	//lint:allow mutex registration from parallel runs; never held while a reader runs
+	mu   sync.Mutex
+	rows []func() uint64
 }

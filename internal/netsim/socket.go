@@ -117,7 +117,6 @@ func (s *UDPSock) Recv(p *sim.Proc, timeout time.Duration) (*Packet, bool) {
 	return s.rq.Get(p, timeout)
 }
 
-//perf:noalloc
 func (s *UDPSock) deliver(pkt *Packet) {
 	if s.closed {
 		s.node.Counters.NoPort++

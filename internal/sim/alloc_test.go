@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// The steady-state allocation guarantees of the packet path's kernel half,
-// measured rather than read off the escape analysis: the //perf:noalloc gate
-// cannot see into Queue and FIFO, whose generic bodies are compiled in the
-// packages that instantiate them.
+// The steady-state allocation guarantees of the kernel, measured: event
+// scheduling and dispatch, the proc switch, Queue and FIFO, and the
+// cross-shard hand-off. DESIGN.md §8 maps each allocation-free function to
+// the test here or elsewhere that runs it.
 
 func TestAfterArgAllocatesNothing(t *testing.T) {
 	k := NewKernel()
@@ -27,6 +27,40 @@ func TestAfterArgAllocatesNothing(t *testing.T) {
 	}
 	if arg.fired != 1+2*201 {
 		t.Fatalf("fired %d times, want %d", arg.fired, 1+2*201)
+	}
+}
+
+// TestSendArgAllocatesNothingPerMessage: a cross-shard message costs no
+// allocation. Each RunUntil starts and stops the group's workers, which does
+// allocate, so the test rallies a ball between two shards for 200 hops and
+// for 2,000: the same count per run means nothing is paid per message.
+func TestSendArgAllocatesNothingPerMessage(t *testing.T) {
+	const L = time.Microsecond
+	g := NewShardGroup(2, L)
+	defer g.Close()
+	type ball struct{ at, hops int }
+	var bounce func(any)
+	bounce = func(a any) {
+		b := a.(*ball)
+		from := b.at
+		b.at, b.hops = 1-from, b.hops+1
+		g.SendArg(from, b.at, g.Shard(from).Now()+L, bounce, b)
+	}
+	b := &ball{}
+	g.Shard(0).AtArg(0, bounce, b)
+	rally := func(hops int) func() {
+		return func() { g.RunUntil(g.Shard(0).Now() + time.Duration(hops)*L) }
+	}
+	rally(2000)() // grow the stage slices and heaps to their working size
+	short := testing.AllocsPerRun(20, rally(200))
+	long := testing.AllocsPerRun(20, rally(2000))
+	if short != long {
+		t.Fatalf("a run of 200 hops allocates %v objects and one of 2,000 %v: %v per cross-shard message, want 0",
+			short, long, (long-short)/1800)
+	}
+	// One hop per microsecond, from the serve at 0 inclusive.
+	if want := 1 + 2000 + 21*200 + 21*2000; b.hops != want {
+		t.Fatalf("%d hops, want %d", b.hops, want)
 	}
 }
 

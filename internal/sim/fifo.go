@@ -16,8 +16,6 @@ type FIFO[T any] struct {
 func (f *FIFO[T]) Len() int { return f.n }
 
 // Push appends v at the tail.
-//
-//perf:noalloc
 func (f *FIFO[T]) Push(v T) {
 	if f.n == len(f.buf) {
 		f.grow()
@@ -28,8 +26,6 @@ func (f *FIFO[T]) Push(v T) {
 
 // Pop removes and returns the oldest item; ok is false on an empty queue.
 // The vacated slot is zeroed so the ring never pins a popped pointer.
-//
-//perf:noalloc
 func (f *FIFO[T]) Pop() (v T, ok bool) {
 	if f.n == 0 {
 		return v, false

@@ -127,15 +127,11 @@ func (k *Kernel) After(d time.Duration, fn func()) Timer {
 // pooled event, so a caller that binds fn once and passes a pointer as arg
 // schedules without allocating — where At would cost a closure per event to
 // carry the same pointer.
-//
-//perf:noalloc
 func (k *Kernel) AtArg(at time.Duration, fn func(any), arg any) Timer {
 	return k.schedule(at, 0, fn, arg)
 }
 
 // AfterArg schedules fn(arg) to run d from now; see AtArg.
-//
-//perf:noalloc
 func (k *Kernel) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 	return k.schedule(k.now+d, 0, fn, arg)
 }
@@ -157,13 +153,11 @@ func (k *Kernel) Every(period time.Duration, fn func()) Timer {
 func callFunc(fn any) { fn.(func())() }
 
 // schedule inserts a pooled event into the heap and returns its handle.
-//
-//perf:noalloc
 func (k *Kernel) schedule(at, period time.Duration, fn func(any), arg any) Timer {
 	if at < k.now {
 		at = k.now
 	}
-	ev := k.alloc() //lint:allow heapescape pool refill: only when the free list is empty, amortized to zero in steady state
+	ev := k.alloc() // allocates only to refill an empty free list: zero in steady state
 	k.seq++
 	ev.at = at
 	ev.seq = k.seq
@@ -187,8 +181,6 @@ func (k *Kernel) alloc() *event {
 
 // release recycles an event: bumping the generation invalidates every Timer
 // handle that still points at it.
-//
-//perf:noalloc
 func (k *Kernel) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
@@ -269,8 +261,6 @@ func wakeProc(arg any) {
 
 // resumeProc switches to p and returns when p parks again or finishes.
 // It must only be called from event context (inside Run).
-//
-//perf:noalloc
 func (k *Kernel) resumeProc(p *Proc) {
 	if p.done {
 		return
@@ -320,8 +310,6 @@ func (k *Kernel) RunUntil(deadline time.Duration) int {
 // every event with a timestamp strictly below bound. It leaves the clock at
 // the last processed event; callers with an inclusive deadline pass
 // deadline+1 and advance the clock themselves.
-//
-//perf:noalloc
 func (k *Kernel) runBefore(bound time.Duration) int {
 	if k.running {
 		panic("sim: Run called reentrantly")

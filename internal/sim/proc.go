@@ -33,8 +33,6 @@ type Proc struct {
 func (p *Proc) Now() time.Duration { return p.k.now }
 
 // park yields control back to the kernel until some event resumes the proc.
-//
-//perf:noalloc
 func (p *Proc) park() {
 	if !p.yield(struct{}{}) {
 		panic(errKilled) // the kernel is closing
@@ -43,8 +41,6 @@ func (p *Proc) park() {
 
 // Sleep suspends the proc for d of virtual time. Non-positive durations
 // yield the proc and let other events at the same timestamp run first.
-//
-//perf:noalloc
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0

@@ -47,8 +47,6 @@ func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Put appends an item, waking the longest-waiting consumer if any. On a full
 // bounded queue the item is dropped and Put reports false.
-//
-//perf:noalloc
 func (q *Queue[T]) Put(item T) bool {
 	if w, ok := q.waiters.Pop(); ok {
 		w.item = item
@@ -68,8 +66,6 @@ func (q *Queue[T]) Put(item T) bool {
 // Get removes and returns the oldest item, blocking the proc until one is
 // available. A negative timeout blocks forever; a zero timeout polls. The
 // second result is false when the timeout expired first.
-//
-//perf:noalloc
 func (q *Queue[T]) Get(p *Proc, timeout time.Duration) (T, bool) {
 	if item, ok := q.items.Pop(); ok {
 		return item, true

@@ -118,8 +118,6 @@ func (g *ShardGroup) Send(from, to int, at time.Duration, fn func()) {
 // SendArg is Send for a function bound once and a per-message argument, as
 // AtArg is to At: staging the message allocates nothing beyond the stage
 // slice's own growth.
-//
-//perf:noalloc
 func (g *ShardGroup) SendArg(from, to int, at time.Duration, fn func(any), arg any) {
 	src := g.shards[from]
 	if to == from {
@@ -127,7 +125,6 @@ func (g *ShardGroup) SendArg(from, to int, at time.Duration, fn func(any), arg a
 		return
 	}
 	if at < src.now+g.lookahead {
-		//lint:allow heapescape the message of a protocol-violation panic: no run continues past it
 		panic(fmt.Sprintf("sim: cross-shard send %d->%d at %v violates lookahead %v (shard %d is at %v)", from, to, at, g.lookahead, from, src.now))
 	}
 	g.sendSeq[from]++

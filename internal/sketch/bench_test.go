@@ -15,14 +15,32 @@ func benchFill(n int, phase float64) *Sketch {
 
 // BenchmarkSketchUpdate measures the steady-state cost of one Update on a
 // warm sketch: the common case is a buffer append; every BufCap-th call
-// pays for a fold into the marker grid. The //perf:noalloc gate keeps the
-// whole path allocation-free.
+// pays for a fold into the marker grid. TestUpdateAllocatesNothing keeps
+// the whole path allocation-free.
 func BenchmarkSketchUpdate(b *testing.B) {
 	s := benchFill(4*BufCap, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Update(float64(i%997) / 997)
+	}
+}
+
+// TestUpdateAllocatesNothing: 3·BufCap updates, and so three folds into
+// the marker grid, allocate nothing — the fold's scratch is on the stack.
+func TestUpdateAllocatesNothing(t *testing.T) {
+	s := benchFill(4*BufCap, 0)
+	i := 0
+	if n := testing.AllocsPerRun(20, func() {
+		for j := 0; j < 3*BufCap; j++ {
+			s.Update(float64(i%997) / 997)
+			i++
+		}
+	}); n != 0 {
+		t.Fatalf("%d updates allocate %v objects, want 0", 3*BufCap, n)
+	}
+	if want := uint64(4*BufCap + i); s.Count() != want {
+		t.Fatalf("count %d, want %d", s.Count(), want)
 	}
 }
 

@@ -28,8 +28,8 @@
 //     sorted path order so the result is independent of the shard count).
 //
 //   - Allocation-bounded. The struct is self-contained fixed-size arrays;
-//     Update is //perf:noalloc (verified by the escape-analysis gate) and
-//     the fold works entirely in stack scratch. One Sketch is
+//     Update allocates nothing (TestUpdateAllocatesNothing) and the fold
+//     works entirely in stack scratch. One Sketch is
 //     O(Markers + BufCap) floats ≈ 2 KB, vs 64 B per retained sample
 //     for ring-buffer history (a depth-1024 ring is ≈ 64 KB).
 //
@@ -178,8 +178,6 @@ func (s *Sketch) Bytes() int { return int(unsafe.Sizeof(*s)) }
 // ±Inf) are counted in Dropped and otherwise ignored — they would poison
 // the marker interpolation. Amortized cost is O(1); every BufCap-th call
 // pays one O(Markers+BufCap) fold in stack scratch.
-//
-//perf:noalloc
 func (s *Sketch) Update(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		s.dropped++
@@ -528,8 +526,8 @@ func quantileSorted(sorted []float64, p float64) float64 {
 }
 
 // sortFloats sorts in place without allocating: an insertion sort, which
-// on BufCap-sized slices beats the generic machinery and keeps Update's
-// //perf:noalloc contract trivially (sort.Float64s is also
+// on BufCap-sized slices beats the generic machinery and keeps Update
+// allocation-free trivially (sort.Float64s is also
 // allocation-free in the current toolchain, but that is an implementation
 // detail of the stdlib this hot path should not depend on).
 func sortFloats(xs []float64) {

