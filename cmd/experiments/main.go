@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"time"
 
@@ -156,11 +157,37 @@ func profileCPU(path string) (stop func()) {
 // It deliberately carries no wall-clock field: two runs of the same tree
 // on the same toolchain must produce byte-identical streams.
 func runMeta() results.RunMeta {
+	info, _ := debug.ReadBuildInfo()
 	return results.RunMeta{
 		Tool:   "cmd/experiments",
 		Go:     runtime.Version(),
-		Commit: os.Getenv("GITHUB_SHA"),
+		Commit: commitOf(info, os.Getenv("GITHUB_SHA")),
 	}
+}
+
+// commitOf names the tree a binary was built from: the VCS stamp `go build`
+// embeds (vcs.revision, with "-dirty" appended when vcs.modified is true),
+// or fallback when the binary carries none.
+func commitOf(info *debug.BuildInfo, fallback string) string {
+	if info == nil {
+		return fallback
+	}
+	rev, dirty := "", false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev == "" {
+		return fallback
+	}
+	if dirty {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 // runScenario executes one named comparison scenario, streaming its

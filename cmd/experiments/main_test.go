@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -97,6 +98,35 @@ func TestResultsArtifact(t *testing.T) {
 	for _, rec := range set.Records {
 		if !strings.HasPrefix(rec.Batch, "E15/row") || len(rec.Samples) != 1 {
 			t.Fatalf("record %+v is not one E15 cell", rec)
+		}
+	}
+}
+
+// TestCommitOf: a VCS-stamped binary names its revision, marked dirty when
+// the tree had uncommitted changes, and $GITHUB_SHA is used only when the
+// binary carries no stamp.
+func TestCommitOf(t *testing.T) {
+	stamped := func(kv ...string) *debug.BuildInfo {
+		info := &debug.BuildInfo{}
+		for i := 0; i < len(kv); i += 2 {
+			info.Settings = append(info.Settings, debug.BuildSetting{Key: kv[i], Value: kv[i+1]})
+		}
+		return info
+	}
+	cases := []struct {
+		name string
+		info *debug.BuildInfo
+		want string
+	}{
+		{"clean tree", stamped("vcs", "git", "vcs.revision", "abc123", "vcs.modified", "false"), "abc123"},
+		{"dirty tree", stamped("vcs.modified", "true", "vcs.revision", "abc123"), "abc123-dirty"},
+		{"revision without modified flag", stamped("vcs.revision", "abc123"), "abc123"},
+		{"no VCS stamp", stamped("-compiler", "gc", "vcs.modified", "true"), "ci-sha"},
+		{"no build info", nil, "ci-sha"},
+	}
+	for _, tc := range cases {
+		if got := commitOf(tc.info, "ci-sha"); got != tc.want {
+			t.Errorf("%s: commitOf = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

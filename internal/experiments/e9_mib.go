@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"repro/internal/mib"
@@ -80,9 +81,15 @@ func E9(quick bool) *report.Table {
 	t.AddRow("standard MIB tcpConnTable (SNMP walk)", len(colsSeen),
 		fmt.Sprintf("%d/%d", len(colsSeen), rstream.NumStateVars),
 		"state, localAddr, localPort, remAddr, remPort")
+	// The instrumented sensor reads the dialer's whole state struct, which
+	// must show the 64 KiB sent and a measured round trip.
 	instrumented := 0
 	if dialed != nil {
-		instrumented = rstream.NumStateVars
+		v := dialed.Vars()
+		instrumented = reflect.TypeOf(v).NumField()
+		if v.BytesOut != 64<<10 || v.SRTT == 0 {
+			t.AddNote("WARNING: dialer state shows %d bytes out, SRTT %v; want %d and a sample", v.BytesOut, v.SRTT, 64<<10)
+		}
 	}
 	t.AddRow("instrumented endpoint (direct)", instrumented,
 		fmt.Sprintf("%d/%d", instrumented, rstream.NumStateVars),

@@ -149,7 +149,7 @@ func TestE9Shape(t *testing.T) {
 	}
 	for _, n := range table.Notes {
 		if strings.Contains(n, "WARNING") {
-			t.Fatalf("walk did not see the expected columns: %s", n)
+			t.Fatalf("E9 warned: %s", n)
 		}
 	}
 }

@@ -133,12 +133,6 @@ func tcpConnState(s rstream.State) int64 {
 		return 4
 	case rstream.StateEstablished:
 		return 5
-	case rstream.StateFinWait:
-		return 6
-	case rstream.StateCloseWait:
-		return 8
-	case rstream.StateTimeWait:
-		return 11
 	default:
 		return 1
 	}

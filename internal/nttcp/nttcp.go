@@ -130,9 +130,6 @@ type Result struct {
 	OverheadPackets int
 	// Offset is the clock offset estimate used (zero if none).
 	Offset time.Duration
-	// Retransmissions counts transport-level retransmitted segments
-	// (stream mode only; datagram mode reports loss instead).
-	Retransmissions int
 }
 
 type burstState struct {
@@ -384,7 +381,6 @@ func StartServer(node *netsim.Node, port netsim.Port) *Server {
 	}
 	s := &Server{Node: node, Port: port, sock: node.OpenUDP(port)}
 	node.Spawn("nttcp-server", func(p *sim.Proc) { s.serve(p) })
-	startStreamServer(node, port+StreamPortOffset)
 	return s
 }
 

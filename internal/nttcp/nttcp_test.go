@@ -42,6 +42,27 @@ func TestReachabilityUpAndDown(t *testing.T) {
 	}
 }
 
+// TestStartServerOwnsOnePort: a responder binds its own port and nothing
+// else, so responders on adjacent ports of one host coexist.
+func TestStartServerOwnsOnePort(t *testing.T) {
+	k, srv, cli := fixture(t, netsim.Ethernet10())
+	StartServer(srv, 5010)
+	StartServer(srv, 5011)
+	c := NewClient(cli, Config{MsgLen: 1000, InterSend: 10 * time.Millisecond, Count: 4})
+	errs := map[netsim.Port]error{}
+	cli.Spawn("tester", func(p *sim.Proc) {
+		for _, port := range []netsim.Port{5010, 5011} {
+			_, errs[port] = c.Measure(p, "server", port)
+		}
+	})
+	k.RunUntil(10 * time.Second)
+	for _, port := range []netsim.Port{5010, 5011} {
+		if err, ran := errs[port]; !ran || err != nil {
+			t.Fatalf("port %d: ran=%v err=%v", port, ran, err)
+		}
+	}
+}
+
 func TestMeasureThroughputMatchesOfferedRate(t *testing.T) {
 	k, srv, cli := fixture(t, netsim.Ethernet10())
 	StartServer(srv, 0)

@@ -43,8 +43,9 @@ type RunMeta struct {
 	Tool string `json:"tool,omitempty"`
 	// Go is the producing toolchain version (runtime.Version()).
 	Go string `json:"go,omitempty"`
-	// Commit is the git commit of the producing tree, when known
-	// (populated from $GITHUB_SHA in CI; empty locally).
+	// Commit is the git commit of the producing tree, when known: the
+	// binary's VCS stamp (suffixed "-dirty" for a modified tree), else
+	// $GITHUB_SHA; empty when neither is available, as under `go run`.
 	Commit string `json:"commit,omitempty"`
 }
 

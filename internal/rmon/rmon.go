@@ -1,5 +1,5 @@
 // Package rmon implements a remote network monitoring probe after RFC 2819:
-// the statistics, history, alarm, event, host and matrix groups, fed by a
+// the statistics, alarm, event, host and matrix groups, fed by a
 // promiscuous tap on a shared simulated segment and exposed through the
 // SNMP agent's MIB tree.
 //
@@ -19,11 +19,9 @@ import (
 
 // MIB locations (RFC 2819 under mib-2.16).
 var (
-	statsEntry          = mib.RMONRoot.Append(1, 1, 1) // etherStatsEntry
-	historyControlEntry = mib.RMONRoot.Append(2, 1, 1) // historyControlEntry
-	historyEntry        = mib.RMONRoot.Append(2, 2, 1) // etherHistoryEntry
-	alarmEntry          = mib.RMONRoot.Append(3, 1, 1) // alarmEntry
-	eventEntry          = mib.RMONRoot.Append(9, 1, 1) // eventEntry
+	statsEntry = mib.RMONRoot.Append(1, 1, 1) // etherStatsEntry
+	alarmEntry = mib.RMONRoot.Append(3, 1, 1) // alarmEntry
+	eventEntry = mib.RMONRoot.Append(9, 1, 1) // eventEntry
 
 	// dataSource names what every group here samples: ifIndex.1.
 	dataSource = mib.IfEntry.Append(1, 1)
@@ -57,7 +55,6 @@ type Probe struct {
 
 	Stats EtherStats
 
-	histories   []*History
 	alarms      []*Alarm
 	events      []*Event
 	hostGroup   *HostGroup
@@ -121,25 +118,12 @@ func (p *Probe) onFrame(f netsim.Frame) {
 	}
 }
 
-// UtilizationPercent estimates instantaneous utilization from a delta of
-// octets over the window, as etherHistory does.
-func UtilizationPercent(deltaOctets uint64, window time.Duration, rateBps int64) float64 {
-	if window <= 0 || rateBps <= 0 {
-		return 0
-	}
-	return float64(deltaOctets*8) / (window.Seconds() * float64(rateBps)) * 100
-}
-
 // Register exposes the probe's groups in a MIB tree under the standard RMON
 // OIDs, with etherStats index 1 (single data source).
 func (p *Probe) Register(tree *mib.Tree) {
 	self := []*Probe{p}
 	mib.RegisterTable(tree, statsEntry, statsColumns, func() []*Probe { return self },
 		func(dst mib.OID, _ *Probe) mib.OID { return append(dst, 1) })
-	mib.RegisterTable(tree, historyControlEntry, historyControlColumns, func() []*History { return p.histories },
-		func(dst mib.OID, h *History) mib.OID { return append(dst, uint32(h.Index)) })
-	mib.RegisterTable(tree, historyEntry, historyColumns, p.buckets,
-		func(dst mib.OID, b bucket) mib.OID { return append(dst, uint32(b.h.Index), uint32(b.s.Index)) })
 	mib.RegisterTable(tree, alarmEntry, alarmColumns, func() []*Alarm { return p.alarms },
 		func(dst mib.OID, a *Alarm) mib.OID { return append(dst, uint32(a.Index)) })
 	mib.RegisterTable(tree, hostEntry, hostColumns, p.hostRows,

@@ -63,38 +63,6 @@ func TestProbeSeesErrorsAndKeepsCountingUnderLoad(t *testing.T) {
 	}
 }
 
-func TestHistorySampling(t *testing.T) {
-	k, _, _, probe, a, b := fixture(t, netsim.Ethernet10())
-	netsim.NewSink(b, 9)
-	h := probe.AddHistory(100*time.Millisecond, 5)
-	// 500B every 10ms = 400 kb/s payload; wire = 566B/10ms ≈ 4.5% util.
-	src := &netsim.CBRSource{Src: a, Dst: "b", DstPort: 9, Size: 500, Interval: 10 * time.Millisecond, Count: 200}
-	src.Run()
-	k.RunUntil(2100 * time.Millisecond)
-	samples := h.samples
-	if len(samples) != 5 {
-		t.Fatalf("retained %d buckets, want 5 (ring)", len(samples))
-	}
-	// Buckets are 100ms apart and indices increase.
-	for i := 1; i < len(samples); i++ {
-		if samples[i].Index != samples[i-1].Index+1 {
-			t.Fatalf("bucket indices not sequential: %+v", samples)
-		}
-	}
-	// During the active first 2s the utilization per bucket ≈ 4.5%.
-	if s := samples[0]; s.Octets == 0 && s.Index <= 20 {
-		t.Logf("note: early bucket empty: %+v", s)
-	}
-}
-
-func TestHistoryUtilizationMath(t *testing.T) {
-	// 1 Mb over 1s on a 10 Mb/s wire is 10%.
-	u := UtilizationPercent(125000, time.Second, 10_000_000)
-	if u < 9.99 || u > 10.01 {
-		t.Fatalf("utilization = %f, want 10", u)
-	}
-}
-
 func TestAlarmRisingFallingHysteresis(t *testing.T) {
 	k, _, _, probe, a, b := fixture(t, netsim.Ethernet10())
 	netsim.NewSink(b, 9)
@@ -158,7 +126,6 @@ func TestRegisterExposesTables(t *testing.T) {
 	netsim.NewSink(b, 9)
 	tree := mib.NewTree()
 	probe.Register(tree)
-	probe.AddHistory(100*time.Millisecond, 4)
 	probe.AddEvent("e", true, false)
 	(&netsim.CBRSource{Src: a, Dst: "b", DstPort: 9, Size: 64, Interval: 5 * time.Millisecond, Count: 100}).Run()
 	k.RunUntil(time.Second)
@@ -169,10 +136,6 @@ func TestRegisterExposesTables(t *testing.T) {
 	pkts, ok := tree.Get(EtherStatsOID(5))
 	if !ok || pkts.Uint != 100 {
 		t.Fatalf("etherStatsPkts = %+v, %v", pkts, ok)
-	}
-	hist := tree.Walk(mib.RMONRoot.Append(2))
-	if len(hist) == 0 {
-		t.Fatal("no history entries exposed")
 	}
 	events := tree.Walk(mib.RMONRoot.Append(9))
 	if len(events) != 4 {
@@ -191,28 +154,5 @@ func TestDeadProbeFreezes(t *testing.T) {
 	}
 	if probe.Stats.Pkts < 40 {
 		t.Fatalf("probe missed frames while alive: %d", probe.Stats.Pkts)
-	}
-}
-
-func TestHistoryControlTableExposed(t *testing.T) {
-	k, _, _, probe, _, _ := fixture(t, netsim.Ethernet10())
-	probe.AddHistory(2*time.Second, 8)
-	probe.AddHistory(30*time.Second, 4)
-	tree := mib.NewTree()
-	probe.Register(tree)
-	k.RunUntil(time.Millisecond)
-	rows := tree.Walk(mib.RMONRoot.Append(2, 1))
-	if len(rows) != 2*5 {
-		t.Fatalf("historyControl entries = %d, want 10", len(rows))
-	}
-	// Interval column (5) of row 2 is 30 seconds.
-	v, ok := tree.Get(mib.RMONRoot.Append(2, 1, 1, 5, 2))
-	if !ok || v.Int != 30 {
-		t.Fatalf("interval = %+v, %v", v, ok)
-	}
-	// Buckets granted (4) of row 1.
-	v, _ = tree.Get(mib.RMONRoot.Append(2, 1, 1, 4, 1))
-	if v.Int != 8 {
-		t.Fatalf("buckets = %+v", v)
 	}
 }

@@ -3,10 +3,11 @@
 // cumulative acknowledgements, go-back-N retransmission, Jacobson RTT
 // estimation, and slow-start/AIMD-style congestion control.
 //
-// It stands in for the TCP stacks of the paper's testbed. Each connection
+// It is the TCP connection whose state E9 counts: each connection
 // maintains exactly the twenty-two state variables Stallings enumerates for
 // a TCP connection (see StateVars); the SNMP tcpConnTable exposes five of
-// them, which is the fidelity gap §5.2.4 quantifies.
+// them, which is the fidelity gap §5.2.4 quantifies. Connections are never
+// closed; they live as long as the simulation.
 package rstream
 
 import (
@@ -34,9 +35,6 @@ const (
 	StateSynSent
 	StateSynReceived
 	StateEstablished
-	StateFinWait
-	StateCloseWait
-	StateTimeWait
 )
 
 func (s State) String() string {
@@ -51,12 +49,6 @@ func (s State) String() string {
 		return "synReceived"
 	case StateEstablished:
 		return "established"
-	case StateFinWait:
-		return "finWait"
-	case StateCloseWait:
-		return "closeWait"
-	case StateTimeWait:
-		return "timeWait"
 	default:
 		return "state?"
 	}
@@ -66,7 +58,6 @@ func (s State) String() string {
 const (
 	flagSYN = 1 << iota
 	flagACK
-	flagFIN
 	flagDATA
 )
 
@@ -146,9 +137,8 @@ type sendItem struct {
 
 // Conn is one endpoint of a reliable stream.
 type Conn struct {
-	node  *netsim.Node
-	sock  *netsim.UDPSock // owned by client conns; shared for accepted conns
-	owner *Listener       // non-nil for accepted conns
+	node *netsim.Node
+	sock *netsim.UDPSock // owned by client conns; the listener's for accepted conns
 
 	vars StateVars
 
@@ -159,19 +149,17 @@ type Conn struct {
 	rtoBackoff  int
 
 	// receive side
-	recvQ  *sim.Queue[int] // delivered data lengths, in order
-	closed bool
+	recvQ *sim.Queue[int] // delivered data lengths, in order
 
-	// connWaiters is signalled on state transitions (connect/accept/close).
+	// connWaiters is signalled when the handshake completes.
 	connWaiters *sim.Queue[struct{}]
 }
 
-func newConn(node *netsim.Node, sock *netsim.UDPSock, owner *Listener) *Conn {
+func newConn(node *netsim.Node, sock *netsim.UDPSock) *Conn {
 	k := node.Network().K
 	c := &Conn{
 		node:        node,
 		sock:        sock,
-		owner:       owner,
 		sendWaiters: sim.NewQueue[struct{}](k, 0),
 		recvQ:       sim.NewQueue[int](k, 0),
 		connWaiters: sim.NewQueue[struct{}](k, 0),
@@ -194,7 +182,7 @@ func (c *Conn) k() *sim.Kernel { return c.node.Network().K }
 // the handshake completes or times out.
 func Dial(p *sim.Proc, node *netsim.Node, addr netsim.Addr, port netsim.Port, timeout time.Duration) (*Conn, error) {
 	sock := node.OpenUDP(0)
-	c := newConn(node, sock, nil)
+	c := newConn(node, sock)
 	c.vars.LocalPort = sock.Port()
 	c.vars.RemoteAddr = addr
 	c.vars.RemotePort = port
@@ -213,7 +201,7 @@ func Dial(p *sim.Proc, node *netsim.Node, addr netsim.Addr, port netsim.Port, ti
 		c.connWaiters.Get(p, perAttempt)
 	}
 	if c.vars.State != StateEstablished {
-		c.teardown()
+		sock.Close()
 		return nil, fmt.Errorf("rstream: connect %s:%d: timeout", addr, port)
 	}
 	return c, nil
@@ -221,7 +209,7 @@ func Dial(p *sim.Proc, node *netsim.Node, addr netsim.Addr, port netsim.Port, ti
 
 // drive consumes datagrams for a client connection.
 func (c *Conn) drive(p *sim.Proc) {
-	for !c.closed {
+	for {
 		pkt, ok := c.sock.Recv(p, -1)
 		if !ok {
 			return
@@ -276,30 +264,13 @@ func (c *Conn) onDatagram(pkt *netsim.Packet) {
 			c.vars.State = StateEstablished
 			c.connWaiters.Put(struct{}{})
 		}
-	case StateEstablished, StateFinWait, StateCloseWait:
-		c.onEstablished(seg)
-	}
-}
-
-func (c *Conn) onEstablished(seg segment) {
-	if seg.flags&flagACK != 0 {
-		c.processAck(seg)
-	}
-	if seg.flags&flagDATA != 0 {
-		c.processData(seg)
-	}
-	if seg.flags&flagFIN != 0 && seg.seq == c.vars.RcvNxt {
-		c.vars.RcvNxt = seg.seq + 1
-		c.sendSeg(segment{flags: flagACK}, 0)
-		switch c.vars.State {
-		case StateEstablished:
-			c.vars.State = StateCloseWait
-		case StateFinWait:
-			c.vars.State = StateTimeWait
-			c.teardown()
+	case StateEstablished:
+		if seg.flags&flagACK != 0 {
+			c.processAck(seg)
 		}
-		// Wake a blocked reader so it observes EOF.
-		c.recvQ.Put(-1)
+		if seg.flags&flagDATA != 0 {
+			c.processData(seg)
+		}
 	}
 }
 
@@ -389,7 +360,7 @@ func (c *Conn) stopRtx() {
 }
 
 func (c *Conn) onRtxTimeout() {
-	if c.closed || len(c.outstanding) == 0 {
+	if len(c.outstanding) == 0 {
 		return
 	}
 	// Multiplicative decrease, then go-back-N: resend everything.
@@ -422,10 +393,11 @@ func (c *Conn) sendWindow() uint32 {
 }
 
 // Send transmits size bytes of synthetic stream data, blocking the proc for
-// window space as needed. It returns an error once the connection closes.
+// window space as needed. It returns an error unless the connection is
+// established.
 func (c *Conn) Send(p *sim.Proc, size int) error {
 	for size > 0 {
-		if c.closed || c.vars.State != StateEstablished && c.vars.State != StateCloseWait {
+		if c.vars.State != StateEstablished {
 			return fmt.Errorf("rstream: send on %s connection", c.vars.State)
 		}
 		inFlight := c.vars.SndNxt - c.vars.SndUna
@@ -457,9 +429,6 @@ func (c *Conn) Send(p *sim.Proc, size int) error {
 func (c *Conn) Flush(p *sim.Proc, timeout time.Duration) bool {
 	deadline := c.k().Now() + timeout
 	for c.vars.SndUna != c.vars.SndNxt {
-		if c.closed {
-			return false
-		}
 		remain := time.Duration(-1)
 		if timeout >= 0 {
 			remain = deadline - c.k().Now()
@@ -475,48 +444,9 @@ func (c *Conn) Flush(p *sim.Proc, timeout time.Duration) bool {
 }
 
 // Recv blocks until a data chunk arrives and returns its length. It returns
-// (0, false) on EOF or timeout.
+// (0, false) on timeout.
 func (c *Conn) Recv(p *sim.Proc, timeout time.Duration) (int, bool) {
-	n, ok := c.recvQ.Get(p, timeout)
-	if !ok || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// Close sends FIN and tears the connection down without lingering.
-func (c *Conn) Close() {
-	if c.closed {
-		return
-	}
-	switch c.vars.State {
-	case StateEstablished:
-		c.vars.State = StateFinWait
-		c.sendSeg(segment{flags: flagFIN | flagACK, seq: c.vars.SndNxt, wnd: c.vars.RcvWnd}, 0)
-		c.vars.SndNxt++
-	case StateCloseWait:
-		c.sendSeg(segment{flags: flagFIN | flagACK, seq: c.vars.SndNxt, wnd: c.vars.RcvWnd}, 0)
-		c.vars.SndNxt++
-		c.teardown()
-	default:
-		c.teardown()
-	}
-}
-
-func (c *Conn) teardown() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.vars.State = StateClosed
-	c.stopRtx()
-	if c.owner != nil {
-		c.owner.remove(c)
-	} else if c.sock != nil {
-		c.sock.Close()
-	}
-	c.recvQ.Put(-1)
-	c.connWaiters.Put(struct{}{})
+	return c.recvQ.Get(p, timeout)
 }
 
 // Listener accepts stream connections on a well-known port, demultiplexing
@@ -525,7 +455,7 @@ type Listener struct {
 	node  *netsim.Node
 	sock  *netsim.UDPSock
 	conns map[connKey]*Conn
-	// AllConns retains every connection ever accepted, for MIB table walks.
+	// accepted lists the connections in arrival order, for MIB table walks.
 	accepted []*Conn
 	backlog  *sim.Queue[*Conn]
 }
@@ -563,7 +493,7 @@ func (l *Listener) dispatch(pkt *netsim.Packet) {
 		if err != nil || seg.flags&flagSYN == 0 {
 			return
 		}
-		c = newConn(l.node, l.sock, l)
+		c = newConn(l.node, l.sock)
 		c.vars.LocalPort = l.sock.Port()
 		c.vars.RemoteAddr = pkt.Src
 		c.vars.RemotePort = pkt.SrcPort
@@ -604,16 +534,9 @@ func (l *Listener) Accept(p *sim.Proc, timeout time.Duration) (*Conn, bool) {
 			return nil, false
 		}
 	}
-	if c.vars.State != StateEstablished {
-		return nil, false
-	}
 	return c, true
 }
 
-// Conns returns every connection the listener has accepted, live or closed;
-// the MIB tcpConnTable walks this.
+// Conns returns every connection the listener has accepted; the MIB
+// tcpConnTable walks this.
 func (l *Listener) Conns() []*Conn { return l.accepted }
-
-func (l *Listener) remove(c *Conn) {
-	delete(l.conns, connKey{c.vars.RemoteAddr, c.vars.RemotePort})
-}

@@ -203,38 +203,6 @@ func TestRTTEstimation(t *testing.T) {
 	}
 }
 
-func TestCloseDeliversEOF(t *testing.T) {
-	k, srv, cli := fixture(t, netsim.Ethernet10())
-	l := Listen(srv, 5000)
-	var eof bool
-	srv.Spawn("acceptor", func(p *sim.Proc) {
-		c, ok := l.Accept(p, 5*time.Second)
-		if !ok {
-			return
-		}
-		for {
-			_, ok := c.Recv(p, 10*time.Second)
-			if !ok {
-				eof = true
-				return
-			}
-		}
-	})
-	cli.Spawn("sender", func(p *sim.Proc) {
-		c, err := Dial(p, cli, "server", 5000, 5*time.Second)
-		if err != nil {
-			return
-		}
-		c.Send(p, 100)
-		c.Flush(p, 5*time.Second)
-		c.Close()
-	})
-	k.RunUntil(30 * time.Second)
-	if !eof {
-		t.Fatal("receiver never observed EOF after close")
-	}
-}
-
 func TestStateVarsCountMatchesPaper(t *testing.T) {
 	// The paper (citing Stallings p.111) says a TCP connection has 22
 	// state variables of which the standard MIB exchanges 5. StateVars

@@ -15,6 +15,13 @@ const NTPPort netsim.Port = 123
 // accounting of E4 is realistic.
 const ntpMsgSize = 48
 
+// A sync poll is syncBurst request/response samples, each awaited for at
+// most syncTimeout.
+const (
+	syncBurst   = 4
+	syncTimeout = 500 * time.Millisecond
+)
+
 // encodeTimes packs two local timestamps into an NTP-sized payload.
 func encodeTimes(t1, t2 time.Duration) []byte {
 	buf := make([]byte, ntpMsgSize)
@@ -58,19 +65,15 @@ func StartSyncServer(n *netsim.Node, port netsim.Port) *SyncServer {
 	return s
 }
 
-// SyncClient periodically samples a SyncServer and steps the local clock by
-// the best (minimum-RTT) offset estimate of each burst.
+// SyncClient periodically samples the SyncServer on Server's NTPPort and
+// steps the local clock by the best (minimum-RTT) offset estimate of each
+// burst.
 type SyncClient struct {
 	Node   *netsim.Node
 	Clock  *Clock
 	Server netsim.Addr
-	Port   netsim.Port
 	// Poll is the interval between sync bursts.
 	Poll time.Duration
-	// Burst is the number of request/response samples per poll.
-	Burst int
-	// Timeout bounds the wait for each response.
-	Timeout time.Duration
 
 	// Traffic accounting for intrusiveness comparisons.
 	PacketsSent uint64
@@ -93,15 +96,6 @@ type SyncClient struct {
 // Run spawns the client proc; it polls forever (bound the simulation with
 // RunUntil).
 func (c *SyncClient) Run() *sim.Proc {
-	if c.Port == 0 {
-		c.Port = NTPPort
-	}
-	if c.Burst <= 0 {
-		c.Burst = 4
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 500 * time.Millisecond
-	}
 	sock := c.Node.OpenUDP(0)
 	return c.Node.Spawn("ntp-client", func(p *sim.Proc) {
 		for {
@@ -116,15 +110,6 @@ func (c *SyncClient) Run() *sim.Proc {
 //
 //lint:allow unusedexport test-pinned by TestSyncOnceStandalone; retire together
 func (c *SyncClient) SyncOnce(p *sim.Proc) {
-	if c.Port == 0 {
-		c.Port = NTPPort
-	}
-	if c.Burst <= 0 {
-		c.Burst = 4
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 500 * time.Millisecond
-	}
 	sock := c.Node.OpenUDP(0)
 	defer sock.Close()
 	c.syncOnce(p, sock)
@@ -132,12 +117,12 @@ func (c *SyncClient) SyncOnce(p *sim.Proc) {
 
 func (c *SyncClient) syncOnce(p *sim.Proc, sock *netsim.UDPSock) {
 	var samples []Sample
-	for i := 0; i < c.Burst; i++ {
+	for i := 0; i < syncBurst; i++ {
 		t1 := c.Node.LocalTime()
-		sock.SendTo(c.Server, c.Port, encodeTimes(t1, 0))
+		sock.SendTo(c.Server, NTPPort, encodeTimes(t1, 0))
 		c.PacketsSent++
 		c.BytesSent += ntpMsgSize + netsim.HeaderOverhead
-		pkt, ok := sock.Recv(p, c.Timeout)
+		pkt, ok := sock.Recv(p, syncTimeout)
 		if !ok {
 			continue
 		}

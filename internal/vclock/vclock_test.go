@@ -121,7 +121,7 @@ func TestNTPSyncConverges(t *testing.T) {
 
 func TestNTPTrafficAccounting(t *testing.T) {
 	k, srv, cli, cc := syncFixture(t)
-	client := &SyncClient{Node: cli, Clock: cc, Server: "timehost", Poll: time.Second, Burst: 4}
+	client := &SyncClient{Node: cli, Clock: cc, Server: "timehost", Poll: time.Second}
 	client.Run()
 	k.RunUntil(5500 * time.Millisecond)
 	// 6 polls (t=0..5s) x 4 packets.
@@ -136,7 +136,7 @@ func TestNTPTrafficAccounting(t *testing.T) {
 
 func TestSyncSurvivesServerOutage(t *testing.T) {
 	k, srv, cli, cc := syncFixture(t)
-	client := &SyncClient{Node: cli, Clock: cc, Server: "timehost", Poll: time.Second, Timeout: 100 * time.Millisecond}
+	client := &SyncClient{Node: cli, Clock: cc, Server: "timehost", Poll: time.Second}
 	client.Run()
 	k.At(1500*time.Millisecond, func() { srv.SetUp(false) })
 	k.RunUntil(6 * time.Second)
