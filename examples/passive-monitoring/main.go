@@ -39,7 +39,7 @@ func main() {
 	probe := rmon.NewProbe(h.Probe, h.Eth)
 	hosts := probe.EnableHosts()
 	matrix := probe.EnableMatrix()
-	meter := flowmeter.New(k).AddRule(flowmeter.Rule{Granularity: flowmeter.ByHostPair})
+	meter := flowmeter.New(k)
 	meter.Attach(h.Eth)
 
 	// A COTS monitor using the flow meter as its throughput sensor.

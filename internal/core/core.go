@@ -196,43 +196,3 @@ type QuantileQuerier interface {
 type SketchMerger interface {
 	MergeSketchInto(dst *sketch.Sketch, path PathID, metric metrics.Metric) bool
 }
-
-// ComposeSegments folds per-segment measurements into a path-level value:
-// throughput is the bottleneck minimum, latency the sum, reachability the
-// conjunction. Any failed segment fails the path.
-//
-//lint:allow unusedexport test-pinned by TestComposeSegments, TestComposeSegmentsQualityAndSenescence and hifi's TestComposeAcrossSegments; retire together
-func ComposeSegments(metric metrics.Metric, segs []Measurement) Measurement {
-	if len(segs) == 0 {
-		return Measurement{Metric: metric, Err: "no segments"}
-	}
-	out := Measurement{Metric: metric, Quality: QualityDirect}
-	for i, s := range segs {
-		if !s.OK() {
-			out.Err = s.Err
-			return out
-		}
-		if s.Quality == QualityApproximate {
-			out.Quality = QualityApproximate
-		}
-		if s.TakenAt > out.TakenAt {
-			out.TakenAt = s.TakenAt
-		}
-		switch metric {
-		case metrics.Throughput:
-			if i == 0 || s.Value < out.Value {
-				out.Value = s.Value
-			}
-		case metrics.OneWayLatency:
-			out.Value += s.Value
-		case metrics.Reachability:
-			if i == 0 {
-				out.Value = 1
-			}
-			if s.Value < 0.5 {
-				out.Value = 0
-			}
-		}
-	}
-	return out
-}

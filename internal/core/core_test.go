@@ -56,123 +56,6 @@ func TestCrossProductPathsMatchesFigure4(t *testing.T) {
 	}
 }
 
-func TestComposeSegments(t *testing.T) {
-	segs := []Measurement{
-		{Metric: metrics.Throughput, Value: 5e6, TakenAt: time.Second},
-		{Metric: metrics.Throughput, Value: 2e6, TakenAt: 2 * time.Second},
-	}
-	out := ComposeSegments(metrics.Throughput, segs)
-	if out.Value != 2e6 {
-		t.Fatalf("bottleneck throughput = %g", out.Value)
-	}
-	if out.TakenAt != 2*time.Second {
-		t.Fatalf("TakenAt = %v, want newest", out.TakenAt)
-	}
-
-	lat := ComposeSegments(metrics.OneWayLatency, []Measurement{
-		{Metric: metrics.OneWayLatency, Value: 0.001},
-		{Metric: metrics.OneWayLatency, Value: 0.002},
-	})
-	if lat.Value != 0.003 {
-		t.Fatalf("summed latency = %g", lat.Value)
-	}
-
-	reach := ComposeSegments(metrics.Reachability, []Measurement{
-		{Metric: metrics.Reachability, Value: 1},
-		{Metric: metrics.Reachability, Value: 0},
-	})
-	if reach.Value != 0 {
-		t.Fatalf("conjunction = %g", reach.Value)
-	}
-
-	failed := ComposeSegments(metrics.Throughput, []Measurement{
-		{Metric: metrics.Throughput, Value: 1e6},
-		{Metric: metrics.Throughput, Err: "timeout"},
-	})
-	if failed.OK() {
-		t.Fatal("failed segment did not fail the path")
-	}
-
-	mixed := ComposeSegments(metrics.Throughput, []Measurement{
-		{Metric: metrics.Throughput, Value: 1e6, Quality: QualityDirect},
-		{Metric: metrics.Throughput, Value: 2e6, Quality: QualityApproximate},
-	})
-	if mixed.Quality != QualityApproximate {
-		t.Fatal("approximate segment did not taint path quality")
-	}
-}
-
-func TestComposeSegmentsQualityAndSenescence(t *testing.T) {
-	// Fidelity propagation (§4.4): one approximate segment taints the whole
-	// path, and the path's TakenAt is the max (stalest-relevant) of its
-	// segments regardless of order.
-	cases := []struct {
-		name        string
-		metric      metrics.Metric
-		segs        []Measurement
-		wantQuality Quality
-		wantTakenAt time.Duration
-	}{
-		{
-			name:   "all direct stays direct, newest TakenAt wins",
-			metric: metrics.OneWayLatency,
-			segs: []Measurement{
-				{Metric: metrics.OneWayLatency, Value: 1, Quality: QualityDirect, TakenAt: 5 * time.Second},
-				{Metric: metrics.OneWayLatency, Value: 1, Quality: QualityDirect, TakenAt: 2 * time.Second},
-			},
-			wantQuality: QualityDirect,
-			wantTakenAt: 5 * time.Second,
-		},
-		{
-			name:   "approximate first segment taints path",
-			metric: metrics.Throughput,
-			segs: []Measurement{
-				{Metric: metrics.Throughput, Value: 1e6, Quality: QualityApproximate, TakenAt: time.Second},
-				{Metric: metrics.Throughput, Value: 2e6, Quality: QualityDirect, TakenAt: 3 * time.Second},
-			},
-			wantQuality: QualityApproximate,
-			wantTakenAt: 3 * time.Second,
-		},
-		{
-			name:   "approximate last segment taints path",
-			metric: metrics.Reachability,
-			segs: []Measurement{
-				{Metric: metrics.Reachability, Value: 1, Quality: QualityDirect, TakenAt: 4 * time.Second},
-				{Metric: metrics.Reachability, Value: 1, Quality: QualityApproximate, TakenAt: time.Second},
-			},
-			wantQuality: QualityApproximate,
-			wantTakenAt: 4 * time.Second,
-		},
-		{
-			name:   "single approximate segment",
-			metric: metrics.Throughput,
-			segs: []Measurement{
-				{Metric: metrics.Throughput, Value: 1e6, Quality: QualityApproximate, TakenAt: 7 * time.Second},
-			},
-			wantQuality: QualityApproximate,
-			wantTakenAt: 7 * time.Second,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			out := ComposeSegments(tc.metric, tc.segs)
-			if !out.OK() {
-				t.Fatalf("composed measurement failed: %+v", out)
-			}
-			if out.Quality != tc.wantQuality {
-				t.Fatalf("Quality = %v, want %v", out.Quality, tc.wantQuality)
-			}
-			if out.TakenAt != tc.wantTakenAt {
-				t.Fatalf("TakenAt = %v, want %v", out.TakenAt, tc.wantTakenAt)
-			}
-		})
-	}
-
-	if out := ComposeSegments(metrics.Throughput, nil); out.OK() {
-		t.Fatal("empty segment list composed OK")
-	}
-}
-
 func TestDatabaseCurrentVsLastKnown(t *testing.T) {
 	db := NewDatabase()
 	p := PathID("a->b")

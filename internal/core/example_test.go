@@ -53,16 +53,3 @@ func ExampleCrossProductPaths() {
 	// 6 paths
 	// s1/rtds->c1/client
 }
-
-// ExampleComposeSegments folds per-segment measurements into path-level
-// values with the §4.2 semantics.
-func ExampleComposeSegments() {
-	segs := []core.Measurement{
-		{Metric: metrics.Throughput, Value: 10e6},
-		{Metric: metrics.Throughput, Value: 2e6}, // the bottleneck
-	}
-	out := core.ComposeSegments(metrics.Throughput, segs)
-	fmt.Println(out.Value, "bits/s")
-	// Output:
-	// 2e+06 bits/s
-}

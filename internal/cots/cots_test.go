@@ -251,7 +251,7 @@ func TestFlowMeterThroughputIsPathSpecific(t *testing.T) {
 	// needs its own port 162) and shares the already-deployed agents.
 	flowMon := New(h.Net.Node("w-eth-2"), "public", 2*time.Second)
 	flowMon.Agents = counterMon.Agents
-	meter := flowmeter.New(k).AddRule(flowmeter.Rule{Granularity: flowmeter.ByHostPair})
+	meter := flowmeter.New(k)
 	meter.Attach(h.Eth)
 	flowMon.UseFlowMeter(meter)
 	flowMon.Submit(req)

@@ -35,10 +35,8 @@ type Config struct {
 	// (default 50µs).
 	RecordProcTime time.Duration
 	// CoalesceWindow is the base dedup window; 0 disables coalescing
-	// (the flat-station model). Backpressure widens it up to MaxWindow.
+	// (the flat-station model). Backpressure widens it up to 4×.
 	CoalesceWindow time.Duration
-	// MaxWindow caps backpressure widening (default 4× CoalesceWindow).
-	MaxWindow time.Duration
 	// FlushEvery is the cadence of the window-expiry sweep (default 50ms).
 	FlushEvery time.Duration
 	// Reexport is the base upward re-export interval (default 250ms);
@@ -46,10 +44,6 @@ type Config struct {
 	// MaxReexport (default 8× Reexport).
 	Reexport    time.Duration
 	MaxReexport time.Duration
-	// HighWater and LowWater are the ingest-queue depths that raise and
-	// release backpressure (defaults cap/4 and cap/16).
-	HighWater int
-	LowWater  int
 	// Supervise is the supervisor cadence: watermark checks, child
 	// liveness, adoption (default 250ms).
 	Supervise time.Duration
@@ -74,9 +68,6 @@ func (c Config) withDefaults() Config {
 	if c.RecordProcTime <= 0 {
 		c.RecordProcTime = 50 * time.Microsecond
 	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = 4 * c.CoalesceWindow
-	}
 	if c.FlushEvery <= 0 {
 		c.FlushEvery = 50 * time.Millisecond
 	}
@@ -85,12 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxReexport <= 0 {
 		c.MaxReexport = 8 * c.Reexport
-	}
-	if c.HighWater <= 0 {
-		c.HighWater = c.QueueCap / 4
-	}
-	if c.LowWater <= 0 {
-		c.LowWater = c.QueueCap / 16
 	}
 	if c.Supervise <= 0 {
 		c.Supervise = 250 * time.Millisecond
@@ -533,37 +518,35 @@ func (d *Director) supervise() {
 	d.liveness(d.k.Now())
 }
 
-// watermarks raises the backpressure level when either ingest queue
-// crosses the high-water mark — widening the local coalescing window and
-// telling every child to stretch its re-export interval — and releases it
-// level by level once depth falls back under the low-water mark.
+// watermarks raises the backpressure level when either ingest queue is a
+// quarter full (the high-water mark, QueueCap/4) — widening the local
+// coalescing window and telling every child to stretch its re-export
+// interval — and releases it level by level once depth falls back to a
+// sixteenth (the low-water mark, QueueCap/16).
 func (d *Director) watermarks() {
 	depth := d.trapQ.Len()
 	if r := d.recQ.Len(); r > depth {
 		depth = r
 	}
 	switch {
-	case depth >= d.Cfg.HighWater && d.level < maxLevel:
+	case depth >= d.Cfg.QueueCap/4 && d.level < maxLevel:
 		d.level++
 		d.Stats.Stretches++
 		d.applyPressure()
-	case depth <= d.Cfg.LowWater && d.level > 0:
+	case depth <= d.Cfg.QueueCap/16 && d.level > 0:
 		d.level--
 		d.applyPressure()
 	}
 }
 
 // maxLevel bounds backpressure escalation; with doubling schedules three
-// levels span an 8× stretch, which meets any MaxWindow/MaxReexport cap.
+// levels span an 8× stretch, which meets the window's 4× cap and any
+// MaxReexport cap up to 8× Reexport.
 const maxLevel = 3
 
 func (d *Director) applyPressure() {
-	if w := d.Cfg.CoalesceWindow; w > 0 {
-		w <<= d.level
-		if w > d.Cfg.MaxWindow {
-			w = d.Cfg.MaxWindow
-		}
-		d.co.SetWindow(w)
+	if base := d.Cfg.CoalesceWindow; base > 0 {
+		d.co.SetWindow(min(base<<d.level, 4*base))
 	}
 	for _, c := range d.children {
 		c.setStretch(d.level)

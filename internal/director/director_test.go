@@ -145,9 +145,8 @@ func TestBackpressureStretchAndRelease(t *testing.T) {
 	defer k.Close()
 	nw := netsim.New(k, 1)
 	cfg := Config{
-		QueueCap: 64, HighWater: 16, LowWater: 4,
-		TrapProcTime: 10 * time.Millisecond, Supervise: 100 * time.Millisecond,
-		CoalesceWindow: 100 * time.Millisecond, MaxWindow: 400 * time.Millisecond,
+		QueueCap: 64, TrapProcTime: 10 * time.Millisecond, Supervise: 100 * time.Millisecond,
+		CoalesceWindow: 100 * time.Millisecond,
 	}
 	root, leaves := buildStubTree(k, nw, cfg)
 	root.Start()
@@ -174,6 +173,45 @@ func TestBackpressureStretchAndRelease(t *testing.T) {
 	}
 	if w := root.co.window; w != cfg.CoalesceWindow {
 		t.Fatalf("window not restored: %v", w)
+	}
+}
+
+// TestWatermarksDeriveFromQueueCap pins the thresholds Config derives: the
+// level rises at a trap-queue depth of QueueCap/4 and not one below, falls at
+// QueueCap/16 and not one above, and the widened window stops at 4×
+// CoalesceWindow however high the level climbs.
+func TestWatermarksDeriveFromQueueCap(t *testing.T) {
+	const base = 100 * time.Millisecond
+	for _, qcap := range []int{16, 64, 256} {
+		k := sim.NewKernel()
+		root, leaves := buildStubTree(k, netsim.New(k, 1), Config{QueueCap: qcap, CoalesceWindow: base})
+		high, low := qcap/4, qcap/16
+		step := func(depth, wantLevel int) {
+			t.Helper()
+			root.trapQ.Drain()
+			for i := 0; i < depth; i++ {
+				root.trapQ.Put(trap("s", "p", true))
+			}
+			root.watermarks()
+			if root.level != wantLevel || leaves[0].stretch != wantLevel {
+				t.Fatalf("cap %d, depth %d: level %d stretch %d, want %d", qcap, depth, root.level, leaves[0].stretch, wantLevel)
+			}
+			// Doubling per level, capped at 4× from level 2 up.
+			if w, want := root.co.window, []time.Duration{base, 2 * base, 4 * base, 4 * base}[wantLevel]; w != want {
+				t.Fatalf("cap %d, level %d: window %v, want %v", qcap, wantLevel, w, want)
+			}
+		}
+		step(high-1, 0)
+		for level := 1; level <= maxLevel; level++ {
+			step(high, level)
+		}
+		step(qcap, maxLevel) // no level past maxLevel
+		if root.Stats.Stretches != maxLevel {
+			t.Fatalf("cap %d: Stretches = %d, want %d", qcap, root.Stats.Stretches, maxLevel)
+		}
+		step(low+1, maxLevel)
+		step(low, maxLevel-1)
+		k.Close()
 	}
 }
 
@@ -389,8 +427,9 @@ func TestManagerRunsUnchangedOverTree(t *testing.T) {
 	}
 }
 
-// TestTelemetryReadsOwnersFields drives a 2-leaf tree with small queues and
-// a slow root through a short trap storm and reads each director's ledger —
+// TestTelemetryReadsOwnersFields drives a 2-leaf tree with small queues (and
+// so the low watermarks QueueCap derives) and a slow root through a short
+// trap storm and reads each director's ledger —
 // Stats, the coalescer's absorbed count and window, both queue depths —
 // straight from its owner, live from a kernel event mid-storm and again
 // after the run. (The tree publishes no instruments of its own; the name
@@ -399,10 +438,9 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	cfg := Config{
-		QueueCap: 4, HighWater: 3, LowWater: 1, Supervise: 50 * time.Millisecond,
+		QueueCap: 4, Supervise: 50 * time.Millisecond,
 		TrapProcTime: 5 * time.Millisecond, RecordProcTime: 150 * time.Millisecond,
-		CoalesceWindow: 20 * time.Millisecond, MaxWindow: 160 * time.Millisecond,
-		Reexport: 100 * time.Millisecond, TTL: 2 * time.Second,
+		CoalesceWindow: 20 * time.Millisecond, Reexport: 100 * time.Millisecond, TTL: 2 * time.Second,
 	}
 	_, _, root, leaves, paths := buildCotsTree(k, cfg)
 	root.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability, metrics.OneWayLatency}})
@@ -421,8 +459,8 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 			if d.trapQ.Len() > cfg.QueueCap || d.recQ.Len() > cfg.QueueCap {
 				t.Errorf("%s: %s queues %d/%d exceed cap %d", when, d.Name, d.trapQ.Len(), d.recQ.Len(), cfg.QueueCap)
 			}
-			if w := d.co.window; w < cfg.CoalesceWindow || w > cfg.MaxWindow {
-				t.Errorf("%s: %s window %v outside [%v, %v]", when, d.Name, w, cfg.CoalesceWindow, cfg.MaxWindow)
+			if w := d.co.window; w < cfg.CoalesceWindow || w > 4*cfg.CoalesceWindow {
+				t.Errorf("%s: %s window %v outside [%v, %v]", when, d.Name, w, cfg.CoalesceWindow, 4*cfg.CoalesceWindow)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ func E4(quick bool) *report.Table {
 		cfg.ComputeOffset = useExchange
 		var ntp *vclock.SyncClient
 		if !useExchange {
-			vclock.StartSyncServer(cli, vclock.NTPPort) // client's clock is the reference
+			vclock.StartSyncServer(cli) // client's clock is the reference
 			ntp = &vclock.SyncClient{Node: srv, Clock: srvClock, Server: "client", Poll: 16 * time.Second}
 			ntp.Run()
 		}

@@ -126,7 +126,7 @@ func E7(quick bool) *report.Table {
 		k := newKernel()
 		h := topo.BuildHiPerD(k, 1)
 		runApp(k, h)
-		meter := flowmeter.New(k).AddRule(flowmeter.Rule{Granularity: flowmeter.ByHostPair})
+		meter := flowmeter.New(k)
 		meter.Attach(h.Eth)
 		mon := cots.New(h.Mgmt, "public", 5*time.Second)
 		mon.UseFlowMeter(meter)

@@ -34,6 +34,7 @@ func runTraffic(k *sim.Kernel, nw *netsim.Network) {
 	(&netsim.CBRSource{Src: nw.Node("b"), Dst: "c", DstPort: 9, Size: 50, Interval: time.Millisecond, Count: 5}).Run()
 }
 
+// A meter needs no setup: New(k) meters every flow it sees.
 func TestDefaultRuleMetersByFlow(t *testing.T) {
 	k, nw, m := fixture(t)
 	runTraffic(k, nw)
@@ -43,87 +44,50 @@ func TestDefaultRuleMetersByFlow(t *testing.T) {
 		t.Fatalf("flows = %d: %+v", len(flows), flows)
 	}
 	// Sorted: a->b, a->c, b->c.
-	if flows[0].Key.Dst != "b" || flows[0].Packets != 30 {
+	if flows[0].Key != (Key{Src: "a", Dst: "b"}) || flows[0].Packets != 30 {
 		t.Fatalf("flow[0] = %+v", flows[0])
 	}
 	// a->b wire octets: 30 x (100+28+38).
 	if flows[0].Octets != 30*166 {
 		t.Fatalf("octets = %d", flows[0].Octets)
 	}
-	if flows[2].Key.Src != "b" || flows[2].Packets != 5 {
+	if flows[1].Key != (Key{Src: "a", Dst: "c"}) || flows[1].Packets != 10 {
+		t.Fatalf("flow[1] = %+v", flows[1])
+	}
+	if flows[2].Key != (Key{Src: "b", Dst: "c"}) || flows[2].Packets != 5 {
 		t.Fatalf("flow[2] = %+v", flows[2])
 	}
-	if m.Matched != 45 || m.Unmatched != 0 {
-		t.Fatalf("matched/unmatched = %d/%d", m.Matched, m.Unmatched)
-	}
 }
 
+// The meter's one granularity is the host pair, and it ignores ports: two
+// a->b flows that differ only in ports fold into one row, packets and wire
+// octets summed.
 func TestHostPairGranularityAndIgnore(t *testing.T) {
 	k, nw, m := fixture(t)
-	m.AddRule(Rule{Src: "b", Ignore: true})  // drop b's traffic
-	m.AddRule(Rule{Granularity: ByHostPair}) // everything else by pair
-	runTraffic(k, nw)
+	netsim.NewSink(nw.Node("b"), 9)
+	netsim.NewSink(nw.Node("b"), 7)
+	(&netsim.CBRSource{Src: nw.Node("a"), Dst: "b", DstPort: 9, Size: 100, Interval: time.Millisecond, Count: 15}).Run()
+	(&netsim.CBRSource{Src: nw.Node("a"), Dst: "b", DstPort: 7, Size: 100, Interval: time.Millisecond, Count: 15}).Run()
 	k.Run()
 	flows := m.Flows()
-	if len(flows) != 2 {
+	if len(flows) != 1 || flows[0].Key != (Key{Src: "a", Dst: "b"}) || flows[0].Packets != 30 {
 		t.Fatalf("flows = %+v", flows)
 	}
-	if _, ok := m.flows[Key{Src: "b", Dst: "c"}]; ok {
-		t.Fatal("ignored traffic was metered")
-	}
-	ab, ok := m.flows[Key{Src: "a", Dst: "b"}]
-	if !ok || ab.Packets != 30 {
-		t.Fatalf("a->b pair = %+v, %v", ab, ok)
-	}
-}
-
-func TestByDstAggregation(t *testing.T) {
-	k, nw, m := fixture(t)
-	m.AddRule(Rule{Granularity: ByDst})
-	runTraffic(k, nw)
-	k.Run()
-	c, ok := m.flows[Key{Dst: "c"}]
-	if !ok || c.Packets != 15 { // 10 from a + 5 from b
-		t.Fatalf("dst c = %+v, %v", c, ok)
-	}
-}
-
-func TestRuleOrderFirstMatchWins(t *testing.T) {
-	k, nw, m := fixture(t)
-	m.AddRule(Rule{Dst: "c", Granularity: ByDst})
-	m.AddRule(Rule{Granularity: ByFlow})
-	runTraffic(k, nw)
-	k.Run()
-	if _, ok := m.flows[Key{Dst: "c"}]; !ok {
-		t.Fatal("dst rule did not fire first")
-	}
-	// Traffic to b fell through to the flow rule.
-	if _, ok := m.flows[Key{Src: "a", Dst: "b", SrcPort: 49153, DstPort: 9}]; !ok {
-		flows := m.Flows()
-		t.Fatalf("flow rule rows: %+v", flows)
-	}
-}
-
-func TestUnmatchedCountsWhenRulesExist(t *testing.T) {
-	k, nw, m := fixture(t)
-	m.AddRule(Rule{Dst: "b"}) // only b's inbound
-	runTraffic(k, nw)
-	k.Run()
-	if m.Matched != 30 || m.Unmatched != 15 {
-		t.Fatalf("matched/unmatched = %d/%d", m.Matched, m.Unmatched)
+	// 30 x (100+28+38), both port pairs summed.
+	if flows[0].Octets != 30*166 {
+		t.Fatalf("octets = %d", flows[0].Octets)
 	}
 }
 
 func TestReaderRates(t *testing.T) {
 	k, nw, m := fixture(t)
-	m.AddRule(Rule{Granularity: ByHostPair})
 	netsim.NewSink(nw.Node("b"), 9)
 	// 1 KiB every 10 ms from a to b for 10 s: ~873.6 kb/s on the wire.
 	(&netsim.CBRSource{Src: nw.Node("a"), Dst: "b", DstPort: 9, Size: 1024, Interval: 10 * time.Millisecond, Count: 1000}).Run()
 	reader := m.NewReader()
 	k.RunUntil(10 * time.Second)
 	rates := reader.Rates()
-	if len(rates) != 1 {
+	if len(rates) != 1 || rates[0].Key != (Key{Src: "a", Dst: "b"}) {
 		t.Fatalf("rates = %+v", rates)
 	}
 	wire := float64(1024+netsim.HeaderOverhead+38) * 8 / 0.01
@@ -136,21 +100,6 @@ func TestReaderRates(t *testing.T) {
 	k.RunUntil(12 * time.Second)
 	if got := reader.Rates(); len(got) != 0 {
 		t.Fatalf("idle rates = %+v", got)
-	}
-}
-
-func TestReaderRateFor(t *testing.T) {
-	k, nw, m := fixture(t)
-	m.AddRule(Rule{Granularity: ByHostPair})
-	runTraffic(k, nw)
-	reader := m.NewReader()
-	k.Run()
-	r, ok := reader.RateFor(Key{Src: "a", Dst: "b"})
-	if !ok || r.Packets != 30 {
-		t.Fatalf("RateFor = %+v, %v", r, ok)
-	}
-	if _, ok := reader.RateFor(Key{Src: "ghost", Dst: "b"}); ok {
-		t.Fatal("rate for unknown flow")
 	}
 }
 

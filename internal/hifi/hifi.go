@@ -116,8 +116,8 @@ func (m *Monitor) Submit(req core.Request) {
 		}
 		from := path.Hops[0].Host
 		to := path.Hops[len(path.Hops)-1].Host
-		// Two independent lookups: an origin in a foreign network (wired
-		// by ProvisionServerSim) must not cost the path its responder.
+		// Two independent lookups: an origin this network cannot resolve
+		// must not cost the path its responder.
 		if _, ok := m.serverSims[from]; !ok {
 			if node := m.nw.Node(from); node != nil {
 				m.serverSims[from] = nttcp.NewClient(node, m.Cfg)
@@ -128,47 +128,6 @@ func (m *Monitor) Submit(req core.Request) {
 				m.responders[to] = nttcp.StartServer(node, 0)
 			}
 		}
-	}
-}
-
-// ProvisionServerSim installs the NTTCP measurement client on an explicit
-// node, for paths originating at hosts Submit cannot resolve because they
-// live in a foreign network — another region of a partitioned topology that
-// runs on the sequencer's own kernel. Call at wiring time, before the run.
-//
-// The sequencer drives every measurement from its own proc, so the origin's
-// socket sends and schedules events from the monitor's kernel: a node on
-// another shard of the group would have its kernel touched from outside its
-// execution context. That is rejected here, at wiring time, rather than
-// left to corrupt a run (such an origin needs a director on its own shard).
-//
-//lint:allow unusedexport test-pinned by TestProvisionServerSimRejectsForeignShard and TestSubmitProvisionsResponderDespiteForeignOrigin; retire together
-func (m *Monitor) ProvisionServerSim(node *netsim.Node) {
-	if node == nil {
-		return
-	}
-	if nk, mk := node.Network().K, m.nw.K; nk != mk {
-		panic(fmt.Sprintf("hifi: ProvisionServerSim %q runs on shard %d, the sequencer on shard %d: a server simulator must share the sequencer's kernel",
-			node.Name, nk.ShardIndex(), mk.ShardIndex()))
-	}
-	if _, ok := m.serverSims[node.Name]; !ok {
-		m.serverSims[node.Name] = nttcp.NewClient(node, m.Cfg)
-	}
-}
-
-// ProvisionResponder installs the NTTCP responder (client simulator) on an
-// explicit node, the foreign-network companion to ProvisionServerSim: in a
-// sharded topology a path's destination often lives in another region, on
-// another shard. The responder's socket and proc run on the node's own
-// kernel, so serving stays shard-correct.
-//
-//lint:allow unusedexport test-pinned by TestShardedHifiCrossRegionMeasurement; retire together
-func (m *Monitor) ProvisionResponder(node *netsim.Node) {
-	if node == nil {
-		return
-	}
-	if _, ok := m.responders[node.Name]; !ok {
-		m.responders[node.Name] = nttcp.StartServer(node, 0)
 	}
 }
 

@@ -260,44 +260,6 @@ func TestMultiHopPathMeasuredEndToEnd(t *testing.T) {
 	}
 }
 
-func TestComposeAcrossSegments(t *testing.T) {
-	// Composition helper: per-segment measurements of a 3-hop path fold
-	// into path-level values with the §4.2 semantics.
-	k := sim.NewKernel()
-	defer k.Close()
-	h := topo.BuildHiPerD(k, 1)
-	m := New(h.Mgmt, smallCfg(), 1)
-	seg1 := core.NewPath(
-		core.ProcessRef{Host: "s1", Process: "rtds"},
-		core.ProcessRef{Host: "w-fddi-1", Process: "relay"},
-	)
-	seg2 := core.NewPath(
-		core.ProcessRef{Host: "w-fddi-1", Process: "relay"},
-		core.ProcessRef{Host: "c1", Process: "client"},
-	)
-	m.Submit(core.Request{Paths: []core.Path{seg1, seg2}, Metrics: allMetrics})
-	m.Start()
-	k.RunUntil(10 * time.Second)
-	var tps, lats []core.Measurement
-	for _, p := range []core.Path{seg1, seg2} {
-		tp, _ := m.Query(p.ID, metrics.Throughput)
-		lat, _ := m.Query(p.ID, metrics.OneWayLatency)
-		tps = append(tps, tp)
-		lats = append(lats, lat)
-	}
-	pathTP := core.ComposeSegments(metrics.Throughput, tps)
-	pathLat := core.ComposeSegments(metrics.OneWayLatency, lats)
-	if !pathTP.OK() || pathTP.Value <= 0 {
-		t.Fatalf("composed throughput: %v", pathTP)
-	}
-	if pathTP.Value > tps[0].Value || pathTP.Value > tps[1].Value {
-		t.Fatal("composed throughput above a segment (not a bottleneck min)")
-	}
-	if !pathLat.OK() || pathLat.Value < lats[0].Value {
-		t.Fatalf("composed latency not a sum: %v", pathLat)
-	}
-}
-
 func TestMeasurePathOnDemand(t *testing.T) {
 	// The hybrid monitor's entry point: a one-shot targeted measurement
 	// without starting the sweep loop.

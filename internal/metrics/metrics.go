@@ -2,10 +2,7 @@
 // small statistics helpers shared by sensors and the experiment harness.
 package metrics
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // Metric identifies one of the paper's network resource metrics.
 type Metric int
@@ -79,15 +76,4 @@ func RelErr(got, want float64) float64 {
 		return 0
 	}
 	return math.Abs(got-want) / math.Abs(want)
-}
-
-// Durations converts to float seconds for the helpers above.
-//
-//lint:allow unusedexport test-pinned by TestDurations; retire together
-func Durations(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
 }

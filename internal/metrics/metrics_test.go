@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestMetricNamesAndUnits(t *testing.T) {
@@ -50,13 +49,6 @@ func TestMinMaxAndRelErr(t *testing.T) {
 	}
 	if RelErr(5, 0) != 0 {
 		t.Fatal("relerr with zero want")
-	}
-}
-
-func TestDurations(t *testing.T) {
-	out := Durations([]time.Duration{time.Second, 500 * time.Millisecond})
-	if len(out) != 2 || out[0] != 1 || out[1] != 0.5 {
-		t.Fatalf("durations = %v", out)
 	}
 }
 

@@ -45,7 +45,7 @@ func BenchmarkTreeWalk64Rows(b *testing.B) {
 	tr := benchTree(8, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if len(tr.Walk(IfEntry)) != 64 {
+		if len(walk(tr, IfEntry)) != 64 {
 			b.Fatal("short walk")
 		}
 	}

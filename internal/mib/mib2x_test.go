@@ -121,7 +121,7 @@ func TestFullNodeViewWalkIsOrdered(t *testing.T) {
 	(&netsim.CBRSource{Src: a, Dst: "b", DstPort: 9, Size: 100, Interval: time.Millisecond, Count: 10}).Run()
 	k.Run()
 	v := NewNodeView(a)
-	all := v.Tree.Walk(nil)
+	all := walk(v.Tree, nil)
 	if len(all) < 30 {
 		t.Fatalf("full view has only %d objects", len(all))
 	}

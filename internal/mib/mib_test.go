@@ -172,16 +172,36 @@ func TestTreeNextFromMiddleOfSubtree(t *testing.T) {
 	}
 }
 
+// entry is one (OID, value) binding, the unit of a walk.
+type entry struct {
+	OID   OID
+	Value Value
+}
+
+// walk returns every binding under prefix in traversal order: GetNext from
+// prefix until the answer leaves it, as an SNMP walk does.
+func walk(tr *Tree, prefix OID) []entry {
+	var out []entry
+	for oid := prefix; ; {
+		next, v, ok := tr.Next(oid)
+		if !ok || !next.HasPrefix(prefix) {
+			return out
+		}
+		out = append(out, entry{next, v})
+		oid = next
+	}
+}
+
 func TestTreeWalkPrefix(t *testing.T) {
 	tr := NewTree()
 	tr.RegisterConst(MustOID("1.1.0"), Int(1))
 	tr.RegisterConst(MustOID("1.2.0"), Int(2))
 	tr.RegisterConst(MustOID("2.1.0"), Int(3))
-	entries := tr.Walk(MustOID("1"))
+	entries := walk(tr, MustOID("1"))
 	if len(entries) != 2 {
-		t.Fatalf("Walk(1) = %d entries", len(entries))
+		t.Fatalf("walk(1) = %d entries", len(entries))
 	}
-	all := tr.Walk(nil)
+	all := walk(tr, nil)
 	if len(all) != 3 {
 		t.Fatalf("All = %d entries", len(all))
 	}
@@ -328,7 +348,7 @@ func TestTCPConnTableExposesFiveColumns(t *testing.T) {
 		rstream.Dial(p, b, "agent-host", 5000, 5*time.Second)
 	})
 	k.RunUntil(10 * time.Second)
-	rows := v.Tree.Walk(TCPConn)
+	rows := walk(v.Tree, TCPConn)
 	if len(rows) != rstream.NumMIBVars {
 		t.Fatalf("tcpConnTable rows = %d, want %d (one per MIB column)", len(rows), rstream.NumMIBVars)
 	}

@@ -19,7 +19,7 @@ type oracleTree struct {
 type oracleReg struct {
 	oid    OID
 	scalar *Value
-	enum   func() []Entry
+	enum   func() []entry
 }
 
 func (o *oracleTree) sorted() []oracleReg {
@@ -68,7 +68,7 @@ func (o *oracleTree) Next(oid OID) (OID, Value, bool) {
 
 // TestPropertyNextMatchesOracle checks the tree against its oracles: GetNext
 // over arbitrary scalar registrations against a sorted slice, and Get, Next
-// and Walk over random mixes of scalars and tables against the linear scan.
+// and a walk over random mixes of scalars and tables against the linear scan.
 func TestPropertyNextMatchesOracle(t *testing.T) {
 	t.Run("scalars", scalarsMatchSortedSlice)
 	t.Run("mixed", mixedTreeMatchesScan)
@@ -154,11 +154,11 @@ func (m *mixedTable) cell(arc uint32, row OID) Value {
 	return Str(fmt.Sprintf("%s.%d%s#%d", m.prefix, arc, row, m.serial))
 }
 
-func (m *mixedTable) entries() []Entry {
-	var out []Entry
+func (m *mixedTable) entries() []entry {
+	var out []entry
 	for _, arc := range m.cols {
 		for _, row := range m.rows {
-			out = append(out, Entry{OID: m.prefix.Append(arc).Append(row...), Value: m.cell(arc, row)})
+			out = append(out, entry{OID: m.prefix.Append(arc).Append(row...), Value: m.cell(arc, row)})
 		}
 	}
 	return out
@@ -182,7 +182,7 @@ func ascending(rng *rand.Rand, n int, limit uint32) []uint32 {
 // three-arc alphabet, so that prefixes nest and collide — a table inside a
 // table's prefix, a scalar inside one, at one, the same OID registered
 // twice, tables with no columns or no rows — and requires Get, Next and
-// Walk to answer as the linear scan did, while rows appear and vanish
+// a walk to answer as the linear scan did, while rows appear and vanish
 // between queries.
 func mixedTreeMatchesScan(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
@@ -246,24 +246,24 @@ func mixedTreeMatchesScan(t *testing.T) {
 					t.Fatalf("seed %d: Next(%s) = %s %v, %v; the scan answers %s %v, %v", seed, q, gotOID, gotV, gotOK, wantOID, wantV, wantOK)
 				}
 			}
-			// Walk is Next iterated: it must list what the scan lists, which
+			// A walk is Next iterated: it must list what the scan lists, which
 			// where nothing overlaps is every entry there is.
-			var want []Entry
+			var want []entry
 			for cur := (OID{}); ; {
 				oid, v, ok := oracle.Next(cur)
 				if !ok {
 					break
 				}
-				want = append(want, Entry{oid, v})
+				want = append(want, entry{oid, v})
 				cur = oid
 			}
-			got := tr.Walk(nil)
+			got := walk(tr, nil)
 			if len(got) != len(want) {
-				t.Fatalf("seed %d: Walk lists %d entries, the scan %d", seed, len(got), len(want))
+				t.Fatalf("seed %d: walk lists %d entries, the scan %d", seed, len(got), len(want))
 			}
 			for i := range want {
 				if got[i].OID.Cmp(want[i].OID) != 0 || got[i].Value.String() != want[i].Value.String() {
-					t.Fatalf("seed %d: Walk entry %d = %s %v, the scan %s %v", seed, i, got[i].OID, got[i].Value, want[i].OID, want[i].Value)
+					t.Fatalf("seed %d: walk entry %d = %s %v, the scan %s %v", seed, i, got[i].OID, got[i].Value, want[i].OID, want[i].Value)
 				}
 			}
 		}
@@ -271,15 +271,15 @@ func mixedTreeMatchesScan(t *testing.T) {
 }
 
 // TestWalkListsEveryEntry: scalars and tables whose prefixes do not
-// overlap, rows coming and going — Walk returns every entry, in order.
+// overlap, rows coming and going — a walk returns every entry, in order.
 func TestWalkListsEveryEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := NewTree()
 	var tables []*mixedTable
-	var scalars []Entry
+	var scalars []entry
 	for i := uint32(1); i <= 6; i++ {
 		if i%2 == 0 {
-			e := Entry{OID{1, i, 0}, Int(int64(i))}
+			e := entry{OID{1, i, 0}, Int(int64(i))}
 			scalars = append(scalars, e)
 			tr.RegisterConst(e.OID, e.Value)
 			continue
@@ -289,15 +289,15 @@ func TestWalkListsEveryEntry(t *testing.T) {
 		registerRows(tr, m.prefix, m.cols, func() []OID { return m.rows }, m.cell)
 	}
 	for round := 0; round < 20; round++ {
-		want := append([]Entry(nil), scalars...)
+		want := append([]entry(nil), scalars...)
 		for _, m := range tables {
 			m.redraw(rng)
 			want = append(want, m.entries()...)
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i].OID.Cmp(want[j].OID) < 0 })
-		got := tr.Walk(OID{1})
+		got := walk(tr, OID{1})
 		if len(got) != len(want) {
-			t.Fatalf("round %d: Walk lists %d entries of %d", round, len(got), len(want))
+			t.Fatalf("round %d: walk lists %d entries of %d", round, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].OID.Cmp(want[i].OID) != 0 || got[i].Value.String() != want[i].Value.String() {
@@ -324,7 +324,7 @@ func TestPropertyWalkReturnsAllUnderPrefix(t *testing.T) {
 			want = append(want, oid)
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i].Cmp(want[j]) < 0 })
-		got := tr.Walk(base)
+		got := walk(tr, base)
 		if len(got) != len(want) {
 			return false
 		}

@@ -7,12 +7,6 @@ import (
 	"sort"
 )
 
-// Entry is one (OID, value) binding, the unit of tree traversal.
-type Entry struct {
-	OID   OID
-	Value Value
-}
-
 // Column is one column of a table over rows of type R: its arc under the
 // table's prefix and how to read it off a row.
 type Column[R any] struct {
@@ -231,20 +225,4 @@ func (t *Tree) Next(oid OID) (OID, Value, bool) {
 		}
 	}
 	return nil, Value{}, false
-}
-
-// Walk returns every entry under prefix in traversal order.
-//
-//lint:allow unusedexport test-pinned by TestTreeWalkPrefix, TestPropertyWalkReturnsAllUnderPrefix and the rmon MIB-exposure tests; retire together
-func (t *Tree) Walk(prefix OID) []Entry {
-	var out []Entry
-	cur := prefix.Clone()
-	for {
-		oid, v, ok := t.Next(cur)
-		if !ok || !oid.HasPrefix(prefix) {
-			return out
-		}
-		out = append(out, Entry{OID: oid, Value: v})
-		cur = oid
-	}
 }

@@ -96,17 +96,17 @@ func TestHostAndMatrixMIBExposure(t *testing.T) {
 	tree := mib.NewTree()
 	probe.Register(tree)
 	k.Run()
-	hosts := tree.Walk(mib.RMONRoot.Append(4))
+	hosts := walkOIDs(tree, mib.RMONRoot.Append(4))
 	if len(hosts) != 3*6 {
 		t.Fatalf("hostTable entries = %d, want 18", len(hosts))
 	}
-	matrix := tree.Walk(mib.RMONRoot.Append(6))
+	matrix := walkOIDs(tree, mib.RMONRoot.Append(6))
 	if len(matrix) != 3*3 {
 		t.Fatalf("matrixTable entries = %d, want 9", len(matrix))
 	}
 	// Walking must be in strict OID order (agent invariant).
 	for i := 1; i < len(matrix); i++ {
-		if matrix[i-1].OID.Cmp(matrix[i].OID) >= 0 {
+		if matrix[i-1].Cmp(matrix[i]) >= 0 {
 			t.Fatalf("matrix walk out of order at %d", i)
 		}
 	}
@@ -117,7 +117,7 @@ func TestGroupsDisabledByDefault(t *testing.T) {
 	tree := mib.NewTree()
 	probe.Register(tree)
 	k.Run()
-	if got := tree.Walk(mib.RMONRoot.Append(4)); len(got) != 0 {
+	if got := walkOIDs(tree, mib.RMONRoot.Append(4)); len(got) != 0 {
 		t.Fatalf("host group active without EnableHosts: %d entries", len(got))
 	}
 }

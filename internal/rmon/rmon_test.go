@@ -26,6 +26,20 @@ func fixture(t testing.TB, cfg netsim.MediumConfig) (*sim.Kernel, *netsim.Networ
 	return k, nw, seg, probe, a, b
 }
 
+// walkOIDs lists the OIDs bound under prefix in traversal order: GetNext
+// from prefix until the answer leaves it, as an SNMP walk does.
+func walkOIDs(tree *mib.Tree, prefix mib.OID) []mib.OID {
+	var out []mib.OID
+	for oid := prefix; ; {
+		next, _, ok := tree.Next(oid)
+		if !ok || !next.HasPrefix(prefix) {
+			return out
+		}
+		out = append(out, next)
+		oid = next
+	}
+}
+
 func TestEtherStatsCounting(t *testing.T) {
 	k, _, _, probe, a, b := fixture(t, netsim.Ethernet10())
 	netsim.NewSink(b, 9)
@@ -129,7 +143,7 @@ func TestRegisterExposesTables(t *testing.T) {
 	probe.AddEvent("e", true, false)
 	(&netsim.CBRSource{Src: a, Dst: "b", DstPort: 9, Size: 64, Interval: 5 * time.Millisecond, Count: 100}).Run()
 	k.RunUntil(time.Second)
-	stats := tree.Walk(mib.RMONRoot.Append(1))
+	stats := walkOIDs(tree, mib.RMONRoot.Append(1))
 	if len(stats) != 19 {
 		t.Fatalf("etherStats columns = %d, want 19", len(stats))
 	}
@@ -137,7 +151,7 @@ func TestRegisterExposesTables(t *testing.T) {
 	if !ok || pkts.Uint != 100 {
 		t.Fatalf("etherStatsPkts = %+v, %v", pkts, ok)
 	}
-	events := tree.Walk(mib.RMONRoot.Append(9))
+	events := walkOIDs(tree, mib.RMONRoot.Append(9))
 	if len(events) != 4 {
 		t.Fatalf("event columns = %d, want 4", len(events))
 	}

