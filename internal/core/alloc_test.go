@@ -56,3 +56,21 @@ func TestRecordAllocatesNothing(t *testing.T) {
 		t.Errorf("results sink saw %d batches, want %d", sink.batches, want)
 	}
 }
+
+// TestQuantileAllocatesNothing: on a warm 1,024-series store, the
+// db-query-mix unit — four Records and one Quantile, which sorts and folds
+// through the series' View into stack scratch — allocates nothing.
+func TestQuantileAllocatesNothing(t *testing.T) {
+	m := newMixedStore()
+	acc := 0.0
+	if n := testing.AllocsPerRun(20, func() {
+		for j := 0; j < 250; j++ {
+			acc += m.step()
+		}
+	}); n != 0 {
+		t.Fatalf("250 × (4 Records + 1 Quantile) allocate %v objects, want 0", n)
+	}
+	if acc <= 0 {
+		t.Fatalf("quantiles summed to %v", acc)
+	}
+}

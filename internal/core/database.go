@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"time"
 	"unsafe"
@@ -37,6 +38,10 @@ type dbSeries struct {
 	rbuf []float64
 	rn   int
 	rAt  time.Duration // TakenAt of the newest buffered sample
+
+	// qv is Quantile's cache of sk. Record never touches it, and it sits
+	// last so the fields Record writes share as few cache lines as before.
+	qv sketch.View
 }
 
 // Database is the measurement store of Figure 2. It "enables both current
@@ -353,13 +358,14 @@ func (db *Database) Series() int { return len(db.series) }
 
 // Quantile returns the estimated p-quantile of the series' successful
 // observations — the bounded-memory replacement for scanning history.
-// ok is false when the series is unknown or sketches are disabled.
+// ok is false when the series is unknown, sketches are disabled or p is
+// NaN.
 func (db *Database) Quantile(path PathID, metric metrics.Metric, p float64) (float64, bool) {
 	s := db.series[dbKey{path, metric}]
-	if s == nil || s.sk == nil || s.sk.Count() == 0 {
+	if s == nil || s.sk == nil || s.sk.Count() == 0 || math.IsNaN(p) {
 		return 0, false
 	}
-	return s.sk.Quantile(p), true
+	return s.sk.QuantileWith(&s.qv, p), true
 }
 
 // SketchSummary returns the series' full quantile digest (count, extremes,

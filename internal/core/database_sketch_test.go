@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -35,6 +36,9 @@ func TestDatabaseSketchQuantile(t *testing.T) {
 	sum, ok := db.SketchSummary(p, metrics.OneWayLatency)
 	if !ok || sum.Count != 500 {
 		t.Fatalf("SketchSummary: ok=%v count=%d, want 500", ok, sum.Count)
+	}
+	if got, ok := db.Quantile(p, metrics.OneWayLatency, math.NaN()); ok {
+		t.Errorf("Quantile(NaN) = %v, ok; want ok=false", got)
 	}
 }
 

@@ -44,6 +44,29 @@ func TestUpdateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestQuantileWithAllocatesNothing: queries through a View between
+// updates — memo hits, incremental sorts, restarts after a fold, and the
+// fold of the pending buffer into stack scratch — allocate nothing.
+func TestQuantileWithAllocatesNothing(t *testing.T) {
+	s := benchFill(4*BufCap+BufCap/2, 0)
+	var v View
+	i, acc := 0, 0.0
+	if n := testing.AllocsPerRun(20, func() {
+		for j := 0; j < 3*BufCap; j++ {
+			s.Update(float64(i%997) / 997)
+			i++
+			if j%4 == 3 {
+				acc += s.QuantileWith(&v, 0.95) + s.QuantileWith(&v, 0.95) + s.QuantileWith(&v, 0.3)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("%d updates and %d queries allocate %v objects, want 0", 3*BufCap, 3*BufCap/4*3, n)
+	}
+	if acc <= 0 {
+		t.Fatalf("queries summed to %v", acc)
+	}
+}
+
 // BenchmarkSketchMerge measures folding one warm sketch into another —
 // the per-series cost of a federation roll-up.
 func BenchmarkSketchMerge(b *testing.B) {

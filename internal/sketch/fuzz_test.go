@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// fuzzStream decodes the fuzz input: byte 0 picks where the stream is split
-// for the merge check, the rest is a stream of little-endian float64s
+// fuzzStream decodes the fuzz input: byte 0 picks how often the View is
+// queried (every split+1 updates) and where the stream is split for the
+// merge check, the rest is a stream of little-endian float64s
 // (NaN/Inf included — Update must drop them).
 func fuzzStream(data []byte) (split byte, vals []float64) {
 	if len(data) == 0 {
@@ -32,7 +33,8 @@ func fuzzSeed(split byte, vals ...float64) []byte {
 
 // FuzzSketchInvariants feeds an arbitrary float64 stream through the
 // sketch and checks the structural invariants that every state must
-// satisfy: exact counting of finite vs dropped samples, exact min/max,
+// satisfy: queries through a View equal to the oracle's at every k-th
+// Update, exact counting of finite vs dropped samples, exact min/max,
 // quantiles bounded by [min, max] and monotone in p, bit-exact agreement
 // with Exact while in small-sample mode, and split-merge consistency —
 // merging the two halves of the stream must preserve count/min/max/mean
@@ -48,6 +50,15 @@ func FuzzSketchInvariants(f *testing.F) {
 	f.Add(fuzzSeed(13, 5, 5, 5, 5, 5, 5, 5, 5))
 	f.Add(fuzzSeed(129, ramp...)) // past BufCap: exercises fold + grid merge
 	f.Add(fuzzSeed(200, ramp[:150]...))
+	// Queries after 150 and 300 updates: 22 pending beside the grid, then a
+	// fold at 256 between the two leaves 44, more than the View placed, so
+	// only the moved inMarkers tells the View the buffer was replaced. The
+	// values are scrambled so the old and new buffers sort differently.
+	scrambled := make([]float64, 0, 300)
+	for i := 0; i < 300; i++ {
+		scrambled = append(scrambled, float64(i*37%101)+float64(i)/1000)
+	}
+	f.Add(fuzzSeed(149, scrambled...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		split, vals := fuzzStream(data)
 		var finite []float64
@@ -56,9 +67,24 @@ func FuzzSketchInvariants(f *testing.F) {
 				finite = append(finite, v)
 			}
 		}
+		// Query whole through one View after every k-th Update: the view's
+		// sorted order and memo must answer what the snapshot-copy oracle
+		// and a fresh View do, bit for bit, across folds between queries.
 		var whole Sketch
-		for _, v := range vals {
+		var view View
+		k := int(split) + 1
+		for i, v := range vals {
 			whole.Update(v)
+			if (i+1)%k != 0 {
+				continue
+			}
+			for _, p := range []float64{0, 0.01, 0.5, 0.95, 0.99, 1, 0.3333} {
+				got, zero, want := whole.QuantileWith(&view, p), whole.Quantile(p), oracleQuantile(&whole, p)
+				if !sameBits(got, want) || !sameBits(zero, want) {
+					t.Fatalf("after %d updates: Quantile(%v) through a View %v, fresh %v, oracle %v",
+						i+1, p, got, zero, want)
+				}
+			}
 		}
 		if whole.Count() != uint64(len(finite)) {
 			t.Fatalf("Count = %d, want %d", whole.Count(), len(finite))

@@ -122,7 +122,7 @@ type Summary struct {
 
 // Sketch is the incremental quantile summary. The zero value is ready to
 // use. A Sketch must not be copied while it is still being updated
-// (queries take value snapshots internally and are safe).
+// (queries never mutate it and are safe).
 type Sketch struct {
 	count     uint64 // accepted observations (buffered + folded)
 	inMarkers uint64 // observations already folded into the marker grid
@@ -211,19 +211,30 @@ func (s *Sketch) ingest(v float64) {
 }
 
 // fold merges the pending buffer into the marker grid (the CJLV batch
-// update). On the first fold the markers are initialized to the batch's
-// exact quantiles; afterwards the batch's empirical CDF and the markers'
-// piecewise-linear CDF combine weighted by their counts, and the markers
-// are re-read at the grid probabilities. All scratch lives on the stack.
+// update) and empties the buffer.
 func (s *Sketch) fold() {
 	m := s.nbuf
 	if m == 0 {
 		return
 	}
 	sortFloats(s.buf[:m])
+	s.foldInto(&s.q, s.buf[:m])
+	s.inMarkers += uint64(m)
+	s.nbuf = 0
+}
+
+// foldInto writes to dst the marker grid that folding the sorted,
+// non-empty batch into s would leave, without changing s; dst may be
+// &s.q. It is the one statement of the CJLV batch update, shared by fold
+// and the query path. On the first fold the markers are the batch's exact
+// quantiles; afterwards the batch's empirical CDF and the markers'
+// piecewise-linear CDF combine weighted by their counts, and the markers
+// are re-read at the grid probabilities. All scratch lives on the stack.
+func (s *Sketch) foldInto(dst *[Markers]float64, sorted []float64) {
+	m := len(sorted)
 	if s.inMarkers == 0 {
 		for j := 0; j < Markers; j++ {
-			s.q[j] = quantileSorted(s.buf[:m], grid[j])
+			dst[j] = quantileSorted(sorted, grid[j])
 		}
 	} else {
 		// The batch enters as the piecewise-linear CDF through its Hazen
@@ -237,21 +248,19 @@ func (s *Sketch) fold() {
 		// order-statistic noise a raw step CDF would inject into the
 		// markers.
 		var bv, bp [BufCap + 2]float64
-		bv[0], bp[0] = s.buf[0], 0
+		bv[0], bp[0] = sorted[0], 0
 		for k := 0; k < m; k++ {
-			bv[k+1], bp[k+1] = s.buf[k], (float64(k)+0.5)/float64(m)
+			bv[k+1], bp[k+1] = sorted[k], (float64(k)+0.5)/float64(m)
 		}
-		bv[m+1], bp[m+1] = s.buf[m-1], 1
+		bv[m+1], bp[m+1] = sorted[m-1], 1
 		wOld := float64(s.inMarkers) / float64(s.inMarkers+uint64(m))
-		combine(&s.q, s.q[:], grid[:], wOld, bv[:m+2], bp[:m+2], 1-wOld)
+		combine(dst, s.q[:], grid[:], wOld, bv[:m+2], bp[:m+2], 1-wOld)
 	}
 	// The extremes are tracked exactly; pin the end markers to them and
 	// keep every marker inside [min, max].
-	s.q[0] = s.min
-	s.q[Markers-1] = s.max
-	clampMonotone(&s.q, s.min, s.max)
-	s.inMarkers += uint64(m)
-	s.nbuf = 0
+	dst[0] = s.min
+	dst[Markers-1] = s.max
+	clampMonotone(dst, s.min, s.max)
 }
 
 // combine inverts the count-weighted combination of two CDFs given as
@@ -351,12 +360,69 @@ func clampMonotone(q *[Markers]float64, lo, hi float64) {
 	}
 }
 
+// View is a query cache for one sketch, kept beside it by a caller that
+// asks the same sketch again and again (core.Database keeps one per
+// series). It holds the sorted order of the sketch's pending buffer as far
+// as the last query placed it, so the next query sorts only what was
+// appended since, and the last answer, which stands while neither the
+// sketch nor p has changed. A View is used with one sketch only; the zero
+// value is ready to use.
+type View struct {
+	idx [BufCap]uint8 // indices of the sketch's buf[:n] in sorted order
+	n   int
+	at  uint64 // the sketch's inMarkers when idx was started
+
+	// The last answer and the (count, p) it is for; count 0 is none.
+	count  uint64
+	p      float64
+	answer float64
+}
+
+// sort continues the stable insertion sort of s's pending buffer over the
+// observations appended since v last placed any, and gathers the buffer
+// into out in sorted order. Update and Merge only append to the buffer or
+// replace it, and a replacement always raises inMarkers (and usually
+// shortens the buffer), so either sign starts the sort over. It makes the
+// comparisons and moves sortFloats makes, so the order, down to where -0
+// and +0 land, is sortFloats' order.
+func (v *View) sort(s *Sketch, out *[BufCap]float64) []float64 {
+	if v.at != s.inMarkers || v.n > s.nbuf {
+		v.at, v.n = s.inMarkers, 0
+	}
+	for i := v.n; i < s.nbuf; i++ {
+		x := s.buf[i]
+		j := i - 1
+		for j >= 0 && s.buf[v.idx[j]] > x {
+			v.idx[j+1] = v.idx[j]
+			j--
+		}
+		v.idx[j+1] = uint8(i)
+	}
+	v.n = s.nbuf
+	xs := out[:s.nbuf]
+	for k := range xs {
+		xs[k] = s.buf[v.idx[k]]
+	}
+	return xs
+}
+
 // Quantile returns the estimated p-quantile (p in [0, 1], clamped) of all
-// observations. It does not mutate the sketch: pending buffered
-// observations are folded into a stack snapshot, so the sketch's state
-// evolution depends only on the Update/Merge sequence, never on when
-// queries happen. Returns 0 on an empty sketch.
+// observations: QuantileWith on a fresh View.
 func (s *Sketch) Quantile(p float64) float64 {
+	var v View
+	return s.QuantileWith(&v, p)
+}
+
+// QuantileWith returns the estimated p-quantile (p in [0, 1], clamped) of
+// all observations, using and updating v, s's cache; 0 on an empty sketch
+// and NaN for a NaN p. It does not mutate the sketch: pending buffered
+// observations are folded into stack scratch, so the sketch's state
+// evolution depends only on the Update/Merge sequence, never on when
+// queries happen, and the answer is bit-identical whatever v held.
+func (s *Sketch) QuantileWith(v *View, p float64) float64 {
+	if math.IsNaN(p) {
+		return math.NaN()
+	}
 	if s.count == 0 {
 		return 0
 	}
@@ -365,52 +431,79 @@ func (s *Sketch) Quantile(p float64) float64 {
 	} else if p > 1 {
 		p = 1
 	}
-	if s.inMarkers == 0 {
-		// Exact mode: every observation is still in the buffer.
-		var tmp [BufCap]float64
-		copy(tmp[:s.nbuf], s.buf[:s.nbuf])
-		sortFloats(tmp[:s.nbuf])
-		return quantileSorted(tmp[:s.nbuf], p)
+	// Every Update and Merge that changes what a query reads raises count.
+	if v.count == s.count && v.at == s.inMarkers && v.p == p {
+		return v.answer
 	}
-	if s.nbuf > 0 {
-		t := *s
-		t.fold()
-		return t.markerQuantile(p)
-	}
-	return s.markerQuantile(p)
+	var sorted [BufCap]float64
+	var q [Markers]float64
+	xs, m := s.resolve(v, &sorted, &q)
+	a := read(xs, m, p)
+	v.count, v.p, v.answer = s.count, p, a
+	return a
 }
 
-// markerQuantile interpolates the marker grid at p; inMarkers must be > 0
-// and the pending buffer empty.
-func (s *Sketch) markerQuantile(p float64) float64 {
+// resolve brings v up to date with s and returns what a query reads: in
+// exact mode the sorted observations (gathered into sorted) and a nil
+// grid; otherwise the marker grid with the pending buffer folded in — into
+// q, or s.q itself when nothing is pending.
+func (s *Sketch) resolve(v *View, sorted *[BufCap]float64, q *[Markers]float64) ([]float64, *[Markers]float64) {
+	xs := v.sort(s, sorted)
+	switch {
+	case s.inMarkers == 0:
+		return xs, nil
+	case len(xs) == 0:
+		return nil, &s.q
+	}
+	s.foldInto(q, xs)
+	return nil, q
+}
+
+// read evaluates at p what resolve returned.
+func read(sorted []float64, q *[Markers]float64, p float64) float64 {
+	if q == nil {
+		return quantileSorted(sorted, p)
+	}
+	return markerQuantile(q, p)
+}
+
+// markerQuantile interpolates the marker grid q at p.
+func markerQuantile(q *[Markers]float64, p float64) float64 {
 	j := sort.SearchFloat64s(grid[:], p)
 	if j < Markers && grid[j] == p {
-		return s.q[j]
+		return q[j]
 	}
 	// p lies strictly between grid[j-1] and grid[j].
 	if j == 0 {
-		return s.q[0]
+		return q[0]
 	}
 	if j >= Markers {
-		return s.q[Markers-1]
+		return q[Markers-1]
 	}
 	f := (p - grid[j-1]) / (grid[j] - grid[j-1])
-	return s.q[j-1] + f*(s.q[j]-s.q[j-1])
+	return q[j-1] + f*(q[j]-q[j-1])
 }
 
-// Summary digests the sketch. Like Quantile it is non-mutating.
+// Summary digests the sketch, reading P50/P95/P99 off one fold of the
+// pending buffer. Like Quantile it is non-mutating.
 func (s *Sketch) Summary() Summary {
-	return Summary{
+	sum := Summary{
 		Count:       s.count,
 		Min:         s.Min(),
 		Max:         s.Max(),
 		Mean:        s.Mean(),
-		P50:         s.Quantile(0.50),
-		P95:         s.Quantile(0.95),
-		P99:         s.Quantile(0.99),
 		Stalls:      s.stalls,
 		MicroStalls: s.microStalls,
 	}
+	if s.count == 0 {
+		return sum
+	}
+	var v View
+	var sorted [BufCap]float64
+	var q [Markers]float64
+	xs, m := s.resolve(&v, &sorted, &q)
+	sum.P50, sum.P95, sum.P99 = read(xs, m, 0.50), read(xs, m, 0.95), read(xs, m, 0.99)
+	return sum
 }
 
 // Merge folds o into s; o is not modified. Count, sum, extremes and
@@ -495,8 +588,11 @@ func (s *Sketch) Merge(o *Sketch) {
 // piecewise-linear empirical quantile function through Hazen plotting
 // positions F(x_(k)) = (k+0.5)/n, clamped to [min, max]. It sorts a copy
 // of xs. This is the ground truth for the property tests and experiment
-// E15. Returns 0 for empty input.
+// E15. Returns 0 for empty input and NaN for a NaN p.
 func Exact(xs []float64, p float64) float64 {
+	if math.IsNaN(p) {
+		return math.NaN()
+	}
 	if len(xs) == 0 {
 		return 0
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func TestGridShape(t *testing.T) {
@@ -103,8 +104,8 @@ func TestQuantileMonotoneAndBounded(t *testing.T) {
 }
 
 // TestQueryDoesNotMutate: interleaving queries must not change the
-// sketch's state evolution (queries snapshot; state depends only on the
-// Update/Merge sequence).
+// sketch's state evolution (queries fold into scratch; state depends only
+// on the Update/Merge sequence).
 func TestQueryDoesNotMutate(t *testing.T) {
 	var a, b Sketch
 	rng := rand.New(rand.NewSource(3))
@@ -149,6 +150,51 @@ func TestNonFiniteDropped(t *testing.T) {
 	}
 	if s.Min() != 1 || s.Max() != 2 {
 		t.Errorf("min/max = %v/%v, want 1/2", s.Min(), s.Max())
+	}
+}
+
+// TestQuantileNaN: a NaN p has no answer — NaN in exact mode, in marker
+// mode (with and without pending observations) and from Exact. Exact mode
+// and Exact used to panic indexing at int(NaN); marker mode returned Max.
+func TestQuantileNaN(t *testing.T) {
+	var exact, marker, folded Sketch
+	var xs []float64
+	for i := 0; i < 2*BufCap+BufCap/2; i++ {
+		x := float64(i%41) + 0.5
+		if i < BufCap/2 {
+			exact.Update(x)
+			xs = append(xs, x)
+		}
+		marker.Update(x)
+		if i < 2*BufCap {
+			folded.Update(x)
+		}
+	}
+	if exact.inMarkers != 0 || marker.inMarkers == 0 || marker.nbuf == 0 || folded.nbuf != 0 {
+		t.Fatalf("modes not reached: exact inMarkers %d, marker nbuf %d, folded nbuf %d",
+			exact.inMarkers, marker.nbuf, folded.nbuf)
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Sketch
+	}{{"exact", &exact}, {"marker", &marker}, {"folded", &folded}} {
+		name, s := tc.name, tc.s
+		var v View
+		if got := s.Quantile(math.NaN()); !math.IsNaN(got) {
+			t.Errorf("%s mode: Quantile(NaN) = %v, want NaN", name, got)
+		}
+		if got := s.QuantileWith(&v, math.NaN()); !math.IsNaN(got) {
+			t.Errorf("%s mode: QuantileWith(NaN) = %v, want NaN", name, got)
+		}
+		if sum := s.Summary(); math.IsNaN(sum.P50) || math.IsNaN(sum.P99) {
+			t.Errorf("%s mode: Summary %+v after a NaN query", name, sum)
+		}
+	}
+	if got := Exact(xs, math.NaN()); !math.IsNaN(got) {
+		t.Errorf("Exact(xs, NaN) = %v, want NaN", got)
+	}
+	if got := Exact(xs[:1], math.NaN()); !math.IsNaN(got) {
+		t.Errorf("Exact(one sample, NaN) = %v, want NaN", got)
 	}
 }
 
@@ -324,8 +370,11 @@ func TestBytesFixed(t *testing.T) {
 	if a.Bytes() != b.Bytes() {
 		t.Fatalf("Bytes varies with content: %d vs %d", a.Bytes(), b.Bytes())
 	}
-	if a.Bytes() > 2560 {
-		t.Errorf("sketch footprint %d B exceeds the 2.5 KB budget", a.Bytes())
+	if a.Bytes() != 2048 {
+		t.Errorf("sketch footprint %d B, want 2,048 (E15's bytes/series column)", a.Bytes())
+	}
+	if n := unsafe.Sizeof(View{}); n != 168 {
+		t.Errorf("View is %d B, want the 168 DESIGN §12 states", n)
 	}
 }
 
