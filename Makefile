@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMessageRoundTrip$$' -fuzztime 3s ./internal/snmp
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchInvariants$$' -fuzztime 3s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz '^FuzzTrapCoalesce$$' -fuzztime 3s ./internal/director
+	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeLine$$' -fuzztime 3s ./internal/results
 
 # One iteration of every benchmark; go test carries on past a failing
 # package and names each one.

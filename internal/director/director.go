@@ -184,6 +184,8 @@ type Director struct {
 	started bool
 
 	resSink core.BatchSink // durable results seam; nil = disabled
+	resName string         // the sink's batch name, "reexport/<Name>"
+	resVals []float64      // one metric's values, reused: a sink keeps none past the call
 }
 
 var _ core.Monitor = (*Director)(nil)
@@ -431,23 +433,26 @@ func (d *Director) reexport(now time.Duration) {
 // simulated time and the batch sent to the parent is unchanged. sink
 // content is deterministic because re-exports are driven entirely by
 // virtual time.
-func (d *Director) EnableResults(sink core.BatchSink) { d.resSink = sink }
+func (d *Director) EnableResults(sink core.BatchSink) {
+	d.resSink, d.resName = sink, "reexport/"+d.Name
+}
 
 // recordReexport writes the just-built batch to the results sink, grouped
 // per metric so each record's samples share a unit.
 func (d *Director) recordReexport(b *batch) {
 	for _, met := range d.metricsL {
-		var vals []float64
+		vals := d.resVals[:0]
 		for _, m := range b.meas {
 			if m.Metric == met && m.OK() {
 				vals = append(vals, m.Value)
 			}
 		}
+		d.resVals = vals
 		if len(vals) == 0 {
 			continue
 		}
 		// Sink errors are sticky in the writer; re-export must never fail.
-		_ = d.resSink.WriteBatch("reexport/"+d.Name, met.String(), met.Unit(), int64(b.at), vals)
+		_ = d.resSink.WriteBatch(d.resName, met.String(), met.Unit(), int64(b.at), vals)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/results"
@@ -81,6 +82,48 @@ func TestScenarioByName(t *testing.T) {
 	}
 	if _, ok := ScenarioByName("no-such-scenario"); ok {
 		t.Error("unknown scenario name resolved")
+	}
+}
+
+// TestScenarioRecordDigestPinned holds one quick scenario stream's
+// record_digest fixed (the hash of json.Marshal of each record), so the
+// encoder and the director's re-export cannot move an archived digest.
+func TestScenarioRecordDigestPinned(t *testing.T) {
+	set, err := results.Read(bytes.NewReader(runScenarioStream(t, "tree-reexport", 0)))
+	if err != nil {
+		t.Fatalf("stream does not read back: %v", err)
+	}
+	const want = "aa5723755c418fc4346916b9126344320e68929e99a08e4af560b9b079713e77"
+	if got := set.RecordDigest(); got != want {
+		t.Errorf("tree-reexport RecordDigest = %s, want %s", got, want)
+	}
+}
+
+// TestScenarioStreamsMatchJSONMarshal holds the results encoder to its
+// oracle on the archives CI produces: every line of these quick scenario
+// streams, decoded into an Envelope and re-encoded by json.Marshal, gives
+// back its own bytes. Floats round-trip exactly, so a difference is the
+// encoder's.
+func TestScenarioStreamsMatchJSONMarshal(t *testing.T) {
+	for _, name := range []string{"tree-reexport", "resilience-on", "fidelity-cots"} {
+		raw := runScenarioStream(t, name, 0)
+		lines := bytes.SplitAfter(raw, []byte{'\n'})
+		if n := len(lines); n < 3 || len(lines[n-1]) != 0 {
+			t.Fatalf("%s: %d lines, last %q: want a header, records and a final newline", name, n, lines[n-1])
+		}
+		for i, line := range lines[:len(lines)-1] {
+			var e results.Envelope
+			if err := json.Unmarshal(line, &e); err != nil {
+				t.Fatalf("%s line %d: %v", name, i+1, err)
+			}
+			want, err := json.Marshal(&e)
+			if err != nil {
+				t.Fatalf("%s line %d: re-encode: %v", name, i+1, err)
+			}
+			if want = append(want, '\n'); !bytes.Equal(line, want) {
+				t.Fatalf("%s line %d differs from json.Marshal\n got: %s\nwant: %s", name, i+1, line, want)
+			}
+		}
 	}
 }
 

@@ -83,13 +83,17 @@ func Read(r io.Reader) (*Set, error) {
 // RecordDigest is a canonical hash over the record payloads alone —
 // scenario labels, shard counts, and run metadata excluded — so two runs
 // can be checked for bit-identical measurements even when their envelope
-// headers legitimately differ (e.g. a 1-shard vs an 8-shard run).
+// headers legitimately differ (e.g. a 1-shard vs an 8-shard run). Each
+// record is hashed as the writer encodes it (appendRecord) plus a newline.
 func (s *Set) RecordDigest() string {
 	h := sha256.New()
+	var line []byte
 	for i := range s.Records {
-		b, _ := json.Marshal(&s.Records[i])
-		h.Write(b)
-		h.Write([]byte{'\n'})
+		var err error
+		if line, err = appendRecord(line[:0], &s.Records[i]); err != nil {
+			line = line[:0] // a NaN or ±Inf sample: hash no bytes, as json.Marshal gave none
+		}
+		h.Write(append(line, '\n'))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

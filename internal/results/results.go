@@ -92,6 +92,7 @@ type Writer struct {
 	run      RunMeta
 	started  bool
 	records  int
+	buf      []byte // the line being written, reused so a warm Write allocates nothing
 	err      error
 }
 
@@ -111,13 +112,19 @@ func (w *Writer) Write(rec Record) error {
 	if !w.started {
 		w.started = true
 		run := w.run
-		if w.err = w.line(Envelope{SchemaVersion: SchemaVersion,
-			Scenario: w.scenario, Shards: w.shards, Run: &run}); w.err != nil {
-			return w.err
+		hdr, err := json.Marshal(Envelope{SchemaVersion: SchemaVersion,
+			Scenario: w.scenario, Shards: w.shards, Run: &run})
+		if err == nil {
+			err = w.emit(append(hdr, '\n'))
+		}
+		if w.err = err; err != nil {
+			return err
 		}
 	}
-	w.err = w.line(Envelope{SchemaVersion: SchemaVersion,
-		Scenario: w.scenario, Shards: w.shards, Record: &rec})
+	w.buf, w.err = appendRecordLine(w.buf[:0], w.scenario, w.shards, &rec)
+	if w.err == nil {
+		w.err = w.emit(w.buf)
+	}
 	if w.err == nil {
 		w.records++
 	}
@@ -131,13 +138,11 @@ func (w *Writer) WriteBatch(batch, metric, unit string, atNS int64, samples []fl
 	return w.Write(Record{Batch: batch, Metric: metric, Unit: unit, AtNS: atNS, Samples: samples})
 }
 
-// line marshals and writes one envelope followed by a newline.
-func (w *Writer) line(e Envelope) error {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := w.w.Write(append(b, '\n')); err != nil {
+// emit hands one complete line to the underlying writer in a single Write
+// call. Lines are never buffered together, so a crash loses at most the
+// line being written (the durability contract above).
+func (w *Writer) emit(line []byte) error {
+	if _, err := w.w.Write(line); err != nil {
 		return fmt.Errorf("results: write: %w", err)
 	}
 	return nil

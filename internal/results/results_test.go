@@ -169,6 +169,25 @@ func TestRecordDigestIgnoresHeaders(t *testing.T) {
 	}
 }
 
+// TestRecordDigestPinned holds the digest of testdata/golden.jsonl fixed
+// (it is the hash of json.Marshal of each record): record_digest values
+// already archived must keep comparing equal.
+func TestRecordDigestPinned(t *testing.T) {
+	f, err := os.Open("testdata/golden.jsonl")
+	if err != nil {
+		t.Fatalf("golden file: %v", err)
+	}
+	defer f.Close()
+	s, err := Read(f)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	const want = "3092029907a5e1d41b60cc18efbf54520d725a10840bf35abb246fb3b2d33285"
+	if got := s.RecordDigest(); got != want {
+		t.Errorf("RecordDigest(golden.jsonl) = %s, want %s", got, want)
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, "sum", 1, goldenRun)
