@@ -76,7 +76,9 @@ telemetry-smoke:
 # behind a socket adapter: build them, start `snmpd -listen 127.0.0.1:0` and
 # `nttcp -serve 127.0.0.1:0`, read the address each prints, and require
 # `snmpget get|getnext|walk|set` and `nttcp -target … [-ping|-offset]` to
-# exit 0 with well-formed output. (`test` runs the same two tests.)
+# exit 0 with well-formed output; then start `snmpget -listen-traps
+# 127.0.0.1:0`, send it one v1 trap and require the trap and its var-bind
+# on its stdout. (`test` runs the same two tests.)
 loopback-smoke:
 	$(GO) test -count=1 -run '^TestLoopbackSmoke$$' ./cmd/nttcp ./cmd/snmpget
 

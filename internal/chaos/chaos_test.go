@@ -203,9 +203,8 @@ func TestFlapClampsDownForToPeriod(t *testing.T) {
 }
 
 func TestChaosAgainstResourceManagerScenario(t *testing.T) {
-	// The survivability premise: a flapping host must not bounce the
-	// workload around when the manager has cooldown protection — chaos
-	// and manager compose.
+	// A flap schedule on the HiPer-D testbed the manager scenarios run on
+	// logs every down/up cycle, and the same schedule replays the same log.
 	k := sim.NewKernel()
 	defer k.Close()
 	h := topo.BuildHiPerD(k, 1)

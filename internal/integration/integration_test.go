@@ -73,6 +73,18 @@ func buildScenario(t *testing.T, mon core.Monitor, mgmt *netsim.Node, k *sim.Ker
 	return s
 }
 
+// placement is the manager's current placement of process.
+func (s *scenario) placement(t *testing.T, process string) *manager.Placement {
+	t.Helper()
+	for _, pl := range s.mgr.Placements() {
+		if pl.Process == process {
+			return pl
+		}
+	}
+	t.Fatalf("no placement for %s", process)
+	return nil
+}
+
 func (s *scenario) freshClients(within time.Duration) int {
 	fresh := 0
 	for _, c := range s.clients {
@@ -99,7 +111,7 @@ func runSurvivability(t *testing.T, makeMon func(mgmt *netsim.Node) core.Monitor
 	h.Servers[1].SetUp(false) // kill s2 (rtds-2)
 	k.RunUntil(horizon)
 
-	pl, _ := s.mgr.Placement("rtds-2")
+	pl := s.placement(t, "rtds-2")
 	if pl.Host == "s2" || pl.Incarnation == 0 {
 		t.Fatalf("rtds-2 not failed over: %+v (reconfigs: %v)", pl, s.mgr.Reconfigs)
 	}
@@ -216,8 +228,8 @@ func TestCascadingFailures(t *testing.T) {
 	k.At(5*time.Second, func() { h.Servers[0].SetUp(false) })
 	k.At(25*time.Second, func() { h.Servers[2].SetUp(false) })
 	k.RunUntil(80 * time.Second)
-	p1, _ := s.mgr.Placement("rtds-1")
-	p3, _ := s.mgr.Placement("rtds-3")
+	p1 := s.placement(t, "rtds-1")
+	p3 := s.placement(t, "rtds-3")
 	if p1.Incarnation == 0 || p3.Incarnation == 0 {
 		t.Fatalf("cascading failover incomplete: %+v %+v (%v)", p1, p3, s.mgr.Reconfigs)
 	}

@@ -31,10 +31,6 @@ type Policy struct {
 	Grace int
 	// EvalInterval is how often placements are evaluated.
 	EvalInterval time.Duration
-	// HostCooldown keeps a host that just lost a process out of the
-	// placement pools for this long, so a flapping host is not
-	// immediately reused.
-	HostCooldown time.Duration
 	// MaxStaleness, when > 0, bounds how old a database sample may be
 	// before the manager refuses to act on it: stale data is treated as
 	// missing, not as evidence of health (or of failure). Zero preserves
@@ -125,28 +121,26 @@ type Manager struct {
 	Failovers      uint64
 	TailViolations uint64
 
-	host       *netsim.Node
-	mon        core.Monitor
-	pools      map[string][]netsim.Addr
-	used       map[netsim.Addr]string // host -> process occupying it
-	placed     map[string]*Placement
-	order      []string // placement creation order (determinism)
-	badRuns    map[string]int
-	lastFailed map[netsim.Addr]time.Duration
-	started    bool
+	host    *netsim.Node
+	mon     core.Monitor
+	pools   map[string][]netsim.Addr
+	used    map[netsim.Addr]string // host -> process occupying it
+	placed  map[string]*Placement
+	order   []string // placement creation order (determinism)
+	badRuns map[string]int
+	started bool
 }
 
 // New creates a resource manager on host, reading from mon.
 func New(host *netsim.Node, mon core.Monitor, policy Policy) *Manager {
 	m := &Manager{
-		Policy:     policy.withDefaults(),
-		host:       host,
-		mon:        mon,
-		pools:      make(map[string][]netsim.Addr),
-		used:       make(map[netsim.Addr]string),
-		placed:     make(map[string]*Placement),
-		badRuns:    make(map[string]int),
-		lastFailed: make(map[netsim.Addr]time.Duration),
+		Policy:  policy.withDefaults(),
+		host:    host,
+		mon:     mon,
+		pools:   make(map[string][]netsim.Addr),
+		used:    make(map[netsim.Addr]string),
+		placed:  make(map[string]*Placement),
+		badRuns: make(map[string]int),
 	}
 	m.Metrics = []metrics.Metric{metrics.Reachability}
 	if m.Policy.MinThroughputBps > 0 || m.Policy.ThroughputP95Min > 0 {
@@ -189,13 +183,8 @@ func (m *Manager) Place(process, role string) (*Placement, error) {
 }
 
 func (m *Manager) freeHost(role string) (netsim.Addr, bool) {
-	now := m.host.Network().K.Now()
 	for _, h := range m.pools[role] {
 		if _, taken := m.used[h]; taken {
-			continue
-		}
-		if failedAt, failed := m.lastFailed[h]; failed && m.Policy.HostCooldown > 0 &&
-			now-failedAt < m.Policy.HostCooldown {
 			continue
 		}
 		if node := m.host.Network().Node(h); node != nil && node.Up() {
@@ -203,12 +192,6 @@ func (m *Manager) freeHost(role string) (netsim.Addr, bool) {
 		}
 	}
 	return "", false
-}
-
-// Placement returns the current placement of a process.
-func (m *Manager) Placement(process string) (*Placement, bool) {
-	pl, ok := m.placed[process]
-	return pl, ok
 }
 
 // Placements lists all placements in creation order.
@@ -441,7 +424,6 @@ func (m *Manager) failover(p *sim.Proc, process, roleFrom, roleTo string) {
 	}
 	old := pl.Host
 	delete(m.used, old)
-	m.lastFailed[old] = p.Now()
 	m.used[newHost] = process
 	pl.Host = newHost
 	pl.Since = p.Now()

@@ -107,8 +107,13 @@ type Medium interface {
 // instant. Err marks frames that will be discarded as corrupted.
 type Frame struct {
 	Pkt *Packet
-	At  time.Duration
-	Err bool
+	// From is the station that put the frame on the wire — the link-layer
+	// source, which is Pkt.Src only for a frame its origin sent itself; a
+	// routed packet's hop onto the segment is From its router. Pkt.NextHop
+	// is the link-layer destination.
+	From Addr
+	At   time.Duration
+	Err  bool
 	// WireBytes is the frame's size on the wire including framing.
 	WireBytes int
 }
@@ -238,7 +243,7 @@ func (s *SharedSegment) complete(from *Iface, pkt *Packet) {
 	if lost {
 		s.stats.Errors++
 	}
-	f := Frame{Pkt: pkt, At: s.net.K.Now(), Err: lost, WireBytes: wire}
+	f := Frame{Pkt: pkt, From: from.node.Name, At: s.net.K.Now(), Err: lost, WireBytes: wire}
 	for _, tap := range s.taps {
 		tap(f)
 	}

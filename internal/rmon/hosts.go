@@ -10,7 +10,10 @@ import (
 // RFC 2819 groups 4 (hosts) and 6 (matrix): per-station and per-
 // conversation statistics learned passively from the wire. These are the
 // capabilities that let a COTS probe answer "who is talking, to whom, and
-// how much" without touching the end systems.
+// how much" without touching the end systems. Both tables key on the
+// frame's physical addresses — the transmitting station (Frame.From) and
+// the receiving one (Pkt.NextHop) — so a routed packet counts against the
+// router that put it on the segment, never against an off-segment origin.
 
 var (
 	hostEntry   = mib.RMONRoot.Append(4, 2, 1) // hostEntry
@@ -21,10 +24,10 @@ var (
 type HostStats struct {
 	Addr       netsim.Addr
 	InPkts     uint64 // frames addressed to the station
-	OutPkts    uint64 // frames sourced by the station
+	OutPkts    uint64 // frames the station transmitted
 	InOctets   uint64
 	OutOctets  uint64
-	Broadcasts uint64 // broadcasts sourced by the station
+	Broadcasts uint64 // broadcasts the station transmitted
 	// CreationOrder is the discovery index (hostTimeTable semantics).
 	CreationOrder int
 }
@@ -63,7 +66,7 @@ func (p *Probe) EnableMatrix() *MatrixGroup {
 }
 
 func (g *HostGroup) observe(f netsim.Frame) {
-	src := g.host(f.Pkt.Src)
+	src := g.host(f.From)
 	src.OutPkts++
 	src.OutOctets += uint64(f.WireBytes)
 	if f.Pkt.NextHop == netsim.Broadcast {
@@ -109,10 +112,10 @@ func (g *MatrixGroup) observe(f netsim.Frame) {
 	if f.Pkt.NextHop == netsim.Broadcast {
 		return
 	}
-	key := [2]netsim.Addr{f.Pkt.Src, f.Pkt.NextHop}
+	key := [2]netsim.Addr{f.From, f.Pkt.NextHop}
 	c := g.convs[key]
 	if c == nil {
-		c = &ConvStats{Src: f.Pkt.Src, Dst: f.Pkt.NextHop}
+		c = &ConvStats{Src: f.From, Dst: f.Pkt.NextHop}
 		g.convs[key] = c
 	}
 	c.Pkts++

@@ -121,3 +121,42 @@ func TestGroupsDisabledByDefault(t *testing.T) {
 		t.Fatalf("host group active without EnableHosts: %d entries", len(got))
 	}
 }
+
+// TestRoutedFrameCountsAgainstRouter: a sends to b across router r, and the
+// probe sits on b's segment. Every frame it sees there was put on the wire
+// by r, so the host and matrix tables must charge r — the off-segment
+// origin a is no station of this segment and must never appear.
+func TestRoutedFrameCountsAgainstRouter(t *testing.T) {
+	k := sim.NewKernel()
+	t.Cleanup(k.Close)
+	nw := netsim.New(k, 53)
+	a := nw.NewHost("a")
+	r := nw.NewRouter("r", 0)
+	b := nw.NewHost("b")
+	probeHost := nw.NewHost("probe")
+	far := nw.NewSegment("far", netsim.Ethernet10())
+	far.Attach(a)
+	far.Attach(r)
+	near := nw.NewSegment("near", netsim.Ethernet10())
+	for _, n := range []*netsim.Node{r, b, probeHost} {
+		near.Attach(n)
+	}
+	a.SetDefaultRoute("r")
+	probe := NewProbe(probeHost, near)
+	hg := probe.EnableHosts()
+	mg := probe.EnableMatrix()
+	netsim.NewSink(b, 9)
+	(&netsim.CBRSource{Src: a, Dst: "b", DstPort: 9, Size: 100, Interval: time.Millisecond, Count: 20}).Run()
+	k.Run()
+
+	if _, ok := hg.hosts["a"]; ok {
+		t.Fatalf("off-segment origin a is a station: %+v", hg.Hosts())
+	}
+	rs, bs := hg.hosts["r"], hg.hosts["b"]
+	if rs == nil || rs.OutPkts != 20 || bs == nil || bs.InPkts != 20 {
+		t.Fatalf("hosts = %+v", hg.Hosts())
+	}
+	if convs := mg.Conversations(); len(convs) != 1 || convs[0].Src != "r" || convs[0].Dst != "b" || convs[0].Pkts != 20 {
+		t.Fatalf("conversations = %+v", convs)
+	}
+}

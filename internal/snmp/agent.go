@@ -218,12 +218,6 @@ func (a *Agent) AddTrapDestSim(n *netsim.Node, dst netsim.Addr, port netsim.Port
 	}
 }
 
-// AddTrapDestFunc registers an arbitrary trap transport: SendTrap hands
-// send each encoded trap, which is how a real-UDP destination is attached.
-func (a *Agent) AddTrapDestFunc(send func([]byte)) {
-	a.trapSend = append(a.trapSend, send)
-}
-
 // SnmpTrapOID is the v2c snmpTrapOID.0 object carried as the second
 // var-bind of every v2 notification.
 var snmpTrapOIDObj = mib.MustOID("1.3.6.1.6.3.1.1.4.1.0")

@@ -184,19 +184,6 @@ func TestPDUTypeStrings(t *testing.T) {
 	}
 }
 
-func TestAddTrapDestFunc(t *testing.T) {
-	a := edgeAgent()
-	var got []byte
-	a.AddTrapDestFunc(func(b []byte) { got = b })
-	a.SendTrap(mib.Enterprise, nil, TrapColdStart, 0, nil)
-	if got == nil {
-		t.Fatal("custom trap destination not invoked")
-	}
-	if m, err := Decode(got); err != nil || m.PDU.Type != TrapV1 {
-		t.Fatalf("trap bytes: %v", err)
-	}
-}
-
 func TestInformAsync(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()

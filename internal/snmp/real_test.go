@@ -87,7 +87,7 @@ func TestRealTrapDelivery(t *testing.T) {
 	}
 	defer out.Close()
 	agent := NewAgent(demoTree(), "public")
-	agent.AddTrapDestFunc(func(b []byte) {
+	agent.trapSend = append(agent.trapSend, func(b []byte) {
 		if _, err := out.Write(b); err != nil {
 			t.Error(err)
 		}
@@ -95,7 +95,7 @@ func TestRealTrapDelivery(t *testing.T) {
 	agent.SendTrap(mib.Enterprise, []byte{127, 0, 0, 1}, TrapEnterpriseSpecific, 42, nil)
 	select {
 	case m := <-got:
-		if m.PDU.SpecificTrap != 42 {
+		if m.PDU.Type != TrapV1 || m.PDU.SpecificTrap != 42 {
 			t.Fatalf("trap = %+v", m.PDU)
 		}
 	case <-time.After(2 * time.Second):
