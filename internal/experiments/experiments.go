@@ -1,5 +1,5 @@
 // Package experiments regenerates every quantitative claim of the paper's
-// evaluation as a table: the E1–E16 + A1–A3 index in DESIGN.md maps each
+// evaluation as a table: the E1–E16 + A1–A3 index in DESIGN.md §4 maps each
 // function here to the section of the paper it reproduces. Each experiment
 // accepts a quick flag (shorter virtual runs for benchmarks) and returns a
 // report.Table; cmd/experiments prints them all.

@@ -1,6 +1,8 @@
 package rstream
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,70 +11,126 @@ import (
 	"repro/internal/sim"
 )
 
+// streamRun is one transfer of sizes over a lossy LAN.
+type streamRun struct {
+	dialErr  error // Dial's result
+	done     bool  // every Send returned and Flush saw every byte acked
+	received int   // bytes the acceptor read
+	total    int   // bytes the sender meant to send
+	vars     StateVars
+}
+
+// runStream dials across a segment that corrupts lossPct%10 percent of
+// frames (netsim's RNG seeded with seed), sends the first 20 sizes
+// (each folded into 1..4000 bytes) and flushes.
+func runStream(seed int64, lossPct uint8, rawSizes []uint16) streamRun {
+	if len(rawSizes) > 20 {
+		rawSizes = rawSizes[:20]
+	}
+	var r streamRun
+	sizes := make([]int, len(rawSizes))
+	for i, s := range rawSizes {
+		sizes[i] = int(s)%4000 + 1
+		r.total += sizes[i]
+	}
+	k := sim.NewKernel()
+	defer k.Close()
+	nw := netsim.New(k, seed)
+	srv := nw.NewHost("server")
+	cli := nw.NewHost("client")
+	cfg := netsim.Ethernet10()
+	cfg.LossProb = float64(lossPct%10) / 100
+	seg := nw.NewSegment("lan", cfg)
+	seg.Attach(srv)
+	seg.Attach(cli)
+	l := Listen(srv, 5000)
+	srv.Spawn("acceptor", func(p *sim.Proc) {
+		c, ok := l.Accept(p, 30*time.Second)
+		if !ok {
+			return
+		}
+		for {
+			n, ok := c.Recv(p, 60*time.Second)
+			if !ok {
+				return
+			}
+			r.received += n
+		}
+	})
+	cli.Spawn("sender", func(p *sim.Proc) {
+		c, err := Dial(p, cli, "server", 5000, 10*time.Second)
+		if err != nil {
+			r.dialErr = err
+			return
+		}
+		for _, sz := range sizes {
+			if c.Send(p, sz) != nil {
+				return
+			}
+		}
+		if !c.Flush(p, 10*time.Minute) {
+			return
+		}
+		r.vars = c.Vars()
+		r.done = true
+	})
+	k.RunUntil(20 * time.Minute)
+	return r
+}
+
+// holds states the property for one run. A connection that Dial
+// established delivers every byte and ends with SndUna == SndNxt. A Dial
+// that used up its three SYN attempts without a SYN|ACK returns the
+// connect timeout, and then nothing was received: losing every handshake
+// reply is the designed outcome of a bounded Dial, not a stream failure.
+func (r streamRun) holds() bool {
+	if r.dialErr != nil {
+		return strings.HasSuffix(r.dialErr.Error(), ": timeout") && r.received == 0
+	}
+	return r.done && r.received == r.total && r.vars.SndUna == r.vars.SndNxt
+}
+
 func TestPropertyStreamIntegrityUnderLoss(t *testing.T) {
-	// Property: whatever mix of send sizes and loss rate, the receiver
-	// observes exactly the bytes sent, and SndUna converges to SndNxt.
+	// Property: whatever mix of send sizes and loss rate, a stream either
+	// never connects (Dial's timeout, nothing received) or the receiver
+	// observes exactly the bytes sent and SndUna converges to SndNxt.
+	cases, established := 0, 0
 	f := func(seed int64, lossPct uint8, rawSizes []uint16) bool {
 		if len(rawSizes) == 0 {
 			return true
 		}
-		if len(rawSizes) > 20 {
-			rawSizes = rawSizes[:20]
+		r := runStream(seed, lossPct, rawSizes)
+		cases++
+		if r.dialErr == nil {
+			established++
 		}
-		total := 0
-		sizes := make([]int, len(rawSizes))
-		for i, s := range rawSizes {
-			sizes[i] = int(s)%4000 + 1
-			total += sizes[i]
+		if !r.holds() {
+			t.Logf("seed %d, loss %d%%: dial err %v, done %v, received %d of %d, SndUna %d SndNxt %d",
+				seed, lossPct%10, r.dialErr, r.done, r.received, r.total, r.vars.SndUna, r.vars.SndNxt)
+			return false
 		}
-		k := sim.NewKernel()
-		defer k.Close()
-		nw := netsim.New(k, seed)
-		srv := nw.NewHost("server")
-		cli := nw.NewHost("client")
-		cfg := netsim.Ethernet10()
-		cfg.LossProb = float64(lossPct%10) / 100
-		seg := nw.NewSegment("lan", cfg)
-		seg.Attach(srv)
-		seg.Attach(cli)
-		l := Listen(srv, 5000)
-		received := 0
-		srv.Spawn("acceptor", func(p *sim.Proc) {
-			c, ok := l.Accept(p, 30*time.Second)
-			if !ok {
-				return
-			}
-			for {
-				n, ok := c.Recv(p, 60*time.Second)
-				if !ok {
-					return
-				}
-				received += n
-			}
-		})
-		var vars StateVars
-		done := false
-		cli.Spawn("sender", func(p *sim.Proc) {
-			c, err := Dial(p, cli, "server", 5000, 10*time.Second)
-			if err != nil {
-				return
-			}
-			for _, sz := range sizes {
-				if c.Send(p, sz) != nil {
-					return
-				}
-			}
-			if !c.Flush(p, 10*time.Minute) {
-				return
-			}
-			vars = c.Vars()
-			done = true
-		})
-		k.RunUntil(20 * time.Minute)
-		return done && received == total && vars.SndUna == vars.SndNxt
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+	// Without this the property could pass on Dial timeouts alone.
+	if established*10 < cases*9 {
+		t.Fatalf("only %d of %d pinned cases established a connection", established, cases)
+	}
+}
+
+func TestDialTimesOutWhenEverySynAckIsLost(t *testing.T) {
+	// At 4 % loss this network seed corrupts all three SYN|ACKs (at
+	// 0.16 ms, 3.33 s and 6.67 s), so Dial's 10 s, three-attempt budget
+	// runs out with nothing sent. An unpinned quick.Check once drew it and
+	// failed the integrity property on the designed outcome.
+	r := runStream(-7446207632573521659, 4, []uint16{1000, 2000})
+	if r.dialErr == nil {
+		t.Fatalf("Dial established; want the connect timeout")
+	}
+	if !r.holds() {
+		t.Fatalf("dial err %v, received %d: want the connect timeout and nothing received", r.dialErr, r.received)
 	}
 }
 
