@@ -64,6 +64,40 @@ func TestTelemetryDump(t *testing.T) {
 	}
 }
 
+// TestHiperdMatchesGolden runs four scenarios and compares each stdout byte
+// for byte with testdata/<name>.stdout. The 400 s hifi run is the only one
+// long enough for the clients' classifier to engage anything (117 tracks),
+// so it pins the RTDS decisions as well as the narrated failover. After a
+// deliberate change to what hiperd prints, regenerate a golden with e.g.
+//
+//	go run ./cmd/hiperd -duration 400s > cmd/hiperd/testdata/hifi-400s.stdout
+func TestHiperdMatchesGolden(t *testing.T) {
+	bin := buildHiperd(t)
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"hifi-400s", []string{"-duration", "400s"}},
+		{"cots", []string{"-monitor", "cots"}},
+		{"hybrid", []string{"-monitor", "hybrid"}},
+		{"fail-c3-120s", []string{"-fail", "c3", "-duration", "120s"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".stdout"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := exec.Command(bin, tc.args...).Output()
+			if err != nil {
+				t.Fatalf("hiperd %v: %v", tc.args, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("hiperd %v stdout differs from testdata/%s.stdout\n--- got\n%s--- want\n%s", tc.args, tc.name, got, want)
+			}
+		})
+	}
+}
+
 // TestCPUProfileFlag: -cpuprofile leaves a profile `go tool pprof` can read
 // (a gzip stream) and the run still exits 0; an unwritable path is refused
 // with exit status 2 before the run starts.

@@ -129,18 +129,31 @@ type Manager struct {
 	order   []string // placement creation order (determinism)
 	badRuns map[string]int
 	started bool
+	// paths is the path list evaluate reads, built on its first use after
+	// a placement change; Place and failover, the two placement mutators,
+	// drop it. verdicts is evaluate's per-process tally, zeroed and reused
+	// each evaluation.
+	paths    []core.Path
+	verdicts map[string]*verdict
+}
+
+// verdict tallies one evaluation's paths that touch a process: seen is
+// how many had data, bad how many of those violated the policy.
+type verdict struct {
+	bad, seen int
 }
 
 // New creates a resource manager on host, reading from mon.
 func New(host *netsim.Node, mon core.Monitor, policy Policy) *Manager {
 	m := &Manager{
-		Policy:  policy.withDefaults(),
-		host:    host,
-		mon:     mon,
-		pools:   make(map[string][]netsim.Addr),
-		used:    make(map[netsim.Addr]string),
-		placed:  make(map[string]*Placement),
-		badRuns: make(map[string]int),
+		Policy:   policy.withDefaults(),
+		host:     host,
+		mon:      mon,
+		pools:    make(map[string][]netsim.Addr),
+		used:     make(map[netsim.Addr]string),
+		placed:   make(map[string]*Placement),
+		badRuns:  make(map[string]int),
+		verdicts: make(map[string]*verdict),
 	}
 	m.Metrics = []metrics.Metric{metrics.Reachability}
 	if m.Policy.MinThroughputBps > 0 || m.Policy.ThroughputP95Min > 0 {
@@ -179,6 +192,7 @@ func (m *Manager) Place(process, role string) (*Placement, error) {
 	m.placed[process] = pl
 	m.order = append(m.order, process)
 	m.used[host] = process
+	m.paths = nil
 	return pl, nil
 }
 
@@ -205,7 +219,7 @@ func (m *Manager) Placements() []*Placement {
 
 // PathList builds the monitoring path list between every placement of
 // roleFrom and every placement of roleTo (the Figure 4(b) construction over
-// live placements).
+// live placements). Each call returns a new slice the caller may keep.
 func (m *Manager) PathList(roleFrom, roleTo string) []core.Path {
 	var from, to []core.ProcessRef
 	for _, name := range m.order {
@@ -247,58 +261,50 @@ func (m *Manager) submit(roleFrom, roleTo string) {
 // reconfigures processes that persistently violate policy.
 func (m *Manager) evaluate(p *sim.Proc, roleFrom, roleTo string) {
 	m.Evaluations++
-	paths := m.PathList(roleFrom, roleTo)
-	type verdict struct {
-		bad, seen int
+	if m.paths == nil {
+		m.paths = m.PathList(roleFrom, roleTo)
 	}
-	verdicts := make(map[string]*verdict) // per process
-	record := func(proc string, bad bool) {
-		v := verdicts[proc]
-		if v == nil {
-			v = &verdict{}
-			verdicts[proc] = v
-		}
-		v.seen++
-		if bad {
-			v.bad++
-		}
+	for _, v := range m.verdicts {
+		*v = verdict{}
 	}
-	for _, path := range paths {
+	for _, path := range m.paths {
 		bad, have := m.pathViolates(path.ID)
 		if !have {
 			continue
 		}
 		for _, hop := range path.Hops {
-			record(hop.Process, bad)
+			v := m.verdicts[hop.Process]
+			if v == nil {
+				v = &verdict{}
+				m.verdicts[hop.Process] = v
+			}
+			v.seen++
+			if bad {
+				v.bad++
+			}
 		}
 	}
 	// A process has failed when every path touching it is bad; if every
 	// process looks failed (e.g. total network partition at the monitor),
 	// nothing is singled out and no reconfiguration happens.
-	var failed []string
+	failed := 0
 	healthySomewhere := false
 	for _, name := range m.order {
-		v := verdicts[name]
+		v := m.verdicts[name]
 		if v == nil || v.seen == 0 {
 			continue
 		}
 		if v.bad == v.seen {
-			failed = append(failed, name)
+			failed++
 		} else {
 			healthySomewhere = true
 		}
 	}
-	if !healthySomewhere && len(failed) == len(m.order) && len(m.order) > 1 {
+	if !healthySomewhere && failed == len(m.order) && len(m.order) > 1 {
 		return
 	}
 	for _, name := range m.order {
-		isFailed := false
-		for _, f := range failed {
-			if f == name {
-				isFailed = true
-			}
-		}
-		if !isFailed {
+		if v := m.verdicts[name]; v == nil || v.seen == 0 || v.bad != v.seen {
 			m.badRuns[name] = 0
 			continue
 		}
@@ -428,6 +434,7 @@ func (m *Manager) failover(p *sim.Proc, process, roleFrom, roleTo string) {
 	pl.Host = newHost
 	pl.Since = p.Now()
 	pl.Incarnation++
+	m.paths = nil
 	rec := Reconfig{At: p.Now(), Process: process, From: old, To: newHost, Reason: "policy violation"}
 	m.Reconfigs = append(m.Reconfigs, rec)
 	m.Failovers++

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,6 +121,61 @@ func TestFailoverOnHostDeath(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("path list does not include failover host")
+	}
+}
+
+// queryLog records the path IDs the manager reads from its monitor.
+type queryLog struct {
+	core.Monitor
+	ids map[core.PathID]bool
+}
+
+func (q *queryLog) Query(id core.PathID, metric metrics.Metric) (core.Measurement, bool) {
+	q.ids[id] = true
+	return q.Monitor.Query(id, metric)
+}
+
+// TestEvaluateReadsPathsAfterFailover: evaluate keeps its path list between
+// evaluations, so a failover must drop it — the evaluations after the move
+// read the moved process's new paths and none of its old ones.
+func TestEvaluateReadsPathsAfterFailover(t *testing.T) {
+	k, h, m := build(t, Policy{RequireReachable: true, Grace: 2, EvalInterval: 500 * time.Millisecond})
+	log := &queryLog{Monitor: m.mon, ids: map[core.PathID]bool{}}
+	m.mon = log
+	m.Start("server", "client")
+	k.At(3*time.Second, func() { h.Servers[1].SetUp(false) })
+	k.RunUntil(30 * time.Second)
+	if len(m.Reconfigs) != 1 || m.Reconfigs[0].To != "w-fddi-1" {
+		t.Fatalf("scenario drifted: reconfigs %v", m.Reconfigs)
+	}
+	clear(log.ids)
+	k.RunUntil(31 * time.Second)
+	moved := 0
+	for id := range log.ids {
+		if strings.HasPrefix(string(id), "s2/") {
+			t.Errorf("evaluate still reads %s, a path of the dead host", id)
+		}
+		if strings.HasPrefix(string(id), "w-fddi-1/rtds-2->") {
+			moved++
+		}
+	}
+	if moved != 3 {
+		t.Fatalf("evaluate read %d paths from rtds-2's new host, want 3: %v", moved, log.ids)
+	}
+}
+
+// TestEvaluateAllocatesNothing: once every process has been seen, an
+// evaluation that moves nothing reuses the manager's path list and
+// verdict table and allocates nothing.
+func TestEvaluateAllocatesNothing(t *testing.T) {
+	k, _, m := build(t, Policy{RequireReachable: true, Grace: 2, EvalInterval: 500 * time.Millisecond})
+	m.Start("server", "client")
+	k.RunUntil(20 * time.Second)
+	if len(m.Reconfigs) != 0 {
+		t.Fatalf("scenario drifted: reconfigs %v", m.Reconfigs)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.evaluate(nil, "server", "client") }); n != 0 {
+		t.Fatalf("evaluate allocates %v objects per run, want 0", n)
 	}
 }
 

@@ -8,6 +8,7 @@
 package rtds
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -42,9 +43,10 @@ type Track struct {
 // Range returns the distance from own ship at the origin.
 func (t Track) Range() float64 { return math.Hypot(t.X, t.Y) }
 
-// ClosingSpeed is the speed toward own ship (positive = inbound).
-func (t Track) ClosingSpeed() float64 {
-	r := t.Range()
+// ClosingSpeed is the speed toward own ship (positive = inbound) of a
+// track at range r, which must be t.Range(): the caller that has the range
+// already does not pay for a second Hypot.
+func (t Track) ClosingSpeed(r float64) float64 {
 	if r == 0 {
 		return 0
 	}
@@ -127,14 +129,11 @@ func encodeBatch(seq uint32, tracks []Track, sentAt time.Duration) []byte {
 	return buf
 }
 
-// decodeBatch unpacks an update into scratch, growing it only when the batch
-// is larger than any before, and returns the decoded tracks as a slice of
-// it: a client that hands the same scratch back every update decodes without
-// allocating. Every field of every returned track is overwritten, so nothing
-// of an earlier batch shows through. The wire count is checked against the
-// bytes that are actually there before anything is sized by it; on failure
-// tracks is nil and the caller keeps its scratch.
-func decodeBatch(b []byte, scratch []Track) (seq uint32, sentAt time.Duration, tracks []Track, ok bool) {
+// decodeHeader reads an update's header and returns body, the bytes of the
+// count tracks it announces (trailing padding excluded). The wire count is
+// checked against the bytes that are actually there before anything is
+// sized by it.
+func decodeHeader(b []byte) (seq uint32, sentAt time.Duration, body []byte, ok bool) {
 	if len(b) < 16 {
 		return 0, 0, nil, false
 	}
@@ -144,7 +143,21 @@ func decodeBatch(b []byte, scratch []Track) (seq uint32, sentAt time.Duration, t
 	if uint64(count) > uint64((len(b)-16)/trackWire) {
 		return 0, 0, nil, false
 	}
-	n := int(count)
+	return seq, sentAt, b[16 : 16+int(count)*trackWire], true
+}
+
+// decodeBatch unpacks an update into scratch, growing it only when the batch
+// is larger than any before, and returns the decoded tracks as a slice of
+// it: a client that hands the same scratch back every update decodes without
+// allocating. Every field of every returned track is overwritten, so nothing
+// of an earlier batch shows through. When decodeHeader refuses the header,
+// tracks is nil and the caller keeps its scratch.
+func decodeBatch(b []byte, scratch []Track) (seq uint32, sentAt time.Duration, tracks []Track, ok bool) {
+	seq, sentAt, body, ok := decodeHeader(b)
+	if !ok {
+		return 0, 0, nil, false
+	}
+	n := len(body) / trackWire
 	if cap(scratch) < n {
 		scratch = make([]Track, n)
 	}
@@ -226,6 +239,12 @@ type Client struct {
 
 	engaged map[uint32]bool
 	tracks  []Track // decode scratch, reused across updates
+	// picture holds the track bytes of the last update process classified,
+	// and pictureRange the EngageRange it classified them under.
+	picture      []byte
+	pictureRange float64
+	// sender is the server LastSeq counts for.
+	sender netsim.Addr
 }
 
 // StartClient runs an RTDS client instance.
@@ -239,19 +258,28 @@ func StartClient(host *netsim.Node) *Client {
 			if !ok {
 				continue
 			}
-			c.update(p.Now(), pkt.Payload)
+			c.update(p.Now(), pkt.Src, pkt.Payload)
 		}
 	})
 	return c
 }
 
-// update consumes one update message. Malformed messages are ignored.
-func (c *Client) update(now time.Duration, payload []byte) {
-	seq, sentAt, tracks, ok := decodeBatch(payload, c.tracks)
+// update consumes one update message from sender. Malformed messages are
+// ignored. A new sender is a restarted server whose sequence starts over,
+// so the gap count restarts its baseline there. The radar re-plots slower
+// than servers send, so most updates repeat the picture the client last
+// classified; process is idempotent on an identical picture (every track it
+// would engage already is), so such an update only refreshes the freshness
+// state and is neither decoded nor classified again.
+func (c *Client) update(now time.Duration, sender netsim.Addr, payload []byte) {
+	seq, sentAt, body, ok := decodeHeader(payload)
 	if !ok {
 		return
 	}
-	c.tracks = tracks
+	if sender != c.sender {
+		c.sender = sender
+		c.LastSeq = 0
+	}
 	if c.LastSeq != 0 && seq > c.LastSeq+1 {
 		c.Gaps += int(seq - c.LastSeq - 1)
 	}
@@ -261,7 +289,13 @@ func (c *Client) update(now time.Duration, payload []byte) {
 	c.UpdatesReceived++
 	c.LastUpdate = now
 	c.LastLatency = now - sentAt
-	c.process(now, tracks)
+	if c.EngageRange == c.pictureRange && bytes.Equal(body, c.picture) {
+		return
+	}
+	_, _, c.tracks, _ = decodeBatch(payload, c.tracks)
+	c.picture = append(c.picture[:0], body...)
+	c.pictureRange = c.EngageRange
+	c.process(now, c.tracks)
 }
 
 // process classifies tracks and makes engagement decisions: an inbound
@@ -269,7 +303,7 @@ func (c *Client) update(now time.Duration, payload []byte) {
 func (c *Client) process(now time.Duration, tracks []Track) {
 	for _, t := range tracks {
 		r := t.Range()
-		hostile := t.ClosingSpeed() > 50 && r < 150_000
+		hostile := t.ClosingSpeed(r) > 50 && r < 150_000
 		if hostile && r < c.EngageRange && !c.engaged[t.ID] {
 			c.engaged[t.ID] = true
 			c.Engagements = append(c.Engagements, Engagement{At: now, TrackID: t.ID, Range: r})

@@ -3,6 +3,8 @@ package rtds
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,7 +39,7 @@ func TestInboundTracksClose(t *testing.T) {
 	// Every third target is inbound: closing speed positive and large.
 	closing := 0
 	for i, tr := range r.Tracks {
-		if i%3 == 0 && tr.ClosingSpeed() > 50 {
+		if i%3 == 0 && tr.ClosingSpeed(tr.Range()) > 50 {
 			closing++
 		}
 	}
@@ -148,7 +150,9 @@ func TestDecodeBatchReusesScratch(t *testing.T) {
 }
 
 // TestClientUpdateAllocatesNothing: with the scratch warm and no new
-// engagement to log, consuming an update message costs no allocation.
+// engagement to log, consuming an update message costs no allocation —
+// whether it repeats the picture the client last classified or brings a
+// new one (two pictures alternating, so the picture copy reuses its buffer).
 func TestClientUpdateAllocatesNothing(t *testing.T) {
 	c := &Client{EngageRange: 40_000, engaged: make(map[uint32]bool)}
 	tracks := make([]Track, 40)
@@ -156,18 +160,249 @@ func TestClientUpdateAllocatesNothing(t *testing.T) {
 		tracks[i] = Track{ID: uint32(i + 1), X: 10_000, Y: 0, VX: -300}
 	}
 	payload := encodeBatch(1, tracks, 0)
-	c.update(time.Second, payload) // warm-up: sizes the scratch, engages all 40
+	for i := range tracks {
+		tracks[i].X = 12_000
+	}
+	moved := encodeBatch(1, tracks, 0)
+	c.update(time.Second, "s1", payload) // warm-up: sizes the scratch, engages all 40
 	if len(c.Engagements) != 40 {
 		t.Fatalf("warm-up engaged %d tracks, want 40", len(c.Engagements))
 	}
-	if n := testing.AllocsPerRun(100, func() { c.update(2*time.Second, payload) }); n != 0 {
-		t.Fatalf("client update allocates %v objects per message, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { c.update(2*time.Second, "s1", payload) }); n != 0 {
+		t.Fatalf("client update of an unchanged picture allocates %v objects per message, want 0", n)
+	}
+	alternate := func() {
+		c.update(2*time.Second, "s1", moved)
+		c.update(2*time.Second, "s1", payload)
+	}
+	if n := testing.AllocsPerRun(100, alternate); n != 0 {
+		t.Fatalf("client updates of changed pictures allocate %v objects per pair, want 0", n)
 	}
 	// A malformed message keeps the scratch: the next good one is still free.
-	c.update(3*time.Second, payload[:20])
-	if n := testing.AllocsPerRun(100, func() { c.update(4*time.Second, payload) }); n != 0 {
+	c.update(3*time.Second, "s1", payload[:20])
+	if n := testing.AllocsPerRun(100, alternate); n != 0 {
 		t.Fatalf("after a malformed message an update allocates %v objects, want 0", n)
 	}
+	if len(c.Engagements) != 40 {
+		t.Fatalf("re-classifying the same tracks logged %d engagements, want 40", len(c.Engagements))
+	}
+}
+
+// TestRestartedServerResetsSequenceBaseline: a server restarted on a new
+// host counts from seq 1 again. The client's gap count follows the new
+// sequence at once instead of waiting for it to pass the dead server's.
+func TestRestartedServerResetsSequenceBaseline(t *testing.T) {
+	c := &Client{EngageRange: 40_000, engaged: make(map[uint32]bool)}
+	tracks := []Track{{ID: 1, X: 90_000, VY: 200}}
+	for seq := uint32(1); seq <= 66; seq++ {
+		c.update(time.Duration(seq)*UpdatePeriod, "s1", encodeBatch(seq, tracks, 0))
+	}
+	for _, seq := range []uint32{1, 2, 4} {
+		c.update(time.Duration(66+seq)*UpdatePeriod, "w-fddi-1", encodeBatch(seq, tracks, 0))
+	}
+	if c.Gaps != 1 || c.LastSeq != 4 {
+		t.Fatalf("after the restart: Gaps %d LastSeq %d, want 1 and 4", c.Gaps, c.LastSeq)
+	}
+}
+
+// oracleClient is Client.update before the picture memo: every update is
+// decoded and every track classified, its range computed twice (once in
+// process, once inside the closing speed). The memo must be invisible
+// beside it.
+type oracleClient struct {
+	UpdatesReceived int
+	LastSeq         uint32
+	LastUpdate      time.Duration
+	LastLatency     time.Duration
+	Gaps            int
+	Engagements     []Engagement
+	EngageRange     float64
+
+	engaged map[uint32]bool
+	tracks  []Track
+	sender  netsim.Addr
+}
+
+func (c *oracleClient) update(now time.Duration, sender netsim.Addr, payload []byte) {
+	seq, sentAt, tracks, ok := decodeBatch(payload, c.tracks)
+	if !ok {
+		return
+	}
+	c.tracks = tracks
+	if sender != c.sender {
+		c.sender = sender
+		c.LastSeq = 0
+	}
+	if c.LastSeq != 0 && seq > c.LastSeq+1 {
+		c.Gaps += int(seq - c.LastSeq - 1)
+	}
+	if seq > c.LastSeq {
+		c.LastSeq = seq
+	}
+	c.UpdatesReceived++
+	c.LastUpdate = now
+	c.LastLatency = now - sentAt
+	for _, t := range tracks {
+		r := math.Hypot(t.X, t.Y)
+		closing := 0.0
+		if d := math.Hypot(t.X, t.Y); d != 0 {
+			closing = -(t.X*t.VX + t.Y*t.VY) / d
+		}
+		if closing > 50 && r < 150_000 && r < c.EngageRange && !c.engaged[t.ID] {
+			c.engaged[t.ID] = true
+			c.Engagements = append(c.Engagements, Engagement{At: now, TrackID: t.ID, Range: r})
+		}
+	}
+}
+
+// clientPair drives a Client and an oracleClient with the same updates and
+// reports the first state in which they differ.
+type clientPair struct {
+	c *Client
+	o *oracleClient
+}
+
+func newClientPair() clientPair {
+	return clientPair{
+		c: &Client{EngageRange: 40_000, engaged: make(map[uint32]bool)},
+		o: &oracleClient{EngageRange: 40_000, engaged: make(map[uint32]bool)},
+	}
+}
+
+func (p clientPair) setRange(r float64) { p.c.EngageRange, p.o.EngageRange = r, r }
+
+func (p clientPair) update(t *testing.T, step int, now time.Duration, sender netsim.Addr, payload []byte) {
+	t.Helper()
+	p.c.update(now, sender, payload)
+	p.o.update(now, sender, payload)
+	c, o := p.c, p.o
+	if c.UpdatesReceived != o.UpdatesReceived || c.LastSeq != o.LastSeq || c.Gaps != o.Gaps ||
+		c.LastUpdate != o.LastUpdate || c.LastLatency != o.LastLatency {
+		t.Fatalf("step %d: client updates %d seq %d gaps %d last %v latency %v, oracle %d %d %d %v %v", step,
+			c.UpdatesReceived, c.LastSeq, c.Gaps, c.LastUpdate, c.LastLatency,
+			o.UpdatesReceived, o.LastSeq, o.Gaps, o.LastUpdate, o.LastLatency)
+	}
+	if !slices.Equal(c.Engagements, o.Engagements) {
+		t.Fatalf("step %d: client engaged %+v, oracle %+v", step, c.Engagements, o.Engagements)
+	}
+}
+
+// TestClientMatchesOracle runs a seeded stream of updates through the
+// client and the oracle: repeated and changed pictures, gaps, duplicates,
+// malformed and padded payloads, EngageRange changes and server restarts.
+// After every update the two must agree on every field update touches.
+func TestClientMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	tracks := make([]Track, 48)
+	for i := range tracks {
+		bearing := rng.Float64() * 2 * math.Pi
+		rr := 30_000 + rng.Float64()*170_000
+		speed := 100 + rng.Float64()*500
+		tracks[i] = Track{ID: uint32(i + 1), X: rr * math.Cos(bearing), Y: rr * math.Sin(bearing)}
+		if i%2 == 0 {
+			tracks[i].VX, tracks[i].VY = -speed*math.Cos(bearing), -speed*math.Sin(bearing)
+		} else {
+			tracks[i].VX, tracks[i].VY = speed*math.Sin(bearing), -speed*math.Cos(bearing)
+		}
+	}
+	senders := []netsim.Addr{"s1", "s2", "w-fddi-1"}
+	ranges := []float64{40_000, 60_000, 25_000, 0, 100_000}
+	p := newClientPair()
+	sender := senders[0]
+	seq := uint32(0)
+	var now time.Duration
+	var repeats, changes, malformed, restarts, rangeChanges int
+	for step := 0; step < 12_000; step++ {
+		now += UpdatePeriod
+		if rng.Intn(1000) < 3 {
+			sender = senders[rng.Intn(len(senders))]
+			seq = 0
+			restarts++
+		}
+		if rng.Intn(1000) < 2 {
+			p.setRange(ranges[rng.Intn(len(ranges))])
+			rangeChanges++
+		}
+		switch r := rng.Intn(100); {
+		case r < 3:
+			seq += uint32(2 + rng.Intn(3)) // lost updates
+		case r < 5:
+			seq -= uint32(rng.Intn(2)) // a duplicate or a late one
+		default:
+			seq++
+		}
+		if rng.Intn(10) < 3 {
+			// A radar scan: every track moves, one may be dropped or come back.
+			for i := range tracks {
+				tracks[i].X += tracks[i].VX * 0.1
+				tracks[i].Y += tracks[i].VY * 0.1
+			}
+			changes++
+		} else {
+			repeats++
+		}
+		n := len(tracks)
+		if rng.Intn(20) == 0 {
+			n = rng.Intn(len(tracks) + 1)
+		}
+		payload := encodeBatch(seq, tracks[:n], now-time.Duration(rng.Intn(20))*time.Millisecond)
+		switch r := rng.Intn(100); {
+		case r < 2: // too short for its header or its count
+			payload = payload[:rng.Intn(len(payload))]
+			malformed++
+		case r < 4: // a count past the bytes present
+			binary.BigEndian.PutUint32(payload[4:8], uint32(n+1+rng.Intn(1000)))
+			malformed++
+		case r < 6: // a count below the bytes present
+			binary.BigEndian.PutUint32(payload[4:8], uint32(rng.Intn(n+1)))
+		case r < 8: // padded to L, as on the wire
+			payload = append(payload, make([]byte, UpdateLen-len(payload))...)
+		}
+		p.update(t, step, now, sender, payload)
+	}
+	if len(p.o.Engagements) == 0 || p.o.Gaps == 0 || restarts == 0 || rangeChanges == 0 ||
+		malformed == 0 || repeats < 5_000 || changes < 2_000 {
+		t.Fatalf("stream drifted: %d engagements, %d gaps, %d restarts, %d range changes, %d malformed, %d repeats, %d changes",
+			len(p.o.Engagements), p.o.Gaps, restarts, rangeChanges, malformed, repeats, changes)
+	}
+}
+
+// FuzzClientUpdate holds the client to the oracle on arbitrary update
+// streams. The input is a script of steps: an op byte (bits 0-1 pick the
+// sender, bit 2 sets EngageRange from bits 3-4, bit 5 resends the previous
+// payload), then, unless resending, a length byte and that many payload
+// bytes, which need not form a valid update.
+func FuzzClientUpdate(f *testing.F) {
+	one := encodeBatch(1, []Track{{ID: 7, X: 30_000, Y: 1, VX: -300}}, 0)
+	two := encodeBatch(2, []Track{{ID: 7, X: 29_000, Y: 1, VX: -300}, {ID: 8, X: -1, Y: 39_000, VY: -200}}, 0)
+	step := func(op byte, payload []byte) []byte { return append([]byte{op, byte(len(payload))}, payload...) }
+	f.Add([]byte{})
+	f.Add(step(0, one))
+	f.Add(slices.Concat(step(0, one), []byte{0x20, 0x20}, step(0, two), []byte{0x20}))
+	f.Add(slices.Concat(step(0, two), step(0x1c, two), []byte{0x20}, step(0x04, two), step(1, one)))
+	f.Add(slices.Concat(step(0, one[:15]), step(0, one[:20]), step(2, one), []byte{0x21, 0x22}))
+	ranges := [4]float64{40_000, 0, 100_000, math.NaN()}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		p := newClientPair()
+		senders := [4]netsim.Addr{"s1", "s2", "w-fddi-1", ""}
+		var payload []byte
+		for i, step := 0, 0; i < len(script); step++ {
+			op := script[i]
+			i++
+			if op&0x04 != 0 {
+				p.setRange(ranges[op>>3&3])
+			}
+			if op&0x20 == 0 {
+				if i == len(script) {
+					return
+				}
+				n := min(int(script[i]), len(script)-i-1)
+				payload = script[i+1 : i+1+n]
+				i += 1 + n
+			}
+			p.update(t, step, time.Duration(step)*UpdatePeriod, senders[op&3], payload)
+		}
+	})
 }
 
 func TestDistributionOverTestbed(t *testing.T) {
