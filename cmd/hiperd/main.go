@@ -15,8 +15,8 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cots"
+	"repro/internal/director"
 	"repro/internal/hifi"
 	"repro/internal/hybrid"
 	"repro/internal/manager"
@@ -69,7 +69,7 @@ func main() {
 
 	// Monitor.
 	burst := nttcp.Config{MsgLen: 8192, InterSend: 30 * time.Millisecond, Count: 8, Timeout: time.Second}
-	var mon core.Monitor
+	var mon director.Member
 	switch *monImpl {
 	case "hifi":
 		mon = hifi.New(h.Mgmt, burst, 1)
@@ -94,8 +94,7 @@ func main() {
 		mon.(telemetric).EnableTelemetry(reg, tracer)
 		reg.CounterFunc("sim.proc_switches", k.ProcSwitches)
 	}
-	type startable interface{ Start() }
-	mon.(startable).Start()
+	mon.Start()
 
 	// Resource manager with spare hosts in both pools.
 	mgr := manager.New(h.Mgmt, mon, manager.Policy{

@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/hifi"
-	"repro/internal/metrics"
 	"repro/internal/mib"
-	"repro/internal/netsim"
 	"repro/internal/nttcp"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -35,7 +31,6 @@ func A1(quick bool) *report.Table {
 		loads = []float64{0.5, 1.6}
 	}
 	window := pick(quick, 5*time.Second, 15*time.Second)
-	const wire = 10_000_000.0
 	events := 100
 
 	for _, frac := range loads {
@@ -51,17 +46,7 @@ func A1(quick bool) *report.Table {
 		notifier.Retries = 6
 		notifier.Timeout = 300 * time.Millisecond
 
-		payload := 1200
-		msgsPerSec := frac * wire / float64((payload+netsim.HeaderOverhead+38)*8)
-		interval := time.Duration(float64(time.Second) / msgsPerSec)
-		for i := 1; i <= 4; i++ {
-			netsim.NewSink(h.Net.Node(netsim.Addr(fmt.Sprintf("w-eth-%d", i))), 9)
-			(&netsim.CBRSource{
-				Src: h.Net.Node(netsim.Addr(fmt.Sprintf("w-fddi-%d", i+1))),
-				Dst: netsim.Addr(fmt.Sprintf("w-eth-%d", i)), DstPort: 9,
-				Size: payload, Interval: interval * 4, Jitter: 0.2, Seed: int64(i),
-			}).Run()
-		}
+		crossLoad(h, frac)
 
 		trapsSent, informsOK := 0, 0
 		informerDone := false
@@ -118,29 +103,8 @@ func A2(quick bool) *report.Table {
 	cfg := nttcp.Config{MsgLen: 2048, InterSend: 10 * time.Millisecond, Count: 8, Timeout: time.Second}
 	horizon := pick(quick, 15*time.Second, 30*time.Second)
 	for _, conc := range concs {
-		k := newKernel()
-		h := topo.BuildHiPerD(k, 1)
-		m := hifi.New(h.Mgmt, cfg, conc)
-		paths := h.PathList()
-		m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Throughput}})
-		m.Start()
-		var peakF, peakE float64
-		lastF, lastE := h.FDDI.Stats().Octets, h.Eth.Stats().Octets
-		sampler := k.Every(100*time.Millisecond, func() {
-			f, e := h.FDDI.Stats().Octets, h.Eth.Stats().Octets
-			if bps := float64(f-lastF) * 80; bps > peakF {
-				peakF = bps
-			}
-			if bps := float64(e-lastE) * 80; bps > peakE {
-				peakE = bps
-			}
-			lastF, lastE = f, e
-		})
-		k.RunUntil(horizon)
-		sampler.Stop()
-		spacing := historySpacing(m.DB, paths[0].ID, metrics.Throughput)
-		t.AddRow(conc, report.Bps(peakF), report.Bps(peakE), report.Dur(m.SweepTime), report.Dur(spacing))
-		k.Close()
+		r := hifiSweep(cfg, conc, horizon)
+		t.AddRow(conc, report.Bps(r.peakFDDI), report.Bps(r.peakEth), report.Dur(r.m.SweepTime), report.Dur(r.spacing))
 	}
 	t.AddNote("k=27 saturates the shared Ethernet (loss, retries) — more concurrency stops buying freshness")
 	return t

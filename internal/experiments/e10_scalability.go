@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cots"
+	"repro/internal/director"
 	"repro/internal/hifi"
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
@@ -39,13 +40,13 @@ func E10(quick bool) *report.Table {
 
 	type impl struct {
 		name  string
-		build func(mgmt *netsim.Node) core.Monitor
+		build func(mgmt *netsim.Node) director.Member
 	}
 	impls := []impl{
-		{"hifi-parallel", func(m *netsim.Node) core.Monitor { return hifi.New(m, burst, 1<<16) }},
-		{"hifi-sequencer", func(m *netsim.Node) core.Monitor { return hifi.New(m, burst, 1) }},
-		{"cots-poll-5s", func(m *netsim.Node) core.Monitor { return cots.New(m, "public", 5*time.Second) }},
-		{"hybrid", func(m *netsim.Node) core.Monitor {
+		{"hifi-parallel", func(m *netsim.Node) director.Member { return hifi.New(m, burst, 1<<16) }},
+		{"hifi-sequencer", func(m *netsim.Node) director.Member { return hifi.New(m, burst, 1) }},
+		{"cots-poll-5s", func(m *netsim.Node) director.Member { return cots.New(m, "public", 5*time.Second) }},
+		{"hybrid", func(m *netsim.Node) director.Member {
 			return hybrid.New(m, "public", hybrid.Config{PollInterval: 5 * time.Second, NTTCP: burst})
 		}},
 	}
@@ -85,8 +86,7 @@ func E10(quick bool) *report.Table {
 			req := core.Request{Paths: core.CrossProductPaths(serverRefs, clientRefs),
 				Metrics: []metrics.Metric{metrics.Throughput, metrics.Reachability}}
 			mon.Submit(req)
-			type startable interface{ Start() }
-			mon.(startable).Start()
+			mon.Start()
 			bb0 := s.Backbone.Stats().Octets
 			k.RunUntil(window)
 			loadBps := float64(s.Backbone.Stats().Octets-bb0) * 8 / window.Seconds()

@@ -28,7 +28,7 @@ func E11(quick bool) *report.Table {
 	if quick {
 		intervals = []time.Duration{time.Second, 5 * time.Second}
 	}
-	trials := pickN(quick, 2, 4)
+	trials := pick(quick, 2, 4)
 
 	for _, interval := range intervals {
 		var latencies []float64

@@ -5,8 +5,8 @@ import (
 )
 
 func TestE12ResilienceStrictlyImproves(t *testing.T) {
-	off := runE12(true, false, nil)
-	on := runE12(true, true, nil)
+	off := runDrill(true, e12Off, nil)
+	on := runDrill(true, e12On, nil)
 
 	// The layer's reason to exist: failures surface sooner because sweeps
 	// stop stalling on known-dead agents...
@@ -29,13 +29,13 @@ func TestE12ResilienceStrictlyImproves(t *testing.T) {
 }
 
 func TestE12Deterministic(t *testing.T) {
-	a := runE12(true, true, nil)
-	b := runE12(true, true, nil)
+	a := runDrill(true, e12On, nil)
+	b := runDrill(true, e12On, nil)
 	if a != b {
 		t.Fatalf("E12 run not seed-stable:\n  first  %+v\n  second %+v", a, b)
 	}
-	c := runE12(true, false, nil)
-	d := runE12(true, false, nil)
+	c := runDrill(true, e12Off, nil)
+	d := runDrill(true, e12Off, nil)
 	if c != d {
 		t.Fatalf("E12 baseline not seed-stable:\n  first  %+v\n  second %+v", c, d)
 	}

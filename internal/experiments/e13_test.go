@@ -10,8 +10,8 @@ import (
 // instruments attached and detached, and the instrumented run actually
 // collected something.
 func TestE13ZeroPerturbation(t *testing.T) {
-	off := runE13(true, false)
-	on := runE13(true, true)
+	off := runDrill(true, e13Off, nil)
+	on := runDrill(true, e13On, nil)
 	if off.DetectLatency != on.DetectLatency {
 		t.Errorf("detection latency perturbed: off %v, on %v", off.DetectLatency, on.DetectLatency)
 	}
@@ -47,14 +47,14 @@ func TestE13ZeroPerturbation(t *testing.T) {
 func BenchmarkE13ChaosTelemetryOff(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runE13(true, false)
+		runDrill(true, e13Off, nil)
 	}
 }
 
 func BenchmarkE13ChaosTelemetryOn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runE13(true, true)
+		runDrill(true, e13On, nil)
 	}
 }
 

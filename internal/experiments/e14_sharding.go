@@ -39,9 +39,9 @@ func E14(quick bool) *report.Table {
 	if !quick {
 		shardCounts = []int{1, 2, 4, 8}
 	}
-	regions := pickN(quick, 4, 8)
+	regions := pick(quick, 4, 8)
 	serversPer := 1
-	clientsPer := pickN(quick, 2, 4)
+	clientsPer := pick(quick, 2, 4)
 	for _, sc := range shardCounts {
 		t.AddRow(e14Row(sc, regions, serversPer, clientsPer, quick)...)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/cots"
+	"repro/internal/director"
 	"repro/internal/hifi"
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
@@ -98,16 +99,15 @@ func e15Collect(quick bool, scenario string) *e15Samples {
 		noise++
 	}
 
-	var mon core.Monitor
+	var mon director.Member
+	burst := nttcp.Config{MsgLen: 512, InterSend: time.Millisecond, Count: 2, Timeout: 200 * time.Millisecond}
 	switch scenario {
 	case "hifi":
-		cfg := nttcp.Config{MsgLen: 512, InterSend: time.Millisecond, Count: 2, Timeout: 200 * time.Millisecond}
-		mon = hifi.New(h.Mgmt, cfg, 1<<16)
+		mon = hifi.New(h.Mgmt, burst, 1<<16)
 	case "cots":
 		mon = cots.New(h.Mgmt, "public", 40*time.Millisecond)
 	case "hybrid":
-		cfg := nttcp.Config{MsgLen: 512, InterSend: time.Millisecond, Count: 2, Timeout: 200 * time.Millisecond}
-		mon = hybrid.New(h.Mgmt, "public", hybrid.Config{PollInterval: 40 * time.Millisecond, NTTCP: cfg})
+		mon = hybrid.New(h.Mgmt, "public", hybrid.Config{PollInterval: 40 * time.Millisecond, NTTCP: burst})
 	case "chaos":
 		c := cots.New(h.Mgmt, "public", 40*time.Millisecond)
 		// Tight per-attempt budget so dead agents do not stall whole sweeps
@@ -123,15 +123,13 @@ func e15Collect(quick bool, scenario string) *e15Samples {
 		panic("unknown E15 scenario " + scenario)
 	}
 
-	type databased interface{ Database() *core.Database }
-	db := mon.(databased).Database()
+	db := mon.Database()
 	db.HistoryDepth = e15Depth
 	db.EnableSketches(sketch.Thresholds{})
 
 	paths := h.PathList()
 	mon.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.OneWayLatency, metrics.Reachability}})
-	type startable interface{ Start() }
-	mon.(startable).Start()
+	mon.Start()
 	k.RunUntil(window)
 
 	out := &e15Samples{
@@ -139,13 +137,7 @@ func e15Collect(quick bool, scenario string) *e15Samples {
 		sketch: make(map[core.PathID]*sketch.Sketch),
 	}
 	for _, p := range paths {
-		var vs []float64
-		db.EachHistory(p.ID, metrics.OneWayLatency, 0, func(m core.Measurement) bool {
-			if m.OK() {
-				vs = append(vs, m.Value)
-			}
-			return true
-		})
+		vs := okValues(db, p.ID, metrics.OneWayLatency)
 		if len(vs) == 0 {
 			continue
 		}
@@ -221,7 +213,7 @@ func e15ScenarioRows(quick bool, scenario string) [][]any {
 // of the pooled full history. Every cell except the estimator label must
 // be independent of sc.
 func e15FedRow(quick bool, sc int) []any {
-	regions := pickN(quick, 4, 8)
+	regions := pick(quick, 4, 8)
 	g := sim.NewShardGroup(sc, topo.WANPropDelay)
 	defer g.Close()
 	s := topo.BuildShardedScaled(g, 15, regions, 1, 2)
@@ -260,12 +252,7 @@ func e15FedRow(quick bool, sc int) []any {
 		if !ok {
 			continue
 		}
-		dirs[i].Database().EachHistory(p.ID, metrics.OneWayLatency, 0, func(m core.Measurement) bool {
-			if m.OK() {
-				pooled = append(pooled, m.Value)
-			}
-			return true
-		})
+		pooled = append(pooled, okValues(dirs[i].Database(), p.ID, metrics.OneWayLatency)...)
 	}
 	sort.Float64s(pooled)
 	var errs [3]string

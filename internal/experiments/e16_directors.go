@@ -9,6 +9,7 @@ import (
 	"repro/internal/cots"
 	"repro/internal/director"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/sketch"
@@ -35,23 +36,20 @@ type e16Tree struct {
 func e16Build(k *sim.Kernel, flat bool, cfg director.Config) *e16Tree {
 	t := &e16Tree{h: topo.BuildScaled(k, 31, e16Lans, 3)}
 	reg := cots.NewAgentRegistry()
-	member := func(host int, poll time.Duration) *cots.Monitor {
-		m := cots.New(t.h.Hosts[host], "public", poll)
+	member := func(host *netsim.Node) *cots.Monitor {
+		m := cots.New(host, "public", 500*time.Millisecond)
 		m.Database().EnableSketches(sketch.Thresholds{})
 		m.UseRegistry(reg)
 		return m
 	}
 	if flat {
-		m := cots.New(t.h.Mgmt, "public", 500*time.Millisecond)
-		m.Database().EnableSketches(sketch.Thresholds{})
-		m.UseRegistry(reg)
-		t.root = director.NewLeaf(t.h.Mgmt, "flat", m, cfg)
+		t.root = director.NewLeaf(t.h.Mgmt, "flat", member(t.h.Mgmt), cfg)
 		t.leaves = []*director.Director{t.root}
 	} else {
 		t.root = director.New(t.h.Mgmt, "root", cfg)
 		for i := 0; i < e16Lans; i++ {
 			l := director.NewLeaf(t.h.Hosts[i*3], fmt.Sprintf("leaf%d", i),
-				member(i*3, 500*time.Millisecond), cfg)
+				member(t.h.Hosts[i*3]), cfg)
 			t.root.AddChild(l)
 			t.leaves = append(t.leaves, l)
 		}
@@ -66,6 +64,15 @@ func e16Build(k *sim.Kernel, flat bool, cfg director.Config) *e16Tree {
 	return t
 }
 
+// e16Config is the director budget every E16 run starts from.
+var e16Config = director.Config{
+	QueueCap:       256,
+	TrapProcTime:   2 * time.Millisecond, // ~500 traps/s per director
+	CoalesceWindow: 200 * time.Millisecond,
+	Reexport:       250 * time.Millisecond,
+	TTL:            2 * time.Second,
+}
+
 // e16Stats is one scenario's outcome row.
 type e16Stats struct {
 	TrapsIn, Dropped, Delivered, Coalesced uint64
@@ -74,6 +81,48 @@ type e16Stats struct {
 	Adoptions, Reclaims                    uint64
 	OrphanRecover                          time.Duration // kill -> orphan shard fresh again; -1 = never
 	RegionP95                              float64
+}
+
+// read spawns the resource manager's stand-in: every 250ms it acts on
+// every path it can read through the root's freshness gate, and counts
+// into st the fresh reads and any acted-on sample that was in fact
+// senescent (must stay zero). onFresh, when set, sees every fresh read.
+func (t *e16Tree) read(ttl time.Duration, st *e16Stats, onFresh func(now time.Duration, path core.PathID, m core.Measurement)) {
+	t.h.Mgmt.Spawn("e16-reader", func(p *sim.Proc) {
+		for {
+			p.Sleep(250 * time.Millisecond)
+			for _, path := range t.paths {
+				m, ok := t.root.QueryFresh(path.ID, metrics.Reachability, p.Now(), ttl)
+				if !ok {
+					continue
+				}
+				st.FreshReads++
+				if p.Now()-m.TakenAt > ttl {
+					st.StaleActed++
+				}
+				if onFresh != nil {
+					onFresh(p.Now(), path.ID, m)
+				}
+			}
+		}
+	})
+}
+
+// tally adds the hierarchy's trap and failover counters to st: traps in
+// and dropped at every leaf (and at a tree's root; the flat station is its
+// own only leaf), and delivered, coalesced, adopted and reclaimed at the
+// root.
+func (t *e16Tree) tally(st *e16Stats) {
+	for _, l := range t.leaves {
+		st.TrapsIn += l.Stats.TrapsIn
+		st.Dropped += l.Stats.TrapsDropped
+	}
+	if t.root != t.leaves[0] {
+		st.Dropped += t.root.Stats.TrapsDropped
+	}
+	st.Delivered = t.root.Stats.TrapsDelivered
+	st.Coalesced = t.root.CoalescedTotal()
+	st.Adoptions, st.Reclaims = t.root.Stats.Adoptions, t.root.Stats.Reclaims
 }
 
 // e16Storm runs the RMON trap storm against one hierarchy shape. Sources
@@ -85,16 +134,9 @@ type e16Stats struct {
 func e16Storm(quick, flat bool) e16Stats {
 	k := newKernel()
 	defer k.Close()
-	window := 200 * time.Millisecond
+	cfg := e16Config
 	if flat {
-		window = 0 // the flat station processes every trap individually
-	}
-	cfg := director.Config{
-		QueueCap:       256,
-		TrapProcTime:   2 * time.Millisecond, // ~500 traps/s per director
-		CoalesceWindow: window,
-		Reexport:       250 * time.Millisecond,
-		TTL:            2 * time.Second,
+		cfg.CoalesceWindow = 0 // the flat station processes every trap individually
 	}
 	t := e16Build(k, flat, cfg)
 
@@ -105,31 +147,36 @@ func e16Storm(quick, flat bool) e16Stats {
 	surgePeriod := pick(quick, 3*time.Millisecond, 4*time.Millisecond)
 	signalAt := pick(quick, 4500*time.Millisecond, 7*time.Second)
 	horizon := pick(quick, 8*time.Second, 12*time.Second)
-	perLeaf := pickN(quick, 2, 3)
+	perLeaf := pick(quick, 2, 3)
 
-	// Storm sources: perLeaf RMON probes per LAN, all repeating the same
-	// rising alarm. In the flat shape every source lands on the single
-	// station; in the tree each lands on its LAN's leaf.
+	// source spawns a probe that repeats the same rising alarm on path to
+	// target from from until the storm ends, sleeping period(now) between
+	// traps.
+	source := func(name string, target *director.Director, path core.PathID, from time.Duration, period func(now time.Duration) time.Duration) {
+		t.h.Mgmt.Spawn("e16-src-"+name, func(p *sim.Proc) {
+			p.Sleep(from)
+			for p.Now() < stormTo {
+				target.OfferTrap(director.Trap{
+					Source: name, Path: path, Rising: true, Count: 1, At: p.Now()})
+				p.Sleep(period(p.Now()))
+			}
+		})
+	}
+
+	// Storm sources: perLeaf RMON probes per LAN. In the flat shape every
+	// source lands on the single station; in the tree each lands on its
+	// LAN's leaf.
 	for lan := 0; lan < e16Lans; lan++ {
 		for s := 0; s < perLeaf; s++ {
-			lan, s := lan, s
 			target := t.leaves[0]
 			if !flat {
 				target = t.leaves[lan]
 			}
-			name := fmt.Sprintf("probe%d.%d", lan, s)
-			path := t.paths[lan].ID
-			t.h.Mgmt.Spawn("e16-src-"+name, func(p *sim.Proc) {
-				p.Sleep(stormFrom)
-				for p.Now() < stormTo {
-					target.OfferTrap(director.Trap{
-						Source: name, Path: path, Rising: true, Count: 1, At: p.Now()})
-					period := 10 * time.Millisecond
-					if lan > 0 && p.Now() >= surgeFrom && p.Now() < surgeTo {
-						period = surgePeriod
-					}
-					p.Sleep(period)
+			source(fmt.Sprintf("probe%d.%d", lan, s), target, t.paths[lan].ID, stormFrom, func(now time.Duration) time.Duration {
+				if lan > 0 && now >= surgeFrom && now < surgeTo {
+					return surgePeriod
 				}
+				return 10 * time.Millisecond
 			})
 		}
 	}
@@ -137,56 +184,19 @@ func e16Storm(quick, flat bool) e16Stats {
 	// The victim signal: a real fault on LAN 0, raised mid-surge and
 	// re-raised until the storm ends (a console that misses the first
 	// delivery still gets later chances — detection is first arrival).
-	detect := time.Duration(-1)
+	st := e16Stats{Detect: -1, OrphanRecover: -1}
 	t.root.OnTrap = func(tr director.Trap) {
-		if tr.Source == "victim" && detect < 0 {
-			detect = k.Now() - signalAt
+		if tr.Source == "victim" && st.Detect < 0 {
+			st.Detect = k.Now() - signalAt
 		}
 	}
-	victimTarget := t.leaves[0]
-	victimPath := t.paths[0].ID
-	t.h.Mgmt.Spawn("e16-victim", func(p *sim.Proc) {
-		p.Sleep(signalAt)
-		for p.Now() < stormTo {
-			victimTarget.OfferTrap(director.Trap{
-				Source: "victim", Path: victimPath, Rising: true, Count: 1, At: p.Now()})
-			p.Sleep(151 * time.Millisecond)
-		}
-	})
+	source("victim", t.leaves[0], t.paths[0].ID, signalAt, func(time.Duration) time.Duration { return 151 * time.Millisecond })
 
-	// The reader is the resource manager's stand-in: every 250ms it acts
-	// on every path it can read through the freshness gate, and counts
-	// any acted-on sample that was in fact senescent (must stay zero).
-	fresh, staleActed := 0, 0
-	t.h.Mgmt.Spawn("e16-reader", func(p *sim.Proc) {
-		for {
-			p.Sleep(250 * time.Millisecond)
-			for _, path := range t.paths {
-				m, ok := t.root.QueryFresh(path.ID, metrics.Reachability, p.Now(), cfg.TTL)
-				if !ok {
-					continue
-				}
-				fresh++
-				if p.Now()-m.TakenAt > cfg.TTL {
-					staleActed++
-				}
-			}
-		}
-	})
-
+	t.read(cfg.TTL, &st, nil)
 	t.root.Start()
 	k.RunUntil(horizon)
 
-	st := e16Stats{Detect: detect, FreshReads: fresh, StaleActed: staleActed,
-		Coalesced: t.root.CoalescedTotal(), OrphanRecover: -1}
-	st.Delivered = t.root.Stats.TrapsDelivered
-	for _, l := range t.leaves {
-		st.TrapsIn += l.Stats.TrapsIn
-		st.Dropped += l.Stats.TrapsDropped
-	}
-	if !flat {
-		st.Dropped += t.root.Stats.TrapsDropped
-	}
+	t.tally(&st)
 	if agg, ok := t.root.AggregateSketch(metrics.OneWayLatency); ok {
 		st.RegionP95 = agg.Quantile(0.95)
 	}
@@ -200,14 +210,9 @@ func e16Storm(quick, flat bool) e16Stats {
 func e16Drill(quick bool) e16Stats {
 	k := newKernel()
 	defer k.Close()
-	cfg := director.Config{
-		QueueCap:       256,
-		TrapProcTime:   2 * time.Millisecond,
-		CoalesceWindow: 200 * time.Millisecond,
-		Reexport:       250 * time.Millisecond,
-		AdoptAfter:     time.Second,
-		TTL:            time.Second, // tight, so the staleness window is visible
-	}
+	cfg := e16Config
+	cfg.AdoptAfter = time.Second
+	cfg.TTL = time.Second // tight, so the staleness window is visible
 	t := e16Build(k, false, cfg)
 
 	killAt := 3 * time.Second
@@ -221,41 +226,16 @@ func e16Drill(quick bool) e16Stats {
 	// The reader watches the orphaned shard's path through the root: when
 	// does it next read fresh after the kill?
 	orphanPath := t.paths[1].ID
-	fresh, staleActed := 0, 0
-	orphanFreshAt := time.Duration(-1)
-	t.h.Mgmt.Spawn("e16-drill-reader", func(p *sim.Proc) {
-		for {
-			p.Sleep(250 * time.Millisecond)
-			for _, path := range t.paths {
-				m, ok := t.root.QueryFresh(path.ID, metrics.Reachability, p.Now(), cfg.TTL)
-				if !ok {
-					continue
-				}
-				fresh++
-				if p.Now()-m.TakenAt > cfg.TTL {
-					staleActed++
-				}
-				if path.ID == orphanPath && p.Now() > killAt && orphanFreshAt < 0 &&
-					m.TakenAt > killAt {
-					orphanFreshAt = p.Now()
-				}
-			}
+	st := e16Stats{Detect: -1, OrphanRecover: -1}
+	t.read(cfg.TTL, &st, func(now time.Duration, path core.PathID, m core.Measurement) {
+		if path == orphanPath && now > killAt && st.OrphanRecover < 0 && m.TakenAt > killAt {
+			st.OrphanRecover = now - killAt
 		}
 	})
 
 	t.root.Start()
 	k.RunUntil(horizon)
-
-	st := e16Stats{Detect: -1, FreshReads: fresh, StaleActed: staleActed,
-		Coalesced: t.root.CoalescedTotal(), OrphanRecover: -1,
-		Adoptions: t.root.Stats.Adoptions, Reclaims: t.root.Stats.Reclaims}
-	for _, l := range t.leaves {
-		st.TrapsIn += l.Stats.TrapsIn
-		st.Dropped += l.Stats.TrapsDropped
-	}
-	if orphanFreshAt >= 0 {
-		st.OrphanRecover = orphanFreshAt - killAt
-	}
+	t.tally(&st)
 	return st
 }
 
@@ -298,7 +278,7 @@ func E16(quick bool) *report.Table {
 	row("flat station", flat, false)
 	row("2-level tree", tree, false)
 	row("tree, leaf kill drill", drill, true)
-	t.AddNote("storm: %d RMON sources at 100 traps/s each against 500 traps/s of director capacity, with a mid-storm surge on LANs 2-4; the genuine alarm rises on calm LAN 1", pickN(quick, 2, 3)*e16Lans)
+	t.AddNote("storm: %d RMON sources at 100 traps/s each against 500 traps/s of director capacity, with a mid-storm surge on LANs 2-4; the genuine alarm rises on calm LAN 1", pick(quick, 2, 3)*e16Lans)
 	t.AddNote("storm injected at the director ingest boundary; E6 measures the wire-level SNMP trap path")
 	t.AddNote("flat: one station takes the full storm, drops traps at its bounded queue and sits on the alarm; tree: leaves absorb their own shard's load (drops stay local to surged LANs), coalesce repeats, and the alarm crosses two levels in milliseconds")
 	t.AddNote("region latency sketch at root: flat p95 %.1fms, tree p95 %.1fms (leaf sketches merged upward)", flat.RegionP95*1e3, tree.RegionP95*1e3)

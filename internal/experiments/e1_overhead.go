@@ -16,6 +16,51 @@ func rtdsCfg() nttcp.Config {
 	return nttcp.Config{MsgLen: 8192, InterSend: 30 * time.Millisecond, Count: 32, Timeout: time.Second}
 }
 
+// hifiRun is one hifi sweep's outcome: the monitor after the horizon, the
+// mean sample spacing on the first path (the senescence proxy), and the
+// largest load the run put on each medium in any 100 ms bucket, matching
+// the paper's "peak overhead" framing.
+type hifiRun struct {
+	m                 *hifi.Monitor
+	spacing           time.Duration
+	peakFDDI, peakEth float64
+}
+
+// hifiModes are the two sweep modes of §5.1.2.1: every path at once, and
+// the test sequencer's one path at a time.
+var hifiModes = []struct {
+	name        string
+	concurrency int
+}{
+	{"parallel (all 27)", 27},
+	{"sequencer (serial)", 1},
+}
+
+// hifiSweep runs the high-fidelity monitor with burst cfg and concurrency
+// conc over all 27 HiPer-D paths until horizon: the sweep E1, E2 and A2
+// read their intrusiveness and senescence figures from.
+func hifiSweep(cfg nttcp.Config, conc int, horizon time.Duration) hifiRun {
+	k := newKernel()
+	defer k.Close()
+	h := topo.BuildHiPerD(k, 1)
+	r := hifiRun{m: hifi.New(h.Mgmt, cfg, conc)}
+	paths := h.PathList()
+	r.m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Throughput}})
+	r.m.Start()
+	const bucket = 100 * time.Millisecond
+	lastFDDI, lastEth := h.FDDI.Stats().Octets, h.Eth.Stats().Octets
+	sampler := k.Every(bucket, func() {
+		f, e := h.FDDI.Stats().Octets, h.Eth.Stats().Octets
+		r.peakFDDI = max(r.peakFDDI, float64(f-lastFDDI)*8/bucket.Seconds())
+		r.peakEth = max(r.peakEth, float64(e-lastEth)*8/bucket.Seconds())
+		lastFDDI, lastEth = f, e
+	})
+	k.RunUntil(horizon)
+	sampler.Stop()
+	r.spacing = historySpacing(r.m.DB, paths[0].ID, metrics.Throughput)
+	return r
+}
+
 // E1 reproduces §5.1.2.1: monitoring all 27 paths in parallel offers
 // C·S·(L/P) ≈ 59 Mb/s — "a single application consuming a significant
 // percentage of the capacity of both the FDDI and ATM networks" — while the
@@ -29,42 +74,9 @@ func E1(quick bool) *report.Table {
 			"paths refreshed"},
 	}
 	window := pick(quick, 2*time.Second, 5*time.Second)
-	const bucket = 100 * time.Millisecond
-	for _, mode := range []struct {
-		name        string
-		concurrency int
-	}{
-		{"parallel (all 27)", 27},
-		{"sequencer (serial)", 1},
-	} {
-		k := newKernel()
-		h := topo.BuildHiPerD(k, 1)
-		m := hifi.New(h.Mgmt, rtdsCfg(), mode.concurrency)
-		m.Submit(core.Request{Paths: h.PathList(), Metrics: []metrics.Metric{metrics.Throughput}})
-		m.Start()
-		// Peak load: the largest 100 ms bucket on each medium, matching
-		// the paper's "peak overhead" framing.
-		var peakFDDI, peakEth float64
-		lastFDDI, lastEth := h.FDDI.Stats().Octets, h.Eth.Stats().Octets
-		sampler := k.Every(bucket, func() {
-			f, e := h.FDDI.Stats().Octets, h.Eth.Stats().Octets
-			if bps := float64(f-lastFDDI) * 8 / bucket.Seconds(); bps > peakFDDI {
-				peakFDDI = bps
-			}
-			if bps := float64(e-lastEth) * 8 / bucket.Seconds(); bps > peakEth {
-				peakEth = bps
-			}
-			lastFDDI, lastEth = f, e
-		})
-		k.RunUntil(window)
-		sampler.Stop()
-		analytic := m.PeakOverheadBps(1)
-		if mode.concurrency > 1 {
-			analytic = m.PeakOverheadBps(27)
-		}
-		refreshed := m.DB.Series()
-		t.AddRow(mode.name, report.Bps(analytic), report.Bps(peakFDDI), report.Bps(peakEth), refreshed)
-		k.Close()
+	for _, mode := range hifiModes {
+		r := hifiSweep(rtdsCfg(), mode.concurrency, window)
+		t.AddRow(mode.name, report.Bps(r.m.PeakOverheadBps(mode.concurrency)), report.Bps(r.peakFDDI), report.Bps(r.peakEth), r.m.DB.Series())
 	}
 	t.AddNote("analytic peak excludes UDP/IP and framing overhead; measured wire load includes it")
 	t.AddNote("the 10 Mb/s Ethernet saturates under the parallel monitor — the scalability failure of §5.1.2.1")

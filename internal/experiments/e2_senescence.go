@@ -3,12 +3,8 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/hifi"
-	"repro/internal/metrics"
 	"repro/internal/nttcp"
 	"repro/internal/report"
-	"repro/internal/topo"
 )
 
 // E2 reproduces the senescence half of the §5.1.2.1 tradeoff: with the
@@ -24,27 +20,13 @@ func E2(quick bool) *report.Table {
 	}
 	// A lighter burst than the RTDS shape keeps the parallel variant off
 	// the Ethernet's saturation knee so spacing reflects scheduling.
-	cfg := nttcp.Config{MsgLen: 256, InterSend: 10 * time.Millisecond, Count: pickN(quick, 4, 8), Timeout: time.Second}
+	cfg := nttcp.Config{MsgLen: 256, InterSend: 10 * time.Millisecond, Count: pick(quick, 4, 8), Timeout: time.Second}
 	burstT := time.Duration(cfg.Count) * cfg.InterSend
 	horizon := pick(quick, 20*time.Second, 60*time.Second)
-	for _, mode := range []struct {
-		name        string
-		concurrency int
-	}{
-		{"parallel (all 27)", 27},
-		{"sequencer (serial)", 1},
-	} {
-		k := newKernel()
-		h := topo.BuildHiPerD(k, 1)
-		m := hifi.New(h.Mgmt, cfg, mode.concurrency)
-		paths := h.PathList()
-		m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Throughput}})
-		m.Start()
-		k.RunUntil(horizon)
-		spacing := historySpacing(m.DB, paths[0].ID, metrics.Throughput)
-		t.AddRow(mode.name, report.Dur(burstT), report.Dur(m.SweepTime),
-			report.Dur(spacing), report.Dur(27*burstT))
-		k.Close()
+	for _, mode := range hifiModes {
+		r := hifiSweep(cfg, mode.concurrency, horizon)
+		t.AddRow(mode.name, report.Dur(burstT), report.Dur(r.m.SweepTime),
+			report.Dur(r.spacing), report.Dur(27*burstT))
 	}
 	t.AddNote("T includes control handshakes, so measured spacing slightly exceeds the analytic burst time")
 	return t

@@ -24,7 +24,7 @@ func E3(quick bool) *report.Table {
 		Columns: []string{"burst msgs", "trials", "mean throughput", "stddev",
 			"coeff of variation", "worst rel err"},
 	}
-	trials := pickN(quick, 8, 24)
+	trials := pick(quick, 8, 24)
 	bursts := []int{2, 4, 8, 16, 32, 64}
 	if quick {
 		bursts = []int{2, 8, 32}
@@ -41,10 +41,7 @@ func E3(quick bool) *report.Table {
 		src := nw.NewHost("meas-src")
 		dst := nw.NewHost("meas-dst")
 		noiseDst := nw.NewHost("noise-dst")
-		seg := nw.NewSegment("lan", netsim.Ethernet10())
-		seg.Attach(src)
-		seg.Attach(dst)
-		seg.Attach(noiseDst)
+		seg := lan(nw, netsim.Ethernet10(), src, dst, noiseDst)
 		netsim.NewSink(noiseDst, 9)
 		// On/off transients from three stations that jointly oversubscribe
 		// the wire during on-periods: a short burst that lands inside one
@@ -62,14 +59,12 @@ func E3(quick bool) *report.Table {
 		c := cfg
 		c.Count = burst
 		cli := nttcp.NewClient(src, c)
-		done := 0
 		src.Spawn("trials", func(p *sim.Proc) {
 			for i := 0; i < trials; i++ {
 				res, err := cli.Measure(p, "meas-dst", 0)
 				if err == nil && res.Received > 1 {
 					samples = append(samples, res.ThroughputBps)
 				}
-				done++
 				p.Sleep(150 * time.Millisecond) // decorrelate from the noise phase
 			}
 		})
@@ -81,14 +76,8 @@ func E3(quick bool) *report.Table {
 		if mean > 0 {
 			cv = sd / mean
 		}
-		worst := 0.0
-		for _, s := range samples {
-			if e := metrics.RelErr(s, truth); e > worst {
-				worst = e
-			}
-		}
 		t.AddRow(burst, len(samples), report.Bps(mean), report.Bps(sd),
-			report.Pct(cv), report.Pct(worst))
+			report.Pct(cv), report.Pct(worstRelErr(samples, truth)))
 	}
 	t.AddNote("offered application rate (ground truth) is %s", report.Bps(truth))
 	t.AddNote("dispersion shrinks with burst length: long bursts average over the on/off transient")

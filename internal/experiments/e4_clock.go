@@ -23,7 +23,7 @@ func E4(quick bool) *report.Table {
 		Columns: []string{"method", "measurements", "sync pkts total", "sync bytes/measurement",
 			"mean abs latency err"},
 	}
-	trials := pickN(quick, 10, 40)
+	trials := pick(quick, 10, 40)
 	horizon := pick(quick, 30*time.Second, 2*time.Minute)
 
 	run := func(useExchange bool) (int, uint64, uint64, time.Duration) {
@@ -32,9 +32,7 @@ func E4(quick bool) *report.Table {
 		nw := netsim.New(k, 17)
 		srv := nw.NewHost("server")
 		cli := nw.NewHost("client")
-		seg := nw.NewSegment("lan", netsim.Ethernet10())
-		seg.Attach(srv)
-		seg.Attach(cli)
+		lan(nw, netsim.Ethernet10(), srv, cli)
 		// The server's clock is off by 40 ms and drifts 80 ppm.
 		srvClock := &vclock.Clock{Offset: 40 * time.Millisecond, Drift: 80e-6}
 		srv.LocalClock = srvClock

@@ -13,6 +13,27 @@ import (
 	"repro/internal/topo"
 )
 
+// ethWire is the shared Ethernet's capacity in bits/s.
+const ethWire = 10_000_000.0
+
+// crossLoad floods the Ethernet workstations from the FDDI workstations
+// across r2 at frac of the Ethernet's capacity: four jittered CBR sources
+// of 1200 B datagrams, so traffic crossing the same router competes for its
+// finite egress queue.
+func crossLoad(h *topo.HiPerD, frac float64) {
+	payload := 1200
+	msgsPerSec := frac * ethWire / float64((payload+netsim.HeaderOverhead+38)*8)
+	interval := time.Duration(float64(time.Second) / msgsPerSec)
+	for i := 1; i <= 4; i++ {
+		netsim.NewSink(h.Net.Node(netsim.Addr(fmt.Sprintf("w-eth-%d", i))), 9)
+		(&netsim.CBRSource{
+			Src: h.Net.Node(netsim.Addr(fmt.Sprintf("w-fddi-%d", i+1))),
+			Dst: netsim.Addr(fmt.Sprintf("w-eth-%d", i)), DstPort: 9,
+			Size: payload, Interval: interval * 4, Jitter: 0.2, Seed: int64(i),
+		}).Run()
+	}
+}
+
 // E5 reproduces §5.2.4's load findings: "the SolCom RMON probe was capable
 // of collecting RMON metrics during heavy load conditions on a shared
 // Ethernet LAN ... During very high load test situations, SNMP requests and
@@ -35,7 +56,6 @@ func E5(quick bool) *report.Table {
 		loads = []float64{0.10, 0.95, 1.60}
 	}
 	window := pick(quick, 5*time.Second, 15*time.Second)
-	const wire = 10_000_000.0
 
 	for _, frac := range loads {
 		k := newKernel()
@@ -57,18 +77,7 @@ func E5(quick bool) *report.Table {
 		trapAgent.AddTrapDestSim(h.Net.Node("w-fddi-1"), "mgmt", 0)
 		sink := snmp.StartTrapSink(h.Mgmt, 0, 512, 0)
 
-		// Cross traffic: FDDI workstations flood Ethernet workstations.
-		payload := 1200
-		msgsPerSec := frac * wire / float64((payload+netsim.HeaderOverhead+38)*8)
-		interval := time.Duration(float64(time.Second) / msgsPerSec)
-		for i := 1; i <= 4; i++ {
-			netsim.NewSink(h.Net.Node(netsim.Addr(fmt.Sprintf("w-eth-%d", i))), 9)
-			(&netsim.CBRSource{
-				Src: h.Net.Node(netsim.Addr(fmt.Sprintf("w-fddi-%d", i+1))),
-				Dst: netsim.Addr(fmt.Sprintf("w-eth-%d", i)), DstPort: 9,
-				Size: payload, Interval: interval * 4, Jitter: 0.2, Seed: int64(i),
-			}).Run()
-		}
+		crossLoad(h, frac)
 
 		polls, pollOK := 0, 0
 		h.Mgmt.Spawn("poller", func(p *sim.Proc) {
@@ -91,7 +100,7 @@ func E5(quick bool) *report.Table {
 		k.RunUntil(window)
 		trapGen.Stop()
 		ethStats := h.Eth.Stats()
-		util := float64(ethStats.Octets-eth0.Octets) * 8 / window.Seconds() / wire
+		util := float64(ethStats.Octets-eth0.Octets) * 8 / window.Seconds() / ethWire
 
 		captureFrac := 1.0
 		if ethStats.Frames > 0 {

@@ -29,9 +29,7 @@ func E6(quick bool) *report.Table {
 		nw := netsim.New(k, 23)
 		station := nw.NewHost("station")
 		element := nw.NewHost("element")
-		seg := nw.NewSegment("lan", netsim.Ethernet100())
-		seg.Attach(station)
-		seg.Attach(element)
+		lan(nw, netsim.Ethernet100(), station, element)
 		sink := snmp.StartTrapSink(station, 0, 32, 2*time.Millisecond)
 		agent := snmp.NewAgent(mib.NewTree(), "public")
 		agent.AddTrapDestSim(element, "station", 0)

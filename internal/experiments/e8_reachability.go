@@ -25,86 +25,61 @@ func E8(quick bool) *report.Table {
 	}
 	_ = quick
 
-	type outcome struct {
-		truth, media, app string
-		mediaOK           bool
-	}
+	// Each scenario wires hosts a and b on a fresh network and returns the
+	// shared segment a media-layer monitor can tap (nil: there is none).
 	scenarios := []struct {
-		name string
-		run  func() outcome
+		name, truth string
+		seed        int64
+		wire        func(nw *netsim.Network, a, b *netsim.Node) *netsim.SharedSegment
 	}{
-		{"shared LAN, healthy", func() outcome {
-			k := newKernel()
-			defer k.Close()
-			nw := netsim.New(k, 31)
-			a, b := nw.NewHost("a"), nw.NewHost("b")
-			seg := nw.NewSegment("lan", netsim.Ethernet10())
-			seg.Attach(a)
-			seg.Attach(b)
-			media := mediaMonitor(seg, "b")
-			app := appMonitor(k, nw, a, "b")
-			beacon(b, "a")
-			k.RunUntil(5 * time.Second)
-			return outcome{"reachable", verdict(media.seen), verdict(*app), media.seen}
+		{"shared LAN, healthy", "reachable", 31, func(nw *netsim.Network, a, b *netsim.Node) *netsim.SharedSegment {
+			return lan(nw, netsim.Ethernet10(), a, b)
 		}},
-		{"asymmetric: b->a flows, a->b black-holed", func() outcome {
-			k := newKernel()
-			defer k.Close()
-			nw := netsim.New(k, 32)
-			a, b := nw.NewHost("a"), nw.NewHost("b")
+		{"asymmetric: b->a flows, a->b black-holed", "unreachable", 32, func(nw *netsim.Network, a, b *netsim.Node) *netsim.SharedSegment {
 			r1 := nw.NewRouter("r1", 0) // a->b path, broken
-			seg := nw.NewSegment("lan", netsim.Ethernet10())
-			seg.Attach(a)
-			seg.Attach(b)
-			seg.Attach(r1)
+			seg := lan(nw, netsim.Ethernet10(), a, b, r1)
 			// Force a's traffic to b through the dead router; b replies
 			// directly over the shared wire (asymmetric).
 			a.AddRoute("b", "r1")
 			r1.SetUp(false)
-			media := mediaMonitor(seg, "b")
-			app := appMonitor(k, nw, a, "b")
-			beacon(b, "a")
-			k.RunUntil(5 * time.Second)
-			return outcome{"unreachable", verdict(media.seen), verdict(*app), !media.seen}
+			return seg
 		}},
-		{"switched fabric (no shared wire)", func() outcome {
-			k := newKernel()
-			defer k.Close()
-			nw := netsim.New(k, 33)
-			a, b := nw.NewHost("a"), nw.NewHost("b")
+		{"switched fabric (no shared wire)", "reachable", 33, func(nw *netsim.Network, a, b *netsim.Node) *netsim.SharedSegment {
 			sw := nw.NewSwitch("sw", 10*time.Microsecond)
 			nw.NewLink("a-sw", a, sw, netsim.ATMLink())
 			nw.NewLink("b-sw", b, sw, netsim.ATMLink())
 			a.SetDefaultRoute("sw")
 			b.SetDefaultRoute("sw")
-			// There is no segment to tap: the media monitor sees nothing.
-			app := appMonitor(k, nw, a, "b")
-			beacon(b, "a")
-			k.RunUntil(5 * time.Second)
-			return outcome{"reachable", "no visibility", verdict(*app), false}
+			return nil
 		}},
-		{"target host down", func() outcome {
-			k := newKernel()
-			defer k.Close()
-			nw := netsim.New(k, 34)
-			a, b := nw.NewHost("a"), nw.NewHost("b")
-			seg := nw.NewSegment("lan", netsim.Ethernet10())
-			seg.Attach(a)
-			seg.Attach(b)
+		{"target host down", "unreachable", 34, func(nw *netsim.Network, a, b *netsim.Node) *netsim.SharedSegment {
+			seg := lan(nw, netsim.Ethernet10(), a, b)
 			b.SetUp(false)
-			media := mediaMonitor(seg, "b")
-			app := appMonitor(k, nw, a, "b")
-			k.RunUntil(5 * time.Second)
-			return outcome{"unreachable", verdict(media.seen), verdict(*app), !media.seen}
+			return seg
 		}},
 	}
 	for _, sc := range scenarios {
-		o := sc.run()
-		ok := "yes"
-		if !o.mediaOK {
-			ok = "NO"
+		k := newKernel()
+		nw := netsim.New(k, sc.seed)
+		a, b := nw.NewHost("a"), nw.NewHost("b")
+		var media *mediaView
+		if seg := sc.wire(nw, a, b); seg != nil {
+			media = mediaMonitor(seg, "b")
 		}
-		t.AddRow(sc.name, o.truth, o.media, o.app, ok)
+		app := appMonitor(k, nw, a, "b")
+		if b.Up() {
+			beacon(b, "a")
+		}
+		k.RunUntil(5 * time.Second)
+		k.Close()
+		mediaVerdict, ok := "no visibility", "NO"
+		if media != nil {
+			mediaVerdict = verdict(media.seen)
+			if mediaVerdict == sc.truth {
+				ok = "yes"
+			}
+		}
+		t.AddRow(sc.name, sc.truth, mediaVerdict, verdict(*app), ok)
 	}
 	t.AddNote("media-layer inference: 'saw a frame sourced by b on the wire' — requires periodic traffic from b (a beacon here)")
 	t.AddNote("application-layer sensor: NTTCP echo over the actual a->b path")

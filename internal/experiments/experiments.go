@@ -132,15 +132,7 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // pick returns a when quick, else b.
-func pick(quick bool, a, b time.Duration) time.Duration {
-	if quick {
-		return a
-	}
-	return b
-}
-
-// pickN returns a when quick, else b.
-func pickN(quick bool, a, b int) int {
+func pick[T any](quick bool, a, b T) T {
 	if quick {
 		return a
 	}
@@ -167,6 +159,19 @@ func historySpacing(db *core.Database, path core.PathID, metric metrics.Metric) 
 	return (last - first) / time.Duration(n-1)
 }
 
+// okValues returns the values of the OK samples in db's retained history
+// of (path, metric), oldest first.
+func okValues(db *core.Database, path core.PathID, metric metrics.Metric) []float64 {
+	var vs []float64
+	db.EachHistory(path, metric, 0, func(m core.Measurement) bool {
+		if m.OK() {
+			vs = append(vs, m.Value)
+		}
+		return true
+	})
+	return vs
+}
+
 // firstUnreachable returns when db first recorded a host failure: the
 // TakenAt of the earliest reachability-0 sample taken after `after` on any
 // of paths that ends at host, or -1 when there is none.
@@ -187,4 +192,14 @@ func firstUnreachable(db *core.Database, paths []core.Path, host netsim.Addr, af
 		})
 	}
 	return detected
+}
+
+// lan attaches hosts, in order, to a new shared segment "lan" of medium
+// cfg on nw.
+func lan(nw *netsim.Network, cfg netsim.MediumConfig, hosts ...*netsim.Node) *netsim.SharedSegment {
+	seg := nw.NewSegment("lan", cfg)
+	for _, h := range hosts {
+		seg.Attach(h)
+	}
+	return seg
 }

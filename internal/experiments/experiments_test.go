@@ -10,7 +10,6 @@ import (
 // checks structural invariants of the results.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			table := e.Run(true)
 			if table.ID != e.ID {

@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cots"
 	"repro/internal/director"
 	"repro/internal/hifi"
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
-	"repro/internal/nttcp"
 	"repro/internal/results"
 	"repro/internal/sketch"
 	"repro/internal/topo"
@@ -54,96 +51,69 @@ func ScenarioByName(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
-func scenarioFidelityHifi(quick bool, w *results.Writer)   { runFidelity("hifi", quick, w) }
-func scenarioFidelityCots(quick bool, w *results.Writer)   { runFidelity("cots", quick, w) }
-func scenarioFidelityHybrid(quick bool, w *results.Writer) { runFidelity("hybrid", quick, w) }
-func scenarioResilienceOn(quick bool, w *results.Writer)   { runE12Scenario(quick, true, w) }
-func scenarioResilienceOff(quick bool, w *results.Writer)  { runE12Scenario(quick, false, w) }
+func scenarioFidelityHifi(quick bool, w *results.Writer) {
+	runFidelity(quick, w, func(h *topo.HiPerD) director.Member { return hifi.New(h.Mgmt, streamBurst, 1) })
+}
+
+func scenarioFidelityCots(quick bool, w *results.Writer) {
+	runFidelity(quick, w, func(h *topo.HiPerD) director.Member {
+		h.Clients[4].LocalClock = &vclock.Clock{Granularity: 10 * time.Millisecond}
+		return cots.New(h.Mgmt, "public", time.Second)
+	})
+}
+
+// scenarioFidelityHybrid's escalation threshold sits above the wire rate,
+// so every surveillance sample looks anomalous and the hybrid keeps
+// folding targeted NTTCP bursts into the same series — the §7 behavior,
+// made continuous so the result set mixes both sensor qualities.
+func scenarioFidelityHybrid(quick bool, w *results.Writer) {
+	runFidelity(quick, w, func(h *topo.HiPerD) director.Member {
+		h.Clients[4].LocalClock = &vclock.Clock{Granularity: 10 * time.Millisecond}
+		return hybrid.New(h.Mgmt, "public", hybrid.Config{
+			PollInterval:     time.Second,
+			MinThroughputBps: streamWireBps * 1.1,
+			NTTCP:            streamBurst,
+		})
+	})
+}
+
+func scenarioResilienceOn(quick bool, w *results.Writer)  { runDrillScenario(quick, e12On, w) }
+func scenarioResilienceOff(quick bool, w *results.Writer) { runDrillScenario(quick, e12Off, w) }
 
 // runFidelity is the comparable core of E7 without the attribution
-// confounder: one RTDS-shaped CBR stream s1 -> c5 with no cross traffic,
-// so every monitor mode observes the same ~2.2 Mb/s truth and their
-// result sets should agree within a small tolerance (the COTS side sees
-// wire rate, i.e. headers included — a ~2.5% structural gap, well inside
-// the gate's tolerance; see scripts/results_gate.sh).
-func runFidelity(mode string, quick bool, w *results.Writer) {
-	k := newKernel()
-	defer k.Close()
-	h := topo.BuildHiPerD(k, 1)
-	netsim.NewSink(h.Clients[4], 9)
-	(&netsim.CBRSource{Src: h.Servers[0], Dst: "c5", DstPort: 9,
-		Size: 8192, Interval: 30 * time.Millisecond}).Run()
-	appBps := nttcp.PeakOverheadBps(nttcp.Config{MsgLen: 8192, InterSend: 30 * time.Millisecond})
-	wireBps := float64(8192+netsim.HeaderOverhead) * 8 / 0.03
-	burst := nttcp.Config{MsgLen: 8192, InterSend: 30 * time.Millisecond, Count: 32}
+// confounder: the monitored stream with no cross traffic, so every monitor
+// mode observes the same ~2.2 Mb/s truth and their result sets should
+// agree within a small tolerance (the COTS side sees wire rate, i.e.
+// headers included — a ~2.5% structural gap, well inside the gate's
+// tolerance; see scripts/results_gate.sh).
+func runFidelity(quick bool, w *results.Writer, newMon func(h *topo.HiPerD) director.Member) {
 	horizon := pick(quick, 30*time.Second, 60*time.Second)
-	path := core.NewPath(h.ServerRefs()[0], h.ClientRefs()[4])
-
-	type startableMonitor interface {
-		core.Monitor
-		Start()
-	}
-	var mon startableMonitor
-	var db *core.Database
-	switch mode {
-	case "hifi":
-		m := hifi.New(h.Mgmt, burst, 1)
-		mon, db = m, m.DB
-	case "cots":
-		h.Clients[4].LocalClock = &vclock.Clock{Granularity: 10 * time.Millisecond}
-		m := cots.New(h.Mgmt, "public", time.Second)
-		mon, db = m, m.DB
-	case "hybrid":
-		h.Clients[4].LocalClock = &vclock.Clock{Granularity: 10 * time.Millisecond}
-		// The escalation threshold sits above the wire rate, so every
-		// surveillance sample looks anomalous and the hybrid keeps folding
-		// targeted NTTCP bursts into the same series — the §7 behavior,
-		// made continuous so the result set mixes both sensor qualities.
-		m := hybrid.New(h.Mgmt, "public", hybrid.Config{
-			PollInterval:     time.Second,
-			MinThroughputBps: wireBps * 1.1,
-			NTTCP:            burst,
-		})
-		mon, db = m, m.DB
-	default:
-		panic("experiments: unknown fidelity mode " + mode)
-	}
-	db.EnableResults(w, 16)
-	mon.Submit(core.Request{Paths: []core.Path{path}, Metrics: []metrics.Metric{metrics.Throughput}})
-	mon.Start()
-	k.RunUntil(horizon)
-	recordResultsErr(db.FlushResults())
+	mon, _, vals := watchStream(false, horizon, func(h *topo.HiPerD) director.Member {
+		m := newMon(h)
+		m.Database().EnableResults(w, 16)
+		return m
+	})
+	recordResultsErr(mon.Database().FlushResults())
 
 	// Derived fidelity figure: relative error of the mean estimate against
 	// the application-layer truth.
-	var vals []float64
-	db.EachHistory(path.ID, metrics.Throughput, 0, func(m core.Measurement) bool {
-		if m.OK() {
-			vals = append(vals, m.Value)
-		}
-		return true
-	})
 	mean := metrics.Mean(vals)
 	recordResultsErr(w.Write(results.Record{Batch: "derived", Metric: "rel-err-vs-app-truth",
-		Unit: "fraction", AtNS: int64(horizon), Samples: []float64{metrics.RelErr(mean, appBps)}}))
+		Unit: "fraction", AtNS: int64(horizon), Samples: []float64{metrics.RelErr(mean, streamAppBps)}}))
 	recordResultsErr(w.Write(results.Record{Batch: "derived", Metric: "mean-estimate",
 		Unit: "bits/s", AtNS: int64(horizon), Samples: []float64{mean}}))
 }
 
-// runE12Scenario replays the E12 chaos drill with the database seam open
+// runDrillScenario replays an E12 chaos drill with the database seam open
 // and appends the drill's derived outcome metrics — the detection-latency
 // record is what the results gate holds the on/off pair apart on.
-func runE12Scenario(quick, enabled bool, w *results.Writer) {
-	st := runE12(quick, enabled, w)
-	wastePerSweep := 0.0
-	if st.Sweeps > 0 {
-		wastePerSweep = float64(st.Unanswered) / float64(st.Sweeps)
-	}
+func runDrillScenario(quick bool, d drill, w *results.Writer) {
+	st := runDrill(quick, d, w)
 	for _, rec := range []results.Record{
 		{Batch: "derived", Metric: "detect-latency", Unit: "s", Samples: []float64{st.DetectLatency.Seconds()}},
 		{Batch: "derived", Metric: "stale-acted-reads", Samples: []float64{float64(st.StaleActedReads)}},
 		{Batch: "derived", Metric: "sweeps", Samples: []float64{float64(st.Sweeps)}},
-		{Batch: "derived", Metric: "unanswered-per-sweep", Samples: []float64{wastePerSweep}},
+		{Batch: "derived", Metric: "unanswered-per-sweep", Samples: []float64{st.wastePerSweep()}},
 	} {
 		recordResultsErr(w.Write(rec))
 	}
@@ -156,14 +126,7 @@ func runE12Scenario(quick, enabled bool, w *results.Writer) {
 func scenarioTreeReexport(quick bool, w *results.Writer) {
 	k := newKernel()
 	defer k.Close()
-	cfg := director.Config{
-		QueueCap:       256,
-		TrapProcTime:   2 * time.Millisecond,
-		CoalesceWindow: 200 * time.Millisecond,
-		Reexport:       250 * time.Millisecond,
-		TTL:            2 * time.Second,
-	}
-	t := e16Build(k, false, cfg)
+	t := e16Build(k, false, e16Config)
 	for _, l := range t.leaves {
 		l.EnableResults(w)
 	}
@@ -173,16 +136,10 @@ func scenarioTreeReexport(quick bool, w *results.Writer) {
 
 	// The root's merged view, summarized per path as sketch-backed tails.
 	for _, p := range t.paths {
-		if sum, ok := func() (sketch.Summary, bool) {
-			agg := &sketch.Sketch{}
-			if !t.root.MergeSketchInto(agg, p.ID, metrics.OneWayLatency) {
-				return sketch.Summary{}, false
-			}
-			return agg.Summary(), true
-		}(); ok {
+		if agg := (&sketch.Sketch{}); t.root.MergeSketchInto(agg, p.ID, metrics.OneWayLatency) {
 			recordResultsErr(w.Write(results.Record{Batch: "root/" + string(p.ID),
 				Metric: "one-way-latency-p95", Unit: "s", AtNS: int64(k.Now()),
-				Samples: []float64{sum.P95}}))
+				Samples: []float64{agg.Summary().P95}}))
 		}
 	}
 }

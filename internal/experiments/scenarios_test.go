@@ -56,12 +56,12 @@ func TestScenarioEnvelopesBitIdenticalAcrossShards(t *testing.T) {
 
 // TestResultsRecordingZeroEffect asserts the seam is purely
 // observational: the E12 chaos drill reports identical stats whether or
-// not its database streams results (runE12's doc comment names this test).
+// not its database streams results (runDrill's doc comment names this test).
 func TestResultsRecordingZeroEffect(t *testing.T) {
-	silent := runE12(true, true, nil)
+	silent := runDrill(true, e12On, nil)
 	var buf bytes.Buffer
 	w := results.NewWriter(&buf, "zero-effect", 0, results.RunMeta{Tool: "scenarios_test"})
-	recorded := runE12(true, true, w)
+	recorded := runDrill(true, e12On, w)
 	if silent != recorded {
 		t.Fatalf("results recording perturbed the drill:\n  nil sink: %+v\n  recording: %+v", silent, recorded)
 	}

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -23,12 +27,27 @@ func runAllTables(t *testing.T, shards int) map[string]string {
 
 // TestSingleShardBitIdentical is the tentpole acceptance gate: every
 // registered experiment's table must be byte-identical between the legacy
-// plain kernel and a 1-shard sharded run.
+// plain kernel and a 1-shard sharded run. The legacy run is also the
+// quick-suite oracle: its tables, in All() order and joined by a blank
+// line as cmd/experiments prints them, must hash to line 2 of
+// testdata/tables.sha256, the digest `make tables-digest` holds `-quick` to.
 func TestSingleShardBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite comparison")
 	}
 	legacy := runAllTables(t, 0)
+	var printed []string
+	for _, e := range All() {
+		printed = append(printed, legacy[e.ID])
+	}
+	pin, err := os.ReadFile("testdata/tables.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(strings.Join(printed, "\n")))
+	if got, want := hex.EncodeToString(sum[:]), strings.Split(string(pin), "\n")[1]; got != want {
+		t.Errorf("quick tables hash to %s, testdata/tables.sha256 line 2 says %s; `make tables-digest` names the first differing table", got, want)
+	}
 	oneShard := runAllTables(t, 1)
 	for id, want := range legacy {
 		if got := oneShard[id]; got != want {
