@@ -25,8 +25,8 @@ const e12TTL = 2 * time.Second
 var drillKills = []netsim.Addr{"c7", "c8", "c9"}
 
 // faults is a chaos drill's fault timeline on the HiPerD testbed, in one
-// mode's virtual time: drillKills die at killAt and stay dead; c4 flaps
-// flaps times, down for flapDown of every flapPeriod from flapAt; the
+// mode's virtual time: drillKills die at killAt and stay dead; c4 goes
+// down `flaps` times, for flapDown of every flapPeriod from flapAt; the
 // Ethernet loses a quarter of its frames over degrade; c1 and c2 are cut
 // off over partition (a zero window means no partition); the run ends at
 // horizon.
