@@ -49,17 +49,7 @@ func main() {
 		os.Exit(2)
 	}
 	fset := token.NewFileSet()
-	patterns := flag.Args()
-	pkgs, err := analysis.Load(fset, cwd, patterns...)
-	if wholeTree := len(patterns) == 0 || len(patterns) == 1 && patterns[0] == "./..."; err == nil && wholeTree {
-		pkgs, err = loadNested(fset, filepath.Join(cwd, "bench"), pkgs)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "analyze:", err)
-		os.Exit(2)
-	}
-
-	diags, err := analysis.Run(pkgs, fset, suite)
+	pkgs, diags, err := analyze(fset, cwd, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(2)
@@ -69,6 +59,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "analyze: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		os.Exit(1)
 	}
+}
+
+// analyze loads patterns from the module rooted at dir, plus the nested
+// bench/ module on a whole-tree run, and runs suite over the union. It
+// returns the packages analyzed and their findings.
+func analyze(fset *token.FileSet, dir string, patterns []string) ([]*analysis.Package, []analysis.Diagnostic, error) {
+	pkgs, err := analysis.Load(fset, dir, patterns...)
+	if wholeTree := len(patterns) == 0 || len(patterns) == 1 && patterns[0] == "./..."; err == nil && wholeTree {
+		pkgs, err = loadNested(fset, filepath.Join(dir, "bench"), pkgs)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	diags, err := analysis.Run(pkgs, fset, suite)
+	return pkgs, diags, err
 }
 
 // loadNested loads the module rooted at dir, if there is one, and appends

@@ -11,21 +11,12 @@
 // repository — the root module and the nested bench/ module, one Load each
 // into a shared file set.
 //
-// # Interprocedural facts
-//
-// Before any pass runs, the driver computes per-function summary facts
-// (schedulesEvents / recordsToDB — see the facts subpackage) over a
-// whole-universe call graph, and hands the resulting database to every Pass.
-// Passes query it with Pass.Facts.Lookup on any statically resolved callee,
-// which is how maprange knows a loop body eventually schedules events or
-// records measurements.
-//
 // # Whole-program references
 //
-// The driver likewise computes one reference index over every loaded
-// package (see the refs subpackage): which declarations some non-test file
-// mentions from outside themselves, with interface satisfaction counted as
-// a mention of the satisfying methods. unusedexport reports what the index
+// Before any pass runs, the driver computes one reference index over every
+// loaded package (see the refs subpackage): which declarations some non-test
+// file mentions from outside themselves, with interface satisfaction counted
+// as a mention of the satisfying methods. unusedexport reports what the index
 // lacks, via Pass.Refs.Used.
 //
 // # Suppressing a finding
@@ -56,7 +47,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/analysis/facts"
 	"repro/internal/analysis/refs"
 )
 
@@ -87,13 +77,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts answers interprocedural queries (schedules-events,
-	// records-to-db) for any statically resolved callee. The driver computes
-	// it once over the whole load universe.
-	Facts *facts.DB
-
 	// Refs answers whether any loaded file, in any load root, references a
-	// declaration from outside it. Computed once, like Facts.
+	// declaration from outside it. The driver computes it once over the
+	// whole load universe.
 	Refs *refs.Index
 
 	// Report delivers one finding. The driver fills it in.

@@ -43,8 +43,7 @@ type reporter interface {
 // Run loads the fixture packages from dir (typically "testdata") and drives
 // the analyzer over them with the real driver, analysis.Run, comparing each
 // listed package's diagnostics against its want comments. The driver's
-// universe — what interprocedural facts and the reference index are computed
-// over — is every listed package plus its fixture-local imports, so a
+// universe — what the reference index is computed over — is every listed package plus its fixture-local imports, so a
 // fixture that only exists to call another one is listed too. Suppressions
 // are audited as in `make analyze`: a //lint:allow that suppresses nothing
 // is a "suppress" diagnostic the fixture must expect.

@@ -1,23 +1,26 @@
-// Package maprange flags map iteration whose body feeds order-sensitive
-// sinks in simulation-facing packages.
+// Package maprange flags map iteration whose body makes calls in
+// simulation-facing packages.
 //
 // Go randomizes map iteration order on purpose. The experiment tables and
 // the sharded kernel's bit-identity guarantee both rest on every observable
 // effect happening in a deterministic order, so a `for range` over a map
-// whose body — directly or through any chain of helpers — schedules
-// simulation events (Kernel.At/After/Every/Spawn, ShardGroup.Send), records
-// measurements (core.Database.Record), or appends report-table rows
-// (report.Table.AddRow/AddNote) silently reorders those effects on every
-// run. That is exactly the class of nondeterminism the byte-identical-
-// tables invariant exists to catch, surfacing here at its source instead of
-// as a diffing experiment table three layers away.
+// whose body schedules simulation events (Kernel.At/After/Every/Spawn,
+// ShardGroup.Send), records measurements (core.Database.Record), or appends
+// report-table rows (report.Table.AddRow/AddNote), directly or through any
+// helper, silently reorders those effects on every run. That is exactly the
+// class of nondeterminism the byte-identical-tables invariant exists to
+// catch, surfacing here at its source instead of as a diffing experiment
+// table three layers away.
 //
-// Reachability is interprocedural via the driver's facts database: the loop
-// body's statically resolvable calls are checked for the schedulesEvents
-// and recordsToDB summary facts. Calls inside nested function literals are
-// not the loop's effects — a stored closure runs later, in its caller's
-// order — and scheduling a closure per key is already caught through the
-// scheduling call itself. The sanctioned fix is the sorted-keys idiom:
+// The rule is intraprocedural and deliberately over-approximate: the loop
+// body may call only builtins (len, append, delete, …) and type
+// conversions. Any other call — a helper, a method, a function value, a
+// method through an interface — is flagged, whatever it reaches, so no
+// call graph is needed and dynamic calls are not missed. Calls inside
+// nested function literals are not the loop's effects: a stored closure
+// runs later, in its caller's order, and scheduling a closure per key is
+// already caught through the scheduling call itself. The sanctioned fix is
+// the sorted-keys idiom:
 //
 //	keys := make([]string, 0, len(m))
 //	for k := range m { // body only collects: fine
@@ -28,26 +31,21 @@
 //		schedule(m[k])
 //	}
 //
-// which this pass accepts for free, since the map-ranging loop no longer
-// reaches a sink. Iteration that is genuinely order-insensitive (e.g.
-// summing, or effects proven commutative) opts out with
-// `//lint:allow maporder <reason>`.
+// Iteration that is genuinely order-insensitive (e.g. effects proven
+// commutative) opts out with `//lint:allow maporder <reason>`.
 package maprange
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/callgraph"
-	"repro/internal/analysis/facts"
 )
 
 // Analyzer is the maprange pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "maprange",
-	Doc:  "flag map iteration that schedules events or records results in map order",
+	Doc:  "flag map iteration whose body calls anything but builtins and conversions",
 	Keys: []string{"maporder"},
 	Run:  run,
 }
@@ -69,49 +67,38 @@ func run(pass *analysis.Pass) error {
 			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			fn, f := firstSink(pass, rng.Body)
-			if fn == nil {
+			call := firstCall(pass.TypesInfo, rng.Body)
+			if call == nil {
 				return true
 			}
 			if pass.Allowed(rng.Pos(), "maporder") {
 				return true
 			}
-			// The call path down to the intrinsic sink, e.g. "flush -> Database.Record".
-			chain := strings.Join(pass.Facts.Chain(fn, f), " -> ")
-			pass.Reportf(rng.Pos(), "map iteration order is random, but this loop body reaches an order-sensitive sink (%s) via %s: sort the keys first, or annotate //lint:allow maporder if the effects commute", f, chain)
+			pass.Reportf(rng.Pos(), "map iteration order is random, but this loop body calls %s: range over sorted keys instead, or annotate //lint:allow maporder if the calls commute", types.ExprString(call.Fun))
 			return true
 		})
 	}
 	return nil
 }
 
-// firstSink returns the first call in body (in lexical order, outside
-// nested function literals) whose callee carries a fact, along with its
-// facts: schedulesEvents and recordsToDB each mark an order-sensitive sink.
-func firstSink(pass *analysis.Pass, body *ast.BlockStmt) (*types.Func, facts.Fact) {
-	var foundFn *types.Func
-	var foundFact facts.Fact
+// firstCall returns the first call in body (in lexical order, outside
+// nested function literals) that is neither a builtin nor a conversion.
+func firstCall(info *types.Info, body *ast.BlockStmt) *ast.CallExpr {
+	var found *ast.CallExpr
 	ast.Inspect(body, func(n ast.Node) bool {
-		if foundFn != nil {
+		if found != nil {
 			return false
 		}
-		if _, ok := n.(*ast.FuncLit); ok {
+		switch n := n.(type) {
+		case *ast.FuncLit:
 			return false
+		case *ast.CallExpr:
+			if tv := info.Types[n.Fun]; !tv.IsBuiltin() && !tv.IsType() {
+				found = n
+				return false
+			}
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := callgraph.StaticCallee(pass.TypesInfo, call)
-		if fn == nil {
-			return true
-		}
-		f := pass.Facts.Lookup(fn)
-		if f == 0 {
-			return true
-		}
-		foundFn, foundFact = fn, f
-		return false
+		return true
 	})
-	return foundFn, foundFact
+	return found
 }

@@ -7,14 +7,37 @@ import (
 )
 
 func direct(k *sim.Kernel, m map[string]func()) {
-	for _, fn := range m { // want `map iteration order is random, but this loop body reaches an order-sensitive sink \(schedulesEvents\) via Kernel\.At`
+	for _, fn := range m { // want `map iteration order is random, but this loop body calls k\.At`
 		k.At(10, fn)
 	}
 }
 
 func directSend(g *sim.ShardGroup, m map[int]func()) {
-	for to, fn := range m { // want `order-sensitive sink \(schedulesEvents\) via ShardGroup\.Send`
+	for to, fn := range m { // want `map iteration order is random, but this loop body calls g\.Send`
 		g.Send(0, to, 10, fn)
+	}
+}
+
+// funcValues calls each stored func in map order: a dynamic call no call
+// graph resolves.
+func funcValues(m map[string]func()) {
+	for _, fn := range m { // want `map iteration order is random, but this loop body calls fn`
+		fn()
+	}
+}
+
+// Scheduler is an exported interface: any type anywhere may satisfy it.
+type Scheduler interface {
+	Schedule(v int)
+}
+
+type kernelScheduler struct{ k *sim.Kernel }
+
+func (s kernelScheduler) Schedule(v int) { s.k.After(int64(v), nil) }
+
+func throughInterface(s Scheduler, m map[string]int) {
+	for _, v := range m { // want `map iteration order is random, but this loop body calls s\.Schedule`
+		s.Schedule(v)
 	}
 }
 
@@ -40,10 +63,23 @@ func closureBuilder(k *sim.Kernel, m map[string]int) map[string]func() {
 
 func pureSum(m map[string]int) int {
 	total := 0
-	for _, v := range m { // no sink at all: fine
+	for _, v := range m { // no call at all: fine
 		total += v
 	}
 	return total
+}
+
+func builtinsAndConversions(m map[string]int32) (int64, []string) {
+	var total int64
+	var long []string
+	for key, v := range m { // builtins and conversions only: fine
+		total += int64(v)
+		if len(key) > 3 {
+			long = append(long, key)
+		}
+		delete(m, key)
+	}
+	return total, long
 }
 
 func allowedSameLine(k *sim.Kernel, m map[string]int) {

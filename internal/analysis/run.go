@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/analysis/facts"
 	"repro/internal/analysis/refs"
 )
 
@@ -14,21 +13,17 @@ import (
 // reports unused or unknown //lint:allow suppressions.
 const SuppressCheckName = "suppress"
 
-// Run computes interprocedural facts and the reference index over the whole
-// universe, then applies every analyzer to every package and audits the
-// package's //lint:allow comments: an entry whose key no analyzer declares
-// is "unknown", and one no analyzer consulted (because no diagnostic occurs
-// on its line any more) is "unused"; both are findings under
-// SuppressCheckName. The diagnostics come back sorted by position. An
-// analyzer error aborts the run.
+// Run computes the reference index over the whole universe, then applies
+// every analyzer to every package and audits the package's //lint:allow
+// comments: an entry whose key no analyzer declares is "unknown", and one no
+// analyzer consulted (because no diagnostic occurs on its line any more) is
+// "unused"; both are findings under SuppressCheckName. The diagnostics come
+// back sorted by position. An analyzer error aborts the run.
 func Run(pkgs []*Package, fset *token.FileSet, analyzers []*Analyzer) ([]Diagnostic, error) {
-	srcs := make([]facts.Source, len(pkgs))
 	refSrcs := make([]refs.Source, len(pkgs))
 	for i, pkg := range pkgs {
-		srcs[i] = facts.Source{Files: pkg.Files, Info: pkg.Info}
 		refSrcs[i] = refs.Source{Files: pkg.Files, Info: pkg.Info, Pkg: pkg.Types}
 	}
-	db := facts.Compute(srcs)
 	ix := refs.Compute(fset, refSrcs)
 
 	knownKeys := make(map[string]bool)
@@ -48,7 +43,6 @@ func Run(pkgs []*Package, fset *token.FileSet, analyzers []*Analyzer) ([]Diagnos
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Facts:     db,
 				Refs:      ix,
 				Report:    func(d Diagnostic) { diags = append(diags, d) },
 				allows:    allows,

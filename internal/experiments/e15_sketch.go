@@ -61,16 +61,17 @@ func E15(quick bool) *report.Table {
 // grows within the experiment horizon.
 const e15Depth = 1 << 14
 
-// e15Samples is one scenario's harvested data: every series' full latency
-// history plus its sketch digest.
-type e15Samples struct {
-	vals   map[core.PathID][]float64
-	sketch map[core.PathID]*sketch.Sketch
+// e15Series is one series' harvested data: its full latency history, the
+// same sorted (the exact reference), and its sketch digest, nil when the
+// store merged none.
+type e15Series struct {
+	vals, sorted []float64
+	sketch       *sketch.Sketch
 }
 
-// e15Collect runs one scenario and harvests full per-series history (the
-// exact reference) alongside the live sketches.
-func e15Collect(quick bool, scenario string) *e15Samples {
+// e15Collect runs one scenario and harvests every series' full history
+// alongside its live sketch, in path order.
+func e15Collect(quick bool, scenario string) []e15Series {
 	k := newKernel()
 	defer k.Close()
 	h := topo.BuildHiPerD(k, 15)
@@ -132,20 +133,19 @@ func e15Collect(quick bool, scenario string) *e15Samples {
 	mon.Start()
 	k.RunUntil(window)
 
-	out := &e15Samples{
-		vals:   make(map[core.PathID][]float64),
-		sketch: make(map[core.PathID]*sketch.Sketch),
-	}
+	var out []e15Series
 	for _, p := range paths {
 		vs := okValues(db, p.ID, metrics.OneWayLatency)
 		if len(vs) == 0 {
 			continue
 		}
-		out.vals[p.ID] = vs
+		s := e15Series{vals: vs, sorted: append([]float64(nil), vs...)}
+		sort.Float64s(s.sorted)
 		sk := &sketch.Sketch{}
 		if db.MergeSketchInto(sk, p.ID, metrics.OneWayLatency) {
-			out.sketch[p.ID] = sk
+			s.sketch = sk
 		}
+		out = append(out, s)
 	}
 	return out
 }
@@ -154,10 +154,9 @@ func e15Collect(quick bool, scenario string) *e15Samples {
 // quantiles of one scenario run.
 func e15ScenarioRows(quick bool, scenario string) [][]any {
 	data := e15Collect(quick, scenario)
-	series, totalSamples := 0, 0
-	for _, vs := range data.vals {
-		series++
-		totalSamples += len(vs)
+	series, totalSamples := len(data), 0
+	for _, s := range data {
+		totalSamples += len(s.vals)
 	}
 	if series == 0 {
 		panic("E15 scenario " + scenario + " produced no latency series")
@@ -167,36 +166,31 @@ func e15ScenarioRows(quick bool, scenario string) [][]any {
 	estimators := []struct {
 		name  string
 		bytes int
-		est   func(id core.PathID, vs []float64, p float64) float64
+		est   func(s *e15Series, p float64) float64
 	}{
-		{"hist-64", 64 * 64, func(_ core.PathID, vs []float64, p float64) float64 {
-			return sketch.Exact(tailOf(vs, 64), p)
+		{"hist-64", 64 * 64, func(s *e15Series, p float64) float64 {
+			return sketch.Exact(tailOf(s.vals, 64), p)
 		}},
-		{"hist-1024", 1024 * 64, func(_ core.PathID, vs []float64, p float64) float64 {
-			return sketch.Exact(tailOf(vs, 1024), p)
+		{"hist-1024", 1024 * 64, func(s *e15Series, p float64) float64 {
+			return sketch.Exact(tailOf(s.vals, 1024), p)
 		}},
-		{"hist-inf", meanSamples * 64, func(_ core.PathID, vs []float64, p float64) float64 {
-			return sketch.Exact(vs, p)
+		{"hist-inf", meanSamples * 64, func(s *e15Series, p float64) float64 {
+			return sketch.Exact(s.vals, p)
 		}},
-		{"sketch", sk.Bytes(), func(id core.PathID, _ []float64, p float64) float64 {
-			return data.sketch[id].Quantile(p)
+		{"sketch", sk.Bytes(), func(s *e15Series, p float64) float64 {
+			return s.sketch.Quantile(p)
 		}},
-	}
-	sorted := make(map[core.PathID][]float64, len(data.vals))
-	for id, vs := range data.vals {
-		s := append([]float64(nil), vs...)
-		sort.Float64s(s)
-		sorted[id] = s
 	}
 	var rows [][]any
 	for _, e := range estimators {
 		var worst [3]float64
-		for id, vs := range data.vals {
-			if data.sketch[id] == nil {
+		for j := range data {
+			s := &data[j]
+			if s.sketch == nil {
 				continue
 			}
 			for i, p := range []float64{0.5, 0.95, 0.99} {
-				if err := e15QErr(sorted[id], e.est(id, vs, p), p); err > worst[i] {
+				if err := e15QErr(s.sorted, e.est(s, p), p); err > worst[i] {
 					worst[i] = err
 				}
 			}
