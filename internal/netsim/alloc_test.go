@@ -7,39 +7,43 @@ import (
 	"repro/internal/sim"
 )
 
-// TestDeliveryAllocatesOnePacketPerFrame: from UDPSock.send to the receiving
-// proc's Recv, a datagram costs one allocation — the Packet, which the
-// receiver keeps — however many hops it crosses: no closure per hop, no
-// queue that reallocates as it slides, no waiter record per blocking Recv.
-func TestDeliveryAllocatesOnePacketPerFrame(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func(nw *Network, a, c *Node)
-	}{
-		{"shared segment", func(nw *Network, a, c *Node) {
-			lan := nw.NewSegment("lan", Ethernet100())
-			lan.Attach(a)
-			lan.Attach(c)
-		}},
-		{"two segments and a router", func(nw *Network, a, c *Node) {
-			r := nw.NewRouter("r", 10*time.Microsecond)
-			lan1 := nw.NewSegment("lan1", Ethernet100())
-			lan2 := nw.NewSegment("lan2", Ethernet100())
-			lan1.Attach(a)
-			lan1.Attach(r)
-			lan2.Attach(r)
-			lan2.Attach(c)
-			a.SetDefaultRoute("r")
-			c.SetDefaultRoute("r")
-		}},
-		{"two links and a switch", func(nw *Network, a, c *Node) {
-			sw := nw.NewSwitch("sw", 5*time.Microsecond)
-			nw.NewLink("a-sw", a, sw, ATMLink())
-			nw.NewLink("sw-c", sw, c, ATMLink())
-			a.SetDefaultRoute("sw")
-			c.SetDefaultRoute("sw")
-		}},
-	} {
+// deliveryTopologies are the three paths a datagram from a to c may take.
+var deliveryTopologies = []struct {
+	name  string
+	build func(nw *Network, a, c *Node)
+}{
+	{"shared segment", func(nw *Network, a, c *Node) {
+		lan := nw.NewSegment("lan", Ethernet100())
+		lan.Attach(a)
+		lan.Attach(c)
+	}},
+	{"two segments and a router", func(nw *Network, a, c *Node) {
+		r := nw.NewRouter("r", 10*time.Microsecond)
+		lan1 := nw.NewSegment("lan1", Ethernet100())
+		lan2 := nw.NewSegment("lan2", Ethernet100())
+		lan1.Attach(a)
+		lan1.Attach(r)
+		lan2.Attach(r)
+		lan2.Attach(c)
+		a.SetDefaultRoute("r")
+		c.SetDefaultRoute("r")
+	}},
+	{"two links and a switch", func(nw *Network, a, c *Node) {
+		sw := nw.NewSwitch("sw", 5*time.Microsecond)
+		nw.NewLink("a-sw", a, sw, ATMLink())
+		nw.NewLink("sw-c", sw, c, ATMLink())
+		a.SetDefaultRoute("sw")
+		c.SetDefaultRoute("sw")
+	}},
+}
+
+// TestDeliveryAllocatesZeroPerSinkFrame: from UDPSock.send to a Sink, a
+// datagram in steady state costs no allocation however many hops it
+// crosses: its frame comes from the network's free list and goes back when
+// the sink has counted it, and no hop costs a closure, a queue that
+// reallocates as it slides, or a waiter record.
+func TestDeliveryAllocatesZeroPerSinkFrame(t *testing.T) {
+	for _, tc := range deliveryTopologies {
 		k := sim.NewKernel()
 		nw := New(k, 1)
 		a, c := nw.NewHost("a"), nw.NewHost("c")
@@ -56,11 +60,48 @@ func TestDeliveryAllocatesOnePacketPerFrame(t *testing.T) {
 		}
 		burst()
 		burst()
-		if n := testing.AllocsPerRun(100, burst) / 4; n != 1 {
-			t.Errorf("%s: %v allocations per delivered frame, want 1 (the Packet)", tc.name, n)
+		if n := testing.AllocsPerRun(100, burst) / 4; n != 0 {
+			t.Errorf("%s: %v allocations per sink-consumed frame, want 0", tc.name, n)
 		}
 		if want := 4 * 103; sink.Received != want {
 			t.Errorf("%s: sink received %d datagrams, want %d", tc.name, sink.Received, want)
+		}
+		k.Close()
+	}
+}
+
+// TestRecvDeliveryAllocatesOnePacketPerFrame: a datagram Recv hands to a
+// proc costs exactly one allocation, the Packet the proc keeps — nothing per
+// hop, and no waiter record per blocking Recv.
+func TestRecvDeliveryAllocatesOnePacketPerFrame(t *testing.T) {
+	for _, tc := range deliveryTopologies {
+		k := sim.NewKernel()
+		nw := New(k, 1)
+		a, c := nw.NewHost("a"), nw.NewHost("c")
+		tc.build(nw, a, c)
+		rx := c.OpenUDP(9)
+		received := 0
+		c.Spawn("rx", func(p *sim.Proc) {
+			for {
+				if _, ok := rx.Recv(p, -1); ok {
+					received++
+				}
+			}
+		})
+		sock := a.OpenUDP(0)
+		burst := func() {
+			for i := 0; i < 4; i++ {
+				sock.SendSize("c", 9, 100)
+			}
+			k.Run()
+		}
+		burst()
+		burst()
+		if n := testing.AllocsPerRun(100, burst) / 4; n != 1 {
+			t.Errorf("%s: %v allocations per Recv-delivered frame, want 1 (the Packet)", tc.name, n)
+		}
+		if want := 4 * 103; received != want {
+			t.Errorf("%s: proc received %d datagrams, want %d", tc.name, received, want)
 		}
 		k.Close()
 	}

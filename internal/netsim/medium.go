@@ -104,7 +104,9 @@ type Medium interface {
 }
 
 // Frame is what a promiscuous tap observes: a packet on the wire at a given
-// instant. Err marks frames that will be discarded as corrupted.
+// instant. Err marks frames that will be discarded as corrupted. Pkt is valid
+// only for the duration of the tap call: the frame may be recycled once it
+// returns, so a tap copies what it keeps.
 type Frame struct {
 	Pkt *Packet
 	// From is the station that put the frame on the wire — the link-layer
@@ -212,7 +214,7 @@ func (s *SharedSegment) serve() {
 		return
 	}
 	s.busy = true
-	pkt.hop = ifc
+	pkt.armHop(ifc)
 	s.net.K.AfterArg(s.cfg.txTime(pkt)+s.cfg.ArbDelay, s.txDoneFn, pkt)
 }
 
@@ -252,7 +254,7 @@ func (s *SharedSegment) complete(from *Iface, pkt *Packet) {
 		s.net.drop(DropCorrupted, pkt)
 		return
 	}
-	pkt.hop = from
+	pkt.armHop(from)
 	s.net.K.AfterArg(s.cfg.PropDelay, s.propDoneFn, pkt)
 }
 
@@ -266,9 +268,11 @@ func (s *SharedSegment) deliver(from *Iface, pkt *Packet) {
 	if pkt.NextHop == Broadcast {
 		for _, ifc := range s.ifaces {
 			if ifc != from {
-				ifc.receive(pkt.clone())
+				ifc.receive(s.net.clone(pkt))
 			}
 		}
+		s.net.ledger.fanned++
+		s.net.release(pkt)
 		return
 	}
 	ifc := pkt.rcv
@@ -278,7 +282,7 @@ func (s *SharedSegment) deliver(from *Iface, pkt *Packet) {
 		return
 	}
 	if s.cfg.DupProb > 0 && s.net.rng.Float64() < s.cfg.DupProb {
-		ifc.receive(pkt.clone())
+		ifc.receive(s.net.clone(pkt))
 	}
 	ifc.receive(pkt)
 }
@@ -390,7 +394,7 @@ func (l *Link) notify(ifc *Iface) {
 		return
 	}
 	end.busy = true
-	pkt.hop = ifc
+	pkt.armHop(ifc)
 	end.net.K.AfterArg(l.cfg.txTime(pkt), l.txDoneFn, pkt)
 }
 
@@ -413,24 +417,40 @@ func (l *Link) txDone(arg any) {
 // deliver hands the packet to the far endpoint at now+PropDelay: a local
 // event when both ends share a shard, a cross-shard send otherwise. The
 // receive event runs in the destination shard's context, so from there on
-// the packet is owned by that shard.
+// the packet is owned by that shard. A packet bound for another network
+// leaves this one's ledger as it is handed over and enters the other's as
+// it arrives, so each ledger is touched only from its own shard.
 func (l *Link) deliver(d int, pkt *Packet) {
 	src, dst := &l.ends[d], &l.ends[1-d]
-	pkt.hop = dst.ifc
+	fn := receiveHop
 	if dst.net != src.net {
 		pkt.dst = 0
+		pkt.hop = dst.ifc
+		src.net.ledger.crossedOut++
+		fn = importHop
+	} else {
+		pkt.armHop(dst.ifc)
 	}
 	at := src.net.K.Now() + l.cfg.PropDelay
 	g := src.net.K.Group()
 	if g == nil || src.shard == dst.shard {
-		src.net.K.AtArg(at, receiveHop, pkt)
+		src.net.K.AtArg(at, fn, pkt)
 		return
 	}
-	g.SendArg(src.shard, dst.shard, at, receiveHop, pkt)
+	g.SendArg(src.shard, dst.shard, at, fn, pkt)
 }
 
 // receiveHop fires when a frame reaches the far end of a link (pkt.hop).
 func receiveHop(arg any) {
 	pkt := arg.(*Packet)
 	pkt.takeHop().receive(pkt)
+}
+
+// importHop is receiveHop for a frame arriving from another network.
+func importHop(arg any) {
+	pkt := arg.(*Packet)
+	ifc := pkt.hop
+	pkt.hop = nil
+	ifc.node.net.ledger.crossedIn++
+	ifc.receive(pkt)
 }

@@ -37,8 +37,12 @@ type Network struct {
 	PacketsDelivered uint64
 
 	// OnDrop, when set, observes every packet the network discards, with
-	// the reason — the simulator's packet-loss trace facility.
+	// the reason — the simulator's packet-loss trace facility. The packet is
+	// valid only for the duration of the call: it goes back to the free
+	// list when OnDrop returns.
 	OnDrop func(DropReason, *Packet)
+
+	ledger ledger
 }
 
 // DropReason classifies why a packet left the network without delivery.
@@ -64,6 +68,8 @@ const (
 	DropSockFull
 	// DropNoStation: no station with the frame's address on the segment.
 	DropNoStation
+
+	numDropReasons = iota
 )
 
 func (r DropReason) String() string {
@@ -91,23 +97,30 @@ func (r DropReason) String() string {
 	}
 }
 
-// drop reports a discarded packet to the trace hook.
+// drop counts a discarded packet under its reason, reports it to the trace
+// hook and releases it.
 func (nw *Network) drop(reason DropReason, pkt *Packet) {
+	nw.ledger.dropped[reason]++
 	if nw.OnDrop != nil {
 		nw.OnDrop(reason, pkt)
 	}
+	nw.release(pkt)
 }
 
 // New returns an empty network on the given kernel. The seed drives every
 // random decision in the network (loss, jitter), making runs reproducible.
+// The network's packet ledger (ledger.go) is checked when the kernel closes,
+// and a run whose ledger does not balance panics there.
 func New(k *sim.Kernel, seed int64) *Network {
-	return &Network{
+	nw := &Network{
 		K:      k,
 		byName: make(map[Addr]*Node),
 		rng:    k.Rand(seed),
 		ids:    make(map[Addr]int32),
 		gen:    1,
 	}
+	k.OnClose(nw.mustBalance)
+	return nw
 }
 
 // Node returns the named node, or nil.

@@ -235,7 +235,7 @@ func (n *Node) input(pkt *Packet, ifc *Iface) {
 		return
 	}
 	if n.ProcDelay > 0 {
-		pkt.hop = ifc
+		pkt.armHop(ifc)
 		n.net.K.AfterArg(n.ProcDelay, forwardHop, pkt)
 	} else {
 		n.output(pkt)

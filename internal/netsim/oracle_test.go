@@ -700,9 +700,10 @@ func TestEventsPerDatagram(t *testing.T) {
 }
 
 // TestForwardingHitDoesNotAllocate: once a node has resolved a destination,
-// a datagram there costs its Packet and nothing else — whether the socket
-// repeats its last destination or alternates between two (the intern-table
-// lookup), and again after a route change has made every entry stale.
+// a datagram into a sink costs nothing — its frame is recycled — whether the
+// socket repeats its last destination or alternates between two (the
+// intern-table lookup), and again after a route change has made every entry
+// stale.
 func TestForwardingHitDoesNotAllocate(t *testing.T) {
 	k, a, _, _ := routedPair(t)
 	sock := a.OpenUDP(0)
@@ -716,14 +717,14 @@ func TestForwardingHitDoesNotAllocate(t *testing.T) {
 		k.Run()
 	}
 	alternate()
-	if n := testing.AllocsPerRun(100, repeat); n != 1 {
-		t.Errorf("repeated destination: %v allocations per datagram, want 1 (the Packet)", n)
+	if n := testing.AllocsPerRun(100, repeat); n != 0 {
+		t.Errorf("repeated destination: %v allocations per datagram, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, alternate) / 2; n != 1 {
-		t.Errorf("alternating destinations: %v allocations per datagram, want 1", n)
+	if n := testing.AllocsPerRun(100, alternate) / 2; n != 0 {
+		t.Errorf("alternating destinations: %v allocations per datagram, want 0", n)
 	}
 	a.AddRoute("c", "r")
-	if n := testing.AllocsPerRun(100, alternate) / 2; n != 1 {
-		t.Errorf("after a route change: %v allocations per datagram, want 1", n)
+	if n := testing.AllocsPerRun(100, alternate) / 2; n != 0 {
+		t.Errorf("after a route change: %v allocations per datagram, want 0", n)
 	}
 }

@@ -76,7 +76,8 @@ type Packet struct {
 	// as the event argument (sim.Kernel.AfterArg) where a closure capturing
 	// both would cost an allocation per frame. Set when the event is
 	// scheduled and taken (cleared) when it fires, so it is nil whenever
-	// code outside the simulator sees the packet.
+	// code outside the simulator sees the packet — and freed once the frame
+	// is back on a free list (ledger.go).
 	hop *Iface
 	// rcv is the station NextHop names on the egress medium, from the
 	// forwarding entry Node.output used: a shared segment hands the frame to
@@ -88,16 +89,27 @@ type Packet struct {
 	// would cost every datagram 16 (TestPacketIs128Bytes).
 }
 
+// armHop sets the interface the packet's next simulator event concerns and
+// counts the frame in that interface's network's ledger as pending a hop.
+func (p *Packet) armHop(ifc *Iface) {
+	p.hop = ifc
+	ifc.node.net.ledger.hops++
+}
+
 // takeHop returns and clears the packet's pending-event interface.
 func (p *Packet) takeHop() *Iface {
 	ifc := p.hop
 	p.hop = nil
+	ifc.node.net.ledger.hops--
 	return ifc
 }
 
-// clone returns a shallow copy; used for broadcast delivery so that each
-// receiver observes independent hop metadata.
-func (p *Packet) clone() *Packet {
-	q := *p
-	return &q
+// clone returns a shallow copy in a frame of nw's; used for broadcast and
+// duplicate delivery so that each receiver observes independent hop
+// metadata.
+func (nw *Network) clone(p *Packet) *Packet {
+	q := nw.newPacket()
+	*q = *p
+	nw.ledger.cloned++
+	return q
 }

@@ -21,7 +21,8 @@ type UDPSock struct {
 
 	// consume, when set, takes each arriving datagram in the event that
 	// delivers it, in place of the receive queue and a proc blocked in Recv:
-	// for an endpoint that keeps no state a stack is needed for.
+	// for an endpoint that keeps no state a stack is needed for. It must not
+	// keep the packet: the frame is released when consume returns.
 	consume func(*Packet)
 
 	// lastDst/lastID cache the interned id of the previous destination, so
@@ -90,47 +91,56 @@ func (s *UDPSock) send(dst Addr, dport Port, payload []byte, size int, proto Pro
 	if s.closed || !s.node.up {
 		return
 	}
+	nw := s.node.net
 	if dst != s.lastDst {
-		s.lastDst, s.lastID = dst, s.node.net.intern(dst)
+		s.lastDst, s.lastID = dst, nw.intern(dst)
 	}
-	pkt := &Packet{
-		ID:      s.node.net.pktID(),
-		Src:     s.node.Name,
-		Dst:     dst,
-		SrcPort: s.port,
-		DstPort: dport,
-		Proto:   proto,
-		Payload: payload,
-		Size:    size,
-		TTL:     32,
-		dst:     s.lastID,
-		SentAt:  s.node.net.K.Now(),
-	}
-	s.node.net.PacketsSent++
+	// A frame from newPacket is zero: set the fields one by one rather than
+	// copying a 128-byte literal over it.
+	pkt := nw.newPacket()
+	pkt.ID = nw.pktID()
+	pkt.Src, pkt.Dst = s.node.Name, dst
+	pkt.SrcPort, pkt.DstPort = s.port, dport
+	pkt.Proto = proto
+	pkt.Payload = payload
+	pkt.Size = size
+	pkt.TTL = 32
+	pkt.dst = s.lastID
+	pkt.SentAt = nw.K.Now()
+	nw.PacketsSent++
 	s.node.Counters.UDPOut++
 	s.node.output(pkt)
 }
 
 // Recv blocks the calling proc until a datagram arrives or timeout elapses
-// (negative blocks forever). The boolean is false on timeout or close.
+// (negative blocks forever). The boolean is false on timeout or close. The
+// packet is the caller's: the network never recycles a frame it handed to a
+// receive queue.
 func (s *UDPSock) Recv(p *sim.Proc, timeout time.Duration) (*Packet, bool) {
 	return s.rq.Get(p, timeout)
 }
 
+// deliver hands an arriving datagram to the socket: to its consumer, after
+// which the frame is released, or to its receive queue, which owns it from
+// then on.
 func (s *UDPSock) deliver(pkt *Packet) {
+	nw := s.node.net
 	if s.closed {
 		s.node.Counters.NoPort++
-		s.node.net.drop(DropNoPort, pkt)
+		nw.drop(DropNoPort, pkt)
 		return
 	}
 	if s.consume == nil && !s.rq.Put(pkt) {
 		s.Drops++
-		s.node.net.drop(DropSockFull, pkt)
+		nw.drop(DropSockFull, pkt)
 		return
 	}
-	s.node.net.PacketsDelivered++
+	nw.PacketsDelivered++
 	s.node.Counters.UDPIn++
-	if s.consume != nil {
-		s.consume(pkt)
+	if s.consume == nil {
+		nw.ledger.toRecv++
+		return
 	}
+	s.consume(pkt)
+	nw.release(pkt)
 }

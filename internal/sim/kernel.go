@@ -51,6 +51,8 @@ type Kernel struct {
 	// stay synchronized under the conservative-lookahead protocol.
 	group *ShardGroup
 	shard int
+
+	onClose []func() // run by closeLocal once the procs have unwound
 }
 
 // NewKernel returns an empty kernel with the clock at zero.
@@ -378,6 +380,12 @@ func (k *Kernel) Close() {
 	k.closeLocal()
 }
 
+// OnClose registers fn to run when the kernel closes, after its procs have
+// unwound, in registration order: the end-of-run check of a layer built on
+// the kernel (netsim balances its packet ledger there). For a grouped
+// kernel it runs as the group closes this shard.
+func (k *Kernel) OnClose(fn func()) { k.onClose = append(k.onClose, fn) }
+
 // closeLocal tears down this kernel only; ShardGroup.Close fans out to it.
 func (k *Kernel) closeLocal() {
 	if k.closed {
@@ -387,6 +395,9 @@ func (k *Kernel) closeLocal() {
 	for p := k.firstLive; p != nil; p = k.firstLive {
 		k.retire(p)
 		p.stop()
+	}
+	for _, fn := range k.onClose {
+		fn()
 	}
 }
 

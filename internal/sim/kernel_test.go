@@ -409,6 +409,32 @@ func TestCloseReleasesParkedProcs(t *testing.T) {
 	}
 }
 
+// TestOnCloseRunsAfterUnwind: close hooks run once, in registration order,
+// after every proc has unwound, and for each shard of a closing group.
+func TestOnCloseRunsAfterUnwind(t *testing.T) {
+	k := NewKernel()
+	var log []string
+	k.Spawn("parked", func(p *Proc) {
+		defer func() { log = append(log, "unwound") }()
+		p.Sleep(time.Hour)
+	})
+	k.OnClose(func() { log = append(log, "first") })
+	k.OnClose(func() { log = append(log, "second") })
+	k.RunUntil(time.Second)
+	k.Close()
+	k.Close()
+	if want := []string{"unwound", "first", "second"}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("close order %v, want %v", log, want)
+	}
+	g := NewShardGroup(2, time.Millisecond)
+	closed := 0
+	g.Shard(1).OnClose(func() { closed++ })
+	g.Shard(0).Close()
+	if closed != 1 {
+		t.Fatalf("shard 1's hook ran %d times when the group closed, want 1", closed)
+	}
+}
+
 // TestCloseUnwindsInSpawnOrder: Close ends a kernel's procs — parked ones by
 // unwinding, ones whose start event has not fired by never running them — in
 // the order they were spawned, whatever order they last ran or exited in.
