@@ -47,7 +47,7 @@ func main() {
 
 	if *telem != "" {
 		reg, tracer := experiments.CollectTelemetry(*quick)
-		if err := exportTelemetry(os.Stdout, *telem, reg, tracer); err != nil {
+		if err := telemetry.WriteDump(os.Stdout, *telem, reg, tracer); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(2)
 		}
@@ -215,31 +215,4 @@ func runScenario(name string, quick bool, shards int, path string) error {
 	}
 	fmt.Fprintf(os.Stderr, "[scenario %s: %d records -> %s]\n", name, w.Records(), path)
 	return nil
-}
-
-// exportTelemetry writes the registry and trace in the requested format:
-// "text" as instrument lines followed by the indented span tree, "json" as
-// one {"instruments": [...], "spans": [...]} object.
-func exportTelemetry(w *os.File, format string, reg *telemetry.Registry, tracer *telemetry.Tracer) error {
-	switch format {
-	case "text":
-		if err := reg.WriteText(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		return tracer.WriteText(w)
-	case "json":
-		fmt.Fprint(w, "{\"instruments\": ")
-		if err := reg.WriteJSON(w); err != nil {
-			return err
-		}
-		fmt.Fprint(w, ", \"spans\": ")
-		if err := tracer.WriteJSON(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "}")
-		return nil
-	default:
-		return fmt.Errorf("unknown -telemetry format %q (use text or json)", format)
-	}
 }

@@ -45,6 +45,11 @@ func main() {
 	k := sim.NewKernel()
 	defer k.Close()
 	h := topo.BuildHiPerD(k, 1)
+	failHost := h.Net.Node(netsim.Addr(*fail))
+	if failHost == nil {
+		fmt.Fprintf(os.Stderr, "hiperd: unknown -fail host %q (the testbed has no such host)\n", *fail)
+		os.Exit(2)
+	}
 	say := func(format string, args ...any) {
 		fmt.Printf("%10v  ", k.Now().Truncate(time.Millisecond))
 		fmt.Printf(format+"\n", args...)
@@ -126,10 +131,8 @@ func main() {
 
 	// Failure injection.
 	k.At(*failAt, func() {
-		if n := h.Net.Node(netsim.Addr(*fail)); n != nil {
-			n.SetUp(false)
-			say("*** FAULT: host %s is down ***", *fail)
-		}
+		failHost.SetUp(false)
+		say("*** FAULT: host %s is down ***", *fail)
 	})
 	// Timeline for the end-of-run figure.
 	timeline := report.Series{Name: "fresh clients"}
@@ -182,17 +185,14 @@ func main() {
 	}
 	fmt.Print(chart.String())
 
-	if *telem == "text" {
-		fmt.Println("\n--- self-telemetry ---")
-		reg.WriteText(os.Stdout)
-		fmt.Println()
-		tracer.WriteText(os.Stdout)
-	} else if *telem == "json" {
-		fmt.Print("{\"instruments\": ")
-		reg.WriteJSON(os.Stdout)
-		fmt.Print(", \"spans\": ")
-		tracer.WriteJSON(os.Stdout)
-		fmt.Println("}")
+	if *telem != "" {
+		if *telem == "text" {
+			fmt.Println("\n--- self-telemetry ---")
+		}
+		if err := telemetry.WriteDump(os.Stdout, *telem, reg, tracer); err != nil {
+			fmt.Fprintf(os.Stderr, "hiperd: -telemetry: %v\n", err)
+			os.Exit(2)
+		}
 	}
 }
 

@@ -120,3 +120,24 @@ func TestCPUProfileFlag(t *testing.T) {
 		t.Fatalf("unwritable -cpuprofile path: %v, want exit status 2", err)
 	}
 }
+
+// TestUnknownFailHost: -fail naming a host the testbed does not have is
+// refused with exit status 2 before the run, naming the host, instead of
+// running the whole horizon without a fault.
+func TestUnknownFailHost(t *testing.T) {
+	bin := buildHiperd(t)
+	cmd := exec.Command(bin, "-fail", "s9")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("hiperd -fail s9: %v, want exit status 2", err)
+	}
+	if len(out) != 0 {
+		t.Fatalf("the run started: %d bytes on stdout", len(out))
+	}
+	if !bytes.Contains(stderr.Bytes(), []byte(`"s9"`)) {
+		t.Fatalf("stderr does not name the host: %q", stderr.String())
+	}
+}

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -17,8 +18,10 @@ import (
 
 // The documents cite three kinds of thing by number — a ROADMAP item, a
 // line of a Go file and a DESIGN section — and every one of those numbers
-// moves. This test fails when a citation names one that no longer exists,
-// and when DESIGN §3, the module inventory, misses a package.
+// moves; they also cite Go names, as a backticked `pkg.Name`, and names
+// get renamed and deleted. This test fails when a citation names one that
+// no longer exists, and when DESIGN §3, the module inventory, misses a
+// package.
 //
 // Scanned: the root documents below, every other *.md, the Makefile,
 // scripts/*.sh, everything under .claude/skills, and the comments of
@@ -37,6 +40,11 @@ var (
 	roadmapCite = regexp.MustCompile(`ROADMAP\s+item\s+(\d+)`)
 	lineCite    = regexp.MustCompile(`([A-Za-z0-9_./-]+\.go):(\d+)`)
 	designCite  = regexp.MustCompile(`DESIGN(?:\.md)?\s+§(\d+)`)
+	codeSpan    = regexp.MustCompile("`([^`]+)`")
+	// nameCite is a code span that starts with pkg.Name, Name exported:
+	// lower-case "pkg.name" spans are metric names (`sim.events`) and file
+	// names (`sketch.go`), not Go.
+	nameCite = regexp.MustCompile(`^([a-z][a-z0-9]*)((?:\.[A-Z][A-Za-z0-9_]*)+)`)
 
 	roadmapItem   = regexp.MustCompile(`(?m)\*\*Item (\d+)\.\*\*`)
 	designSection = regexp.MustCompile(`(?m)^## (\d+)\.`)
@@ -48,6 +56,9 @@ type docIndex struct {
 	sections map[int]bool   // DESIGN.md's ## N. headings
 	lines    map[string]int // slash path from the root → line count
 	section3 string         // DESIGN §3's text
+	// decls maps a package directory's name (internal/pkg, cmd/pkg, or
+	// deeper) to the names its Go files, tests included, declare.
+	decls map[string]map[string]bool
 }
 
 // skipDir reports whether the walk leaves a directory out entirely:
@@ -62,7 +73,7 @@ func skipDir(rel string) bool {
 
 func buildIndex(t *testing.T) *docIndex {
 	t.Helper()
-	ix := &docIndex{items: map[int]bool{}, sections: map[int]bool{}, lines: map[string]int{}}
+	ix := &docIndex{items: map[int]bool{}, sections: map[int]bool{}, lines: map[string]int{}, decls: map[string]map[string]bool{}}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -79,6 +90,9 @@ func buildIndex(t *testing.T) *docIndex {
 			return err
 		}
 		ix.lines[rel] = countLines(b)
+		if (strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")) && strings.HasSuffix(rel, ".go") {
+			return ix.addDecls(rel, b)
+		}
 		return nil
 	})
 	if err != nil {
@@ -94,6 +108,48 @@ func buildIndex(t *testing.T) *docIndex {
 	}
 	ix.section3 = sectionText(design, 3)
 	return ix
+}
+
+// addDecls records every name one Go file declares: funcs, methods,
+// types, vars and consts at any depth, struct fields and interface
+// methods.
+func (ix *docIndex) addDecls(rel string, src []byte) error {
+	f, err := parser.ParseFile(token.NewFileSet(), rel, src, parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	pkg := path.Base(path.Dir(rel))
+	names := ix.decls[pkg]
+	if names == nil {
+		names = map[string]bool{}
+		ix.decls[pkg] = names
+	}
+	addIdents := func(ids []*ast.Ident) {
+		for _, id := range ids {
+			names[id.Name] = true
+		}
+	}
+	addFields := func(fl *ast.FieldList) {
+		for _, fd := range fl.List {
+			addIdents(fd.Names)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			names[n.Name.Name] = true
+		case *ast.TypeSpec:
+			names[n.Name.Name] = true
+		case *ast.ValueSpec:
+			addIdents(n.Names)
+		case *ast.StructType:
+			addFields(n.Fields)
+		case *ast.InterfaceType:
+			addFields(n.Methods)
+		}
+		return true
+	})
+	return nil
 }
 
 func countLines(b []byte) int {
@@ -159,7 +215,32 @@ func (ix *docIndex) staleCitations(name string, line int, text string) []string 
 			out = append(out, fmt.Sprintf("%s: %q: DESIGN.md has no \"## %d.\"", at(m[0]), text[m[0]:m[1]], n))
 		}
 	}
+	for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
+		if msg := ix.nameProblem(text[m[2]:m[3]]); msg != "" {
+			out = append(out, fmt.Sprintf("%s: %q: %s", at(m[0]), text[m[0]:m[1]], msg))
+		}
+	}
 	return out
+}
+
+// nameProblem checks a code span that cites pkg.Name (or pkg.Type.Method):
+// when pkg is a package of the tree, each dotted name must be declared in
+// it. Spans about other packages (`time.Duration`) are not checked.
+func (ix *docIndex) nameProblem(span string) string {
+	m := nameCite.FindStringSubmatch(span)
+	if m == nil {
+		return ""
+	}
+	names, ok := ix.decls[m[1]]
+	if !ok {
+		return ""
+	}
+	for _, name := range strings.Split(m[2][1:], ".") {
+		if !names[name] {
+			return fmt.Sprintf("package %s declares no %s", m[1], name)
+		}
+	}
+	return ""
 }
 
 // lineProblem checks a file.go:N citation. A citation may shorten the path
@@ -308,6 +389,9 @@ func TestDocCitationKinds(t *testing.T) {
 		{"design section", "Makefile", "# see DESIGN.md §7", false},
 		{"go comment", "internal/x/x.go", "package x\n\n// See DESIGN §15.\nvar V = 1\n", true},
 		{"go string is not a comment", "internal/x/x.go", "package x\n\nvar V = \"DESIGN §15\"\n", false},
+		{"undeclared go name", "DESIGN.md", "`cots.EnsureAgents`", true},
+		{"undeclared method after a declared type", "DESIGN.md", "`core.ShardedMonitor.Members`", true},
+		{"declared go name and method", "DESIGN.md", "`cots.EnsureAgentOn` and `core.ShardedMonitor.AggregateSketch(m, ids)`", false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

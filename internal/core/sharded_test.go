@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/sketch"
 )
 
 // fakeMember is a Monitor that records submissions and serves canned
@@ -57,57 +58,35 @@ func TestShardedMonitorSplitsByOwner(t *testing.T) {
 	}
 }
 
-func TestShardedMonitorQueryRoutesToOwner(t *testing.T) {
-	sm, members, paths, done := shardedFixture(t)
-	defer done()
-	sm.Submit(Request{Paths: paths, Metrics: []metrics.Metric{metrics.Throughput}})
-	members[1].Publish(Measurement{Path: paths[1].ID, Metric: metrics.Throughput, Value: 42, TakenAt: time.Second})
-	got, ok := sm.Query(paths[1].ID, metrics.Throughput)
-	if !ok || got.Value != 42 {
-		t.Fatalf("Query = %v, %v", got, ok)
-	}
-	if _, ok := sm.Query(paths[0].ID, metrics.Throughput); ok {
-		t.Fatal("Query for unmeasured owned path should miss")
-	}
-	if got, ok := sm.LastKnown(paths[1].ID, metrics.Throughput); !ok || got.Value != 42 {
-		t.Fatalf("LastKnown = %v, %v", got, ok)
-	}
-}
-
 // TestShardedMonitorSubmitReplacesRouting: a request replaces the previous
-// one, so a path it drops has no owner and the member's old sample for it is
-// no longer served.
+// one, so a path it drops has no owner, its former member gets an empty
+// request, and AggregateSketch no longer merges the member's old sketch
+// for it.
 func TestShardedMonitorSubmitReplacesRouting(t *testing.T) {
 	sm, members, paths, done := shardedFixture(t)
 	defer done()
+	members[1].DB.EnableSketches(sketch.Thresholds{})
 	mets := []metrics.Metric{metrics.Throughput}
 	sm.Submit(Request{Paths: paths, Metrics: mets})
 	members[1].Publish(Measurement{Path: paths[1].ID, Metric: metrics.Throughput, Value: 42, TakenAt: time.Second})
+	if _, ok := sm.AggregateSketch(metrics.Throughput, []PathID{paths[1].ID}); !ok {
+		t.Fatal("owned path's sketch not merged")
+	}
 	sm.Submit(Request{Paths: paths[:1], Metrics: mets})
 	if i, ok := sm.Owner(paths[1].ID); ok {
 		t.Fatalf("dropped path still owned by member %d", i)
 	}
-	if got, ok := sm.Query(paths[1].ID, metrics.Throughput); ok {
-		t.Fatalf("dropped path still served: %v", got)
+	if last := members[1].submitted[len(members[1].submitted)-1]; len(last.Paths) != 0 {
+		t.Fatalf("member 1 still asked for %v", last.Paths)
 	}
-	if got, ok := sm.LastKnown(paths[1].ID, metrics.Throughput); ok {
-		t.Fatalf("dropped path still has a last-known value: %v", got)
+	if agg, ok := sm.AggregateSketch(metrics.Throughput, []PathID{paths[1].ID}); ok {
+		t.Fatalf("dropped path still merged: %d samples", agg.Count())
 	}
 	if i, ok := sm.Owner(paths[0].ID); !ok || i != 0 {
 		t.Fatalf("kept path: Owner = %d,%v, want 0,true", i, ok)
 	}
-}
-
-func TestShardedMonitorQueryFresh(t *testing.T) {
-	sm, members, paths, done := shardedFixture(t)
-	defer done()
-	sm.Submit(Request{Paths: paths, Metrics: []metrics.Metric{metrics.Throughput}})
-	members[0].Publish(Measurement{Path: paths[0].ID, Metric: metrics.Throughput, Value: 7, TakenAt: time.Second})
-	if _, ok := sm.QueryFresh(paths[0].ID, metrics.Throughput, 2*time.Second, 5*time.Second); !ok {
-		t.Fatal("fresh sample reported stale")
-	}
-	if _, ok := sm.QueryFresh(paths[0].ID, metrics.Throughput, 10*time.Second, 5*time.Second); ok {
-		t.Fatal("stale sample reported fresh")
+	if last := members[0].submitted[len(members[0].submitted)-1]; len(last.Paths) != 1 || last.Paths[0].ID != paths[0].ID {
+		t.Fatalf("member 0 asked for %v, want only %s", last.Paths, paths[0].ID)
 	}
 }
 
@@ -120,18 +99,4 @@ func TestShardedMonitorRejectsAsync(t *testing.T) {
 		}
 	}()
 	sm.Submit(Request{Paths: paths, Mode: ReportAsync})
-}
-
-func TestShardedMonitorStopFansOut(t *testing.T) {
-	sm, members, _, done := shardedFixture(t)
-	defer done()
-	sm.Stop()
-	for i, m := range members {
-		if !m.Stopped() {
-			t.Fatalf("member %d not stopped", i)
-		}
-	}
-	if sm.Reports() != nil {
-		t.Fatal("Reports must be nil for the pull-only meta-director")
-	}
 }

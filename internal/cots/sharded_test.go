@@ -13,7 +13,8 @@ import (
 
 // wireShardedCots builds R regions on the group, gives each region its own
 // director (on its mgmt host) sharing one agent registry, and federates
-// them behind a ShardedMonitor keyed by the path's origin region.
+// splits the paths over them with a ShardedMonitor keyed by the path's
+// origin region.
 func wireShardedCots(g *sim.ShardGroup, regions int) (*topo.ShardedScaled, *core.ShardedMonitor, *AgentRegistry, []*Monitor) {
 	s := topo.BuildShardedScaled(g, 3, regions, 1, 1)
 	reg := NewAgentRegistry()
@@ -52,21 +53,33 @@ func wireShardedCots(g *sim.ShardGroup, regions int) (*topo.ShardedScaled, *core
 	return s, sm, reg, dirs
 }
 
+// ownerQuery reads a path's current value from the database of the region
+// that owns it, as a reader after the run does: the split names the owner,
+// and the owner's monitor answers.
+func ownerQuery(t *testing.T, sm *core.ShardedMonitor, dirs []*Monitor, path core.PathID, metric metrics.Metric) (core.Measurement, bool) {
+	t.Helper()
+	i, ok := sm.Owner(path)
+	if !ok {
+		t.Fatalf("path %s has no owner", path)
+	}
+	return dirs[i].Query(path, metric)
+}
+
 // TestShardedCotsCrossRegionPolling: per-region directors poll foreign
-// agents across WAN (and shard) boundaries, and the meta-director answers
-// for every path.
+// agents across WAN (and shard) boundaries, and after the run every path
+// has a value in its owning region's database.
 func TestShardedCotsCrossRegionPolling(t *testing.T) {
 	g := sim.NewShardGroup(2, topo.WANPropDelay)
 	defer g.Close()
-	s, sm, reg, _ := wireShardedCots(g, 3)
+	s, sm, reg, dirs := wireShardedCots(g, 3)
 	g.Shard(0).RunUntil(10 * time.Second)
 
 	for _, p := range s.CrossRegionPaths() {
-		reach, ok := sm.Query(p.ID, metrics.Reachability)
+		reach, ok := ownerQuery(t, sm, dirs, p.ID, metrics.Reachability)
 		if !ok || !reach.Reached() {
 			t.Fatalf("path %s reachability: %v %v", p.ID, reach, ok)
 		}
-		lat, ok := sm.Query(p.ID, metrics.OneWayLatency)
+		lat, ok := ownerQuery(t, sm, dirs, p.ID, metrics.OneWayLatency)
 		if !ok || !lat.OK() || lat.Value <= 0 {
 			t.Fatalf("path %s latency: %v %v", p.ID, lat, ok)
 		}
@@ -81,6 +94,66 @@ func TestShardedCotsCrossRegionPolling(t *testing.T) {
 	// each with exactly one agent.
 	if reg.Size() != 6 {
 		t.Fatalf("registry has %d agents, want 6", reg.Size())
+	}
+	if g.CrossShardMessages() == 0 {
+		t.Fatal("polling crossed no shard boundary")
+	}
+}
+
+// TestShardedCotsPerRegionReadersMidRun: while the run goes, a reader on
+// each region's own kernel reads that region's owned paths from that
+// region's monitor — the only mid-run read the ownership rule allows, and
+// race-clean under -race. Every owned path is read at every tick, and each
+// is seen reached before the run ends.
+func TestShardedCotsPerRegionReadersMidRun(t *testing.T) {
+	const regions, window = 3, 10 * time.Second
+	g := sim.NewShardGroup(2, topo.WANPropDelay)
+	defer g.Close()
+	s, sm, _, dirs := wireShardedCots(g, regions)
+	owned := make([][]core.PathID, regions)
+	for _, p := range s.CrossRegionPaths() {
+		i, ok := sm.Owner(p.ID)
+		if !ok {
+			t.Fatalf("path %s has no owner", p.ID)
+		}
+		owned[i] = append(owned[i], p.ID)
+	}
+	reads := make([]int, regions)
+	reachedAt := make([]map[core.PathID]time.Duration, regions)
+	var readers []sim.Timer
+	for i, r := range s.Regions {
+		i, k := i, r.Net.K
+		reachedAt[i] = make(map[core.PathID]time.Duration)
+		readers = append(readers, k.Every(time.Second, func() {
+			for _, id := range owned[i] {
+				reads[i]++
+				if m, ok := dirs[i].Query(id, metrics.Reachability); ok && m.Reached() {
+					if _, seen := reachedAt[i][id]; !seen {
+						reachedAt[i][id] = k.Now()
+					}
+				}
+			}
+		}))
+	}
+	g.RunUntil(window)
+	for _, tm := range readers {
+		tm.Stop()
+	}
+
+	ticks := int(window / time.Second)
+	for i := range s.Regions {
+		if len(owned[i]) == 0 {
+			t.Fatalf("region %d owns no path", i)
+		}
+		if want := ticks * len(owned[i]); reads[i] != want {
+			t.Errorf("region %d: %d reads, want %d", i, reads[i], want)
+		}
+		for _, id := range owned[i] {
+			at, ok := reachedAt[i][id]
+			if !ok || at >= window {
+				t.Errorf("region %d: path %s not seen reached mid-run (%v, %v)", i, id, at, ok)
+			}
+		}
 	}
 	if g.CrossShardMessages() == 0 {
 		t.Fatal("polling crossed no shard boundary")
@@ -117,11 +190,11 @@ func TestShardedCotsDeterministicAcrossShardCounts(t *testing.T) {
 	collect := func(shards int) []string {
 		g := sim.NewShardGroup(shards, topo.WANPropDelay)
 		defer g.Close()
-		s, sm, _, _ := wireShardedCots(g, 3)
+		s, sm, _, dirs := wireShardedCots(g, 3)
 		g.Shard(0).RunUntil(10 * time.Second)
 		var out []string
 		for _, p := range s.CrossRegionPaths() {
-			m, _ := sm.Query(p.ID, metrics.OneWayLatency)
+			m, _ := ownerQuery(t, sm, dirs, p.ID, metrics.OneWayLatency)
 			out = append(out, m.String())
 		}
 		return out

@@ -16,8 +16,9 @@ import (
 
 // E14 exercises the sharded kernel at increasing shard counts on a fixed
 // monitored system: R regions joined by a full WAN mesh, one COTS director
-// per region federated behind a ShardedMonitor, cross-region paths only,
-// and a mid-run host failure whose detection latency is the fidelity probe.
+// per region collecting the paths that start in it, cross-region paths only,
+// and a mid-run host failure whose detection latency, read from the owning
+// region's database after the run, is the fidelity probe.
 //
 // The region count — not the shard count — fixes the workload, so every row
 // simulates the same system: event totals and detection latency must agree
@@ -53,7 +54,7 @@ func E14(quick bool) *report.Table {
 const e14FailAt = 5 * time.Second
 
 // federation is the monitored fleet E14 and E15 share: one COTS director per
-// region, federated by origin region over the cross-region paths.
+// region, the cross-region paths split between them by origin region.
 type federation struct {
 	agents *cots.AgentRegistry
 	dirs   []*cots.Monitor // by region
@@ -64,7 +65,8 @@ type federation struct {
 // startFederation gives every region of s a drifting clock and a director
 // on its mgmt host polling every poll, all sharing one agent registry;
 // deploys agents along the cross-region paths; and submits reachability and
-// one-way latency through a ShardedMonitor before starting the directors.
+// one-way latency, split by origin region through a ShardedMonitor, before
+// starting the directors.
 // setup, when non-nil, configures each director before any agent deploys.
 func startFederation(s *topo.ShardedScaled, poll time.Duration, setup func(*cots.Monitor)) *federation {
 	// Clocks are seeded by region index so the clock map is a pure function

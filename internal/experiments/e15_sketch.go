@@ -293,19 +293,7 @@ func e15QErr(sorted []float64, est, p float64) float64 {
 	if rankErr == 0 {
 		return 0
 	}
-	// Exact Hazen quantile of the (already sorted) reference sample.
-	r := p*n - 0.5
-	switch {
-	case r <= 0:
-		r = 0
-	case r >= n-1:
-		r = n - 1
-	}
-	k := int(r)
-	exact := sorted[k]
-	if k+1 < len(sorted) {
-		exact += (r - float64(k)) * (sorted[k+1] - sorted[k])
-	}
+	exact := sketch.Exact(sorted, p)
 	valErr := est - exact
 	if valErr < 0 {
 		valErr = -valErr

@@ -148,6 +148,39 @@ func (t *Tracer) WriteText(w io.Writer) error {
 	return err
 }
 
+// WriteDump writes a run's self-telemetry in format: "text" as instrument
+// lines, a blank line and the indented span tree; "json" as one
+// {"instruments": [...], "spans": [...]} object. It returns the first write
+// error, or an error naming an unknown format before writing anything.
+func WriteDump(w io.Writer, format string, reg *Registry, tracer *Tracer) error {
+	var err error
+	put := func(s string) {
+		if err == nil {
+			_, err = io.WriteString(w, s)
+		}
+	}
+	write := func(to func(io.Writer) error) {
+		if err == nil {
+			err = to(w)
+		}
+	}
+	switch format {
+	case "text":
+		write(reg.WriteText)
+		put("\n")
+		write(tracer.WriteText)
+	case "json":
+		put(`{"instruments": `)
+		write(reg.WriteJSON)
+		put(`, "spans": `)
+		write(tracer.WriteJSON)
+		put("}\n")
+	default:
+		return fmt.Errorf("unknown telemetry format %q (use text or json)", format)
+	}
+	return err
+}
+
 // FormatSpanTime renders a virtual time for compact trace notes.
 func FormatSpanTime(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())

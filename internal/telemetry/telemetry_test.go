@@ -1,6 +1,8 @@
 package telemetry_test
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -296,6 +298,60 @@ func TestExportJSONDeterministic(t *testing.T) {
 	}
 	if build() != build() {
 		t.Fatal("JSON export must be deterministic across identical registries")
+	}
+}
+
+// shortWriter accepts budget bytes, then fails every write.
+type shortWriter struct{ budget int }
+
+var errShort = errors.New("short write")
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if len(p) > w.budget {
+		n := w.budget
+		w.budget = 0
+		return n, errShort
+	}
+	w.budget -= len(p)
+	return len(p), nil
+}
+
+// TestWriteDump: both formats write the whole document, and a writer that
+// fails at any byte of it makes WriteDump return the error, the closing
+// bytes of the JSON object included. An unknown format writes nothing.
+func TestWriteDump(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.CounterFunc("snmp.requests", func() uint64 { return 12 })
+	tr := telemetry.NewTracer("t", 8)
+	tr.Begin("cots.sweep", "", time.Second).End(2 * time.Second)
+	for _, format := range []string{"text", "json"} {
+		t.Run(format, func(t *testing.T) {
+			var sb strings.Builder
+			if err := telemetry.WriteDump(&sb, format, reg, tr); err != nil {
+				t.Fatal(err)
+			}
+			full := sb.String()
+			if format == "json" {
+				var dump struct {
+					Instruments []struct{ Name string }
+					Spans       []struct{ Name string }
+				}
+				if err := json.Unmarshal([]byte(full), &dump); err != nil || len(dump.Instruments) != 1 || len(dump.Spans) != 1 {
+					t.Fatalf("dump %+v, %v:\n%s", dump, err, full)
+				}
+			} else if !strings.Contains(full, "snmp.requests") || !strings.HasSuffix(full, "cots.sweep @1s +1s\n") {
+				t.Fatalf("text dump:\n%s", full)
+			}
+			for budget := 0; budget < len(full); budget++ {
+				if err := telemetry.WriteDump(&shortWriter{budget: budget}, format, reg, tr); !errors.Is(err, errShort) {
+					t.Fatalf("writer failing after %d of %d bytes: err = %v", budget, len(full), err)
+				}
+			}
+		})
+	}
+	var sb strings.Builder
+	if err := telemetry.WriteDump(&sb, "yaml", reg, tr); err == nil || sb.Len() != 0 {
+		t.Fatalf("unknown format: err = %v, wrote %q", err, sb.String())
 	}
 }
 
