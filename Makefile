@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMessageRoundTrip$$' -fuzztime 3s ./internal/snmp
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchInvariants$$' -fuzztime 3s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz '^FuzzTrapCoalesce$$' -fuzztime 3s ./internal/director
+	$(GO) test -run '^$$' -fuzz '^FuzzSupervise$$' -fuzztime 3s ./internal/director
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeLine$$' -fuzztime 3s ./internal/results
 	$(GO) test -run '^$$' -fuzz '^FuzzClientUpdate$$' -fuzztime 3s ./internal/rtds
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketLedger$$' -fuzztime 3s ./internal/netsim

@@ -17,7 +17,6 @@ type DirectorBase struct {
 
 	reports *sim.Queue[Measurement]
 	req     Request
-	haveReq bool
 	stopped bool
 
 	// Published counts measurements delivered.
@@ -37,11 +36,10 @@ func NewDirectorBase(k *sim.Kernel) DirectorBase {
 // Submit installs the request (Monitor interface).
 func (d *DirectorBase) Submit(req Request) {
 	d.req = req
-	d.haveReq = true
 }
 
-// Request returns the active request and whether one is installed.
-func (d *DirectorBase) Request() (Request, bool) { return d.req, d.haveReq }
+// Request returns the active request; before any Submit it has no paths.
+func (d *DirectorBase) Request() Request { return d.req }
 
 // Stopped reports whether Stop was called.
 func (d *DirectorBase) Stopped() bool { return d.stopped }

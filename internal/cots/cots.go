@@ -330,8 +330,8 @@ func (m *Monitor) Start() {
 	}
 	m.host.Spawn("cots-director", func(p *sim.Proc) {
 		for !m.Stopped() {
-			req, ok := m.Request()
-			if !ok || len(req.Paths) == 0 {
+			req := m.Request()
+			if len(req.Paths) == 0 {
 				p.Sleep(m.PollInterval)
 				continue
 			}

@@ -10,9 +10,10 @@
 // trap and record ingest queues with explicit drop accounting, coalesces
 // same-(source, path, direction) threshold traps within a window into one
 // summary trap carrying a count, sheds load under a high-water mark by
-// widening its coalescing window and stretching its children's re-export
-// intervals (resilience backoff schedule), and marks upstream data stale
-// via senescence watchdogs rather than serving silently-wrong values.
+// widening its coalescing window and raising a backpressure level that its
+// descendants read to stretch their re-exports (their parents stretch the
+// liveness deadline to match), and marks upstream data stale via
+// senescence watchdogs rather than serving silently-wrong values.
 // When a leaf director dies, its parent re-assigns the orphaned shard to a
 // sibling, which re-adopts the already-deployed agents through the shared
 // cots.AgentRegistry. See DESIGN.md §13.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/sketch"
 )
@@ -39,9 +38,10 @@ type Config struct {
 	CoalesceWindow time.Duration
 	// FlushEvery is the cadence of the window-expiry sweep (default 50ms).
 	FlushEvery time.Duration
-	// Reexport is the base upward re-export interval (default 250ms);
-	// backpressure stretches it along a resilience backoff schedule up to
-	// MaxReexport (default 8× Reexport).
+	// Reexport is the base upward re-export interval (default 250ms).
+	// Backpressure stretches it: a director re-exports every
+	// min(Reexport << L, MaxReexport) (default 8× Reexport), L the highest
+	// backpressure level among itself and its ancestors.
 	Reexport    time.Duration
 	MaxReexport time.Duration
 	// Supervise is the supervisor cadence: watermark checks, child
@@ -49,7 +49,8 @@ type Config struct {
 	Supervise time.Duration
 	// AdoptAfter is how long a child may be silent before its shard is
 	// adopted by a sibling (default 1s). Re-export batches double as
-	// heartbeats.
+	// heartbeats, so the deadline stretches with the child's re-export
+	// interval: AdoptAfter × interval / Reexport, never below AdoptAfter.
 	AdoptAfter time.Duration
 	// TTL and WatchdogEvery drive the senescence watchdog on the local
 	// database (defaults 2s and 250ms): records that stop flowing go
@@ -107,13 +108,17 @@ type Stats struct {
 	TrapsForwarded uint64
 	// TrapsDelivered counts traps surfaced at the root (OnTrap).
 	TrapsDelivered uint64
-	// BatchesIn / RecordsIn count accepted summary batches and the
+	// BatchesIn / RecordsIn count ingested summary batches and the
 	// records they carried; the Dropped pair counts whole batches lost at
-	// the full record queue.
+	// the full record queue, the Lost pair batches offered while the
+	// director was down. Σ children's Reexports = BatchesIn +
+	// BatchesDropped + BatchesLost + queued + the one in process.
 	BatchesIn      uint64
 	RecordsIn      uint64
 	BatchesDropped uint64
 	RecordsDropped uint64
+	BatchesLost    uint64
+	RecordsLost    uint64
 	// Reexports counts upward summary batches sent.
 	Reexports uint64
 	// Stretches counts backpressure escalations (high-water crossings);
@@ -172,13 +177,13 @@ type Director struct {
 	home     []core.Path
 	metricsL []metrics.Metric
 
-	lastHeard   []time.Duration
-	childDead   []bool
-	childSketch [][]regionSketch
+	// Written by the parent: when it last ingested a batch from d, whether
+	// it declared d dead, and the region sketches of d's latest batch.
+	heard    time.Duration
+	dead     bool
+	sketches []regionSketch
 
-	level   int // backpressure level: own high-water crossings
-	stretch int // stretch level imposed by the parent
-	backoff *resilience.Backoff
+	level int // backpressure level: own high-water crossings
 
 	timers  []sim.Timer
 	started bool
@@ -213,7 +218,9 @@ func build(host *netsim.Node, name string, member Member, cfg Config) *Director 
 		trapQ:        sim.NewQueue[Trap](k, cfg.QueueCap),
 		recQ:         sim.NewQueue[batch](k, cfg.QueueCap),
 		co:           NewCoalescer(cfg.CoalesceWindow),
-		backoff:      resilience.NewBackoff(nil, cfg.Reexport, cfg.MaxReexport, 0),
+	}
+	if member != nil {
+		d.DB = member.Database()
 	}
 	return d
 }
@@ -222,9 +229,6 @@ func build(host *netsim.Node, name string, member Member, cfg Config) *Director 
 func (d *Director) AddChild(c *Director) {
 	c.parent = d
 	d.children = append(d.children, c)
-	d.lastHeard = append(d.lastHeard, 0)
-	d.childDead = append(d.childDead, false)
-	d.childSketch = append(d.childSketch, nil)
 }
 
 // Leaves returns the leaf directors of d's subtree in tree order.
@@ -256,22 +260,20 @@ func (d *Director) Submit(req core.Request) {
 		l := leaves[i%len(leaves)]
 		shares[l] = append(shares[l], p)
 	}
-	d.applyShares(shares, req.Metrics, true)
+	d.applyShares(shares, req.Metrics)
 }
 
-func (d *Director) applyShares(shares map[*Director][]core.Path, mets []metrics.Metric, home bool) {
+func (d *Director) applyShares(shares map[*Director][]core.Path, mets []metrics.Metric) {
 	d.metricsL = mets
 	if d.member != nil {
 		d.assigned = shares[d]
-		if home {
-			d.home = append(d.home[:0], d.assigned...)
-		}
+		d.home = append(d.home[:0], d.assigned...)
 		d.member.Submit(core.Request{Paths: d.assigned, Metrics: mets})
 		return
 	}
 	d.assigned = d.assigned[:0]
 	for _, c := range d.children {
-		c.applyShares(shares, mets, home)
+		c.applyShares(shares, mets)
 		d.assigned = append(d.assigned, c.assigned...)
 	}
 	d.DirectorBase.Submit(core.Request{Paths: d.assigned, Metrics: mets})
@@ -374,17 +376,6 @@ func (d *Director) dispatch(ts []Trap) {
 	}
 }
 
-// reexportInterval applies the backpressure stretch: the greater of the
-// parent-imposed stretch and the local overload level indexes a resilience
-// backoff schedule based at Cfg.Reexport and capped at Cfg.MaxReexport.
-func (d *Director) reexportInterval() time.Duration {
-	lvl := d.stretch
-	if d.level > lvl {
-		lvl = d.level
-	}
-	return d.backoff.Delay(lvl)
-}
-
 // reexportLoop periodically pushes the director's current view — one
 // measurement per assigned (path, metric) pair plus a merged region sketch
 // per metric — into the parent's bounded record queue. The batch doubles
@@ -401,11 +392,10 @@ func (d *Director) reexportLoop(p *sim.Proc) {
 }
 
 func (d *Director) reexport(now time.Duration) {
-	db := d.localDB()
 	b := batch{from: d, at: now}
 	for _, path := range d.assigned {
 		for _, met := range d.metricsL {
-			if m, ok := db.Current(path.ID, met); ok {
+			if m, ok := d.DB.Current(path.ID, met); ok {
 				b.meas = append(b.meas, m)
 			}
 		}
@@ -414,7 +404,7 @@ func (d *Director) reexport(now time.Duration) {
 		agg := &sketch.Sketch{}
 		merged := false
 		for _, path := range d.assigned {
-			merged = db.MergeSketchInto(agg, path.ID, met) || merged
+			merged = d.DB.MergeSketchInto(agg, path.ID, met) || merged
 		}
 		if merged {
 			b.sks = append(b.sks, regionSketch{metric: met, sk: agg})
@@ -456,22 +446,15 @@ func (d *Director) recordReexport(b *batch) {
 	}
 }
 
-// localDB is the database the director re-exports from and answers
-// queries out of: the member's on a leaf, its own when interior.
-func (d *Director) localDB() *core.Database {
-	if d.member != nil {
-		return d.member.Database()
-	}
-	return d.DB
-}
-
 // offerBatch receives a child's re-export into the bounded record queue,
-// tail-dropping whole batches with accounting when full.
+// tail-dropping whole batches with accounting when full; a down director
+// loses the batch, also with accounting.
 func (d *Director) offerBatch(b batch) {
-	if !d.up() {
-		return
-	}
-	if !d.recQ.Put(b) {
+	switch {
+	case !d.up():
+		d.Stats.BatchesLost++
+		d.Stats.RecordsLost += uint64(len(b.meas))
+	case !d.recQ.Put(b):
 		d.Stats.BatchesDropped++
 		d.Stats.RecordsDropped += uint64(len(b.meas))
 	}
@@ -487,185 +470,16 @@ func (d *Director) ingestLoop(p *sim.Proc) {
 			return
 		}
 		p.Sleep(time.Duration(1+len(b.meas)) * d.Cfg.RecordProcTime)
-		idx := d.childIndex(b.from)
-		if idx < 0 {
-			continue
-		}
-		d.lastHeard[idx] = p.Now()
+		b.from.heard = p.Now()
 		for _, m := range b.meas {
 			d.DB.Record(m)
 		}
 		if len(b.sks) > 0 {
-			d.childSketch[idx] = b.sks
+			b.from.sketches = b.sks
 		}
 		d.Stats.BatchesIn++
 		d.Stats.RecordsIn += uint64(len(b.meas))
 	}
-}
-
-func (d *Director) childIndex(c *Director) int {
-	for i, x := range d.children {
-		if x == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// supervise is the periodic control loop of a director with children:
-// watermark-driven backpressure on its own queues, then child liveness
-// and shard failover.
-func (d *Director) supervise() {
-	if !d.up() {
-		return
-	}
-	d.watermarks()
-	d.liveness(d.k.Now())
-}
-
-// watermarks raises the backpressure level when either ingest queue is a
-// quarter full (the high-water mark, QueueCap/4) — widening the local
-// coalescing window and telling every child to stretch its re-export
-// interval — and releases it level by level once depth falls back to a
-// sixteenth (the low-water mark, QueueCap/16).
-func (d *Director) watermarks() {
-	depth := d.trapQ.Len()
-	if r := d.recQ.Len(); r > depth {
-		depth = r
-	}
-	switch {
-	case depth >= d.Cfg.QueueCap/4 && d.level < maxLevel:
-		d.level++
-		d.Stats.Stretches++
-		d.applyPressure()
-	case depth <= d.Cfg.QueueCap/16 && d.level > 0:
-		d.level--
-		d.applyPressure()
-	}
-}
-
-// maxLevel bounds backpressure escalation; with doubling schedules three
-// levels span an 8× stretch, which meets the window's 4× cap and any
-// MaxReexport cap up to 8× Reexport.
-const maxLevel = 3
-
-func (d *Director) applyPressure() {
-	if base := d.Cfg.CoalesceWindow; base > 0 {
-		d.co.SetWindow(min(base<<d.level, 4*base))
-	}
-	for _, c := range d.children {
-		c.setStretch(d.level)
-	}
-}
-
-// setStretch is the parent's backpressure signal: stretch the re-export
-// schedule (and propagate so grandchildren slow down too).
-func (d *Director) setStretch(level int) {
-	d.stretch = level
-	for _, c := range d.children {
-		c.setStretch(level)
-	}
-}
-
-// liveness walks the children looking for leaf directors that stopped
-// heartbeating (adopting their shard onto a live sibling) and for dead
-// ones that came back (reclaiming the shard). Data for an orphaned shard
-// goes stale under the senescence watchdog until the adopter's first
-// covering re-export lands — staleness is surfaced, freshness is never
-// fabricated.
-func (d *Director) liveness(now time.Duration) {
-	for i, c := range d.children {
-		if c.member == nil {
-			continue
-		}
-		if !d.childDead[i] && now-d.lastHeard[i] > d.Cfg.AdoptAfter && now > d.Cfg.AdoptAfter {
-			d.childDead[i] = true
-			if a := d.pickAdopter(i); a != nil {
-				d.adopt(c, a, now)
-			}
-			continue
-		}
-		if d.childDead[i] && c.up() && now-d.lastHeard[i] <= d.Cfg.AdoptAfter {
-			d.childDead[i] = false
-			d.reclaim(c, now)
-		}
-	}
-}
-
-// pickAdopter chooses the first live leaf sibling after the orphan in
-// attachment order — deterministic and load-spreading enough for a drill.
-func (d *Director) pickAdopter(orphan int) *Director {
-	n := len(d.children)
-	for off := 1; off < n; off++ {
-		c := d.children[(orphan+off)%n]
-		if c.member != nil && c.up() && !d.childDead[(orphan+off)%n] {
-			return c
-		}
-	}
-	return nil
-}
-
-// adopt moves the orphan's current shard onto the adopter. The adopter's
-// member re-submits the union request; agents already deployed on the
-// orphaned shard's hosts are found in the shared cots.AgentRegistry, so
-// adoption re-uses them rather than re-deploying.
-func (d *Director) adopt(orphan, adopter *Director, now time.Duration) {
-	moved := len(orphan.assigned)
-	adopter.assigned = append(adopter.assigned, orphan.assigned...)
-	orphan.assigned = orphan.assigned[:0]
-	orphan.member.Submit(core.Request{Metrics: d.metricsL})
-	adopter.member.Submit(core.Request{Paths: adopter.assigned, Metrics: d.metricsL})
-	d.Stats.Adoptions++
-	d.Events = append(d.Events, fmt.Sprintf("%v adopt %s->%s (%d paths)", now, orphan.Name, adopter.Name, moved))
-}
-
-// reclaim hands a revived leaf its home shard back, trimming it from
-// whichever siblings adopted it.
-func (d *Director) reclaim(c *Director, now time.Duration) {
-	homeIDs := make(map[core.PathID]bool, len(c.home))
-	for _, p := range c.home {
-		homeIDs[p.ID] = true
-	}
-	for _, s := range d.children {
-		if s == c || s.member == nil {
-			continue
-		}
-		kept := s.assigned[:0]
-		changed := false
-		for _, p := range s.assigned {
-			if homeIDs[p.ID] {
-				changed = true
-				continue
-			}
-			kept = append(kept, p)
-		}
-		s.assigned = kept
-		if changed {
-			s.member.Submit(core.Request{Paths: s.assigned, Metrics: d.metricsL})
-		}
-	}
-	c.assigned = append(c.assigned[:0], c.home...)
-	c.member.Submit(core.Request{Paths: c.assigned, Metrics: d.metricsL})
-	d.Stats.Reclaims++
-	d.Events = append(d.Events, fmt.Sprintf("%v reclaim %s (%d paths)", now, c.Name, len(c.home)))
-}
-
-// Query answers current-value reporting from the local database (Monitor
-// interface): the member's on a leaf, the aggregated one when interior.
-func (d *Director) Query(path core.PathID, metric metrics.Metric) (core.Measurement, bool) {
-	return d.localDB().Current(path, metric)
-}
-
-// LastKnown answers last-known-value reporting from the local database.
-func (d *Director) LastKnown(path core.PathID, metric metrics.Metric) (core.Measurement, bool) {
-	return d.localDB().LastKnown(path, metric)
-}
-
-// QueryFresh answers senescence-gated reporting from the local database
-// (FreshQuerier): upstream silence surfaces as staleness, never as a
-// fresh-looking stale value.
-func (d *Director) QueryFresh(path core.PathID, metric metrics.Metric, now, ttl time.Duration) (core.Measurement, bool) {
-	return d.localDB().Fresh(now, path, metric, ttl)
 }
 
 // leafFor resolves the leaf currently owning path by scanning assignments
@@ -685,7 +499,7 @@ func (d *Director) leafFor(path core.PathID) *Director {
 // database, where the full-resolution per-path sketch lives.
 func (d *Director) Quantile(path core.PathID, metric metrics.Metric, p float64) (float64, bool) {
 	if l := d.leafFor(path); l != nil {
-		return l.member.Database().Quantile(path, metric, p)
+		return l.DB.Quantile(path, metric, p)
 	}
 	return 0, false
 }
@@ -693,7 +507,7 @@ func (d *Director) Quantile(path core.PathID, metric metrics.Metric, p float64) 
 // QuantileSummary delegates to the owning leaf's member database.
 func (d *Director) QuantileSummary(path core.PathID, metric metrics.Metric) (sketch.Summary, bool) {
 	if l := d.leafFor(path); l != nil {
-		return l.member.Database().SketchSummary(path, metric)
+		return l.DB.SketchSummary(path, metric)
 	}
 	return sketch.Summary{}, false
 }
@@ -702,7 +516,7 @@ func (d *Director) QuantileSummary(path core.PathID, metric metrics.Metric) (ske
 // (SketchMerger).
 func (d *Director) MergeSketchInto(dst *sketch.Sketch, path core.PathID, metric metrics.Metric) bool {
 	if l := d.leafFor(path); l != nil {
-		return l.member.Database().MergeSketchInto(dst, path, metric)
+		return l.DB.MergeSketchInto(dst, path, metric)
 	}
 	return false
 }
@@ -726,14 +540,13 @@ func (d *Director) AggregateSketch(metric metrics.Metric) (sketch.Sketch, bool) 
 	var agg sketch.Sketch
 	any := false
 	if d.member != nil {
-		db := d.member.Database()
 		for _, p := range d.assigned {
-			any = db.MergeSketchInto(&agg, p.ID, metric) || any
+			any = d.DB.MergeSketchInto(&agg, p.ID, metric) || any
 		}
 		return agg, any
 	}
-	for i := range d.children {
-		for _, rs := range d.childSketch[i] {
+	for _, c := range d.children {
+		for _, rs := range c.sketches {
 			if rs.metric == metric {
 				agg.Merge(rs.sk)
 				any = true

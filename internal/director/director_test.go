@@ -157,8 +157,8 @@ func TestBackpressureStretchAndRelease(t *testing.T) {
 	if root.Stats.Stretches == 0 {
 		t.Fatal("high-water crossing did not raise backpressure")
 	}
-	if leaves[0].stretch == 0 || leaves[1].stretch == 0 {
-		t.Fatalf("children not stretched: %d/%d", leaves[0].stretch, leaves[1].stretch)
+	if leaves[0].reexportInterval() == leaves[0].Cfg.Reexport || leaves[1].reexportInterval() == leaves[1].Cfg.Reexport {
+		t.Fatalf("children not stretched: %v/%v", leaves[0].reexportInterval(), leaves[1].reexportInterval())
 	}
 	if w := root.co.window; w <= cfg.CoalesceWindow {
 		t.Fatalf("coalescing window not widened: %v", w)
@@ -168,8 +168,8 @@ func TestBackpressureStretchAndRelease(t *testing.T) {
 	}
 	// Queue drains at 100 traps/s; by 2.5s pressure must have fully released.
 	k.RunUntil(2500 * time.Millisecond)
-	if root.level != 0 || leaves[0].stretch != 0 {
-		t.Fatalf("pressure not released: level=%d stretch=%d", root.level, leaves[0].stretch)
+	if root.level != 0 || leaves[0].reexportInterval() != leaves[0].Cfg.Reexport {
+		t.Fatalf("pressure not released: level=%d interval=%v", root.level, leaves[0].reexportInterval())
 	}
 	if w := root.co.window; w != cfg.CoalesceWindow {
 		t.Fatalf("window not restored: %v", w)
@@ -193,8 +193,8 @@ func TestWatermarksDeriveFromQueueCap(t *testing.T) {
 				root.trapQ.Put(trap("s", "p", true))
 			}
 			root.watermarks()
-			if root.level != wantLevel || leaves[0].stretch != wantLevel {
-				t.Fatalf("cap %d, depth %d: level %d stretch %d, want %d", qcap, depth, root.level, leaves[0].stretch, wantLevel)
+			if iv := leaves[0].reexportInterval(); root.level != wantLevel || iv != leaves[0].Cfg.Reexport<<wantLevel {
+				t.Fatalf("cap %d, depth %d: level %d interval %v, want level %d", qcap, depth, root.level, iv, wantLevel)
 			}
 			// Doubling per level, capped at 4× from level 2 up.
 			if w, want := root.co.window, []time.Duration{base, 2 * base, 4 * base, 4 * base}[wantLevel]; w != want {
@@ -212,6 +212,130 @@ func TestWatermarksDeriveFromQueueCap(t *testing.T) {
 		step(low+1, maxLevel)
 		step(low, maxLevel-1)
 		k.Close()
+	}
+}
+
+// TestGrandchildFollowsHighestAncestorLevel: in a 3-level tree a leaf
+// re-exports at the pace of its most pressed ancestor, whichever tier it
+// sits on; a mid director's lower level does not mask the root's.
+func TestGrandchildFollowsHighestAncestorLevel(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	nw := netsim.New(k, 1)
+	root := New(nw.NewHost("root"), "root", Config{})
+	mid := New(nw.NewHost("mid"), "mid", Config{})
+	leaf := NewLeaf(nw.NewHost("leaf"), "leaf", newStubMember(k), Config{})
+	root.AddChild(mid)
+	mid.AddChild(leaf)
+	press := func(d *Director, depth int) {
+		d.trapQ.Drain()
+		for i := 0; i < depth; i++ {
+			d.trapQ.Put(trap("s", "p", true))
+		}
+		d.watermarks()
+	}
+	want := func(levels string, lvl int) {
+		t.Helper()
+		if iv := leaf.reexportInterval(); iv != leaf.Cfg.Reexport<<lvl {
+			t.Fatalf("%s: leaf interval %v, want %v", levels, iv, leaf.Cfg.Reexport<<lvl)
+		}
+	}
+	full := root.Cfg.QueueCap
+	press(root, full)
+	press(root, full)
+	press(mid, full)
+	want("root 2, mid 1", 2)
+	press(mid, full)
+	press(mid, full)
+	want("root 2, mid 3", 3)
+	press(root, 0)
+	press(root, 0)
+	want("root 0, mid 3", 3)
+	press(mid, 0)
+	want("root 0, mid 2", 2)
+}
+
+// TestRootPressureDoesNotOrphanHealthyLeaves: a root whose trap queue
+// stays full climbs to the top backpressure level and so stretches its
+// leaves' re-exports to 2 s, twice AdoptAfter. The deadline stretches with
+// them, so the parent's own pressure never reads as a child's death.
+func TestRootPressureDoesNotOrphanHealthyLeaves(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	cfg := Config{QueueCap: 8, TrapProcTime: time.Hour} // processor stuck: the queue stays full
+	root, leaves := buildStubTree(k, netsim.New(k, 1), cfg)
+	root.Submit(core.Request{Paths: []core.Path{{ID: "p0"}, {ID: "p1"}}})
+	root.Start()
+	for i := 0; i < cfg.QueueCap; i++ {
+		root.OfferTrap(trap("s", "p", true))
+	}
+	k.RunUntil(10 * time.Second)
+	if root.level != maxLevel || leaves[0].reexportInterval() != 2*time.Second {
+		t.Fatalf("scenario drifted: root level %d, leaf interval %v", root.level, leaves[0].reexportInterval())
+	}
+	if root.Stats.Adoptions != 0 || root.Stats.Reclaims != 0 {
+		t.Fatalf("healthy leaves failed over under the root's own pressure: %d adoptions, %d reclaims (events: %v)",
+			root.Stats.Adoptions, root.Stats.Reclaims, root.Events)
+	}
+}
+
+// TestOrphanAdoptedOnceASiblingRevives: when both leaves die, neither
+// shard has a live sibling to go to; once one leaf comes back it reclaims
+// its own shard and adopts the other's on the same tick.
+func TestOrphanAdoptedOnceASiblingRevives(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	root, leaves := buildStubTree(k, netsim.New(k, 1), Config{})
+	root.Submit(core.Request{Paths: []core.Path{{ID: "p0"}, {ID: "p1"}}})
+	root.Start()
+	k.At(2*time.Second, func() {
+		leaves[0].Host.SetUp(false)
+		leaves[1].Host.SetUp(false)
+	})
+	k.At(5*time.Second, func() { leaves[1].Host.SetUp(true) })
+	k.RunUntil(10 * time.Second)
+	if len(leaves[0].assigned) != 0 || len(leaves[1].assigned) != 2 || root.Stats.Adoptions != 1 || root.Stats.Reclaims != 1 {
+		t.Fatalf("shards %d/%d, %d adoptions, %d reclaims (events: %v)",
+			len(leaves[0].assigned), len(leaves[1].assigned), root.Stats.Adoptions, root.Stats.Reclaims, root.Events)
+	}
+	if got := leaves[1].member.(*stubMember).Request().Paths; len(got) != 2 {
+		t.Fatalf("adopter's member runs %d paths, want 2", len(got))
+	}
+}
+
+// TestBatchLedgerBalances: every re-export a child sends is ingested,
+// dropped at the full queue, lost to a down parent, queued, or in process.
+// The checks run 1 ms after a re-export tick, when nothing is in process.
+func TestBatchLedgerBalances(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	root, leaves := buildStubTree(k, netsim.New(k, 1), Config{})
+	root.Submit(core.Request{Paths: []core.Path{{ID: "p0"}, {ID: "p1"}}, Metrics: []metrics.Metric{metrics.Reachability}})
+	for i, l := range leaves {
+		l.DB.Record(core.Measurement{Path: core.PathID([]string{"p0", "p1"}[i]), Metric: metrics.Reachability, Value: 1})
+	}
+	root.Start()
+	check := func(at time.Duration) {
+		t.Helper()
+		k.RunUntil(at)
+		var sent uint64
+		for _, l := range leaves {
+			sent += l.Stats.Reexports
+		}
+		s := root.Stats
+		if got := s.BatchesIn + s.BatchesDropped + s.BatchesLost + uint64(root.recQ.Len()); sent == 0 || got != sent {
+			t.Fatalf("at %v: children sent %d batches, root accounts for %d (%+v)", at, sent, got, s)
+		}
+	}
+	check(1751 * time.Millisecond)
+	if root.Stats.BatchesLost != 0 {
+		t.Fatalf("a live root lost %d batches", root.Stats.BatchesLost)
+	}
+	k.At(2*time.Second, func() { root.Host.SetUp(false) })
+	check(5001 * time.Millisecond)
+	if root.Stats.BatchesLost != 24 || root.Stats.RecordsLost != 24 {
+		t.Fatalf("root down from 2 s to 5 s lost %d batches, %d records; want 24 and 24 (2 leaves × 12 ticks × 1 record)",
+			root.Stats.BatchesLost, root.Stats.RecordsLost)
 	}
 }
 

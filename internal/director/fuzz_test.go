@@ -2,10 +2,13 @@ package director
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 // FuzzTrapCoalesce drives the coalescer with arbitrary interleavings of
@@ -107,6 +110,147 @@ func FuzzTrapCoalesce(f *testing.F) {
 					t.Fatalf("stream %v: direction sequence %v became %v", k, s.offDirs, s.emitDirs)
 				}
 			}
+		}
+	})
+}
+
+// FuzzSupervise drives one parent's liveness decisions without running
+// the kernel: a stub tree of 2–4 leaves takes arbitrary sequences of host
+// failures and revivals, heartbeats, clock advances and root backpressure
+// levels, and after every step the parent runs one supervise tick
+// (liveness). After each tick:
+//
+//  1. Every submitted path sits in exactly one leaf's assignment, and that
+//     leaf's member has exactly those paths installed.
+//  2. No leaf that was up and heard within its stretched deadline before
+//     the tick — AdoptAfter × (re-export interval / Reexport), at least
+//     AdoptAfter — is adopted by the tick.
+//  3. While any leaf is live (up and not declared dead), no dead leaf
+//     holds a path.
+//  4. Once every leaf is up and heard, one tick gives each leaf back
+//     exactly its home share (checked by a dedicated step).
+//
+// The first byte picks the leaf count and the number of paths; each
+// further byte is one step: bits 0-2 the operation, bits 3-7 its operand.
+func FuzzSupervise(f *testing.F) {
+	// Seed steps: leaf i down i<<3, up i<<3|1, heard i<<3|2; advance
+	// x·100ms x<<3|3; root level v v<<3|4; all up and heard 5.
+	f.Add([]byte{0x00})
+	f.Add([]byte{0x00, 0x00, 0x2b, 0x0a, 0x2b, 0x0a, 0x2b, 0x0a, 0x01, 0x02, 0x05}) // leaf0 dies, is adopted, returns
+	f.Add([]byte{0x00, 0x00, 0x08, 0x5b, 0x09, 0x0a, 0x05})                         // both die, leaf1 returns first
+	f.Add([]byte{0x02, 0x1c, 0x2b, 0x02, 0x0a, 0x12, 0x1a, 0x2b, 0x2b, 0x0a, 0x2b,  // root pressed: leaves may be slow
+		0x00, 0x5b, 0x5b, 0x5b, 0x5b, 0x5b, 0x5b, 0x04, 0x05})
+	f.Add([]byte{0x01, 0x00, 0x08, 0x10, 0x5b, 0x09, 0x5b, 0x0a, 0x01, 0x5b, 0x05})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := sim.NewKernel()
+		defer k.Close()
+		nw := netsim.New(k, 1)
+		cfg := Config{}
+		root := New(nw.NewHost("root"), "root", cfg)
+		n := 2 + int(data[0]%3)
+		var leaves []*Director
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("leaf%d", i)
+			l := NewLeaf(nw.NewHost(netsim.Addr(name)), name, newStubMember(k), cfg)
+			root.AddChild(l)
+			leaves = append(leaves, l)
+		}
+		var paths []core.Path
+		for i := 0; i < n+int(data[0]>>2%8); i++ {
+			paths = append(paths, core.Path{ID: core.PathID(fmt.Sprintf("p%d", i))})
+		}
+		root.Submit(core.Request{Paths: paths})
+		base, adoptAfter := root.Cfg.Reexport, root.Cfg.AdoptAfter
+
+		ids := func(ps []core.Path) string {
+			var b strings.Builder
+			for _, p := range ps {
+				b.WriteString(string(p.ID) + " ")
+			}
+			return b.String()
+		}
+		var now time.Duration
+		// healthy lists the leaves invariant 2 protects from the next tick.
+		healthy := func() []*Director {
+			iv := min(base<<root.level, root.Cfg.MaxReexport)
+			deadline := max(adoptAfter, adoptAfter*(iv/base))
+			var out []*Director
+			for _, l := range leaves {
+				if l.Host.Up() && now-l.heard <= deadline {
+					out = append(out, l)
+				}
+			}
+			return out
+		}
+		tick := func() {
+			before, events := healthy(), len(root.Events)
+			root.liveness(now)
+			for _, ev := range root.Events[events:] {
+				for _, l := range before {
+					if strings.Contains(ev, " adopt "+l.Name+"->") {
+						t.Fatalf("healthy %s adopted at %v (level %d, heard %v): %q", l.Name, now, root.level, l.heard, ev)
+					}
+				}
+			}
+			owner := map[core.PathID]int{}
+			live := false
+			for _, l := range leaves {
+				for _, p := range l.assigned {
+					owner[p.ID]++
+				}
+				if got := ids(l.member.(*stubMember).Request().Paths); got != ids(l.assigned) {
+					t.Fatalf("%s assigned [%s] but its member runs [%s]", l.Name, ids(l.assigned), got)
+				}
+				live = live || (l.Host.Up() && !l.dead)
+			}
+			for _, p := range paths {
+				if owner[p.ID] != 1 {
+					t.Fatalf("path %s held by %d leaves", p.ID, owner[p.ID])
+				}
+			}
+			for _, l := range leaves {
+				if live && l.dead && len(l.assigned) > 0 {
+					t.Fatalf("dead %s still holds [%s] while a sibling is live", l.Name, ids(l.assigned))
+				}
+			}
+		}
+
+		for _, b := range data[1:] {
+			l, arg := leaves[int(b>>3)%n], int(b>>3)
+			switch b & 7 {
+			case 0:
+				l.Host.SetUp(false)
+			case 1:
+				l.Host.SetUp(true)
+			case 2:
+				l.heard = now
+			case 3:
+				now += time.Duration(arg) * 100 * time.Millisecond
+			case 4:
+				root.level = arg % (maxLevel + 1)
+			case 5:
+				for _, l := range leaves {
+					l.Host.SetUp(true)
+					l.heard = now
+				}
+				tick()
+				for i, l := range leaves {
+					var home []core.Path
+					for j := i; j < len(paths); j += n {
+						home = append(home, paths[j])
+					}
+					if ids(l.assigned) != ids(home) {
+						t.Fatalf("all up and heard: %s holds [%s], home is [%s]", l.Name, ids(l.assigned), ids(home))
+					}
+				}
+				continue
+			default:
+				continue
+			}
+			tick()
 		}
 	})
 }

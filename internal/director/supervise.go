@@ -1,0 +1,145 @@
+package director
+
+import (
+	"fmt"
+	"slices"
+	"time"
+
+	"repro/internal/core"
+)
+
+// supervise is the periodic control loop of a director with children:
+// watermark-driven backpressure on its own queues, then child liveness
+// and shard failover. It is the only function here that reads the kernel.
+func (d *Director) supervise() {
+	if !d.up() {
+		return
+	}
+	d.watermarks()
+	d.liveness(d.k.Now())
+}
+
+// watermarks raises the backpressure level when either ingest queue is a
+// quarter full (the high-water mark, QueueCap/4) and releases it level by
+// level once depth falls back to a sixteenth (the low-water mark,
+// QueueCap/16). Each level doubles the local coalescing window, up to 4×;
+// descendants read the level themselves (reexportInterval).
+func (d *Director) watermarks() {
+	depth := max(d.trapQ.Len(), d.recQ.Len())
+	switch {
+	case depth >= d.Cfg.QueueCap/4 && d.level < maxLevel:
+		d.level++
+		d.Stats.Stretches++
+	case depth <= d.Cfg.QueueCap/16 && d.level > 0:
+		d.level--
+	default:
+		return
+	}
+	if base := d.Cfg.CoalesceWindow; base > 0 {
+		d.co.SetWindow(min(base<<d.level, 4*base))
+	}
+}
+
+// maxLevel bounds backpressure escalation; with doubling schedules three
+// levels span an 8× stretch, which meets the window's 4× cap and any
+// MaxReexport cap up to 8× Reexport.
+const maxLevel = 3
+
+// reexportInterval is Reexport doubled per level of the most pressed
+// director from d up to the root, capped at MaxReexport: a parent's
+// pressure is read where it applies, never copied down the tree.
+func (d *Director) reexportInterval() time.Duration {
+	lvl := 0
+	for a := d; a != nil; a = a.parent {
+		lvl = max(lvl, a.level)
+	}
+	return min(d.Cfg.Reexport<<lvl, d.Cfg.MaxReexport)
+}
+
+// liveness walks the leaf children at virtual time now. A leaf silent past
+// its deadline — AdoptAfter, stretched as far as backpressure stretches its
+// re-exports — is declared dead; a dead one up and heard again reclaims its
+// home shard. Then each dead leaf still holding paths hands them to a live
+// sibling, if there is one. An orphaned shard's data goes stale under the
+// senescence watchdog until the adopter's first re-export lands: staleness
+// is surfaced, freshness is never fabricated.
+func (d *Director) liveness(now time.Duration) {
+	for _, c := range d.children {
+		if c.member == nil {
+			continue
+		}
+		slowdown := float64(c.reexportInterval()) / float64(c.Cfg.Reexport)
+		heard := now-c.heard <= max(d.Cfg.AdoptAfter, time.Duration(slowdown*float64(d.Cfg.AdoptAfter)))
+		switch {
+		case !c.dead && !heard:
+			c.dead = true
+		case c.dead && heard && c.up():
+			c.dead = false
+			d.reclaim(c, now)
+		}
+	}
+	for i, c := range d.children {
+		if c.dead && len(c.assigned) > 0 {
+			if a := d.pickAdopter(i); a != nil {
+				d.adopt(c, a, now)
+			}
+		}
+	}
+}
+
+// pickAdopter chooses the first live leaf sibling after the orphan in
+// attachment order — deterministic and load-spreading enough for a drill.
+func (d *Director) pickAdopter(orphan int) *Director {
+	n := len(d.children)
+	for off := 1; off < n; off++ {
+		c := d.children[(orphan+off)%n]
+		if c.member != nil && c.up() && !c.dead {
+			return c
+		}
+	}
+	return nil
+}
+
+// adopt moves the orphan's current shard onto the adopter. The adopter's
+// member re-submits the union request; agents already deployed on the
+// orphaned shard's hosts are found in the shared cots.AgentRegistry, so
+// adoption re-uses them rather than re-deploying.
+func (d *Director) adopt(orphan, adopter *Director, now time.Duration) {
+	moved := len(orphan.assigned)
+	adopter.assigned = append(adopter.assigned, orphan.assigned...)
+	orphan.assigned = orphan.assigned[:0]
+	orphan.member.Submit(core.Request{Metrics: d.metricsL})
+	adopter.member.Submit(core.Request{Paths: adopter.assigned, Metrics: d.metricsL})
+	d.Stats.Adoptions++
+	d.Events = append(d.Events, fmt.Sprintf("%v adopt %s->%s (%d paths)", now, orphan.Name, adopter.Name, moved))
+}
+
+// reclaim hands a revived leaf its home shard back, trimming it from
+// whichever siblings adopted it. Paths the leaf adopted before it died
+// stay with it, after its home share: their own leaves are still dead.
+func (d *Director) reclaim(c *Director, now time.Duration) {
+	homeIDs := make(map[core.PathID]bool, len(c.home))
+	for _, p := range c.home {
+		homeIDs[p.ID] = true
+	}
+	for _, s := range d.children {
+		if s.member == nil {
+			continue
+		}
+		kept := s.assigned[:0]
+		for _, p := range s.assigned {
+			if !homeIDs[p.ID] {
+				kept = append(kept, p)
+			}
+		}
+		trimmed := len(kept) < len(s.assigned)
+		s.assigned = kept
+		if trimmed && s != c {
+			s.member.Submit(core.Request{Paths: s.assigned, Metrics: d.metricsL})
+		}
+	}
+	c.assigned = append(slices.Clone(c.home), c.assigned...)
+	c.member.Submit(core.Request{Paths: c.assigned, Metrics: d.metricsL})
+	d.Stats.Reclaims++
+	d.Events = append(d.Events, fmt.Sprintf("%v reclaim %s (%d paths)", now, c.Name, len(c.home)))
+}

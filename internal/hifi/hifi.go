@@ -140,8 +140,8 @@ func (m *Monitor) Start() {
 	m.started = true
 	m.host.Spawn("netmon-collector", func(p *sim.Proc) {
 		for !m.Stopped() {
-			req, ok := m.Request()
-			if !ok || len(req.Paths) == 0 {
+			req := m.Request()
+			if len(req.Paths) == 0 {
 				p.Sleep(100 * time.Millisecond)
 				continue
 			}

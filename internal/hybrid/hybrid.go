@@ -162,7 +162,7 @@ func (m *Monitor) maybeEscalate(p *sim.Proc, path core.Path) {
 	}
 	m.lastRecheck[path.ID] = now
 	m.Escalations++
-	req, _ := m.Request()
+	req := m.Request()
 	results := m.hifiMon.MeasurePath(p, path, req.Metrics)
 	if _, ok := m.paths[path.ID]; !ok {
 		return // dropped by a resubmit during the burst
