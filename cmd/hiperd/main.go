@@ -6,12 +6,14 @@
 //	hiperd -fail s2 -failat 10s -duration 40s
 //	hiperd -monitor hybrid -fail c1
 //	hiperd -duration 400s -cpuprofile hiperd.prof   # the benchmark's hiperd-rtds-hifi run, profiled
+//	hiperd -duration 400s -memprofile allocs.prof   # the same run's allocations
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"time"
 
@@ -36,11 +38,13 @@ func main() {
 	duration := flag.Duration("duration", 40*time.Second, "virtual time to run")
 	telem := flag.String("telemetry", "", "dump the stack's self-telemetry after the run (text | json)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run (set-up excluded) to this file")
+	memProfile := flag.String("memprofile", "", "write an allocs profile of every allocation of the run (set-up excluded) to this file")
 	flag.Parse()
 	if *telem != "" && *telem != "text" && *telem != "json" {
 		fmt.Fprintf(os.Stderr, "hiperd: unknown -telemetry format %q (use text or json)\n", *telem)
 		os.Exit(2)
 	}
+	startAllocs, stopAllocs := profileAllocs(*memProfile)
 
 	k := sim.NewKernel()
 	defer k.Close()
@@ -158,7 +162,9 @@ func main() {
 		say("status: %d/9 clients with fresh track data; %d engagements logged", fresh, engagements)
 	})
 	stopProfile := profileCPU(*cpuProfile)
+	startAllocs()
 	k.RunUntil(*duration)
+	stopAllocs()
 	stopProfile()
 	timelineTick.Stop()
 	statusTick.Stop()
@@ -217,4 +223,35 @@ func profileCPU(path string) (stop func()) {
 			os.Exit(2)
 		}
 	}
+}
+
+// profileAllocs creates path for an allocs profile and turns allocation
+// sampling off, so that set-up does not show; start records every
+// allocation from the beginning of the run, which gives exact counts, and
+// stop writes the profile. With no path all three do nothing.
+func profileAllocs(path string) (start, stop func()) {
+	if path == "" {
+		return func() {}, func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hiperd: -memprofile: %v\n", err)
+		os.Exit(2)
+	}
+	runtime.MemProfileRate = 0
+	start = func() { runtime.MemProfileRate = 1 }
+	stop = func() {
+		// The profile holds the allocations up to the last completed
+		// collection, and a run may complete none.
+		runtime.GC()
+		err := pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hiperd: -memprofile: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	return start, stop
 }

@@ -121,6 +121,29 @@ func TestCPUProfileFlag(t *testing.T) {
 	}
 }
 
+// TestMemProfileFlag: -memprofile leaves a non-empty allocs profile `go tool
+// pprof` can read (a gzip stream) and the run still exits 0; an unwritable
+// path is refused with exit status 2 before the run starts.
+func TestMemProfileFlag(t *testing.T) {
+	bin := buildHiperd(t)
+	prof := filepath.Join(t.TempDir(), "allocs.prof")
+	if out, err := exec.Command(bin, "-duration", "20s", "-memprofile", prof).CombinedOutput(); err != nil {
+		t.Fatalf("hiperd -memprofile: %v\n%s", err, out)
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("profile is %d bytes and does not start with the gzip magic", len(b))
+	}
+	err = exec.Command(bin, "-memprofile", filepath.Join(prof, "under-a-file")).Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("unwritable -memprofile path: %v, want exit status 2", err)
+	}
+}
+
 // TestUnknownFailHost: -fail naming a host the testbed does not have is
 // refused with exit status 2 before the run, naming the host, instead of
 // running the whole horizon without a fault.

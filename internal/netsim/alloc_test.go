@@ -106,3 +106,44 @@ func TestRecvDeliveryAllocatesOnePacketPerFrame(t *testing.T) {
 		k.Close()
 	}
 }
+
+// TestSendCopyToConsumerAllocatesNothing: a SendCopy datagram a consumer
+// takes costs no allocation on any path once warm: its frame and its
+// payload buffer both go back to the network when the consumer returns, and
+// the consumer reads the sender's bytes, not the sender's slice.
+func TestSendCopyToConsumerAllocatesNothing(t *testing.T) {
+	for _, tc := range deliveryTopologies {
+		k := sim.NewKernel()
+		nw := New(k, 1)
+		a, c := nw.NewHost("a"), nw.NewHost("c")
+		tc.build(nw, a, c)
+		received, bad := 0, 0
+		c.OpenUDP(9).Consume(func(p *Packet) {
+			received++
+			if len(p.Payload) != 2048 || p.Payload[0] != p.Payload[2047] {
+				bad++
+			}
+		})
+		sock := a.OpenUDP(0)
+		msg := make([]byte, 2048)
+		burst := func() {
+			for i := 0; i < 4; i++ {
+				msg[0], msg[2047] = byte(i), byte(i)
+				sock.SendCopy("c", 9, msg, 8192)
+			}
+			k.Run()
+		}
+		burst()
+		burst()
+		if n := testing.AllocsPerRun(100, burst) / 4; n != 0 {
+			t.Errorf("%s: %v allocations per consumed SendCopy datagram, want 0", tc.name, n)
+		}
+		if want := 4 * 103; received != want || bad != 0 {
+			t.Errorf("%s: consumer received %d datagrams (%d wrong), want %d", tc.name, received, bad, want)
+		}
+		if nw.ledger.bufAllocated > 4 {
+			t.Errorf("%s: %d payload buffers allocated for bursts of 4", tc.name, nw.ledger.bufAllocated)
+		}
+		k.Close()
+	}
+}

@@ -3,46 +3,64 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // A frame the network owns to the end goes back to the network's free list
-// once its last synchronous observer has returned: a datagram a Sink has
-// consumed, a frame Network.drop has discarded (after OnDrop), and a
-// broadcast original whose copies have all been handed out. UDPSock.send and
-// the broadcast and duplicate copies take their frames from that list. A
-// frame Recv hands to a proc is the proc's from then on and never comes
-// back. So a tap's Frame.Pkt and OnDrop's *Packet are valid only for the
-// duration of the call.
+// once its last synchronous observer has returned: a datagram a consumer
+// (UDPSock.Consume, a Sink) has taken, a frame Network.drop has discarded
+// (after OnDrop), and a broadcast original whose copies have all been handed
+// out. UDPSock.send and the broadcast and duplicate copies take their frames
+// from that list. A frame Recv hands to a proc is the proc's from then on and
+// never comes back. So a tap's Frame.Pkt and OnDrop's *Packet are valid only
+// for the duration of the call.
 //
-// The packet ledger proves that no frame is lost or freed twice. Each
-// network keeps the terms of two identities, every one counted where it
-// happens and none derived from another:
+// UDPSock.SendCopy copies its payload into a buffer off a second list of the
+// network's, and the frame owns that buffer (Packet.owns). Releasing the
+// frame returns the buffer to the list, poisoned. Three events give the
+// buffer up to the collector instead: handing the frame to a receive queue
+// (the proc keeps the payload), cloning it (the copies share the bytes) and
+// a full list.
+//
+// The packet ledger proves that no frame or buffer is lost or freed twice.
+// Each network keeps the terms of three identities, every one counted where
+// it happens and none derived from another:
 //
 //	sent + cloned + crossed in = delivered + Σ dropped[reason] + fanned out
 //	                             + crossed out + in flight
 //	allocated + crossed in − crossed out − discarded − len(free)
 //	                           = in flight + handed to Recv
+//	buffers allocated + crossed in = len(buffer list) + owned in flight
+//	                    + given up + discarded + crossed out
 //
 // In flight is the frames in interface queues plus the frames with a pending
 // hop event (counted where Packet.hop is armed and taken); crossed in and out
-// are the frames a ConnectShards link hands between networks. The first
-// identity is conservation; the second catches a frame that was never
-// released (or released into a list while a proc still holds it). A released
-// frame is zeroed and poisoned, and releasing it again panics.
+// are the frames a ConnectShards link hands between networks, each with the
+// buffer it owns. The first identity is conservation; the second catches a
+// frame that was never released (or released into a list while a proc still
+// holds it); the third does the same for a payload buffer. A released frame
+// is zeroed and poisoned, and releasing it again panics; a returned buffer is
+// filled with bufPoison, and returning it again panics.
 
 // freeCap bounds a network's free list, in frames. It is a little above the
 // frames one busy LAN keeps in flight; a network that only receives over a
 // link fills it and lets the rest go to the collector.
 const freeCap = 256
 
+// bufPoison fills every byte of a payload buffer on the network's list, so a
+// consumer that kept a released frame's Payload reads it instead of the
+// datagram.
+const bufPoison = 0xdb
+
 // freed poisons a released frame: it is the hop of every frame on a free
 // list, which no live frame's hop ever is.
 var freed = new(Iface)
 
-// ledger is a network's packet ledger and free list.
+// ledger is a network's packet ledger, free list and buffer list.
 type ledger struct {
 	free []*Packet
+	bufs [][]byte // payload buffers, at most freeCap, each poisoned
 
 	cloned     uint64 // broadcast and duplicate copies
 	dropped    [numDropReasons]uint64
@@ -53,6 +71,14 @@ type ledger struct {
 	allocated  uint64
 	discarded  uint64 // released with the free list full
 	toRecv     uint64 // frames handed to a receive queue
+
+	// The buffer identity's terms.
+	bufAllocated  uint64
+	bufCrossedIn  uint64
+	bufCrossedOut uint64
+	bufGivenUp    uint64 // handed to Recv or shared by a clone
+	bufDiscarded  uint64 // returned with the list full, or too small to reuse
+	bufHops       int    // buffer-owning frames with a pending hop event
 }
 
 // newPacket returns a zero frame: one off the free list, or a new one.
@@ -73,12 +99,59 @@ func (nw *Network) release(p *Packet) {
 	if p.released() {
 		panic(fmt.Sprintf("netsim: frame released twice in %s", nw.label()))
 	}
+	if p.owns {
+		nw.releaseBuf(p.Payload)
+	}
 	*p = Packet{hop: freed}
 	l := &nw.ledger
 	if len(l.free) < freeCap {
 		l.free = append(l.free, p)
 	} else {
 		l.discarded++
+	}
+}
+
+// newBuf returns an n-byte buffer for a payload copy: one off the buffer
+// list, or a new one. A listed buffer too small for n goes to the collector.
+func (nw *Network) newBuf(n int) []byte {
+	l := &nw.ledger
+	if k := len(l.bufs); k > 0 {
+		b := l.bufs[k-1]
+		l.bufs = l.bufs[:k-1]
+		if cap(b) >= n {
+			return b[:n]
+		}
+		l.bufDiscarded++
+	}
+	l.bufAllocated++
+	return make([]byte, n)
+}
+
+// releaseBuf poisons a frame's own payload buffer and returns it to the
+// list. A buffer whose first byte is already poison is looked for on the
+// list, so that a second return panics.
+func (nw *Network) releaseBuf(b []byte) {
+	l := &nw.ledger
+	if b[0] == bufPoison && slices.ContainsFunc(l.bufs, func(f []byte) bool { return &f[:1][0] == &b[0] }) {
+		panic(fmt.Sprintf("netsim: payload buffer returned twice in %s", nw.label()))
+	}
+	b[0] = bufPoison
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
+	if len(l.bufs) < freeCap {
+		l.bufs = append(l.bufs, b)
+	} else {
+		l.bufDiscarded++
+	}
+}
+
+// disown ends p's ownership of its payload buffer: the bytes stay where they
+// are, for whoever still holds them, and the collector reclaims the buffer.
+func (nw *Network) disown(p *Packet) {
+	if p.owns {
+		p.owns = false
+		nw.ledger.bufGivenUp++
 	}
 }
 
@@ -95,14 +168,19 @@ func (nw *Network) label() string {
 	return fmt.Sprintf("the network of %q (%d nodes, shard %d)", nw.nodes[0].Name, len(nw.nodes), nw.K.ShardIndex())
 }
 
-// balance checks both ledger identities. The error names the network, the
+// balance checks the three ledger identities. The error names the network, the
 // identity that is off and every term of it.
 func (nw *Network) balance() error {
 	l := &nw.ledger
-	queued := 0
+	queued, queuedBufs := 0, 0
 	for _, n := range nw.nodes {
 		for _, ifc := range n.ifaces {
 			queued += ifc.qlen()
+			for i := range ifc.qlen() {
+				if ifc.queue.At(i).owns {
+					queuedBufs++
+				}
+			}
 		}
 	}
 	inFlight := int64(queued + l.hops)
@@ -132,6 +210,16 @@ func (nw *Network) balance() error {
 			"but in flight %d + handed to Recv %d = %d",
 			nw.label(), owned-held, l.allocated, l.crossedIn, l.crossedOut, l.discarded, len(l.free), owned,
 			inFlight, l.toRecv, held))
+	}
+	bufsIn := l.bufAllocated + l.bufCrossedIn
+	ownedInFlight := uint64(queuedBufs + l.bufHops)
+	bufsOut := uint64(len(l.bufs)) + ownedInFlight + l.bufGivenUp + l.bufDiscarded + l.bufCrossedOut
+	if bufsIn != bufsOut {
+		errs = append(errs, fmt.Errorf("netsim: packet ledger of %s: payload buffers are off by %d "+
+			"(negative: returned while held): allocated %d + crossed in %d = %d, but listed %d + owned in flight %d "+
+			"(queued %d, pending hop %d) + given up %d + discarded %d + crossed out %d = %d",
+			nw.label(), int64(bufsIn-bufsOut), l.bufAllocated, l.bufCrossedIn, bufsIn, len(l.bufs), ownedInFlight,
+			queuedBufs, l.bufHops, l.bufGivenUp, l.bufDiscarded, l.bufCrossedOut, bufsOut))
 	}
 	return errors.Join(errs...)
 }

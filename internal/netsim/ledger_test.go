@@ -86,6 +86,97 @@ func TestReleaseTwicePanics(t *testing.T) {
 	nw.release(p)
 }
 
+// TestPayloadReturnedTwicePanics: the poison catches a second return of a
+// payload buffer, as it does a frame's second release.
+func TestPayloadReturnedTwicePanics(t *testing.T) {
+	k := sim.NewKernel()
+	nw := New(k, 1)
+	nw.NewHost("a")
+	b := nw.newBuf(64)
+	nw.releaseBuf(b)
+	if !filledWith(b, bufPoison) {
+		t.Fatalf("a returned buffer reads % x…, want poison", b[:8])
+	}
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "payload buffer returned twice") || !strings.Contains(msg, `the network of "a"`) {
+			t.Fatalf("second return: recovered %v, want a panic naming the network", r)
+		}
+	}()
+	nw.releaseBuf(b)
+}
+
+// TestConsumerKeptPayloadReadsPoison: a consumer that keeps a SendCopy
+// payload past its call holds a buffer that went back to the network with
+// the frame, and reads poison there; the sender's own slice was never the
+// frame's.
+func TestConsumerKeptPayloadReadsPoison(t *testing.T) {
+	k, nw, a, b := twoHosts(t)
+	var kept []byte
+	b.OpenUDP(9).Consume(func(p *Packet) {
+		if string(p.Payload) != "a track update" {
+			t.Errorf("consumer read %q", p.Payload)
+		}
+		kept = p.Payload
+	})
+	src := []byte("a track update")
+	tx := a.OpenUDP(0)
+	k.After(0, func() {
+		tx.SendCopy("b", 9, src, 8192)
+		copy(src, "overwritten at once")
+	})
+	k.Run()
+	if len(kept) != len(src) || !filledWith(kept, bufPoison) {
+		t.Fatalf("kept payload reads %q, want %d bytes of poison", kept, len(src))
+	}
+	if l := nw.ledger; l.bufAllocated != 1 || len(l.bufs) != 1 || &l.bufs[0][0] != &kept[0] {
+		t.Fatalf("buffer not back on the list: allocated %d, listed %d", l.bufAllocated, len(l.bufs))
+	}
+	mustBalanceNow(t, nw)
+}
+
+// TestBroadcastPayloadIsNeverListedWhileShared: the copies of a broadcast
+// share one payload, so none of them, nor the original, gives it back to the
+// list — not when a consumer's copy is released while a Recv proc still
+// holds another, and not after later SendCopy traffic has cycled the list.
+func TestBroadcastPayloadIsNeverListedWhileShared(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	nw := New(k, 1)
+	seg := nw.NewSegment("lan", Ethernet10())
+	a, b, c := nw.NewHost("a"), nw.NewHost("b"), nw.NewHost("c")
+	for _, n := range []*Node{a, b, c} {
+		seg.Attach(n)
+	}
+	consumed := 0
+	b.OpenUDP(9).Consume(func(*Packet) { consumed++ })
+	rx := c.OpenUDP(9)
+	var held *Packet
+	c.Spawn("rx", func(p *sim.Proc) { held, _ = rx.Recv(p, -1) })
+	tx := a.OpenUDP(0)
+	k.After(0, func() { tx.SendCopy(Broadcast, 9, []byte("to all stations"), 64) })
+	k.Run()
+	if consumed != 1 || held == nil || string(held.Payload) != "to all stations" {
+		t.Fatalf("consumed %d, held %v", consumed, held)
+	}
+	shared := &held.Payload[0]
+	listed := func() bool {
+		return slices.ContainsFunc(nw.ledger.bufs, func(b []byte) bool { return &b[0] == shared })
+	}
+	if listed() || nw.ledger.bufGivenUp != 1 {
+		t.Fatalf("broadcast payload listed %v, given up %d times, want not listed and 1", listed(), nw.ledger.bufGivenUp)
+	}
+	// Unicast copies of the same length cycle through the list meanwhile.
+	for i := 0; i < 8; i++ {
+		k.After(0, func() { tx.SendCopy("b", 9, []byte("unicast traffic"), 64) })
+	}
+	k.Run()
+	if listed() || string(held.Payload) != "to all stations" {
+		t.Fatalf("held broadcast payload listed %v, reads %q", listed(), held.Payload)
+	}
+	mustBalanceNow(t, nw)
+}
+
 // TestLedgerNamesLeak: a frame the network took and never released or
 // handed out fails the second identity, and the error names the network and
 // the term.
@@ -106,6 +197,12 @@ func TestLedgerNamesLeak(t *testing.T) {
 	nw.release(nw.newPacket()) // the next frame comes off the list: still one short
 	if nw.balance() == nil {
 		t.Fatal("a leaked frame balanced after a recycle")
+	}
+	nw.ledger.allocated-- // forgive the frame, then leak a payload buffer
+	nw.newBuf(8)
+	err = nw.balance()
+	if err == nil || !strings.Contains(err.Error(), "payload buffers are off by 1") {
+		t.Fatalf("a leaked payload buffer: ledger error %v", err)
 	}
 }
 
@@ -173,7 +270,7 @@ func TestReceiveOnlyNetworkCapsFreeList(t *testing.T) {
 // between the routers, on one kernel or on the two shards of a group. Each
 // router's default route is the other, so a datagram to a name neither
 // network has bounces across the cut until its TTL runs out, and rA routes
-// "lost" to a host, which drops it as no route. Every host binds a sink
+// "lost" to a host, which drops it as no route. Every host binds a consumer
 // (port 9), a socket a proc drains through Recv (7) and one nobody reads,
 // whose four-deep queue fills (8); port 99 is bound nowhere.
 type ledgerWorld struct {
@@ -182,6 +279,33 @@ type ledgerWorld struct {
 	nodes []*Node // a0 a1 a2 rA b0 b1 b2 rB
 	socks []*UDPSock
 	lanA  *SharedSegment
+	sides [2]*ledgerSide
+}
+
+// ledgerSide is what one network's endpoints saw of SendCopy payloads. Each
+// is touched only from its network's shard.
+type ledgerSide struct {
+	scratch []byte // what SendCopy copies; every send rewrites it
+	mark    byte   // the byte the last payload was filled with
+	held    []heldPayload
+	bad     []string // payloads an endpoint found corrupt
+
+	// Where payload copies ended, summed by TestLedgerSeedsReachEveryEnding.
+	consumed, received, broadcast, duplicated int
+	dropped                                   [numDropReasons]int
+	seen                                      map[seenKey]bool
+}
+
+// heldPayload is a payload a Recv proc keeps, with the byte it was filled
+// with: the network must neither poison nor reuse it.
+type heldPayload struct {
+	b    []byte
+	mark byte
+}
+
+type seenKey struct {
+	at, src Addr
+	id      uint64
 }
 
 var (
@@ -202,35 +326,51 @@ func newLedgerWorld(sharded bool, loss, dup float64) *ledgerWorld {
 	w.k = kA
 	w.nets = [2]*Network{New(kA, 11), New(kB, 12)}
 	for i, nw := range w.nets {
-		side := "ab"[i : i+1]
+		side := &ledgerSide{scratch: make([]byte, 4*256), seen: make(map[seenKey]bool)}
+		w.sides[i] = side
+		nw.OnDrop = func(r DropReason, p *Packet) {
+			if p.owns {
+				side.dropped[r]++
+			}
+		}
+		name := "ab"[i : i+1]
 		var hosts [3]*Node
 		for h := range hosts {
-			hosts[h] = nw.NewHost(Addr(fmt.Sprintf("%s%d", side, h)))
+			hosts[h] = nw.NewHost(Addr(fmt.Sprintf("%s%d", name, h)))
 		}
-		r := nw.NewRouter(Addr("r"+strings.ToUpper(side)), 10*time.Microsecond)
+		r := nw.NewRouter(Addr("r"+strings.ToUpper(name)), 10*time.Microsecond)
 		lanCfg := Ethernet10()
 		lanCfg.DupProb = dup
 		linkCfg := ATMLink()
 		if i == 0 {
 			lanCfg.LossProb, linkCfg.LossProb = loss, loss
 		}
-		lan := nw.NewSegment(side+"-lan", lanCfg)
+		lan := nw.NewSegment(name+"-lan", lanCfg)
 		for _, n := range []*Node{hosts[0], hosts[1], r} {
 			lan.Attach(n)
 		}
-		nw.NewLink(side+"-link", r, hosts[2], linkCfg)
+		nw.NewLink(name+"-link", r, hosts[2], linkCfg)
 		for _, h := range hosts {
 			h.SetDefaultRoute(r.Name)
-			NewSink(h, 9)
+			sink := h.OpenUDP(9)
+			sink.Consume(func(p *Packet) {
+				if side.see(h.Name, p) && p.owns {
+					side.consumed++
+				}
+			})
 			rx := h.OpenUDP(7)
 			h.Spawn("rx", func(p *sim.Proc) {
 				for {
-					rx.Recv(p, -1)
+					pkt, ok := rx.Recv(p, -1)
+					if ok && side.see(h.Name, pkt) {
+						side.received++
+						side.held = append(side.held, heldPayload{pkt.Payload, pkt.Payload[0]})
+					}
 				}
 			})
 			full := h.OpenUDP(8)
 			full.rq = sim.NewQueue[*Packet](h.net.K, 4)
-			w.socks = append(w.socks, rx, full, h.sockets[9])
+			w.socks = append(w.socks, rx, full, sink)
 		}
 		if i == 0 {
 			w.lanA = lan
@@ -247,10 +387,59 @@ func newLedgerWorld(sharded bool, loss, dup float64) *ledgerWorld {
 	return w
 }
 
+// payload fills n bytes of the scratch of src's network with the next mark
+// and returns them.
+func (w *ledgerWorld) payload(src *Node, n int) []byte {
+	s := w.sides[0]
+	if src.net == w.nets[1] {
+		s = w.sides[1]
+	}
+	if s.mark++; s.mark == bufPoison {
+		s.mark++
+	}
+	b := s.scratch[:n]
+	for i := range b {
+		b[i] = s.mark
+	}
+	return b
+}
+
+// see checks a datagram's payload at a socket of node at: a SendCopy
+// payload must be one mark throughout, never poison. It reports whether the
+// datagram carried one, and counts broadcast and duplicate copies.
+func (s *ledgerSide) see(at Addr, p *Packet) bool {
+	if len(p.Payload) == 0 {
+		return false
+	}
+	if m := p.Payload[0]; m == bufPoison || !filledWith(p.Payload, m) {
+		s.bad = append(s.bad, fmt.Sprintf("%s got datagram %d from %s with payload % x…", at, p.ID, p.Src, p.Payload[:min(8, len(p.Payload))]))
+	}
+	if p.NextHop == Broadcast {
+		s.broadcast++
+	}
+	k := seenKey{at, p.Src, p.ID}
+	if s.seen[k] {
+		s.duplicated++
+	}
+	s.seen[k] = true
+	return true
+}
+
+// filledWith reports whether every byte of b is m.
+func filledWith(b []byte, m byte) bool {
+	for _, c := range b {
+		if c != m {
+			return false
+		}
+	}
+	return true
+}
+
 // at runs fn at virtual time t on the kernel of n's network.
 func (w *ledgerWorld) at(n *Node, t time.Duration, fn func()) { n.net.K.At(t, fn) }
 
-// apply schedules one 4-byte op of the fuzz script.
+// apply schedules one 4-byte op of the fuzz script. A send op with bit 6 of
+// op set sends with SendCopy, from a scratch buffer it rewrites every send.
 func (w *ledgerWorld) apply(op, x, y byte, t time.Duration, bSends bool) {
 	pick := func(b byte) *Node {
 		if bSends && b&0x80 != 0 {
@@ -261,14 +450,18 @@ func (w *ledgerWorld) apply(op, x, y byte, t time.Duration, bSends bool) {
 	dst, port := ledgerNames[int(y)%len(ledgerNames)], ledgerPorts[int(y>>4)%len(ledgerPorts)]
 	switch op % 6 {
 	case 0, 1: // one datagram, or a burst deep enough to fill a queue
-		src, n := pick(x), 1
+		src, n, size, copied := pick(x), 1, int(x)*4, op&0x40 != 0
 		if op%6 == 1 {
 			n = int(y)%64 + 1
 		}
 		w.at(src, t, func() {
 			tx := src.OpenUDP(0)
 			for i := 0; i < n; i++ {
-				tx.SendSize(dst, port, int(x)*4)
+				if copied {
+					tx.SendCopy(dst, port, w.payload(src, size), size)
+				} else {
+					tx.SendSize(dst, port, size)
+				}
 			}
 			tx.Close()
 		})
@@ -287,21 +480,31 @@ func (w *ledgerWorld) apply(op, x, y byte, t time.Duration, bSends bool) {
 	}
 }
 
-// check asserts both identities and the free-list cap; at quiescence also
-// that nothing is in flight and every frame that left one network reached
-// the other.
+// check asserts the three identities, both lists' cap and every payload an
+// endpoint saw or holds; at quiescence also that nothing is in flight and
+// every frame that left one network reached the other.
 func (w *ledgerWorld) check(t *testing.T, quiet bool) {
 	t.Helper()
 	mustBalanceNow(t, w.nets[:]...)
 	var out, in uint64
-	for _, nw := range w.nets {
-		if len(nw.ledger.free) > freeCap {
-			t.Fatalf("%s: free list %d frames, over its cap %d", nw.label(), len(nw.ledger.free), freeCap)
+	for i, nw := range w.nets {
+		l := &nw.ledger
+		if len(l.free) > freeCap || len(l.bufs) > freeCap {
+			t.Fatalf("%s: free list %d frames and buffer list %d, over their cap %d", nw.label(), len(l.free), len(l.bufs), freeCap)
 		}
-		out += nw.ledger.crossedOut
-		in += nw.ledger.crossedIn
-		if quiet && nw.ledger.hops != 0 {
-			t.Fatalf("%s: %d frames pending a hop at quiescence", nw.label(), nw.ledger.hops)
+		out += l.crossedOut
+		in += l.crossedIn
+		if quiet && (l.hops != 0 || l.bufHops != 0) {
+			t.Fatalf("%s: %d frames (%d owning a buffer) pending a hop at quiescence", nw.label(), l.hops, l.bufHops)
+		}
+		side := w.sides[i]
+		if len(side.bad) > 0 {
+			t.Fatalf("%s: %d corrupt payloads, first: %s", nw.label(), len(side.bad), side.bad[0])
+		}
+		for _, h := range side.held {
+			if !filledWith(h.b, h.mark) {
+				t.Fatalf("%s: a payload a Recv proc holds changed from %#x to % x…", nw.label(), h.mark, h.b[:min(8, len(h.b))])
+			}
 		}
 	}
 	if in > out || quiet && in != out {
@@ -309,40 +512,118 @@ func (w *ledgerWorld) check(t *testing.T, quiet bool) {
 	}
 }
 
+// ledgerSeeds are FuzzPacketLedger's seed scripts. The last four send with
+// SendCopy (op 0x42, or 0x43 for a burst), and between them reach every way
+// a payload buffer's ownership ends (TestLedgerSeedsReachEveryEnding).
+var ledgerSeeds = [][]byte{
+	{0, 40, 30, 0, 0, 0x30, 1, 1, 3, 0x13, 2, 2, 1, 0x28, 3},
+	{1, 0, 0, 1, 2, 0x10, 0, 1, 5, 0x08, 4, 0, 0, 0x39, 9},
+	{3, 90, 60, 0, 0x81, 0x15, 0, 1, 0x82, 0xff, 2, 2, 7, 0, 20, 4, 3, 0, 30, 1, 0, 0x12, 40, 3, 4, 1, 50},
+	{2, 10, 0, 1, 1, 0x24, 0, 0, 2, 0x09, 0, 5, 0, 200, 1, 0, 1, 0x38, 2},
+	// One kernel, lossy and duplicating A: copies from a0 to a consumer,
+	// two Recv sockets, no port, the far side of the cut, a TTL loop, a lost
+	// route and both broadcasts; a1 goes down and comes back with copies
+	// sent to it meanwhile; a burst of copies fills a1's unread socket.
+	{0, 30, 40,
+		0x42, 0x0f, 0x01, 0, 0x42, 0x0f, 0x17, 1, 0x42, 0x0f, 0x18, 2, 0x42, 0x0f, 0x38, 3,
+		0x43, 0x0f, 0x04, 4, 0x42, 0x0f, 0x10, 5, 0x42, 0x0f, 0x08, 6, 0x42, 0x0f, 0x09, 7,
+		0x42, 0x0f, 0x0a, 8, 0x42, 0x0f, 0x15, 9,
+		2, 1, 0, 30, 0x43, 0x0f, 0x01, 31, 2, 1, 0, 45, 0x43, 0x0f, 0x01, 50, 0x43, 0x0f, 0x22, 60},
+	// Two shards, B sends: bursts of 1020-byte copies from b0 deep enough
+	// to fill its egress queue, copies across the cut both ways, and a0's
+	// interface going down under them.
+	{3, 30, 40,
+		0x43, 0xff, 0x3e, 0, 0x43, 0xff, 0x3e, 0, 0x43, 0xff, 0x3e, 0, 0x43, 0x0f, 0x05, 1,
+		0x42, 0x82, 0x17, 2, 0x43, 0x84, 0x01, 3, 3, 0, 0, 10, 0x43, 0x0f, 0x05, 11, 3, 0, 0, 30},
+	// One kernel, no loss, heavy duplication: bursts of copies to a
+	// consumer, a Recv socket and both broadcasts.
+	{0, 0, 63, 0x43, 0x0f, 0x01, 0, 0x43, 0x0f, 0x17, 1, 0x43, 0x0f, 0x0a, 20, 0x43, 0x0f, 0x15, 40},
+	// One kernel, no loss and no duplication, so a copy lives to the end
+	// of the path: copies to a1 while it is down, then one to a name that
+	// bounces across the cut until its TTL runs out.
+	{0, 0, 0, 2, 1, 0, 0, 0x43, 0x0f, 0x01, 1, 2, 1, 0, 10, 0x42, 0x0f, 0x08, 11},
+}
+
+// runLedgerScript runs one FuzzPacketLedger script and returns its world,
+// closed: the first script byte picks one kernel or two shards and whether
+// B sends at all; the next two are loss and duplication; the rest are 4-byte
+// ops (op, x, y, time). It holds the identities at every horizon.
+func runLedgerScript(t *testing.T, script []byte) *ledgerWorld {
+	if len(script) < 3 {
+		return nil
+	}
+	mode, loss, dup := script[0], float64(script[1]%128)/256, float64(script[2]%64)/256
+	w := newLedgerWorld(mode&1 != 0, loss, dup)
+	defer w.k.Close()
+	ops := script[3:]
+	if len(ops) > 4*48 {
+		ops = ops[:4*48]
+	}
+	var horizons []time.Duration
+	for i := 0; i+3 < len(ops); i += 4 {
+		at := time.Duration(ops[i+3]) * 200 * time.Microsecond
+		w.apply(ops[i], ops[i+1], ops[i+2], at, mode&2 != 0)
+		horizons = append(horizons, at+time.Duration(ops[i+1])*10*time.Microsecond)
+	}
+	slices.Sort(horizons)
+	for _, h := range horizons {
+		w.k.RunUntil(h)
+		w.check(t, false)
+	}
+	w.k.Run()
+	w.check(t, true)
+	return w
+}
+
 // FuzzPacketLedger drives random traffic and faults through two networks
-// joined by a cut — sink and Recv traffic, broadcasts, duplicates, loss,
-// hosts and interfaces going down, closed and unbound ports, a full socket
-// queue and TTL expiry — and holds both ledger identities at random
-// horizons and at quiescence. The first script byte picks one kernel or two
-// shards and whether B sends at all; the next two are loss and duplication.
+// joined by a cut — consumer and Recv traffic, with and without payload
+// copies, broadcasts, duplicates, loss, hosts and interfaces going down,
+// closed and unbound ports, a full socket queue and TTL expiry — and holds
+// the three ledger identities and every payload an endpoint saw or keeps at
+// random horizons and at quiescence.
 func FuzzPacketLedger(f *testing.F) {
-	f.Add([]byte{0, 40, 30, 0, 0, 0x30, 1, 1, 3, 0x13, 2, 2, 1, 0x28, 3})
-	f.Add([]byte{1, 0, 0, 1, 2, 0x10, 0, 1, 5, 0x08, 4, 0, 0, 0x39, 9})
-	f.Add([]byte{3, 90, 60, 0, 0x81, 0x15, 0, 1, 0x82, 0xff, 2, 2, 7, 0, 20, 4, 3, 0, 30, 1, 0, 0x12, 40, 3, 4, 1, 50})
-	f.Add([]byte{2, 10, 0, 1, 1, 0x24, 0, 0, 2, 0x09, 0, 5, 0, 200, 1, 0, 1, 0x38, 2})
-	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) < 3 {
-			return
+	for _, s := range ledgerSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) { runLedgerScript(t, script) })
+}
+
+// TestLedgerSeedsReachEveryEnding: between them, the seed scripts end a
+// payload buffer's ownership in every way there is — a consumer, a Recv
+// socket, a drop for each reason the world can produce, a broadcast and a
+// duplicate copy, and a crossing of the cut.
+func TestLedgerSeedsReachEveryEnding(t *testing.T) {
+	var total ledgerSide
+	var crossed uint64
+	for _, s := range ledgerSeeds {
+		w := runLedgerScript(t, s)
+		for _, side := range w.sides {
+			total.consumed += side.consumed
+			total.received += side.received
+			total.broadcast += side.broadcast
+			total.duplicated += side.duplicated
+			for r, n := range side.dropped {
+				total.dropped[r] += n
+			}
 		}
-		mode, loss, dup := script[0], float64(script[1]%128)/256, float64(script[2]%64)/256
-		w := newLedgerWorld(mode&1 != 0, loss, dup)
-		defer w.k.Close()
-		ops := script[3:]
-		if len(ops) > 4*48 {
-			ops = ops[:4*48]
+		crossed += w.nets[1].ledger.bufCrossedIn + w.nets[0].ledger.bufCrossedIn
+	}
+	type end struct {
+		name string
+		n    int
+	}
+	ends := []end{{"consumed", total.consumed}, {"received", total.received}, {"broadcast", total.broadcast},
+		{"duplicated", total.duplicated}, {"crossing the cut", int(crossed)}}
+	for r, n := range total.dropped {
+		// The world has no route whose station is missing from its segment.
+		if DropReason(r) != DropNoStation {
+			ends = append(ends, end{"dropped as " + DropReason(r).String(), n})
 		}
-		var horizons []time.Duration
-		for i := 0; i+3 < len(ops); i += 4 {
-			at := time.Duration(ops[i+3]) * 200 * time.Microsecond
-			w.apply(ops[i], ops[i+1], ops[i+2], at, mode&2 != 0)
-			horizons = append(horizons, at+time.Duration(ops[i+1])*10*time.Microsecond)
+	}
+	for _, e := range ends {
+		if e.n == 0 {
+			t.Errorf("no seed reaches a payload copy %s", e.name)
 		}
-		slices.Sort(horizons)
-		for _, h := range horizons {
-			w.k.RunUntil(h)
-			w.check(t, false)
-		}
-		w.k.Run()
-		w.check(t, true)
-	})
+	}
+	t.Logf("%v", ends)
 }

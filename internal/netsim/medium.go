@@ -427,6 +427,9 @@ func (l *Link) deliver(d int, pkt *Packet) {
 		pkt.dst = 0
 		pkt.hop = dst.ifc
 		src.net.ledger.crossedOut++
+		if pkt.owns {
+			src.net.ledger.bufCrossedOut++
+		}
 		fn = importHop
 	} else {
 		pkt.armHop(dst.ifc)
@@ -451,6 +454,10 @@ func importHop(arg any) {
 	pkt := arg.(*Packet)
 	ifc := pkt.hop
 	pkt.hop = nil
-	ifc.node.net.ledger.crossedIn++
+	l := &ifc.node.net.ledger
+	l.crossedIn++
+	if pkt.owns {
+		l.bufCrossedIn++
+	}
 	ifc.receive(pkt)
 }

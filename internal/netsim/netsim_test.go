@@ -302,7 +302,7 @@ func TestBroadcastOnSegment(t *testing.T) {
 	}
 	tx := hosts[0].OpenUDP(0)
 	k.After(0, func() {
-		tx.send(Broadcast, 9, nil, 64, UDP)
+		tx.SendSize(Broadcast, 9, 64)
 	})
 	k.Run()
 	for i, s := range sinks {

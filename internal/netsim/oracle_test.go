@@ -286,9 +286,9 @@ func (w *fwdWorld) adopt(net int, n *Node) {
 	w.names = append(w.names, n.Name)
 	w.tx[n] = n.OpenUDP(0)
 	if w.rng.Intn(6) > 0 {
-		n.OpenUDP(sinkPort).consume = func(pkt *Packet) {
+		n.OpenUDP(sinkPort).Consume(func(pkt *Packet) {
 			w.trace = append(w.trace, hopRec{"deliver", string(n.Name), pkt.NextHop})
-		}
+		})
 	}
 }
 

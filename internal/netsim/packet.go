@@ -50,7 +50,7 @@ func (p Proto) String() string {
 const HeaderOverhead = 28
 
 // Packet is a datagram in flight. Payload carries real bytes when the
-// traffic needs them (SNMP); synthetic loads set only Size.
+// traffic needs them (SNMP, RTDS); synthetic loads set only Size.
 type Packet struct {
 	ID      uint64
 	Src     Addr
@@ -59,6 +59,15 @@ type Packet struct {
 	SrcPort Port
 	DstPort Port
 	Proto   Proto
+	// owns marks a Payload in a buffer of the network's own (SendCopy),
+	// which goes back to the network's buffer list with the frame. It sits
+	// in the padding after Proto, so it costs the struct no byte.
+	owns bool
+	// Payload is the sender's slice (SendTo, SendProto), or the network's
+	// copy of it (SendCopy). A copy is the network's until the frame is
+	// handed to a receive queue, cloned for a broadcast or a duplicate, or
+	// its buffer list is full; a consumer, tap or OnDrop must not keep it
+	// past its call, because it is poisoned when the frame is released.
 	Payload []byte
 	Size    int // payload bytes; wire size adds HeaderOverhead and framing
 	TTL     int32
@@ -93,21 +102,31 @@ type Packet struct {
 // counts the frame in that interface's network's ledger as pending a hop.
 func (p *Packet) armHop(ifc *Iface) {
 	p.hop = ifc
-	ifc.node.net.ledger.hops++
+	l := &ifc.node.net.ledger
+	l.hops++
+	if p.owns {
+		l.bufHops++
+	}
 }
 
 // takeHop returns and clears the packet's pending-event interface.
 func (p *Packet) takeHop() *Iface {
 	ifc := p.hop
 	p.hop = nil
-	ifc.node.net.ledger.hops--
+	l := &ifc.node.net.ledger
+	l.hops--
+	if p.owns {
+		l.bufHops--
+	}
 	return ifc
 }
 
 // clone returns a shallow copy in a frame of nw's; used for broadcast and
 // duplicate delivery so that each receiver observes independent hop
-// metadata.
+// metadata. The copies share the payload, so neither owns its buffer from
+// then on.
 func (nw *Network) clone(p *Packet) *Packet {
+	nw.disown(p)
 	q := nw.newPacket()
 	*q = *p
 	nw.ledger.cloned++

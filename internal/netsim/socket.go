@@ -19,11 +19,7 @@ type UDPSock struct {
 	rq     *sim.Queue[*Packet]
 	closed bool
 
-	// consume, when set, takes each arriving datagram in the event that
-	// delivers it, in place of the receive queue and a proc blocked in Recv:
-	// for an endpoint that keeps no state a stack is needed for. It must not
-	// keep the packet: the frame is released when consume returns.
-	consume func(*Packet)
+	consume func(*Packet) // set by Consume
 
 	// lastDst/lastID cache the interned id of the previous destination, so
 	// a socket that keeps one peer skips the network's intern table.
@@ -73,21 +69,33 @@ func (s *UDPSock) Close() {
 
 // SendTo queues a datagram with real payload bytes toward dst:dport.
 func (s *UDPSock) SendTo(dst Addr, dport Port, payload []byte) {
-	s.send(dst, dport, payload, len(payload), UDP)
+	s.send(dst, dport, payload, len(payload), UDP, false)
 }
 
 // SendSize queues a synthetic datagram of the given payload size with no
 // real bytes — the workhorse of traffic generators and NTTCP loads.
 func (s *UDPSock) SendSize(dst Addr, dport Port, size int) {
-	s.send(dst, dport, nil, size, UDP)
+	s.send(dst, dport, nil, size, UDP, false)
 }
 
-// SendProto queues a synthetic datagram with an explicit protocol tag.
+// SendProto queues a synthetic datagram with an explicit protocol tag. The
+// frame carries payload itself, so the caller must not change its bytes
+// while the datagram may still be read.
 func (s *UDPSock) SendProto(dst Addr, dport Port, payload []byte, size int, proto Proto) {
-	s.send(dst, dport, payload, size, proto)
+	s.send(dst, dport, payload, size, proto, false)
 }
 
-func (s *UDPSock) send(dst Addr, dport Port, payload []byte, size int, proto Proto) {
+// SendCopy queues a UDP datagram of the given payload size that carries a
+// copy of payload in a buffer of the network's, so the caller may reuse
+// payload as soon as SendCopy returns. A datagram a consumer takes costs no
+// allocation: the buffer goes back to the network with the frame (ledger.go).
+func (s *UDPSock) SendCopy(dst Addr, dport Port, payload []byte, size int) {
+	s.send(dst, dport, payload, size, UDP, true)
+}
+
+// send queues a datagram; with copied, a non-empty payload rides in a copy
+// the frame owns.
+func (s *UDPSock) send(dst Addr, dport Port, payload []byte, size int, proto Proto, copied bool) {
 	if s.closed || !s.node.up {
 		return
 	}
@@ -102,6 +110,11 @@ func (s *UDPSock) send(dst Addr, dport Port, payload []byte, size int, proto Pro
 	pkt.Src, pkt.Dst = s.node.Name, dst
 	pkt.SrcPort, pkt.DstPort = s.port, dport
 	pkt.Proto = proto
+	if copied && len(payload) > 0 {
+		buf := nw.newBuf(len(payload))
+		copy(buf, payload)
+		payload, pkt.owns = buf, true
+	}
 	pkt.Payload = payload
 	pkt.Size = size
 	pkt.TTL = 32
@@ -114,15 +127,23 @@ func (s *UDPSock) send(dst Addr, dport Port, payload []byte, size int, proto Pro
 
 // Recv blocks the calling proc until a datagram arrives or timeout elapses
 // (negative blocks forever). The boolean is false on timeout or close. The
-// packet is the caller's: the network never recycles a frame it handed to a
-// receive queue.
+// packet and its Payload are the caller's: the network never recycles a
+// frame, or a payload buffer, it handed to a receive queue.
 func (s *UDPSock) Recv(p *sim.Proc, timeout time.Duration) (*Packet, bool) {
 	return s.rq.Get(p, timeout)
 }
 
+// Consume makes fn take each arriving datagram in the event that delivers
+// it, in place of the receive queue and a proc blocked in Recv: for an
+// endpoint that keeps no state a stack is needed for. fn must keep neither
+// the packet nor its Payload: the frame is released when fn returns, and a
+// payload buffer of the network's is poisoned then. A socket with a consumer
+// never fills, so it drops nothing as sock-full.
+func (s *UDPSock) Consume(fn func(*Packet)) { s.consume = fn }
+
 // deliver hands an arriving datagram to the socket: to its consumer, after
-// which the frame is released, or to its receive queue, which owns it from
-// then on.
+// which the frame is released, or to its receive queue, which owns it and
+// its payload from then on.
 func (s *UDPSock) deliver(pkt *Packet) {
 	nw := s.node.net
 	if s.closed {
@@ -139,6 +160,7 @@ func (s *UDPSock) deliver(pkt *Packet) {
 	s.node.Counters.UDPIn++
 	if s.consume == nil {
 		nw.ledger.toRecv++
+		nw.disown(pkt)
 		return
 	}
 	s.consume(pkt)

@@ -124,13 +124,14 @@ type Sink struct {
 }
 
 // NewSink binds a sink on the node and port; it counts each datagram as the
-// socket takes delivery of it.
+// socket takes delivery of it (UDPSock.Consume), and keeps neither the packet
+// nor its Payload.
 func NewSink(n *Node, port Port) *Sink {
 	s := &Sink{Sock: n.OpenUDP(port)}
-	s.Sock.consume = func(pkt *Packet) {
+	s.Sock.Consume(func(pkt *Packet) {
 		s.Received++
 		s.Bytes += int64(pkt.Size)
 		s.LastAt = n.net.K.Now()
-	}
+	})
 	return s
 }

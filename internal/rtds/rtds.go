@@ -54,12 +54,16 @@ func (t Track) ClosingSpeed(r float64) float64 {
 }
 
 // Radar simulates the sensor: a set of targets with kinematics, re-plotted
-// every scan. It is the ground truth the servers distribute.
+// every scan. It is the ground truth the servers distribute. Only the
+// re-plot writes Tracks: a server re-encodes them only after one.
 type Radar struct {
 	Tracks []Track
 	Scan   time.Duration
 
 	rng *rand.Rand
+	// gen counts re-plots: a server that encoded the picture at this
+	// generation has its track bytes already.
+	gen uint64
 }
 
 // NewRadar creates targets around own ship: a mix of inbound hostiles and
@@ -101,22 +105,29 @@ func (r *Radar) step(now time.Duration) {
 		t.Y += t.VY * dt
 		t.UpdatedAt = now
 	}
+	r.gen++
 }
 
-// update wire format: seq(4) count(4) then per track id(4) x,y,vx,vy(8 each)
-// = 36 B/track; an 8192 B message carries the batch header + padding to L.
+// update wire format: seq(4) count(4) sentAt(8) then per track id(4)
+// x,y,vx,vy(8 each) = 36 B/track; an 8192 B message carries the batch
+// header + padding to L.
 const trackWire = 36
 
-// encodeBatch packs as many tracks as fit into an UpdateLen message.
-func encodeBatch(seq uint32, tracks []Track, sentAt time.Duration) []byte {
-	max := (UpdateLen - 16) / trackWire
-	if len(tracks) > max {
-		tracks = tracks[:max]
+// maxTracks is how many tracks fit into an UpdateLen message.
+const maxTracks = (UpdateLen - 16) / trackWire
+
+// encodeBatch packs as many tracks as fit into an UpdateLen message, in
+// dst's storage when it is large enough, and returns the message.
+func encodeBatch(dst []byte, seq uint32, tracks []Track, sentAt time.Duration) []byte {
+	if len(tracks) > maxTracks {
+		tracks = tracks[:maxTracks]
 	}
-	buf := make([]byte, 16+len(tracks)*trackWire)
-	binary.BigEndian.PutUint32(buf[0:4], seq)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(tracks)))
-	binary.BigEndian.PutUint64(buf[8:16], uint64(sentAt))
+	n := 16 + len(tracks)*trackWire
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	buf := dst[:n]
+	putHeader(buf, seq, len(tracks), sentAt)
 	off := 16
 	for _, t := range tracks {
 		binary.BigEndian.PutUint32(buf[off:], t.ID)
@@ -127,6 +138,13 @@ func encodeBatch(seq uint32, tracks []Track, sentAt time.Duration) []byte {
 		off += trackWire
 	}
 	return buf
+}
+
+// putHeader writes an update's 16-byte header.
+func putHeader(b []byte, seq uint32, count int, sentAt time.Duration) {
+	binary.BigEndian.PutUint32(b[0:4], seq)
+	binary.BigEndian.PutUint32(b[4:8], uint32(count))
+	binary.BigEndian.PutUint64(b[8:16], uint64(sentAt))
 }
 
 // decodeHeader reads an update's header and returns body, the bytes of the
@@ -187,6 +205,12 @@ type Server struct {
 	UpdatesSent int
 	stopped     bool
 	seq         uint32
+
+	// msg is the last update encoded, reused every period: the network
+	// sends a copy of it (netsim.UDPSock.SendCopy). Once set it holds the
+	// picture of radar generation gen.
+	msg []byte
+	gen uint64
 }
 
 // StartServer runs an RTDS server instance distributing to clients.
@@ -197,15 +221,27 @@ func StartServer(host *netsim.Node, radar *Radar, clients []netsim.Addr) *Server
 		defer sock.Close()
 		for !s.stopped {
 			s.seq++
-			payload := encodeBatch(s.seq, radar.Tracks, p.Now())
+			s.encode(p.Now())
 			for _, c := range s.Clients {
-				sock.SendProto(c, ClientPort, payload, UpdateLen, netsim.UDP)
+				sock.SendCopy(c, ClientPort, s.msg, UpdateLen)
 				s.UpdatesSent++
 			}
 			p.Sleep(UpdatePeriod)
 		}
 	})
 	return s
+}
+
+// encode fills msg with the update for s.seq sent at now. The radar
+// re-plots slower than the server sends, so most periods repeat the last
+// picture; then only the header is rewritten.
+func (s *Server) encode(now time.Duration) {
+	if s.msg != nil && s.gen == s.Radar.gen {
+		putHeader(s.msg, s.seq, (len(s.msg)-16)/trackWire, now)
+		return
+	}
+	s.msg = encodeBatch(s.msg, s.seq, s.Radar.Tracks, now)
+	s.gen = s.Radar.gen
 }
 
 // Stop ends this instance (used on failover; a dead host's instance just
@@ -247,19 +283,15 @@ type Client struct {
 	sender netsim.Addr
 }
 
-// StartClient runs an RTDS client instance.
+// StartClient runs an RTDS client instance: its socket takes each update in
+// the event that delivers it (netsim.UDPSock.Consume), so an update costs
+// the client no proc switch, and update keeps a copy of every byte it
+// reads later, never the packet or its payload.
 func StartClient(host *netsim.Node) *Client {
 	c := &Client{Host: host, EngageRange: 40_000, engaged: make(map[uint32]bool)}
-	sock := host.OpenUDP(ClientPort)
-	host.Spawn("rtds-client", func(p *sim.Proc) {
-		defer sock.Close()
-		for {
-			pkt, ok := sock.Recv(p, time.Second)
-			if !ok {
-				continue
-			}
-			c.update(p.Now(), pkt.Src, pkt.Payload)
-		}
+	k := host.Network().K
+	host.OpenUDP(ClientPort).Consume(func(pkt *netsim.Packet) {
+		c.update(k.Now(), pkt.Src, pkt.Payload)
 	})
 	return c
 }

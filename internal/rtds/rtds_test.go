@@ -1,6 +1,7 @@
 package rtds
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -53,7 +54,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		{ID: 1, X: 1000, Y: -2000, VX: 100, VY: 50},
 		{ID: 2, X: -500, Y: 300, VX: -10, VY: -20},
 	}
-	b := encodeBatch(42, tracks, 5*time.Second)
+	b := encodeBatch(nil, 42, tracks, 5*time.Second)
 	seq, sentAt, got, ok := decodeBatch(b, nil)
 	if !ok || seq != 42 || sentAt != 5*time.Second || len(got) != 2 {
 		t.Fatalf("decode: %v %v %d %v", seq, sentAt, len(got), ok)
@@ -65,7 +66,7 @@ func TestBatchRoundTrip(t *testing.T) {
 
 func TestBatchCapsAtMessageLength(t *testing.T) {
 	many := make([]Track, 500)
-	b := encodeBatch(1, many, 0)
+	b := encodeBatch(nil, 1, many, 0)
 	if len(b) > UpdateLen {
 		t.Fatalf("batch %d bytes exceeds L=%d", len(b), UpdateLen)
 	}
@@ -78,7 +79,7 @@ func TestBatchCapsAtMessageLength(t *testing.T) {
 // TestDecodeBatchRejectsMalformed: the wire count is 32 bits from outside;
 // a decode that presizes from it must check it against the bytes present.
 func TestDecodeBatchRejectsMalformed(t *testing.T) {
-	two := encodeBatch(7, make([]Track, 2), time.Second)
+	two := encodeBatch(nil, 7, make([]Track, 2), time.Second)
 	withCount := func(b []byte, count uint32) []byte {
 		out := append([]byte(nil), b...)
 		binary.BigEndian.PutUint32(out[4:8], count)
@@ -132,7 +133,7 @@ func TestDecodeBatchReusesScratch(t *testing.T) {
 		for i := range full {
 			full[i].UpdatedAt = time.Hour
 		}
-		_, _, got, ok := decodeBatch(encodeBatch(uint32(round+1), in, 0), scratch)
+		_, _, got, ok := decodeBatch(encodeBatch(nil, uint32(round+1), in, 0), scratch)
 		if !ok || len(got) != len(in) {
 			t.Fatalf("round %d: ok=%v, %d tracks, want %d", round, ok, len(got), len(in))
 		}
@@ -159,11 +160,11 @@ func TestClientUpdateAllocatesNothing(t *testing.T) {
 	for i := range tracks {
 		tracks[i] = Track{ID: uint32(i + 1), X: 10_000, Y: 0, VX: -300}
 	}
-	payload := encodeBatch(1, tracks, 0)
+	payload := encodeBatch(nil, 1, tracks, 0)
 	for i := range tracks {
 		tracks[i].X = 12_000
 	}
-	moved := encodeBatch(1, tracks, 0)
+	moved := encodeBatch(nil, 1, tracks, 0)
 	c.update(time.Second, "s1", payload) // warm-up: sizes the scratch, engages all 40
 	if len(c.Engagements) != 40 {
 		t.Fatalf("warm-up engaged %d tracks, want 40", len(c.Engagements))
@@ -188,6 +189,90 @@ func TestClientUpdateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestServerEncodeMatchesFreshEncode: a server that rewrites only the header
+// of a repeated picture sends the bytes a fresh encode would — on the first
+// picture, on repeats, on a re-plot, and in a restarted instance.
+func TestServerEncodeMatchesFreshEncode(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	radar := NewRadar(k, 7, 60, 100*time.Millisecond)
+	s := &Server{Radar: radar}
+	now := time.Duration(0)
+	send := func(s *Server, what string) {
+		t.Helper()
+		now += UpdatePeriod
+		s.seq++
+		s.encode(now)
+		if want := encodeBatch(nil, s.seq, radar.Tracks, now); !bytes.Equal(s.msg, want) {
+			t.Fatalf("%s: server sent %d bytes that differ from a fresh encode of %d", what, len(s.msg), len(want))
+		}
+	}
+	send(s, "first picture")
+	first := &s.msg[0]
+	send(s, "repeated picture")
+	send(s, "repeated again")
+	radar.step(now)
+	send(s, "re-plotted picture")
+	send(s, "repeat of the re-plot")
+	if &s.msg[0] != first {
+		t.Fatal("the server re-allocated its message for a picture of the same size")
+	}
+	restarted := &Server{Radar: radar}
+	send(restarted, "restarted instance")
+	radar.step(now)
+	send(restarted, "restarted instance, re-plotted")
+	send(s, "old instance, re-plotted")
+}
+
+// TestDistributionAllocatesNothing runs one server and three clients over
+// a lossy Ethernet: once warm, a 30 ms period — radar, encode, three
+// SendCopy datagrams, the clients' decisions — allocates nothing. Over the
+// whole run each client agrees with an oracleClient fed, by a tap on the
+// segment, the payload of every frame that reached it at the instant it did.
+func TestDistributionAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	nw := netsim.New(k, 3)
+	cfg := netsim.Ethernet100()
+	cfg.LossProb = 0.02
+	seg := nw.NewSegment("lan", cfg)
+	srv := nw.NewHost("srv")
+	seg.Attach(srv)
+	names := []netsim.Addr{"c1", "c2", "c3"}
+	clients := make(map[netsim.Addr]*Client)
+	oracles := make(map[netsim.Addr]*oracleClient)
+	for _, name := range names {
+		h := nw.NewHost(name)
+		seg.Attach(h)
+		clients[name] = StartClient(h)
+		oracles[name] = &oracleClient{EngageRange: 40_000, engaged: make(map[uint32]bool)}
+	}
+	seg.Tap(func(f netsim.Frame) {
+		if o := oracles[f.Pkt.Dst]; o != nil && !f.Err && f.Pkt.DstPort == ClientPort {
+			o.update(f.At+cfg.PropDelay, f.Pkt.Src, f.Pkt.Payload)
+		}
+	})
+	radar := NewRadar(k, 7, 60, 100*time.Millisecond)
+	StartServer(srv, radar, names)
+	k.RunUntil(time.Second)
+	period := func() { k.RunUntil(k.Now() + UpdatePeriod) }
+	if n := testing.AllocsPerRun(200, period); n != 0 {
+		t.Fatalf("a warm distribution period allocates %v objects, want 0", n)
+	}
+	k.RunUntil(120 * time.Second)
+	for _, name := range names {
+		c, o := clients[name], oracles[name]
+		if c.UpdatesReceived != o.UpdatesReceived || c.Gaps != o.Gaps || !slices.Equal(c.Engagements, o.Engagements) {
+			t.Fatalf("%s: %d updates, %d gaps, %d engagements; oracle %d, %d, %d", name,
+				c.UpdatesReceived, c.Gaps, len(c.Engagements), o.UpdatesReceived, o.Gaps, len(o.Engagements))
+		}
+		if c.Gaps == 0 || len(c.Engagements) == 0 || c.UpdatesReceived < 3500 {
+			t.Fatalf("%s: %d updates, %d gaps, %d engagements: the run proves nothing", name,
+				c.UpdatesReceived, c.Gaps, len(c.Engagements))
+		}
+	}
+}
+
 // TestRestartedServerResetsSequenceBaseline: a server restarted on a new
 // host counts from seq 1 again. The client's gap count follows the new
 // sequence at once instead of waiting for it to pass the dead server's.
@@ -195,10 +280,10 @@ func TestRestartedServerResetsSequenceBaseline(t *testing.T) {
 	c := &Client{EngageRange: 40_000, engaged: make(map[uint32]bool)}
 	tracks := []Track{{ID: 1, X: 90_000, VY: 200}}
 	for seq := uint32(1); seq <= 66; seq++ {
-		c.update(time.Duration(seq)*UpdatePeriod, "s1", encodeBatch(seq, tracks, 0))
+		c.update(time.Duration(seq)*UpdatePeriod, "s1", encodeBatch(nil, seq, tracks, 0))
 	}
 	for _, seq := range []uint32{1, 2, 4} {
-		c.update(time.Duration(66+seq)*UpdatePeriod, "w-fddi-1", encodeBatch(seq, tracks, 0))
+		c.update(time.Duration(66+seq)*UpdatePeriod, "w-fddi-1", encodeBatch(nil, seq, tracks, 0))
 	}
 	if c.Gaps != 1 || c.LastSeq != 4 {
 		t.Fatalf("after the restart: Gaps %d LastSeq %d, want 1 and 4", c.Gaps, c.LastSeq)
@@ -345,7 +430,7 @@ func TestClientMatchesOracle(t *testing.T) {
 		if rng.Intn(20) == 0 {
 			n = rng.Intn(len(tracks) + 1)
 		}
-		payload := encodeBatch(seq, tracks[:n], now-time.Duration(rng.Intn(20))*time.Millisecond)
+		payload := encodeBatch(nil, seq, tracks[:n], now-time.Duration(rng.Intn(20))*time.Millisecond)
 		switch r := rng.Intn(100); {
 		case r < 2: // too short for its header or its count
 			payload = payload[:rng.Intn(len(payload))]
@@ -373,8 +458,8 @@ func TestClientMatchesOracle(t *testing.T) {
 // payload), then, unless resending, a length byte and that many payload
 // bytes, which need not form a valid update.
 func FuzzClientUpdate(f *testing.F) {
-	one := encodeBatch(1, []Track{{ID: 7, X: 30_000, Y: 1, VX: -300}}, 0)
-	two := encodeBatch(2, []Track{{ID: 7, X: 29_000, Y: 1, VX: -300}, {ID: 8, X: -1, Y: 39_000, VY: -200}}, 0)
+	one := encodeBatch(nil, 1, []Track{{ID: 7, X: 30_000, Y: 1, VX: -300}}, 0)
+	two := encodeBatch(nil, 2, []Track{{ID: 7, X: 29_000, Y: 1, VX: -300}, {ID: 8, X: -1, Y: 39_000, VY: -200}}, 0)
 	step := func(op byte, payload []byte) []byte { return append([]byte{op, byte(len(payload))}, payload...) }
 	f.Add([]byte{})
 	f.Add(step(0, one))
