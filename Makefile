@@ -5,7 +5,7 @@ GO ?= go
 # this floor. Raise it when coverage rises; never lower it to make a PR pass.
 COVER_FLOOR ?= 85.0
 
-.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke loopback-smoke tables-digest cover bench-shard test-shard experiments e15-artifact results-gate
+.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke loopback-smoke tables-digest cover bench-shard test-shard experiments
 
 ci: vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke loopback-smoke tables-digest
 
@@ -107,17 +107,3 @@ bench-shard:
 
 experiments:
 	$(GO) run ./cmd/experiments
-
-# E15 accuracy/memory matrix as a results stream (one envelope per numeric
-# cell; `cmd/results summary` reads it); CI uploads the file so the
-# sketch-vs-exact trajectory is archived per PR.
-e15-artifact:
-	$(GO) run ./cmd/experiments -quick -results E15_sketch.jsonl E15
-
-# Scenario pass/fail gate over the durable results pipeline: runs the
-# comparison scenarios with -results, verifies the tolerance tripwire
-# actually trips, then holds hybrid-vs-hifi fidelity, resilience on/off
-# detection latency, and 1-vs-8-shard bit-identity to their tolerances
-# (see scripts/results_gate.sh and DESIGN.md §14). Artifacts in results/.
-results-gate:
-	scripts/results_gate.sh

@@ -64,12 +64,11 @@ func TestTelemetryDump(t *testing.T) {
 	}
 }
 
-// TestResultsArtifact: `-quick -results <file> E15` — what `make
-// e15-artifact` runs and CI uploads — leaves a stream results.Read accepts,
-// holding one record for every numeric cell of the E15 table the same run
-// prints.
+// TestResultsArtifact: `-quick -results <file> E15` leaves a stream
+// results.Read accepts, holding one record for every numeric cell of the
+// E15 table the same run prints.
 func TestResultsArtifact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "E15_sketch.jsonl")
+	path := filepath.Join(t.TempDir(), "e15.jsonl")
 	if out, err := exec.Command("go", "run", ".", "-quick", "-results", path, "E15").Output(); err != nil || len(out) == 0 {
 		t.Fatalf("experiments -quick -results: %v, %d bytes of tables", err, len(out))
 	}

@@ -6,30 +6,6 @@ import (
 	"testing"
 )
 
-// TestAllExperimentsRunQuick executes every experiment in quick mode and
-// checks structural invariants of the results.
-func TestAllExperimentsRunQuick(t *testing.T) {
-	for _, e := range All() {
-		t.Run(e.ID, func(t *testing.T) {
-			table := e.Run(true)
-			if table.ID != e.ID {
-				t.Fatalf("table ID %q != %q", table.ID, e.ID)
-			}
-			if len(table.Rows) == 0 {
-				t.Fatal("no rows")
-			}
-			for i, row := range table.Rows {
-				if len(row) != len(table.Columns) {
-					t.Fatalf("row %d has %d cells, want %d", i, len(row), len(table.Columns))
-				}
-			}
-			if table.Paper == "" {
-				t.Fatal("missing paper claim")
-			}
-		})
-	}
-}
-
 // TestRunAllParallelDeterminism checks that RunAll preserves input order and
 // produces byte-identical tables at any worker count: every experiment owns
 // an independent kernel, so concurrency must not perturb results.

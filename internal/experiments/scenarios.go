@@ -84,8 +84,8 @@ func scenarioResilienceOff(quick bool, w *results.Writer) { runDrillScenario(qui
 // confounder: the monitored stream with no cross traffic, so every monitor
 // mode observes the same ~2.2 Mb/s truth and their result sets should
 // agree within a small tolerance (the COTS side sees wire rate, i.e.
-// headers included — a ~2.5% structural gap, well inside the gate's
-// tolerance; see scripts/results_gate.sh).
+// headers included — a ~2.5% structural gap, well inside the 10%
+// tolerance TestScenarioVerdicts holds it to).
 func runFidelity(quick bool, w *results.Writer, newMon func(h *topo.HiPerD) director.Member) {
 	horizon := pick(quick, 30*time.Second, 60*time.Second)
 	mon, _, vals := watchStream(false, horizon, func(h *topo.HiPerD) director.Member {
@@ -106,7 +106,7 @@ func runFidelity(quick bool, w *results.Writer, newMon func(h *topo.HiPerD) dire
 
 // runDrillScenario replays an E12 chaos drill with the database seam open
 // and appends the drill's derived outcome metrics — the detection-latency
-// record is what the results gate holds the on/off pair apart on.
+// record is what TestScenarioVerdicts holds the on/off pair apart on.
 func runDrillScenario(quick bool, d drill, w *results.Writer) {
 	st := runDrill(quick, d, w)
 	for _, rec := range []results.Record{

@@ -8,75 +8,106 @@ import (
 	"testing"
 )
 
-// runAllTables renders every registered experiment's table with the given
-// kernel construction mode. Serial workers keep the harness out of the
-// comparison; the mode itself is what is under test.
-func runAllTables(t *testing.T, shards int) map[string]string {
+// runAllTables renders the quick suite with the given kernel construction
+// mode and returns its tables in All() order. Every table's shape is
+// checked in a subtest named after its experiment: matching ID, at least
+// one row, every row as wide as the columns, and a paper claim. Two
+// workers keep the render short; the tables do not depend on the worker
+// count (TestRunAllParallelDeterminism).
+func runAllTables(t *testing.T, shards int) []string {
 	t.Helper()
 	SetShards(shards)
 	defer SetShards(0)
-	out := make(map[string]string)
+	var out []string
 	for _, r := range RunAll(All(), true, 2) {
-		if r.Table == nil {
-			t.Fatalf("%s returned no table at shards=%d", r.Experiment.ID, shards)
+		id, table := r.Experiment.ID, r.Table
+		if table == nil {
+			t.Fatalf("%s returned no table at shards=%d", id, shards)
 		}
-		out[r.Experiment.ID] = r.Table.String()
+		t.Run(id, func(t *testing.T) {
+			if table.ID != id {
+				t.Fatalf("table ID %q != %q", table.ID, id)
+			}
+			if len(table.Rows) == 0 {
+				t.Fatal("no rows")
+			}
+			for i, row := range table.Rows {
+				if len(row) != len(table.Columns) {
+					t.Fatalf("row %d has %d cells, want %d", i, len(row), len(table.Columns))
+				}
+			}
+			if table.Paper == "" {
+				t.Fatal("missing paper claim")
+			}
+		})
+		out = append(out, table.String())
 	}
 	return out
 }
 
-// TestSingleShardBitIdentical is the tentpole acceptance gate: every
-// registered experiment's table must be byte-identical between the legacy
-// plain kernel and a 1-shard sharded run. The legacy run is also the
-// quick-suite oracle: its tables, in All() order and joined by a blank
-// line as cmd/experiments prints them, must hash to line 2 of
-// testdata/tables.sha256, the digest `make tables-digest` holds `-quick` to.
-func TestSingleShardBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite comparison")
-	}
-	legacy := runAllTables(t, 0)
-	var printed []string
-	for _, e := range All() {
-		printed = append(printed, legacy[e.ID])
-	}
+// quickDigest hashes the quick suite's tables as cmd/experiments -quick
+// prints them, joined by a blank line, and returns it with line 2 of
+// testdata/tables.sha256, the digest `make tables-digest` holds -quick to.
+func quickDigest(t *testing.T, tables []string) (got, pinned string) {
+	t.Helper()
 	pin, err := os.ReadFile("testdata/tables.sha256")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256([]byte(strings.Join(printed, "\n")))
-	if got, want := hex.EncodeToString(sum[:]), strings.Split(string(pin), "\n")[1]; got != want {
+	sum := sha256.Sum256([]byte(strings.Join(tables, "\n")))
+	return hex.EncodeToString(sum[:]), strings.Split(string(pin), "\n")[1]
+}
+
+// TestAllExperimentsRunQuick is the quick-suite oracle: one render on the
+// plain kernel, every table's shape checked, and the whole suite hashed
+// against its pin. It is the one render `go test -short` makes.
+func TestAllExperimentsRunQuick(t *testing.T) {
+	if got, want := quickDigest(t, runAllTables(t, 0)); got != want {
 		t.Errorf("quick tables hash to %s, testdata/tables.sha256 line 2 says %s; `make tables-digest` names the first differing table", got, want)
-	}
-	oneShard := runAllTables(t, 1)
-	for id, want := range legacy {
-		if got := oneShard[id]; got != want {
-			t.Errorf("%s table differs between legacy and 1-shard kernels:\n--- legacy ---\n%s\n--- 1-shard ---\n%s", id, want, got)
-		}
 	}
 }
 
-// TestMultiShardDeterminism asserts (a) repeated N-shard runs produce
-// identical tables, and (b) tables agree across -shards values: every
-// registered experiment is shard-agnostic — its workload runs on shard 0
-// with idle peers (E14 sweeps its own shard counts internally) — so the
-// windowed scheduler must be invisible in the output.
+// TestSingleShardBitIdentical holds a 1-shard render of the quick suite
+// to the plain kernel's pin.
+func TestSingleShardBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-suite render")
+	}
+	checkShardTransparent(t, 1)
+}
+
+// TestMultiShardDeterminism holds a 3-shard render of the quick suite to
+// the same pin. Every registered experiment is shard-agnostic — its
+// workload runs on shard 0 with idle peers (E14 sweeps its own shard
+// counts internally) — so the windowed scheduler must be invisible in the
+// output.
 func TestMultiShardDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-suite comparison")
+		t.Skip("full-suite render")
 	}
-	first := runAllTables(t, 3)
-	second := runAllTables(t, 3)
-	for id, want := range first {
-		if got := second[id]; got != want {
-			t.Errorf("%s not deterministic across repeated 3-shard runs:\n--- first ---\n%s\n--- second ---\n%s", id, want, got)
+	checkShardTransparent(t, 3)
+}
+
+// checkShardTransparent renders the quick suite on the given number of
+// shards and hashes it against the pin. Only on a miss does it also render
+// the plain-kernel suite, to name each table the shard count changed.
+func checkShardTransparent(t *testing.T, shards int) {
+	t.Helper()
+	sharded := runAllTables(t, shards)
+	got, want := quickDigest(t, sharded)
+	if got == want {
+		return
+	}
+	plain := runAllTables(t, 0)
+	named := false
+	for i, e := range All() {
+		if sharded[i] != plain[i] {
+			named = true
+			t.Errorf("%s table depends on shard count:\n--- plain kernel ---\n%s\n--- %d shards ---\n%s", e.ID, plain[i], shards, sharded[i])
 		}
 	}
-	legacy := runAllTables(t, 0)
-	for id, want := range legacy {
-		if got := first[id]; got != want {
-			t.Errorf("%s table depends on shard count:\n--- legacy ---\n%s\n--- 3 shards ---\n%s", id, want, got)
-		}
+	if !named {
+		t.Errorf("%d-shard tables hash to %s, testdata/tables.sha256 line 2 says %s; the plain kernel renders the same tables, so they moved on every kernel (see TestAllExperimentsRunQuick)", shards, got, want)
 	}
 }
 
