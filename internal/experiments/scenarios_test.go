@@ -64,29 +64,48 @@ func TestScenarioByName(t *testing.T) {
 	}
 }
 
+// scenarioDigests are the pinned record digests of the six quick scenario
+// streams on the plain kernel.
+var scenarioDigests = []struct{ name, want string }{
+	{"fidelity-hifi", "21eba601ca1b3c8b8ea060c48a388796ff1b4b00bf8552f70b2e761ac5ea5dc6"},
+	{"fidelity-cots", "509a50dd5ba87b862e76a9f7c958da004efbf948933e5019fc305671acca7a96"},
+	{"fidelity-hybrid", "2f56409df4d4cbbc04ac2df5554c8c3d408b7fe909a2cd76b8aad5e077656ece"},
+	{"resilience-on", "0bf1946626fa3d393da72bc7042430db1fc30d3ae82a6f423333ad1b7620e769"},
+	{"resilience-off", "560acb09aa457366178752510fa7320177ba86077ebb39dd27c9c375c194d72f"},
+	{"tree-reexport", "aa5723755c418fc4346916b9126344320e68929e99a08e4af560b9b079713e77"},
+}
+
 // TestScenarioRecordDigestPinned holds every quick scenario stream's
 // record_digest fixed (the hash of json.Marshal of each record) on the
-// plain kernel and at 1, 2, 4 and 8 shards, so neither the encoder, the
-// director's re-export, a rewrite of the run bodies behind the scenarios
-// nor the windowed scheduler can move an archived digest. This is the
-// determinism contract of DESIGN.md §14: any wall-clock leak, map-order
-// dependence or shard-visible divergence breaks it.
+// plain kernel, so neither the encoder, the director's re-export nor a
+// rewrite of the run bodies behind the scenarios can move an archived
+// digest. TestScenarioEnvelopesBitIdenticalAcrossShards carries the pin
+// to the sharded kernel.
 func TestScenarioRecordDigestPinned(t *testing.T) {
-	for _, c := range []struct{ name, want string }{
-		{"fidelity-hifi", "21eba601ca1b3c8b8ea060c48a388796ff1b4b00bf8552f70b2e761ac5ea5dc6"},
-		{"fidelity-cots", "509a50dd5ba87b862e76a9f7c958da004efbf948933e5019fc305671acca7a96"},
-		{"fidelity-hybrid", "2f56409df4d4cbbc04ac2df5554c8c3d408b7fe909a2cd76b8aad5e077656ece"},
-		{"resilience-on", "0bf1946626fa3d393da72bc7042430db1fc30d3ae82a6f423333ad1b7620e769"},
-		{"resilience-off", "560acb09aa457366178752510fa7320177ba86077ebb39dd27c9c375c194d72f"},
-		{"tree-reexport", "aa5723755c418fc4346916b9126344320e68929e99a08e4af560b9b079713e77"},
-	} {
-		for _, shards := range []int{0, 1, 2, 4, 8} {
-			set, err := results.Read(bytes.NewReader(runScenarioStream(t, c.name, shards)))
-			if err != nil {
-				t.Fatalf("%s on %d shards: stream does not read back: %v", c.name, shards, err)
-			}
-			if got := set.RecordDigest(); got != c.want {
-				t.Errorf("%s on %d shards: RecordDigest = %s, want %s", c.name, shards, got, c.want)
+	for _, c := range scenarioDigests {
+		set, err := results.Read(bytes.NewReader(runScenarioStream(t, c.name, 0)))
+		if err != nil {
+			t.Fatalf("%s: stream does not read back: %v", c.name, err)
+		}
+		if got := set.RecordDigest(); got != c.want {
+			t.Errorf("%s RecordDigest = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestScenarioEnvelopesBitIdenticalAcrossShards is the determinism
+// contract of DESIGN.md §14: each of the six quick scenarios yields, at
+// 1, 2, 4 and 8 shards, an envelope stream byte-identical to its
+// plain-kernel stream, whose digest TestScenarioRecordDigestPinned pins.
+// Any wall-clock leak, map-order dependence, or shard-visible divergence
+// breaks this.
+func TestScenarioEnvelopesBitIdenticalAcrossShards(t *testing.T) {
+	for _, c := range scenarioDigests {
+		want := runScenarioStream(t, c.name, 0)
+		for _, shards := range []int{1, 2, 4, 8} {
+			if got := runScenarioStream(t, c.name, shards); !bytes.Equal(got, want) {
+				t.Errorf("%s stream diverged at %d shards (%d vs %d bytes)",
+					c.name, shards, len(got), len(want))
 			}
 		}
 	}
