@@ -15,7 +15,8 @@ import (
 // run on two transports. These cases go through both: a kernel with two
 // hosts, and 127.0.0.1 sockets. The responder under test is the real state
 // machine behind a filter that can ignore chosen requests, which is how a
-// lost datagram is staged identically on either side.
+// lost datagram is staged identically on either side. It sends each reply
+// after a one-byte datagram, which both links must skip within the wait.
 
 // outcome is what one case observes: a reachability probe when cfg.Count is
 // zero, else a burst measurement.
@@ -25,25 +26,24 @@ type outcome struct {
 	err     error
 }
 
+// junk precedes every reply: too short to be a header.
+var junk = []byte{msgResult}
+
 // transportUnderTest runs one client call against a filtered responder.
 type transportUnderTest func(t *testing.T, cfg Config, ignore func(header) bool) outcome
 
 func overSim(t *testing.T, cfg Config, ignore func(header) bool) outcome {
 	k, srv, cli := fixture(t, netsim.Ethernet10())
 	sock := srv.OpenUDP(Port)
-	srv.Spawn("filtered-responder", func(p *sim.Proc) {
-		var r responder[simPeer]
-		for {
-			pkt, ok := sock.Recv(p, -1)
-			if !ok {
-				return
-			}
-			if h, ok := decodeHeader(pkt.Payload); !ok || ignore(h) {
-				continue
-			}
-			if reply, _, ok := r.handle(simPeer{pkt.Src, pkt.SrcPort}, pkt.Payload, pkt.Size, srv.LocalTime()); ok {
-				sock.SendTo(pkt.Src, pkt.SrcPort, reply.encode())
-			}
+	var r responder[simPeer]
+	var replyBuf [headerSize]byte
+	sock.Consume(func(pkt *netsim.Packet) {
+		if h, ok := decodeHeader(pkt.Payload); !ok || ignore(h) {
+			return
+		}
+		if reply, _, ok := r.handle(simPeer{pkt.Src, pkt.SrcPort}, pkt.Payload, pkt.Size, srv.LocalTime()); ok {
+			sock.SendCopy(pkt.Src, pkt.SrcPort, junk, len(junk))
+			sock.SendCopy(pkt.Src, pkt.SrcPort, reply.put(replyBuf[:0]), headerSize)
 		}
 	})
 	c := NewClient(cli, cfg)
@@ -78,7 +78,8 @@ func overUDP(t *testing.T, cfg Config, ignore func(header) bool) outcome {
 				continue
 			}
 			if reply, _, ok := r.handle(from, buf[:n], n, time.Since(start)); ok {
-				conn.WriteToUDPAddrPort(reply.encode(), from)
+				conn.WriteToUDPAddrPort(junk, from)
+				conn.WriteToUDPAddrPort(reply.put(nil), from)
 			}
 		}
 	}()

@@ -44,15 +44,14 @@ type header struct {
 	extra  uint64
 }
 
-func (h header) encode() []byte {
-	b := make([]byte, headerSize)
-	b[0] = h.typ
-	binary.BigEndian.PutUint32(b[1:5], h.testID)
-	binary.BigEndian.PutUint32(b[5:9], h.seq)
-	binary.BigEndian.PutUint64(b[9:17], uint64(h.t1))
-	binary.BigEndian.PutUint64(b[17:25], uint64(h.t2))
-	binary.BigEndian.PutUint64(b[25:33], h.extra)
-	return b
+// put appends h's wire form, headerSize bytes, to dst.
+func (h header) put(dst []byte) []byte {
+	dst = append(dst, h.typ)
+	dst = binary.BigEndian.AppendUint32(dst, h.testID)
+	dst = binary.BigEndian.AppendUint32(dst, h.seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(h.t1))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(h.t2))
+	return binary.BigEndian.AppendUint64(dst, h.extra)
 }
 
 func decodeHeader(b []byte) (header, bool) {
@@ -152,16 +151,19 @@ type burstKey[P comparable] struct {
 // participates in offset exchanges, and measures incoming bursts, reporting
 // receiver-side results. The sim Server and RealServer feed it datagrams;
 // P is the transport's own comparable endpoint type, so the burst table
-// costs neither a string nor an interface per datagram. The zero value is
-// ready to use.
+// costs neither a string nor an interface per datagram, and it holds its
+// bursts by value, so a measurement costs no allocation once the table has
+// grown to the bursts in flight. The zero value is ready to use.
 type responder[P comparable] struct {
-	bursts map[burstKey[P]]*burstState
+	bursts map[burstKey[P]]burstState
 }
 
 // handle consumes one datagram — size bytes on the wire (a simulated burst
 // message is larger than the payload it carries), arrived from a peer at
 // local clock time now — and returns the reply to send back, if any. done
-// reports a completed burst measurement.
+// reports a completed burst measurement. It reads payload only through
+// decodeHeader and keeps nothing of it, so a caller may reuse the bytes as
+// soon as it returns.
 func (r *responder[P]) handle(from P, payload []byte, size int, now time.Duration) (reply header, done, ok bool) {
 	h, ok := decodeHeader(payload)
 	if !ok {
@@ -175,12 +177,12 @@ func (r *responder[P]) handle(from P, payload []byte, size int, now time.Duratio
 		return header{typ: msgOffsetReply, testID: h.testID, seq: h.seq, t1: h.t1, t2: now}, false, true
 	case msgStart:
 		if r.bursts == nil {
-			r.bursts = make(map[burstKey[P]]*burstState)
+			r.bursts = make(map[burstKey[P]]burstState)
 		}
-		r.bursts[key] = &burstState{expected: int(h.extra)}
+		r.bursts[key] = burstState{expected: int(h.extra)}
 		return header{typ: msgReady, testID: h.testID}, false, true
 	case msgData:
-		if b := r.bursts[key]; b != nil {
+		if b, ok := r.bursts[key]; ok {
 			if b.received == 0 {
 				b.firstAt = now
 			}
@@ -188,10 +190,11 @@ func (r *responder[P]) handle(from P, payload []byte, size int, now time.Duratio
 			b.bytes += size
 			b.lastAt = now
 			b.sumRawLat += now - h.t1
+			r.bursts[key] = b
 		}
 	case msgDataEnd:
-		b := r.bursts[key]
-		if b == nil {
+		b, ok := r.bursts[key]
+		if !ok {
 			break
 		}
 		delete(r.bursts, key)
@@ -218,10 +221,13 @@ func (r *responder[P]) handle(from P, payload []byte, size int, now time.Duratio
 // two implementations. SNMP needs other things of a transport and has its
 // own.
 type link interface {
-	// send queues h as a datagram of size bytes (at least the header).
+	// send queues h as a datagram of size bytes (at least the header); the
+	// link writes the header into a buffer of its own.
 	send(h header, size int)
-	// recv returns the next datagram's payload, false after timeout.
-	recv(timeout time.Duration) ([]byte, bool)
+	// recv returns the header of the next well-formed datagram, false after
+	// timeout. A datagram too short to decode is skipped within the same
+	// timeout, so the engine never sees payload bytes.
+	recv(timeout time.Duration) (header, bool)
 	// Now times deadlines and elapsed spans; localTime is the host clock
 	// stamped into messages, which on a simulated host drifts away from it
 	// (what the offset exchange is for).
@@ -238,7 +244,7 @@ func put(l link, res *Result, h header, size int) {
 }
 
 // await receives until a typ message of test id — and, when seq >= 0, of
-// that sequence number — arrives or timeout passes; anything else is
+// that sequence number — arrives or timeout passes; any other message is
 // skipped without extending the wait. A match is charged to res, if given.
 func await(l link, typ byte, id uint32, seq int, timeout time.Duration, res *Result) (header, bool) {
 	deadline := l.Now() + timeout
@@ -247,12 +253,11 @@ func await(l link, typ byte, id uint32, seq int, timeout time.Duration, res *Res
 		if remain <= 0 {
 			return header{}, false
 		}
-		b, ok := l.recv(remain)
+		h, ok := l.recv(remain)
 		if !ok {
 			return header{}, false
 		}
-		h, ok := decodeHeader(b)
-		if !ok || h.typ != typ || h.testID != id || seq >= 0 && h.seq != uint32(seq) {
+		if h.typ != typ || h.testID != id || seq >= 0 && h.seq != uint32(seq) {
 			continue
 		}
 		if res != nil {
@@ -363,7 +368,11 @@ type simPeer struct {
 	port netsim.Port
 }
 
-// Server is the NTTCP responder on a simulated node.
+// Server is the NTTCP responder on a simulated node. It runs no proc: its
+// socket takes each datagram in the event that delivers it
+// (netsim.UDPSock.Consume), and a reply goes out as a copy of the one
+// header buffer the Server keeps (netsim.UDPSock.SendCopy), so a datagram
+// costs the responder no allocation.
 type Server struct {
 	Node *netsim.Node
 	Port netsim.Port
@@ -371,56 +380,67 @@ type Server struct {
 	// Tests counts completed burst measurements.
 	Tests int
 
-	sock *netsim.UDPSock
+	sock  *netsim.UDPSock
+	r     responder[simPeer]
+	reply [headerSize]byte
 }
 
-// StartServer spawns the responder on node:port.
+// StartServer binds the responder to node:port.
 func StartServer(node *netsim.Node, port netsim.Port) *Server {
 	if port == 0 {
 		port = Port
 	}
 	s := &Server{Node: node, Port: port, sock: node.OpenUDP(port)}
-	node.Spawn("nttcp-server", func(p *sim.Proc) { s.serve(p) })
+	s.sock.Consume(s.consume)
 	return s
 }
 
-func (s *Server) serve(p *sim.Proc) {
-	var r responder[simPeer]
-	for {
-		pkt, ok := s.sock.Recv(p, -1)
-		if !ok {
-			return
-		}
-		reply, done, ok := r.handle(simPeer{pkt.Src, pkt.SrcPort}, pkt.Payload, pkt.Size, s.Node.LocalTime())
-		if done {
-			s.Tests++
-		}
-		if ok {
-			s.sock.SendTo(pkt.Src, pkt.SrcPort, reply.encode())
-		}
+// consume answers one datagram. handle keeps nothing of the payload, and
+// the reply is copied out of s.reply, so nothing outlives the call.
+func (s *Server) consume(pkt *netsim.Packet) {
+	reply, done, ok := s.r.handle(simPeer{pkt.Src, pkt.SrcPort}, pkt.Payload, pkt.Size, s.Node.LocalTime())
+	if done {
+		s.Tests++
+	}
+	if ok {
+		s.sock.SendCopy(pkt.Src, pkt.SrcPort, reply.put(s.reply[:0]), headerSize)
 	}
 }
 
 // simLink runs the engine on the simulator: the calling proc (whose Now
 // and Sleep it promotes), its node's clock, a socket opened for the call
-// and the responder it is pointed at.
+// and the responder it is pointed at. A datagram carries only the header,
+// which the network copies out of hdr; a burst message's Size says MsgLen. The
+// socket's consumer decodes each arriving header into the link's own queue
+// in the event that delivers it, so the frame goes back to the network at
+// once; recv takes from that queue, whose Put wakes the proc as the
+// socket's receive queue would. The link outlives its call (Client.idle),
+// and so do its queue and consumer.
 type simLink struct {
 	*sim.Proc
 	node *netsim.Node
 	sock *netsim.UDPSock
 	to   simPeer
+
+	hdr     [headerSize]byte
+	rq      *sim.Queue[header]
+	consume func(*netsim.Packet) // l.deliver, bound once
 }
 
 func (l *simLink) send(h header, size int) {
-	l.sock.SendProto(l.to.addr, l.to.port, h.encode(), size, netsim.UDP)
+	l.sock.SendCopy(l.to.addr, l.to.port, h.put(l.hdr[:0]), size)
 }
 
-func (l *simLink) recv(timeout time.Duration) ([]byte, bool) {
-	pkt, ok := l.sock.Recv(l.Proc, timeout)
-	if !ok {
-		return nil, false
+// deliver is the socket's consumer: it keeps the decoded header, never the
+// packet, and drops a datagram too short to decode.
+func (l *simLink) deliver(pkt *netsim.Packet) {
+	if h, ok := decodeHeader(pkt.Payload); ok {
+		l.rq.Put(h)
 	}
-	return pkt.Payload, true
+}
+
+func (l *simLink) recv(timeout time.Duration) (header, bool) {
+	return l.rq.Get(l.Proc, timeout)
 }
 
 func (l *simLink) localTime() time.Duration { return l.node.LocalTime() }
@@ -441,22 +461,34 @@ func NewClient(node *netsim.Node, cfg Config) *Client {
 // dial opens a socket for one call and points an adapter at target:port.
 // Several procs can be inside one Client at once (hifi measures paths that
 // share a source concurrently), so socket and adapter are per call; hangUp
-// keeps the adapter, so that a measurement allocates nothing for the seam.
+// keeps the adapter, with its queue and consumer, so that a measurement
+// allocates nothing for the seam.
 func (c *Client) dial(p *sim.Proc, target netsim.Addr, port netsim.Port) *simLink {
 	if port == 0 {
 		port = Port
 	}
 	if len(c.idle) == 0 {
-		c.idle = append(c.idle, new(simLink))
+		l := &simLink{node: c.Node, rq: sim.NewQueue[header](c.Node.Network().K, netsim.DefaultSockQueue)}
+		l.consume = l.deliver
+		c.idle = append(c.idle, l)
 	}
 	l := c.idle[len(c.idle)-1]
 	c.idle = c.idle[:len(c.idle)-1]
-	*l = simLink{Proc: p, node: c.Node, sock: c.Node.OpenUDP(0), to: simPeer{target, port}}
+	l.Proc, l.sock, l.to = p, c.Node.OpenUDP(0), simPeer{target, port}
+	l.sock.Consume(l.consume)
 	return l
 }
 
+// hangUp closes the call's socket, so a late reply is dropped as no-port,
+// and empties the link's queue, so a reply the call did not wait for
+// reaches no later call.
 func (c *Client) hangUp(l *simLink) {
 	l.sock.Close()
+	for {
+		if _, ok := l.rq.Get(l.Proc, 0); !ok {
+			break
+		}
+	}
 	c.idle = append(c.idle, l)
 }
 

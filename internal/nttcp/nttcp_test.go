@@ -251,3 +251,118 @@ func TestConcurrentMeasurementsDistinctTestIDs(t *testing.T) {
 		t.Fatalf("concurrent measurements ok = %d, want 2", okCount)
 	}
 }
+
+// TestMeasureAllocatesNothingPerMessage: once warm, a simulated Measure
+// costs the same few allocations at 8 and at 64 burst messages, so a
+// message costs none — the client sends each header as a network-owned
+// copy and takes each reply in the event that delivers it, and the
+// responder runs no proc. What a measurement does cost is the socket it
+// opens for the call (netsim.Node.OpenUDP: the socket and its receive
+// queue).
+func TestMeasureAllocatesNothingPerMessage(t *testing.T) {
+	const period = time.Second
+	perMeasure := func(count int) float64 {
+		k, srv, cli := fixture(t, netsim.Ethernet100())
+		StartServer(srv, 0)
+		c := NewClient(cli, Config{MsgLen: 1000, InterSend: time.Millisecond, Count: count})
+		var errs int
+		cli.Spawn("tester", func(p *sim.Proc) {
+			p.Sleep(period / 2)
+			for {
+				start := p.Now()
+				if res, err := c.Measure(p, "server", 0); err != nil || res.Received != count {
+					errs++
+				}
+				p.Sleep(start + period - p.Now())
+			}
+		})
+		k.RunUntil(10 * period)
+		n := testing.AllocsPerRun(50, func() { k.RunUntil(k.Now() + period) })
+		if errs != 0 {
+			t.Fatalf("count %d: %d measurements failed or lost messages", count, errs)
+		}
+		return n
+	}
+	n8, n64 := perMeasure(8), perMeasure(64)
+	if n8 != n64 {
+		t.Fatalf("a measurement allocates %v objects at 8 messages and %v at 64: messages allocate", n8, n64)
+	}
+	if n8 != 3 {
+		t.Fatalf("a measurement allocates %v objects, want 3", n8)
+	}
+}
+
+// TestLateReplyReachesNoLaterCall: a reply that arrives after its call hung
+// up is dropped at the closed socket and reaches no later call on the same
+// Client, although the later call reuses the adapter and its queue. The
+// slow target answers 200 ms late, while the next call, to a target that
+// answers 20 ms late, is waiting. Every frame on the segment arrives twice
+// (DupProb 1), in the same event: the copy of a reply that no await takes
+// must not outlive its call in the adapter's queue either.
+func TestLateReplyReachesNoLaterCall(t *testing.T) {
+	k := sim.NewKernel()
+	t.Cleanup(k.Close)
+	nw := netsim.New(k, 41)
+	cfg := netsim.Ethernet10()
+	cfg.DupProb = 1
+	seg := nw.NewSegment("lan", cfg)
+	cli := nw.NewHost("client")
+	seg.Attach(cli)
+	// echoer answers each echo it receives delay after it arrives.
+	echoer := func(name netsim.Addr, delay time.Duration) {
+		h := nw.NewHost(name)
+		seg.Attach(h)
+		sock := h.OpenUDP(Port)
+		sock.Consume(func(pkt *netsim.Packet) {
+			req, ok := decodeHeader(pkt.Payload)
+			if !ok || req.typ != msgEcho {
+				return
+			}
+			to, port := pkt.Src, pkt.SrcPort
+			reply := header{typ: msgEchoReply, testID: req.testID, seq: req.seq, t1: req.t1}.put(nil)
+			k.After(delay, func() { sock.SendCopy(to, port, reply, headerSize) })
+		})
+	}
+	echoer("slow", 200*time.Millisecond)
+	echoer("fast", 20*time.Millisecond)
+	var lateDrops int
+	var lateAt time.Duration
+	nw.OnDrop = func(r netsim.DropReason, pkt *netsim.Packet) {
+		if h, ok := decodeHeader(pkt.Payload); ok && r == netsim.DropNoPort && pkt.Src == "slow" && h.typ == msgEchoReply {
+			lateDrops++
+			lateAt = k.Now()
+		}
+	}
+	c := NewClient(cli, Config{Timeout: 50 * time.Millisecond})
+	var slow, fast [2]bool
+	var rtt [2]time.Duration
+	var queued [2]int
+	var waitFrom time.Duration
+	cli.Spawn("tester", func(p *sim.Proc) {
+		slow[0], _ = c.Reachability(p, "slow", 0)
+		p.Sleep(140 * time.Millisecond)
+		waitFrom = p.Now()
+		for i := range fast {
+			fast[i], rtt[i] = c.Reachability(p, "fast", 0)
+			queued[i] = c.idle[0].rq.Len()
+		}
+	})
+	k.RunUntil(time.Second)
+	if slow[0] || !fast[0] || !fast[1] {
+		t.Fatalf("reached: slow %v, fast %v", slow[0], fast)
+	}
+	for i, d := range rtt {
+		if d < 20*time.Millisecond || d > 30*time.Millisecond {
+			t.Fatalf("fast call %d: rtt %v, want its own echo's", i, d)
+		}
+	}
+	if queued != [2]int{} {
+		t.Fatalf("replies left in the idle adapter's queue after each fast call: %v, want none", queued)
+	}
+	// The slow target got the echo twice and answered both; each answer
+	// arrived twice.
+	if lateDrops != 4 || lateAt < waitFrom || lateAt > waitFrom+rtt[0] {
+		t.Fatalf("late replies dropped as no-port: %d, the last at %v; want 4 while the first fast call waited (%v + %v)",
+			lateDrops, lateAt, waitFrom, rtt[0])
+	}
+}

@@ -40,9 +40,10 @@ func (s *RealServer) Close() error { return s.conn.Close() }
 
 // Serve processes requests until the connection closes. Burst payloads on
 // the real network carry their nominal length, so a long burst moves real
-// bytes.
+// bytes. Replies are written from one header array.
 func (s *RealServer) Serve() error {
 	var r responder[netip.AddrPort]
+	var out [headerSize]byte
 	buf := make([]byte, 65536)
 	start := time.Now()
 	for {
@@ -55,37 +56,45 @@ func (s *RealServer) Serve() error {
 			s.tests.Add(1)
 		}
 		if ok {
-			s.conn.WriteToUDPAddrPort(reply.encode(), from)
+			s.conn.WriteToUDPAddrPort(reply.put(out[:0]), from)
 		}
 	}
 }
 
 // udpLink is the engine's link over a real socket connected to one
 // responder. Timer and host clock are the same wall clock, read as time
-// since the client's epoch; the receive buffer lasts the call.
+// since the client's epoch; the receive and send buffers last the call.
 type udpLink struct {
 	c     *net.UDPConn
 	epoch time.Time
 	buf   []byte
+	// out is the send buffer: each datagram writes only its header, so
+	// the bytes past headerSize stay the zeroed padding of a burst message.
+	out []byte
 }
 
 func (u *udpLink) send(h header, size int) {
-	b := h.encode()
-	if size > len(b) {
-		b = append(b, make([]byte, size-len(b))...)
+	size = max(size, headerSize)
+	if len(u.out) < size {
+		u.out = make([]byte, size)
 	}
+	h.put(u.out[:0])
 	// A datagram the socket refuses is a lost datagram: the await that
 	// follows times out.
-	u.c.Write(b)
+	u.c.Write(u.out[:size])
 }
 
-func (u *udpLink) recv(timeout time.Duration) ([]byte, bool) {
+func (u *udpLink) recv(timeout time.Duration) (header, bool) {
 	u.c.SetReadDeadline(time.Now().Add(timeout))
-	n, err := u.c.Read(u.buf)
-	if err != nil {
-		return nil, false
+	for {
+		n, err := u.c.Read(u.buf)
+		if err != nil {
+			return header{}, false
+		}
+		if h, ok := decodeHeader(u.buf[:n]); ok {
+			return h, true
+		}
 	}
-	return u.buf[:n], true
 }
 
 func (u *udpLink) Now() time.Duration       { return time.Since(u.epoch) }
