@@ -5,9 +5,9 @@ GO ?= go
 # this floor. Raise it when coverage rises; never lower it to make a PR pass.
 COVER_FLOOR ?= 85.0
 
-.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke loopback-smoke tables-digest cover bench-shard test-shard experiments
+.PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test tables-digest cover bench-shard test-shard experiments
 
-ci: vet build test race analyze fuzz-smoke bench-smoke bench-test telemetry-smoke loopback-smoke tables-digest
+ci: vet build test race analyze fuzz-smoke bench-smoke bench-test tables-digest
 
 # gofmt -l prints the files it would rewrite; any name is a failure.
 vet:
@@ -66,25 +66,6 @@ bench-smoke:
 # workloads call and the experiment-table digest (bench/tables.sha256).
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# Telemetry counts are readers resolved when the registry is dumped, so the
-# dump is where a wiring mistake shows: build the commands and run
-# `hiperd -monitor hifi|cots|hybrid -telemetry json` and `experiments -quick
-# -telemetry json`, failing on a non-zero exit, invalid JSON or an empty
-# instrument list. (`test` runs the same two tests; -count=1 keeps this step
-# from being answered out of the test cache.)
-telemetry-smoke:
-	$(GO) test -count=1 -run '^TestTelemetryDump$$' ./cmd/hiperd ./cmd/experiments
-
-# The real-UDP tools run the same SNMP and NTTCP engines the simulator does,
-# behind a socket adapter: build them, start `snmpd -listen 127.0.0.1:0` and
-# `nttcp -serve 127.0.0.1:0`, read the address each prints, and require
-# `snmpget get|getnext|walk|set` and `nttcp -target … [-ping|-offset]` to
-# exit 0 with well-formed output; then start `snmpget -listen-traps
-# 127.0.0.1:0`, send it one v1 trap and require the trap and its var-bind
-# on its stdout. (`test` runs the same two tests.)
-loopback-smoke:
-	$(GO) test -count=1 -run '^TestLoopbackSmoke$$' ./cmd/nttcp ./cmd/snmpget
 
 # The oracle of every performance change: the full suite at -shards 0, 1 and
 # 8 and the -quick suite print the bytes whose SHA-256 is pinned in

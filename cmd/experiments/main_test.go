@@ -41,8 +41,7 @@ func TestCPUProfileFlag(t *testing.T) {
 // run, dumped. The readers are resolved at dump time, so this is where a
 // wiring mistake in the cots + resilience stack would surface: the run must
 // exit 0 and print one JSON object with E13's 30 instruments, the kernel's
-// sim.proc_switches and a sweep trace. `make telemetry-smoke` runs exactly
-// this.
+// sim.proc_switches and a sweep trace.
 func TestTelemetryDump(t *testing.T) {
 	out, err := exec.Command("go", "run", ".", "-quick", "-telemetry", "json").Output()
 	if err != nil {

@@ -24,7 +24,6 @@ func buildHiperd(t *testing.T) string {
 // dumped, so a wiring mistake — a reader over a component that is not
 // there — shows up here, not at registration: each run must exit 0 and end
 // in one JSON object with a non-empty instrument list and a traced span.
-// `make telemetry-smoke` runs exactly this.
 func TestTelemetryDump(t *testing.T) {
 	bin := buildHiperd(t)
 	for _, mon := range []string{"hifi", "cots", "hybrid"} {

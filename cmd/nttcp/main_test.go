@@ -13,8 +13,8 @@ import (
 // port of the kernel's choosing and runs every client mode against it: each
 // must exit 0 and print a well-formed report. The tool runs the same engine
 // the simulator does, on real sockets; this is the check that the real
-// adapter and the CLI around it still work end to end. `make loopback-smoke`
-// runs exactly this (and its sibling in cmd/snmpget).
+// adapter and the CLI around it still work end to end. Its sibling in
+// cmd/snmpget does the same for the SNMP tools.
 func TestLoopbackSmoke(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "nttcp")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {

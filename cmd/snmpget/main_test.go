@@ -20,8 +20,8 @@ import (
 // `snmpget -listen-traps` the same way, sends it one v1 trap and requires
 // the trap and its var-bind on the listener's stdout. The tools run the
 // same engine the simulator does, on real sockets; this is the check that
-// the real adapter and the CLIs around it still work end to end.
-// `make loopback-smoke` runs exactly this (and its sibling in cmd/nttcp).
+// the real adapter and the CLIs around it still work end to end. Its
+// sibling in cmd/nttcp does the same for the NTTCP tool.
 func TestLoopbackSmoke(t *testing.T) {
 	dir := t.TempDir()
 	snmpd, snmpget := filepath.Join(dir, "snmpd"), filepath.Join(dir, "snmpget")

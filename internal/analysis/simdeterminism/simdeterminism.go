@@ -1,5 +1,5 @@
-// Package simdeterminism forbids wall-clock, global-randomness and locking
-// escape hatches in simulation-facing packages.
+// Package simdeterminism forbids wall-clock, global-randomness, locking and
+// atomic escape hatches in simulation-facing packages.
 //
 // The experiment tables are byte-identical across runs and worker counts
 // only because every source of time and randomness flows from the kernel's
@@ -25,14 +25,20 @@
 //     holding it keeps it, and whoever contends next blocks the goroutine
 //     the scheduler needs. No lock at all implies no lock across a yield,
 //     without a call graph. Every lock needs a variable of one of the two
-//     types, so flagging the type flags the lock where it is declared.
+//     types, so flagging the type flags the lock where it is declared;
+//   - any type or function of sync/atomic, under the same "mutex" key. An
+//     atomic in sim code guards against a second goroutine the cooperative
+//     scheduler never runs, and costs a locked instruction on every
+//     update. Methods are not checked: an atomic method needs a value of an
+//     atomic type, which is flagged where it is declared.
 //
 // The real-network layer is exempt: files named real.go or *_real.go talk
 // to actual sockets and legitimately use the wall clock, and packages not
 // on the simulation-facing list (cmd mains, the analysis suite itself) are
 // not checked at all. Individual lines opt out with
 // `//lint:allow wallclock <reason>`, `//lint:allow globalrand <reason>`,
-// `//lint:allow hostcpu <reason>` or `//lint:allow mutex <reason>`.
+// `//lint:allow hostcpu <reason>` or `//lint:allow mutex <reason>` (which
+// covers atomics too).
 package simdeterminism
 
 import (
@@ -46,7 +52,7 @@ import (
 // Analyzer is the simdeterminism pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "simdeterminism",
-	Doc:  "forbid wall-clock time, global math/rand, host-CPU probes and mutexes in simulation-facing packages",
+	Doc:  "forbid wall-clock time, global math/rand, host-CPU probes, mutexes and atomics in simulation-facing packages",
 	Keys: []string{"wallclock", "globalrand", "hostcpu", "mutex"},
 	Run:  run,
 }
@@ -92,9 +98,16 @@ func run(pass *analysis.Pass) error {
 			case *types.Func:
 				check(pass, id, obj)
 			case *types.TypeName:
-				if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && (obj.Name() == "Mutex" || obj.Name() == "RWMutex") &&
-					!pass.Allowed(id.Pos(), "mutex") {
-					pass.Reportf(id.Pos(), "sync.%s in simulation-facing package %s: sim code runs cooperatively on one goroutine per shard, so a lock is useless at best and a frozen run if held across a yield (or annotate //lint:allow mutex)", obj.Name(), pass.Pkg.Name())
+				if obj.Pkg() == nil {
+					break
+				}
+				switch obj.Pkg().Path() {
+				case "sync":
+					if (obj.Name() == "Mutex" || obj.Name() == "RWMutex") && !pass.Allowed(id.Pos(), "mutex") {
+						pass.Reportf(id.Pos(), "sync.%s in simulation-facing package %s: sim code runs cooperatively on one goroutine per shard, so a lock is useless at best and a frozen run if held across a yield (or annotate //lint:allow mutex)", obj.Name(), pass.Pkg.Name())
+					}
+				case "sync/atomic":
+					reportAtomic(pass, id, obj.Name())
 				}
 			}
 			return true
@@ -120,5 +133,15 @@ func check(pass *analysis.Pass, id *ast.Ident, fn *types.Func) {
 		if hostCPUFuncs[fn.Name()] && !pass.Allowed(id.Pos(), "hostcpu") {
 			pass.Reportf(id.Pos(), "runtime.%s reads host CPU topology in simulation-facing package %s; shard counts and results must not depend on host parallelism (or annotate //lint:allow hostcpu)", fn.Name(), pass.Pkg.Name())
 		}
+	case "sync/atomic":
+		reportAtomic(pass, id, fn.Name())
 	}
+}
+
+// reportAtomic flags a sync/atomic type or function under the "mutex" key.
+func reportAtomic(pass *analysis.Pass, id *ast.Ident, name string) {
+	if pass.Allowed(id.Pos(), "mutex") {
+		return
+	}
+	pass.Reportf(id.Pos(), "atomic.%s in simulation-facing package %s: sim code runs cooperatively on one goroutine per shard, so a plain field does (or annotate //lint:allow mutex)", name, pass.Pkg.Name())
 }

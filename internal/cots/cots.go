@@ -142,7 +142,7 @@ func New(host *netsim.Node, community string, pollInterval time.Duration) *Monit
 	if pollInterval <= 0 {
 		pollInterval = 5 * time.Second
 	}
-	m := &Monitor{
+	return &Monitor{
 		DirectorBase: core.NewDirectorBase(host.Network().K),
 		Client:       snmp.NewClient(host, community),
 		PollInterval: pollInterval,
@@ -153,9 +153,6 @@ func New(host *netsim.Node, community string, pollInterval time.Duration) *Monit
 		seen:         make(map[netsim.Addr]bool),
 		samples:      make(map[netsim.Addr]hostSample),
 	}
-	m.Client.Timeout = 500 * time.Millisecond
-	m.Client.Retries = 1
-	return m
 }
 
 // EnableResilience installs the resilience layer: a circuit breaker per

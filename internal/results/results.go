@@ -14,7 +14,8 @@
 //
 // Durability contract: lines are complete JSON objects flushed in order,
 // so a crash can lose at most the partially written last line; the reader
-// tolerates exactly that (see Reader).
+// tolerates exactly that (see Reader). A Writer is fed from one goroutine,
+// the order the record digests pin, and takes no lock.
 package results
 
 import (
@@ -24,7 +25,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/report"
@@ -82,10 +82,10 @@ type Envelope struct {
 // Writer appends envelopes to an io.Writer, one JSON line each. The
 // header line is written on the first append. Errors are sticky: after a
 // write fails, further appends are dropped and Err reports the failure.
-// Writer is safe for concurrent use, but callers who need a deterministic
-// record order must feed it from one goroutine (in this repo: shard 0's).
+// A Writer is fed from one goroutine (a sharded run's: shard 0's), which a
+// deterministic record order needs anyway; it is not safe for concurrent
+// use.
 type Writer struct {
-	mu       sync.Mutex
 	w        io.Writer
 	scenario string
 	shards   int
@@ -104,8 +104,6 @@ func NewWriter(w io.Writer, scenario string, shards int, run RunMeta) *Writer {
 
 // Write appends one record envelope (plus the header, first time).
 func (w *Writer) Write(rec Record) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
@@ -150,15 +148,11 @@ func (w *Writer) emit(line []byte) error {
 
 // Err returns the sticky write error, if any.
 func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.err
 }
 
 // Records reports how many record envelopes have been written.
 func (w *Writer) Records() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.records
 }
 

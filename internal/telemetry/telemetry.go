@@ -11,13 +11,6 @@
 // The field is the only copy, so nothing on a hot path knows telemetry
 // exists and the two can never disagree.
 //
-// Readers are plain loads of fields their kernel writes, so a registry is
-// read where its kernel is not running: after the run, or from one of the
-// kernel's own events (the rule the Tracer already imposes). That is also
-// why counters need no atomics: every EnableTelemetry call site binds one
-// registry to one kernel, and the cooperative scheduler serializes the
-// writers.
-//
 // Histograms and spans have no plain twin and stay push instruments:
 //
 //   - Sim-time aware. They never read the wall clock; every timestamped
@@ -33,17 +26,15 @@
 //     with a linear scan over a handful of bounds; spans write into a
 //     preallocated ring. Neither allocates.
 //
-// Registration and histograms are safe for concurrent use from multiple OS
-// threads (the experiment harness runs kernels in parallel goroutines).
-// Tracers belong to one kernel, whose cooperative scheduler already
-// serializes all Begin/End calls.
+// One rule covers the registry, its histograms and the Tracer alike: they
+// belong to one kernel's goroutine, and none of them is safe for concurrent
+// use. Every EnableTelemetry call site binds one registry to one kernel,
+// whose cooperative scheduler serializes every writer; readers are plain
+// loads of fields that kernel writes, so a registry is read where its
+// kernel is not running: after the run, or from one of the kernel's own
+// events. Parallel runs (the experiment harness's workers) each build
+// their own.
 package telemetry
-
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
 
 // Counter is a registered event count: a name and the reader that fetches
 // the count from the component that owns it.
@@ -100,9 +91,9 @@ func (g *Gauge) Name() string {
 type Histogram struct {
 	name   string
 	bounds []float64 // ascending upper bounds
-	counts []atomic.Uint64
-	count  atomic.Uint64
-	sum    atomic.Uint64 // math.Float64bits accumulator, CAS-updated
+	counts []uint64
+	count  uint64
+	sum    float64
 }
 
 // Observe records v into its bucket. A nil histogram no-ops.
@@ -114,15 +105,9 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	h.counts[i]++
+	h.count++
+	h.sum += v
 }
 
 // Count returns total observations; zero on a nil histogram.
@@ -130,7 +115,7 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	return h.count
 }
 
 // Sum returns the sum of all observed values; zero on a nil histogram.
@@ -138,7 +123,7 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return math.Float64frombits(h.sum.Load())
+	return h.sum
 }
 
 // Bounds returns the bucket upper bounds (not a copy — do not mutate).
@@ -155,7 +140,7 @@ func (h *Histogram) BucketCount(i int) uint64 {
 	if h == nil || i < 0 || i >= len(h.counts) {
 		return 0
 	}
-	return h.counts[i].Load()
+	return h.counts[i]
 }
 
 // Name returns the registered name; empty on a nil histogram.
@@ -167,11 +152,9 @@ func (h *Histogram) Name() string {
 }
 
 // Registry owns a set of named instruments, exported in registration
-// order. Registration and lookup are mutex-guarded; the mutex is never held
-// while a reader runs. A nil *Registry is the disabled layer: registration
-// no-ops, lookups and Histogram return nil.
+// order. A nil *Registry is the disabled layer: registration no-ops,
+// lookups and Histogram return nil.
 type Registry struct {
-	mu    sync.Mutex   //lint:allow mutex guards the table against registration from parallel experiment goroutines; never held while a reader runs
 	rows  []instrument // registration order, for deterministic export
 	index map[string]int
 }
@@ -189,7 +172,7 @@ func NewRegistry() *Registry {
 }
 
 // put stores in under name: a new name is appended, a known one keeps its
-// place in the export order. The caller holds r.mu.
+// place in the export order.
 func (r *Registry) put(name string, in instrument) {
 	if i, ok := r.index[name]; ok {
 		r.rows[i] = in
@@ -205,8 +188,6 @@ func (r *Registry) get(name string) instrument {
 	if r == nil {
 		return instrument{}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if i, ok := r.index[name]; ok {
 		return r.rows[i]
 	}
@@ -220,8 +201,6 @@ func (r *Registry) CounterFunc(name string, read func() uint64) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.put(name, instrument{c: &Counter{name: name, read: read}})
 }
 
@@ -231,8 +210,6 @@ func (r *Registry) GaugeFunc(name string, read func() float64) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.put(name, instrument{g: &Gauge{name: name, read: read}})
 }
 
@@ -251,15 +228,13 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if i, ok := r.index[name]; ok && r.rows[i].h != nil {
 		return r.rows[i].h
 	}
 	h := &Histogram{
 		name:   name,
 		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
+		counts: make([]uint64, len(bounds)+1),
 	}
 	r.put(name, instrument{h: h})
 	return h
@@ -267,16 +242,13 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 
 // Each visits every instrument in registration order. Exactly one of the
 // callback's pointers is non-nil per call. A nil registry visits nothing.
-// The rows are copied out first: fn — and any reader it calls — runs with
-// the registry unlocked.
+// fn — and any reader it calls — may use the registry; an instrument it
+// registers is not visited.
 func (r *Registry) Each(fn func(c *Counter, g *Gauge, h *Histogram)) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	rows := append([]instrument(nil), r.rows...)
-	r.mu.Unlock()
-	for _, in := range rows {
+	for _, in := range r.rows {
 		fn(in.c, in.g, in.h)
 	}
 }
@@ -286,7 +258,5 @@ func (r *Registry) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.rows)
 }

@@ -3,7 +3,6 @@ package telemetry_test
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -83,9 +82,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
-// TestReadersRunUnlocked: the registry copies its rows out before it calls
-// a reader, so a reader may use the registry (and a dump never holds the
-// mutex across caller-supplied code).
+// TestReadersRunUnlocked: a reader may use the registry it is registered
+// in, since a dump calls readers while it walks the rows.
 func TestReadersRunUnlocked(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.CounterFunc("instruments", func() uint64 { return uint64(reg.Len()) })
@@ -356,25 +354,27 @@ func TestWriteDump(t *testing.T) {
 }
 
 // TestConcurrentProcsRace is the experiment harness's actual shape under
-// `go test -race`: four kernels run in parallel goroutines against one
-// registry. Registration and the shared histogram must be thread-safe; each
-// kernel's count is a plain field only that kernel writes, published through
-// a reader and read after the run; each kernel's tracer is private.
+// `go test -race`: four kernels run in parallel goroutines, and each owns
+// its registry, histogram and tracer, as every run builds its own. Within a
+// kernel the cooperative scheduler serializes the procs, so the plain
+// fields need no lock; each registry is read after its run.
 func TestConcurrentProcsRace(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	h := reg.Histogram("shared.hist", []float64{10, 100})
-
 	const kernels, procs, ticks = 4, 8, 200
+	regs := make([]*telemetry.Registry, kernels)
 	var wg sync.WaitGroup
-	for kn := 0; kn < kernels; kn++ {
+	for kn := range regs {
+		reg := telemetry.NewRegistry()
+		regs[kn] = reg
 		wg.Add(1)
-		go func(kn int) {
+		go func() {
 			defer wg.Done()
 			k := sim.NewKernel()
 			defer k.Close()
+			h := reg.Histogram("tick.hist", []float64{10, 100})
 			tr := telemetry.NewTracer("kernel", 128)
 			var count uint64 // kernel-serialized: every writer is a proc of k
-			reg.CounterFunc(fmt.Sprintf("kernel%d.ticks", kn), func() uint64 { return count })
+			reg.CounterFunc("ticks", func() uint64 { return count })
+			reg.CounterFunc("spans", func() uint64 { return uint64(tr.Total()) })
 			for pn := 0; pn < procs; pn++ {
 				k.Spawn("hammer", func(p *sim.Proc) {
 					for i := 0; i < ticks; i++ {
@@ -387,18 +387,32 @@ func TestConcurrentProcsRace(t *testing.T) {
 				})
 			}
 			k.Run()
-		}(kn)
+		}()
 	}
 	wg.Wait()
-	for kn := 0; kn < kernels; kn++ {
-		if got := reg.Counter(fmt.Sprintf("kernel%d.ticks", kn)).Value(); got != procs*ticks {
+	for kn, reg := range regs {
+		h := reg.Histogram("tick.hist", nil)
+		if got := reg.Counter("ticks").Value(); got != procs*ticks {
 			t.Fatalf("kernel %d counter = %d, want %d", kn, got, procs*ticks)
 		}
-	}
-	if got := h.Count(); got != kernels*procs*ticks {
-		t.Fatalf("hist count = %d, want %d", got, kernels*procs*ticks)
-	}
-	if reg.Len() != kernels+1 {
-		t.Fatalf("registry len = %d, want %d (lost registrations)", reg.Len(), kernels+1)
+		if got := reg.Counter("spans").Value(); got != procs*ticks {
+			t.Fatalf("kernel %d spans = %d, want %d", kn, got, procs*ticks)
+		}
+		if got := h.Count(); got != procs*ticks {
+			t.Fatalf("kernel %d hist count = %d, want %d", kn, got, procs*ticks)
+		}
+		// Each proc observes 0..ticks-1 once: 11 values <= 10, 90 in
+		// (10, 100], the rest overflow.
+		for i, want := range []uint64{procs * 11, procs * 90, procs * (ticks - 101)} {
+			if got := h.BucketCount(i); got != want {
+				t.Fatalf("kernel %d bucket %d = %d, want %d", kn, i, got, want)
+			}
+		}
+		if got, want := h.Sum(), float64(procs*ticks*(ticks-1)/2); got != want {
+			t.Fatalf("kernel %d hist sum = %g, want %g", kn, got, want)
+		}
+		if reg.Len() != 3 {
+			t.Fatalf("kernel %d registry len = %d, want 3", kn, reg.Len())
+		}
 	}
 }

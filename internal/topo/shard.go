@@ -9,45 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Partition assigns weighted items (regions, LANs) to shards with the
-// longest-processing-time greedy rule: repeatedly place the heaviest
-// unassigned item on the least-loaded shard. Ties break toward the lower
-// index on both sides, so the assignment is a pure function of its inputs.
-// The result maps item index to shard number.
-func Partition(weights []float64, shards int) []int {
-	if shards < 1 {
-		panic("topo: Partition needs at least one shard")
-	}
-	assign := make([]int, len(weights))
-	load := make([]float64, shards)
-	// Order item indices by descending weight (stable: index breaks ties).
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j], order[j-1]
-			if weights[a] > weights[b] || (weights[a] == weights[b] && a < b) {
-				order[j], order[j-1] = order[j-1], order[j]
-			} else {
-				break
-			}
-		}
-	}
-	for _, item := range order {
-		best := 0
-		for s := 1; s < shards; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		assign[item] = best
-		load[best] += weights[item]
-	}
-	return assign
-}
-
 // WANPropDelay is the one-way latency of the inter-region links in a
 // ShardedScaled system. It is fixed — independent of shard count — so the
 // same topology is built no matter how the regions are partitioned, and it
@@ -98,9 +59,9 @@ func (r *Region) ClientRefs() []core.ProcessRef {
 }
 
 // ShardedScaled is the partitioned form of Scaled: regions connected by a
-// full mesh of WAN links, with each region's network living on the shard
-// the partitioner chose. With a 1-shard group it is the same topology run
-// on the plain kernel loop.
+// full mesh of WAN links, with region r's network living on shard
+// r % shards. With a 1-shard group it is the same topology run on the plain
+// kernel loop.
 type ShardedScaled struct {
 	Group   *sim.ShardGroup
 	Regions []*Region
@@ -109,22 +70,19 @@ type ShardedScaled struct {
 }
 
 // BuildShardedScaled constructs `regions` regions of serversPer+clientsPer
-// hosts each on the group's shards. Node names are globally unique
+// hosts each, dealt round-robin over the group's shards (every region
+// weighs the same, so that is also the balanced split: the per-shard
+// counts differ by at most one). Node names are globally unique
 // (g<region>-…) because routing across WAN links resolves by name. The
 // group's lookahead must not exceed WANPropDelay.
 func BuildShardedScaled(g *sim.ShardGroup, seed int64, regions, serversPer, clientsPer int) *ShardedScaled {
 	if regions < 1 {
 		panic("topo: BuildShardedScaled needs at least one region")
 	}
-	weights := make([]float64, regions)
-	for i := range weights {
-		// Regions are homogeneous here; weight by station count anyway so a
-		// future heterogeneous builder inherits a sensible rule.
-		weights[i] = float64(serversPer + clientsPer + 2)
-	}
-	s := &ShardedScaled{Group: g, Assign: Partition(weights, g.Shards())}
+	s := &ShardedScaled{Group: g, Assign: make([]int, regions)}
 	for r := 0; r < regions; r++ {
-		shard := s.Assign[r]
+		shard := r % g.Shards()
+		s.Assign[r] = shard
 		nw := netsim.New(g.Shard(shard), seed+int64(r))
 		reg := &Region{Index: r, Shard: shard, Net: nw}
 		pre := fmt.Sprintf("g%d", r+1)
@@ -148,8 +106,8 @@ func BuildShardedScaled(g *sim.ShardGroup, seed int64, regions, serversPer, clie
 		reg.Mgmt.SetDefaultRoute(reg.Hub.Name)
 		s.Regions = append(s.Regions, reg)
 	}
-	// Full hub mesh: every region pair gets a WAN link; cut edges (pairs the
-	// partitioner split across shards) become cross-shard channels for free.
+	// Full hub mesh: every region pair gets a WAN link; cut edges (pairs on
+	// different shards) become cross-shard channels for free.
 	for i := 0; i < regions; i++ {
 		for j := i + 1; j < regions; j++ {
 			l := netsim.ConnectShards(fmt.Sprintf("wan-g%d-g%d", i+1, j+1),

@@ -9,34 +9,49 @@ import (
 	"repro/internal/sim"
 )
 
-func TestPartitionBalancesAndDeterministic(t *testing.T) {
-	w := []float64{5, 1, 4, 2, 3, 3}
-	a := Partition(w, 3)
-	b := Partition(w, 3)
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("Partition not deterministic: %v vs %v", a, b)
-	}
-	load := make([]float64, 3)
-	for i, s := range a {
-		if s < 0 || s >= 3 {
-			t.Fatalf("item %d assigned to shard %d", i, s)
+// checkRoundRobin builds regions regions on a fresh n-shard group and
+// checks that region r lives on shard r % n, in Assign, in Region.Shard
+// and in the kernel its network runs on, and that the per-shard region
+// counts differ by at most one.
+func checkRoundRobin(t *testing.T, n, regions int) {
+	t.Helper()
+	g := sim.NewShardGroup(n, WANPropDelay)
+	defer g.Close()
+	s := BuildShardedScaled(g, 1, regions, 1, 1)
+	count := make([]int, n)
+	for r, reg := range s.Regions {
+		want := r % n
+		if s.Assign[r] != want || reg.Shard != want || reg.Net.K != g.Shard(want) {
+			t.Fatalf("%d shards, %d regions: region %d on Assign %d, Shard %d; want shard %d and its kernel",
+				n, regions, r, s.Assign[r], reg.Shard, want)
 		}
-		load[s] += w[i]
+		count[want]++
 	}
-	// LPT on these weights yields a perfect 6/6/6 split.
-	for s, l := range load {
-		if l != 6 {
-			t.Fatalf("shard %d load %v, want 6 (loads %v)", s, l, load)
+	lo, hi := count[0], count[0]
+	for _, c := range count {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	if hi-lo > 1 {
+		t.Fatalf("%d shards, %d regions: per-shard counts %v differ by more than one", n, regions, count)
+	}
+}
+
+// TestPartitionBalancesAndDeterministic: BuildShardedScaled deals regions
+// round-robin, so every shard count from 1 to 8 gets a fixed, balanced
+// assignment.
+func TestPartitionBalancesAndDeterministic(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		for _, regions := range []int{1, n - 1, n, n + 1, 2*n + 3} {
+			if regions >= 1 {
+				checkRoundRobin(t, n, regions)
+			}
 		}
 	}
 }
 
+// TestPartitionSingleShard: one shard takes every region.
 func TestPartitionSingleShard(t *testing.T) {
-	for _, s := range Partition([]float64{1, 2, 3}, 1) {
-		if s != 0 {
-			t.Fatal("single-shard partition must assign everything to shard 0")
-		}
-	}
+	checkRoundRobin(t, 1, 5)
 }
 
 // buildAndPing builds R regions on the given group, sends one datagram from
@@ -107,9 +122,6 @@ func TestShardedScaledCutEdges(t *testing.T) {
 	g.Run()
 	if sink.Received != 1 {
 		t.Fatalf("cross-shard datagram not delivered (received %d)", sink.Received)
-	}
-	if s.Regions[0].Shard == s.Regions[1].Shard {
-		t.Skip("partitioner put regions 0 and 1 on one shard")
 	}
 	if g.CrossShardMessages() == 0 {
 		t.Fatal("no cross-shard messages despite cut-edge traffic")
