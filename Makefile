@@ -30,7 +30,7 @@ race:
 # selected here, so `ci` does not depend on this target; it is the quick
 # standalone entry point.
 test-shard:
-	$(GO) test -race -run 'Shard|Grouped' ./internal/sim/ ./internal/topo/ ./internal/core/ ./internal/cots/ ./internal/hifi/
+	$(GO) test -race -run 'Shard|Grouped' ./internal/sim/ ./internal/topo/ ./internal/core/ ./internal/cots/
 	$(GO) test -race -run 'TestE14Shape' ./internal/experiments/
 
 # Project-specific static analysis: simulation determinism (no wall clock,

@@ -15,6 +15,7 @@ package hifi
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -69,6 +70,30 @@ type Monitor struct {
 	serverSims map[netsim.Addr]*nttcp.Client
 	responders map[netsim.Addr]*nttcp.Server
 	started    bool
+
+	// The sequencer's scratch, reused by every sweep: the measurement set
+	// of the path in hand, and orderByServer's origins, ranks and result.
+	meas    []core.Measurement
+	origins []netsim.Addr
+	ranked  []rankedPath
+	ordered []core.Path
+	// reasons holds the error text of each (cause, host) a path failed
+	// for without a measurement, built once, so a path that keeps failing
+	// allocates nothing per sweep.
+	reasons map[reason]string
+}
+
+// reason is a cause of failure without a measurement and the host it
+// names; see Monitor.why.
+type reason struct {
+	cause string
+	host  netsim.Addr
+}
+
+// rankedPath is a path and the rank of its origin in first-seen order.
+type rankedPath struct {
+	rank int
+	path core.Path
 }
 
 var _ core.Monitor = (*Monitor)(nil)
@@ -87,6 +112,7 @@ func New(host *netsim.Node, cfg nttcp.Config, concurrency int) *Monitor {
 		nw:           host.Network(),
 		serverSims:   make(map[netsim.Addr]*nttcp.Client),
 		responders:   make(map[netsim.Addr]*nttcp.Server),
+		reasons:      make(map[reason]string),
 	}
 }
 
@@ -170,12 +196,14 @@ func (m *Monitor) Start() {
 
 // sweep measures every path once, honoring the concurrency bound. Paths
 // are grouped by origin server, matching the sequencer's server-by-server
-// operation in Figure 5.
+// operation in Figure 5. The sequencer measures into the monitor's own
+// buffer, so a measured path costs it only the socket of its NTTCP call.
 func (m *Monitor) sweep(p *sim.Proc, req core.Request, sweepSpan telemetry.Span) {
-	paths := orderByServer(req.Paths)
+	paths := m.orderByServer(req.Paths)
 	if m.Concurrency == 1 {
 		for _, path := range paths {
-			for _, meas := range m.measurePath(p, path, req.Metrics, sweepSpan) {
+			m.meas = m.measurePath(p, path, req.Metrics, sweepSpan, m.meas[:0])
+			for _, meas := range m.meas {
 				m.Publish(meas)
 			}
 		}
@@ -188,7 +216,7 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request, sweepSpan telemetry.Span)
 	launch := func(path core.Path) {
 		node := m.nw.Node(path.Hops[0].Host)
 		node.Spawn("rtds-server-sim", func(sp *sim.Proc) {
-			done.Put(m.measurePath(sp, path, req.Metrics, sweepSpan))
+			done.Put(m.measurePath(sp, path, req.Metrics, sweepSpan, nil))
 		})
 	}
 	for _, path := range paths {
@@ -213,43 +241,52 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request, sweepSpan telemetry.Span)
 	}
 }
 
-// orderByServer stably groups the path list by origin host, preserving the
-// resource manager's order within each group.
-func orderByServer(paths []core.Path) []core.Path {
-	var order []netsim.Addr
-	groups := make(map[netsim.Addr][]core.Path)
+// orderByServer stably groups the valid paths by origin host, the groups
+// in the order their origins first appear, preserving the resource
+// manager's order within each group. It regroups on every call, into
+// buffers the monitor keeps: the result is valid until the next call.
+func (m *Monitor) orderByServer(paths []core.Path) []core.Path {
+	m.origins, m.ranked = m.origins[:0], slices.Grow(m.ranked[:0], len(paths))
 	for _, p := range paths {
 		if !p.Valid() {
 			continue
 		}
 		from := p.Hops[0].Host
-		if _, ok := groups[from]; !ok {
-			order = append(order, from)
+		rank := slices.Index(m.origins, from)
+		if rank < 0 {
+			rank = len(m.origins)
+			m.origins = append(m.origins, from)
 		}
-		groups[from] = append(groups[from], p)
+		m.ranked = append(m.ranked, rankedPath{rank, p})
 	}
-	out := make([]core.Path, 0, len(paths))
-	for _, from := range order {
-		out = append(out, groups[from]...)
+	slices.SortStableFunc(m.ranked, func(a, b rankedPath) int { return a.rank - b.rank })
+	m.ordered = slices.Grow(m.ordered[:0], len(m.ranked))
+	for _, rp := range m.ranked {
+		m.ordered = append(m.ordered, rp.path)
 	}
-	return out
+	return m.ordered
 }
 
 // MeasurePath runs the NTTCP burst for one path on demand and converts the
 // result to (path, metric)-tuples for the requested metrics. The hybrid
 // monitor uses it for targeted high-fidelity rechecks; the sweep loop uses
-// it for every path. The caller's proc must be allowed to run on any node
-// (the measurement traffic originates at the path's first hop regardless).
+// the same measurement for every path. The returned slice is new and the
+// caller's to keep: unlike the sweep, a recheck shares no buffer with the
+// monitor. The caller's proc must be allowed to run on any node (the
+// measurement traffic originates at the path's first hop regardless).
 func (m *Monitor) MeasurePath(p *sim.Proc, path core.Path, wanted []metrics.Metric) []core.Measurement {
 	// Targeted rechecks (the hybrid's escalations) trace as root spans;
 	// sweep-driven measurements nest under their sweep's span instead.
 	sp := m.tracer.Begin("hifi.recheck", string(path.ID), p.Now())
-	out := m.measurePath(p, path, wanted, sp)
+	out := m.measurePath(p, path, wanted, sp, nil)
 	sp.End(p.Now())
 	return out
 }
 
-func (m *Monitor) measurePath(p *sim.Proc, path core.Path, wanted []metrics.Metric, parent telemetry.Span) []core.Measurement {
+// measurePath measures one path and appends one measurement per wanted
+// metric to dst, whether the path was measured, fast-failed by a breaker
+// or has no server simulator, and returns the extended slice.
+func (m *Monitor) measurePath(p *sim.Proc, path core.Path, wanted []metrics.Metric, parent telemetry.Span, dst []core.Measurement) []core.Measurement {
 	// The per-path sample span; parent (the sweep or recheck span) stays
 	// open — it is shared across paths and ended by the caller.
 	span := parent.Child("hifi.sample", string(path.ID), p.Now())
@@ -258,7 +295,7 @@ func (m *Monitor) measurePath(p *sim.Proc, path core.Path, wanted []metrics.Metr
 	cli := m.serverSims[from]
 	if cli == nil {
 		span.End(p.Now())
-		return failAll(path.ID, wanted, p.Now(), "no server simulator on "+string(from))
+		return failAll(dst, path.ID, wanted, p.Now(), m.why("no server simulator on ", from))
 	}
 	if m.Breakers != nil {
 		if open, host := m.breakerBlocks(p.Now(), from, to); open {
@@ -267,7 +304,7 @@ func (m *Monitor) measurePath(p *sim.Proc, path core.Path, wanted []metrics.Metr
 			// monitor sharing the set) will re-admit the host later.
 			m.SkippedPaths++
 			span.End(p.Now())
-			return m.fastFail(path.ID, wanted, p.Now(), host)
+			return m.fastFail(dst, path.ID, wanted, p.Now(), host)
 		}
 	}
 	res, err := cli.Measure(p, to, 0)
@@ -285,7 +322,6 @@ func (m *Monitor) measurePath(p *sim.Proc, path core.Path, wanted []metrics.Metr
 	}
 	m.TrafficBytes += res.OverheadBytes
 	now := p.Now()
-	out := make([]core.Measurement, 0, len(wanted))
 	for _, metric := range wanted {
 		meas := core.Measurement{Path: path.ID, Metric: metric, TakenAt: now, Quality: core.QualityDirect}
 		switch metric {
@@ -308,9 +344,9 @@ func (m *Monitor) measurePath(p *sim.Proc, path core.Path, wanted []metrics.Metr
 				meas.Value = res.OneWayLatency.Seconds()
 			}
 		}
-		out = append(out, meas)
+		dst = append(dst, meas)
 	}
-	return out
+	return dst
 }
 
 // breakerBlocks reports whether either endpoint's breaker denies admission
@@ -325,27 +361,37 @@ func (m *Monitor) breakerBlocks(now time.Duration, from, to netsim.Addr) (bool, 
 	return false, ""
 }
 
-// fastFail builds the measurement set for a breaker-skipped path:
+// fastFail appends the measurement set for a breaker-skipped path to dst:
 // reachability is a successful observation of value 0 (the breaker's
 // knowledge is the observation); other metrics are errors.
-func (m *Monitor) fastFail(id core.PathID, wanted []metrics.Metric, now time.Duration, host netsim.Addr) []core.Measurement {
-	out := make([]core.Measurement, 0, len(wanted))
+func (m *Monitor) fastFail(dst []core.Measurement, id core.PathID, wanted []metrics.Metric, now time.Duration, host netsim.Addr) []core.Measurement {
 	for _, metric := range wanted {
 		meas := core.Measurement{Path: id, Metric: metric, TakenAt: now, Quality: core.QualityDirect}
 		if metric != metrics.Reachability {
-			meas.Err = "resilience: circuit open to " + string(host)
+			meas.Err = m.why("resilience: circuit open to ", host)
 		}
-		out = append(out, meas)
+		dst = append(dst, meas)
 	}
-	return out
+	return dst
 }
 
-func failAll(id core.PathID, wanted []metrics.Metric, now time.Duration, why string) []core.Measurement {
-	out := make([]core.Measurement, len(wanted))
-	for i, metric := range wanted {
-		out[i] = core.Measurement{Path: id, Metric: metric, TakenAt: now, Err: why}
+// failAll appends a failed measurement of every wanted metric to dst.
+func failAll(dst []core.Measurement, id core.PathID, wanted []metrics.Metric, now time.Duration, why string) []core.Measurement {
+	for _, metric := range wanted {
+		dst = append(dst, core.Measurement{Path: id, Metric: metric, TakenAt: now, Err: why})
 	}
-	return out
+	return dst
+}
+
+// why returns cause+host, built the first time the pair occurs.
+func (m *Monitor) why(cause string, host netsim.Addr) string {
+	r := reason{cause, host}
+	text, ok := m.reasons[r]
+	if !ok {
+		text = cause + string(host)
+		m.reasons[r] = text
+	}
+	return text
 }
 
 // PeakOverheadBps returns the analytic peak monitoring load for n

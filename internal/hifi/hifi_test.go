@@ -1,11 +1,14 @@
 package hifi
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/nttcp"
 	"repro/internal/resilience"
 	"repro/internal/sim"
@@ -452,5 +455,143 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 	}
 	if n := len(counters) + len(gauges) + 1; reg.Len() != n {
 		t.Errorf("%d instruments registered, %d checked against an owner", reg.Len(), n)
+	}
+}
+
+// TestSequencerSweepAllocatesOneObjectPerMeasuredPath: once warm, a
+// Concurrency 1 sweep allocates exactly one object per path it measures,
+// the socket of that path's NTTCP call. A breaker-skipped path, a path
+// with no server simulator and an invalid path allocate nothing: the
+// sweep appends every measurement set into the monitor's buffer, regroups
+// the paths into buffers the monitor keeps and builds each error text once.
+func TestSequencerSweepAllocatesOneObjectPerMeasuredPath(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	h := topo.BuildHiPerD(k, 1)
+	m := New(h.Mgmt, smallCfg(), 1)
+	m.Breakers = resilience.NewBreakerSet(resilience.BreakerConfig{FailThreshold: 1, OpenFor: time.Hour})
+	srv, cli := h.ServerRefs(), h.ClientRefs()
+	measured := []core.Path{
+		core.NewPath(srv[0], cli[0]),
+		core.NewPath(srv[1], cli[0]),
+		core.NewPath(srv[0], cli[1]),
+		core.NewPath(srv[1], cli[1]),
+	}
+	skipped := core.NewPath(srv[0], cli[2])
+	m.Breakers.For(string(cli[2].Host)).Failure(0)
+	unsimulated := core.NewPath(core.ProcessRef{Host: "nowhere", Process: "x"}, cli[0])
+	invalid := core.Path{ID: "invalid", Hops: []core.ProcessRef{srv[0]}}
+	req := core.Request{
+		Paths:   append(append([]core.Path{}, measured...), skipped, unsimulated, invalid),
+		Metrics: allMetrics,
+	}
+	m.Submit(req)
+	trigger := sim.NewQueue[struct{}](k, 0)
+	sweeps := 0
+	h.Mgmt.Spawn("sequencer", func(p *sim.Proc) {
+		for {
+			trigger.Get(p, -1)
+			m.sweep(p, req, telemetry.Span{})
+			sweeps++
+		}
+	})
+	// A sweep is four bursts of 8 messages 5 ms apart: well inside 2 s.
+	round := func() {
+		trigger.Put(struct{}{})
+		k.RunUntil(k.Now() + 2*time.Second)
+	}
+	round()
+	round()
+	n := testing.AllocsPerRun(10, round)
+	if sweeps != 2+11 {
+		t.Fatalf("%d sweeps completed, want 13", sweeps)
+	}
+	if n != float64(len(measured)) {
+		t.Fatalf("a warm sweep over %d measured paths (and a skipped, an unsimulated and an invalid one) allocates %v objects, want %d",
+			len(measured), n, len(measured))
+	}
+	if m.Samples != 13*uint64(len(measured)) || m.SkippedPaths != 13 {
+		t.Fatalf("%d samples and %d skipped paths over 13 sweeps, want %d and 13", m.Samples, m.SkippedPaths, 13*len(measured))
+	}
+	for _, path := range []core.Path{skipped, unsimulated} {
+		if tp, ok := m.Query(path.ID, metrics.Throughput); !ok || tp.OK() {
+			t.Fatalf("%s: throughput %v (ok=%v), want an error", path.ID, tp, ok)
+		}
+	}
+}
+
+// orderByServerOracle is the map-based grouping the sequencer used before
+// it regrouped into the monitor's buffers.
+func orderByServerOracle(paths []core.Path) []core.Path {
+	var order []netsim.Addr
+	groups := make(map[netsim.Addr][]core.Path)
+	for _, p := range paths {
+		if !p.Valid() {
+			continue
+		}
+		from := p.Hops[0].Host
+		if _, ok := groups[from]; !ok {
+			order = append(order, from)
+		}
+		groups[from] = append(groups[from], p)
+	}
+	out := make([]core.Path, 0, len(paths))
+	for _, from := range order {
+		out = append(out, groups[from]...)
+	}
+	return out
+}
+
+// TestOrderByServerMatchesOracle: origins interleave, an invalid path is
+// skipped, a second, shorter Submit regroups from scratch, leaving no path
+// of the first request in the result, and a long request stays stable.
+func TestOrderByServerMatchesOracle(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	h := topo.BuildHiPerD(k, 1)
+	m := New(h.Mgmt, smallCfg(), 1)
+	ref := func(host netsim.Addr) core.ProcessRef { return core.ProcessRef{Host: host, Process: "p"} }
+	long := []core.Path{
+		core.NewPath(ref("s2"), ref("c1")),
+		core.NewPath(ref("s1"), ref("c1")),
+		core.NewPath(ref("s2"), ref("c2")),
+		{ID: "invalid", Hops: []core.ProcessRef{ref("s3")}},
+		core.NewPath(ref("s3"), ref("c1")),
+		core.NewPath(ref("s1"), ref("c2")),
+		core.NewPath(ref("s2"), ref("r1"), ref("c3")),
+		core.NewPath(ref("s3"), ref("c2")),
+	}
+	short := []core.Path{
+		core.NewPath(ref("s3"), ref("c3")),
+		core.NewPath(ref("s1"), ref("c3")),
+		core.NewPath(ref("s3"), ref("c1")),
+	}
+	ids := func(paths []core.Path) []core.PathID {
+		out := make([]core.PathID, len(paths))
+		for i, p := range paths {
+			out[i] = p.ID
+		}
+		return out
+	}
+	// Enough paths that the sort leaves insertion sort, which is stable
+	// whatever it is asked for.
+	var many []core.Path
+	for i := 0; i < 48; i++ {
+		origin := netsim.Addr(fmt.Sprintf("s%d", i%3+1))
+		many = append(many, core.NewPath(ref(origin), ref(netsim.Addr(fmt.Sprintf("c%d", i)))))
+	}
+	for i, paths := range [][]core.Path{long, short, many, long} {
+		before := ids(paths)
+		m.Submit(core.Request{Paths: paths, Metrics: allMetrics})
+		got, want := ids(m.orderByServer(m.Request().Paths)), ids(orderByServerOracle(paths))
+		if !slices.Equal(got, want) {
+			t.Fatalf("request %d: order %v, want %v", i, got, want)
+		}
+		if after := ids(paths); !slices.Equal(before, after) {
+			t.Fatalf("request %d: the request's path list was reordered to %v", i, after)
+		}
+	}
+	if want := []core.PathID{"s2/p->c1/p", "s2/p->c2/p", "s2/p->r1/p->c3/p", "s1/p->c1/p", "s1/p->c2/p", "s3/p->c1/p", "s3/p->c2/p"}; !slices.Equal(ids(m.orderByServer(long)), want) {
+		t.Fatalf("grouped %v, want %v", ids(m.orderByServer(long)), want)
 	}
 }

@@ -107,6 +107,20 @@ func TestRecvDeliveryAllocatesOnePacketPerFrame(t *testing.T) {
 	}
 }
 
+// TestOpenUDPAllocatesOneObject: once a node's socket table is warm,
+// opening a socket and closing it costs one allocation, the socket, which
+// carries its receive queue. An NTTCP call opens one socket, and this is
+// all it allocates.
+func TestOpenUDPAllocatesOneObject(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	a := New(k, 1).NewHost("a")
+	a.OpenUDP(0).Close()
+	if n := testing.AllocsPerRun(200, func() { a.OpenUDP(0).Close() }); n != 1 {
+		t.Fatalf("a warm OpenUDP + Close allocates %v objects, want 1 (the socket)", n)
+	}
+}
+
 // TestSendCopyToConsumerAllocatesNothing: a SendCopy datagram a consumer
 // takes costs no allocation on any path once warm: its frame and its
 // payload buffer both go back to the network when the consumer returns, and

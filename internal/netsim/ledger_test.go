@@ -369,7 +369,7 @@ func newLedgerWorld(sharded bool, loss, dup float64) *ledgerWorld {
 				}
 			})
 			full := h.OpenUDP(8)
-			full.rq = sim.NewQueue[*Packet](h.net.K, 4)
+			full.rq.Init(h.net.K, 4)
 			w.socks = append(w.socks, rx, full, sink)
 		}
 		if i == 0 {

@@ -12,11 +12,12 @@ import (
 // lost under very high load (§5.2.4).
 const DefaultSockQueue = 128
 
-// UDPSock is an unreliable datagram endpoint on a node.
+// UDPSock is an unreliable datagram endpoint on a node. It carries its
+// receive queue, so opening one costs a single object.
 type UDPSock struct {
 	node   *Node
 	port   Port
-	rq     *sim.Queue[*Packet]
+	rq     sim.Queue[*Packet]
 	closed bool
 
 	consume func(*Packet) // set by Consume
@@ -49,7 +50,8 @@ func (n *Node) OpenUDP(port Port) *UDPSock {
 	if _, taken := n.sockets[port]; taken {
 		panic(fmt.Sprintf("netsim: %s port %d already bound", n.Name, port))
 	}
-	s := &UDPSock{node: n, port: port, rq: sim.NewQueue[*Packet](n.net.K, DefaultSockQueue)}
+	s := &UDPSock{node: n, port: port}
+	s.rq.Init(n.net.K, DefaultSockQueue)
 	n.sockets[port] = s
 	return s
 }

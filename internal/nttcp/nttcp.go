@@ -423,7 +423,7 @@ type simLink struct {
 	to   simPeer
 
 	hdr     [headerSize]byte
-	rq      *sim.Queue[header]
+	rq      sim.Queue[header]
 	consume func(*netsim.Packet) // l.deliver, bound once
 }
 
@@ -468,7 +468,8 @@ func (c *Client) dial(p *sim.Proc, target netsim.Addr, port netsim.Port) *simLin
 		port = Port
 	}
 	if len(c.idle) == 0 {
-		l := &simLink{node: c.Node, rq: sim.NewQueue[header](c.Node.Network().K, netsim.DefaultSockQueue)}
+		l := &simLink{node: c.Node}
+		l.rq.Init(c.Node.Network().K, netsim.DefaultSockQueue)
 		l.consume = l.deliver
 		c.idle = append(c.idle, l)
 	}

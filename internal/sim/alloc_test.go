@@ -96,6 +96,22 @@ func TestProcSwitchAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestNewQueueAllocatesOneObject: a queue is one object. It binds no
+// closure at construction (a timed Get arms the package-level expiry with
+// the waiter, which holds its queue), so a queue its owner embeds and
+// readies with Init costs nothing beyond the owner.
+func TestNewQueueAllocatesOneObject(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	var q *Queue[int]
+	if n := testing.AllocsPerRun(200, func() { q = NewQueue[int](k, 4) }); n != 1 {
+		t.Fatalf("NewQueue allocates %v objects, want 1", n)
+	}
+	if q.k != k || q.cap != 4 {
+		t.Fatalf("NewQueue readied kernel %p, capacity %d; want %p, 4", q.k, q.cap, k)
+	}
+}
+
 func TestQueuePutGetAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

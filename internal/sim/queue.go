@@ -11,7 +11,9 @@ import "time"
 // Neither call allocates in steady state: items and blocked consumers sit
 // in ring buffers, and the record of a blocked Get is recycled on a
 // per-queue free list whose length is bounded by the most consumers ever
-// blocked at once.
+// blocked at once. A queue holds no closure (a waiter holds its queue, and
+// a timed Get arms the package-level expireWaiter), so NewQueue costs one
+// object and a queue its owner embeds and readies with Init costs none.
 type Queue[T any] struct {
 	k       *Kernel
 	items   FIFO[T]
@@ -19,14 +21,12 @@ type Queue[T any] struct {
 	dropped int
 	waiters FIFO[*qwaiter[T]]
 	free    []*qwaiter[T]
-	// timeoutFn is q.timeout bound once, so a timed Get schedules its
-	// expiry with the waiter as the event argument instead of a closure.
-	timeoutFn func(any)
 }
 
 // qwaiter is one blocked Get. Put hands it the item and takes it off the
 // waiter ring; the consumer returns it to the free list when it resumes.
 type qwaiter[T any] struct {
+	q     *Queue[T]
 	p     *Proc
 	item  T
 	ok    bool
@@ -35,12 +35,16 @@ type qwaiter[T any] struct {
 
 // NewQueue returns a queue with the given capacity; capacity 0 means
 // unbounded. When a bounded queue is full, Put drops the item (tail drop)
-// and records it in Dropped.
+// and counts it.
 func NewQueue[T any](k *Kernel, capacity int) *Queue[T] {
-	q := &Queue[T]{k: k, cap: capacity}
-	q.timeoutFn = q.timeout
+	q := new(Queue[T])
+	q.Init(k, capacity)
 	return q
 }
+
+// Init readies a zero Queue in place, as NewQueue does a new one: for a
+// queue embedded in its owner.
+func (q *Queue[T]) Init(k *Kernel, capacity int) { q.k, q.cap = k, capacity }
 
 // Len reports the number of buffered items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
@@ -81,10 +85,10 @@ func (q *Queue[T]) Get(p *Proc, timeout time.Duration) (T, bool) {
 	} else {
 		w = new(qwaiter[T]) // free-list refill: only when more consumers block at once than ever before
 	}
-	w.p = p
+	w.q, w.p = q, p
 	q.waiters.Push(w)
 	if timeout > 0 {
-		w.timer = q.k.AfterArg(timeout, q.timeoutFn, w)
+		w.timer = q.k.AfterArg(timeout, expireWaiter, w)
 	}
 	p.park()
 	// Put or the timeout took w off the ring and its timer is spent, so
@@ -95,11 +99,18 @@ func (q *Queue[T]) Get(p *Proc, timeout time.Duration) (T, bool) {
 	return item, ok
 }
 
-// timeout expires a blocked Get: w leaves the waiter ring (wherever in it
-// the expiry finds it) and its proc resumes empty-handed. Put stops the
+// expirer is a waiter whose timed Get can expire; expireWaiter reaches
+// qwaiter's method through it, so arming the timer binds no closure (nor
+// the instantiation of a generic function, which would be one).
+type expirer interface{ expire() }
+
+func expireWaiter(arg any) { arg.(expirer).expire() }
+
+// expire ends a blocked Get: w leaves its queue's waiter ring (wherever in
+// it the expiry finds it) and its proc resumes empty-handed. Put stops the
 // timer of the waiter it serves, so w is still waiting when this runs.
-func (q *Queue[T]) timeout(arg any) {
-	w := arg.(*qwaiter[T])
+func (w *qwaiter[T]) expire() {
+	q := w.q
 	for i := 0; i < q.waiters.Len(); i++ {
 		if q.waiters.At(i) == w {
 			q.waiters.Remove(i)
