@@ -72,28 +72,10 @@ type Monitor struct {
 	started    bool
 
 	// The sequencer's scratch, reused by every sweep: the measurement set
-	// of the path in hand, and orderByServer's origins, ranks and result.
+	// of the path in hand, and orderByServer's origins and result.
 	meas    []core.Measurement
 	origins []netsim.Addr
-	ranked  []rankedPath
 	ordered []core.Path
-	// reasons holds the error text of each (cause, host) a path failed
-	// for without a measurement, built once, so a path that keeps failing
-	// allocates nothing per sweep.
-	reasons map[reason]string
-}
-
-// reason is a cause of failure without a measurement and the host it
-// names; see Monitor.why.
-type reason struct {
-	cause string
-	host  netsim.Addr
-}
-
-// rankedPath is a path and the rank of its origin in first-seen order.
-type rankedPath struct {
-	rank int
-	path core.Path
 }
 
 var _ core.Monitor = (*Monitor)(nil)
@@ -112,7 +94,6 @@ func New(host *netsim.Node, cfg nttcp.Config, concurrency int) *Monitor {
 		nw:           host.Network(),
 		serverSims:   make(map[netsim.Addr]*nttcp.Client),
 		responders:   make(map[netsim.Addr]*nttcp.Server),
-		reasons:      make(map[reason]string),
 	}
 }
 
@@ -246,23 +227,18 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request, sweepSpan telemetry.Span)
 // manager's order within each group. It regroups on every call, into
 // buffers the monitor keeps: the result is valid until the next call.
 func (m *Monitor) orderByServer(paths []core.Path) []core.Path {
-	m.origins, m.ranked = m.origins[:0], slices.Grow(m.ranked[:0], len(paths))
+	m.origins, m.ordered = m.origins[:0], m.ordered[:0]
 	for _, p := range paths {
-		if !p.Valid() {
-			continue
+		if p.Valid() && !slices.Contains(m.origins, p.Hops[0].Host) {
+			m.origins = append(m.origins, p.Hops[0].Host)
 		}
-		from := p.Hops[0].Host
-		rank := slices.Index(m.origins, from)
-		if rank < 0 {
-			rank = len(m.origins)
-			m.origins = append(m.origins, from)
-		}
-		m.ranked = append(m.ranked, rankedPath{rank, p})
 	}
-	slices.SortStableFunc(m.ranked, func(a, b rankedPath) int { return a.rank - b.rank })
-	m.ordered = slices.Grow(m.ordered[:0], len(m.ranked))
-	for _, rp := range m.ranked {
-		m.ordered = append(m.ordered, rp.path)
+	for _, o := range m.origins {
+		for _, p := range paths {
+			if p.Valid() && p.Hops[0].Host == o {
+				m.ordered = append(m.ordered, p)
+			}
+		}
 	}
 	return m.ordered
 }
@@ -295,7 +271,7 @@ func (m *Monitor) measurePath(p *sim.Proc, path core.Path, wanted []metrics.Metr
 	cli := m.serverSims[from]
 	if cli == nil {
 		span.End(p.Now())
-		return failAll(dst, path.ID, wanted, p.Now(), m.why("no server simulator on ", from))
+		return failAll(dst, path.ID, wanted, p.Now(), "no server simulator on "+string(from))
 	}
 	if m.Breakers != nil {
 		if open, host := m.breakerBlocks(p.Now(), from, to); open {
@@ -368,7 +344,7 @@ func (m *Monitor) fastFail(dst []core.Measurement, id core.PathID, wanted []metr
 	for _, metric := range wanted {
 		meas := core.Measurement{Path: id, Metric: metric, TakenAt: now, Quality: core.QualityDirect}
 		if metric != metrics.Reachability {
-			meas.Err = m.why("resilience: circuit open to ", host)
+			meas.Err = "resilience: circuit open to " + string(host)
 		}
 		dst = append(dst, meas)
 	}
@@ -381,17 +357,6 @@ func failAll(dst []core.Measurement, id core.PathID, wanted []metrics.Metric, no
 		dst = append(dst, core.Measurement{Path: id, Metric: metric, TakenAt: now, Err: why})
 	}
 	return dst
-}
-
-// why returns cause+host, built the first time the pair occurs.
-func (m *Monitor) why(cause string, host netsim.Addr) string {
-	r := reason{cause, host}
-	text, ok := m.reasons[r]
-	if !ok {
-		text = cause + string(host)
-		m.reasons[r] = text
-	}
-	return text
 }
 
 // PeakOverheadBps returns the analytic peak monitoring load for n
