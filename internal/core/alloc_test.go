@@ -74,3 +74,22 @@ func TestQuantileAllocatesNothing(t *testing.T) {
 		t.Fatalf("quantiles summed to %v", acc)
 	}
 }
+
+// TestCrossProductPathsAllocations: an S × C path list costs S·C + 2
+// objects — the path slice, one hop array all paths share, and each
+// path's ID.
+func TestCrossProductPathsAllocations(t *testing.T) {
+	for _, sc := range [][2]int{{1, 1}, {3, 9}, {4, 2}} {
+		servers, clients := make([]ProcessRef, sc[0]), make([]ProcessRef, sc[1])
+		for i := range servers {
+			servers[i] = ProcessRef{Host: "s", Process: "rtds-server"}
+		}
+		for i := range clients {
+			clients[i] = ProcessRef{Host: "c", Process: "rtds-client"}
+		}
+		want := float64(sc[0]*sc[1] + 2)
+		if n := testing.AllocsPerRun(100, func() { CrossProductPaths(servers, clients) }); n != want {
+			t.Fatalf("%d × %d paths: %v allocations, want %v", sc[0], sc[1], n, want)
+		}
+	}
+}

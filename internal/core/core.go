@@ -56,25 +56,48 @@ type Path struct {
 	Hops []ProcessRef
 }
 
-// NewPath builds a path and derives its ID.
+// NewPath builds a path and derives its ID: the hops' String forms joined
+// by "->", written into one presized buffer.
 func NewPath(hops ...ProcessRef) Path {
-	parts := make([]string, len(hops))
+	n := 0
 	for i, h := range hops {
-		parts[i] = h.String()
+		if i > 0 {
+			n += len("->")
+		}
+		n += len(h.Host)
+		if h.Process != "" {
+			n += 1 + len(h.Process)
+		}
 	}
-	return Path{ID: PathID(strings.Join(parts, "->")), Hops: hops}
+	var id strings.Builder
+	id.Grow(n)
+	for i, h := range hops {
+		if i > 0 {
+			id.WriteString("->")
+		}
+		id.WriteString(string(h.Host))
+		if h.Process != "" {
+			id.WriteByte('/')
+			id.WriteString(h.Process)
+		}
+	}
+	return Path{ID: PathID(id.String()), Hops: hops}
 }
 
 // Valid reports whether the path has at least two hops.
 func (p Path) Valid() bool { return len(p.Hops) >= 2 }
 
 // CrossProductPaths builds the Figure 4(b) path list: one path from every
-// server to every client, C·S paths in total.
+// server to every client, C·S paths in total. Every path's hops are cut
+// from one backing array, so the list costs C·S + 2 allocations: the
+// slice, the hops and one ID per path.
 func CrossProductPaths(servers, clients []ProcessRef) []Path {
 	paths := make([]Path, 0, len(servers)*len(clients))
+	hops := make([]ProcessRef, 0, 2*cap(paths))
 	for _, s := range servers {
 		for _, c := range clients {
-			paths = append(paths, NewPath(s, c))
+			hops = append(hops, s, c)
+			paths = append(paths, NewPath(hops[len(hops)-2:len(hops):len(hops)]...))
 		}
 	}
 	return paths

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -52,6 +53,42 @@ func TestCrossProductPathsMatchesFigure4(t *testing.T) {
 		seen[p.ID] = true
 		if len(p.Hops) != 2 {
 			t.Fatalf("path %s has %d hops", p.ID, len(p.Hops))
+		}
+	}
+}
+
+// TestNewPathIDMatchesJoinOracle: a path ID written into one buffer is
+// byte-equal to the hops' String forms joined by "->", hops without a
+// process and empty hop lists included; so is every ID CrossProductPaths
+// builds, and each of its paths holds exactly its own two hops.
+func TestNewPathIDMatchesJoinOracle(t *testing.T) {
+	oracle := func(hops []ProcessRef) PathID {
+		parts := make([]string, len(hops))
+		for i, h := range hops {
+			parts[i] = h.String()
+		}
+		return PathID(strings.Join(parts, "->"))
+	}
+	for _, hops := range [][]ProcessRef{
+		nil,
+		{ref("s1", "")},
+		{ref("s1", "rtds")},
+		{ref("s1", ""), ref("c1", "")},
+		{ref("s1", "rtds"), ref("r1", ""), ref("c1", "client")},
+		{ref("", "x"), ref("", "")},
+		{ref("h1-2", "a/b"), ref("h1-3->x", "-")},
+	} {
+		if got, want := NewPath(hops...).ID, oracle(hops); got != want {
+			t.Fatalf("NewPath(%v).ID = %q, want %q", hops, got, want)
+		}
+	}
+	servers := []ProcessRef{ref("s1", "rtds"), ref("s2", "")}
+	clients := []ProcessRef{ref("c1", ""), ref("c2", "client"), ref("c3", "client")}
+	paths := CrossProductPaths(servers, clients)
+	for i, p := range paths {
+		s, c := servers[i/len(clients)], clients[i%len(clients)]
+		if want := oracle([]ProcessRef{s, c}); p.ID != want || len(p.Hops) != 2 || cap(p.Hops) != 2 || p.Hops[0] != s || p.Hops[1] != c {
+			t.Fatalf("path %d: %q over %v (cap %d), want %q over [%v %v]", i, p.ID, p.Hops, cap(p.Hops), want, s, c)
 		}
 	}
 }

@@ -15,7 +15,9 @@ import (
 // BenchmarkTrapIngest measures the steady-state cost of one trap through a
 // flat director: bounded-queue Put, drain, coalesce, deliver. Traps are
 // offered in bursts (like a storm) so the consumer drains from a buffered
-// queue without parking — the path that must stay allocation-free.
+// queue without parking — the path that must stay allocation-free. Its
+// 10 h window never closes a run; TestCoalescerCycleAllocatesNothing holds
+// runs opening and closing to the same floor.
 func BenchmarkTrapIngest(b *testing.B) {
 	k := sim.NewKernel()
 	defer k.Close()

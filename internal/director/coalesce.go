@@ -48,7 +48,8 @@ type coalesceKey struct {
 }
 
 // crun is a pending accumulation run: events of one direction on one key
-// absorbed since the run opened, awaiting the window to expire.
+// absorbed since the run opened, awaiting the window to expire. A closed
+// run goes to the coalescer's spare list and opens the next leading edge.
 type crun struct {
 	rising   bool
 	value    float64
@@ -73,6 +74,7 @@ type Coalescer struct {
 	window  time.Duration
 	pending map[coalesceKey]*crun
 	order   []coalesceKey // insertion order of pending runs: deterministic flush
+	spare   []*crun       // closed runs, reused by the next leading edge
 	out     []Trap
 
 	// Coalesced counts traps absorbed into a pending run instead of being
@@ -109,12 +111,18 @@ func (c *Coalescer) Offer(t Trap, now time.Duration) {
 	}
 	if r != nil {
 		// Direction change: the absorbed run must leave before the new edge.
-		c.emitRun(k, r)
-		delete(c.pending, k)
+		c.closeRun(k, r)
 		c.dropFromOrder(k)
 	}
 	c.out = append(c.out, t)
-	c.pending[k] = &crun{rising: t.Rising, value: t.Value, openedAt: now}
+	if n := len(c.spare); n > 0 {
+		r = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	} else {
+		r = new(crun)
+	}
+	*r = crun{rising: t.Rising, value: t.Value, openedAt: now}
+	c.pending[k] = r
 	c.order = append(c.order, k)
 }
 
@@ -135,8 +143,7 @@ func (c *Coalescer) Flush(now time.Duration) {
 			kept = append(kept, k)
 			continue
 		}
-		c.emitRun(k, r)
-		delete(c.pending, k)
+		c.closeRun(k, r)
 	}
 	c.order = kept
 }
@@ -149,16 +156,18 @@ func (c *Coalescer) Take() []Trap {
 	return out
 }
 
-// emitRun appends the run's summary trap if it absorbed anything. A run
-// that only ever held its (already-emitted) leading edge emits nothing.
-func (c *Coalescer) emitRun(k coalesceKey, r *crun) {
-	if r.count == 0 {
-		return
+// closeRun appends the run's summary trap if it absorbed anything (a run
+// that only ever held its already-emitted leading edge emits nothing),
+// then removes the run from pending and keeps it for the next open.
+func (c *Coalescer) closeRun(k coalesceKey, r *crun) {
+	if r.count > 0 {
+		c.out = append(c.out, Trap{
+			Source: k.source, Path: k.path, Rising: r.rising,
+			Value: r.value, Count: r.count, At: r.openedAt,
+		})
 	}
-	c.out = append(c.out, Trap{
-		Source: k.source, Path: k.path, Rising: r.rising,
-		Value: r.value, Count: r.count, At: r.openedAt,
-	})
+	delete(c.pending, k)
+	c.spare = append(c.spare, r)
 }
 
 func (c *Coalescer) dropFromOrder(k coalesceKey) {

@@ -130,7 +130,9 @@ type Stats struct {
 
 // batch is one upward re-export: the child's current view of its assigned
 // (path, metric) pairs plus one merged region sketch per metric. An empty
-// batch is still a heartbeat.
+// batch is still a heartbeat. Its meas and sks buffers belong to the child
+// that built it: the parent hands them back (giveBack) once it has ingested,
+// dropped or lost the batch, and the child builds a later batch in them.
 type batch struct {
 	from *Director
 	at   time.Duration
@@ -140,7 +142,7 @@ type batch struct {
 
 type regionSketch struct {
 	metric metrics.Metric
-	sk     *sketch.Sketch
+	sk     sketch.Sketch
 }
 
 // Director is one node of the tree. A director with a Member is a leaf; a
@@ -178,10 +180,15 @@ type Director struct {
 	metricsL []metrics.Metric
 
 	// Written by the parent: when it last ingested a batch from d, whether
-	// it declared d dead, and the region sketches of d's latest batch.
+	// it declared d dead, and a copy of the region sketches of d's latest
+	// batch.
 	heard    time.Duration
 	dead     bool
 	sketches []regionSketch
+
+	// spare holds the buffers of d's batches that the parent has handed
+	// back; d's next re-export takes one instead of allocating.
+	spare []batch
 
 	level int // backpressure level: own high-water crossings
 
@@ -392,7 +399,13 @@ func (d *Director) reexportLoop(p *sim.Proc) {
 }
 
 func (d *Director) reexport(now time.Duration) {
-	b := batch{from: d, at: now}
+	var b batch
+	if n := len(d.spare); n > 0 {
+		b = d.spare[n-1]
+		d.spare = d.spare[:n-1]
+	}
+	b.from, b.at = d, now
+	b.meas, b.sks = b.meas[:0], b.sks[:0]
 	for _, path := range d.assigned {
 		for _, met := range d.metricsL {
 			if m, ok := d.DB.Current(path.ID, met); ok {
@@ -401,13 +414,14 @@ func (d *Director) reexport(now time.Duration) {
 		}
 	}
 	for _, met := range d.metricsL {
-		agg := &sketch.Sketch{}
+		b.sks = append(b.sks, regionSketch{metric: met})
+		agg := &b.sks[len(b.sks)-1].sk
 		merged := false
 		for _, path := range d.assigned {
 			merged = d.DB.MergeSketchInto(agg, path.ID, met) || merged
 		}
-		if merged {
-			b.sks = append(b.sks, regionSketch{metric: met, sk: agg})
+		if !merged {
+			b.sks = b.sks[:len(b.sks)-1]
 		}
 	}
 	d.Stats.Reexports++
@@ -454,11 +468,17 @@ func (d *Director) offerBatch(b batch) {
 	case !d.up():
 		d.Stats.BatchesLost++
 		d.Stats.RecordsLost += uint64(len(b.meas))
+		b.giveBack()
 	case !d.recQ.Put(b):
 		d.Stats.BatchesDropped++
 		d.Stats.RecordsDropped += uint64(len(b.meas))
+		b.giveBack()
 	}
 }
+
+// giveBack returns the batch's buffers to the child that built them. The
+// tree runs on one kernel, so the hand-back needs no lock.
+func (b batch) giveBack() { b.from.spare = append(b.from.spare, b) }
 
 // ingestLoop drains children's summary batches into the local database,
 // charging RecordProcTime per record, refreshing the child's heartbeat,
@@ -475,10 +495,11 @@ func (d *Director) ingestLoop(p *sim.Proc) {
 			d.DB.Record(m)
 		}
 		if len(b.sks) > 0 {
-			b.from.sketches = b.sks
+			b.from.sketches = append(b.from.sketches[:0], b.sks...)
 		}
 		d.Stats.BatchesIn++
 		d.Stats.RecordsIn += uint64(len(b.meas))
+		b.giveBack()
 	}
 }
 
@@ -546,9 +567,9 @@ func (d *Director) AggregateSketch(metric metrics.Metric) (sketch.Sketch, bool) 
 		return agg, any
 	}
 	for _, c := range d.children {
-		for _, rs := range c.sketches {
-			if rs.metric == metric {
-				agg.Merge(rs.sk)
+		for i := range c.sketches {
+			if rs := &c.sketches[i]; rs.metric == metric {
+				agg.Merge(&rs.sk)
 				any = true
 			}
 		}

@@ -24,21 +24,61 @@ import (
 //     offered one. An operator who saw "rising, falling, rising" is never
 //     shown "rising" alone, and never sees an inversion.
 //
+// A third check holds run recycling: the same offers through a coalescer
+// that has already processed and drained another sequence (every
+// direction inverted, other values) emit exactly what a fresh one emits,
+// so a reused run carries no count, value or direction from its last life.
+//
 // Each input byte encodes one step: bits 0-1 pick a source, bits 2-3 a
 // path, bit 4 the direction, bits 5-6 a time advance, bit 7 a flush.
 // The first byte picks the window (including 0: pass-through mode).
 func FuzzTrapCoalesce(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x20, 0x10, 0x10, 0x10, 0x00, 0x90, 0x10})
-	f.Add([]byte{0x00, 0x11, 0x01, 0x11, 0x01})                   // zero window, alternating
-	f.Add([]byte{0xff, 0x55, 0xaa, 0x55, 0xaa, 0x80, 0x55})       // wide window, two streams
-	f.Add([]byte{0x40, 0x10, 0x30, 0x50, 0x70, 0x90, 0xb0, 0xd0}) // sweep sources/paths
+	f.Add([]byte{0x00, 0x11, 0x01, 0x11, 0x01})                                     // zero window, alternating
+	f.Add([]byte{0xff, 0x55, 0xaa, 0x55, 0xaa, 0x80, 0x55})                         // wide window, two streams
+	f.Add([]byte{0x40, 0x10, 0x30, 0x50, 0x70, 0x90, 0xb0, 0xd0})                   // sweep sources/paths
+	f.Add([]byte{0x01, 0x10, 0x10, 0x10, 0xe0, 0x10, 0x10, 0x00, 0x00, 0x11, 0x11}) // repeats, expiry, reopen, flip
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		window := time.Duration(data[0]%8) * 40 * time.Millisecond
-		c := NewCoalescer(window)
+
+		// drive offers data's steps to c, drains it, and returns every
+		// trap it emitted in order. invert flips each offer's direction
+		// and negates its value.
+		drive := func(c *Coalescer, invert bool) []Trap {
+			var out []Trap
+			now := time.Duration(0)
+			for i, b := range data[1:] {
+				now += time.Duration(b>>5&3) * 25 * time.Millisecond
+				if b&0x80 != 0 {
+					c.Flush(now)
+					out = append(out, c.Take()...)
+					continue
+				}
+				tr := Trap{
+					Source: fmt.Sprintf("s%d", b&3),
+					Path:   core.PathID(fmt.Sprintf("p%d", b>>2&3)),
+					Rising: b&0x10 != 0,
+					Value:  float64(i),
+					Count:  1,
+					At:     now,
+				}
+				if invert {
+					tr.Rising, tr.Value = !tr.Rising, -tr.Value-1
+				}
+				c.Offer(tr, now)
+				out = append(out, c.Take()...)
+			}
+			c.Flush(now + time.Hour) // long past every window
+			out = append(out, c.Take()...)
+			if len(c.order) != 0 || len(c.pending) != 0 {
+				t.Fatalf("a flush past every window left %d pending runs", len(c.pending))
+			}
+			return out
+		}
 
 		type stream struct {
 			offered  uint64
@@ -55,46 +95,26 @@ func FuzzTrapCoalesce(f *testing.F) {
 			}
 			return s
 		}
-		collect := func() {
-			for _, tr := range c.Take() {
-				s := get(coalesceKey{source: tr.Source, path: tr.Path})
-				s.emitted += tr.Count
-				if tr.Count == 0 {
-					t.Fatalf("emitted zero-count trap %+v", tr)
-				}
-				if n := len(s.emitDirs); n == 0 || s.emitDirs[n-1] != tr.Rising {
-					s.emitDirs = append(s.emitDirs, tr.Rising)
-				}
-			}
-		}
-
-		now := time.Duration(0)
 		for _, b := range data[1:] {
-			now += time.Duration(b>>5&3) * 25 * time.Millisecond
 			if b&0x80 != 0 {
-				c.Flush(now)
-				collect()
 				continue
 			}
-			tr := Trap{
-				Source: fmt.Sprintf("s%d", b&3),
-				Path:   core.PathID(fmt.Sprintf("p%d", b>>2&3)),
-				Rising: b&0x10 != 0,
-				Count:  1,
-				At:     now,
-			}
-			s := get(coalesceKey{source: tr.Source, path: tr.Path})
+			s := get(coalesceKey{source: fmt.Sprintf("s%d", b&3), path: core.PathID(fmt.Sprintf("p%d", b>>2&3))})
 			s.offered++
-			if n := len(s.offDirs); n == 0 || s.offDirs[n-1] != tr.Rising {
-				s.offDirs = append(s.offDirs, tr.Rising)
+			if n := len(s.offDirs); n == 0 || s.offDirs[n-1] != (b&0x10 != 0) {
+				s.offDirs = append(s.offDirs, b&0x10 != 0)
 			}
-			c.Offer(tr, now)
-			collect()
 		}
-		c.Flush(now + time.Hour) // long past every window
-		collect()
-		if len(c.order) != 0 || len(c.pending) != 0 {
-			t.Fatalf("a flush past every window left %d pending runs", len(c.pending))
+		fresh := drive(NewCoalescer(window), false)
+		for _, tr := range fresh {
+			s := get(coalesceKey{source: tr.Source, path: tr.Path})
+			s.emitted += tr.Count
+			if tr.Count == 0 {
+				t.Fatalf("emitted zero-count trap %+v", tr)
+			}
+			if n := len(s.emitDirs); n == 0 || s.emitDirs[n-1] != tr.Rising {
+				s.emitDirs = append(s.emitDirs, tr.Rising)
+			}
 		}
 
 		for k, s := range streams {
@@ -109,6 +129,18 @@ func FuzzTrapCoalesce(f *testing.F) {
 				if s.offDirs[i] != s.emitDirs[i] {
 					t.Fatalf("stream %v: direction sequence %v became %v", k, s.offDirs, s.emitDirs)
 				}
+			}
+		}
+
+		used := NewCoalescer(window)
+		drive(used, true)
+		reused := drive(used, false)
+		if len(reused) != len(fresh) {
+			t.Fatalf("a used coalescer emitted %d traps where a fresh one emitted %d", len(reused), len(fresh))
+		}
+		for i := range fresh {
+			if reused[i] != fresh[i] {
+				t.Fatalf("trap %d: a used coalescer emitted %+v where a fresh one emitted %+v", i, reused[i], fresh[i])
 			}
 		}
 	})

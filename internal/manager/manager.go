@@ -219,7 +219,9 @@ func (m *Manager) Placements() []*Placement {
 
 // PathList builds the monitoring path list between every placement of
 // roleFrom and every placement of roleTo (the Figure 4(b) construction over
-// live placements). Each call returns a new slice the caller may keep.
+// live placements). Each call returns a new slice the caller may keep. The
+// manager submits its own list and keeps evaluating it: monitors keep a
+// request's Paths but never write to them.
 func (m *Manager) PathList(roleFrom, roleTo string) []core.Path {
 	var from, to []core.ProcessRef
 	for _, name := range m.order {
@@ -250,11 +252,10 @@ func (m *Manager) Start(roleFrom, roleTo string) {
 	})
 }
 
+// submit builds the path list once, for the monitor and for evaluate.
 func (m *Manager) submit(roleFrom, roleTo string) {
-	m.mon.Submit(core.Request{
-		Paths:   m.PathList(roleFrom, roleTo),
-		Metrics: m.Metrics,
-	})
+	m.paths = m.PathList(roleFrom, roleTo)
+	m.mon.Submit(core.Request{Paths: m.paths, Metrics: m.Metrics})
 }
 
 // evaluate inspects the database's current values for every path and
@@ -434,7 +435,6 @@ func (m *Manager) failover(p *sim.Proc, process, roleFrom, roleTo string) {
 	pl.Host = newHost
 	pl.Since = p.Now()
 	pl.Incarnation++
-	m.paths = nil
 	rec := Reconfig{At: p.Now(), Process: process, From: old, To: newHost, Reason: "policy violation"}
 	m.Reconfigs = append(m.Reconfigs, rec)
 	m.Failovers++
