@@ -71,8 +71,8 @@ func TestDeliveryAllocatesZeroPerSinkFrame(t *testing.T) {
 }
 
 // TestRecvDeliveryAllocatesOnePacketPerFrame: a datagram Recv hands to a
-// proc costs exactly one allocation, the Packet the proc keeps — nothing per
-// hop, and no waiter record per blocking Recv.
+// proc that never frees it costs exactly one allocation, the Packet the proc
+// keeps — nothing per hop, and no waiter record per blocking Recv.
 func TestRecvDeliveryAllocatesOnePacketPerFrame(t *testing.T) {
 	for _, tc := range deliveryTopologies {
 		k := sim.NewKernel()
@@ -102,6 +102,52 @@ func TestRecvDeliveryAllocatesOnePacketPerFrame(t *testing.T) {
 		}
 		if want := 4 * 103; received != want {
 			t.Errorf("%s: proc received %d datagrams, want %d", tc.name, received, want)
+		}
+		k.Close()
+	}
+}
+
+// TestFreedRecvFrameAllocatesNothing: a proc that gives each frame back
+// with Free once it has read it costs nothing per datagram on any path: the
+// next send takes the frame, and the payload buffer of a SendCopy, off the
+// network's lists again.
+func TestFreedRecvFrameAllocatesNothing(t *testing.T) {
+	for _, tc := range deliveryTopologies {
+		k := sim.NewKernel()
+		nw := New(k, 1)
+		a, c := nw.NewHost("a"), nw.NewHost("c")
+		tc.build(nw, a, c)
+		rx := c.OpenUDP(9)
+		received, bad := 0, 0
+		c.Spawn("rx", func(p *sim.Proc) {
+			for {
+				pkt, ok := rx.Recv(p, -1)
+				if !ok {
+					continue
+				}
+				received++
+				if len(pkt.Payload) != 512 || pkt.Payload[0] != pkt.Payload[511] {
+					bad++
+				}
+				rx.Free(pkt)
+			}
+		})
+		sock := a.OpenUDP(0)
+		msg := make([]byte, 512)
+		burst := func() {
+			for i := 0; i < 4; i++ {
+				msg[0], msg[511] = byte(i), byte(i)
+				sock.SendCopy("c", 9, msg, 512)
+			}
+			k.Run()
+		}
+		burst()
+		burst()
+		if n := testing.AllocsPerRun(100, burst) / 4; n != 0 {
+			t.Errorf("%s: %v allocations per freed Recv frame, want 0", tc.name, n)
+		}
+		if want := 4 * 103; received != want || bad != 0 {
+			t.Errorf("%s: proc received %d datagrams (%d corrupt), want %d", tc.name, received, bad, want)
 		}
 		k.Close()
 	}

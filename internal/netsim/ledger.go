@@ -12,16 +12,16 @@ import (
 // (UDPSock.Consume, a Sink) has taken, a frame Network.drop has discarded
 // (after OnDrop), and a broadcast original whose copies have all been handed
 // out. UDPSock.send and the broadcast and duplicate copies take their frames
-// from that list. A frame Recv hands to a proc is the proc's from then on and
-// never comes back. So a tap's Frame.Pkt and OnDrop's *Packet are valid only
-// for the duration of the call.
+// from that list. So a tap's Frame.Pkt and OnDrop's *Packet are valid only
+// for the duration of the call. A frame Recv hands to a proc is the proc's
+// until it gives the frame back with UDPSock.Free (or the socket closes with
+// the frame still queued); one the proc keeps goes to the collector.
 //
 // UDPSock.SendCopy copies its payload into a buffer off a second list of the
 // network's, and the frame owns that buffer (Packet.owns). Releasing the
-// frame returns the buffer to the list, poisoned. Three events give the
-// buffer up to the collector instead: handing the frame to a receive queue
-// (the proc keeps the payload), cloning it (the copies share the bytes) and
-// a full list.
+// frame returns the buffer to the list, poisoned, and so does Free. Two
+// events give the buffer up to the collector instead: cloning the frame (the
+// copies share the bytes) and a full list.
 //
 // The packet ledger proves that no frame or buffer is lost or freed twice.
 // Each network keeps the terms of three identities, every one counted where
@@ -30,9 +30,10 @@ import (
 //	sent + cloned + crossed in = delivered + Σ dropped[reason] + fanned out
 //	                             + crossed out + in flight
 //	allocated + crossed in − crossed out − discarded − len(free)
-//	                           = in flight + handed to Recv
+//	                           = in flight + handed to Recv − freed from Recv
 //	buffers allocated + crossed in = len(buffer list) + owned in flight
 //	                    + given up + discarded + crossed out
+//	                    + handed to Recv with its frame − returned through Free
 //
 // In flight is the frames in interface queues plus the frames with a pending
 // hop event (counted where Packet.hop is armed and taken); crossed in and out
@@ -71,12 +72,15 @@ type ledger struct {
 	allocated  uint64
 	discarded  uint64 // released with the free list full
 	toRecv     uint64 // frames handed to a receive queue
+	freed      uint64 // frames given back from Recv (UDPSock.Free, Close)
 
 	// The buffer identity's terms.
 	bufAllocated  uint64
 	bufCrossedIn  uint64
 	bufCrossedOut uint64
-	bufGivenUp    uint64 // handed to Recv or shared by a clone
+	bufGivenUp    uint64 // shared by a clone
+	bufToRecv     uint64 // handed to a receive queue with their frame
+	bufReturned   uint64 // returned with a frame given back from Recv
 	bufDiscarded  uint64 // returned with the list full, or too small to reuse
 	bufHops       int    // buffer-owning frames with a pending hop event
 }
@@ -203,23 +207,24 @@ func (nw *Network) balance() error {
 			dropped, strings.Join(reasons, ", "), l.fanned, l.crossedOut, inFlight, queued, l.hops, out))
 	}
 	owned := int64(l.allocated+l.crossedIn) - int64(l.crossedOut+l.discarded) - int64(len(l.free))
-	held := inFlight + int64(l.toRecv)
+	held := inFlight + int64(l.toRecv) - int64(l.freed)
 	if owned != held {
 		errs = append(errs, fmt.Errorf("netsim: packet ledger of %s: %d frames are neither free, in flight nor handed to Recv "+
 			"(negative: released while held): allocated %d + crossed in %d − crossed out %d − discarded %d − free %d = %d, "+
-			"but in flight %d + handed to Recv %d = %d",
+			"but in flight %d + handed to Recv %d − freed from Recv %d = %d",
 			nw.label(), owned-held, l.allocated, l.crossedIn, l.crossedOut, l.discarded, len(l.free), owned,
-			inFlight, l.toRecv, held))
+			inFlight, l.toRecv, l.freed, held))
 	}
-	bufsIn := l.bufAllocated + l.bufCrossedIn
-	ownedInFlight := uint64(queuedBufs + l.bufHops)
-	bufsOut := uint64(len(l.bufs)) + ownedInFlight + l.bufGivenUp + l.bufDiscarded + l.bufCrossedOut
+	bufsIn := int64(l.bufAllocated + l.bufCrossedIn)
+	ownedInFlight := int64(queuedBufs + l.bufHops)
+	bufsOut := int64(len(l.bufs)) + ownedInFlight + int64(l.bufGivenUp+l.bufDiscarded+l.bufCrossedOut+l.bufToRecv) - int64(l.bufReturned)
 	if bufsIn != bufsOut {
 		errs = append(errs, fmt.Errorf("netsim: packet ledger of %s: payload buffers are off by %d "+
 			"(negative: returned while held): allocated %d + crossed in %d = %d, but listed %d + owned in flight %d "+
-			"(queued %d, pending hop %d) + given up %d + discarded %d + crossed out %d = %d",
-			nw.label(), int64(bufsIn-bufsOut), l.bufAllocated, l.bufCrossedIn, bufsIn, len(l.bufs), ownedInFlight,
-			queuedBufs, l.bufHops, l.bufGivenUp, l.bufDiscarded, l.bufCrossedOut, bufsOut))
+			"(queued %d, pending hop %d) + given up %d + discarded %d + crossed out %d + handed to Recv with its frame %d "+
+			"− returned through Free %d = %d",
+			nw.label(), bufsIn-bufsOut, l.bufAllocated, l.bufCrossedIn, bufsIn, len(l.bufs), ownedInFlight,
+			queuedBufs, l.bufHops, l.bufGivenUp, l.bufDiscarded, l.bufCrossedOut, l.bufToRecv, l.bufReturned, bufsOut))
 	}
 	return errors.Join(errs...)
 }

@@ -106,6 +106,79 @@ func TestPayloadReturnedTwicePanics(t *testing.T) {
 	nw.releaseBuf(b)
 }
 
+// TestFreeTwicePanics: the poison catches a second Free of a frame Recv
+// handed out, as it does a second release.
+func TestFreeTwicePanics(t *testing.T) {
+	k, _, a, b := twoHosts(t)
+	rx := b.OpenUDP(7)
+	var got *Packet
+	b.Spawn("rx", func(p *sim.Proc) { got, _ = rx.Recv(p, -1) })
+	tx := a.OpenUDP(0)
+	k.After(0, func() { tx.SendCopy("b", 7, []byte("once"), 64) })
+	k.Run()
+	if got == nil {
+		t.Fatal("nothing received")
+	}
+	rx.Free(got)
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "released twice") || !strings.Contains(msg, `the network of "a"`) {
+			t.Fatalf("second Free: recovered %v, want a panic naming the network", r)
+		}
+	}()
+	rx.Free(got)
+}
+
+// TestFreedRecvPayloadReadsPoison: a proc that keeps a SendCopy payload
+// past Free holds a buffer that went back to the network with the frame, and
+// reads poison there; the ledger counts the frame freed and the buffer
+// returned.
+func TestFreedRecvPayloadReadsPoison(t *testing.T) {
+	k, nw, a, b := twoHosts(t)
+	rx := b.OpenUDP(7)
+	var kept []byte
+	b.Spawn("rx", func(p *sim.Proc) {
+		pkt, _ := rx.Recv(p, -1)
+		if string(pkt.Payload) != "a poll response" {
+			t.Errorf("proc read %q", pkt.Payload)
+		}
+		kept = pkt.Payload
+		rx.Free(pkt)
+	})
+	tx := a.OpenUDP(0)
+	k.After(0, func() { tx.SendCopy("b", 7, []byte("a poll response"), 64) })
+	k.Run()
+	if len(kept) != len("a poll response") || !filledWith(kept, bufPoison) {
+		t.Fatalf("kept payload reads %q, want poison", kept)
+	}
+	if l := nw.ledger; l.toRecv != 1 || l.freed != 1 || l.bufToRecv != 1 || l.bufReturned != 1 || len(l.bufs) != 1 {
+		t.Fatalf("handed to Recv %d, freed %d, buffers handed %d, returned %d, listed %d; want 1 each",
+			l.toRecv, l.freed, l.bufToRecv, l.bufReturned, len(l.bufs))
+	}
+	mustBalanceNow(t, nw)
+}
+
+// TestCloseGivesBackQueuedFrames: frames queued at a socket nobody reads go
+// back to the network, buffers and all, when the socket closes.
+func TestCloseGivesBackQueuedFrames(t *testing.T) {
+	k, nw, a, b := twoHosts(t)
+	rx := b.OpenUDP(7)
+	tx := a.OpenUDP(0)
+	k.After(0, func() {
+		for i := 0; i < 3; i++ {
+			tx.SendCopy("b", 7, []byte("never read"), 64)
+		}
+	})
+	k.Run()
+	free := len(nw.ledger.free)
+	rx.Close()
+	if l := nw.ledger; l.freed != 3 || l.bufReturned != 3 || len(l.free) != free+3 || len(l.bufs) != 3 {
+		t.Fatalf("closing a socket with 3 queued copies: freed %d, returned %d, free list %d → %d, buffers listed %d",
+			l.freed, l.bufReturned, free, len(l.free), len(l.bufs))
+	}
+	mustBalanceNow(t, nw)
+}
+
 // TestConsumerKeptPayloadReadsPoison: a consumer that keeps a SendCopy
 // payload past its call holds a buffer that went back to the network with
 // the frame, and reads poison there; the sender's own slice was never the
@@ -272,7 +345,8 @@ func TestReceiveOnlyNetworkCapsFreeList(t *testing.T) {
 // network has bounces across the cut until its TTL runs out, and rA routes
 // "lost" to a host, which drops it as no route. Every host binds a consumer
 // (port 9), a socket a proc drains through Recv (7) and one nobody reads,
-// whose four-deep queue fills (8); port 99 is bound nowhere.
+// whose four-deep queue fills (8); port 99 is bound nowhere. The Recv proc
+// frees every frame with an even ID and keeps the rest.
 type ledgerWorld struct {
 	k     *sim.Kernel // drives the whole run
 	nets  [2]*Network
@@ -292,6 +366,7 @@ type ledgerSide struct {
 
 	// Where payload copies ended, summed by TestLedgerSeedsReachEveryEnding.
 	consumed, received, broadcast, duplicated int
+	freed                                     int // copies a Recv proc gave back
 	dropped                                   [numDropReasons]int
 	seen                                      map[seenKey]bool
 }
@@ -362,8 +437,20 @@ func newLedgerWorld(sharded bool, loss, dup float64) *ledgerWorld {
 			h.Spawn("rx", func(p *sim.Proc) {
 				for {
 					pkt, ok := rx.Recv(p, -1)
-					if ok && side.see(h.Name, pkt) {
+					if !ok {
+						continue
+					}
+					copied := side.see(h.Name, pkt)
+					if copied {
 						side.received++
+					}
+					switch {
+					case pkt.ID%2 == 0: // every other frame goes back
+						if pkt.owns {
+							side.freed++
+						}
+						rx.Free(pkt)
+					case copied:
 						side.held = append(side.held, heldPayload{pkt.Payload, pkt.Payload[0]})
 					}
 				}
@@ -542,6 +629,9 @@ var ledgerSeeds = [][]byte{
 	// of the path: copies to a1 while it is down, then one to a name that
 	// bounces across the cut until its TTL runs out.
 	{0, 0, 0, 2, 1, 0, 0, 0x43, 0x0f, 0x01, 1, 2, 1, 0, 10, 0x42, 0x0f, 0x08, 11},
+	// One kernel, no loss: a burst of copies from a1 fills a0's unread
+	// socket, which then closes with four of them queued.
+	{0, 0, 0, 0x43, 0x04, 0x2c, 0, 4, 1, 0, 10},
 }
 
 // runLedgerScript runs one FuzzPacketLedger script and returns its world,
@@ -590,21 +680,24 @@ func FuzzPacketLedger(f *testing.F) {
 
 // TestLedgerSeedsReachEveryEnding: between them, the seed scripts end a
 // payload buffer's ownership in every way there is — a consumer, a Recv
-// socket, a drop for each reason the world can produce, a broadcast and a
-// duplicate copy, and a crossing of the cut.
+// socket, a Recv proc's Free, a socket closing on its queue, a drop for each
+// reason the world can produce, a broadcast and a duplicate copy, and a
+// crossing of the cut.
 func TestLedgerSeedsReachEveryEnding(t *testing.T) {
 	var total ledgerSide
-	var crossed uint64
+	var crossed, closed uint64
 	for _, s := range ledgerSeeds {
 		w := runLedgerScript(t, s)
-		for _, side := range w.sides {
+		for i, side := range w.sides {
 			total.consumed += side.consumed
 			total.received += side.received
+			total.freed += side.freed
 			total.broadcast += side.broadcast
 			total.duplicated += side.duplicated
 			for r, n := range side.dropped {
 				total.dropped[r] += n
 			}
+			closed += w.nets[i].ledger.bufReturned - uint64(side.freed)
 		}
 		crossed += w.nets[1].ledger.bufCrossedIn + w.nets[0].ledger.bufCrossedIn
 	}
@@ -612,7 +705,8 @@ func TestLedgerSeedsReachEveryEnding(t *testing.T) {
 		name string
 		n    int
 	}
-	ends := []end{{"consumed", total.consumed}, {"received", total.received}, {"broadcast", total.broadcast},
+	ends := []end{{"consumed", total.consumed}, {"received", total.received}, {"freed from Recv", total.freed},
+		{"given back by a closing socket", int(closed)}, {"broadcast", total.broadcast},
 		{"duplicated", total.duplicated}, {"crossing the cut", int(crossed)}}
 	for r, n := range total.dropped {
 		// The world has no route whose station is missing from its segment.

@@ -65,9 +65,9 @@ type Packet struct {
 	owns bool
 	// Payload is the sender's slice (SendTo, SendProto), or the network's
 	// copy of it (SendCopy). A copy is the network's until the frame is
-	// handed to a receive queue, cloned for a broadcast or a duplicate, or
-	// its buffer list is full; a consumer, tap or OnDrop must not keep it
-	// past its call, because it is poisoned when the frame is released.
+	// cloned for a broadcast or a duplicate, or its buffer list is full; a
+	// consumer, tap or OnDrop must not keep it past its call, nor a proc
+	// past UDPSock.Free, because it is poisoned when the frame is released.
 	Payload []byte
 	Size    int // payload bytes; wire size adds HeaderOverhead and framing
 	TTL     int32

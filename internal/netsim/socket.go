@@ -59,14 +59,17 @@ func (n *Node) OpenUDP(port Port) *UDPSock {
 // Port returns the bound port.
 func (s *UDPSock) Port() Port { return s.port }
 
-// Close unbinds the socket; queued packets are discarded.
+// Close unbinds the socket; queued packets are discarded, their frames
+// given back to the network as Free gives them.
 func (s *UDPSock) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
 	delete(s.node.sockets, s.port)
-	s.rq.Drain()
+	for _, pkt := range s.rq.Drain() {
+		s.Free(pkt)
+	}
 }
 
 // SendTo queues a datagram with real payload bytes toward dst:dport.
@@ -129,10 +132,25 @@ func (s *UDPSock) send(dst Addr, dport Port, payload []byte, size int, proto Pro
 
 // Recv blocks the calling proc until a datagram arrives or timeout elapses
 // (negative blocks forever). The boolean is false on timeout or close. The
-// packet and its Payload are the caller's: the network never recycles a
-// frame, or a payload buffer, it handed to a receive queue.
+// packet and its Payload are the caller's until it gives them back with
+// Free; one it never frees goes to the collector.
 func (s *UDPSock) Recv(p *sim.Proc, timeout time.Duration) (*Packet, bool) {
 	return s.rq.Get(p, timeout)
+}
+
+// Free gives a packet Recv handed out back to the network's free list, with
+// the payload buffer it owns (SendCopy), so that the next datagram costs no
+// allocation. The caller must keep neither the packet nor its Payload: the
+// frame is zeroed and a buffer of the network's poisoned. Freeing a packet
+// twice panics.
+func (s *UDPSock) Free(pkt *Packet) {
+	nw := s.node.net
+	owns := pkt.owns
+	nw.release(pkt)
+	nw.ledger.freed++
+	if owns {
+		nw.ledger.bufReturned++
+	}
 }
 
 // Consume makes fn take each arriving datagram in the event that delivers
@@ -144,8 +162,8 @@ func (s *UDPSock) Recv(p *sim.Proc, timeout time.Duration) (*Packet, bool) {
 func (s *UDPSock) Consume(fn func(*Packet)) { s.consume = fn }
 
 // deliver hands an arriving datagram to the socket: to its consumer, after
-// which the frame is released, or to its receive queue, which owns it and
-// its payload from then on.
+// which the frame is released, or to its receive queue, from which Recv
+// hands it out with the payload buffer it owns.
 func (s *UDPSock) deliver(pkt *Packet) {
 	nw := s.node.net
 	if s.closed {
@@ -162,7 +180,9 @@ func (s *UDPSock) deliver(pkt *Packet) {
 	s.node.Counters.UDPIn++
 	if s.consume == nil {
 		nw.ledger.toRecv++
-		nw.disown(pkt)
+		if pkt.owns {
+			nw.ledger.bufToRecv++
+		}
 		return
 	}
 	s.consume(pkt)

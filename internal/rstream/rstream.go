@@ -215,6 +215,7 @@ func (c *Conn) drive(p *sim.Proc) {
 			return
 		}
 		c.onDatagram(pkt)
+		c.sock.Free(pkt)
 	}
 }
 
@@ -480,6 +481,7 @@ func Listen(node *netsim.Node, port netsim.Port) *Listener {
 				return
 			}
 			l.dispatch(pkt)
+			l.sock.Free(pkt)
 		}
 	})
 	return l

@@ -57,7 +57,11 @@ func NewAgent(tree *mib.Tree, community string) *Agent {
 // Handle processes one request datagram and returns the response datagram,
 // or nil when no response should be sent (bad community, undecodable, or a
 // trap addressed to us by mistake). The response is the caller's to keep.
-func (a *Agent) Handle(req []byte) []byte {
+func (a *Agent) Handle(req []byte) []byte { return bytes.Clone(a.handle(req)) }
+
+// handle is Handle answering from the agent's scratch buffer: the response
+// is valid until the agent's next request.
+func (a *Agent) handle(req []byte) []byte {
 	if a.scratch == nil {
 		a.scratch = new(agentScratch)
 	}
@@ -96,7 +100,7 @@ func (a *Agent) Handle(req []byte) []byte {
 	}
 	a.Stats.OutResponses++
 	a.scratch.buf = resp.AppendTo(a.scratch.buf[:0])
-	return bytes.Clone(a.scratch.buf)
+	return a.scratch.buf
 }
 
 // noSuchName turns resp into the error answer for the request's bind i.
@@ -181,7 +185,9 @@ func (a *Agent) doSet(req, resp *Message) {
 }
 
 // ServeSim binds the agent to a node's UDP port and spawns its server proc.
-// It also wires trap emission and sysUpTime for traps.
+// It also wires trap emission and sysUpTime for traps. The proc answers
+// from the agent's scratch buffer and gives each request frame back, so a
+// request costs no allocation.
 func (a *Agent) ServeSim(n *netsim.Node, port netsim.Port) {
 	if port == 0 {
 		port = AgentPort
@@ -193,9 +199,10 @@ func (a *Agent) ServeSim(n *netsim.Node, port netsim.Port) {
 			if !ok {
 				return
 			}
-			if resp := a.Handle(pkt.Payload); resp != nil {
-				sock.SendTo(pkt.Src, pkt.SrcPort, resp)
+			if resp := a.handle(pkt.Payload); resp != nil {
+				sock.SendCopy(pkt.Src, pkt.SrcPort, resp, len(resp))
 			}
+			sock.Free(pkt)
 		}
 	})
 	if a.sysUp == nil {

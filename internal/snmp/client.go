@@ -1,7 +1,6 @@
 package snmp
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -35,9 +34,13 @@ type ClientStats struct {
 // against it; simConn (below) and udpConn (real.go) are the two
 // implementations. NTTCP needs other things of a transport and has its own.
 type conn interface {
+	// send puts b on the wire; the transport keeps nothing of it.
 	send(b []byte) error
-	// recv returns the next datagram's payload, false after timeout.
+	// recv returns the next datagram's payload, false after timeout. The
+	// payload is valid until done.
 	recv(timeout time.Duration) ([]byte, bool)
+	// done gives back the datagram recv returned last.
+	done()
 	Now() time.Duration
 	Sleep(d time.Duration)
 }
@@ -76,7 +79,6 @@ func (m *manager) request(t conn, pdu PDU) (*Message, error) {
 	pdu.RequestID = m.reqID
 	msg := Message{Version: m.Version, Community: m.Community, PDU: pdu}
 	m.buf = msg.AppendTo(m.buf[:0])
-	b := bytes.Clone(m.buf) // the transport keeps what it is handed
 	resp := &m.resp
 	hard := time.Duration(-1) // absolute per-request deadline, <0 = none
 	if m.Budget > 0 {
@@ -96,8 +98,8 @@ func (m *manager) request(t conn, pdu PDU) (*Message, error) {
 			break
 		}
 		m.Stats.Requests++
-		m.Stats.BytesSent += uint64(len(b))
-		if err := t.send(b); err != nil {
+		m.Stats.BytesSent += uint64(len(m.buf))
+		if err := t.send(m.buf); err != nil {
 			return nil, err
 		}
 		deadline := t.Now() + m.Timeout
@@ -113,7 +115,11 @@ func (m *manager) request(t conn, pdu PDU) (*Message, error) {
 			if !ok {
 				break
 			}
-			if err := resp.Unmarshal(payload); err != nil || resp.PDU.Type != GetResponse {
+			// The answer keeps nothing of payload, so the datagram goes
+			// back at once.
+			err := resp.Unmarshal(payload)
+			t.done()
+			if err != nil || resp.PDU.Type != GetResponse {
 				continue
 			}
 			if resp.PDU.RequestID != pdu.RequestID {
@@ -209,16 +215,19 @@ func (m *manager) bulkWalk(t conn, prefix mib.OID, maxReps int) ([]VarBind, erro
 }
 
 // simConn runs the engine on the simulator: the calling proc (whose Now
-// and Sleep it promotes), the endpoint's socket and the peer.
+// and Sleep it promotes), the endpoint's socket and the peer. It sends a
+// copy of each request and gives each response frame back, so an exchange
+// costs no allocation.
 type simConn struct {
 	*sim.Proc
 	sock *netsim.UDPSock
 	dst  netsim.Addr
 	port netsim.Port
+	pkt  *netsim.Packet // the frame recv returned, until done
 }
 
 func (s *simConn) send(b []byte) error {
-	s.sock.SendTo(s.dst, s.port, b)
+	s.sock.SendCopy(s.dst, s.port, b, len(b))
 	return nil
 }
 
@@ -227,7 +236,13 @@ func (s *simConn) recv(timeout time.Duration) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
+	s.pkt = pkt
 	return pkt.Payload, true
+}
+
+func (s *simConn) done() {
+	s.sock.Free(s.pkt)
+	s.pkt = nil
 }
 
 // Client is a manager-side SNMP endpoint on a simulated node: the manager
@@ -348,18 +363,21 @@ func StartTrapSink(n *netsim.Node, port netsim.Port, queueCap int, procTime time
 		queue:    sim.NewQueue[trapItem](n.Network().K, queueCap),
 	}
 	n.Spawn("trap-rx", func(p *sim.Proc) {
+		var ack []byte // an inform's acknowledgement, reused
 		for {
 			pkt, ok := s.sock.Recv(p, -1)
 			if !ok {
 				return
 			}
-			msg, err := Decode(pkt.Payload)
+			msg, err := Decode(pkt.Payload) // keeps nothing of the payload
+			from, port := pkt.Src, pkt.SrcPort
+			s.sock.Free(pkt)
 			if err != nil {
 				continue
 			}
 			switch msg.PDU.Type {
 			case TrapV1, TrapV2:
-				if s.queue.Put(trapItem{msg, pkt.Src}) {
+				if s.queue.Put(trapItem{msg, from}) {
 					s.Stats.Arrived++
 				} else {
 					s.Stats.Dropped++
@@ -367,12 +385,13 @@ func StartTrapSink(n *netsim.Node, port netsim.Port, queueCap int, procTime time
 			case InformRequest:
 				// Acknowledge only what the station can actually ingest;
 				// an unacked inform is retried by its sender.
-				if s.queue.Put(trapItem{msg, pkt.Src}) {
+				if s.queue.Put(trapItem{msg, from}) {
 					s.Stats.Arrived++
 					s.Stats.InformsAcked++
-					ack := &Message{Version: msg.Version, Community: msg.Community}
-					ack.PDU = PDU{Type: GetResponse, RequestID: msg.PDU.RequestID, VarBinds: msg.PDU.VarBinds}
-					s.sock.SendTo(pkt.Src, pkt.SrcPort, ack.Encode())
+					resp := Message{Version: msg.Version, Community: msg.Community}
+					resp.PDU = PDU{Type: GetResponse, RequestID: msg.PDU.RequestID, VarBinds: msg.PDU.VarBinds}
+					ack = resp.AppendTo(ack[:0])
+					s.sock.SendCopy(from, port, ack, len(ack))
 				} else {
 					s.Stats.Dropped++
 				}

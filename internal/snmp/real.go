@@ -22,7 +22,7 @@ func (a *Agent) ServeUDP(conn *net.UDPConn) error {
 		if err != nil {
 			return err
 		}
-		if resp := a.Handle(buf[:n]); resp != nil {
+		if resp := a.handle(buf[:n]); resp != nil {
 			conn.WriteToUDP(resp, from)
 		}
 	}
@@ -49,6 +49,8 @@ func (u *udpConn) recv(timeout time.Duration) ([]byte, bool) {
 	}
 	return u.buf[:n], true
 }
+
+func (u *udpConn) done() {}
 
 func (u *udpConn) Now() time.Duration    { return time.Since(u.start) }
 func (u *udpConn) Sleep(d time.Duration) { time.Sleep(d) }

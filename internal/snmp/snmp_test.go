@@ -134,6 +134,60 @@ func TestGetOverSimNetwork(t *testing.T) {
 	}
 }
 
+// TestServeSimAllocatesNothingPerRequest: a warm agent on the simulator
+// answers from its scratch buffer and gives each request frame back, so a
+// request costs it no allocation; the requester here is a consumer, which
+// allocates nothing either.
+func TestServeSimAllocatesNothingPerRequest(t *testing.T) {
+	k, nw, _, agent, _ := agentFixture(t)
+	_, poll := pollExchange()
+	poll.PDU.VarBinds = poll.PDU.VarBinds[:1] // sysUpTime: the fixture's view has no ifTable
+	req := poll.Encode()
+	answers := 0
+	sock := nw.Node("mgr").OpenUDP(0)
+	sock.Consume(func(*netsim.Packet) { answers++ })
+	ask := func() {
+		sock.SendCopy("agent1", AgentPort, req, len(req))
+		k.Run()
+	}
+	ask()
+	if n := testing.AllocsPerRun(200, ask); n != 0 {
+		t.Errorf("a warm ServeSim agent allocates %v objects per request, want 0", n)
+	}
+	if answers != 202 || agent.Stats.OutResponses != 202 {
+		t.Errorf("%d answers, %d responses sent; want 202", answers, agent.Stats.OutResponses)
+	}
+}
+
+// TestSimGetAllocatesNothingPerRoundTrip: a warm Client.Get to a ServeSim
+// agent allocates nothing on either side: the request goes out as a copy of
+// the client's buffer, and both frames come back to the network.
+func TestSimGetAllocatesNothingPerRoundTrip(t *testing.T) {
+	k, _, client, _, _ := agentFixture(t)
+	oids := []mib.OID{mib.SysUpTime}
+	next := sim.NewQueue[struct{}](k, 0)
+	got := 0
+	client.node.Spawn("poller", func(p *sim.Proc) {
+		for {
+			next.Get(p, -1)
+			if binds, err := client.Get(p, "agent1", oids...); err == nil && len(binds) == 1 {
+				got++
+			}
+		}
+	})
+	poll := func() {
+		next.Put(struct{}{})
+		k.Run()
+	}
+	poll()
+	if n := testing.AllocsPerRun(200, poll); n != 0 {
+		t.Errorf("a warm Client.Get round trip allocates %v objects, want 0", n)
+	}
+	if got != 202 {
+		t.Errorf("%d Gets answered, want 202", got)
+	}
+}
+
 func TestGetUnknownOIDv2ReturnsNoSuchObject(t *testing.T) {
 	k, _, client, _, _ := agentFixture(t)
 	var binds []VarBind

@@ -22,12 +22,13 @@ const (
 	syncTimeout = 500 * time.Millisecond
 )
 
-// encodeTimes packs two local timestamps into an NTP-sized payload.
-func encodeTimes(t1, t2 time.Duration) []byte {
-	buf := make([]byte, ntpMsgSize)
+// encodeTimes packs two local timestamps into buf and returns the payload.
+// The datagram is sent as ntpMsgSize bytes on the wire; only the first 16
+// carry anything.
+func encodeTimes(buf *[16]byte, t1, t2 time.Duration) []byte {
 	binary.BigEndian.PutUint64(buf[0:8], uint64(t1))
 	binary.BigEndian.PutUint64(buf[8:16], uint64(t2))
-	return buf
+	return buf[:]
 }
 
 func decodeTimes(b []byte) (t1, t2 time.Duration) {
@@ -44,13 +45,15 @@ func decodeTimes(b []byte) (t1, t2 time.Duration) {
 func StartSyncServer(n *netsim.Node) {
 	sock := n.OpenUDP(NTPPort)
 	n.Spawn("ntpd", func(p *sim.Proc) {
+		var buf [16]byte
 		for {
 			pkt, ok := sock.Recv(p, -1)
 			if !ok {
 				return
 			}
 			t1, _ := decodeTimes(pkt.Payload)
-			sock.SendTo(pkt.Src, pkt.SrcPort, encodeTimes(t1, n.LocalTime()))
+			sock.SendCopy(pkt.Src, pkt.SrcPort, encodeTimes(&buf, t1, n.LocalTime()), ntpMsgSize)
+			sock.Free(pkt)
 		}
 	})
 }
@@ -81,18 +84,20 @@ type SyncClient struct {
 func (c *SyncClient) Run() {
 	sock := c.Node.OpenUDP(0)
 	c.Node.Spawn("ntp-client", func(p *sim.Proc) {
+		var buf [16]byte
 		for {
-			c.syncOnce(p, sock)
+			c.syncOnce(p, sock, &buf)
 			p.Sleep(c.Poll)
 		}
 	})
 }
 
-func (c *SyncClient) syncOnce(p *sim.Proc, sock *netsim.UDPSock) {
+// syncOnce runs one burst, encoding each request into buf.
+func (c *SyncClient) syncOnce(p *sim.Proc, sock *netsim.UDPSock, buf *[16]byte) {
 	var samples []Sample
 	for i := 0; i < syncBurst; i++ {
 		t1 := c.Node.LocalTime()
-		sock.SendTo(c.Server, NTPPort, encodeTimes(t1, 0))
+		sock.SendCopy(c.Server, NTPPort, encodeTimes(buf, t1, 0), ntpMsgSize)
 		c.PacketsSent++
 		c.BytesSent += ntpMsgSize + netsim.HeaderOverhead
 		pkt, ok := sock.Recv(p, syncTimeout)
@@ -101,6 +106,7 @@ func (c *SyncClient) syncOnce(p *sim.Proc, sock *netsim.UDPSock) {
 		}
 		c.PacketsRecv++
 		st1, t2 := decodeTimes(pkt.Payload)
+		sock.Free(pkt)
 		t4 := c.Node.LocalTime()
 		samples = append(samples, Sample{
 			Offset: EstimateOffset(st1, t2, t4),
