@@ -3,11 +3,11 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime/debug"
-	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -65,7 +65,8 @@ func TestTelemetryDump(t *testing.T) {
 
 // TestResultsArtifact: `-quick -results <file> E15` leaves a stream
 // results.Read accepts, holding one record for every numeric cell of the
-// E15 table the same run prints.
+// E15 table the same run prints, in table order, each carrying its cell's
+// unrounded value and unit.
 func TestResultsArtifact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "e15.jsonl")
 	if out, err := exec.Command("go", "run", ".", "-quick", "-results", path, "E15").Output(); err != nil || len(out) == 0 {
@@ -82,21 +83,27 @@ func TestResultsArtifact(t *testing.T) {
 	}
 	e15, _ := experiments.ByID("E15")
 	table := experiments.RunAll([]experiments.Experiment{e15}, true, 1)[0].Table
-	want := 0
-	for _, row := range table.Rows {
-		for _, cell := range row {
-			if _, _, ok := results.ParseCell(cell); ok {
-				want++
+	n := 0
+	for i, row := range table.Rows {
+		for j, cell := range row {
+			if !cell.Numeric {
+				continue
+			}
+			if n >= len(set.Records) {
+				t.Fatalf("stream ends at %d records; E15 row %d, column %q is numeric", n, i, table.Columns[j])
+			}
+			rec := set.Records[n]
+			n++
+			batch := fmt.Sprintf("E15/row%02d/%s", i, row[0].Text)
+			if rec.Batch != batch || rec.Metric != table.Columns[j] || rec.Unit != cell.Unit ||
+				len(rec.Samples) != 1 || rec.Samples[0] != cell.Value {
+				t.Fatalf("record %+v, want batch %q metric %q unit %q sample %v",
+					rec, batch, table.Columns[j], cell.Unit, cell.Value)
 			}
 		}
 	}
-	if want == 0 || len(set.Records) != want {
-		t.Fatalf("%d records for %d numeric E15 cells", len(set.Records), want)
-	}
-	for _, rec := range set.Records {
-		if !strings.HasPrefix(rec.Batch, "E15/row") || len(rec.Samples) != 1 {
-			t.Fatalf("record %+v is not one E15 cell", rec)
-		}
+	if n == 0 || len(set.Records) != n {
+		t.Fatalf("%d records for %d numeric E15 cells", len(set.Records), n)
 	}
 }
 

@@ -78,7 +78,7 @@ func A1(quick bool) *report.Table {
 		informFrac := float64(informsOK) / float64(events)
 		pktsPerEvent := float64(2*notifier.Stats.Acked+notifier.Stats.Sent-notifier.Stats.Acked) / float64(events)
 		t.AddRow(report.Pct(frac), report.Pct(trapFrac), report.Pct(informFrac),
-			fmt.Sprintf("%.1f", pktsPerEvent))
+			report.Num(fmt.Sprintf("%.1f", pktsPerEvent), pktsPerEvent, ""))
 		k.Close()
 	}
 	t.AddNote("a trap costs exactly 1 packet; an inform costs attempts + acks but survives congestion")

@@ -231,7 +231,7 @@ func E12(quick bool) *report.Table {
 	for _, d := range []drill{e12Off, e12On} {
 		st := runDrill(quick, d, nil)
 		t.AddRow(d.name, report.Dur(st.DetectLatency), report.Count(uint64(st.StaleActedReads)),
-			report.Count(uint64(st.Sweeps)), fmt.Sprintf("%.1f", st.wastePerSweep()),
+			report.Count(uint64(st.Sweeps)), report.Num(fmt.Sprintf("%.1f", st.wastePerSweep()), st.wastePerSweep(), ""),
 			report.Count(st.FastFails), report.Count(st.ShedSweeps))
 	}
 	t.AddNote("chaos: 3 permanent kills + flapping host + degraded segment + 10s partition on the HiPerD testbed")

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -146,9 +145,9 @@ func e14Row(sc, regions, serversPer, clientsPer int, quick bool) []any {
 			detect = at - e14FailAt
 		}
 	}
-	detectCell := "not detected"
+	detectCell := report.Cell{Text: "not detected"}
 	if detect > 0 {
-		detectCell = fmt.Sprintf("%v", detect)
+		detectCell = report.Num(detect.String(), detect.Seconds(), "s")
 	}
 	return []any{sc, regions, f.agents.Size(), len(paths), s.CutEdges(),
 		events, g.CrossShardMessages(), g.Windows(), detectCell}

@@ -249,7 +249,7 @@ func e15FedRow(quick bool, sc int) []any {
 		pooled = append(pooled, okValues(dirs[i].Database(), p.ID, metrics.OneWayLatency)...)
 	}
 	sort.Float64s(pooled)
-	var errs [3]string
+	var errs [3]report.Cell
 	for i, p := range []float64{0.5, 0.95, 0.99} {
 		errs[i] = e15Pct(e15QErr(pooled, agg.Quantile(p), p))
 	}
@@ -307,4 +307,4 @@ func e15QErr(sorted []float64, est, p float64) float64 {
 	return rankErr
 }
 
-func e15Pct(e float64) string { return fmt.Sprintf("%.2f%%", 100*e) }
+func e15Pct(e float64) report.Cell { return report.Num(fmt.Sprintf("%.2f%%", 100*e), 100*e, "%") }

@@ -1,31 +1,6 @@
 package experiments
 
-import (
-	"strconv"
-	"strings"
-	"testing"
-)
-
-// e15ParsePct turns a "1.23%" cell back into a fraction.
-func e15ParsePct(t *testing.T, s string) float64 {
-	if !strings.HasSuffix(s, "%") {
-		t.Fatalf("cell %q is not a percentage", s)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil {
-		t.Fatalf("cell %q: %v", s, err)
-	}
-	return v / 100
-}
-
-// e15ParseInt parses an integer cell.
-func e15ParseInt(t *testing.T, s string) int {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		t.Fatalf("cell %q: %v", s, err)
-	}
-	return v
-}
+import "testing"
 
 // TestE15Accuracy asserts the issue's acceptance bar on the quick table:
 // the fixed-size sketch stays within 2% of exact full-history quantiles in
@@ -39,9 +14,9 @@ func TestE15Accuracy(t *testing.T) {
 	t.Logf("\n%s", tab.String())
 	scenarios := map[string]bool{}
 	for _, row := range tab.Rows {
-		scenario, estimator := row[0], row[1]
+		scenario, estimator := row[0].Text, row[1].Text
 		if scenario == "federated" {
-			if e := e15ParsePct(t, row[7]); e > 0.02 {
+			if e := valueOf(t, row[7]) / 100; e > 0.02 {
 				t.Errorf("federated %s: p99 err %.4f > 2%%", estimator, e)
 			}
 			continue
@@ -51,16 +26,16 @@ func TestE15Accuracy(t *testing.T) {
 		}
 		scenarios[scenario] = true
 		for col := 5; col <= 7; col++ {
-			if e := e15ParsePct(t, row[col]); e > 0.02 {
+			if e := valueOf(t, row[col]) / 100; e > 0.02 {
 				t.Errorf("%s sketch err col %d = %.4f > 2%%", scenario, col, e)
 			}
 		}
-		sketchBytes := e15ParseInt(t, row[4])
-		if hist1024 := 1024 * 64; sketchBytes*10 > hist1024 {
-			t.Errorf("%s: sketch %d B not >=10x smaller than depth-1024 ring (%d B)", scenario, sketchBytes, hist1024)
+		sketchBytes := valueOf(t, row[4])
+		if hist1024 := 1024 * 64.0; sketchBytes*10 > hist1024 {
+			t.Errorf("%s: sketch %g B not >=10x smaller than depth-1024 ring (%g B)", scenario, sketchBytes, hist1024)
 		}
-		if samples := e15ParseInt(t, row[3]); samples <= 128 {
-			t.Errorf("%s: mean %d samples/series <= BufCap; estimator never engaged", scenario, samples)
+		if samples := valueOf(t, row[3]); samples <= 128 {
+			t.Errorf("%s: mean %g samples/series <= BufCap; estimator never engaged", scenario, samples)
 		}
 	}
 	for _, want := range []string{"hifi", "cots", "hybrid", "chaos"} {

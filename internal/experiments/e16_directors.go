@@ -254,15 +254,15 @@ func E16(quick bool) *report.Table {
 		Columns: []string{"scenario", "traps in", "dropped", "delivered", "coalesced",
 			"signal detect", "fresh reads", "stale acted", "adopt/reclaim", "orphan recover"},
 	}
-	dur := func(d time.Duration) string {
+	dur := func(d time.Duration) report.Cell {
 		if d < 0 {
-			return "-"
+			return report.Cell{Text: "-"}
 		}
 		return report.Dur(d)
 	}
 	row := func(name string, st e16Stats, drill bool) {
 		ar := "-"
-		recover := "-"
+		recover := report.Cell{Text: "-"}
 		if drill {
 			ar = fmt.Sprintf("%d/%d", st.Adoptions, st.Reclaims)
 			recover = dur(st.OrphanRecover)

@@ -124,7 +124,7 @@ func E7(quick bool) *report.Table {
 	})
 	vals = slices.DeleteFunc(vals, func(v float64) bool { return v <= 0 })
 	mean := metrics.Mean(vals)
-	t.AddRow("flow meter (passive, host-pair)", "5.00s", "-", report.Bps(mean),
+	t.AddRow("flow meter (passive, host-pair)", report.Dur(5*time.Second), "-", report.Bps(mean),
 		report.Pct(metrics.RelErr(mean, streamWireBps)), report.Pct(worstRelErr(vals, streamWireBps)), core.QualityApproximate)
 	t.AddNote("truth: application rate %s; counters see wire rate %s (headers) PLUS ~1 Mb/s of unrelated cross traffic into the same interface",
 		report.Bps(streamAppBps), report.Bps(streamWireBps))

@@ -1,9 +1,10 @@
 package experiments
 
 import (
-	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/report"
 )
 
 // TestRunAllParallelDeterminism checks that RunAll preserves input order and
@@ -44,36 +45,21 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// parsers for shape assertions
-
-func pctOf(cell string) float64 {
-	s := strings.TrimSuffix(cell, "%")
-	v, _ := strconv.ParseFloat(s, 64)
-	return v
-}
-
-func bpsOf(cell string) float64 {
-	fields := strings.Fields(cell)
-	if len(fields) != 2 {
-		return 0
+// valueOf returns the value behind a numeric cell, before rounding, and
+// fails the test on a text cell ("-", "not detected"), so a shape
+// assertion cannot pass on a cell that holds no number.
+func valueOf(t *testing.T, c report.Cell) float64 {
+	t.Helper()
+	if !c.Numeric {
+		t.Fatalf("cell %q is not a number", c.Text)
 	}
-	v, _ := strconv.ParseFloat(fields[0], 64)
-	switch fields[1] {
-	case "Gb/s":
-		return v * 1e9
-	case "Mb/s":
-		return v * 1e6
-	case "kb/s":
-		return v * 1e3
-	default:
-		return v
-	}
+	return c.Value
 }
 
 func TestE1Shape(t *testing.T) {
 	table := E1(true)
 	par, seq := table.Rows[0], table.Rows[1]
-	parLoad, seqLoad := bpsOf(par[2]), bpsOf(seq[2])
+	parLoad, seqLoad := valueOf(t, par[2]), valueOf(t, seq[2])
 	// The paper's factor-27 gap (59 vs 2.18 Mb/s): demand at least 10x and
 	// the right magnitudes.
 	if parLoad < 10*seqLoad {
@@ -92,15 +78,15 @@ func TestE5Shape(t *testing.T) {
 	first, last := table.Rows[0], table.Rows[len(table.Rows)-1]
 	// Probe capture stays complete at every load.
 	for _, row := range table.Rows {
-		if pctOf(row[2]) < 99 {
+		if valueOf(t, row[2]) < 99 {
 			t.Fatalf("probe capture dropped: %v", row)
 		}
 	}
 	// SNMP success degrades between light and overload.
-	if pctOf(last[3]) >= pctOf(first[3]) {
+	if valueOf(t, last[3]) >= valueOf(t, first[3]) {
 		t.Fatalf("SNMP success did not degrade: %v -> %v", first[3], last[3])
 	}
-	if pctOf(last[3]) > 90 {
+	if valueOf(t, last[3]) > 90 {
 		t.Fatalf("overload SNMP success %v, expected heavy loss", last[3])
 	}
 }
@@ -109,17 +95,17 @@ func TestE6Shape(t *testing.T) {
 	table := E6(true)
 	small := table.Rows[0]
 	big := table.Rows[len(table.Rows)-1]
-	if pctOf(small[5]) < 99 {
+	if valueOf(t, small[5]) < 99 {
 		t.Fatalf("small burst not fully processed: %v", small)
 	}
-	if pctOf(big[5]) > 50 {
+	if valueOf(t, big[5]) > 50 {
 		t.Fatalf("big burst not overrunning: %v", big)
 	}
 }
 
 func TestE9Shape(t *testing.T) {
 	table := E9(true)
-	if table.Rows[0][2] != "5/22" || table.Rows[1][2] != "22/22" {
+	if table.Rows[0][2].Text != "5/22" || table.Rows[1][2].Text != "22/22" {
 		t.Fatalf("coverage rows: %v", table.Rows)
 	}
 	for _, n := range table.Notes {
@@ -129,27 +115,14 @@ func TestE9Shape(t *testing.T) {
 	}
 }
 
-func durOf(cell string) float64 {
-	if strings.HasSuffix(cell, "ms") {
-		v, _ := strconv.ParseFloat(strings.TrimSuffix(cell, "ms"), 64)
-		return v / 1000
-	}
-	if strings.HasSuffix(cell, "µs") {
-		v, _ := strconv.ParseFloat(strings.TrimSuffix(cell, "µs"), 64)
-		return v / 1e6
-	}
-	v, _ := strconv.ParseFloat(strings.TrimSuffix(cell, "s"), 64)
-	return v
-}
-
 func TestE2Shape(t *testing.T) {
 	table := E2(true)
 	par, seq := table.Rows[0], table.Rows[1]
-	if durOf(seq[3]) < 10*durOf(par[3]) {
+	if valueOf(t, seq[3]) < 10*valueOf(t, par[3]) {
 		t.Fatalf("sequencer spacing %v not >> parallel %v", seq[3], par[3])
 	}
 	// Sequencer spacing tracks the analytic C·S·T within 30%.
-	if r := durOf(seq[3]) / durOf(seq[4]); r < 0.7 || r > 1.3 {
+	if r := valueOf(t, seq[3]) / valueOf(t, seq[4]); r < 0.7 || r > 1.3 {
 		t.Fatalf("spacing %v vs analytic %v", seq[3], seq[4])
 	}
 }
@@ -157,7 +130,7 @@ func TestE2Shape(t *testing.T) {
 func TestE3Shape(t *testing.T) {
 	table := E3(true)
 	first, last := table.Rows[0], table.Rows[len(table.Rows)-1]
-	if pctOf(first[4]) <= pctOf(last[4]) {
+	if valueOf(t, first[4]) <= valueOf(t, last[4]) {
 		t.Fatalf("dispersion did not shrink with burst length: %v -> %v", first[4], last[4])
 	}
 }
@@ -165,13 +138,11 @@ func TestE3Shape(t *testing.T) {
 func TestE4Shape(t *testing.T) {
 	table := E4(true)
 	exch, ntp := table.Rows[0], table.Rows[1]
-	exchBytes, _ := strconv.ParseFloat(strings.ReplaceAll(exch[3], ",", ""), 64)
-	ntpBytes, _ := strconv.ParseFloat(strings.ReplaceAll(ntp[3], ",", ""), 64)
-	if exchBytes < 3*ntpBytes {
+	if valueOf(t, exch[3]) < 3*valueOf(t, ntp[3]) {
 		t.Fatalf("exchange %v not >> NTP %v bytes/measurement", exch[3], ntp[3])
 	}
 	// The exchange buys accuracy for its cost.
-	if durOf(exch[4]) > durOf(ntp[4]) {
+	if valueOf(t, exch[4]) > valueOf(t, ntp[4]) {
 		t.Fatalf("exchange err %v worse than NTP %v", exch[4], ntp[4])
 	}
 }
@@ -179,19 +150,19 @@ func TestE4Shape(t *testing.T) {
 func TestE7Shape(t *testing.T) {
 	table := E7(true)
 	direct := table.Rows[0]
-	if pctOf(direct[4]) > 2 {
+	if valueOf(t, direct[4]) > 2 {
 		t.Fatalf("nttcp direct err %v", direct[4])
 	}
 	flow := table.Rows[len(table.Rows)-1]
-	if !strings.Contains(flow[0], "flow meter") {
+	if !strings.Contains(flow[0].Text, "flow meter") {
 		t.Fatalf("last row not flow meter: %v", flow)
 	}
-	if pctOf(flow[4]) > 5 {
+	if valueOf(t, flow[4]) > 5 {
 		t.Fatalf("flow meter err %v", flow[4])
 	}
 	// Counter-delta rows are corrupted by cross traffic.
 	for _, row := range table.Rows[1 : len(table.Rows)-1] {
-		if pctOf(row[4]) < 10 {
+		if valueOf(t, row[4]) < 10 {
 			t.Fatalf("counter row unexpectedly accurate: %v", row)
 		}
 	}
@@ -202,9 +173,9 @@ func TestE10Shape(t *testing.T) {
 	// Rows come in blocks of 4 per size: parallel, sequencer, cots, hybrid.
 	var parLoads, seqLoads, cotsLoads []float64
 	for i := 0; i+3 < len(table.Rows); i += 4 {
-		parLoads = append(parLoads, bpsOf(table.Rows[i][2]))
-		seqLoads = append(seqLoads, bpsOf(table.Rows[i+1][2]))
-		cotsLoads = append(cotsLoads, bpsOf(table.Rows[i+2][2]))
+		parLoads = append(parLoads, valueOf(t, table.Rows[i][2]))
+		seqLoads = append(seqLoads, valueOf(t, table.Rows[i+1][2]))
+		cotsLoads = append(cotsLoads, valueOf(t, table.Rows[i+2][2]))
 	}
 	last := len(parLoads) - 1
 	if parLoads[last] < 3*parLoads[0] {
@@ -221,10 +192,10 @@ func TestE10Shape(t *testing.T) {
 func TestE11Shape(t *testing.T) {
 	table := E11(true)
 	first, last := table.Rows[0], table.Rows[len(table.Rows)-1]
-	if durOf(last[1]) <= durOf(first[1]) {
+	if valueOf(t, last[1]) <= valueOf(t, first[1]) {
 		t.Fatalf("detection latency should grow with interval: %v -> %v", first[1], last[1])
 	}
-	if bpsOf(last[2]) >= bpsOf(first[2]) {
+	if valueOf(t, last[2]) >= valueOf(t, first[2]) {
 		t.Fatalf("overhead should shrink with interval: %v -> %v", first[2], last[2])
 	}
 }
@@ -232,10 +203,10 @@ func TestE11Shape(t *testing.T) {
 func TestA1Shape(t *testing.T) {
 	table := A1(true)
 	overload := table.Rows[len(table.Rows)-1]
-	if pctOf(overload[2]) < pctOf(overload[1])+20 {
+	if valueOf(t, overload[2]) < valueOf(t, overload[1])+20 {
 		t.Fatalf("informs not clearly better than traps at overload: %v", overload)
 	}
-	if pctOf(overload[2]) < 90 {
+	if valueOf(t, overload[2]) < 90 {
 		t.Fatalf("inform delivery at overload only %v", overload[2])
 	}
 }

@@ -108,8 +108,8 @@ func (c *Chart) String() string {
 		fmt.Fprintf(&b, "%s |%s\n", label, string(row))
 	}
 	fmt.Fprintf(&b, "%s +%s\n", strings.Repeat(" ", lblW), strings.Repeat("-", w))
-	left := Dur(minX)
-	right := Dur(maxX)
+	left := Dur(minX).Text
+	right := Dur(maxX).Text
 	pad := w - len(left) - len(right)
 	if pad < 1 {
 		pad = 1

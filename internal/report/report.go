@@ -4,6 +4,8 @@ package report
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -14,15 +16,50 @@ type Table struct {
 	Title   string
 	Paper   string // what the paper reports (the claim being reproduced)
 	Columns []string
-	Rows    [][]string
+	Rows    [][]Cell
 	Notes   []string
 }
 
-// AddRow appends a row, formatting each cell with %v.
+// Cell is one table cell: the text the table renders and, for a measured
+// quantity, the value before rounding and its unit. Readers that want the
+// number take Value; nothing parses Text back.
+type Cell struct {
+	Text  string
+	Value float64
+	// Unit is "bits/s", "%" (Value in percent points), "s", or "" for a
+	// count or plain number.
+	Unit string
+	// Numeric marks Value and Unit as meaningful; a label or a "-" is not.
+	Numeric bool
+}
+
+// String returns the rendered text.
+func (c Cell) String() string { return c.Text }
+
+// Num is a numeric cell rendered as text. A NaN or infinite v stays a text
+// cell: JSON cannot carry it.
+func Num(text string, v float64, unit string) Cell {
+	return Cell{Text: text, Value: v, Unit: unit, Numeric: !math.IsNaN(v) && !math.IsInf(v, 0)}
+}
+
+// AddRow appends a row. A Cell is kept as it is; an int, a uint64 or a
+// float64 becomes a plain numeric cell; anything else is text, formatted
+// with %v.
 func (t *Table) AddRow(cells ...any) {
-	row := make([]string, len(cells))
+	row := make([]Cell, len(cells))
 	for i, c := range cells {
-		row[i] = fmt.Sprintf("%v", c)
+		switch v := c.(type) {
+		case Cell:
+			row[i] = v
+		case int:
+			row[i] = Num(strconv.Itoa(v), float64(v), "")
+		case uint64:
+			row[i] = Num(strconv.FormatUint(v, 10), float64(v), "")
+		case float64:
+			row[i] = Num(fmt.Sprint(v), v, "")
+		default:
+			row[i] = Cell{Text: fmt.Sprint(v)}
+		}
 	}
 	t.Rows = append(t.Rows, row)
 }
@@ -45,8 +82,8 @@ func (t *Table) String() string {
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) && len(cell.Text) > widths[i] {
+				widths[i] = len(cell.Text)
 			}
 		}
 	}
@@ -66,7 +103,7 @@ func (t *Table) String() string {
 	}
 	line(sep)
 	for _, row := range t.Rows {
-		line(row)
+		line(texts(row))
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
@@ -84,7 +121,7 @@ func (t *Table) Markdown() string {
 	b.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
 	b.WriteString("|" + strings.Repeat("---|", len(t.Columns)) + "\n")
 	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
+		b.WriteString("| " + strings.Join(texts(row), " | ") + " |\n")
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "\n*%s*\n", n)
@@ -92,41 +129,52 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Bps formats a bit rate with engineering units.
-func Bps(v float64) string {
-	switch {
-	case v >= 1e9:
-		return fmt.Sprintf("%.2f Gb/s", v/1e9)
-	case v >= 1e6:
-		return fmt.Sprintf("%.2f Mb/s", v/1e6)
-	case v >= 1e3:
-		return fmt.Sprintf("%.1f kb/s", v/1e3)
-	default:
-		return fmt.Sprintf("%.0f b/s", v)
+// texts returns a row's rendered cells.
+func texts(row []Cell) []string {
+	out := make([]string, len(row))
+	for i, c := range row {
+		out[i] = c.Text
 	}
+	return out
 }
 
-// Pct formats a 0..1 fraction as a percentage.
-func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
+// Bps formats a bit rate with engineering units.
+func Bps(v float64) Cell {
+	var text string
+	switch {
+	case v >= 1e9:
+		text = fmt.Sprintf("%.2f Gb/s", v/1e9)
+	case v >= 1e6:
+		text = fmt.Sprintf("%.2f Mb/s", v/1e6)
+	case v >= 1e3:
+		text = fmt.Sprintf("%.1f kb/s", v/1e3)
+	default:
+		text = fmt.Sprintf("%.0f b/s", v)
+	}
+	return Num(text, v, "bits/s")
+}
 
-// Dur formats a duration rounded for tables.
-func Dur(d time.Duration) string {
+// Pct formats a 0..1 fraction as a percentage; its value is in percent
+// points.
+func Pct(v float64) Cell { return Num(fmt.Sprintf("%.1f%%", v*100), v*100, "%") }
+
+// Dur formats a duration rounded for tables; its value is in seconds.
+func Dur(d time.Duration) Cell {
+	var text string
 	switch {
 	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
+		text = fmt.Sprintf("%.2fs", d.Seconds())
 	case d >= time.Millisecond:
-		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
+		text = fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
 	default:
-		return fmt.Sprintf("%.0fµs", float64(d)/float64(time.Microsecond))
+		text = fmt.Sprintf("%.0fµs", float64(d)/float64(time.Microsecond))
 	}
+	return Num(text, d.Seconds(), "s")
 }
 
 // Count formats an integer with thousands separators.
-func Count(n uint64) string {
-	s := fmt.Sprintf("%d", n)
-	if len(s) <= 3 {
-		return s
-	}
+func Count(n uint64) Cell {
+	s := strconv.FormatUint(n, 10)
 	var out []byte
 	for i, c := range []byte(s) {
 		if i > 0 && (len(s)-i)%3 == 0 {
@@ -134,5 +182,5 @@ func Count(n uint64) string {
 		}
 		out = append(out, c)
 	}
-	return string(out)
+	return Num(string(out), float64(n), "")
 }

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -53,22 +54,38 @@ func TestMarkdown(t *testing.T) {
 	}
 }
 
+// TestFormatters checks each formatter's rendered text and the value and
+// unit it keeps behind it, unrounded.
 func TestFormatters(t *testing.T) {
-	cases := []struct{ got, want string }{
-		{Bps(1.5e9), "1.50 Gb/s"},
-		{Bps(2.18e6), "2.18 Mb/s"},
-		{Bps(4500), "4.5 kb/s"},
-		{Bps(12), "12 b/s"},
-		{Pct(0.123), "12.3%"},
-		{Dur(1500 * time.Millisecond), "1.50s"},
-		{Dur(2500 * time.Microsecond), "2.50ms"},
-		{Dur(12 * time.Microsecond), "12µs"},
-		{Count(1234567), "1,234,567"},
-		{Count(999), "999"},
+	cases := []struct {
+		got   Cell
+		text  string
+		value float64
+		unit  string
+	}{
+		{Bps(1.5e9), "1.50 Gb/s", 1.5e9, "bits/s"},
+		{Bps(2184533), "2.18 Mb/s", 2184533, "bits/s"},
+		{Bps(4500), "4.5 kb/s", 4500, "bits/s"},
+		{Bps(12), "12 b/s", 12, "bits/s"},
+		{Pct(0.123), "12.3%", 0.123 * 100, "%"},
+		{Pct(0.12345), "12.3%", 0.12345 * 100, "%"},
+		{Dur(1500 * time.Millisecond), "1.50s", 1.5, "s"},
+		{Dur(2500 * time.Microsecond), "2.50ms", 0.0025, "s"},
+		{Dur(12345 * time.Nanosecond), "12µs", 12.345e-6, "s"},
+		{Count(1234567), "1,234,567", 1234567, ""},
+		{Count(999), "999", 999, ""},
 	}
 	for _, c := range cases {
-		if c.got != c.want {
-			t.Fatalf("got %q want %q", c.got, c.want)
+		if c.got.Text != c.text || c.got.Value != c.value || c.got.Unit != c.unit || !c.got.Numeric {
+			t.Errorf("got %+v, want text %q value %g unit %q", c.got, c.text, c.value, c.unit)
+		}
+		if c.got.String() != c.text {
+			t.Errorf("String() = %q, want %q", c.got.String(), c.text)
+		}
+	}
+	for _, c := range []Cell{Pct(math.NaN()), Bps(math.Inf(1)), Num("-", math.Inf(-1), "s")} {
+		if c.Numeric {
+			t.Errorf("%+v is numeric; JSON cannot carry its value", c)
 		}
 	}
 }

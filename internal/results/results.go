@@ -22,10 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/report"
 )
@@ -160,83 +156,31 @@ func (w *Writer) Records() int {
 // cell — so the whole existing suite produces envelopes without
 // per-experiment code. The batch key is "<table id>/rowNN/<row label>"
 // (the row index keeps repeated labels distinct), the metric is the
-// column name, and the unit comes from the cell's formatting. The table
-// is not modified. Tables carry no timeline, so AtNS is 0.
+// column name, and the sample and unit are the cell's value before
+// rounding and its unit. The table is not modified. Tables carry no
+// timeline, so AtNS is 0.
 func FromTable(t *report.Table) []Record {
 	var recs []Record
 	for i, row := range t.Rows {
 		label := ""
 		if len(row) > 0 {
-			label = row[0]
+			label = row[0].Text
 		}
 		batch := fmt.Sprintf("%s/row%02d/%s", t.ID, i, label)
 		for j, cell := range row {
 			if j >= len(t.Columns) {
 				break
 			}
-			v, unit, ok := ParseCell(cell)
-			if !ok {
+			if !cell.Numeric {
 				continue
 			}
 			recs = append(recs, Record{
 				Batch:   batch,
 				Metric:  t.Columns[j],
-				Unit:    unit,
-				Samples: []float64{v},
+				Unit:    cell.Unit,
+				Samples: []float64{cell.Value},
 			})
 		}
 	}
 	return recs
-}
-
-// ParseCell recovers a numeric value from a formatted table cell, undoing
-// the report package's formatters: durations ("3.06s", "12.34ms", "510µs")
-// become seconds, rates ("2.18 Mb/s", "43.5 kb/s") become bits/s,
-// percentages ("12.5%") stay in percent points, and counts keep their
-// thousands separators ("12,320"). ok is false for non-numeric cells.
-func ParseCell(s string) (v float64, unit string, ok bool) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "-" {
-		return 0, "", false
-	}
-	// Rates: "<number> <scale>b/s".
-	if i := strings.IndexByte(s, ' '); i > 0 && strings.HasSuffix(s, "b/s") {
-		n, err := strconv.ParseFloat(s[:i], 64)
-		if err != nil {
-			return 0, "", false
-		}
-		switch s[i+1:] {
-		case "b/s":
-			return n, "bits/s", true
-		case "kb/s":
-			return n * 1e3, "bits/s", true
-		case "Mb/s":
-			return n * 1e6, "bits/s", true
-		case "Gb/s":
-			return n * 1e9, "bits/s", true
-		}
-		return 0, "", false
-	}
-	if strings.HasSuffix(s, "%") {
-		n, err := strconv.ParseFloat(s[:len(s)-1], 64)
-		if err != nil {
-			return 0, "", false
-		}
-		return n, "%", true
-	}
-	// Plain numbers, possibly with thousands separators. ParseFloat also
-	// accepts "inf"/"NaN", which JSON cannot carry — reject those.
-	if n, err := strconv.ParseFloat(strings.ReplaceAll(s, ",", ""), 64); err == nil {
-		if math.IsInf(n, 0) || math.IsNaN(n) {
-			return 0, "", false
-		}
-		return n, "", true
-	}
-	// Durations last: ParseDuration accepts compound forms ("1m30s"), and
-	// report.Dur only ever emits single-unit values, but accepting the
-	// general form costs nothing.
-	if d, err := time.ParseDuration(s); err == nil {
-		return d.Seconds(), "s", true
-	}
-	return 0, "", false
 }

@@ -3,6 +3,7 @@ package results
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -225,73 +226,36 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestParseCell(t *testing.T) {
-	cases := []struct {
-		in   string
-		v    float64
-		unit string
-		ok   bool
-	}{
-		{"2.18 Mb/s", 2.18e6, "bits/s", true},
-		{"43.5 kb/s", 43.5e3, "bits/s", true},
-		{"1.20 Gb/s", 1.2e9, "bits/s", true},
-		{"512 b/s", 512, "bits/s", true},
-		{"12.5%", 12.5, "%", true},
-		{"12,320", 12320, "", true},
-		{"7", 7, "", true},
-		{"-0.25", -0.25, "", true},
-		{"3.06s", 3.06, "s", true},
-		{"12.34ms", 0.01234, "s", true},
-		{"510µs", 0.00051, "s", true},
-		{"", 0, "", false},
-		{"-", 0, "", false},
-		{"s1->c5", 0, "", false},
-		{"inf", 0, "", false},
-		{"NaN", 0, "", false},
-		{"2.18 MB/s", 0, "", false}, // bytes/s is not a unit the tables emit
-	}
-	for _, c := range cases {
-		v, unit, ok := ParseCell(c.in)
-		if ok != c.ok || (ok && (v != c.v || unit != c.unit)) {
-			t.Errorf("ParseCell(%q) = (%g, %q, %v), want (%g, %q, %v)", c.in, v, unit, ok, c.v, c.unit, c.ok)
-		}
-	}
-	// report formatter round trips: the unparse side must undo the format.
-	if v, unit, ok := ParseCell(report.Bps(2184533)); !ok || unit != "bits/s" || v < 2.1e6 || v > 2.2e6 {
-		t.Errorf("Bps round trip = (%g, %q, %v)", v, unit, ok)
-	}
-	if v, _, ok := ParseCell(report.Dur(1234 * time.Millisecond)); !ok || v < 1.2 || v > 1.3 {
-		t.Errorf("Dur round trip = (%g, %v)", v, ok)
-	}
-}
-
+// TestFromTable: one record per numeric cell, carrying the value the cell
+// was built from, not its rounded text, and the cell's unit. A label, a "-",
+// NaN and ±Inf (which JSON cannot carry) give none.
 func TestFromTable(t *testing.T) {
 	tab := &report.Table{
 		ID:      "E1",
-		Columns: []string{"mode", "throughput", "overhead"},
-		Rows: [][]string{
-			{"hifi", "2.18 Mb/s", "1.2%"},
-			{"hifi", "2.20 Mb/s", "-"}, // repeated label, one numeric cell
-		},
+		Columns: []string{"mode", "throughput", "overhead", "samples", "path", "latency", "skew"},
 	}
+	tab.AddRow("hifi", report.Bps(2184533), report.Pct(0.01234), 27, "s1->c5", report.Dur(1234*time.Millisecond), math.NaN())
+	tab.AddRow("hifi", report.Bps(2.2e6), "-", uint64(12320), "s2->c5", "-", math.Inf(1)) // repeated label
+	tab.AddRow("cots", report.Bps(0), "-", 0, "s3->c5", "-", -0.25)
 	before := fmt.Sprintf("%+v", tab)
 	recs := FromTable(tab)
 	if after := fmt.Sprintf("%+v", tab); after != before {
 		t.Fatal("FromTable mutated the table")
 	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3: %+v", len(recs), recs)
+	want := []Record{
+		{Batch: "E1/row00/hifi", Metric: "throughput", Unit: "bits/s", Samples: []float64{2184533}},
+		{Batch: "E1/row00/hifi", Metric: "overhead", Unit: "%", Samples: []float64{0.01234 * 100}},
+		{Batch: "E1/row00/hifi", Metric: "samples", Samples: []float64{27}},
+		{Batch: "E1/row00/hifi", Metric: "latency", Unit: "s", Samples: []float64{1.234}},
+		// Row indices keep repeated labels distinct.
+		{Batch: "E1/row01/hifi", Metric: "throughput", Unit: "bits/s", Samples: []float64{2.2e6}},
+		{Batch: "E1/row01/hifi", Metric: "samples", Samples: []float64{12320}},
+		{Batch: "E1/row02/cots", Metric: "throughput", Unit: "bits/s", Samples: []float64{0}},
+		{Batch: "E1/row02/cots", Metric: "samples", Samples: []float64{0}},
+		{Batch: "E1/row02/cots", Metric: "skew", Samples: []float64{-0.25}},
 	}
-	if recs[0].Batch != "E1/row00/hifi" || recs[0].Metric != "throughput" ||
-		recs[0].Unit != "bits/s" || recs[0].Samples[0] != 2.18e6 {
-		t.Errorf("record 0 wrong: %+v", recs[0])
-	}
-	if recs[1].Metric != "overhead" || recs[1].Unit != "%" || recs[1].Samples[0] != 1.2 {
-		t.Errorf("record 1 wrong: %+v", recs[1])
-	}
-	// Row indices keep repeated labels distinct.
-	if recs[2].Batch != "E1/row01/hifi" {
-		t.Errorf("record 2 batch = %q", recs[2].Batch)
+	if got, exp := fmt.Sprintf("%+v", recs), fmt.Sprintf("%+v", want); got != exp {
+		t.Errorf("FromTable =\n%s\nwant\n%s", got, exp)
 	}
 }
 

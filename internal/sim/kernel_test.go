@@ -467,12 +467,30 @@ func TestCloseUnwindsInSpawnOrder(t *testing.T) {
 	}
 }
 
+// settledGoroutines counts the process's goroutines once the count has held
+// still for a few reads, so a goroutine the previous test left runnable
+// (its tRunner unwinding) has exited before it is counted. It gives up
+// after about a second and returns the last count.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for i := 0; i < 1000 && still < 5; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // TestCloseLeavesNoGoroutines: every proc's coroutine is backed by a
 // goroutine of the runtime's; Close must leave none behind, whether the proc
 // had finished, was parked, or had never started.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	k := NewKernel()
+	defer k.Close() // a failed check must not leave 30 procs to the next run's baseline
 	q := NewQueue[int](k, 0)
 	for i := 0; i < 10; i++ {
 		k.Spawn("finished", func(p *Proc) { p.Sleep(time.Millisecond) })
