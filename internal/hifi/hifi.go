@@ -76,6 +76,20 @@ type Monitor struct {
 	meas    []core.Measurement
 	origins []netsim.Addr
 	ordered []core.Path
+
+	// A concurrent sweep's workers, kept from sweep to sweep: jobs goes to
+	// an idle worker, done brings each measurement set back, idle counts
+	// the workers waiting on jobs (see sweep).
+	jobs *sim.Queue[job]
+	done *sim.Queue[[]core.Measurement]
+	idle int
+}
+
+// job is one path for a concurrent sweep's worker to measure.
+type job struct {
+	path   core.Path
+	wanted []metrics.Metric
+	span   telemetry.Span
 }
 
 var _ core.Monitor = (*Monitor)(nil)
@@ -178,7 +192,8 @@ func (m *Monitor) Start() {
 // sweep measures every path once, honoring the concurrency bound. Paths
 // are grouped by origin server, matching the sequencer's server-by-server
 // operation in Figure 5. The sequencer measures into the monitor's own
-// buffer, so a measured path costs it only the socket of its NTTCP call.
+// buffer, and a concurrent sweep's workers each into their own, so once
+// warm a sweep allocates nothing.
 func (m *Monitor) sweep(p *sim.Proc, req core.Request, sweepSpan telemetry.Span) {
 	paths := m.orderByServer(req.Paths)
 	if m.Concurrency == 1 {
@@ -190,36 +205,55 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request, sweepSpan telemetry.Span)
 		}
 		return
 	}
-	// Bounded-parallel: dispatch up to Concurrency measurements at once
-	// onto per-path procs running on the origin hosts.
-	done := sim.NewQueue[[]core.Measurement](m.nw.K, 0)
-	inFlight := 0
-	launch := func(path core.Path) {
-		node := m.nw.Node(path.Hops[0].Host)
-		node.Spawn("rtds-server-sim", func(sp *sim.Proc) {
-			done.Put(m.measurePath(sp, path, req.Metrics, sweepSpan, nil))
-		})
+	// Bounded-parallel: up to Concurrency measurements at once, each on a
+	// worker proc. A path goes to an idle worker, whose wake-up runs at the
+	// instant a new proc's first run would, or to a new worker if none is
+	// idle, so there are no more workers than the largest Concurrency a
+	// sweep has run at.
+	if m.jobs == nil {
+		m.jobs, m.done = sim.NewQueue[job](m.nw.K, 0), sim.NewQueue[[]core.Measurement](m.nw.K, 0)
 	}
+	inFlight := 0
 	for _, path := range paths {
 		for inFlight >= m.Concurrency {
-			if batch, ok := done.Get(p, -1); ok {
-				inFlight--
-				for _, meas := range batch {
-					m.Publish(meas)
-				}
-			}
+			m.collect(p)
+			inFlight--
 		}
-		launch(path)
+		j := job{path: path, wanted: req.Metrics, span: sweepSpan}
+		if m.idle > 0 {
+			m.idle--
+			m.jobs.Put(j)
+		} else {
+			m.host.Spawn("rtds-server-sim", func(wp *sim.Proc) { m.work(wp, j) })
+		}
 		inFlight++
 	}
-	for inFlight > 0 {
-		if batch, ok := done.Get(p, -1); ok {
-			inFlight--
-			for _, meas := range batch {
-				m.Publish(meas)
-			}
-		}
+	for ; inFlight > 0; inFlight-- {
+		m.collect(p)
 	}
+}
+
+// work is a concurrent sweep's worker: it measures j's path into its own
+// buffer, hands the set back through done and waits for its next job. The
+// buffer is the worker's again only once the sweep has published it, since
+// the sweep hands out no job before it has.
+func (m *Monitor) work(p *sim.Proc, j job) {
+	var meas []core.Measurement
+	for {
+		meas = m.measurePath(p, j.path, j.wanted, j.span, meas[:0])
+		m.done.Put(meas)
+		j, _ = m.jobs.Get(p, -1)
+	}
+}
+
+// collect waits for a worker's measurement set and publishes it; the worker
+// is idle from then on.
+func (m *Monitor) collect(p *sim.Proc) {
+	batch, _ := m.done.Get(p, -1)
+	for _, meas := range batch {
+		m.Publish(meas)
+	}
+	m.idle++
 }
 
 // orderByServer stably groups the valid paths by origin host, the groups

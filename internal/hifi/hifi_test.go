@@ -457,55 +457,116 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 	}
 }
 
-// TestSequencerSweepAllocatesOneObjectPerMeasuredPath: once warm, a
-// Concurrency 1 sweep allocates exactly one object per path it measures,
-// the socket of that path's NTTCP call: the sweep appends every
-// measurement set into the monitor's buffer and regroups the paths, an
-// invalid one skipped, into buffers the monitor keeps.
-func TestSequencerSweepAllocatesOneObjectPerMeasuredPath(t *testing.T) {
+// sweepRig drives sweeps of a monitor over four measured paths and an
+// invalid one on the HiPer-D testbed, one sweep per round.
+type sweepRig struct {
+	m        *Monitor
+	measured []core.Path
+	sweeps   int
+	round    func() // one sweep, run to its end
+}
+
+func newSweepRig(tb testing.TB, concurrency int) *sweepRig {
 	k := sim.NewKernel()
-	defer k.Close()
+	tb.Cleanup(k.Close)
 	h := topo.BuildHiPerD(k, 1)
-	m := New(h.Mgmt, smallCfg(), 1)
 	srv, cli := h.ServerRefs(), h.ClientRefs()
-	measured := []core.Path{
-		core.NewPath(srv[0], cli[0]),
-		core.NewPath(srv[1], cli[0]),
-		core.NewPath(srv[0], cli[1]),
-		core.NewPath(srv[1], cli[1]),
+	r := &sweepRig{
+		m: New(h.Mgmt, smallCfg(), concurrency),
+		measured: []core.Path{
+			core.NewPath(srv[0], cli[0]),
+			core.NewPath(srv[1], cli[0]),
+			core.NewPath(srv[0], cli[1]),
+			core.NewPath(srv[1], cli[1]),
+		},
 	}
 	invalid := core.Path{ID: "invalid", Hops: []core.ProcessRef{srv[0]}}
 	req := core.Request{
-		Paths:   append(append([]core.Path{}, measured...), invalid),
+		Paths:   append(append([]core.Path{}, r.measured...), invalid),
 		Metrics: allMetrics,
 	}
-	m.Submit(req)
+	r.m.Submit(req)
 	trigger := sim.NewQueue[struct{}](k, 0)
-	sweeps := 0
 	h.Mgmt.Spawn("sequencer", func(p *sim.Proc) {
 		for {
 			trigger.Get(p, -1)
-			m.sweep(p, req, telemetry.Span{})
-			sweeps++
+			r.m.sweep(p, req, telemetry.Span{})
+			r.sweeps++
 		}
 	})
 	// A sweep is four bursts of 8 messages 5 ms apart: well inside 2 s.
-	round := func() {
+	r.round = func() {
 		trigger.Put(struct{}{})
 		k.RunUntil(k.Now() + 2*time.Second)
 	}
-	round()
-	round()
-	n := testing.AllocsPerRun(10, round)
-	if sweeps != 2+11 {
-		t.Fatalf("%d sweeps completed, want 13", sweeps)
+	return r
+}
+
+// warmSweepAllocs runs sweeps at the given concurrency, each to its end,
+// and returns what a warm sweep allocates.
+func warmSweepAllocs(t *testing.T, concurrency int) float64 {
+	r := newSweepRig(t, concurrency)
+	m := r.m
+	r.round()
+	r.round()
+	n := testing.AllocsPerRun(10, r.round)
+	if r.sweeps != 2+11 {
+		t.Fatalf("concurrency %d: %d sweeps completed, want 13", concurrency, r.sweeps)
 	}
-	if n != float64(len(measured)) {
-		t.Fatalf("a warm sweep over %d measured paths (and an invalid one) allocates %v objects, want %d",
-			len(measured), n, len(measured))
+	if m.Samples != 13*uint64(len(r.measured)) {
+		t.Fatalf("concurrency %d: %d samples over 13 sweeps, want %d", concurrency, m.Samples, 13*len(r.measured))
 	}
-	if m.Samples != 13*uint64(len(measured)) {
-		t.Fatalf("%d samples over 13 sweeps, want %d", m.Samples, 13*len(measured))
+	for _, path := range r.measured {
+		if meas, ok := m.Query(path.ID, metrics.Throughput); !ok || !meas.OK() {
+			t.Fatalf("concurrency %d: %s throughput %v, %v", concurrency, path.ID, meas, ok)
+		}
+	}
+	// Between sweeps every worker is idle; a sweep never spawns one too many.
+	if want := min(concurrency, len(r.measured)); concurrency > 1 && m.idle != want {
+		t.Fatalf("concurrency %d: %d workers, want %d", concurrency, m.idle, want)
+	}
+	return n
+}
+
+// BenchmarkSequencerSweep times one warm Concurrency 1 sweep over four
+// measured paths (and an invalid one): four NTTCP bursts of 8 messages.
+func BenchmarkSequencerSweep(b *testing.B) {
+	r := newSweepRig(b, 1)
+	const warm = 2 // warmSweepAllocs's warm-up
+	for i := 0; i < warm; i++ {
+		r.round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.round()
+	}
+	b.StopTimer()
+	if r.sweeps != b.N+warm || r.m.Samples != uint64(len(r.measured)*r.sweeps) {
+		b.Fatalf("%d sweeps, %d samples for %d rounds", r.sweeps, r.m.Samples, b.N+warm)
+	}
+}
+
+// TestSequencerSweepAllocatesNothing: once warm, a Concurrency 1 sweep
+// allocates nothing: the sweep appends every measurement set into the
+// monitor's buffer, regroups the paths, an invalid one skipped, into
+// buffers the monitor keeps, and each NTTCP call reopens its adapter's
+// socket.
+func TestSequencerSweepAllocatesNothing(t *testing.T) {
+	if n := warmSweepAllocs(t, 1); n != 0 {
+		t.Fatalf("a warm sweep over 4 measured paths (and an invalid one) allocates %v objects, want 0", n)
+	}
+}
+
+// TestConcurrentSweepAllocatesNothing: once warm, a concurrent sweep
+// allocates nothing either, with a worker per path (Concurrency 4) or fewer
+// (2): the monitor keeps its worker procs and their queues from sweep to
+// sweep, and each worker its measurement buffer.
+func TestConcurrentSweepAllocatesNothing(t *testing.T) {
+	for _, c := range []int{4, 2} {
+		if n := warmSweepAllocs(t, c); n != 0 {
+			t.Fatalf("a warm sweep at concurrency %d over 4 measured paths (and an invalid one) allocates %v objects, want 0", c, n)
+		}
 	}
 }
 

@@ -155,8 +155,7 @@ func TestFreedRecvFrameAllocatesNothing(t *testing.T) {
 
 // TestOpenUDPAllocatesOneObject: once a node's socket table is warm,
 // opening a socket and closing it costs one allocation, the socket, which
-// carries its receive queue. An NTTCP call opens one socket, and this is
-// all it allocates.
+// carries its receive queue.
 func TestOpenUDPAllocatesOneObject(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
@@ -164,6 +163,20 @@ func TestOpenUDPAllocatesOneObject(t *testing.T) {
 	a.OpenUDP(0).Close()
 	if n := testing.AllocsPerRun(200, func() { a.OpenUDP(0).Close() }); n != 1 {
 		t.Fatalf("a warm OpenUDP + Close allocates %v objects, want 1 (the socket)", n)
+	}
+}
+
+// TestReopenAllocatesNothing: once a node's socket table is warm, closing a
+// socket and reopening it on a fresh port costs no allocation: an NTTCP
+// client's adapter does this for each call.
+func TestReopenAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	s := New(k, 1).NewHost("a").OpenUDP(0)
+	s.Close()
+	s.Reopen()
+	if n := testing.AllocsPerRun(200, func() { s.Close(); s.Reopen() }); n != 0 {
+		t.Fatalf("a warm Close + Reopen allocates %v objects, want 0", n)
 	}
 }
 

@@ -345,8 +345,9 @@ func TestReceiveOnlyNetworkCapsFreeList(t *testing.T) {
 // network has bounces across the cut until its TTL runs out, and rA routes
 // "lost" to a host, which drops it as no route. Every host binds a consumer
 // (port 9), a socket a proc drains through Recv (7) and one nobody reads,
-// whose four-deep queue fills (8); port 99 is bound nowhere. The Recv proc
-// frees every frame with an even ID and keeps the rest.
+// whose four-deep queue fills (8); port 99 is bound nowhere. Any of them may
+// close, and reopen on a fresh port. The Recv proc frees every frame with an
+// even ID and keeps the rest.
 type ledgerWorld struct {
 	k     *sim.Kernel // drives the whole run
 	nets  [2]*Network
@@ -366,6 +367,7 @@ type ledgerSide struct {
 
 	// Where payload copies ended, summed by TestLedgerSeedsReachEveryEnding.
 	consumed, received, broadcast, duplicated int
+	reopened                                  int // copies taken at a reopened socket's fresh port
 	freed                                     int // copies a Recv proc gave back
 	dropped                                   [numDropReasons]int
 	seen                                      map[seenKey]bool
@@ -431,6 +433,9 @@ func newLedgerWorld(sharded bool, loss, dup float64) *ledgerWorld {
 			sink.Consume(func(p *Packet) {
 				if side.see(h.Name, p) && p.owns {
 					side.consumed++
+					if p.DstPort != 9 {
+						side.reopened++
+					}
 				}
 			})
 			rx := h.OpenUDP(7)
@@ -443,6 +448,9 @@ func newLedgerWorld(sharded bool, loss, dup float64) *ledgerWorld {
 					copied := side.see(h.Name, pkt)
 					if copied {
 						side.received++
+						if pkt.DstPort != 7 {
+							side.reopened++
+						}
 					}
 					switch {
 					case pkt.ID%2 == 0: // every other frame goes back
@@ -559,9 +567,21 @@ func (w *ledgerWorld) apply(op, x, y byte, t time.Duration, bSends bool) {
 		n := w.nodes[int(x)%len(w.nodes)]
 		ifc := n.Ifaces()[int(y)%len(n.Ifaces())]
 		w.at(n, t, func() { ifc.SetUp(!ifc.up) })
-	case 4: // close a socket
+	case 4: // close a socket; with bit 6 of op set, reopen it on a fresh port
+		// and send itself a copy at the old port and one at the new
 		s := w.socks[int(x)%len(w.socks)]
-		w.at(s.node, t, s.Close)
+		if op&0x40 == 0 {
+			w.at(s.node, t, s.Close)
+			break
+		}
+		size := int(y)%64 + 1
+		w.at(s.node, t, func() {
+			old := s.port
+			s.Close()
+			s.Reopen()
+			s.SendCopy(s.node.Name, old, w.payload(s.node, size), size)
+			s.SendCopy(s.node.Name, s.port, w.payload(s.node, size), size)
+		})
 	case 5: // change the A segment's loss
 		w.at(w.nodes[0], t, func() { w.lanA.SetLossProb(float64(y) / 512) })
 	}
@@ -599,9 +619,10 @@ func (w *ledgerWorld) check(t *testing.T, quiet bool) {
 	}
 }
 
-// ledgerSeeds are FuzzPacketLedger's seed scripts. The last four send with
-// SendCopy (op 0x42, or 0x43 for a burst), and between them reach every way
-// a payload buffer's ownership ends (TestLedgerSeedsReachEveryEnding).
+// ledgerSeeds are FuzzPacketLedger's seed scripts. The last five send with
+// SendCopy (op 0x42, or 0x43 for a burst, and 0x46 reopens a socket), and
+// between them reach every way a payload buffer's ownership ends
+// (TestLedgerSeedsReachEveryEnding).
 var ledgerSeeds = [][]byte{
 	{0, 40, 30, 0, 0, 0x30, 1, 1, 3, 0x13, 2, 2, 1, 0x28, 3},
 	{1, 0, 0, 1, 2, 0x10, 0, 1, 5, 0x08, 4, 0, 0, 0x39, 9},
@@ -632,6 +653,12 @@ var ledgerSeeds = [][]byte{
 	// One kernel, no loss: a burst of copies from a1 fills a0's unread
 	// socket, which then closes with four of them queued.
 	{0, 0, 0, 0x43, 0x04, 0x2c, 0, 4, 1, 0, 10},
+	// One kernel, lossy A: a0's Recv, unread and consumer sockets and a2's
+	// consumer, behind the link, reopen on fresh ports with copies sent to
+	// the old ports and the new; a0's unread socket then closes on its
+	// queue, and its Recv socket reopens a second time.
+	{0, 20, 0, 0x46, 0, 0x10, 0, 0x46, 1, 0x3f, 5, 0x46, 2, 0x20, 10, 0x46, 8, 0x08, 15,
+		4, 1, 0, 20, 0x46, 0, 0x30, 25},
 }
 
 // runLedgerScript runs one FuzzPacketLedger script and returns its world,
@@ -668,7 +695,8 @@ func runLedgerScript(t *testing.T, script []byte) *ledgerWorld {
 // FuzzPacketLedger drives random traffic and faults through two networks
 // joined by a cut — consumer and Recv traffic, with and without payload
 // copies, broadcasts, duplicates, loss, hosts and interfaces going down,
-// closed and unbound ports, a full socket queue and TTL expiry — and holds
+// closed, reopened and unbound ports, a full socket queue and TTL expiry —
+// and holds
 // the three ledger identities and every payload an endpoint saw or keeps at
 // random horizons and at quiescence.
 func FuzzPacketLedger(f *testing.F) {
@@ -682,7 +710,7 @@ func FuzzPacketLedger(f *testing.F) {
 // payload buffer's ownership in every way there is — a consumer, a Recv
 // socket, a Recv proc's Free, a socket closing on its queue, a drop for each
 // reason the world can produce, a broadcast and a duplicate copy, and a
-// crossing of the cut.
+// crossing of the cut — and a copy reaches a reopened socket's fresh port.
 func TestLedgerSeedsReachEveryEnding(t *testing.T) {
 	var total ledgerSide
 	var crossed, closed uint64
@@ -694,6 +722,7 @@ func TestLedgerSeedsReachEveryEnding(t *testing.T) {
 			total.freed += side.freed
 			total.broadcast += side.broadcast
 			total.duplicated += side.duplicated
+			total.reopened += side.reopened
 			for r, n := range side.dropped {
 				total.dropped[r] += n
 			}
@@ -707,7 +736,8 @@ func TestLedgerSeedsReachEveryEnding(t *testing.T) {
 	}
 	ends := []end{{"consumed", total.consumed}, {"received", total.received}, {"freed from Recv", total.freed},
 		{"given back by a closing socket", int(closed)}, {"broadcast", total.broadcast},
-		{"duplicated", total.duplicated}, {"crossing the cut", int(crossed)}}
+		{"duplicated", total.duplicated}, {"crossing the cut", int(crossed)},
+		{"taken at a reopened port", total.reopened}}
 	for r, n := range total.dropped {
 		// The world has no route whose station is missing from its segment.
 		if DropReason(r) != DropNoStation {

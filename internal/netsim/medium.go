@@ -309,6 +309,10 @@ type Link struct {
 	name string
 	cfg  MediumConfig
 	ends [2]linkEnd
+	// ifaces[d] is end d's interface. Ifaces slices the array: a forwarding
+	// miss scans it (Node.resolve), and a slice literal per call would
+	// allocate.
+	ifaces [2]*Iface
 
 	txDoneFn func(any) // l.txDone, bound once
 }
@@ -316,7 +320,6 @@ type Link struct {
 type linkEnd struct {
 	net   *Network
 	shard int
-	ifc   *Iface
 	busy  bool
 }
 
@@ -355,8 +358,8 @@ func ConnectShards(name string, a, b *Node, cfg MediumConfig) *Link {
 	l.txDoneFn = l.txDone
 	l.ends[0] = linkEnd{net: a.net, shard: sa}
 	l.ends[1] = linkEnd{net: b.net, shard: sb}
-	l.ends[0].ifc = a.addIface(l, cfg.QueueCap)
-	l.ends[1].ifc = b.addIface(l, cfg.QueueCap)
+	l.ifaces[0] = a.addIface(l, cfg.QueueCap)
+	l.ifaces[1] = b.addIface(l, cfg.QueueCap)
 	a.net.media = append(a.net.media, l)
 	if b.net != a.net {
 		b.net.media = append(b.net.media, l)
@@ -371,14 +374,14 @@ func (l *Link) Name() string { return l.name }
 func (l *Link) Config() MediumConfig { return l.cfg }
 
 // Ifaces implements Medium.
-func (l *Link) Ifaces() []*Iface { return []*Iface{l.ends[0].ifc, l.ends[1].ifc} }
+func (l *Link) Ifaces() []*Iface { return l.ifaces[:] }
 
 // CrossShard reports whether the endpoints live on different shards.
 func (l *Link) CrossShard() bool { return l.ends[0].shard != l.ends[1].shard }
 
 // dir returns the direction (index into ends) that ifc transmits in.
 func (l *Link) dir(ifc *Iface) int {
-	if ifc == l.ends[0].ifc {
+	if ifc == l.ifaces[0] {
 		return 0
 	}
 	return 1
@@ -425,14 +428,14 @@ func (l *Link) deliver(d int, pkt *Packet) {
 	fn := receiveHop
 	if dst.net != src.net {
 		pkt.dst = 0
-		pkt.hop = dst.ifc
+		pkt.hop = l.ifaces[1-d]
 		src.net.ledger.crossedOut++
 		if pkt.owns {
 			src.net.ledger.bufCrossedOut++
 		}
 		fn = importHop
 	} else {
-		pkt.armHop(dst.ifc)
+		pkt.armHop(l.ifaces[1-d])
 	}
 	at := src.net.K.Now() + l.cfg.PropDelay
 	g := src.net.K.Group()

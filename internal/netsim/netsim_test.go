@@ -334,6 +334,98 @@ func TestSocketCloseUnbinds(t *testing.T) {
 	}
 }
 
+// TestReopenPicksOpenUDPsPorts: a socket closed and reopened again and again
+// binds the ports a twin node's OpenUDP(0) picks when it opens a socket and
+// closes it each time, across the wrap of the ephemeral range, with a port
+// bound on both nodes skipped.
+func TestReopenPicksOpenUDPsPorts(t *testing.T) {
+	_, _, a, b := twoHosts(t)
+	a.OpenUDP(49155)
+	b.OpenUDP(49155)
+	s, twin := a.OpenUDP(0), b.OpenUDP(0)
+	for i := 0; i < 20000; i++ {
+		if s.Port() != twin.Port() {
+			t.Fatalf("call %d: reopened on port %d, OpenUDP(0) picked %d", i, s.Port(), twin.Port())
+		}
+		if s.Port() == 49155 {
+			t.Fatalf("call %d: reopened on a bound port", i)
+		}
+		s.Close()
+		s.Reopen()
+		twin.Close()
+		twin = b.OpenUDP(0)
+	}
+}
+
+// TestReopenKeepsConsumerAndQueue: a reopened socket takes datagrams on its
+// new port, to the consumer it had or into the receive queue it had, with
+// Drops restarted; a datagram to the old port is dropped as no-port, and
+// the packet ledger balances.
+func TestReopenKeepsConsumerAndQueue(t *testing.T) {
+	k, nw, a, b := twoHosts(t)
+	var noPort int
+	nw.OnDrop = func(r DropReason, _ *Packet) {
+		if r == DropNoPort {
+			noPort++
+		}
+	}
+	consumed := 0
+	cs := b.OpenUDP(0)
+	cs.Consume(func(*Packet) { consumed++ })
+	qs := b.OpenUDP(0)
+	tx := a.OpenUDP(0)
+	// send paces n datagrams a millisecond apart, so none waits at a's
+	// interface queue.
+	send := func(port Port, n int) {
+		for i := 0; i < n; i++ {
+			k.After(time.Duration(i)*time.Millisecond, func() { tx.SendCopy("b", port, []byte("probe"), 64) })
+		}
+		k.Run()
+	}
+	send(qs.Port(), DefaultSockQueue+3)
+	if qs.Drops != 3 {
+		t.Fatalf("%d datagrams past a full queue counted as %d drops", 3, qs.Drops)
+	}
+	for _, s := range []*UDPSock{cs, qs} {
+		old := s.Port()
+		s.Close()
+		s.Reopen()
+		if s.Port() == old {
+			t.Fatalf("reopened on its old port %d", old)
+		}
+		send(old, 1)
+	}
+	if noPort != 2 {
+		t.Fatalf("%d datagrams to the old ports dropped as no-port, want 2", noPort)
+	}
+	if qs.Drops != 0 {
+		t.Fatalf("Drops = %d after Reopen, want 0", qs.Drops)
+	}
+	send(cs.Port(), 2)
+	if consumed != 2 {
+		t.Fatalf("consumer took %d of 2 datagrams to the reopened port", consumed)
+	}
+	send(qs.Port(), DefaultSockQueue+1)
+	if qs.rq.Len() != DefaultSockQueue || qs.Drops != 1 {
+		t.Fatalf("reopened socket queued %d and dropped %d of %d, want %d and 1",
+			qs.rq.Len(), qs.Drops, DefaultSockQueue+1, DefaultSockQueue)
+	}
+	qs.Close()
+	mustBalanceNow(t, nw)
+}
+
+// TestReopenOpenSocketPanics: only a closed socket may be reopened.
+func TestReopenOpenSocketPanics(t *testing.T) {
+	_, _, a, _ := twoHosts(t)
+	s := a.OpenUDP(0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reopen of an open socket did not panic")
+		}
+	}()
+	s.Reopen()
+}
+
 func TestIfaceCountersMonotonic(t *testing.T) {
 	// Property: counters never decrease across a run, and octets >= pkts
 	// (packets have positive size).

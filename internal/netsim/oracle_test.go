@@ -134,7 +134,7 @@ func (o *fwdOracle) send(src *Node, dst Addr, dport Port, size int) {
 		case *Link:
 			o.iface(out).OutPkts++
 			o.iface(out).OutOctets += octets
-			rcv = m.ends[1-m.dir(out)].ifc
+			rcv = m.ifaces[1-m.dir(out)]
 		}
 		n = rcv.node
 		if !n.up {
@@ -696,6 +696,41 @@ func TestEventsPerDatagram(t *testing.T) {
 		if n := k.Run(); n != tc.events || tc.sink.Received != 1 {
 			t.Errorf("datagram to %s: %d events, %d received; want %d, 1", tc.dst, n, tc.sink.Received, tc.events)
 		}
+	}
+}
+
+// TestForwardingMissDoesNotAllocate: a forwarding miss allocates nothing
+// once the table has grown to the destination, on a segment hop and on a
+// point-to-point link hop (a miss scans the egress medium's Ifaces). A route
+// change before every datagram leaves each entry stale, so each hop misses.
+func TestForwardingMissDoesNotAllocate(t *testing.T) {
+	k := sim.NewKernel()
+	t.Cleanup(k.Close)
+	nw := New(k, 1)
+	a, c := nw.NewHost("a"), nw.NewHost("c")
+	r := nw.NewRouter("r", 10*time.Microsecond)
+	lan := nw.NewSegment("lan", Ethernet100())
+	lan.Attach(a)
+	lan.Attach(r)
+	nw.NewLink("link", r, c, ATMLink())
+	a.SetDefaultRoute("r")
+	sink := NewSink(c, sinkPort)
+	sock := a.OpenUDP(0)
+	miss := func() {
+		gen := nw.gen
+		a.SetDefaultRoute("r")
+		if nw.gen == gen {
+			t.Fatal("SetDefaultRoute left the forwarding generation as it was")
+		}
+		sock.SendSize("c", sinkPort, 100)
+		k.Run()
+	}
+	miss()
+	if n := testing.AllocsPerRun(100, miss); n != 0 {
+		t.Errorf("%v allocations per datagram that misses at every hop, want 0", n)
+	}
+	if sink.Received != 102 {
+		t.Errorf("sink received %d datagrams, want 102", sink.Received)
 	}
 }
 

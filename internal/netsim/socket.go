@@ -13,7 +13,8 @@ import (
 const DefaultSockQueue = 128
 
 // UDPSock is an unreliable datagram endpoint on a node. It carries its
-// receive queue, so opening one costs a single object.
+// receive queue, so opening one costs a single object, and its owner may
+// Close it and Reopen it on a fresh port, which costs none.
 type UDPSock struct {
 	node   *Node
 	port   Port
@@ -36,16 +37,7 @@ type UDPSock struct {
 // simulation scenario).
 func (n *Node) OpenUDP(port Port) *UDPSock {
 	if port == 0 {
-		if n.nextPort < 49152 {
-			n.nextPort = 49152
-		}
-		for {
-			n.nextPort++
-			if _, taken := n.sockets[n.nextPort]; !taken {
-				port = n.nextPort
-				break
-			}
-		}
+		port = n.ephemeralPort()
 	}
 	if _, taken := n.sockets[port]; taken {
 		panic(fmt.Sprintf("netsim: %s port %d already bound", n.Name, port))
@@ -54,6 +46,34 @@ func (n *Node) OpenUDP(port Port) *UDPSock {
 	s.rq.Init(n.net.K, DefaultSockQueue)
 	n.sockets[port] = s
 	return s
+}
+
+// ephemeralPort picks the next free port above 49152.
+func (n *Node) ephemeralPort() Port {
+	if n.nextPort < 49152 {
+		n.nextPort = 49152
+	}
+	for {
+		n.nextPort++
+		if _, taken := n.sockets[n.nextPort]; !taken {
+			return n.nextPort
+		}
+	}
+}
+
+// Reopen binds a closed socket to the next ephemeral port, the one
+// OpenUDP(0) would pick, keeping its consumer and its receive queue (which
+// Close emptied) and restarting Drops. A datagram to the old port is dropped
+// as no-port, as it would be after a Close and an OpenUDP(0). Only the
+// socket's owner reopens it — a handle someone else kept would reach the new
+// port — and reopening an open socket panics.
+func (s *UDPSock) Reopen() {
+	if !s.closed {
+		panic(fmt.Sprintf("netsim: %s port %d reopened while open", s.node.Name, s.port))
+	}
+	n := s.node
+	s.port, s.closed, s.Drops = n.ephemeralPort(), false, 0
+	n.sockets[s.port] = s
 }
 
 // Port returns the bound port.

@@ -408,23 +408,23 @@ func (s *Server) consume(pkt *netsim.Packet) {
 }
 
 // simLink runs the engine on the simulator: the calling proc (whose Now
-// and Sleep it promotes), its node's clock, a socket opened for the call
-// and the responder it is pointed at. A datagram carries only the header,
-// which the network copies out of hdr; a burst message's Size says MsgLen. The
+// and Sleep it promotes), its node's clock, the link's socket and the
+// responder it is pointed at. A datagram carries only the header, which the
+// network copies out of hdr; a burst message's Size says MsgLen. The
 // socket's consumer decodes each arriving header into the link's own queue
 // in the event that delivers it, so the frame goes back to the network at
 // once; recv takes from that queue, whose Put wakes the proc as the
 // socket's receive queue would. The link outlives its call (Client.idle),
-// and so do its queue and consumer.
+// and so do its socket, closed between calls and reopened on a fresh port
+// for the next, its queue and its consumer.
 type simLink struct {
 	*sim.Proc
 	node *netsim.Node
 	sock *netsim.UDPSock
 	to   simPeer
 
-	hdr     [headerSize]byte
-	rq      sim.Queue[header]
-	consume func(*netsim.Packet) // l.deliver, bound once
+	hdr [headerSize]byte
+	rq  sim.Queue[header]
 }
 
 func (l *simLink) send(h header, size int) {
@@ -458,29 +458,33 @@ func NewClient(node *netsim.Node, cfg Config) *Client {
 	return &Client{Node: node, prober: prober{Config: cfg.withDefaults()}}
 }
 
-// dial opens a socket for one call and points an adapter at target:port.
-// Several procs can be inside one Client at once (hifi measures paths that
-// share a source concurrently), so socket and adapter are per call; hangUp
-// keeps the adapter, with its queue and consumer, so that a measurement
+// dial points an idle adapter at target:port, or a new one if none is
+// idle. Several procs can be inside one Client at once (hifi measures paths
+// that share a source concurrently), so each call has an adapter of its
+// own. An adapter's first call opens its socket and sets its consumer;
+// every later call reopens it on the next ephemeral port, so the port is new
+// for each call, as an OpenUDP(0) per call would make it, and a measurement
 // allocates nothing for the seam.
 func (c *Client) dial(p *sim.Proc, target netsim.Addr, port netsim.Port) *simLink {
 	if port == 0 {
 		port = Port
 	}
-	if len(c.idle) == 0 {
-		l := &simLink{node: c.Node}
+	var l *simLink
+	if n := len(c.idle); n > 0 {
+		l = c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		l.sock.Reopen()
+	} else {
+		l = &simLink{node: c.Node, sock: c.Node.OpenUDP(0)}
 		l.rq.Init(c.Node.Network().K, netsim.DefaultSockQueue)
-		l.consume = l.deliver
-		c.idle = append(c.idle, l)
+		l.sock.Consume(l.deliver)
 	}
-	l := c.idle[len(c.idle)-1]
-	c.idle = c.idle[:len(c.idle)-1]
-	l.Proc, l.sock, l.to = p, c.Node.OpenUDP(0), simPeer{target, port}
-	l.sock.Consume(l.consume)
+	l.Proc, l.to = p, simPeer{target, port}
 	return l
 }
 
-// hangUp closes the call's socket, so a late reply is dropped as no-port,
+// hangUp closes the call's socket, so a late reply is dropped as no-port —
+// the next call reopens it on another port, so the reply stays dropped —
 // and empties the link's queue, so a reply the call did not wait for
 // reaches no later call.
 func (c *Client) hangUp(l *simLink) {

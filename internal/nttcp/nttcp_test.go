@@ -253,12 +253,11 @@ func TestConcurrentMeasurementsDistinctTestIDs(t *testing.T) {
 }
 
 // TestMeasureAllocatesNothingPerMessage: once warm, a simulated Measure
-// costs the same few allocations at 8 and at 64 burst messages, so a
-// message costs none — the client sends each header as a network-owned
-// copy and takes each reply in the event that delivers it, and the
-// responder runs no proc. What a measurement does cost is one object: the
-// socket it opens for the call (netsim.Node.OpenUDP; the socket carries its
-// receive queue, and the client's adapter and its queue are reused).
+// allocates nothing at 8 and at 64 burst messages — the client sends each
+// header as a network-owned copy and takes each reply in the event that
+// delivers it, the responder runs no proc, and the client's adapter keeps
+// its queue and its socket, which each call reopens on a fresh port
+// (netsim.UDPSock.Reopen).
 func TestMeasureAllocatesNothingPerMessage(t *testing.T) {
 	const period = time.Second
 	perMeasure := func(count int) float64 {
@@ -287,8 +286,8 @@ func TestMeasureAllocatesNothingPerMessage(t *testing.T) {
 	if n8 != n64 {
 		t.Fatalf("a measurement allocates %v objects at 8 messages and %v at 64: messages allocate", n8, n64)
 	}
-	if n8 != 1 {
-		t.Fatalf("a measurement allocates %v objects, want 1 (its socket)", n8)
+	if n8 != 0 {
+		t.Fatalf("a measurement allocates %v objects, want 0", n8)
 	}
 }
 
