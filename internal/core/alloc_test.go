@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -55,6 +57,63 @@ func TestRecordAllocatesNothing(t *testing.T) {
 	if want := 22 * 300 / 16; sink.batches != want {
 		t.Errorf("results sink saw %d batches, want %d", sink.batches, want)
 	}
+}
+
+// TestNewSeriesAllocations: the first Record of a series allocates the
+// series (with its sketch when sketches are on), its ring, and its results
+// buffer when results are on; nothing else. With both on, at the default
+// depth, that is 2,304 + 2,688 + 128 B in size classes: the series and its
+// sketch fit one 2,304 B class only while dbSeries stays at most 248 B.
+func TestNewSeriesAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		sketches, results bool
+		objects           float64
+		bytes             uint64
+	}{
+		{"bare", false, false, 2, 240 + 2688},
+		{"sketches", true, false, 2, 2304 + 2688},
+		{"results", false, true, 3, 240 + 2688 + 128},
+		{"sketches and results", true, true, 3, 2304 + 2688 + 128},
+	} {
+		db := NewDatabase()
+		if tc.sketches {
+			db.EnableSketches(sketch.Thresholds{})
+		}
+		if tc.results {
+			db.EnableResults(&countSink{}, 16)
+		}
+		paths := make([]PathID, 8)
+		for j := range paths {
+			paths[j] = PathID(fmt.Sprint(j))
+		}
+		i := 0
+		newSeries := func() {
+			db.Record(Measurement{Path: paths[i], Metric: metrics.Throughput, Value: 1})
+			i++
+		}
+		newSeries() // the map's first group; up to 8 series fit it
+		// One run each, so AllocsPerRun's average cannot round an extra
+		// object away.
+		if n := testing.AllocsPerRun(1, newSeries); n != tc.objects {
+			t.Errorf("%s: a new series allocates %v objects, want %v", tc.name, n, tc.objects)
+		}
+		if b := bytesPerRun(newSeries); b != tc.bytes {
+			t.Errorf("%s: a new series allocates %d B, want %d", tc.name, b, tc.bytes)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes, over one run after a
+// warm-up: the heap bytes f allocates, counted by size class.
+func bytesPerRun(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestQuantileAllocatesNothing: on a warm 1,024-series store, the

@@ -55,6 +55,32 @@ func BenchmarkDBRecordWithSketch(b *testing.B) {
 	}
 }
 
+// BenchmarkRecordNewSeries prices a series' creation: one op is the first
+// Record of a new series, with sketches and results on as db-ingest opens
+// its store, into a database that is replaced, off the clock, every 1,024
+// series. Its allocs/op are the series' objects plus the map's growth.
+func BenchmarkRecordNewSeries(b *testing.B) {
+	const series = 1024
+	paths := make([]PathID, series)
+	for i := range paths {
+		paths[i] = PathID(fmt.Sprintf("h%d->h%d", i, i+1))
+	}
+	var db *Database
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%series == 0 {
+			b.StopTimer()
+			db = NewDatabase()
+			db.EnableSketches(sketch.Thresholds{})
+			db.EnableResults(&countSink{}, 16)
+			b.StartTimer()
+		}
+		db.Record(Measurement{Path: paths[i%series], Metric: metrics.OneWayLatency,
+			Value: 1, TakenAt: time.Duration(i) * time.Millisecond})
+	}
+}
+
 // mixedStore is a warm store of 1,024 series configured as the db-query-mix
 // benchmark workload configures its store (sketches on, results batched by
 // 16), with Zipf-skewed streams of series for writes and reads: a hot head

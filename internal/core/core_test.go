@@ -219,7 +219,7 @@ func TestDatabaseEachHistoryMatchesHistory(t *testing.T) {
 		t.Fatal("visited sample of unknown series")
 		return false
 	})
-	if got := db.series[dbKey{p, metrics.Throughput}].count; got != 4 {
+	if got := db.series[dbKey{p, metrics.Throughput}].count(); got != 4 {
 		t.Fatalf("retained count = %d, want 4", got)
 	}
 }

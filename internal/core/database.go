@@ -20,28 +20,75 @@ type dbKey struct {
 	metric metrics.Metric
 }
 
+// sample is one retained measurement without its (path, metric): the map
+// key a query looks the series up by supplies those (see dbKey.measurement).
+type sample struct {
+	takenAt time.Duration
+	value   float64
+	err     string
+	quality Quality
+}
+
+// measurement rebuilds the Measurement x was recorded from.
+func (k dbKey) measurement(x *sample) Measurement {
+	return Measurement{Path: k.path, Metric: k.metric, Value: x.value,
+		Quality: x.quality, TakenAt: x.takenAt, Err: x.err}
+}
+
 // dbSeries retains history in a fixed ring buffer sized once when the
 // series is created, so sustained recording never copies or reallocates.
+// The current value is the ring's newest sample; the last known value
+// lives in the ring's spare slot, one past its depth (see lastKnown).
 type dbSeries struct {
-	current   Measurement
-	lastKnown Measurement
-	hasLast   bool
-	stale     bool           // marked by MarkStale; cleared by the next Record
-	ring      []Measurement  // fixed capacity == history depth
-	head      int            // index of the oldest retained sample
-	count     int            // retained samples, <= len(ring)
-	sk        *sketch.Sketch // per-series quantile sketch; nil unless EnableSketches
+	ring    []sample       // len == history depth, cap == depth+1
+	next    int            // ring slot the next Record writes
+	full    bool           // the ring has wrapped: it holds depth samples
+	hasLast bool           // the spare slot holds a last known value
+	stale   bool           // marked by MarkStale; cleared by the next Record
+	sk      *sketch.Sketch // per-series quantile sketch; nil unless EnableSketches
 
 	// Results batching (nil unless EnableResults): successful values
-	// accumulate in the fixed buffer and flush to the sink as one batch
-	// when it fills (see flushResults).
+	// accumulate in rbuf, whose capacity is the batch size, and flush to
+	// the sink as one batch when it fills (see flushResults).
 	rbuf []float64
-	rn   int
-	rAt  time.Duration // TakenAt of the newest buffered sample
 
 	// qv is Quantile's cache of sk. Record never touches it, and it sits
-	// last so the fields Record writes share as few cache lines as before.
+	// last so the fields Record writes share as few cache lines as possible.
 	qv sketch.View
+}
+
+// sketchedSeries is a series and its sketch as one allocation: with
+// sketches on, a new series costs one object rather than two. dbSeries is
+// small enough (240 B) that the pair, with its malloc header, fits the
+// 2,304 B size class.
+type sketchedSeries struct {
+	dbSeries
+	sketch sketch.Sketch
+}
+
+// newest is the series' current sample: the ring slot written last. A
+// series exists only once recorded, so there is one.
+func (s *dbSeries) newest() *sample {
+	i := s.next - 1
+	if i < 0 {
+		i = len(s.ring) - 1
+	}
+	return &s.ring[i]
+}
+
+// lastKnown is the spare ring slot that holds the series' latest
+// successful sample; it is meaningful only when hasLast is set.
+func (s *dbSeries) lastKnown() *sample {
+	r := s.ring[:cap(s.ring)]
+	return &r[len(r)-1]
+}
+
+// count is how many samples the ring retains.
+func (s *dbSeries) count() int {
+	if s.full {
+		return len(s.ring)
+	}
+	return s.next
 }
 
 // Database is the measurement store of Figure 2. It "enables both current
@@ -146,17 +193,19 @@ func (db *Database) EnableResults(sink BatchSink, batchSamples int) {
 	db.resBatch = batchSamples
 }
 
-// flushResults closes the series' pending batch and hands it to the sink.
-// The first sink failure is retained for FlushResults; later batches are
-// still offered (the sink's own error handling decides whether to drop).
+// flushResults closes the series' pending batch and hands it to the sink,
+// stamped with its newest sample's TakenAt: only successful samples are
+// buffered, so that is the last known value's. The first sink failure is
+// retained for FlushResults; later batches are still offered (the sink's
+// own error handling decides whether to drop).
 func (db *Database) flushResults(key dbKey, s *dbSeries) {
-	n := s.rn
-	s.rn = 0
-	if n == 0 {
+	batch := s.rbuf
+	if len(batch) == 0 {
 		return
 	}
+	s.rbuf = batch[:0]
 	err := db.resSink.WriteBatch(string(key.path), key.metric.String(),
-		key.metric.Unit(), int64(s.rAt), s.rbuf[:n])
+		key.metric.Unit(), int64(s.lastKnown().takenAt), batch)
 	if err != nil && db.resErr == nil {
 		db.resErr = err
 	}
@@ -212,44 +261,46 @@ func (db *Database) Record(m Measurement) {
 		if depth <= 0 {
 			depth = DefaultHistoryDepth
 		}
-		// The first Record of a series allocates its ring, sketch and
-		// results buffer, once per (path, metric); the steady recording
-		// path below allocates nothing.
-		s = &dbSeries{ring: make([]Measurement, depth)}
+		// The first Record of a series allocates it (with its sketch),
+		// its ring and its results buffer, once per (path, metric); the
+		// steady recording path below allocates nothing.
 		if db.sketchOn {
-			s.sk = &sketch.Sketch{}
-			s.sk.SetThresholds(db.sketchTh)
+			ss := &sketchedSeries{}
+			ss.sketch.SetThresholds(db.sketchTh)
+			s = &ss.dbSeries
+			s.sk = &ss.sketch
+		} else {
+			s = &dbSeries{}
 		}
+		s.ring = make([]sample, depth, depth+1)
 		if db.resSink != nil {
-			s.rbuf = make([]float64, db.resBatch)
+			s.rbuf = make([]float64, 0, db.resBatch)
 		}
 		db.series[key] = s
 		db.ringSlots += depth
 	}
-	s.current = m
+	x := sample{takenAt: m.TakenAt, value: m.Value, err: m.Err, quality: m.Quality}
+	if !s.full {
+		db.retained++
+	}
+	s.ring[s.next] = x
+	if s.next++; s.next == len(s.ring) {
+		s.next = 0
+		s.full = true
+	}
 	s.stale = false
 	if m.OK() {
-		s.lastKnown = m
+		*s.lastKnown() = x
 		s.hasLast = true
 		if s.sk != nil {
 			s.sk.Update(m.Value)
 		}
 		if s.rbuf != nil {
-			s.rbuf[s.rn] = m.Value
-			s.rAt = m.TakenAt
-			s.rn++
-			if s.rn == len(s.rbuf) {
+			s.rbuf = append(s.rbuf, m.Value)
+			if len(s.rbuf) == cap(s.rbuf) {
 				db.flushResults(key, s)
 			}
 		}
-	}
-	if s.count < len(s.ring) {
-		s.ring[(s.head+s.count)%len(s.ring)] = m
-		s.count++
-		db.retained++
-	} else {
-		s.ring[s.head] = m
-		s.head = (s.head + 1) % len(s.ring)
 	}
 	db.Records++
 }
@@ -265,52 +316,44 @@ func (db *Database) sketchBytes() int {
 
 // Current returns the latest sample for the series.
 func (db *Database) Current(path PathID, metric metrics.Metric) (Measurement, bool) {
-	s := db.series[dbKey{path, metric}]
+	key := dbKey{path, metric}
+	s := db.series[key]
 	if s == nil {
 		return Measurement{}, false
 	}
-	return s.current, true
+	return key.measurement(s.newest()), true
 }
 
 // LastKnown returns the latest successful sample.
 func (db *Database) LastKnown(path PathID, metric metrics.Metric) (Measurement, bool) {
-	s := db.series[dbKey{path, metric}]
+	key := dbKey{path, metric}
+	s := db.series[key]
 	if s == nil || !s.hasLast {
 		return Measurement{}, false
 	}
-	return s.lastKnown, true
+	return key.measurement(s.lastKnown()), true
 }
 
 // EachHistory visits up to n retained samples (n <= 0 meaning all), oldest
 // first, without copying the series; it stops early when fn returns false.
 // The visited values are only valid during the call.
 func (db *Database) EachHistory(path PathID, metric metrics.Metric, n int, fn func(Measurement) bool) {
-	s := db.series[dbKey{path, metric}]
-	if cnt := historyCount(s, n); cnt > 0 {
-		s.each(cnt, fn)
+	key := dbKey{path, metric}
+	s := db.series[key]
+	if s == nil {
+		return
 	}
-}
-
-// each visits the newest cnt retained samples oldest first, stopping early
-// when fn returns false. cnt must be in [1, s.count].
-func (s *dbSeries) each(cnt int, fn func(Measurement) bool) {
-	start := s.head + s.count - cnt
+	cnt := s.count()
+	if n > 0 && n < cnt {
+		cnt = n
+	}
+	// The newest cnt samples end at the slot before next.
+	start := s.next - cnt + len(s.ring)
 	for i := 0; i < cnt; i++ {
-		if !fn(s.ring[(start+i)%len(s.ring)]) {
+		if !fn(key.measurement(&s.ring[(start+i)%len(s.ring)])) {
 			return
 		}
 	}
-}
-
-// historyCount resolves the request size n against what s retains.
-func historyCount(s *dbSeries, n int) int {
-	if s == nil {
-		return 0
-	}
-	if n > 0 && n < s.count {
-		return n
-	}
-	return s.count
 }
 
 // Senescence returns the age of the current sample at time now — the
@@ -320,7 +363,7 @@ func (db *Database) Senescence(now time.Duration, path PathID, metric metrics.Me
 	if s == nil {
 		return 0, false
 	}
-	return now - s.current.TakenAt, true
+	return now - s.newest().takenAt, true
 }
 
 // Fresh returns the current sample only when it is trustworthy at virtual
@@ -328,13 +371,14 @@ func (db *Database) Senescence(now time.Duration, path PathID, metric metrics.Me
 // no older than ttl. A stale or over-age sample reports ok=false — stale
 // data is missing data, not evidence of health.
 func (db *Database) Fresh(now time.Duration, path PathID, metric metrics.Metric, ttl time.Duration) (Measurement, bool) {
-	s := db.series[dbKey{path, metric}]
-	if s == nil || s.stale || (ttl > 0 && now-s.current.TakenAt > ttl) {
+	key := dbKey{path, metric}
+	s := db.series[key]
+	if s == nil || s.stale || (ttl > 0 && now-s.newest().takenAt > ttl) {
 		db.FreshMisses++
 		return Measurement{}, false
 	}
 	db.FreshHits++
-	return s.current, true
+	return key.measurement(s.newest()), true
 }
 
 // MarkStale marks every series whose current sample is older than ttl at
@@ -344,7 +388,16 @@ func (db *Database) Fresh(now time.Duration, path PathID, metric metrics.Metric,
 func (db *Database) MarkStale(now, ttl time.Duration) int {
 	marked := 0
 	for _, s := range db.series {
-		if !s.stale && now-s.current.TakenAt > ttl {
+		if s.stale {
+			continue
+		}
+		// s.newest(), inline: this loop ranges over a map, so it calls
+		// nothing but builtins.
+		i := s.next - 1
+		if i < 0 {
+			i = len(s.ring) - 1
+		}
+		if now-s.ring[i].takenAt > ttl {
 			s.stale = true
 			marked++
 		}
@@ -396,7 +449,7 @@ func (db *Database) MergeSketchInto(dst *sketch.Sketch, path PathID, metric metr
 type Footprint struct {
 	Series      int // (path, metric) series recorded
 	Retained    int // samples currently held in ring buffers
-	RingBytes   int // bytes allocated for ring-buffer history
+	RingBytes   int // bytes of ring-buffer history: depth samples a series
 	SketchBytes int // bytes held by per-series quantile sketches
 }
 
@@ -405,7 +458,7 @@ func (db *Database) Footprint() Footprint {
 	return Footprint{
 		Series:      len(db.series),
 		Retained:    db.retained,
-		RingBytes:   db.ringSlots * int(unsafe.Sizeof(Measurement{})),
+		RingBytes:   db.ringSlots * int(unsafe.Sizeof(sample{})),
 		SketchBytes: db.sketchBytes(),
 	}
 }

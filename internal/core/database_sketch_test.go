@@ -129,8 +129,8 @@ func TestDatabaseFootprint(t *testing.T) {
 	if fp.Retained != 5 { // p's ring holds 4 of its 10, q holds 1
 		t.Errorf("Retained = %d, want 5", fp.Retained)
 	}
-	if fp.RingBytes != 2*4*64 { // 2 series x depth 4 x 64 B/Measurement
-		t.Errorf("RingBytes = %d, want %d", fp.RingBytes, 2*4*64)
+	if fp.RingBytes != 2*4*40 { // 2 series x depth 4 x 40 B/sample
+		t.Errorf("RingBytes = %d, want %d", fp.RingBytes, 2*4*40)
 	}
 	var s sketch.Sketch
 	if fp.SketchBytes != 2*s.Bytes() {

@@ -1,6 +1,7 @@
 package mib
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -319,6 +320,30 @@ func TestGetDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { v.Tree.Get(oid) }); n != 0 {
 			t.Errorf("Get(%s) allocates %v times, want 0", oid, n)
 		}
+	}
+}
+
+// TestSortAllocatesNothing: the sort a Get makes after a registration
+// allocates nothing, on a node view with an RMON-sized set of tables added
+// and its registrations handed to the sort in reverse order each time.
+func TestSortAllocatesNothing(t *testing.T) {
+	_, _, _, v := nodeViewFixture(t)
+	tr := v.Tree
+	rows := []OID{{1}}
+	for i := uint32(1); i <= 5; i++ {
+		registerRows(tr, MustOID("1.3.6.1.2.1.16").Append(i, 1), []uint32{1},
+			func() []OID { return rows }, func(uint32, OID) Value { return Int(int64(i)) })
+	}
+	cell := MustOID("1.3.6.1.2.1.16.3.1.1.1")
+	if n := testing.AllocsPerRun(100, func() {
+		slices.Reverse(tr.regs)
+		tr.sorted = false
+		tr.Get(cell)
+	}); n != 0 {
+		t.Errorf("a Get that sorts %d registrations allocates %v times, want 0", len(tr.regs), n)
+	}
+	if v, ok := tr.Get(cell); !ok || v.Int != 3 {
+		t.Fatalf("Get(%s) = %+v, %v after the sorts, want 3", cell, v, ok)
 	}
 }
 

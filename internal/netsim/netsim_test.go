@@ -357,6 +357,49 @@ func TestReopenPicksOpenUDPsPorts(t *testing.T) {
 	}
 }
 
+// TestEphemeralPortsStayInRange: 40,000 ephemeral binds on one node, an
+// OpenUDP(0) and Close and a Reopen of a kept socket each cycle, wrap the
+// range more than twice and never bind a port outside 49153–65535; each
+// port after 65535 is 49153 again.
+func TestEphemeralPortsStayInRange(t *testing.T) {
+	_, _, a, _ := twoHosts(t)
+	kept := a.OpenUDP(0)
+	prev := kept.Port()
+	check := func(i int, p Port) {
+		t.Helper()
+		if p < 49153 {
+			t.Fatalf("cycle %d: bound port %d, outside 49153–65535", i, p)
+		}
+		if want := prev + 1; prev == 65535 && p != 49153 || prev != 65535 && p != want {
+			t.Fatalf("cycle %d: bound port %d after %d", i, p, prev)
+		}
+		prev = p
+	}
+	for i := 0; i < 20000; i++ {
+		s := a.OpenUDP(0)
+		check(i, s.Port())
+		s.Close()
+		kept.Close()
+		kept.Reopen()
+		check(i, kept.Port())
+	}
+}
+
+// TestEphemeralRangeExhaustedPanics: with every port of the ephemeral range
+// bound, OpenUDP(0) panics rather than searching forever.
+func TestEphemeralRangeExhaustedPanics(t *testing.T) {
+	_, _, a, _ := twoHosts(t)
+	for p := 49153; p <= 65535; p++ {
+		a.OpenUDP(Port(p))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("OpenUDP(0) with the ephemeral range bound did not panic")
+		}
+	}()
+	a.OpenUDP(0)
+}
+
 // TestReopenKeepsConsumerAndQueue: a reopened socket takes datagrams on its
 // new port, to the consumer it had or into the receive queue it had, with
 // Drops restarted; a datagram to the old port is dropped as no-port, and

@@ -48,17 +48,27 @@ func (n *Node) OpenUDP(port Port) *UDPSock {
 	return s
 }
 
-// ephemeralPort picks the next free port above 49152.
+// The ephemeral range OpenUDP(0) and Reopen draw from.
+const (
+	firstEphemeral Port = 49153
+	lastEphemeral  Port = 65535
+)
+
+// ephemeralPort picks the next free port in the ephemeral range, going
+// back to its first port after its last. It panics when every port in the
+// range is bound.
 func (n *Node) ephemeralPort() Port {
-	if n.nextPort < 49152 {
-		n.nextPort = 49152
-	}
-	for {
-		n.nextPort++
+	for range int(lastEphemeral-firstEphemeral) + 1 {
+		if n.nextPort < firstEphemeral || n.nextPort == lastEphemeral {
+			n.nextPort = firstEphemeral
+		} else {
+			n.nextPort++
+		}
 		if _, taken := n.sockets[n.nextPort]; !taken {
 			return n.nextPort
 		}
 	}
+	panic(fmt.Sprintf("netsim: %s has every ephemeral port bound", n.Name))
 }
 
 // Reopen binds a closed socket to the next ephemeral port, the one
