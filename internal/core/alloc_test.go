@@ -62,8 +62,10 @@ func TestRecordAllocatesNothing(t *testing.T) {
 // TestNewSeriesAllocations: the first Record of a series allocates the
 // series (with its sketch when sketches are on), its ring, and its results
 // buffer when results are on; nothing else. With both on, at the default
-// depth, that is 2,304 + 2,688 + 128 B in size classes: the series and its
-// sketch fit one 2,304 B class only while dbSeries stays at most 248 B.
+// depth, that is 2,304 + 2,688 + 128 B in size classes: the series, its
+// sketch and the sketch's read cache fit one 2,304 B class only while
+// dbSeries stays at most 80 B. Without sketches the series is one 80 B
+// object: the read cache belongs to the sketch.
 func TestNewSeriesAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
@@ -71,9 +73,9 @@ func TestNewSeriesAllocations(t *testing.T) {
 		objects           float64
 		bytes             uint64
 	}{
-		{"bare", false, false, 2, 240 + 2688},
+		{"bare", false, false, 2, 80 + 2688},
 		{"sketches", true, false, 2, 2304 + 2688},
-		{"results", false, true, 3, 240 + 2688 + 128},
+		{"results", false, true, 3, 80 + 2688 + 128},
 		{"sketches and results", true, true, 3, 2304 + 2688 + 128},
 	} {
 		db := NewDatabase()

@@ -7,7 +7,7 @@
 // current-value and last-known-value reporting. The resource manager
 // submits a list of application-level paths and the metrics to monitor for
 // each; the monitor reports (path, metric)-tuples back synchronously
-// (Query) or asynchronously (Reports).
+// (Query) or asynchronously (DirectorBase.OnPublish).
 //
 // This package holds the director and the database (DirectorBase,
 // Database) and the Monitor interface the resource manager sees. Sensors
@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/sketch"
 )
 
@@ -154,25 +153,11 @@ func (m Measurement) String() string {
 		m.Metric.Unit(), m.Quality, m.TakenAt)
 }
 
-// ReportMode selects how results flow back to the resource manager (§4.1:
-// "synchronously or asynchronously").
-type ReportMode int
-
-// Report modes.
-const (
-	// ReportOnDemand records into the database only; the manager pulls
-	// current or last-known values with Query.
-	ReportOnDemand ReportMode = iota
-	// ReportAsync additionally streams every measurement to Reports.
-	ReportAsync
-)
-
 // Request is the resource manager's monitoring order: the paths to watch
 // and the metrics wanted for each (§4.1).
 type Request struct {
 	Paths   []Path
 	Metrics []metrics.Metric
-	Mode    ReportMode
 }
 
 // Monitor is the resource manager's view of a network resource monitor.
@@ -185,8 +170,6 @@ type Monitor interface {
 	// LastKnown returns the most recent successful measurement —
 	// last-known-value reporting.
 	LastKnown(path PathID, metric metrics.Metric) (Measurement, bool)
-	// Reports returns the asynchronous (path, metric)-tuple stream.
-	Reports() *sim.Queue[Measurement]
 	// Stop ceases collection.
 	Stop()
 

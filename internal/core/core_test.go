@@ -272,30 +272,36 @@ func TestPropertyDatabaseLastKnownAlwaysOK(t *testing.T) {
 	}
 }
 
-func TestDirectorBasePublishAndModes(t *testing.T) {
+// TestDirectorBasePublishHook: Publish records the measurement and then
+// calls OnPublish once, so a subscriber that queries the database from the
+// hook already sees the sample; with no hook Publish only records.
+func TestDirectorBasePublishHook(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	d := NewDirectorBase(k)
 	p := NewPath(ref("a", "x"), ref("b", "y"))
+	d.Submit(Request{Paths: []Path{p}, Metrics: []metrics.Metric{metrics.Throughput}})
 
-	// On-demand mode: no async stream.
-	d.Submit(Request{Paths: []Path{p}, Metrics: []metrics.Metric{metrics.Throughput}, Mode: ReportOnDemand})
 	d.Publish(Measurement{Path: p.ID, Metric: metrics.Throughput, Value: 1})
-	if d.Reports().Len() != 0 {
-		t.Fatal("on-demand mode streamed a report")
-	}
 	if m, ok := d.Query(p.ID, metrics.Throughput); !ok || m.Value != 1 {
 		t.Fatalf("query = %+v, %v", m, ok)
 	}
 
-	// Async mode streams.
-	d.Submit(Request{Paths: []Path{p}, Metrics: []metrics.Metric{metrics.Throughput}, Mode: ReportAsync})
-	d.Publish(Measurement{Path: p.ID, Metric: metrics.Throughput, Value: 2})
-	if d.Reports().Len() != 1 {
-		t.Fatal("async mode did not stream")
+	var seen []float64
+	d.OnPublish = func(m Measurement) {
+		cur, ok := d.Query(m.Path, m.Metric)
+		if !ok || cur != m {
+			t.Errorf("hook saw %+v before the database did (current %+v, %v)", m, cur, ok)
+		}
+		seen = append(seen, m.Value)
 	}
-	if d.Published != 2 {
-		t.Fatalf("published = %d", d.Published)
+	d.Publish(Measurement{Path: p.ID, Metric: metrics.Throughput, Value: 2})
+	d.Publish(Measurement{Path: p.ID, Metric: metrics.Throughput, Value: 3})
+	if len(seen) != 2 || seen[0] != 2 || seen[1] != 3 {
+		t.Fatalf("hook saw %v, want [2 3]", seen)
+	}
+	if d.DB.Records != 3 {
+		t.Fatalf("records = %d, want 3", d.DB.Records)
 	}
 }
 

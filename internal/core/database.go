@@ -40,30 +40,35 @@ func (k dbKey) measurement(x *sample) Measurement {
 // The current value is the ring's newest sample; the last known value
 // lives in the ring's spare slot, one past its depth (see lastKnown).
 type dbSeries struct {
-	ring    []sample       // len == history depth, cap == depth+1
-	next    int            // ring slot the next Record writes
-	full    bool           // the ring has wrapped: it holds depth samples
-	hasLast bool           // the spare slot holds a last known value
-	stale   bool           // marked by MarkStale; cleared by the next Record
-	sk      *sketch.Sketch // per-series quantile sketch; nil unless EnableSketches
+	ring    []sample      // len == history depth, cap == depth+1
+	next    int           // ring slot the next Record writes
+	full    bool          // the ring has wrapped: it holds depth samples
+	hasLast bool          // the spare slot holds a last known value
+	stale   bool          // marked by MarkStale; cleared by the next Record
+	sk      *seriesSketch // per-series quantile sketch; nil unless EnableSketches
 
 	// Results batching (nil unless EnableResults): successful values
 	// accumulate in rbuf, whose capacity is the batch size, and flush to
 	// the sink as one batch when it fills (see flushResults).
 	rbuf []float64
+}
 
-	// qv is Quantile's cache of sk. Record never touches it, and it sits
-	// last so the fields Record writes share as few cache lines as possible.
+// seriesSketch is a series' quantile sketch and qv, Quantile's cache of
+// it, so a series that does not sketch carries no cache either. Record
+// never touches qv, and it sits last so the fields Record writes share as
+// few cache lines as possible.
+type seriesSketch struct {
+	sketch.Sketch
 	qv sketch.View
 }
 
 // sketchedSeries is a series and its sketch as one allocation: with
 // sketches on, a new series costs one object rather than two. dbSeries is
-// small enough (240 B) that the pair, with its malloc header, fits the
+// small enough (72 B) that the pair, with its malloc header, fits the
 // 2,304 B size class.
 type sketchedSeries struct {
 	dbSeries
-	sketch sketch.Sketch
+	sketch seriesSketch
 }
 
 // newest is the series' current sample: the ring slot written last. A
@@ -418,7 +423,7 @@ func (db *Database) Quantile(path PathID, metric metrics.Metric, p float64) (flo
 	if s == nil || s.sk == nil || s.sk.Count() == 0 || math.IsNaN(p) {
 		return 0, false
 	}
-	return s.sk.QuantileWith(&s.qv, p), true
+	return s.sk.QuantileWith(&s.sk.qv, p), true
 }
 
 // SketchSummary returns the series' full quantile digest (count, extremes,
@@ -440,7 +445,7 @@ func (db *Database) MergeSketchInto(dst *sketch.Sketch, path PathID, metric metr
 	if s == nil || s.sk == nil || s.sk.Count() == 0 {
 		return false
 	}
-	dst.Merge(s.sk)
+	dst.Merge(&s.sk.Sketch)
 	return true
 }
 

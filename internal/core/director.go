@@ -9,28 +9,28 @@ import (
 )
 
 // DirectorBase is the common machinery of a sensor director: it owns the
-// database, the asynchronous report stream, and the current request.
-// Concrete directors (hifi, cots, hybrid) embed it and add their
-// sensor-driving strategy.
+// database and the current request. Concrete directors (hifi, cots,
+// hybrid) embed it and add their sensor-driving strategy.
 type DirectorBase struct {
 	DB *Database
 
-	reports *sim.Queue[Measurement]
+	// OnPublish, when set, is called with every measurement Publish
+	// records, after the record, so a subscriber that queries the
+	// database sees it: the asynchronous half of §4.1's reporting. The
+	// hybrid sets it on its COTS member to stream that member's reports
+	// into its escalation loop.
+	OnPublish func(Measurement)
+
+	k       *sim.Kernel
 	req     Request
 	stopped bool
-
-	// Published counts measurements delivered.
-	Published uint64
 }
 
 var _ Monitor = (*DirectorBase)(nil)
 
-// NewDirectorBase wires a director with a fresh database and report queue.
+// NewDirectorBase wires a director on k with a fresh database.
 func NewDirectorBase(k *sim.Kernel) DirectorBase {
-	return DirectorBase{
-		DB:      NewDatabase(),
-		reports: sim.NewQueue[Measurement](k, 0),
-	}
+	return DirectorBase{DB: NewDatabase(), k: k}
 }
 
 // Submit installs the request (Monitor interface).
@@ -47,12 +47,13 @@ func (d *DirectorBase) Stopped() bool { return d.stopped }
 // Stop ceases collection (Monitor interface).
 func (d *DirectorBase) Stop() { d.stopped = true }
 
-// Publish records a measurement and, in async mode, streams it.
+// Publish records a measurement and hands it to OnPublish, if set. A tree
+// director.Director records its children's batches without Publish, so it
+// streams nothing to a subscriber.
 func (d *DirectorBase) Publish(m Measurement) {
 	d.DB.Record(m)
-	d.Published++
-	if d.req.Mode == ReportAsync {
-		d.reports.Put(m)
+	if d.OnPublish != nil {
+		d.OnPublish(m)
 	}
 }
 
@@ -73,18 +74,15 @@ func (d *DirectorBase) QueryFresh(path PathID, metric metrics.Metric, now, ttl t
 	return d.DB.Fresh(now, path, metric, ttl)
 }
 
-// StartSenescenceWatchdog spawns a periodic sweeper on k that marks
-// database entries stale once their age exceeds ttl, so queries through
-// Fresh/QueryFresh treat them as missing. It returns the timer; the caller
-// owns it and must Stop it when collection ends.
-func (d *DirectorBase) StartSenescenceWatchdog(k *sim.Kernel, every, ttl time.Duration) sim.Timer {
-	return k.Every(every, func() {
-		d.DB.MarkStale(k.Now(), ttl)
+// StartSenescenceWatchdog spawns a periodic sweeper on the director's
+// kernel that marks database entries stale once their age exceeds ttl, so
+// queries through Fresh/QueryFresh treat them as missing. It returns the
+// timer; the caller owns it and must Stop it when collection ends.
+func (d *DirectorBase) StartSenescenceWatchdog(every, ttl time.Duration) sim.Timer {
+	return d.k.Every(every, func() {
+		d.DB.MarkStale(d.k.Now(), ttl)
 	})
 }
-
-// Reports returns the asynchronous stream (Monitor interface).
-func (d *DirectorBase) Reports() *sim.Queue[Measurement] { return d.reports }
 
 // Database exposes the measurement store for export and analysis.
 func (d *DirectorBase) Database() *Database { return d.DB }

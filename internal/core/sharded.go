@@ -50,14 +50,8 @@ func (s *ShardedMonitor) Owner(path PathID) (int, bool) {
 // sub-request per member. Members with no owned paths receive an empty
 // request, clearing any previous one. The owner map is rebuilt from this
 // request alone: a new request replaces the old, so a path it drops has no
-// owner. Asynchronous reporting is not supported: each member's stream
-// lives on its shard's kernel, and merging them mid-run would create
-// exactly the cross-shard mutation the ownership rule forbids, so Submit
-// panics on ReportAsync rather than silently dropping the mode.
+// owner.
 func (s *ShardedMonitor) Submit(req Request) {
-	if req.Mode == ReportAsync {
-		panic("core: ShardedMonitor does not support ReportAsync")
-	}
 	clear(s.byPath)
 	split := make([][]Path, len(s.members))
 	for _, p := range req.Paths {
@@ -69,7 +63,7 @@ func (s *ShardedMonitor) Submit(req Request) {
 		split[i] = append(split[i], p)
 	}
 	for i, m := range s.members {
-		m.Submit(Request{Paths: split[i], Metrics: req.Metrics, Mode: ReportOnDemand})
+		m.Submit(Request{Paths: split[i], Metrics: req.Metrics})
 	}
 }
 

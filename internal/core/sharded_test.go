@@ -89,14 +89,3 @@ func TestShardedMonitorSubmitReplacesRouting(t *testing.T) {
 		t.Fatalf("member 0 asked for %v, want only %s", last.Paths, paths[0].ID)
 	}
 }
-
-func TestShardedMonitorRejectsAsync(t *testing.T) {
-	sm, _, paths, done := shardedFixture(t)
-	defer done()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ReportAsync submit must panic")
-		}
-	}()
-	sm.Submit(Request{Paths: paths, Mode: ReportAsync})
-}

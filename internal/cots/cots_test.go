@@ -114,16 +114,18 @@ func TestWatchSegmentTrapsBecomeAsyncReports(t *testing.T) {
 	h := topo.BuildHiPerD(k, 1)
 	m := New(h.Mgmt, "public", 30*time.Second)                 // long poll: traps do the work
 	path := core.NewPath(h.ServerRefs()[0], h.ClientRefs()[4]) // c5 on the Ethernet
-	m.Submit(core.Request{Paths: []core.Path{path}, Metrics: []metrics.Metric{metrics.Throughput}, Mode: core.ReportAsync})
+	var published []core.Measurement
+	m.OnPublish = func(meas core.Measurement) { published = append(published, meas) }
+	m.Submit(core.Request{Paths: []core.Path{path}, Metrics: []metrics.Metric{metrics.Throughput}})
 	m.Start()
 
 	probe := rmon.NewProbe(h.Probe, h.Eth)
 	var events []bool
-	var risingBps float64
-	m.WatchSegment(probe, path.ID, time.Second, 100_000, 10_000, func(rising bool, meas core.Measurement) {
-		events = append(events, rising)
-		if rising {
-			risingBps = meas.Value
+	var rising core.Measurement
+	m.WatchSegment(probe, path.ID, time.Second, 100_000, 10_000, func(up bool, meas core.Measurement) {
+		events = append(events, up)
+		if up {
+			rising = meas
 		}
 	})
 
@@ -145,8 +147,18 @@ func TestWatchSegmentTrapsBecomeAsyncReports(t *testing.T) {
 	}
 	// The rising report carried an approximate throughput above the
 	// threshold rate (100 kB/s over 1 s = 800 kb/s).
-	if risingBps < 800_000 {
-		t.Fatalf("rising trap throughput = %.0f b/s", risingBps)
+	if rising.Value < 800_000 {
+		t.Fatalf("rising trap throughput = %.0f b/s", rising.Value)
+	}
+	// The rising report reached the publish hook, once.
+	streamed := 0
+	for _, meas := range published {
+		if meas == rising {
+			streamed++
+		}
+	}
+	if streamed != 1 {
+		t.Fatalf("the rising report was published %d times, want once (%d published)", streamed, len(published))
 	}
 	// And the current value after the burst is back near zero.
 	if r, ok := m.Query(path.ID, metrics.Throughput); !ok || r.Value >= 800_000 {
@@ -441,14 +453,16 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 
 // TestStopQuietsTrapPublishing: after Stop the station's sink still
 // receives (and counts) RMON traps, but the stopped monitor turns none of
-// them into a measurement or a queued report.
+// them into a measurement or a published report.
 func TestStopQuietsTrapPublishing(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	h := topo.BuildHiPerD(k, 1)
 	m := New(h.Mgmt, "public", 30*time.Second)
 	path := core.NewPath(h.ServerRefs()[0], h.ClientRefs()[4])
-	m.Submit(core.Request{Paths: []core.Path{path}, Metrics: []metrics.Metric{metrics.Throughput}, Mode: core.ReportAsync})
+	published := 0
+	m.OnPublish = func(core.Measurement) { published++ }
+	m.Submit(core.Request{Paths: []core.Path{path}, Metrics: []metrics.Metric{metrics.Throughput}})
 	m.Start()
 	events := 0
 	m.WatchSegment(rmon.NewProbe(h.Probe, h.Eth), path.ID, time.Second, 100_000, 10_000,
@@ -456,7 +470,7 @@ func TestStopQuietsTrapPublishing(t *testing.T) {
 	netsim.NewSink(h.Clients[4], 9)
 	k.RunUntil(2 * time.Second)
 	m.Stop()
-	records, queued := m.DB.Records, m.Reports().Len()
+	records, streamed := m.DB.Records, published
 	k.At(3*time.Second, func() {
 		(&netsim.CBRSource{Src: h.Servers[0], Dst: "c5", DstPort: 9, Size: 8192, Interval: 30 * time.Millisecond, Count: 100}).Run()
 	})
@@ -464,8 +478,8 @@ func TestStopQuietsTrapPublishing(t *testing.T) {
 	if m.TrapSink().Stats.Processed < 2 {
 		t.Fatalf("sink processed %d traps, want the rising and the falling one", m.TrapSink().Stats.Processed)
 	}
-	if m.DB.Records != records || m.Reports().Len() != queued || events != 0 {
-		t.Errorf("after Stop: records %d -> %d, queued %d -> %d, %d watch events",
-			records, m.DB.Records, queued, m.Reports().Len(), events)
+	if m.DB.Records != records || published != streamed || events != 0 {
+		t.Errorf("after Stop: records %d -> %d, published %d -> %d, %d watch events",
+			records, m.DB.Records, streamed, published, events)
 	}
 }

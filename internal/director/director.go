@@ -255,9 +255,6 @@ func (d *Director) Leaves() []*Director {
 // into the leaf's member monitor. Interior directors keep the union of
 // their descendants' shares, in leaf order, as their re-export set.
 func (d *Director) Submit(req core.Request) {
-	if req.Mode == core.ReportAsync {
-		panic("director: async report mode is not supported across the tree")
-	}
 	leaves := d.Leaves()
 	if len(leaves) == 0 && len(req.Paths) > 0 {
 		panic(fmt.Sprintf("director: %s has no leaf to take the %d submitted paths", d.Name, len(req.Paths)))
@@ -314,7 +311,7 @@ func (d *Director) Start() {
 	if len(d.children) > 0 {
 		d.Host.Spawn(d.Name+"-ingest", d.ingestLoop)
 		d.timers = append(d.timers, d.k.Every(d.Cfg.Supervise, d.supervise))
-		d.timers = append(d.timers, d.StartSenescenceWatchdog(d.k, d.Cfg.WatchdogEvery, d.Cfg.TTL))
+		d.timers = append(d.timers, d.StartSenescenceWatchdog(d.Cfg.WatchdogEvery, d.Cfg.TTL))
 	}
 }
 

@@ -155,7 +155,7 @@ func runDrill(quick bool, d drill, w core.BatchSink) drillStats {
 	m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability}})
 	m.Start()
 	if d.resilient {
-		wd := m.StartSenescenceWatchdog(k, 500*time.Millisecond, e12TTL)
+		wd := m.StartSenescenceWatchdog(500*time.Millisecond, e12TTL)
 		defer wd.Stop()
 	}
 

@@ -62,18 +62,20 @@ func scenarioFidelityCots(quick bool, w *results.Writer) {
 	})
 }
 
-// scenarioFidelityHybrid's escalation threshold sits above the wire rate,
-// so every surveillance sample looks anomalous and the hybrid keeps
-// folding targeted NTTCP bursts into the same series — the §7 behavior,
-// made continuous so the result set mixes both sensor qualities.
 func scenarioFidelityHybrid(quick bool, w *results.Writer) {
-	runFidelity(quick, w, func(h *topo.HiPerD) director.Member {
-		h.Clients[4].LocalClock = &vclock.Clock{Granularity: 10 * time.Millisecond}
-		return hybrid.New(h.Mgmt, "public", hybrid.Config{
-			PollInterval:     time.Second,
-			MinThroughputBps: streamWireBps * 1.1,
-			NTTCP:            streamBurst,
-		})
+	runFidelity(quick, w, fidelityHybrid)
+}
+
+// fidelityHybrid's escalation threshold sits above the wire rate, so every
+// surveillance sample looks anomalous and the hybrid keeps folding targeted
+// NTTCP bursts into the same series — the §7 behavior, made continuous so
+// the result set mixes both sensor qualities.
+func fidelityHybrid(h *topo.HiPerD) director.Member {
+	h.Clients[4].LocalClock = &vclock.Clock{Granularity: 10 * time.Millisecond}
+	return hybrid.New(h.Mgmt, "public", hybrid.Config{
+		PollInterval:     time.Second,
+		MinThroughputBps: streamWireBps * 1.1,
+		NTTCP:            streamBurst,
 	})
 }
 

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/core/coretest"
+	"repro/internal/metrics"
 	"repro/internal/results"
 )
 
@@ -31,6 +35,15 @@ func runScenarioStream(t *testing.T, name string, shards int) []byte {
 		t.Fatalf("%s on %d shards wrote no records", name, shards)
 	}
 	return buf.Bytes()
+}
+
+// TestFidelityHybridHistoryInOrder: the fidelity-hybrid monitor escalates
+// on every surveillance sample, so its throughput series interleaves COTS
+// reports with the NTTCP rechecks they trigger; it must still read forward
+// in time.
+func TestFidelityHybridHistoryInOrder(t *testing.T) {
+	mon, id, _ := watchStream(false, 30*time.Second, fidelityHybrid)
+	coretest.HistoryInOrder(t, mon.Database(), []core.Path{{ID: id}}, []metrics.Metric{metrics.Throughput})
 }
 
 // TestResultsRecordingZeroEffect asserts the seam is purely

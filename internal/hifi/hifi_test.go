@@ -166,18 +166,22 @@ func TestFailedHostReportedUnreachable(t *testing.T) {
 	}
 }
 
+// TestAsyncReporting: a subscriber streams the monitor's measurements
+// through the publish hook into its own queue and reads them as they come.
 func TestAsyncReporting(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	h := topo.BuildHiPerD(k, 1)
 	m := New(h.Mgmt, smallCfg(), 1)
+	reports := sim.NewQueue[core.Measurement](k, 0)
+	m.OnPublish = func(meas core.Measurement) { reports.Put(meas) }
 	paths := core.CrossProductPaths(h.ServerRefs()[:1], h.ClientRefs()[:1])
-	m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability}, Mode: core.ReportAsync})
+	m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability}})
 	m.Start()
 	var got []core.Measurement
 	h.Mgmt.Spawn("manager", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			meas, ok := m.Reports().Get(p, 30*time.Second)
+			meas, ok := reports.Get(p, 30*time.Second)
 			if !ok {
 				return
 			}
@@ -228,10 +232,10 @@ func TestStopCeasesCollection(t *testing.T) {
 	k.RunUntil(5 * time.Second)
 	m.Stop()
 	k.RunUntil(6 * time.Second)
-	published := m.Published
+	records := m.DB.Records
 	k.RunUntil(20 * time.Second)
-	if m.Published != published {
-		t.Fatalf("monitor kept publishing after Stop: %d -> %d", published, m.Published)
+	if m.DB.Records != records {
+		t.Fatalf("monitor kept publishing after Stop: %d -> %d", records, m.DB.Records)
 	}
 }
 

@@ -52,6 +52,7 @@ type Monitor struct {
 	Escalations int
 
 	cotsMon     *cots.Monitor
+	reports     sim.Queue[core.Measurement] // what cotsMon publishes, unbounded
 	hifiMon     *hifi.Monitor
 	host        *netsim.Node
 	paths       map[core.PathID]core.Path
@@ -71,6 +72,8 @@ func New(host *netsim.Node, community string, cfg Config) *Monitor {
 		hifiMon:      hifi.New(host, cfg.NTTCP, 1),
 		host:         host,
 	}
+	m.reports.Init(host.Network().K, 0)
+	m.cotsMon.OnPublish = func(meas core.Measurement) { m.reports.Put(meas) }
 	return m
 }
 
@@ -85,10 +88,11 @@ func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer)
 	m.DB.EnableTelemetry(reg, "hybrid.db")
 }
 
-// Submit installs the request on both sub-monitors; the COTS side runs it
-// asynchronously, the hifi side only provisions its simulators. A request
-// replaces the previous one: a path it no longer names is neither
-// published nor escalated again, whatever the COTS side still has queued.
+// Submit installs the request on both sub-monitors; the COTS side streams
+// what it publishes to the escalation loop, the hifi side only provisions
+// its simulators. A request replaces the previous one: a path it no longer
+// names is neither published nor escalated again, whatever the COTS side
+// still has queued.
 func (m *Monitor) Submit(req core.Request) {
 	m.DirectorBase.Submit(req)
 	m.paths = make(map[core.PathID]core.Path, len(req.Paths))
@@ -96,9 +100,7 @@ func (m *Monitor) Submit(req core.Request) {
 	for _, p := range req.Paths {
 		m.paths[p.ID] = p
 	}
-	cotsReq := req
-	cotsReq.Mode = core.ReportAsync
-	m.cotsMon.Submit(cotsReq)
+	m.cotsMon.Submit(req)
 	m.hifiMon.Submit(req) // provisions sims; hifiMon.Start is never called
 }
 
@@ -111,13 +113,16 @@ func (m *Monitor) Start() {
 	m.cotsMon.Start()
 	m.host.Spawn("hybrid-director", func(p *sim.Proc) {
 		for !m.Stopped() {
-			meas, ok := m.cotsMon.Reports().Get(p, time.Second)
+			meas, ok := m.reports.Get(p, time.Second)
 			if !ok {
 				continue
 			}
 			path, ok := m.paths[meas.Path]
 			if !ok {
 				continue // measured for a request since replaced
+			}
+			if cur, ok := m.DB.Current(meas.Path, meas.Metric); ok && meas.TakenAt < cur.TakenAt {
+				continue // taken before a recheck that has since reported
 			}
 			m.Publish(meas) // the approximate view is still a view
 			if m.anomalous(meas) {
@@ -128,9 +133,9 @@ func (m *Monitor) Start() {
 }
 
 // Stop ceases collection on the hybrid director and on both sub-monitors.
-// Without the second half the COTS side keeps sweeping — and, being in
-// ReportAsync mode, keeps filling the unbounded Reports queue that the
-// exited director no longer drains.
+// Without the second half the COTS side keeps sweeping — and keeps
+// filling the unbounded report queue that the exited director no longer
+// drains.
 func (m *Monitor) Stop() {
 	m.DirectorBase.Stop()
 	m.cotsMon.Stop()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/metrics"
 	"repro/internal/nttcp"
 	"repro/internal/sim"
@@ -26,6 +27,18 @@ func build(t *testing.T, cfg Config) (*sim.Kernel, *topo.HiPerD, *Monitor) {
 	return k, h, m
 }
 
+// runDeadClient watches s1 → c1, c2, c3 for every metric and runs the
+// kernel to 30 s with c1 down from 5 s: c1's path keeps escalating, the
+// other two stay healthy.
+func runDeadClient(k *sim.Kernel, h *topo.HiPerD, m *Monitor) []core.Path {
+	paths := core.CrossProductPaths(h.ServerRefs()[:1], h.ClientRefs()[:3])
+	m.Submit(core.Request{Paths: paths, Metrics: allMetrics})
+	m.Start()
+	k.At(5*time.Second, func() { h.Clients[0].SetUp(false) })
+	k.RunUntil(30 * time.Second)
+	return paths
+}
+
 func TestQuietSystemNeverEscalates(t *testing.T) {
 	k, h, m := build(t, Config{PollInterval: time.Second})
 	m.Submit(core.Request{Paths: h.PathList()[:6], Metrics: []metrics.Metric{metrics.Reachability}})
@@ -39,15 +52,12 @@ func TestQuietSystemNeverEscalates(t *testing.T) {
 	if !ok || !r.Reached() || r.Quality != core.QualityApproximate {
 		t.Fatalf("surveillance data: %v %v", r, ok)
 	}
+	coretest.HistoryInOrder(t, m.DB, h.PathList()[:6], []metrics.Metric{metrics.Reachability})
 }
 
 func TestFailureTriggersTargetedRecheck(t *testing.T) {
 	k, h, m := build(t, Config{PollInterval: time.Second})
-	paths := core.CrossProductPaths(h.ServerRefs()[:1], h.ClientRefs()[:3])
-	m.Submit(core.Request{Paths: paths, Metrics: allMetrics})
-	m.Start()
-	k.At(5*time.Second, func() { h.Clients[0].SetUp(false) })
-	k.RunUntil(30 * time.Second)
+	paths := runDeadClient(k, h, m)
 	if m.Escalations == 0 {
 		t.Fatal("dead client never escalated to NTTCP recheck")
 	}
@@ -62,6 +72,19 @@ func TestFailureTriggersTargetedRecheck(t *testing.T) {
 	if m.Escalations > maxRechecks {
 		t.Fatalf("escalations = %d, want <= %d (cooldown)", m.Escalations, maxRechecks)
 	}
+}
+
+// TestRecheckIsNotSupersededByItsSweep: while a recheck burst runs, the
+// COTS reports of the sweep that triggered it wait in the report queue.
+// They were taken before the burst, so none of them may replace the direct
+// result as the series' current value.
+func TestRecheckIsNotSupersededByItsSweep(t *testing.T) {
+	k, h, m := build(t, Config{PollInterval: time.Second})
+	paths := runDeadClient(k, h, m)
+	if m.Escalations == 0 {
+		t.Fatal("dead client never escalated to NTTCP recheck")
+	}
+	coretest.HistoryInOrder(t, m.DB, paths, allMetrics)
 }
 
 func TestEscalationPublishesDirectQuality(t *testing.T) {
@@ -79,6 +102,7 @@ func TestEscalationPublishesDirectQuality(t *testing.T) {
 	if !sawDirect {
 		t.Fatal("no direct-quality measurement after escalation")
 	}
+	coretest.HistoryInOrder(t, m.DB, paths, allMetrics)
 }
 
 func TestHybridCheaperThanAlwaysOnHiFi(t *testing.T) {
@@ -109,18 +133,16 @@ func TestLowThroughputEscalates(t *testing.T) {
 	if m.Escalations == 0 {
 		t.Fatal("below-threshold throughput never escalated")
 	}
-	tp, ok := m.Query(paths[0].ID, metrics.Throughput)
-	if !ok {
+	if _, ok := m.Query(paths[0].ID, metrics.Throughput); !ok {
 		t.Fatal("no throughput recorded")
 	}
-	_ = tp
+	coretest.HistoryInOrder(t, m.DB, paths, []metrics.Metric{metrics.Throughput})
 }
 
 // TestStopStopsTheSubMonitors: Stop must quiet the COTS surveillance under
 // the hybrid, not just the hybrid's own director. Otherwise the sub-monitor
-// keeps polling a network nobody reads for and — being in ReportAsync mode —
-// keeps filling the unbounded Reports queue the exited director has stopped
-// draining.
+// keeps polling a network nobody reads for and keeps filling the unbounded
+// report queue the exited director has stopped draining.
 func TestStopStopsTheSubMonitors(t *testing.T) {
 	k, h, m := build(t, Config{PollInterval: time.Second})
 	m.Submit(core.Request{Paths: h.PathList(), Metrics: []metrics.Metric{metrics.Reachability}})
@@ -131,12 +153,12 @@ func TestStopStopsTheSubMonitors(t *testing.T) {
 	}
 	m.Stop()
 	k.RunUntil(k.Now() + m.Cfg.PollInterval) // the sweep and the Get in flight finish
-	requests, queued, records := m.cotsMon.Client.Stats.Requests, m.cotsMon.Reports().Len(), m.DB.Records
+	requests, queued, records := m.cotsMon.Client.Stats.Requests, m.reports.Len(), m.DB.Records
 	k.RunUntil(k.Now() + 60*time.Second)
 	if got := m.cotsMon.Client.Stats.Requests; got != requests {
 		t.Errorf("SNMP requests went %d -> %d in the 60 s after Stop", requests, got)
 	}
-	if got := m.cotsMon.Reports().Len(); got != queued {
+	if got := m.reports.Len(); got != queued {
 		t.Errorf("undrained reports went %d -> %d in the 60 s after Stop", queued, got)
 	}
 	if m.DB.Records != records {
@@ -152,11 +174,7 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 	m.EnableTelemetry(nil, nil) // a nil registry is a no-op
 	reg := telemetry.NewRegistry()
 	m.EnableTelemetry(reg, telemetry.NewTracer("hybrid", 64))
-	paths := core.CrossProductPaths(h.ServerRefs()[:1], h.ClientRefs()[:3])
-	m.Submit(core.Request{Paths: paths, Metrics: allMetrics})
-	m.Start()
-	k.At(5*time.Second, func() { h.Clients[0].SetUp(false) })
-	k.RunUntil(30 * time.Second)
+	runDeadClient(k, h, m)
 	if m.Escalations == 0 || m.hifiMon.Samples == 0 || m.cotsMon.Sweeps == 0 {
 		t.Fatalf("scenario drifted: %d escalations, %d hifi samples, %d cots sweeps",
 			m.Escalations, m.hifiMon.Samples, m.cotsMon.Sweeps)
@@ -193,7 +211,7 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 }
 
 // TestResubmitDropsPaths: a request replaces the previous one. The COTS side
-// reports asynchronously through an unbounded queue, so at the moment of the
+// publishes into the hybrid's unbounded report queue, so at the moment of the
 // resubmit — here in the middle of the dead path's NTTCP burst — measurements
 // of the dropped path are still queued; none of them may be published or buy
 // another burst.
@@ -217,7 +235,7 @@ func TestResubmitDropsPaths(t *testing.T) {
 	k.At(resubmitAt, func() {
 		m.Submit(core.Request{Paths: paths[:1], Metrics: allMetrics})
 		escalations, droppedSamples, keptSamples = m.Escalations, samples(dropped.ID), samples(kept.ID)
-		queued = m.cotsMon.Reports().Len()
+		queued = m.reports.Len()
 	})
 	k.RunUntil(resubmitAt + 20*time.Second)
 	if escalations == 0 || queued == 0 {
@@ -232,4 +250,5 @@ func TestResubmitDropsPaths(t *testing.T) {
 	if got := samples(kept.ID); got <= keptSamples {
 		t.Errorf("kept path's samples stayed at %d after the resubmit", got)
 	}
+	coretest.HistoryInOrder(t, m.DB, paths, allMetrics)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/cots"
 	"repro/internal/hifi"
 	"repro/internal/hybrid"
@@ -146,6 +147,29 @@ func TestSurvivabilityWithHybridMonitor(t *testing.T) {
 			NTTCP:        nttcp.Config{MsgLen: 2048, InterSend: 10 * time.Millisecond, Count: 8, Timeout: time.Second},
 		})
 	}, 40*time.Second)
+}
+
+// TestHybridHistoryInOrder runs the hybrid as `hiperd -monitor hybrid`
+// wires it (2 s surveillance, 8 × 8192 B bursts, s2 down at 10 s, 40 s) and
+// holds every series the manager asked for to read forward in time: the
+// rechecks of s2's paths must not be superseded by the older surveillance
+// reports queued behind them.
+func TestHybridHistoryInOrder(t *testing.T) {
+	k := sim.NewKernel()
+	t.Cleanup(k.Close)
+	h := topo.BuildHiPerD(k, 1)
+	mon := hybrid.New(h.Mgmt, "public", hybrid.Config{
+		PollInterval: 2 * time.Second,
+		NTTCP:        nttcp.Config{MsgLen: 8192, InterSend: 30 * time.Millisecond, Count: 8, Timeout: time.Second},
+	})
+	buildScenario(t, mon, h.Mgmt, k, h)
+	k.At(10*time.Second, func() { h.Servers[1].SetUp(false) })
+	k.RunUntil(40 * time.Second)
+	if mon.Escalations == 0 {
+		t.Fatal("s2's failure escalated nothing")
+	}
+	req := mon.Request()
+	coretest.HistoryInOrder(t, mon.DB, req.Paths, req.Metrics)
 }
 
 func TestMonitorsAgreeOnThroughput(t *testing.T) {

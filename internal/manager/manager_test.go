@@ -317,7 +317,7 @@ func TestStaleDataTreatedAsMissingNotHealthy(t *testing.T) {
 	}
 	mon.Start()
 	mgr.Start("server", "client")
-	wd := mon.StartSenescenceWatchdog(k, 500*time.Millisecond, 2*time.Second)
+	wd := mon.StartSenescenceWatchdog(500*time.Millisecond, 2*time.Second)
 	defer wd.Stop()
 
 	// Freeze collection at 5s without killing any host: the last sample
