@@ -56,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketLedger$$' -fuzztime 3s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzResponder$$' -fuzztime 3s ./internal/nttcp
 	$(GO) test -run '^$$' -fuzz '^FuzzDatabaseOracle$$' -fuzztime 3s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzServeMatchesProc$$' -fuzztime 3s ./internal/sim
 
 # One iteration of every benchmark; go test carries on past a failing
 # package and names each one.

@@ -229,7 +229,22 @@ func build(host *netsim.Node, name string, member Member, cfg Config) *Director 
 	if member != nil {
 		d.DB = member.Database()
 	}
+	k.OnClose(d.mustBalanceTraps)
 	return d
+}
+
+// mustBalanceTraps is the kernel's close hook, the director's trap ledger:
+// every trap offered while it was alive was dropped at the full queue, was
+// processed, or is still queued or in service. A run where that does not
+// hold fails there, naming every term.
+func (d *Director) mustBalanceTraps() {
+	st := &d.Stats
+	queued, inService := d.trapQ.Len(), d.trapQ.InService()
+	if out := st.TrapsDropped + st.TrapsProcessed + uint64(queued+inService); st.TrapsIn != out {
+		panic(fmt.Errorf("director: trap ledger of %s is off by %d: in %d, but dropped %d + processed %d + "+
+			"queued %d + in service %d = %d", d.Name, int64(st.TrapsIn-out), st.TrapsIn, st.TrapsDropped,
+			st.TrapsProcessed, queued, inService, out))
+	}
 }
 
 // AddChild attaches a child director beneath d.
@@ -283,9 +298,11 @@ func (d *Director) applyShares(shares map[*Director][]core.Path, mets []metrics.
 	d.DirectorBase.Submit(core.Request{Paths: d.assigned, Metrics: mets})
 }
 
-// Start spawns the subtree's processes: member monitors, trap/record
-// ingest, window flusher, re-export (non-top directors), and — on
-// directors with children — the supervisor and senescence watchdog.
+// Start starts the subtree's processes: member monitors, the trap queue's
+// server, window flusher, re-export proc (non-top directors), and — on
+// directors with children — the record queue's server, the supervisor and
+// the senescence watchdog. The two servers are kernel events, not procs
+// (sim.Queue.Serve).
 func (d *Director) Start() {
 	if d.started {
 		return
@@ -297,7 +314,7 @@ func (d *Director) Start() {
 	if d.member != nil {
 		d.member.Start()
 	}
-	d.Host.Spawn(d.Name+"-traps", d.trapLoop)
+	d.trapQ.Serve(d.running, d.trapService, d.serveTrap)
 	d.timers = append(d.timers, d.k.Every(d.Cfg.FlushEvery, func() {
 		if !d.up() {
 			return
@@ -309,7 +326,7 @@ func (d *Director) Start() {
 		d.Host.Spawn(d.Name+"-reexport", d.reexportLoop)
 	}
 	if len(d.children) > 0 {
-		d.Host.Spawn(d.Name+"-ingest", d.ingestLoop)
+		d.recQ.Serve(d.running, d.ingestService, d.ingestBatch)
 		d.timers = append(d.timers, d.k.Every(d.Cfg.Supervise, d.supervise))
 		d.timers = append(d.timers, d.StartSenescenceWatchdog(d.Cfg.WatchdogEvery, d.Cfg.TTL))
 	}
@@ -333,6 +350,16 @@ func (d *Director) Stop() {
 
 func (d *Director) up() bool { return d.Host.Up() && !d.Stopped() }
 
+// running is the served queues' more: a stopped director's trap and record
+// servers end once the item in hand is handled.
+func (d *Director) running() bool { return !d.Stopped() }
+
+func (d *Director) trapService(Trap) time.Duration { return d.Cfg.TrapProcTime }
+
+func (d *Director) ingestService(b batch) time.Duration {
+	return time.Duration(1+len(b.meas)) * d.Cfg.RecordProcTime
+}
+
 // OfferTrap feeds one trap into the director's bounded ingest queue. A
 // full queue tail-drops with accounting; a dead director loses the trap
 // (its sources cannot reach it). Reports whether the trap was accepted.
@@ -349,19 +376,12 @@ func (d *Director) OfferTrap(t Trap) bool {
 	return true
 }
 
-// trapLoop drains the trap queue: each trap costs TrapProcTime, then runs
-// through the coalescer; surviving traps move up (or surface at the top).
-func (d *Director) trapLoop(p *sim.Proc) {
-	for !d.Stopped() {
-		t, ok := d.trapQ.Get(p, -1)
-		if !ok {
-			return
-		}
-		p.Sleep(d.Cfg.TrapProcTime)
-		d.Stats.TrapsProcessed++
-		d.co.Offer(t, p.Now())
-		d.dispatch(d.co.Take())
-	}
+// serveTrap runs one trap through the coalescer once its TrapProcTime is
+// served; surviving traps move up (or surface at the top).
+func (d *Director) serveTrap(t Trap) {
+	d.Stats.TrapsProcessed++
+	d.co.Offer(t, d.k.Now())
+	d.dispatch(d.co.Take())
 }
 
 // dispatch moves coalescer output along: up to the parent's bounded queue,
@@ -477,27 +497,20 @@ func (d *Director) offerBatch(b batch) {
 // tree runs on one kernel, so the hand-back needs no lock.
 func (b batch) giveBack() { b.from.spare = append(b.from.spare, b) }
 
-// ingestLoop drains children's summary batches into the local database,
-// charging RecordProcTime per record, refreshing the child's heartbeat,
-// and keeping its latest region sketches for aggregation.
-func (d *Director) ingestLoop(p *sim.Proc) {
-	for !d.Stopped() {
-		b, ok := d.recQ.Get(p, -1)
-		if !ok {
-			return
-		}
-		p.Sleep(time.Duration(1+len(b.meas)) * d.Cfg.RecordProcTime)
-		b.from.heard = p.Now()
-		for _, m := range b.meas {
-			d.DB.Record(m)
-		}
-		if len(b.sks) > 0 {
-			b.from.sketches = append(b.from.sketches[:0], b.sks...)
-		}
-		d.Stats.BatchesIn++
-		d.Stats.RecordsIn += uint64(len(b.meas))
-		b.giveBack()
+// ingestBatch takes one child's summary batch into the local database once
+// its RecordProcTime per record is served: it refreshes the child's
+// heartbeat and keeps its latest region sketches for aggregation.
+func (d *Director) ingestBatch(b batch) {
+	b.from.heard = d.k.Now()
+	for _, m := range b.meas {
+		d.DB.Record(m)
 	}
+	if len(b.sks) > 0 {
+		b.from.sketches = append(b.from.sketches[:0], b.sks...)
+	}
+	d.Stats.BatchesIn++
+	d.Stats.RecordsIn += uint64(len(b.meas))
+	b.giveBack()
 }
 
 // leafFor resolves the leaf currently owning path by scanning assignments

@@ -1,6 +1,7 @@
 package director
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -211,6 +212,7 @@ func TestWatermarksDeriveFromQueueCap(t *testing.T) {
 		}
 		step(low+1, maxLevel)
 		step(low, maxLevel-1)
+		root.trapQ.Drain() // stuffed, never offered: the trap ledger at Close must not count it
 		k.Close()
 	}
 }
@@ -304,8 +306,8 @@ func TestOrphanAdoptedOnceASiblingRevives(t *testing.T) {
 }
 
 // TestBatchLedgerBalances: every re-export a child sends is ingested,
-// dropped at the full queue, lost to a down parent, queued, or in process.
-// The checks run 1 ms after a re-export tick, when nothing is in process.
+// dropped at the full queue, lost to a down parent, queued, or in service
+// (the record queue's server holds it).
 func TestBatchLedgerBalances(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
@@ -323,7 +325,7 @@ func TestBatchLedgerBalances(t *testing.T) {
 			sent += l.Stats.Reexports
 		}
 		s := root.Stats
-		if got := s.BatchesIn + s.BatchesDropped + s.BatchesLost + uint64(root.recQ.Len()); sent == 0 || got != sent {
+		if got := s.BatchesIn + s.BatchesDropped + s.BatchesLost + uint64(root.recQ.Len()+root.recQ.InService()); sent == 0 || got != sent {
 			t.Fatalf("at %v: children sent %d batches, root accounts for %d (%+v)", at, sent, got, s)
 		}
 	}
@@ -614,5 +616,43 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 	if l0.Stats.TrapsIn != 120 || l0.Stats.TrapsDropped == 0 || l0.co.Coalesced == 0 ||
 		root.Stats.TrapsIn == 0 || root.Stats.RecordsIn == 0 || root.Stats.RecordsDropped == 0 {
 		t.Errorf("scenario drifted: leaf0 %+v coalesced %d, root %+v", l0.Stats, l0.co.Coalesced, root.Stats)
+	}
+}
+
+// TestTrapLedgerAtClose: each director checks TrapsIn = TrapsDropped +
+// TrapsProcessed + queued + in service when its kernel closes. Closed with
+// one trap processed, one in service, three queued and one dropped, it
+// balances; a ledger made to miss a trap panics at Close with every term.
+func TestTrapLedgerAtClose(t *testing.T) {
+	for _, broken := range []bool{false, true} {
+		k := sim.NewKernel()
+		root, _ := buildStubTree(k, netsim.New(k, 1), Config{QueueCap: 4})
+		root.Start()
+		k.At(0, func() {
+			for i := 0; i < 6; i++ {
+				root.OfferTrap(trap("s", core.PathID(fmt.Sprint(i)), true))
+			}
+		})
+		k.RunUntil(3 * time.Millisecond) // TrapProcTime is 2 ms
+		st := root.Stats
+		if st.TrapsIn != 6 || st.TrapsDropped != 1 || st.TrapsProcessed != 1 || root.trapQ.Len() != 3 || root.trapQ.InService() != 1 {
+			t.Fatalf("at 3 ms: %+v, queued %d, in service %d; want 6 in, 1 dropped, 1 processed, 3 queued, 1 in service",
+				st, root.trapQ.Len(), root.trapQ.InService())
+		}
+		if broken {
+			root.Stats.TrapsIn++
+		}
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			k.Close()
+		}()
+		want := "trap ledger of root is off by 1: in 7, but dropped 1 + processed 1 + queued 3 + in service 1 = 6"
+		switch {
+		case !broken && got != nil:
+			t.Fatalf("a balanced ledger panicked at Close: %v", got)
+		case broken && !strings.Contains(fmt.Sprint(got), want):
+			t.Fatalf("a broken ledger panicked at Close with %v, want %q", got, want)
+		}
 	}
 }

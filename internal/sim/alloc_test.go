@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The steady-state allocation guarantees of the kernel, measured: event
@@ -93,6 +94,56 @@ func TestProcSwitchAllocatesNothing(t *testing.T) {
 	}
 	if got := k.ProcSwitches() - before; got != 2*201 {
 		t.Fatalf("%d proc switches over 201 rounds, want one per proc per round", got)
+	}
+}
+
+// TestServeAllocatesNothing: a served queue's warm cycle — a Put handing an
+// item to the idle server, its wake event, its done event and the return to
+// idle — allocates nothing, and costs no proc switch; Serve itself allocates
+// the server, once.
+func TestServeAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	handled := 0
+	service := func(int) time.Duration { return time.Millisecond }
+	handle := func(int) { handled++ }
+	// Serve arms a start event: warm the event pool and the heap first, so
+	// that only the server is counted.
+	const runs = 200
+	for range runs + 1 {
+		k.AfterArg(0, func(any) {}, nil)
+	}
+	k.Run()
+	qs := make([]*Queue[int], runs+1)
+	for i := range qs {
+		qs[i] = NewQueue[int](k, 4)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() { qs[next].Serve(nil, service, handle); next++ }); n != 1 {
+		t.Fatalf("Serve allocates %v objects, want 1", n)
+	}
+	k.Run()
+	q := qs[0]
+	round := func() {
+		q.Put(1)
+		k.Run()
+	}
+	round()
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("a put -> wake -> done -> idle cycle allocates %v objects, want 0", n)
+	}
+	if handled != 1+201 || k.ProcSwitches() != 0 || q.InService() != 0 {
+		t.Fatalf("handled %d, %d proc switches, %d in service; want %d, 0, 0", handled, k.ProcSwitches(), q.InService(), 1+201)
+	}
+}
+
+// TestQueueFitsIn128Bytes: a queue is at most 128 bytes, a malloc size
+// class, so NewQueue's one object and a netsim socket, which embeds its
+// receive queue in a 192-byte object, keep their classes; 8 bytes more puts
+// every socket in the 208-byte class and shows in bytes_per_sample.
+func TestQueueFitsIn128Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Queue[int]{}); size > 128 {
+		t.Fatalf("Queue is %d bytes, want at most 128", size)
 	}
 }
 

@@ -11,7 +11,9 @@
 // direct switch from the kernel's dispatch loop into the Proc's stack on the
 // same thread, and blocking is the switch back — no channel, no scheduler
 // wake-up — so at most one Proc executes at any instant and a process switch
-// costs about what two events do. Time advances only between events.
+// costs about what two events do. Time advances only between events. A
+// queue whose one consumer only takes an item, waits its service time and
+// handles it is served in events instead (Queue.Serve), with no proc behind it.
 //
 // The scheduler is allocation-free in steady state: fired and cancelled
 // events return to a free list and are recycled by later At/After/Every

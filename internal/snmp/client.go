@@ -344,9 +344,10 @@ type trapItem struct {
 // accounting, never buffer without limit.
 const DefaultTrapQueueCap = 256
 
-// StartTrapSink binds the sink and spawns its receiver and processor
-// procs. A non-positive queueCap gets DefaultTrapQueueCap — the queue is
-// always bounded.
+// StartTrapSink binds the sink, spawns its receiver proc and serves its
+// queue (sim.Queue.Serve): the processor is kernel events, not a proc. A
+// non-positive queueCap gets DefaultTrapQueueCap — the queue is always
+// bounded.
 func StartTrapSink(n *netsim.Node, port netsim.Port, queueCap int, procTime time.Duration) *TrapSink {
 	if port == 0 {
 		port = TrapPort
@@ -398,22 +399,32 @@ func StartTrapSink(n *netsim.Node, port netsim.Port, queueCap int, procTime time
 			}
 		}
 	})
-	n.Spawn("trap-proc", func(p *sim.Proc) {
-		for {
-			item, ok := s.queue.Get(p, -1)
-			if !ok {
-				return
-			}
-			if s.ProcTime > 0 {
-				p.Sleep(s.ProcTime)
-			}
-			s.Stats.Processed++
-			if s.OnTrap != nil {
-				s.OnTrap(item.msg, item.from)
-			}
-		}
-	})
+	s.queue.Serve(nil, s.service, s.handle)
+	n.Network().K.OnClose(s.mustBalance)
 	return s
+}
+
+func (s *TrapSink) service(trapItem) time.Duration { return s.ProcTime }
+
+// handle processes one trap once its ProcTime is served; a zero ProcTime
+// handles it in the event that hands it over.
+func (s *TrapSink) handle(item trapItem) {
+	s.Stats.Processed++
+	if s.OnTrap != nil {
+		s.OnTrap(item.msg, item.from)
+	}
+}
+
+// mustBalance is the kernel's close hook, the sink's trap ledger: every trap
+// that reached the application queue was processed or is still queued or in
+// service. A run where that does not hold fails there, naming every term.
+func (s *TrapSink) mustBalance() {
+	queued, inService := s.queue.Len(), s.queue.InService()
+	if out := s.Stats.Processed + uint64(queued+inService); s.Stats.Arrived != out {
+		panic(fmt.Errorf("snmp: trap ledger of the sink at %s:%d is off by %d: arrived %d, but processed %d + "+
+			"queued %d + in service %d = %d", s.Node.Name, s.Port, int64(s.Stats.Arrived-out), s.Stats.Arrived,
+			s.Stats.Processed, queued, inService, out))
+	}
 }
 
 // QueueLen reports how many accepted traps wait in the ingest queue.

@@ -1,6 +1,8 @@
 package snmp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -436,5 +438,49 @@ func TestTrapSinkQueueDepthIsLive(t *testing.T) {
 	}
 	if end := sink.QueueLen(); end != 0 || sink.Stats.Processed != 5 {
 		t.Errorf("depth after the drain = %v with %d processed, want 0 and 5", end, sink.Stats.Processed)
+	}
+}
+
+// TestTrapSinkLedgerAtClose: the sink checks Arrived = Processed + queued +
+// in service when its kernel closes. Closed mid-flood, with one trap in
+// service and four queued, it balances; a ledger made to miss a trap panics
+// at Close with every term.
+func TestTrapSinkLedgerAtClose(t *testing.T) {
+	for _, broken := range []bool{false, true} {
+		k := sim.NewKernel()
+		nw := netsim.New(k, 9)
+		station := nw.NewHost("station")
+		src := nw.NewHost("prober")
+		seg := nw.NewSegment("lan", netsim.Ethernet100())
+		seg.Attach(station)
+		seg.Attach(src)
+		sink := StartTrapSink(station, 0, 8, 50*time.Millisecond)
+		agent := NewAgent(mib.NewTree(), "public")
+		agent.AddTrapDestSim(src, "station", 0)
+		k.At(time.Millisecond, func() {
+			for i := 0; i < 5; i++ {
+				agent.SendTrap(mib.Enterprise, nil, TrapEnterpriseSpecific, i, nil)
+			}
+		})
+		k.RunUntil(20 * time.Millisecond)
+		if sink.QueueLen() != 4 || sink.queue.InService() != 1 || sink.Stats.Processed != 0 {
+			t.Fatalf("mid-flood: queued %d, in service %d, processed %d; want 4, 1, 0",
+				sink.QueueLen(), sink.queue.InService(), sink.Stats.Processed)
+		}
+		if broken {
+			sink.Stats.Arrived++
+		}
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			k.Close()
+		}()
+		want := "trap ledger of the sink at station:162 is off by 1: arrived 6, but processed 0 + queued 4 + in service 1 = 5"
+		switch {
+		case !broken && got != nil:
+			t.Fatalf("a balanced ledger panicked at Close: %v", got)
+		case broken && !strings.Contains(fmt.Sprint(got), want):
+			t.Fatalf("a broken ledger panicked at Close with %v, want %q", got, want)
+		}
 	}
 }
