@@ -17,8 +17,9 @@ type DirectorBase struct {
 	// OnPublish, when set, is called with every measurement Publish
 	// records, after the record, so a subscriber that queries the
 	// database sees it: the asynchronous half of §4.1's reporting. The
-	// hybrid sets it on its COTS member to stream that member's reports
-	// into its escalation loop.
+	// hybrid sets it on its COTS member, which records into the hybrid's
+	// own database, and queues only the anomalous reports for its
+	// escalation loop.
 	OnPublish func(Measurement)
 
 	k       *sim.Kernel

@@ -22,7 +22,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/nttcp"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -38,13 +37,8 @@ type Monitor struct {
 	// test sequencer; >= number of paths is the fully parallel variant.
 	Concurrency int
 
-	// Breakers, when non-nil, holds per-host circuit breakers shared with
-	// (or private to) this monitor: the sequencer skips paths whose
-	// endpoints' breakers are open instead of burning a full NTTCP test
-	// window on a host already known dead, and feeds reachability results
-	// back into the breakers.
-	Breakers *resilience.BreakerSet
-	// SkippedPaths counts measurements fast-failed by an open breaker.
+	// SkippedPaths is always 0: the sequencer measures every path it has a
+	// server simulator for. The benchmark's hifi workload still reads it.
 	SkippedPaths uint64
 
 	// Sweeps counts completed passes over the path list; SweepTime is the
@@ -53,8 +47,8 @@ type Monitor struct {
 	SweepTime time.Duration
 	// TrafficBytes accumulates measurement overhead put on the wire.
 	TrafficBytes int64
-	// Samples counts NTTCP measurements actually run (skipped paths are
-	// not samples).
+	// Samples counts NTTCP measurements actually run (a path without a
+	// server simulator is not a sample).
 	Samples uint64
 	// SweepOverheadBps is the measurement traffic of the last sweep that
 	// took virtual time, averaged over that sweep, in bits/s — the paper's
@@ -112,7 +106,7 @@ func New(host *netsim.Node, cfg nttcp.Config, concurrency int) *Monitor {
 }
 
 // EnableTelemetry publishes the sequencer's own counts under the "hifi."
-// prefix — Sweeps, Samples, SkippedPaths and the SweepOverheadBps gauge —
+// prefix — Sweeps, Samples and the SweepOverheadBps gauge —
 // and records each path measurement as a trace span tagged with the path
 // id, nested under a per-sweep span (tr may be nil to skip tracing). It
 // also publishes the measurement database.
@@ -120,7 +114,6 @@ func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer)
 	m.tracer = tr
 	reg.CounterFunc("hifi.sweeps", func() uint64 { return uint64(m.Sweeps) })
 	reg.CounterFunc("hifi.samples", func() uint64 { return m.Samples })
-	reg.CounterFunc("hifi.skipped_paths", func() uint64 { return m.SkippedPaths })
 	reg.GaugeFunc("hifi.sweep_overhead_bps", func() float64 { return m.SweepOverheadBps })
 	m.telSweepSec = reg.Histogram("hifi.sweep_s", []float64{0.1, 0.5, 1, 5, 10, 30})
 	m.DB.EnableTelemetry(reg, "hifi.db")
@@ -178,9 +171,10 @@ func (m *Monitor) Start() {
 				m.SweepOverheadBps = float64(m.TrafficBytes-traffic0) * 8 / m.SweepTime.Seconds()
 			}
 			if m.SweepTime == 0 {
-				// Every path fast-failed (open breakers): the sweep consumed
-				// no virtual time, so yielding would spin the collector at a
-				// single instant forever. Pace it at a nominal beat instead.
+				// No path had a server simulator (failAll): the sweep
+				// consumed no virtual time, so yielding would spin the
+				// collector at a single instant forever. Pace it at a
+				// nominal beat instead.
 				p.Sleep(10 * time.Millisecond)
 			} else {
 				p.Yield()
@@ -294,8 +288,8 @@ func (m *Monitor) MeasurePath(p *sim.Proc, path core.Path, wanted []metrics.Metr
 }
 
 // measurePath measures one path and appends one measurement per wanted
-// metric to dst, whether the path was measured, fast-failed by a breaker
-// or has no server simulator, and returns the extended slice.
+// metric to dst, whether the path was measured or has no server simulator,
+// and returns the extended slice.
 func (m *Monitor) measurePath(p *sim.Proc, path core.Path, wanted []metrics.Metric, parent telemetry.Span, dst []core.Measurement) []core.Measurement {
 	// The per-path sample span; parent (the sweep or recheck span) stays
 	// open — it is shared across paths and ended by the caller.
@@ -307,29 +301,9 @@ func (m *Monitor) measurePath(p *sim.Proc, path core.Path, wanted []metrics.Metr
 		span.End(p.Now())
 		return failAll(dst, path.ID, wanted, p.Now(), "no server simulator on "+string(from))
 	}
-	if m.Breakers != nil {
-		if open, host := m.breakerBlocks(p.Now(), from, to); open {
-			// Fast-fail: report the path unreachable without spending the
-			// NTTCP test window; the breaker's half-open probe (or another
-			// monitor sharing the set) will re-admit the host later.
-			m.SkippedPaths++
-			span.End(p.Now())
-			return m.fastFail(dst, path.ID, wanted, p.Now(), host)
-		}
-	}
 	res, err := cli.Measure(p, to, 0)
 	m.Samples++
 	span.End(p.Now())
-	if m.Breakers != nil {
-		if res.Reached {
-			m.Breakers.For(string(from)).Success(p.Now())
-			m.Breakers.For(string(to)).Success(p.Now())
-		} else {
-			// Only the far endpoint is implicated: the near side sourced
-			// the probe traffic, so silence says nothing about it.
-			m.Breakers.For(string(to)).Failure(p.Now())
-		}
-	}
 	m.TrafficBytes += res.OverheadBytes
 	now := p.Now()
 	for _, metric := range wanted {
@@ -353,32 +327,6 @@ func (m *Monitor) measurePath(p *sim.Proc, path core.Path, wanted []metrics.Metr
 			} else {
 				meas.Value = res.OneWayLatency.Seconds()
 			}
-		}
-		dst = append(dst, meas)
-	}
-	return dst
-}
-
-// breakerBlocks reports whether either endpoint's breaker denies admission
-// at time now, and which host tripped first.
-func (m *Monitor) breakerBlocks(now time.Duration, from, to netsim.Addr) (bool, netsim.Addr) {
-	if !m.Breakers.For(string(from)).Allow(now) {
-		return true, from
-	}
-	if !m.Breakers.For(string(to)).Allow(now) {
-		return true, to
-	}
-	return false, ""
-}
-
-// fastFail appends the measurement set for a breaker-skipped path to dst:
-// reachability is a successful observation of value 0 (the breaker's
-// knowledge is the observation); other metrics are errors.
-func (m *Monitor) fastFail(dst []core.Measurement, id core.PathID, wanted []metrics.Metric, now time.Duration, host netsim.Addr) []core.Measurement {
-	for _, metric := range wanted {
-		meas := core.Measurement{Path: id, Metric: metric, TakenAt: now, Quality: core.QualityDirect}
-		if metric != metrics.Reachability {
-			meas.Err = "resilience: circuit open to " + string(host)
 		}
 		dst = append(dst, meas)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/nttcp"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -335,85 +334,14 @@ func TestStartIdempotentAndEmptyRequest(t *testing.T) {
 	}
 }
 
-func TestBreakerSkipsPathsToDeadHost(t *testing.T) {
-	// With the resilience layer on, a host that stops answering trips its
-	// breaker after FailThreshold sweeps; from then on the sequencer
-	// fast-fails its paths (reachability 0, no NTTCP window burned)
-	// until the half-open probe finds it alive again.
-	k := sim.NewKernel()
-	defer k.Close()
-	h := topo.BuildHiPerD(k, 1)
-	m := New(h.Mgmt, smallCfg(), 1)
-	m.Breakers = resilience.NewBreakerSet(resilience.BreakerConfig{
-		FailThreshold: 1, OpenFor: 3 * time.Second,
-	})
-	path := core.NewPath(h.ServerRefs()[0], h.ClientRefs()[0])
-	m.Submit(core.Request{Paths: []core.Path{path}, Metrics: allMetrics})
-	m.Start()
-	h.Net.Node("c1").SetUp(false)
-	k.RunUntil(10 * time.Second)
-	if m.SkippedPaths == 0 {
-		t.Fatal("no path measurements were fast-failed by the breaker")
-	}
-	br := m.Breakers.For("c1")
-	if br.Stats.Opens == 0 || br.Stats.FastFails == 0 {
-		t.Fatalf("breaker never engaged: %+v", br.Stats)
-	}
-	// A skipped path must still read as a successful reachability-0
-	// observation, with the other metrics failed, not silent.
-	meas, ok := m.Query(path.ID, metrics.Reachability)
-	if !ok || !meas.OK() || meas.Value != 0 {
-		t.Fatalf("reachability under open breaker = %v (ok=%v)", meas, ok)
-	}
-	if tp, ok := m.Query(path.ID, metrics.Throughput); !ok || tp.OK() {
-		t.Fatalf("throughput under open breaker = %v (ok=%v), want error", tp, ok)
-	}
-}
-
-func TestBreakerRecoversWhenHostReturns(t *testing.T) {
-	// The half-open probe must re-admit a restored host: reachability goes
-	// 1 -> 0 -> 1 across the outage, and the breaker records a close.
-	k := sim.NewKernel()
-	defer k.Close()
-	h := topo.BuildHiPerD(k, 1)
-	m := New(h.Mgmt, smallCfg(), 1)
-	m.Breakers = resilience.NewBreakerSet(resilience.BreakerConfig{
-		FailThreshold: 1, OpenFor: 2 * time.Second,
-	})
-	path := core.NewPath(h.ServerRefs()[0], h.ClientRefs()[0])
-	m.Submit(core.Request{Paths: []core.Path{path}, Metrics: []metrics.Metric{metrics.Reachability}})
-	m.Start()
-	k.At(4*time.Second, func() { h.Net.Node("c1").SetUp(false) })
-	k.At(10*time.Second, func() { h.Net.Node("c1").SetUp(true) })
-	// While the breaker is open a sweep takes no virtual time and the
-	// sequencer runs at its 10 ms beat, which outruns the database's
-	// history ring; read the current value as it changes instead.
-	var phases []float64
-	k.Every(100*time.Millisecond, func() {
-		if ms, ok := m.Query(path.ID, metrics.Reachability); ok &&
-			(len(phases) == 0 || phases[len(phases)-1] != ms.Value) {
-			phases = append(phases, ms.Value)
-		}
-	})
-	k.RunUntil(20 * time.Second)
-	want := []float64{1, 0, 1}
-	if len(phases) != len(want) {
-		t.Fatalf("reachability phases = %v, want %v", phases, want)
-	}
-	if br := m.Breakers.For("c1"); br.Stats.Closes == 0 {
-		t.Fatalf("breaker never closed after recovery: %+v", br.Stats)
-	}
-}
-
-// TestTelemetryReadsOwnersFields: with a dead host behind a breaker the
-// sequencer sweeps, samples and skips; every published instrument must be
-// the monitor's (or its database's) own field, read when asked.
+// TestTelemetryReadsOwnersFields: with one host dead the sequencer sweeps
+// and samples both paths; every published instrument must be the monitor's
+// (or its database's) own field, read when asked.
 func TestTelemetryReadsOwnersFields(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	h := topo.BuildHiPerD(k, 1)
 	m := New(h.Mgmt, smallCfg(), 1)
-	m.Breakers = resilience.NewBreakerSet(resilience.BreakerConfig{FailThreshold: 1, OpenFor: 3 * time.Second})
 	m.EnableTelemetry(nil, nil) // a nil registry is a no-op
 	reg := telemetry.NewRegistry()
 	m.EnableTelemetry(reg, telemetry.NewTracer("hifi", 64))
@@ -423,15 +351,14 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 	h.Net.Node("c1").SetUp(false)
 	k.RunUntil(10 * time.Second)
 
-	if m.Sweeps == 0 || m.Samples == 0 || m.SkippedPaths == 0 || m.SweepOverheadBps == 0 {
-		t.Fatalf("scenario drifted: sweeps %d samples %d skipped %d overhead %g",
-			m.Sweeps, m.Samples, m.SkippedPaths, m.SweepOverheadBps)
+	if m.Sweeps == 0 || m.Samples == 0 || m.SweepOverheadBps == 0 {
+		t.Fatalf("scenario drifted: sweeps %d samples %d overhead %g",
+			m.Sweeps, m.Samples, m.SweepOverheadBps)
 	}
 	fp := m.DB.Footprint()
 	counters := map[string]uint64{
 		"hifi.sweeps":          uint64(m.Sweeps),
 		"hifi.samples":         m.Samples,
-		"hifi.skipped_paths":   m.SkippedPaths,
 		"hifi.db.records":      m.DB.Records,
 		"hifi.db.stale_marks":  m.DB.StaleMarked,
 		"hifi.db.fresh_hits":   m.DB.FreshHits,

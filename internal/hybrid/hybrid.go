@@ -3,12 +3,13 @@
 // high-fidelity NTTCP implementation.
 //
 // The COTS side performs cheap, approximate background surveillance of the
-// whole path list. Whenever a path's approximate measurement looks anomalous
-// — unreachable, failed, or throughput below a threshold — the monitor
-// launches a targeted NTTCP burst on just that path and publishes the
-// high-fidelity result. The system pays NTTCP's intrusiveness only where
-// and when something seems wrong, and pays SNMP's fidelity ceiling only
-// where nothing does.
+// whole path list and records each report in the hybrid's database at the
+// instant its sweep takes it. Whenever a path's approximate measurement
+// looks anomalous — unreachable, failed, or throughput below a threshold —
+// the monitor launches a targeted NTTCP burst on just that path and
+// publishes the high-fidelity result. The system pays NTTCP's
+// intrusiveness only where and when something seems wrong, and pays SNMP's
+// fidelity ceiling only where nothing does.
 package hybrid
 
 import (
@@ -52,7 +53,7 @@ type Monitor struct {
 	Escalations int
 
 	cotsMon     *cots.Monitor
-	reports     sim.Queue[core.Measurement] // what cotsMon publishes, unbounded
+	anomalies   sim.Queue[core.Measurement] // cotsMon's anomalous reports, unbounded
 	hifiMon     *hifi.Monitor
 	host        *netsim.Node
 	paths       map[core.PathID]core.Path
@@ -72,27 +73,33 @@ func New(host *netsim.Node, community string, cfg Config) *Monitor {
 		hifiMon:      hifi.New(host, cfg.NTTCP, 1),
 		host:         host,
 	}
-	m.reports.Init(host.Network().K, 0)
-	m.cotsMon.OnPublish = func(meas core.Measurement) { m.reports.Put(meas) }
+	m.cotsMon.DB = m.DB // one store: a report is recorded when its sweep takes it
+	m.anomalies.Init(host.Network().K, 0)
+	m.cotsMon.OnPublish = func(meas core.Measurement) {
+		if m.anomalous(meas) {
+			m.anomalies.Put(meas)
+		}
+	}
 	return m
 }
 
 // EnableTelemetry publishes both sub-monitors under their own prefixes
-// ("cots.", "hifi."), the hybrid's merged database under "hybrid.db", and
-// Escalations under "hybrid.escalations". Spans from the COTS sweeps and
-// the targeted hifi rechecks share tr (which may be nil).
+// ("cots.", "hifi.") and Escalations under "hybrid.escalations". The
+// hybrid's database is its COTS member's, so "cots.db" reads it. Spans
+// from the COTS sweeps and the targeted hifi rechecks share tr (which may
+// be nil).
 func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	reg.CounterFunc("hybrid.escalations", func() uint64 { return uint64(m.Escalations) })
 	m.cotsMon.EnableTelemetry(reg, tr)
 	m.hifiMon.EnableTelemetry(reg, tr)
-	m.DB.EnableTelemetry(reg, "hybrid.db")
 }
 
-// Submit installs the request on both sub-monitors; the COTS side streams
-// what it publishes to the escalation loop, the hifi side only provisions
-// its simulators. A request replaces the previous one: a path it no longer
-// names is neither published nor escalated again, whatever the COTS side
-// still has queued.
+// Submit installs the request on both sub-monitors; the COTS side records
+// its reports and streams the anomalous ones to the escalation loop, the
+// hifi side only provisions its simulators. A request replaces the
+// previous one: a path it no longer names is not escalated again, whatever
+// the escalation loop still has queued. A COTS sweep already in flight
+// still records what it took, as a bare COTS monitor does.
 func (m *Monitor) Submit(req core.Request) {
 	m.DirectorBase.Submit(req)
 	m.paths = make(map[core.PathID]core.Path, len(req.Paths))
@@ -104,7 +111,8 @@ func (m *Monitor) Submit(req core.Request) {
 	m.hifiMon.Submit(req) // provisions sims; hifiMon.Start is never called
 }
 
-// Start begins background surveillance and the escalation loop.
+// Start begins background surveillance and the escalation loop, which
+// waits for anomalous reports and bursts on the paths they name.
 func (m *Monitor) Start() {
 	if m.started {
 		return
@@ -112,30 +120,27 @@ func (m *Monitor) Start() {
 	m.started = true
 	m.cotsMon.Start()
 	m.host.Spawn("hybrid-director", func(p *sim.Proc) {
-		for !m.Stopped() {
-			meas, ok := m.reports.Get(p, time.Second)
-			if !ok {
-				continue
+		for {
+			meas, _ := m.anomalies.Get(p, -1)
+			if m.Stopped() {
+				return
 			}
 			path, ok := m.paths[meas.Path]
 			if !ok {
 				continue // measured for a request since replaced
 			}
 			if cur, ok := m.DB.Current(meas.Path, meas.Metric); ok && meas.TakenAt < cur.TakenAt {
-				continue // taken before a recheck that has since reported
+				continue // superseded by a later sweep or a recheck
 			}
-			m.Publish(meas) // the approximate view is still a view
-			if m.anomalous(meas) {
-				m.maybeEscalate(p, path)
-			}
+			m.maybeEscalate(p, path)
 		}
 	})
 }
 
 // Stop ceases collection on the hybrid director and on both sub-monitors.
 // Without the second half the COTS side keeps sweeping — and keeps
-// filling the unbounded report queue that the exited director no longer
-// drains.
+// recording into the store and filling the unbounded anomaly queue that
+// the exited director no longer drains.
 func (m *Monitor) Stop() {
 	m.DirectorBase.Stop()
 	m.cotsMon.Stop()

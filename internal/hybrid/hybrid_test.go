@@ -74,10 +74,10 @@ func TestFailureTriggersTargetedRecheck(t *testing.T) {
 	}
 }
 
-// TestRecheckIsNotSupersededByItsSweep: while a recheck burst runs, the
-// COTS reports of the sweep that triggered it wait in the report queue.
-// They were taken before the burst, so none of them may replace the direct
-// result as the series' current value.
+// TestRecheckIsNotSupersededByItsSweep: the COTS reports of the sweep that
+// triggered a recheck were taken before its burst, so none of them may
+// replace the direct result as the series' current value: every series'
+// history reads forward in time.
 func TestRecheckIsNotSupersededByItsSweep(t *testing.T) {
 	k, h, m := build(t, Config{PollInterval: time.Second})
 	paths := runDeadClient(k, h, m)
@@ -85,6 +85,47 @@ func TestRecheckIsNotSupersededByItsSweep(t *testing.T) {
 		t.Fatal("dead client never escalated to NTTCP recheck")
 	}
 	coretest.HistoryInOrder(t, m.DB, paths, allMetrics)
+}
+
+// TestReportsAreRecordedWhenTaken: the hybrid keeps one store, and its COTS
+// member records every surveillance report there at the instant the sweep
+// takes it, whatever NTTCP bursts are running or queued. A report that
+// waited behind a burst would reach the manager late, as stale data.
+func TestReportsAreRecordedWhenTaken(t *testing.T) {
+	k, h, m := build(t, Config{PollInterval: time.Second})
+	var reports, late int
+	var first core.Measurement
+	stream := m.cotsMon.OnPublish
+	m.cotsMon.OnPublish = func(meas core.Measurement) {
+		reports++
+		stream(meas)
+		// Checked after everything else the instant holds: a report
+		// recorded later in the same instant is on time, one still
+		// waiting at its end is late.
+		k.At(meas.TakenAt, func() {
+			if cur, ok := m.DB.Current(meas.Path, meas.Metric); !ok || cur != meas {
+				if late == 0 {
+					first = meas
+				}
+				late++
+			}
+		})
+	}
+	runDeadClient(k, h, m)
+	if m.Escalations < 2 || reports == 0 {
+		t.Fatalf("scenario drifted: %d escalations, %d reports", m.Escalations, reports)
+	}
+	if late > 0 {
+		t.Errorf("%d of %d COTS reports were not current in the hybrid's store when taken; the first: %v", late, reports, first)
+	}
+	if m.cotsMon.DB != m.DB {
+		t.Error("the COTS member keeps a database of its own")
+	}
+	// Each report is recorded once, and each recheck adds one sample per metric.
+	if want := uint64(reports + len(allMetrics)*m.Escalations); m.DB.Records != want {
+		t.Errorf("%d records, want %d reports + %d rechecks × %d metrics = %d",
+			m.DB.Records, reports, m.Escalations, len(allMetrics), want)
+	}
 }
 
 func TestEscalationPublishesDirectQuality(t *testing.T) {
@@ -141,8 +182,9 @@ func TestLowThroughputEscalates(t *testing.T) {
 
 // TestStopStopsTheSubMonitors: Stop must quiet the COTS surveillance under
 // the hybrid, not just the hybrid's own director. Otherwise the sub-monitor
-// keeps polling a network nobody reads for and keeps filling the unbounded
-// report queue the exited director has stopped draining.
+// keeps polling a network nobody reads for, keeps recording into the store
+// and keeps filling the unbounded anomaly queue the exited director has
+// stopped draining.
 func TestStopStopsTheSubMonitors(t *testing.T) {
 	k, h, m := build(t, Config{PollInterval: time.Second})
 	m.Submit(core.Request{Paths: h.PathList(), Metrics: []metrics.Metric{metrics.Reachability}})
@@ -153,13 +195,13 @@ func TestStopStopsTheSubMonitors(t *testing.T) {
 	}
 	m.Stop()
 	k.RunUntil(k.Now() + m.Cfg.PollInterval) // the sweep and the Get in flight finish
-	requests, queued, records := m.cotsMon.Client.Stats.Requests, m.reports.Len(), m.DB.Records
+	requests, queued, records := m.cotsMon.Client.Stats.Requests, m.anomalies.Len(), m.DB.Records
 	k.RunUntil(k.Now() + 60*time.Second)
 	if got := m.cotsMon.Client.Stats.Requests; got != requests {
 		t.Errorf("SNMP requests went %d -> %d in the 60 s after Stop", requests, got)
 	}
-	if got := m.reports.Len(); got != queued {
-		t.Errorf("undrained reports went %d -> %d in the 60 s after Stop", queued, got)
+	if got := m.anomalies.Len(); got != queued {
+		t.Errorf("undrained anomalies went %d -> %d in the 60 s after Stop", queued, got)
 	}
 	if m.DB.Records != records {
 		t.Errorf("records went %d -> %d after Stop", records, m.DB.Records)
@@ -167,8 +209,8 @@ func TestStopStopsTheSubMonitors(t *testing.T) {
 }
 
 // TestTelemetryReadsOwnersFields: the hybrid publishes its escalation count
-// and its merged database next to both sub-monitors' instruments; each is
-// the owner's own field.
+// next to both sub-monitors' instruments, and its one database under
+// "cots.db"; each is the owner's own field.
 func TestTelemetryReadsOwnersFields(t *testing.T) {
 	k, h, m := build(t, Config{PollInterval: time.Second})
 	m.EnableTelemetry(nil, nil) // a nil registry is a no-op
@@ -181,18 +223,17 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 	}
 	fp := m.DB.Footprint()
 	for name, want := range map[string]float64{
-		"hybrid.escalations":         float64(m.Escalations),
-		"hybrid.db.records":          float64(m.DB.Records),
-		"hybrid.db.stale_marks":      float64(m.DB.StaleMarked),
-		"hybrid.db.fresh_hits":       float64(m.DB.FreshHits),
-		"hybrid.db.fresh_misses":     float64(m.DB.FreshMisses),
-		"hybrid.db.series":           float64(fp.Series),
-		"hybrid.db.retained_samples": float64(fp.Retained),
-		"hybrid.db.sketch_bytes":     float64(fp.SketchBytes),
+		"hybrid.escalations":       float64(m.Escalations),
+		"cots.db.records":          float64(m.DB.Records),
+		"cots.db.stale_marks":      float64(m.DB.StaleMarked),
+		"cots.db.fresh_hits":       float64(m.DB.FreshHits),
+		"cots.db.fresh_misses":     float64(m.DB.FreshMisses),
+		"cots.db.series":           float64(fp.Series),
+		"cots.db.retained_samples": float64(fp.Retained),
+		"cots.db.sketch_bytes":     float64(fp.SketchBytes),
 		// One instrument of each sub-monitor: their own packages check the rest.
 		"cots.sweeps":        float64(m.cotsMon.Sweeps),
 		"cots.snmp.requests": float64(m.cotsMon.Client.Stats.Requests),
-		"cots.db.records":    float64(m.cotsMon.DB.Records),
 		"hifi.samples":       float64(m.hifiMon.Samples),
 		"hifi.db.records":    float64(m.hifiMon.DB.Records),
 	} {
@@ -204,17 +245,17 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-	// 8 of the hybrid's own, cots' 30 and hifi's 12.
-	if reg.Len() != 8+30+12 {
-		t.Errorf("%d instruments registered, want %d", reg.Len(), 8+30+12)
+	// 1 of the hybrid's own, cots' 30 (its database's 7 among them) and hifi's 11.
+	if reg.Len() != 1+30+11 {
+		t.Errorf("%d instruments registered, want %d", reg.Len(), 1+30+11)
 	}
 }
 
 // TestResubmitDropsPaths: a request replaces the previous one. The COTS side
-// publishes into the hybrid's unbounded report queue, so at the moment of the
-// resubmit — here in the middle of the dead path's NTTCP burst — measurements
-// of the dropped path are still queued; none of them may be published or buy
-// another burst.
+// streams its anomalous reports into the hybrid's unbounded anomaly queue, so
+// at the moment of the resubmit — here in the middle of the dead path's
+// NTTCP burst — anomalies of the dropped path are still queued; none of them
+// may buy another burst, and the path gets no sample after the resubmit.
 func TestResubmitDropsPaths(t *testing.T) {
 	k, h, m := build(t, Config{PollInterval: time.Second})
 	paths := core.CrossProductPaths(h.ServerRefs()[:1], h.ClientRefs()[:2])
@@ -229,17 +270,17 @@ func TestResubmitDropsPaths(t *testing.T) {
 	}
 	k.At(2*time.Second, func() { h.Clients[1].SetUp(false) })
 	// 5.5 s is inside the second burst on the dead path, with the rest of
-	// that sweep's reports waiting behind it (checked below).
+	// that sweep's anomalies waiting behind it (checked below).
 	const resubmitAt = 5500 * time.Millisecond
 	var escalations, droppedSamples, keptSamples, queued int
 	k.At(resubmitAt, func() {
 		m.Submit(core.Request{Paths: paths[:1], Metrics: allMetrics})
 		escalations, droppedSamples, keptSamples = m.Escalations, samples(dropped.ID), samples(kept.ID)
-		queued = m.reports.Len()
+		queued = m.anomalies.Len()
 	})
 	k.RunUntil(resubmitAt + 20*time.Second)
 	if escalations == 0 || queued == 0 {
-		t.Fatalf("at the resubmit: %d escalations, %d reports queued; the test needs both", escalations, queued)
+		t.Fatalf("at the resubmit: %d escalations, %d anomalies queued; the test needs both", escalations, queued)
 	}
 	if m.Escalations != escalations {
 		t.Errorf("escalations went %d -> %d after the path was dropped", escalations, m.Escalations)

@@ -172,6 +172,40 @@ func TestHybridHistoryInOrder(t *testing.T) {
 	coretest.HistoryInOrder(t, mon.DB, req.Paths, req.Metrics)
 }
 
+// TestHybridFailsOverNoLaterThanCOTS runs the `hiperd -monitor hybrid`
+// wiring and a bare COTS monitor at the same 2 s poll through the same s2
+// failure. The hybrid's surveillance is the COTS monitor's, recorded when
+// it is taken, so its bursts may add evidence but must not delay the
+// failover behind them.
+func TestHybridFailsOverNoLaterThanCOTS(t *testing.T) {
+	failover := func(makeMon func(mgmt *netsim.Node) core.Monitor) time.Duration {
+		t.Helper()
+		k := sim.NewKernel()
+		t.Cleanup(k.Close)
+		h := topo.BuildHiPerD(k, 1)
+		s := buildScenario(t, makeMon(h.Mgmt), h.Mgmt, k, h)
+		k.At(10*time.Second, func() { h.Servers[1].SetUp(false) })
+		k.RunUntil(40 * time.Second)
+		for _, r := range s.mgr.Reconfigs {
+			if r.Process == "rtds-2" {
+				return r.At
+			}
+		}
+		t.Fatalf("rtds-2 never failed over (reconfigs: %v)", s.mgr.Reconfigs)
+		return 0
+	}
+	hyb := failover(func(m *netsim.Node) core.Monitor {
+		return hybrid.New(m, "public", hybrid.Config{
+			PollInterval: 2 * time.Second,
+			NTTCP:        nttcp.Config{MsgLen: 8192, InterSend: 30 * time.Millisecond, Count: 8, Timeout: time.Second},
+		})
+	})
+	cot := failover(func(m *netsim.Node) core.Monitor { return cots.New(m, "public", 2*time.Second) })
+	if hyb > cot {
+		t.Errorf("the hybrid failed rtds-2 over at %v, later than COTS alone at %v", hyb, cot)
+	}
+}
+
 func TestMonitorsAgreeOnThroughput(t *testing.T) {
 	// The same RTDS stream measured by hifi (direct) and cots
 	// (counter-delta) must agree within the approximation's error budget.
