@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzResponder$$' -fuzztime 3s ./internal/nttcp
 	$(GO) test -run '^$$' -fuzz '^FuzzDatabaseOracle$$' -fuzztime 3s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzServeMatchesProc$$' -fuzztime 3s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzServedSocket$$' -fuzztime 3s ./internal/netsim
 
 # One iteration of every benchmark; go test carries on past a failing
 # package and names each one.

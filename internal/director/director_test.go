@@ -2,6 +2,7 @@ package director
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -653,6 +654,74 @@ func TestTrapLedgerAtClose(t *testing.T) {
 			t.Fatalf("a balanced ledger panicked at Close: %v", got)
 		case broken && !strings.Contains(fmt.Sprint(got), want):
 			t.Fatalf("a broken ledger panicked at Close with %v, want %q", got, want)
+		}
+	}
+}
+
+// TestReclaimMidSweepPublishesEachPathOnce: a reclaim that lands while an
+// adopter's sweep is blocked in its polls must not rewrite the path list the
+// sweep goes on to publish from. leaf1 adopts leaf0's shard and then leaf2's;
+// h3-3 is down, so each of leaf1's sweeps waits out a poll timeout, and
+// leaf0's revival is reclaimed inside one. Every sweep of leaf1 publishes
+// each of its paths once.
+func TestReclaimMidSweepPublishesEachPathOnce(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	cfg := Config{
+		Reexport: 250 * time.Millisecond, TTL: time.Second,
+		AdoptAfter: time.Second, Supervise: 250 * time.Millisecond,
+		WatchdogEvery: 100 * time.Millisecond,
+	}
+	h := topo.BuildScaled(k, 11, 3, 3)
+	reg := cots.NewAgentRegistry()
+	root := New(h.Mgmt, "root", cfg)
+	var leaves []*Director
+	var members []*cots.Monitor
+	var paths []core.Path
+	for i := 0; i < 3; i++ {
+		m := cots.New(h.Hosts[i*3], "public", 500*time.Millisecond)
+		m.UseRegistry(reg)
+		l := NewLeaf(h.Hosts[i*3], fmt.Sprintf("leaf%d", i), m, cfg)
+		root.AddChild(l)
+		leaves = append(leaves, l)
+		members = append(members, m)
+		paths = append(paths, core.NewPath(
+			core.ProcessRef{Host: h.Hosts[i*3+1].Name},
+			core.ProcessRef{Host: h.Hosts[i*3+2].Name}))
+	}
+	// leaf1's publishes, one list per sweep (a sweep stamps every
+	// measurement with its end instant).
+	var sweeps [][]core.PathID
+	var last time.Duration
+	forward := members[1].OnPublish
+	members[1].OnPublish = func(m core.Measurement) {
+		if len(sweeps) == 0 || m.TakenAt != last {
+			sweeps, last = append(sweeps, nil), m.TakenAt
+		}
+		sweeps[len(sweeps)-1] = append(sweeps[len(sweeps)-1], m.Path)
+		if forward != nil {
+			forward(m)
+		}
+	}
+	root.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability}})
+	root.Start()
+	h.Hosts[8].SetUp(false)
+	k.RunUntil(2 * time.Second)
+	h.Hosts[0].SetUp(false)
+	k.RunUntil(4 * time.Second)
+	h.Hosts[6].SetUp(false)
+	k.RunUntil(5500 * time.Millisecond)
+	h.Hosts[0].SetUp(true)
+	k.RunUntil(8 * time.Second)
+
+	if root.Stats.Adoptions != 2 || root.Stats.Reclaims != 1 {
+		t.Fatalf("%d adoptions, %d reclaims, want 2 and 1 (events: %v)", root.Stats.Adoptions, root.Stats.Reclaims, root.Events)
+	}
+	for _, ids := range sweeps {
+		sorted := slices.Clone(ids)
+		slices.Sort(sorted)
+		if len(slices.Compact(sorted)) != len(ids) {
+			t.Errorf("a sweep of leaf1 published a path twice: %v (events: %v)", ids, root.Events)
 		}
 	}
 }

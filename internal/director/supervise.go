@@ -126,7 +126,9 @@ func (d *Director) reclaim(c *Director, now time.Duration) {
 		if s.member == nil {
 			continue
 		}
-		kept := s.assigned[:0]
+		// A fresh list: the old one is the Paths of the sibling's last
+		// request, which a sweep blocked in its polls reads again.
+		kept := make([]core.Path, 0, len(s.assigned))
 		for _, p := range s.assigned {
 			if !homeIDs[p.ID] {
 				kept = append(kept, p)

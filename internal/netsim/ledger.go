@@ -13,9 +13,11 @@ import (
 // (after OnDrop), and a broadcast original whose copies have all been handed
 // out. UDPSock.send and the broadcast and duplicate copies take their frames
 // from that list. So a tap's Frame.Pkt and OnDrop's *Packet are valid only
-// for the duration of the call. A frame Recv hands to a proc is the proc's
-// until it gives the frame back with UDPSock.Free (or the socket closes with
-// the frame still queued); one the proc keeps goes to the collector.
+// for the duration of the call. A frame on a receive queue is its socket's
+// until UDPSock.Free gives it back: a proc's that takes it with Recv, until
+// the proc frees it (one it keeps goes to the collector); a server's
+// (UDPSock.Serve), until its handler returns; or the socket's own, until it
+// closes with the frame still queued.
 //
 // UDPSock.SendCopy copies its payload into a buffer off a second list of the
 // network's, and the frame owns that buffer (Packet.owns). Releasing the
@@ -72,7 +74,7 @@ type ledger struct {
 	allocated  uint64
 	discarded  uint64 // released with the free list full
 	toRecv     uint64 // frames handed to a receive queue
-	freed      uint64 // frames given back from Recv (UDPSock.Free, Close)
+	freed      uint64 // frames given back off a receive queue (UDPSock.Free, Close)
 
 	// The buffer identity's terms.
 	bufAllocated  uint64
@@ -80,7 +82,7 @@ type ledger struct {
 	bufCrossedOut uint64
 	bufGivenUp    uint64 // shared by a clone
 	bufToRecv     uint64 // handed to a receive queue with their frame
-	bufReturned   uint64 // returned with a frame given back from Recv
+	bufReturned   uint64 // returned with a frame given back off a receive queue
 	bufDiscarded  uint64 // returned with the list full, or too small to reuse
 	bufHops       int    // buffer-owning frames with a pending hop event
 }

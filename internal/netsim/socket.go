@@ -161,18 +161,36 @@ func (s *UDPSock) send(dst Addr, dport Port, payload []byte, size int, proto Pro
 }
 
 // Recv blocks the calling proc until a datagram arrives or timeout elapses
-// (negative blocks forever). The boolean is false on timeout or close. The
-// packet and its Payload are the caller's until it gives them back with
-// Free; one it never frees goes to the collector.
+// (negative blocks forever): a client that waits for a reply. The boolean is
+// false on timeout; Close does not wake a blocked Recv. The packet and its
+// Payload are the caller's until it gives them back with Free; one it never
+// frees goes to the collector. Recv on a served socket panics.
 func (s *UDPSock) Recv(p *sim.Proc, timeout time.Duration) (*Packet, bool) {
 	return s.rq.Get(p, timeout)
 }
 
+// Serve makes fn the socket's server: kernel events hand it each datagram
+// off the receive queue, in order, with no proc behind it (sim.Queue.Serve
+// with no service time), and the frame is given back as Free gives it when
+// fn returns. It schedules the same events as a proc spawned now that loops
+// on Recv(p, -1), fn and Free, and the queue keeps its depth, so a burst
+// drops as sock-full exactly as it would for that proc. fn must keep
+// neither the packet nor its Payload. Serve allocates only as it is called
+// (the server and its handler); a datagram costs nothing more.
+func (s *UDPSock) Serve(fn func(*Packet)) {
+	s.rq.Serve(nil, noService, func(pkt *Packet) {
+		fn(pkt)
+		s.Free(pkt)
+	})
+}
+
+func noService(*Packet) time.Duration { return 0 }
+
 // Free gives a packet Recv handed out back to the network's free list, with
 // the payload buffer it owns (SendCopy), so that the next datagram costs no
-// allocation. The caller must keep neither the packet nor its Payload: the
-// frame is zeroed and a buffer of the network's poisoned. Freeing a packet
-// twice panics.
+// allocation; Serve frees each frame itself. The caller must keep neither
+// the packet nor its Payload: the frame is zeroed and a buffer of the
+// network's poisoned. Freeing a packet twice panics.
 func (s *UDPSock) Free(pkt *Packet) {
 	nw := s.node.net
 	owns := pkt.owns
@@ -184,16 +202,16 @@ func (s *UDPSock) Free(pkt *Packet) {
 }
 
 // Consume makes fn take each arriving datagram in the event that delivers
-// it, in place of the receive queue and a proc blocked in Recv: for an
-// endpoint that keeps no state a stack is needed for. fn must keep neither
-// the packet nor its Payload: the frame is released when fn returns, and a
-// payload buffer of the network's is poisoned then. A socket with a consumer
-// never fills, so it drops nothing as sock-full.
+// it, in place of the receive queue: for an endpoint that needs neither a
+// queue nor a stack. fn must keep neither the packet nor its Payload: the
+// frame is released when fn returns, and a payload buffer of the network's
+// is poisoned then. A socket with a consumer never fills, so it drops
+// nothing as sock-full.
 func (s *UDPSock) Consume(fn func(*Packet)) { s.consume = fn }
 
 // deliver hands an arriving datagram to the socket: to its consumer, after
-// which the frame is released, or to its receive queue, from which Recv
-// hands it out with the payload buffer it owns.
+// which the frame is released, or to its receive queue, from which Recv or
+// the socket's server takes it with the payload buffer it owns.
 func (s *UDPSock) deliver(pkt *Packet) {
 	nw := s.node.net
 	if s.closed {

@@ -189,9 +189,7 @@ func Dial(p *sim.Proc, node *netsim.Node, addr netsim.Addr, port netsim.Port, ti
 	c.vars.ISS = 1
 	c.vars.SndUna, c.vars.SndNxt = c.vars.ISS, c.vars.ISS
 	c.vars.State = StateSynSent
-	node.Spawn(fmt.Sprintf("rstream-drv-%d", sock.Port()), func(dp *sim.Proc) {
-		c.drive(dp)
-	})
+	sock.Serve(c.onDatagram)
 	// Retransmit the SYN within the timeout budget, as TCP does: the
 	// handshake must survive datagram loss.
 	attempts := 3
@@ -205,18 +203,6 @@ func Dial(p *sim.Proc, node *netsim.Node, addr netsim.Addr, port netsim.Port, ti
 		return nil, fmt.Errorf("rstream: connect %s:%d: timeout", addr, port)
 	}
 	return c, nil
-}
-
-// drive consumes datagrams for a client connection.
-func (c *Conn) drive(p *sim.Proc) {
-	for {
-		pkt, ok := c.sock.Recv(p, -1)
-		if !ok {
-			return
-		}
-		c.onDatagram(pkt)
-		c.sock.Free(pkt)
-	}
 }
 
 func (c *Conn) sendSeg(seg segment, dataBytes int) {
@@ -233,8 +219,8 @@ func (c *Conn) sendSeg(seg segment, dataBytes int) {
 	}
 }
 
-// onDatagram processes one arriving segment. It runs in driver-proc or
-// listener-proc context, serialized by the kernel.
+// onDatagram processes one arriving segment. It runs in a kernel event, the
+// served socket's (the dialled connection's own or its listener's).
 func (c *Conn) onDatagram(pkt *netsim.Packet) {
 	seg, err := decodeSegment(pkt.Payload)
 	if err != nil {
@@ -466,7 +452,7 @@ type connKey struct {
 	port netsim.Port
 }
 
-// Listen binds a listener on node:port and starts its demux proc.
+// Listen binds a listener on node:port and serves its demultiplexer there.
 func Listen(node *netsim.Node, port netsim.Port) *Listener {
 	l := &Listener{
 		node:    node,
@@ -474,16 +460,7 @@ func Listen(node *netsim.Node, port netsim.Port) *Listener {
 		conns:   make(map[connKey]*Conn),
 		backlog: sim.NewQueue[*Conn](node.Network().K, 0),
 	}
-	node.Spawn(fmt.Sprintf("rstream-listen-%d", port), func(p *sim.Proc) {
-		for {
-			pkt, ok := l.sock.Recv(p, -1)
-			if !ok {
-				return
-			}
-			l.dispatch(pkt)
-			l.sock.Free(pkt)
-		}
-	})
+	l.sock.Serve(l.dispatch)
 	return l
 }
 

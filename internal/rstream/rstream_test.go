@@ -259,3 +259,89 @@ func TestMultipleConnsPerListener(t *testing.T) {
 		t.Fatalf("listener tracked %d conns", len(l.Conns()))
 	}
 }
+
+// segmentPeer binds a consumer socket on n that decodes every segment it is
+// sent into *got and passes it to answer, if set.
+func segmentPeer(n *netsim.Node, port netsim.Port, got *[]segment, answer func(*netsim.UDPSock, *netsim.Packet, segment)) *netsim.UDPSock {
+	sock := n.OpenUDP(port)
+	sock.Consume(func(pkt *netsim.Packet) {
+		seg, err := decodeSegment(pkt.Payload)
+		if err != nil {
+			return
+		}
+		*got = append(*got, seg)
+		if answer != nil {
+			answer(sock, pkt, seg)
+		}
+	})
+	return sock
+}
+
+// TestListenerRunsNoProc: a listener demultiplexes from kernel events; a
+// handshake and a data segment sent from a consumer socket are answered and
+// take the accepted connection to established, with no proc switched into.
+func TestListenerRunsNoProc(t *testing.T) {
+	k, srv, cli := fixture(t, netsim.Ethernet10())
+	l := Listen(srv, 5000)
+	var got []segment
+	peer := segmentPeer(cli, 0, &got, nil)
+	send := func(seg segment) {
+		peer.SendProto("server", 5000, seg.encode(), headerSize+int(seg.dlen), netsim.RDP)
+		k.Run()
+	}
+	send(segment{flags: flagSYN, seq: 1, wnd: 64 * MSS})
+	if len(got) != 1 || got[0].flags != flagSYN|flagACK || got[0].ack != 2 {
+		t.Fatalf("answers to a SYN: %+v, want one SYN|ACK acking 2", got)
+	}
+	send(segment{flags: flagACK, seq: 2, ack: got[0].seq + 1, wnd: 64 * MSS})
+	send(segment{flags: flagDATA | flagACK, seq: 2, ack: got[0].seq + 1, wnd: 64 * MSS, dlen: 100})
+	conns := l.Conns()
+	if len(conns) != 1 || conns[0].vars.State != StateEstablished || conns[0].vars.RcvNxt != 102 {
+		t.Fatalf("accepted %d connections, first %+v; want one established at 102", len(conns), conns[0].vars)
+	}
+	if len(got) != 2 || got[1].ack != 102 {
+		t.Fatalf("answers %+v, want the data acked at 102", got)
+	}
+	if n := k.ProcSwitches(); n != 0 {
+		t.Errorf("the listener switched into a proc %d times, want 0", n)
+	}
+}
+
+// TestDialledConnRunsNoProc: a dialled connection takes its segments in
+// kernel events; once the dialling proc has its connection, a data segment
+// from the consumer socket it dialled is taken and acked with no further
+// proc switch.
+func TestDialledConnRunsNoProc(t *testing.T) {
+	k, srv, cli := fixture(t, netsim.Ethernet10())
+	var got []segment
+	segmentPeer(srv, 5000, &got, func(sock *netsim.UDPSock, pkt *netsim.Packet, seg segment) {
+		if seg.flags&flagSYN != 0 {
+			synAck := segment{flags: flagSYN | flagACK, seq: 1000, ack: seg.seq + 1, wnd: 64 * MSS}
+			sock.SendProto(pkt.Src, pkt.SrcPort, synAck.encode(), headerSize, netsim.RDP)
+		}
+	})
+	var c *Conn
+	cli.Spawn("dialer", func(p *sim.Proc) {
+		var err error
+		if c, err = Dial(p, cli, "server", 5000, time.Second); err != nil {
+			t.Errorf("dial: %v", err)
+		}
+	})
+	k.Run()
+	if c == nil || c.vars.State != StateEstablished {
+		t.Fatal("handshake did not complete")
+	}
+	switches := k.ProcSwitches()
+	data := segment{flags: flagDATA | flagACK, seq: 1001, ack: 2, wnd: 64 * MSS, dlen: 100}
+	srv.OpenUDP(0).SendProto("client", c.vars.LocalPort, data.encode(), headerSize+100, netsim.RDP)
+	k.Run()
+	if c.vars.RcvNxt != 1101 || c.recvQ.Len() != 1 {
+		t.Fatalf("RcvNxt %d with %d chunks queued, want 1101 and 1", c.vars.RcvNxt, c.recvQ.Len())
+	}
+	if last := got[len(got)-1]; last.flags != flagACK || last.ack != 1101 {
+		t.Fatalf("last segment the peer got: %+v, want an ACK of 1101", last)
+	}
+	if n := k.ProcSwitches() - switches; n != 0 {
+		t.Errorf("taking a segment switched into a proc %d times, want 0", n)
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/mib"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // Well-known ports.
@@ -184,25 +183,18 @@ func (a *Agent) doSet(req, resp *Message) {
 	resp.PDU.VarBinds = append(resp.PDU.VarBinds, req.PDU.VarBinds...)
 }
 
-// ServeSim binds the agent to a node's UDP port and spawns its server proc.
-// It also wires trap emission and sysUpTime for traps. The proc answers
-// from the agent's scratch buffer and gives each request frame back, so a
-// request costs no allocation.
+// ServeSim binds the agent to a node's UDP port and serves it there
+// (netsim.UDPSock.Serve), with no proc. It also wires sysUpTime for traps.
+// The server answers from the agent's scratch buffer and the socket gives
+// each request frame back, so a request costs no allocation.
 func (a *Agent) ServeSim(n *netsim.Node, port netsim.Port) {
 	if port == 0 {
 		port = AgentPort
 	}
 	sock := n.OpenUDP(port)
-	n.Spawn("snmpd", func(p *sim.Proc) {
-		for {
-			pkt, ok := sock.Recv(p, -1)
-			if !ok {
-				return
-			}
-			if resp := a.handle(pkt.Payload); resp != nil {
-				sock.SendCopy(pkt.Src, pkt.SrcPort, resp, len(resp))
-			}
-			sock.Free(pkt)
+	sock.Serve(func(pkt *netsim.Packet) {
+		if resp := a.handle(pkt.Payload); resp != nil {
+			sock.SendCopy(pkt.Src, pkt.SrcPort, resp, len(resp))
 		}
 	})
 	if a.sysUp == nil {

@@ -344,10 +344,10 @@ type trapItem struct {
 // accounting, never buffer without limit.
 const DefaultTrapQueueCap = 256
 
-// StartTrapSink binds the sink, spawns its receiver proc and serves its
-// queue (sim.Queue.Serve): the processor is kernel events, not a proc. A
-// non-positive queueCap gets DefaultTrapQueueCap — the queue is always
-// bounded.
+// StartTrapSink binds the sink and serves both its socket
+// (netsim.UDPSock.Serve) and its queue (sim.Queue.Serve): the receiver and
+// the processor are kernel events, not procs. A non-positive queueCap gets
+// DefaultTrapQueueCap — the queue is always bounded.
 func StartTrapSink(n *netsim.Node, port netsim.Port, queueCap int, procTime time.Duration) *TrapSink {
 	if port == 0 {
 		port = TrapPort
@@ -363,39 +363,31 @@ func StartTrapSink(n *netsim.Node, port netsim.Port, queueCap int, procTime time
 		sock:     n.OpenUDP(port),
 		queue:    sim.NewQueue[trapItem](n.Network().K, queueCap),
 	}
-	n.Spawn("trap-rx", func(p *sim.Proc) {
-		var ack []byte // an inform's acknowledgement, reused
-		for {
-			pkt, ok := s.sock.Recv(p, -1)
-			if !ok {
-				return
+	var ack []byte // an inform's acknowledgement, reused
+	s.sock.Serve(func(pkt *netsim.Packet) {
+		msg, err := Decode(pkt.Payload) // keeps nothing of the payload
+		if err != nil {
+			return
+		}
+		switch msg.PDU.Type {
+		case TrapV1, TrapV2:
+			if s.queue.Put(trapItem{msg, pkt.Src}) {
+				s.Stats.Arrived++
+			} else {
+				s.Stats.Dropped++
 			}
-			msg, err := Decode(pkt.Payload) // keeps nothing of the payload
-			from, port := pkt.Src, pkt.SrcPort
-			s.sock.Free(pkt)
-			if err != nil {
-				continue
-			}
-			switch msg.PDU.Type {
-			case TrapV1, TrapV2:
-				if s.queue.Put(trapItem{msg, from}) {
-					s.Stats.Arrived++
-				} else {
-					s.Stats.Dropped++
-				}
-			case InformRequest:
-				// Acknowledge only what the station can actually ingest;
-				// an unacked inform is retried by its sender.
-				if s.queue.Put(trapItem{msg, from}) {
-					s.Stats.Arrived++
-					s.Stats.InformsAcked++
-					resp := Message{Version: msg.Version, Community: msg.Community}
-					resp.PDU = PDU{Type: GetResponse, RequestID: msg.PDU.RequestID, VarBinds: msg.PDU.VarBinds}
-					ack = resp.AppendTo(ack[:0])
-					s.sock.SendCopy(from, port, ack, len(ack))
-				} else {
-					s.Stats.Dropped++
-				}
+		case InformRequest:
+			// Acknowledge only what the station can actually ingest;
+			// an unacked inform is retried by its sender.
+			if s.queue.Put(trapItem{msg, pkt.Src}) {
+				s.Stats.Arrived++
+				s.Stats.InformsAcked++
+				resp := Message{Version: msg.Version, Community: msg.Community}
+				resp.PDU = PDU{Type: GetResponse, RequestID: msg.PDU.RequestID, VarBinds: msg.PDU.VarBinds}
+				ack = resp.AppendTo(ack[:0])
+				s.sock.SendCopy(pkt.Src, pkt.SrcPort, ack, len(ack))
+			} else {
+				s.Stats.Dropped++
 			}
 		}
 	})

@@ -44,6 +44,44 @@ func TestInformAcknowledged(t *testing.T) {
 	}
 }
 
+// TestTrapSinkRunsNoProc: the sink's receiver and processor are kernel
+// events; a trap and an inform sent from a consumer socket are processed,
+// and the inform acknowledged, with no proc switched into.
+func TestTrapSinkRunsNoProc(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	nw := netsim.New(k, 61)
+	station, element := nw.NewHost("station"), nw.NewHost("element")
+	seg := nw.NewSegment("lan", netsim.Ethernet10())
+	seg.Attach(station)
+	seg.Attach(element)
+	sink := StartTrapSink(station, 0, 64, time.Millisecond)
+	var acks []*Message
+	peer := element.OpenUDP(0)
+	peer.Consume(func(pkt *netsim.Packet) {
+		if m, err := Decode(pkt.Payload); err == nil {
+			acks = append(acks, m)
+		}
+	})
+	for _, pdu := range []PDU{
+		{Type: TrapV2, RequestID: 8, VarBinds: EventBind(7)},
+		{Type: InformRequest, RequestID: 9, VarBinds: EventBind(7)},
+	} {
+		b := (&Message{Version: V2c, Community: "public", PDU: pdu}).Encode()
+		peer.SendCopy("station", TrapPort, b, len(b))
+	}
+	k.Run()
+	if sink.Stats.Processed != 2 || sink.Stats.InformsAcked != 1 {
+		t.Fatalf("sink = %+v, want 2 processed and 1 inform acked", sink.Stats)
+	}
+	if len(acks) != 1 || acks[0].PDU.Type != GetResponse || acks[0].PDU.RequestID != 9 {
+		t.Fatalf("acks %+v, want one response to inform 9", acks)
+	}
+	if n := k.ProcSwitches(); n != 0 {
+		t.Errorf("the sink switched into a proc %d times, want 0", n)
+	}
+}
+
 func TestInformRetriesThroughLoss(t *testing.T) {
 	k, n, sink := informFixture(t, 0.4)
 	// Per-attempt success ≈ 0.6² = 0.36; nine attempts make per-inform

@@ -161,6 +161,30 @@ func TestServeSimAllocatesNothingPerRequest(t *testing.T) {
 	}
 }
 
+// TestServeSimRunsNoProc: a ServeSim agent answers from kernel events; a
+// request sent from a consumer socket is answered with no proc switched into.
+func TestServeSimRunsNoProc(t *testing.T) {
+	k, nw, _, _, _ := agentFixture(t)
+	_, poll := pollExchange()
+	poll.PDU.VarBinds = poll.PDU.VarBinds[:1]
+	req := poll.Encode()
+	var answers []*Message
+	sock := nw.Node("mgr").OpenUDP(0)
+	sock.Consume(func(pkt *netsim.Packet) {
+		if m, err := Decode(pkt.Payload); err == nil {
+			answers = append(answers, m)
+		}
+	})
+	sock.SendCopy("agent1", AgentPort, req, len(req))
+	k.Run()
+	if len(answers) != 1 || answers[0].PDU.Type != GetResponse || answers[0].PDU.RequestID != poll.PDU.RequestID {
+		t.Fatalf("answers %+v, want one response to request %d", answers, poll.PDU.RequestID)
+	}
+	if n := k.ProcSwitches(); n != 0 {
+		t.Errorf("the agent switched into a proc %d times, want 0", n)
+	}
+}
+
 // TestSimGetAllocatesNothingPerRoundTrip: a warm Client.Get to a ServeSim
 // agent allocates nothing on either side: the request goes out as a copy of
 // the client's buffer, and both frames come back to the network.

@@ -39,22 +39,15 @@ func decodeTimes(b []byte) (t1, t2 time.Duration) {
 		time.Duration(binary.BigEndian.Uint64(b[8:16]))
 }
 
-// StartSyncServer spawns the time responder on n's NTPPort. It answers with
-// n's local clock (set n.LocalClock before starting if the reference should
-// itself be imperfect).
+// StartSyncServer serves the time responder on n's NTPPort, with no proc
+// (netsim.UDPSock.Serve). It answers with n's local clock (set n.LocalClock
+// before starting if the reference should itself be imperfect).
 func StartSyncServer(n *netsim.Node) {
 	sock := n.OpenUDP(NTPPort)
-	n.Spawn("ntpd", func(p *sim.Proc) {
-		var buf [16]byte
-		for {
-			pkt, ok := sock.Recv(p, -1)
-			if !ok {
-				return
-			}
-			t1, _ := decodeTimes(pkt.Payload)
-			sock.SendCopy(pkt.Src, pkt.SrcPort, encodeTimes(&buf, t1, n.LocalTime()), ntpMsgSize)
-			sock.Free(pkt)
-		}
+	var buf [16]byte
+	sock.Serve(func(pkt *netsim.Packet) {
+		t1, _ := decodeTimes(pkt.Payload)
+		sock.SendCopy(pkt.Src, pkt.SrcPort, encodeTimes(&buf, t1, n.LocalTime()), ntpMsgSize)
 	})
 }
 

@@ -172,3 +172,25 @@ func TestSyncSurvivesServerOutage(t *testing.T) {
 		t.Fatalf("client synced against a dead server: %d -> %d", syncsAtOutage, client.Syncs)
 	}
 }
+
+// TestSyncServerRunsNoProc: the time responder answers from kernel events;
+// a request sent from a consumer socket comes back with its own timestamp
+// and the server's, with no proc switched into.
+func TestSyncServerRunsNoProc(t *testing.T) {
+	k, _, cli, _ := syncFixture(t)
+	var replies [][2]time.Duration
+	sock := cli.OpenUDP(0)
+	sock.Consume(func(pkt *netsim.Packet) {
+		t1, t2 := decodeTimes(pkt.Payload)
+		replies = append(replies, [2]time.Duration{t1, t2})
+	})
+	var buf [16]byte
+	sock.SendCopy("timehost", NTPPort, encodeTimes(&buf, 42*time.Millisecond, 0), ntpMsgSize)
+	k.Run()
+	if len(replies) != 1 || replies[0][0] != 42*time.Millisecond || replies[0][1] <= 0 {
+		t.Fatalf("replies %v, want one echoing 42ms with the server's time", replies)
+	}
+	if n := k.ProcSwitches(); n != 0 {
+		t.Errorf("the responder switched into a proc %d times, want 0", n)
+	}
+}
