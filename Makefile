@@ -3,7 +3,7 @@ GO ?= go
 
 # Coverage ratchet: ./internal/... statement coverage must stay at or above
 # this floor. Raise it when coverage rises; never lower it to make a PR pass.
-COVER_FLOOR ?= 85.0
+COVER_FLOOR ?= 91.5
 
 .PHONY: ci vet build test race analyze fuzz-smoke bench-smoke bench-test tables-digest cover bench-shard test-shard experiments
 

@@ -39,8 +39,9 @@ type ResilienceStats struct {
 	// FastFailedPolls counts host polls skipped because the host's circuit
 	// breaker was open; each one is a timeout the sweep did not wait out.
 	FastFailedPolls uint64
-	// ShedSweeps counts poll cycles deferred because the open-breaker
-	// fraction reached shedOpenFraction (fleet-wide timeout spike).
+	// ShedSweeps reads 0: the director does not shed load. It stays
+	// because the benchmark catalogue and E12's "shed sweeps" column read
+	// it.
 	ShedSweeps uint64
 }
 
@@ -56,13 +57,6 @@ type Monitor struct {
 
 	// Agents tracks the agents deployed by EnsureAgents, per host.
 	Agents map[netsim.Addr]*DeployedAgent
-
-	// Breakers, when non-nil, holds one circuit breaker per polled agent:
-	// an open breaker fast-fails the host's poll (recording reachability 0
-	// immediately) instead of burning a timeout every sweep. Install via
-	// EnableResilience. While shedOpenFraction of them are not closed the
-	// director stretches the next poll interval by shedFactor.
-	Breakers *resilience.BreakerSet
 
 	// RStats counts resilience-layer interventions.
 	RStats ResilienceStats
@@ -82,6 +76,15 @@ type Monitor struct {
 	meter      *flowmeter.Meter
 	flowReader *flowmeter.Reader
 	started    bool
+
+	// breakers, when non-nil, holds one circuit breaker per polled agent:
+	// an open breaker fast-fails the host's poll (recording reachability 0
+	// immediately) instead of burning a timeout every sweep. Installed by
+	// EnableResilience.
+	breakers *resilience.BreakerSet
+	// resubmitted is set by Submit, and cleared when a sweep begins, so a
+	// sweep can tell that its request was replaced while it polled.
+	resubmitted bool
 
 	// per-path previous counter samples for delta throughput
 	prev map[core.PathID]counterSample
@@ -155,30 +158,34 @@ func New(host *netsim.Node, community string, pollInterval time.Duration) *Monit
 	}
 }
 
-// EnableResilience installs the resilience layer: a circuit breaker per
-// polled agent, exponential backoff on the SNMP client's retries, a
-// per-request deadline budget, and fleet-wide load shedding. Call before
-// Start. Backoff may be nil (no retry spacing); budget 0 means uncapped.
-func (m *Monitor) EnableResilience(cfg resilience.BreakerConfig, backoff *resilience.Backoff, budget time.Duration) {
-	m.Breakers = resilience.NewBreakerSet(cfg)
-	m.Client.Backoff = backoff
-	m.Client.Budget = budget
-}
-
-// Load shedding: a fleet-wide timeout spike means the network needs fewer
-// packets, not more, so once this fraction of the breakers is not closed
-// the next poll interval is multiplied by shedFactor.
+// The SNMP client's half of the resilience layer's one configuration; the
+// breaker and backoff constants are resilience's.
 const (
-	shedOpenFraction = 0.5
-	shedFactor       = 2
+	resilientTimeout = 150 * time.Millisecond // per attempt
+	resilientRetries = 2
+	resilientBudget  = 450 * time.Millisecond // per request, waits included
+	backoffSeed      = 101                    // the backoff's jitter stream
 )
+
+// EnableResilience installs the resilience layer (DESIGN §9): a circuit
+// breaker per polled agent (open after 2 consecutive failures, a probe
+// 6 s later), a tight per-attempt timeout with 2 retries spaced by
+// exponential backoff (50 ms doubling to 400 ms, ±10 %), and a 450 ms
+// budget per request. Call before Start.
+func (m *Monitor) EnableResilience() {
+	m.breakers = resilience.NewBreakerSet()
+	m.Client.Timeout = resilientTimeout
+	m.Client.Retries = resilientRetries
+	m.Client.Backoff = resilience.NewBackoff(m.nw.K.Rand(backoffSeed))
+	m.Client.Budget = resilientBudget
+}
 
 // EnableTelemetry publishes the director's own counts under the "cots."
 // prefix and records each sweep as a trace span with one child span per
 // host poll (tr may be nil to skip tracing). It also publishes the SNMP
 // client, the measurement database, the trap sink and the resilience
 // layer; EnableResilience and Start may come before or after this call,
-// because the readers look m.Breakers, m.Client.Backoff and the sink up
+// because the readers look m.breakers, m.Client.Backoff and the sink up
 // when they are read, and one that is not installed reads zero. The §4.3
 // intrusiveness and fidelity questions become live reads: the breaker
 // open-fraction gauge, the poll RTT histogram, and the fresh-query hit
@@ -189,10 +196,10 @@ func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer)
 	reg.CounterFunc("cots.fast_failed_polls", func() uint64 { return m.RStats.FastFailedPolls })
 	reg.CounterFunc("cots.shed_sweeps", func() uint64 { return m.RStats.ShedSweeps })
 	reg.GaugeFunc("cots.breaker_open_fraction", func() float64 {
-		if m.Breakers == nil {
+		if m.breakers == nil {
 			return 0
 		}
-		return m.Breakers.OpenFraction(m.nw.K.Now())
+		return m.breakers.OpenFraction(m.nw.K.Now())
 	})
 	m.telSweepSec = reg.Histogram("cots.sweep_s", []float64{0.01, 0.05, 0.1, 0.5, 1, 5})
 	m.telPollRTT = reg.Histogram("cots.poll_rtt_s", []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5})
@@ -200,10 +207,10 @@ func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer)
 	m.DB.EnableTelemetry(reg, "cots.db")
 
 	breakers := func() resilience.BreakerStats {
-		if m.Breakers == nil {
+		if m.breakers == nil {
 			return resilience.BreakerStats{}
 		}
-		return m.Breakers.Stats()
+		return m.breakers.Stats()
 	}
 	reg.CounterFunc("cots.breaker.opens", func() uint64 { return breakers().Opens })
 	reg.CounterFunc("cots.breaker.closes", func() uint64 { return breakers().Closes })
@@ -305,9 +312,11 @@ func (m *Monitor) deploy(node *netsim.Node) *DeployedAgent {
 }
 
 // Submit installs the request and deploys agents on every host the path
-// list touches.
+// list touches. A sweep in flight publishes only the paths req still
+// names.
 func (m *Monitor) Submit(req core.Request) {
 	m.DirectorBase.Submit(req)
+	m.resubmitted = true
 	for _, path := range req.Paths {
 		for _, hop := range path.Hops {
 			m.EnsureAgent(hop.Host)
@@ -333,12 +342,7 @@ func (m *Monitor) Start() {
 				continue
 			}
 			m.sweep(p, req)
-			interval := m.PollInterval
-			if m.Breakers != nil && m.Breakers.OpenFraction(p.Now()) >= shedOpenFraction {
-				interval *= shedFactor
-				m.RStats.ShedSweeps++
-			}
-			p.Sleep(interval)
+			p.Sleep(m.PollInterval)
 		}
 	})
 }
@@ -364,6 +368,7 @@ type hostSample struct {
 func (m *Monitor) sweep(p *sim.Proc, req core.Request) {
 	sweepStart := p.Now()
 	sweepSpan := m.tracer.Begin("cots.sweep", "", sweepStart)
+	m.resubmitted = false
 	hostOrder, seen, samples := m.hostOrder[:0], m.seen, m.samples
 	clear(seen)
 	clear(samples)
@@ -388,8 +393,8 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request) {
 	}
 	for _, host := range hostOrder {
 		var br *resilience.Breaker
-		if m.Breakers != nil {
-			br = m.Breakers.For(string(host))
+		if m.breakers != nil {
+			br = m.breakers.For(string(host))
 			if !br.Allow(p.Now()) {
 				// Circuit open: record the host as down immediately instead
 				// of spending a full timeout re-learning what the breaker
@@ -411,7 +416,7 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request) {
 		}
 		if br != nil {
 			if s.up {
-				br.Success(p.Now())
+				br.Success()
 			} else {
 				br.Failure(p.Now())
 			}
@@ -420,7 +425,7 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request) {
 	}
 	now := p.Now()
 	for _, path := range req.Paths {
-		if !path.Valid() {
+		if !path.Valid() || m.resubmitted && !m.names(path.ID) {
 			continue
 		}
 		src := samples[path.Hops[0].Host]
@@ -474,6 +479,17 @@ func (m *Monitor) sweep(p *sim.Proc, req core.Request) {
 	m.Sweeps++
 	sweepSpan.End(p.Now())
 	m.telSweepSec.Observe((p.Now() - sweepStart).Seconds())
+}
+
+// names reports whether the current request names the path: a Submit
+// during a sweep may have dropped one the sweep polled for.
+func (m *Monitor) names(id core.PathID) bool {
+	for _, path := range m.Request().Paths {
+		if path.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // timedGet issues a Get and reports the round-trip time.

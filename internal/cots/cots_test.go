@@ -8,7 +8,6 @@ import (
 	"repro/internal/flowmeter"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/resilience"
 	"repro/internal/rmon"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -295,9 +294,7 @@ func TestBreakerFastFailsDeadAgentPolls(t *testing.T) {
 	defer k.Close()
 	h := topo.BuildHiPerD(k, 1)
 	m := New(h.Mgmt, "public", time.Second)
-	m.EnableResilience(resilience.BreakerConfig{FailThreshold: 2, OpenFor: 4 * time.Second},
-		resilience.NewBackoff(k.Rand(101), 50*time.Millisecond, 400*time.Millisecond, 0.2),
-		600*time.Millisecond)
+	m.EnableResilience()
 	paths := core.CrossProductPaths(h.ServerRefs()[:1], h.ClientRefs()[:2])
 	m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability}})
 	m.Start()
@@ -307,7 +304,7 @@ func TestBreakerFastFailsDeadAgentPolls(t *testing.T) {
 	if m.RStats.FastFailedPolls == 0 {
 		t.Fatal("open breaker never fast-failed a poll")
 	}
-	br := m.Breakers.For("c1")
+	br := m.breakers.For("c1")
 	if br.Stats.Opens == 0 {
 		t.Fatalf("breaker for dead host never opened: %+v", br.Stats)
 	}
@@ -322,30 +319,46 @@ func TestBreakerFastFailsDeadAgentPolls(t *testing.T) {
 	}
 }
 
-func TestShedStretchesPollIntervalUnderFleetFailure(t *testing.T) {
-	// When most of the fleet stops answering, the director sheds load by
-	// stretching its poll cadence rather than adding traffic to a network
-	// that is already failing.
+// TestSweepPublishesOnlyPathsStillRequested: a Submit that drops a path
+// while a sweep polls keeps that sweep from recording the dropped path. c2
+// is down, so the sweep that begins near 2 s waits out c2's two 500 ms
+// attempts and is still polling when c1 alone is resubmitted at 2.5 s.
+func TestSweepPublishesOnlyPathsStillRequested(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	h := topo.BuildHiPerD(k, 1)
 	m := New(h.Mgmt, "public", time.Second)
-	m.EnableResilience(resilience.BreakerConfig{FailThreshold: 1, OpenFor: 30 * time.Second},
-		nil, 600*time.Millisecond)
-	paths := core.CrossProductPaths(h.ServerRefs()[:1], h.ClientRefs())
-	m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability}})
-	m.Start()
-	k.At(2*time.Second, func() {
-		for _, c := range h.Clients {
-			c.SetUp(false)
+	paths := core.CrossProductPaths(h.ServerRefs()[:1], h.ClientRefs()[:2])
+	const resubmitAt = 2500 * time.Millisecond
+	var late []core.Measurement // records taken after the resubmit
+	dropped := 0                // records of c2's path before it
+	m.OnPublish = func(meas core.Measurement) {
+		if meas.TakenAt > resubmitAt {
+			late = append(late, meas)
+		} else if meas.Path == paths[1].ID {
+			dropped++
 		}
-	})
-	k.RunUntil(20 * time.Second)
-	if m.RStats.ShedSweeps == 0 {
-		t.Fatal("fleet-wide failure never triggered load shedding")
 	}
-	if frac := m.Breakers.OpenFraction(k.Now()); frac < 0.5 {
-		t.Fatalf("open fraction = %v, want >= 0.5 with all clients dead", frac)
+	m.Submit(core.Request{Paths: paths, Metrics: allMetrics})
+	m.Start()
+	k.At(1500*time.Millisecond, func() { h.Net.Node("c2").SetUp(false) })
+	k.At(resubmitAt, func() { m.Submit(core.Request{Paths: paths[:1], Metrics: allMetrics}) })
+	k.RunUntil(6 * time.Second)
+
+	if dropped == 0 {
+		t.Fatal("scenario drifted: c2's path was not recorded before the resubmit")
+	}
+	inFlight := 0 // c1 records from the sweep the resubmit interrupted
+	for _, meas := range late {
+		if meas.Path == paths[1].ID {
+			t.Errorf("dropped path recorded at %v, after the resubmit at %v", meas.TakenAt, resubmitAt)
+		}
+		if meas.Path == paths[0].ID && meas.TakenAt < resubmitAt+time.Second {
+			inFlight++
+		}
+	}
+	if inFlight != len(allMetrics) {
+		t.Fatalf("scenario drifted: the sweep in flight at the resubmit recorded %d c1 samples, want %d", inFlight, len(allMetrics))
 	}
 }
 
@@ -353,7 +366,7 @@ func TestShedStretchesPollIntervalUnderFleetFailure(t *testing.T) {
 // layer and the trap sink afterwards — the order E13 and cmd/hiperd use —
 // then drives polls, a dead agent, retries and RMON traps, and checks that
 // every published instrument is the owning component's own field. The
-// readers resolve m.Breakers, m.Client.Backoff and the sink when read, so a
+// readers resolve m.breakers, m.Client.Backoff and the sink when read, so a
 // layer installed late is seen, and one never installed reads zero.
 func TestTelemetryReadsOwnersFields(t *testing.T) {
 	k := sim.NewKernel()
@@ -369,11 +382,7 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 		}
 	})
 
-	m.Client.Timeout = 150 * time.Millisecond
-	m.Client.Retries = 2
-	m.EnableResilience(resilience.BreakerConfig{FailThreshold: 2, OpenFor: 4 * time.Second},
-		resilience.NewBackoff(k.Rand(101), 50*time.Millisecond, 400*time.Millisecond, 0.2),
-		600*time.Millisecond)
+	m.EnableResilience()
 	paths := core.CrossProductPaths(h.ServerRefs()[:1], []core.ProcessRef{h.ClientRefs()[0], h.ClientRefs()[4]})
 	m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability}})
 	m.WatchSegment(rmon.NewProbe(h.Probe, h.Eth), paths[1].ID, time.Second, 100_000, 10_000, nil)
@@ -391,7 +400,7 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 	})
 	k.RunUntil(12 * time.Second)
 
-	br := m.Breakers.Stats() // the sum over the per-target breakers: resilience's TestTelemetryReadsOwnersFields
+	br := m.breakers.Stats() // the sum over the per-target breakers: resilience's TestTelemetryReadsOwnersFields
 	cs, ss, bo, fp := m.Client.Stats, m.TrapSink().Stats, m.Client.Backoff, m.DB.Footprint()
 	if m.Sweeps == 0 || m.RStats.FastFailedPolls == 0 || br.Opens == 0 || br.Probes == 0 ||
 		cs.Retries == 0 || cs.Timeouts == 0 || bo.Waits == 0 || ss.Processed < 2 || m.DB.FreshHits == 0 {
@@ -424,7 +433,7 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 		"cots.trapsink.processed": ss.Processed,
 	}
 	gauges := map[string]float64{
-		"cots.breaker_open_fraction": m.Breakers.OpenFraction(k.Now()),
+		"cots.breaker_open_fraction": m.breakers.OpenFraction(k.Now()),
 		"cots.db.series":             float64(fp.Series),
 		"cots.db.retained_samples":   float64(fp.Retained),
 		"cots.db.sketch_bytes":       float64(fp.SketchBytes),

@@ -10,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/report"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -90,8 +89,8 @@ type drillStats struct {
 	StaleActedReads int
 	// Sweeps counts completed poll sweeps over the horizon (more sweeps =
 	// fresher data); Unanswered counts poll packets that got no response —
-	// the wasted traffic. FastFails and ShedSweeps count resilience
-	// interventions.
+	// the wasted traffic. FastFails counts resilience interventions;
+	// ShedSweeps reads 0, as the director does not shed load.
 	Sweeps     int
 	Unanswered uint64
 	FastFails  uint64
@@ -144,12 +143,7 @@ func runDrill(quick bool, d drill, w core.BatchSink) drillStats {
 		// Tight per-attempt timeout with backoff and a hard per-request
 		// budget, plus breakers that stop re-learning a dead agent every
 		// sweep.
-		m.Client.Timeout = 150 * time.Millisecond
-		m.Client.Retries = 2
-		m.EnableResilience(
-			resilience.BreakerConfig{FailThreshold: 2, OpenFor: 6 * time.Second},
-			resilience.NewBackoff(k.Rand(101), 50*time.Millisecond, 400*time.Millisecond, 0.2),
-			450*time.Millisecond)
+		m.EnableResilience()
 	}
 	paths := h.PathList()
 	m.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability}})

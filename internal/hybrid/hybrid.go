@@ -98,8 +98,8 @@ func (m *Monitor) EnableTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer)
 // its reports and streams the anomalous ones to the escalation loop, the
 // hifi side only provisions its simulators. A request replaces the
 // previous one: a path it no longer names is not escalated again, whatever
-// the escalation loop still has queued. A COTS sweep already in flight
-// still records what it took, as a bare COTS monitor does.
+// the escalation loop still has queued, and a COTS sweep already in
+// flight records only the paths req still names.
 func (m *Monitor) Submit(req core.Request) {
 	m.DirectorBase.Submit(req)
 	m.paths = make(map[core.PathID]core.Path, len(req.Paths))

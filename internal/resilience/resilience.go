@@ -21,61 +21,55 @@ import (
 	"time"
 )
 
-// Backoff computes retransmission delays: attempt n waits Base·2ⁿ, capped
-// at Max, with an optional deterministic jitter drawn from rng. The zero
-// value (or a nil pointer) yields zero delays, i.e. the legacy immediate
-// retransmit.
-type Backoff struct {
-	// Base is the delay before the first retransmission.
-	Base time.Duration
-	// Max caps the exponential growth; zero means uncapped.
-	Max time.Duration
-	// JitterFrac spreads each delay by ±JitterFrac/2 of its value
-	// (0 disables jitter). Requires a non-nil rng.
-	JitterFrac float64
+// The one configuration every resilient run uses (DESIGN §9): a breaker
+// opens on the failThreshold-th consecutive failure and admits a half-open
+// probe openFor later — the "reduced rate" at which a dead target is
+// re-checked; retry n waits backoffBase·2ⁿ, capped at backoffMax, spread by
+// ±jitterFrac/2 of its value.
+const (
+	failThreshold = 2
+	openFor       = 6 * time.Second
+	backoffBase   = 50 * time.Millisecond
+	backoffMax    = 400 * time.Millisecond
+	jitterFrac    = 0.2
+)
 
-	// Waits counts the non-zero delays Delay has handed out; Waited is the
-	// virtual time they add up to.
+// Backoff computes retransmission delays: attempt n waits backoffBase·2ⁿ,
+// capped at backoffMax, jittered from rng. A nil Backoff yields zero
+// delays, i.e. the immediate retransmit.
+type Backoff struct {
+	// Waits counts the delays Delay has handed out; Waited is the virtual
+	// time they add up to.
 	Waits  uint64
 	Waited time.Duration
 
 	rng *rand.Rand
 }
 
-// NewBackoff builds a backoff schedule. rng supplies the jitter stream;
-// pass one derived from sim.Kernel.Rand so the schedule is deterministic.
-func NewBackoff(rng *rand.Rand, base, max time.Duration, jitterFrac float64) *Backoff {
-	return &Backoff{Base: base, Max: max, JitterFrac: jitterFrac, rng: rng}
+// NewBackoff builds the backoff schedule. rng supplies the jitter stream;
+// pass one derived from sim.Kernel.Rand so the schedule is deterministic
+// (nil leaves the schedule unjittered).
+func NewBackoff(rng *rand.Rand) *Backoff {
+	return &Backoff{rng: rng}
 }
 
 // Delay returns the wait before retransmission number attempt (0-based).
 // A nil Backoff returns 0 for every attempt.
 func (b *Backoff) Delay(attempt int) time.Duration {
-	if b == nil || b.Base <= 0 {
+	if b == nil {
 		return 0
 	}
-	d := b.Base
-	for i := 0; i < attempt; i++ {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffMax; i++ {
 		d *= 2
-		if b.Max > 0 && d >= b.Max {
-			d = b.Max
-			break
-		}
 	}
-	if b.Max > 0 && d > b.Max {
-		d = b.Max
-	}
-	if b.JitterFrac > 0 && b.rng != nil {
-		j := (b.rng.Float64() - 0.5) * b.JitterFrac
+	d = min(d, backoffMax)
+	if b.rng != nil {
+		j := (b.rng.Float64() - 0.5) * jitterFrac
 		d = time.Duration(float64(d) * (1 + j))
-		if d < 0 {
-			d = 0
-		}
 	}
-	if d > 0 {
-		b.Waits++
-		b.Waited += d
-	}
+	b.Waits++
+	b.Waited += d
 	return d
 }
 
@@ -101,26 +95,6 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes a Breaker.
-type BreakerConfig struct {
-	// FailThreshold is how many consecutive failures open the breaker.
-	FailThreshold int
-	// OpenFor is how long an open breaker fast-fails before admitting a
-	// half-open probe — the "reduced rate" at which a dead target is
-	// re-checked.
-	OpenFor time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 5 * time.Second
-	}
-	return c
-}
-
 // BreakerStats counts breaker activity.
 type BreakerStats struct {
 	// Opens counts closed→open and half-open→open transitions.
@@ -133,42 +107,36 @@ type BreakerStats struct {
 	Closes uint64
 }
 
-// Breaker is a per-target circuit breaker on the virtual clock. It is not
-// safe for concurrent use from multiple OS threads; under the simulation
-// kernel all calls are serialized anyway.
+// Breaker is a per-target circuit breaker on the virtual clock; the zero
+// Breaker is closed. It is not safe for concurrent use from multiple OS
+// threads; under the simulation kernel all calls are serialized anyway.
 type Breaker struct {
 	Stats BreakerStats
 
-	cfg      BreakerConfig
 	state    BreakerState
 	fails    int
 	openedAt time.Duration
 	probing  bool
 }
 
-// NewBreaker returns a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
-}
-
 // State reports the effective state at virtual time now: an open breaker
-// whose OpenFor window has elapsed reads as half-open (a probe is due).
+// whose openFor window has elapsed reads as half-open (a probe is due).
 func (b *Breaker) State(now time.Duration) BreakerState {
-	if b.state == Open && now-b.openedAt >= b.cfg.OpenFor {
+	if b.state == Open && now-b.openedAt >= openFor {
 		return HalfOpen
 	}
 	return b.state
 }
 
 // Allow reports whether a call to the target may proceed at virtual time
-// now. While open it fast-fails until OpenFor has elapsed, then admits one
+// now. While open it fast-fails until openFor has elapsed, then admits one
 // half-open probe; the probe's Success or Failure decides what follows.
 func (b *Breaker) Allow(now time.Duration) bool {
 	switch b.state {
 	case Closed:
 		return true
 	case Open:
-		if now-b.openedAt >= b.cfg.OpenFor {
+		if now-b.openedAt >= openFor {
 			b.state = HalfOpen
 			b.probing = true
 			b.Stats.Probes++
@@ -188,10 +156,10 @@ func (b *Breaker) Allow(now time.Duration) bool {
 	}
 }
 
-// Success records a successful call finishing at virtual time now. A
-// half-open probe's success closes the breaker, and so does evidence of
-// life from outside the probe path while it is open (e.g. a trap arrived).
-func (b *Breaker) Success(now time.Duration) {
+// Success records a successful call. A half-open probe's success closes the
+// breaker, and so does evidence of life from outside the probe path while
+// it is open (e.g. a trap arrived).
+func (b *Breaker) Success() {
 	b.probing = false
 	b.fails = 0
 	if b.state != Closed {
@@ -206,12 +174,12 @@ func (b *Breaker) Failure(now time.Duration) {
 	b.fails++
 	switch b.state {
 	case HalfOpen:
-		// The probe failed: reopen for another OpenFor window.
+		// The probe failed: reopen for another openFor window.
 		b.state = Open
 		b.openedAt = now
 		b.Stats.Opens++
 	case Closed:
-		if b.fails >= b.cfg.FailThreshold {
+		if b.fails >= failThreshold {
 			b.state = Open
 			b.openedAt = now
 			b.Stats.Opens++
@@ -219,18 +187,16 @@ func (b *Breaker) Failure(now time.Duration) {
 	}
 }
 
-// BreakerSet keys breakers by target name, creating them on demand with a
-// shared config. Iteration order is creation order, for determinism.
+// BreakerSet keys breakers by target name, creating them on demand.
+// Iteration order is creation order, for determinism.
 type BreakerSet struct {
-	Cfg BreakerConfig
-
 	m     map[string]*Breaker
 	order []string
 }
 
-// NewBreakerSet returns an empty set with the given shared config.
-func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
-	return &BreakerSet{Cfg: cfg.withDefaults(), m: make(map[string]*Breaker)}
+// NewBreakerSet returns an empty set.
+func NewBreakerSet() *BreakerSet {
+	return &BreakerSet{m: make(map[string]*Breaker)}
 }
 
 // For returns the breaker for target, creating a closed one on first use.
@@ -238,15 +204,15 @@ func (s *BreakerSet) For(target string) *Breaker {
 	if b, ok := s.m[target]; ok {
 		return b
 	}
-	b := NewBreaker(s.Cfg)
+	b := &Breaker{}
 	s.m[target] = b
 	s.order = append(s.order, target)
 	return b
 }
 
 // OpenFraction reports the fraction of targets whose breaker is open or
-// half-open at virtual time now — the fleet-wide failure signal a director
-// uses to shed poll load.
+// half-open at virtual time now — the fleet-wide failure signal the COTS
+// director publishes as its cots.breaker_open_fraction gauge.
 func (s *BreakerSet) OpenFraction(now time.Duration) float64 {
 	if len(s.order) == 0 {
 		return 0

@@ -7,50 +7,54 @@ import (
 	"repro/internal/sim"
 )
 
+// schedule is the backoff's unjittered schedule: 50 ms doubling to a
+// 400 ms cap.
+var schedule = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond,
+	200 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond}
+
 func TestBackoffExponentialCapped(t *testing.T) {
-	b := NewBackoff(nil, 50*time.Millisecond, 400*time.Millisecond, 0)
-	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond,
-		200 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond}
-	for i, w := range want {
+	b := NewBackoff(nil)
+	for i, w := range schedule {
 		if got := b.Delay(i); got != w {
 			t.Fatalf("Delay(%d) = %v, want %v", i, got, w)
 		}
 	}
+	if got := b.Delay(30); got != schedule[len(schedule)-1] {
+		t.Fatalf("Delay(30) = %v, want the cap", got)
+	}
 }
 
-func TestBackoffNilAndZeroAreImmediate(t *testing.T) {
+func TestBackoffNilIsImmediate(t *testing.T) {
 	var b *Backoff
-	if b.Delay(3) != 0 {
+	if b.Delay(0) != 0 || b.Delay(3) != 0 {
 		t.Fatal("nil backoff must be immediate")
-	}
-	if (&Backoff{}).Delay(0) != 0 {
-		t.Fatal("zero backoff must be immediate")
 	}
 }
 
 func TestBackoffJitterDeterministic(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	mk := func() *Backoff {
-		return NewBackoff(k.Rand(7), 100*time.Millisecond, time.Second, 0.5)
-	}
-	a, b := mk(), mk()
-	for i := 0; i < 8; i++ {
+	a, b := NewBackoff(k.Rand(7)), NewBackoff(k.Rand(7))
+	jittered := false
+	for i, base := range schedule {
 		da, db := a.Delay(i), b.Delay(i)
 		if da != db {
 			t.Fatalf("jitter nondeterministic at %d: %v vs %v", i, da, db)
 		}
-		base := NewBackoff(nil, 100*time.Millisecond, time.Second, 0).Delay(i)
-		lo := time.Duration(float64(base) * 0.75)
-		hi := time.Duration(float64(base) * 1.25)
+		lo := time.Duration(float64(base) * 0.9)
+		hi := time.Duration(float64(base) * 1.1)
 		if da < lo || da > hi {
-			t.Fatalf("Delay(%d) = %v outside jitter band [%v, %v]", i, da, lo, hi)
+			t.Fatalf("Delay(%d) = %v outside the ±10%% band [%v, %v]", i, da, lo, hi)
 		}
+		jittered = jittered || da != base
+	}
+	if !jittered {
+		t.Fatal("a seeded backoff handed out the unjittered schedule")
 	}
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailThreshold: 2, OpenFor: 5 * time.Second})
+	b := &Breaker{}
 	now := time.Duration(0)
 	if !b.Allow(now) || b.State(now) != Closed {
 		t.Fatal("new breaker must be closed")
@@ -66,15 +70,18 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	// Fast-fail while open.
 	if b.Allow(now + time.Second) {
-		t.Fatal("open breaker allowed a call inside OpenFor")
+		t.Fatal("open breaker allowed a call inside openFor")
 	}
 	if b.Stats.FastFails != 1 || b.Stats.Opens != 1 {
 		t.Fatalf("stats = %+v", b.Stats)
 	}
-	// After OpenFor a probe is due.
-	now += 5 * time.Second
+	if b.State(now+6*time.Second-1) != Open {
+		t.Fatal("probe due before 6s")
+	}
+	// After 6 s a probe is due.
+	now += 6 * time.Second
 	if b.State(now) != HalfOpen {
-		t.Fatal("probe not due after OpenFor")
+		t.Fatal("probe not due after 6s")
 	}
 	if !b.Allow(now) {
 		t.Fatal("half-open probe denied")
@@ -89,11 +96,14 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("failed probe did not reopen")
 	}
 	// Successful probe after the next window closes it.
-	now += 5 * time.Second
+	if b.Allow(now + 6*time.Second - 1) {
+		t.Fatal("reopened breaker admitted a probe before 6s")
+	}
+	now += 6 * time.Second
 	if !b.Allow(now) {
 		t.Fatal("second probe denied")
 	}
-	b.Success(now)
+	b.Success()
 	if b.State(now) != Closed || !b.Allow(now) {
 		t.Fatal("successful probe did not close")
 	}
@@ -103,23 +113,29 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerConsecutiveFailureCounterResets(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailThreshold: 3, OpenFor: time.Second})
+	b := &Breaker{}
 	for i := 0; i < 10; i++ {
 		b.Failure(0)
-		b.Failure(0)
-		b.Success(0) // interleaved success: never three in a row
+		b.Success() // interleaved success: never two in a row
 	}
 	if b.State(0) != Closed {
 		t.Fatal("non-consecutive failures opened the breaker")
 	}
+	b.Failure(0)
+	b.Failure(0)
+	if b.State(0) != Open {
+		t.Fatal("two consecutive failures after a success did not open the breaker")
+	}
 }
 
 func TestBreakerSetSharedConfigAndAggregation(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{FailThreshold: 1, OpenFor: time.Second})
+	s := NewBreakerSet()
 	if len(s.order) != 0 || s.OpenFraction(0) != 0 {
 		t.Fatal("empty set not neutral")
 	}
 	s.For("a").Failure(0)
+	s.For("a").Failure(0)
+	s.For("b").Failure(0) // one failure leaves b closed
 	s.For("b")
 	s.For("c")
 	if len(s.order) != 3 {
@@ -145,16 +161,18 @@ func TestBreakerSetSharedConfigAndAggregation(t *testing.T) {
 // and the backoff's own fields — Stats sums the set in creation order,
 // including breakers created after a reader was bound — not a second copy.
 func TestTelemetryReadsOwnersFields(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{FailThreshold: 1, OpenFor: time.Second})
+	s := NewBreakerSet()
+	s.For("early").Failure(0)
 	s.For("early").Failure(0)
 	read := s.Stats // what a registered reader holds: the method, not a snapshot
-	bo := NewBackoff(nil, 50*time.Millisecond, 400*time.Millisecond, 0)
+	bo := NewBackoff(nil)
 
 	s.For("early").Allow(0)               // fast-fail
-	s.For("early").Allow(2 * time.Second) // probe
-	s.For("early").Success(2 * time.Second)
-	s.For("late").Failure(3 * time.Second) // created after the reader was bound
-	s.For("late").Allow(3 * time.Second)
+	s.For("early").Allow(6 * time.Second) // probe
+	s.For("early").Success()
+	s.For("late").Failure(7 * time.Second) // created after the reader was bound
+	s.For("late").Failure(7 * time.Second)
+	s.For("late").Allow(7 * time.Second)
 	for i := 0; i < 4; i++ {
 		bo.Delay(i)
 	}

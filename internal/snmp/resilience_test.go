@@ -29,6 +29,18 @@ func lossyFixture(t testing.TB) (*sim.Kernel, *netsim.SharedSegment, *Client) {
 	return k, seg, NewClient(mgr, "public")
 }
 
+// waits returns the first n delays the backoff seeded with k.Rand(1)
+// hands out: the waits a client whose Backoff is built the same way
+// sleeps through.
+func waits(k *sim.Kernel, n int) []time.Duration {
+	twin := resilience.NewBackoff(k.Rand(1))
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = twin.Delay(i)
+	}
+	return out
+}
+
 func TestRetryRecoversAfterSegmentLossClears(t *testing.T) {
 	// Attempt 1 is sent into a fully lossy segment; the loss clears while
 	// the client sits in its backoff wait, so the retry succeeds. The
@@ -37,13 +49,16 @@ func TestRetryRecoversAfterSegmentLossClears(t *testing.T) {
 	k, seg, client := lossyFixture(t)
 	client.Timeout = 100 * time.Millisecond
 	client.Retries = 2
-	client.Backoff = resilience.NewBackoff(k.Rand(1), 50*time.Millisecond, 400*time.Millisecond, 0)
+	client.Backoff = resilience.NewBackoff(k.Rand(1))
+	wait := waits(k, 1)[0]
 	seg.SetLossProb(1.0)
-	k.At(120*time.Millisecond, func() { seg.SetLossProb(0) })
+	k.At(client.Timeout+wait/2, func() { seg.SetLossProb(0) })
 
 	var err error
+	var took time.Duration
 	client.node.Spawn("tester", func(p *sim.Proc) {
 		_, err = client.Get(p, "agent1", mib.SysUpTime)
+		took = p.Now()
 	})
 	k.RunUntil(5 * time.Second)
 	if err != nil {
@@ -52,6 +67,12 @@ func TestRetryRecoversAfterSegmentLossClears(t *testing.T) {
 	s := client.Stats
 	if s.Requests != 2 || s.Retries != 1 || s.Responses != 1 || s.Timeouts != 0 {
 		t.Fatalf("stats = %+v, want 2 requests / 1 retry / 1 response / 0 timeouts", s)
+	}
+	if b := client.Backoff; b.Waits != 1 || b.Waited != wait {
+		t.Fatalf("backoff waited %d times, %v in all; want once, %v", b.Waits, b.Waited, wait)
+	}
+	if sent := client.Timeout + wait; took <= sent || took > sent+10*time.Millisecond {
+		t.Fatalf("answer at %v, want one round trip after the retry at %v", took, sent)
 	}
 }
 
@@ -62,12 +83,18 @@ func TestAllRetriesLostCountsOneTimeout(t *testing.T) {
 	k, seg, client := lossyFixture(t)
 	client.Timeout = 100 * time.Millisecond
 	client.Retries = 3
-	client.Backoff = resilience.NewBackoff(k.Rand(1), 50*time.Millisecond, 400*time.Millisecond, 0)
+	client.Backoff = resilience.NewBackoff(k.Rand(1))
+	want := 4 * client.Timeout // four listen windows and the three waits between them
+	for _, w := range waits(k, 3) {
+		want += w
+	}
 	seg.SetLossProb(1.0)
 
 	var err error
+	var took time.Duration
 	client.node.Spawn("tester", func(p *sim.Proc) {
 		_, err = client.Get(p, "agent1", mib.SysUpTime)
+		took = p.Now()
 	})
 	k.RunUntil(10 * time.Second)
 	if !errors.Is(err, ErrTimeout) {
@@ -77,18 +104,23 @@ func TestAllRetriesLostCountsOneTimeout(t *testing.T) {
 	if s.Requests != 4 || s.Retries != 3 || s.Responses != 0 || s.Timeouts != 1 {
 		t.Fatalf("stats = %+v, want 4 requests / 3 retries / 0 responses / 1 timeout", s)
 	}
+	if took != want {
+		t.Fatalf("request gave up at %v, want %v", took, want)
+	}
 }
 
 func TestBudgetCapsAttemptsUnderLoss(t *testing.T) {
 	// A per-request budget bounds how long a dead agent can stall the
 	// caller regardless of the configured retry count: with Timeout 100ms,
-	// backoff 50ms, and budget 250ms only two of six permitted attempts
-	// fit (0-100ms listen, 50ms wait, 150-250ms listen).
+	// backoff 50ms ±10 %, and budget 250ms only two of six permitted
+	// attempts fit (0-100ms listen, ~50ms wait, ~150-250ms listen); the
+	// second wait, ~100ms, would end past the budget, so it is not slept.
 	k, seg, client := lossyFixture(t)
 	client.Timeout = 100 * time.Millisecond
 	client.Retries = 5
-	client.Backoff = resilience.NewBackoff(k.Rand(1), 50*time.Millisecond, 400*time.Millisecond, 0)
+	client.Backoff = resilience.NewBackoff(k.Rand(1))
 	client.Budget = 250 * time.Millisecond
+	w := waits(k, 2)
 	seg.SetLossProb(1.0)
 
 	var err error
@@ -102,12 +134,15 @@ func TestBudgetCapsAttemptsUnderLoss(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	if took > 250*time.Millisecond {
-		t.Fatalf("request took %v, budget was 250ms", took)
+	if took != 250*time.Millisecond {
+		t.Fatalf("request took %v, want the 250ms budget", took)
 	}
 	s := client.Stats
 	if s.Requests != 2 || s.Timeouts != 1 {
 		t.Fatalf("stats = %+v, want exactly 2 requests / 1 timeout under budget", s)
+	}
+	if b := client.Backoff; b.Waits != 2 || b.Waited != w[0]+w[1] {
+		t.Fatalf("backoff handed out %d waits, %v in all; want 2, %v", b.Waits, b.Waited, w[0]+w[1])
 	}
 }
 
