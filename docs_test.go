@@ -43,8 +43,9 @@ var (
 	codeSpan    = regexp.MustCompile("`([^`]+)`")
 	// nameCite is a code span that starts with pkg.Name, Name exported:
 	// lower-case "pkg.name" spans are metric names (`sim.events`) and file
-	// names (`sketch.go`), not Go.
-	nameCite = regexp.MustCompile(`^([a-z][a-z0-9]*)((?:\.[A-Z][A-Za-z0-9_]*)+)`)
+	// names (`sketch.go`), not Go. A brace list may follow
+	// (`pkg.Type.{A, B}`).
+	nameCite = regexp.MustCompile(`^([a-z][a-z0-9]*)((?:\.[A-Z][A-Za-z0-9_]*)+)(?:\.\{([^}]*)\})?`)
 
 	roadmapItem   = regexp.MustCompile(`(?m)\*\*Item (\d+)\.\*\*`)
 	designSection = regexp.MustCompile(`(?m)^## (\d+)\.`)
@@ -223,9 +224,10 @@ func (ix *docIndex) staleCitations(name string, line int, text string) []string 
 	return out
 }
 
-// nameProblem checks a code span that cites pkg.Name (or pkg.Type.Method):
-// when pkg is a package of the tree, each dotted name must be declared in
-// it. Spans about other packages (`time.Duration`) are not checked.
+// nameProblem checks a code span that cites pkg.Name (or pkg.Type.Method,
+// or pkg.Type.{A, B}): when pkg is a package of the tree, each dotted name
+// and each name in the braces must be declared in it. Spans about other
+// packages (`time.Duration`) are not checked.
 func (ix *docIndex) nameProblem(span string) string {
 	m := nameCite.FindStringSubmatch(span)
 	if m == nil {
@@ -235,7 +237,13 @@ func (ix *docIndex) nameProblem(span string) string {
 	if !ok {
 		return ""
 	}
-	for _, name := range strings.Split(m[2][1:], ".") {
+	cited := strings.Split(m[2][1:], ".")
+	if m[3] != "" {
+		for _, name := range strings.Split(m[3], ",") {
+			cited = append(cited, strings.TrimSpace(name))
+		}
+	}
+	for _, name := range cited {
 		if !names[name] {
 			return fmt.Sprintf("package %s declares no %s", m[1], name)
 		}
@@ -392,6 +400,8 @@ func TestDocCitationKinds(t *testing.T) {
 		{"undeclared go name", "DESIGN.md", "`cots.EnsureAgents`", true},
 		{"undeclared method after a declared type", "DESIGN.md", "`core.ShardedMonitor.Members`", true},
 		{"declared go name and method", "DESIGN.md", "`cots.EnsureAgentOn` and `core.ShardedMonitor.AggregateSketch(m, ids)`", false},
+		{"stale name in a brace list", "DESIGN.md", "`manager.Policy.{MaxLatency, MaxJitter}`", true},
+		{"declared brace list", "DESIGN.md", "`manager.Policy.{RequireReachable, Grace, EvalInterval}`", false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

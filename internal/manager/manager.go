@@ -36,30 +36,6 @@ type Policy struct {
 	// missing, not as evidence of health (or of failure). Zero preserves
 	// the legacy trust-anything behavior.
 	MaxStaleness time.Duration
-	// LatencyP95Max / LatencyP99Max, when > 0, put a ceiling on a path's
-	// p95/p99 one-way latency as estimated by the monitor's per-series
-	// quantile sketches (core.QuantileQuerier) — a tail-latency policy a
-	// current-value check cannot express: a path that is usually fine but
-	// freezes for one request in twenty violates p95 while sailing past
-	// MaxLatency most evaluations. Monitors that cannot answer quantile
-	// queries (no sketches enabled) skip the tail checks. Unlike current
-	// values, sketch digests aggregate the series' whole lifetime, so
-	// MaxStaleness does not gate them.
-	LatencyP95Max time.Duration
-	LatencyP99Max time.Duration
-	// ThroughputP95Min, when > 0, is the throughput the path must sustain
-	// with 95% confidence: the series' 5th-percentile sample (the rate
-	// exceeded by 95% of observations) must stay at or above this floor.
-	// A path that usually streams fine but starves one interval in ten
-	// violates it while its mean — and most current-value checks — look
-	// healthy. Like the latency tails it reads the monitor's quantile
-	// sketches and is gated by TailMinSamples.
-	ThroughputP95Min float64
-	// TailMinSamples holds the tail checks back until a series' sketch
-	// has at least this many observations (default 32), so one early
-	// spike in a nearly-empty distribution cannot trigger
-	// reconfiguration.
-	TailMinSamples int
 }
 
 func (p Policy) withDefaults() Policy {
@@ -68,9 +44,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.EvalInterval <= 0 {
 		p.EvalInterval = time.Second
-	}
-	if p.TailMinSamples <= 0 {
-		p.TailMinSamples = 32
 	}
 	return p
 }
@@ -114,12 +87,9 @@ type Manager struct {
 	// base on senescent data.
 	StaleReads uint64
 	// Evaluations counts policy evaluations run; Failovers the host moves
-	// they led to (not pool-exhausted stalls); TailViolations the paths
-	// found over a p95/p99 latency ceiling or under the p95-confidence
-	// throughput floor.
-	Evaluations    uint64
-	Failovers      uint64
-	TailViolations uint64
+	// they led to (not pool-exhausted stalls).
+	Evaluations uint64
+	Failovers   uint64
 
 	host    *netsim.Node
 	mon     core.Monitor
@@ -156,23 +126,21 @@ func New(host *netsim.Node, mon core.Monitor, policy Policy) *Manager {
 		verdicts: make(map[string]*verdict),
 	}
 	m.Metrics = []metrics.Metric{metrics.Reachability}
-	if m.Policy.MinThroughputBps > 0 || m.Policy.ThroughputP95Min > 0 {
+	if m.Policy.MinThroughputBps > 0 {
 		m.Metrics = append(m.Metrics, metrics.Throughput)
 	}
-	if m.Policy.MaxLatency > 0 || m.Policy.LatencyP95Max > 0 || m.Policy.LatencyP99Max > 0 {
+	if m.Policy.MaxLatency > 0 {
 		m.Metrics = append(m.Metrics, metrics.OneWayLatency)
 	}
 	return m
 }
 
 // EnableTelemetry publishes the manager's decision counts under prefix:
-// Evaluations, Failovers, StaleReads and TailViolations. A nil registry
-// publishes nothing.
+// Evaluations, Failovers and StaleReads. A nil registry publishes nothing.
 func (m *Manager) EnableTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.CounterFunc(prefix+".evaluations", func() uint64 { return m.Evaluations })
 	reg.CounterFunc(prefix+".failovers", func() uint64 { return m.Failovers })
 	reg.CounterFunc(prefix+".stale_reads", func() uint64 { return m.StaleReads })
-	reg.CounterFunc(prefix+".tail_violations", func() uint64 { return m.TailViolations })
 }
 
 // DefinePool registers the replicated host pool for a role.
@@ -366,53 +334,7 @@ func (m *Manager) pathViolates(id core.PathID) (bad, have bool) {
 			}
 		}
 	}
-	if bad, ok := m.tailViolates(id); ok {
-		have = true
-		if bad {
-			return true, true
-		}
-	}
 	return false, have
-}
-
-// tailViolates evaluates the distributional policies — the p95/p99
-// latency ceilings and the p95-confidence throughput floor — against the
-// monitor's quantile sketches for the path. ok is false when no tail
-// policy is set or no consulted series has Policy.TailMinSamples
-// observations yet.
-func (m *Manager) tailViolates(id core.PathID) (bad, ok bool) {
-	latTail := m.Policy.LatencyP95Max > 0 || m.Policy.LatencyP99Max > 0
-	tpTail := m.Policy.ThroughputP95Min > 0
-	if !latTail && !tpTail {
-		return false, false
-	}
-	if latTail {
-		sum, have := m.mon.QuantileSummary(id, metrics.OneWayLatency)
-		if have && sum.Count >= uint64(m.Policy.TailMinSamples) {
-			ok = true
-			if m.Policy.LatencyP95Max > 0 && sum.P95 > m.Policy.LatencyP95Max.Seconds() {
-				m.TailViolations++
-				return true, true
-			}
-			if m.Policy.LatencyP99Max > 0 && sum.P99 > m.Policy.LatencyP99Max.Seconds() {
-				m.TailViolations++
-				return true, true
-			}
-		}
-	}
-	if tpTail {
-		sum, have := m.mon.QuantileSummary(id, metrics.Throughput)
-		if have && sum.Count >= uint64(m.Policy.TailMinSamples) {
-			ok = true
-			// The 5th-percentile sample is the throughput sustained 95% of
-			// the time; below the floor, the path starves too often.
-			if p05, qok := m.mon.Quantile(id, metrics.Throughput, 0.05); qok && p05 < m.Policy.ThroughputP95Min {
-				m.TailViolations++
-				return true, true
-			}
-		}
-	}
-	return false, ok
 }
 
 // failover moves a process to a fresh pool host and resubmits monitoring.

@@ -13,7 +13,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nttcp"
 	"repro/internal/sim"
-	"repro/internal/sketch"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
@@ -338,144 +337,43 @@ func TestStaleDataTreatedAsMissingNotHealthy(t *testing.T) {
 	}
 }
 
-// enableSketches turns on quantile sketches on the manager's monitor —
-// must run before the kernel starts recording.
-func enableSketches(t *testing.T, m *Manager) {
-	t.Helper()
-	hm, ok := m.mon.(*hifi.Monitor)
-	if !ok {
-		t.Fatalf("monitor is %T, want *hifi.Monitor", m.mon)
-	}
-	hm.Database().EnableSketches(sketch.Thresholds{})
-}
-
-func TestTailLatencyPolicyFires(t *testing.T) {
-	// A p95 ceiling nothing can meet: the tail check must fire on every
-	// path (the tail_violations counter advances), every process then
-	// looks failed, and the blackout guard keeps placements stable — the
-	// correct response to a policy no host can satisfy.
-	k, _, m := build(t, Policy{RequireReachable: true, LatencyP95Max: time.Nanosecond,
-		Grace: 2, EvalInterval: 500 * time.Millisecond, TailMinSamples: 4})
-	enableSketches(t, m)
-	reg := telemetry.NewRegistry()
-	m.EnableTelemetry(reg, "mgr")
-	m.Start("server", "client")
-	k.RunUntil(15 * time.Second)
-	if reg.Counter("mgr.tail_violations").Value() == 0 {
-		t.Fatal("tail-latency policy never fired despite an unmeetable ceiling")
-	}
-	for _, pl := range m.Placements() {
-		if pl.Incarnation != 0 {
-			t.Fatalf("unsatisfiable tail policy caused thrash: %+v", pl)
-		}
-	}
-}
-
-func TestTailLatencyPolicyQuietUnderCeiling(t *testing.T) {
-	// A generous p99 ceiling: healthy paths must not trip the tail check.
-	k, _, m := build(t, Policy{RequireReachable: true, LatencyP99Max: time.Hour,
-		Grace: 2, EvalInterval: 500 * time.Millisecond, TailMinSamples: 4})
-	enableSketches(t, m)
-	reg := telemetry.NewRegistry()
-	m.EnableTelemetry(reg, "mgr")
-	m.Start("server", "client")
-	k.RunUntil(15 * time.Second)
-	if v := reg.Counter("mgr.tail_violations").Value(); v != 0 {
-		t.Fatalf("tail policy fired %d times under a generous ceiling", v)
-	}
-	if len(m.Reconfigs) != 0 {
-		t.Fatalf("unexpected reconfigurations: %v", m.Reconfigs)
-	}
-}
-
-func TestTailPolicySkippedWithoutSketches(t *testing.T) {
-	// The monitor never enabled sketches: the tail check cannot answer and
-	// must be skipped — no panic, no phantom violations.
-	k, _, m := build(t, Policy{RequireReachable: true, LatencyP95Max: time.Nanosecond,
-		Grace: 2, EvalInterval: 500 * time.Millisecond, TailMinSamples: 4})
-	reg := telemetry.NewRegistry()
-	m.EnableTelemetry(reg, "mgr")
-	m.Start("server", "client")
-	k.RunUntil(10 * time.Second)
-	if v := reg.Counter("mgr.tail_violations").Value(); v != 0 {
-		t.Fatalf("tail policy fired %d times with no sketch to consult", v)
-	}
-	if len(m.Reconfigs) != 0 {
-		t.Fatalf("unexpected reconfigurations: %v", m.Reconfigs)
-	}
-}
-
-// TestTelemetryReadsOwnersFields: the four published counts are the
+// TestTelemetryReadsOwnersFields: the three published counts are the
 // manager's own fields, under a host death read through a tight staleness
-// gate (failover, stale reads) and under each unmeetable tail policy.
+// gate (failover, stale reads).
 func TestTelemetryReadsOwnersFields(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		policy   Policy
-		sketches bool
-		kill     bool
-		moved    func(m *Manager) uint64 // the count the scenario exists to move
-	}{
-		{name: "failover behind a staleness gate",
-			policy: Policy{RequireReachable: true, Grace: 2, EvalInterval: 500 * time.Millisecond, MaxStaleness: 300 * time.Millisecond},
-			kill:   true,
-			moved:  func(m *Manager) uint64 { return min(m.Failovers, m.StaleReads) }},
-		{name: "p95 latency ceiling",
-			policy: Policy{RequireReachable: true, LatencyP95Max: time.Nanosecond,
-				Grace: 2, EvalInterval: 500 * time.Millisecond, TailMinSamples: 4},
-			sketches: true,
-			moved:    func(m *Manager) uint64 { return m.TailViolations }},
-		{name: "p99 latency ceiling",
-			policy: Policy{RequireReachable: true, LatencyP99Max: time.Nanosecond,
-				Grace: 2, EvalInterval: 500 * time.Millisecond, TailMinSamples: 4},
-			sketches: true,
-			moved:    func(m *Manager) uint64 { return m.TailViolations }},
-		{name: "p95-confidence throughput floor",
-			policy: Policy{RequireReachable: true, ThroughputP95Min: 1e12,
-				Grace: 2, EvalInterval: 500 * time.Millisecond, TailMinSamples: 4},
-			sketches: true,
-			moved:    func(m *Manager) uint64 { return m.TailViolations }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			k, h, m := build(t, tc.policy)
-			if tc.sketches {
-				enableSketches(t, m)
+	t.Run("failover behind a staleness gate", func(t *testing.T) {
+		k, h, m := build(t, Policy{RequireReachable: true, Grace: 2, EvalInterval: 500 * time.Millisecond, MaxStaleness: 300 * time.Millisecond})
+		m.EnableTelemetry(nil, "off") // a nil registry is a no-op
+		reg := telemetry.NewRegistry()
+		m.EnableTelemetry(reg, "mgr")
+		m.Start("server", "client")
+		k.At(3*time.Second, func() { h.Servers[1].SetUp(false) })
+		k.RunUntil(20 * time.Second)
+		if m.Evaluations == 0 || m.Failovers == 0 || m.StaleReads == 0 {
+			t.Fatalf("scenario drifted: evaluations %d failovers %d stale reads %d",
+				m.Evaluations, m.Failovers, m.StaleReads)
+		}
+		moves := uint64(0)
+		for _, r := range m.Reconfigs {
+			if r.From != r.To {
+				moves++
 			}
-			m.EnableTelemetry(nil, "off") // a nil registry is a no-op
-			reg := telemetry.NewRegistry()
-			m.EnableTelemetry(reg, "mgr")
-			m.Start("server", "client")
-			if tc.kill {
-				k.At(3*time.Second, func() { h.Servers[1].SetUp(false) })
+		}
+		if m.Failovers != moves {
+			t.Errorf("Failovers = %d, the decision log holds %d host moves", m.Failovers, moves)
+		}
+		want := map[string]uint64{
+			"mgr.evaluations": m.Evaluations,
+			"mgr.failovers":   m.Failovers,
+			"mgr.stale_reads": m.StaleReads,
+		}
+		for name, w := range want {
+			if got := reg.Counter(name).Value(); got != w {
+				t.Errorf("%s = %d, want %d", name, got, w)
 			}
-			k.RunUntil(20 * time.Second)
-			if m.Evaluations == 0 || tc.moved(m) == 0 {
-				t.Fatalf("scenario drifted: evaluations %d failovers %d stale reads %d tail violations %d",
-					m.Evaluations, m.Failovers, m.StaleReads, m.TailViolations)
-			}
-			moves := uint64(0)
-			for _, r := range m.Reconfigs {
-				if r.From != r.To {
-					moves++
-				}
-			}
-			if m.Failovers != moves {
-				t.Errorf("Failovers = %d, the decision log holds %d host moves", m.Failovers, moves)
-			}
-			want := map[string]uint64{
-				"mgr.evaluations":     m.Evaluations,
-				"mgr.failovers":       m.Failovers,
-				"mgr.stale_reads":     m.StaleReads,
-				"mgr.tail_violations": m.TailViolations,
-			}
-			for name, w := range want {
-				if got := reg.Counter(name).Value(); got != w {
-					t.Errorf("%s = %d, want %d", name, got, w)
-				}
-			}
-			if reg.Len() != len(want) {
-				t.Errorf("%d instruments registered, %d checked against the manager", reg.Len(), len(want))
-			}
-		})
-	}
+		}
+		if reg.Len() != len(want) {
+			t.Errorf("%d instruments registered, %d checked against the manager", reg.Len(), len(want))
+		}
+	})
 }

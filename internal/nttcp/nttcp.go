@@ -410,13 +410,11 @@ func (s *Server) consume(pkt *netsim.Packet) {
 // simLink runs the engine on the simulator: the calling proc (whose Now
 // and Sleep it promotes), its node's clock, the link's socket and the
 // responder it is pointed at. A datagram carries only the header, which the
-// network copies out of hdr; a burst message's Size says MsgLen. The
-// socket's consumer decodes each arriving header into the link's own queue
-// in the event that delivers it, so the frame goes back to the network at
-// once; recv takes from that queue, whose Put wakes the proc as the
-// socket's receive queue would. The link outlives its call (Client.idle),
-// and so do its socket, closed between calls and reopened on a fresh port
-// for the next, its queue and its consumer.
+// network copies out of hdr; a burst message's Size says MsgLen. recv reads
+// replies off the socket's own receive queue, decodes each header and gives
+// the frame back at once. The link outlives its call (Client.idle), and so
+// does its socket, closed between calls and reopened on a fresh port for
+// the next.
 type simLink struct {
 	*sim.Proc
 	node *netsim.Node
@@ -424,23 +422,29 @@ type simLink struct {
 	to   simPeer
 
 	hdr [headerSize]byte
-	rq  sim.Queue[header]
 }
 
 func (l *simLink) send(h header, size int) {
 	l.sock.SendCopy(l.to.addr, l.to.port, h.put(l.hdr[:0]), size)
 }
 
-// deliver is the socket's consumer: it keeps the decoded header, never the
-// packet, and drops a datagram too short to decode.
-func (l *simLink) deliver(pkt *netsim.Packet) {
-	if h, ok := decodeHeader(pkt.Payload); ok {
-		l.rq.Put(h)
-	}
-}
-
+// recv keeps the decoded header, never the packet. A datagram too short to
+// decode is skipped within the same deadline, which is never passed to Recv
+// negative, as that would block for good.
 func (l *simLink) recv(timeout time.Duration) (header, bool) {
-	return l.rq.Get(l.Proc, timeout)
+	deadline := l.Now() + timeout
+	for remain := timeout; remain >= 0; remain = deadline - l.Now() {
+		pkt, ok := l.sock.Recv(l.Proc, remain)
+		if !ok {
+			break
+		}
+		h, ok := decodeHeader(pkt.Payload)
+		l.sock.Free(pkt)
+		if ok {
+			return h, true
+		}
+	}
+	return header{}, false
 }
 
 func (l *simLink) localTime() time.Duration { return l.node.LocalTime() }
@@ -461,10 +465,10 @@ func NewClient(node *netsim.Node, cfg Config) *Client {
 // dial points an idle adapter at target:port, or a new one if none is
 // idle. Several procs can be inside one Client at once (hifi measures paths
 // that share a source concurrently), so each call has an adapter of its
-// own. An adapter's first call opens its socket and sets its consumer;
-// every later call reopens it on the next ephemeral port, so the port is new
-// for each call, as an OpenUDP(0) per call would make it, and a measurement
-// allocates nothing for the seam.
+// own. An adapter's first call opens its socket; every later call reopens
+// it on the next ephemeral port, so the port is new for each call, as an
+// OpenUDP(0) per call would make it, and a measurement allocates nothing
+// for the seam.
 func (c *Client) dial(p *sim.Proc, target netsim.Addr, port netsim.Port) *simLink {
 	if port == 0 {
 		port = Port
@@ -476,8 +480,6 @@ func (c *Client) dial(p *sim.Proc, target netsim.Addr, port netsim.Port) *simLin
 		l.sock.Reopen()
 	} else {
 		l = &simLink{node: c.Node, sock: c.Node.OpenUDP(0)}
-		l.rq.Init(c.Node.Network().K, netsim.DefaultSockQueue)
-		l.sock.Consume(l.deliver)
 	}
 	l.Proc, l.to = p, simPeer{target, port}
 	return l
@@ -485,15 +487,10 @@ func (c *Client) dial(p *sim.Proc, target netsim.Addr, port netsim.Port) *simLin
 
 // hangUp closes the call's socket, so a late reply is dropped as no-port —
 // the next call reopens it on another port, so the reply stays dropped —
-// and empties the link's queue, so a reply the call did not wait for
-// reaches no later call.
+// and a reply the call did not wait for goes back to the network with the
+// socket's queue, so it reaches no later call.
 func (c *Client) hangUp(l *simLink) {
 	l.sock.Close()
-	for {
-		if _, ok := l.rq.Get(l.Proc, 0); !ok {
-			break
-		}
-	}
 	c.idle = append(c.idle, l)
 }
 

@@ -254,10 +254,9 @@ func TestConcurrentMeasurementsDistinctTestIDs(t *testing.T) {
 
 // TestMeasureAllocatesNothingPerMessage: once warm, a simulated Measure
 // allocates nothing at 8 and at 64 burst messages — the client sends each
-// header as a network-owned copy and takes each reply in the event that
-// delivers it, the responder runs no proc, and the client's adapter keeps
-// its queue and its socket, which each call reopens on a fresh port
-// (netsim.UDPSock.Reopen).
+// header as a network-owned copy and gives each reply's frame back as it
+// reads it, the responder runs no proc, and the client's adapter keeps its
+// socket, which each call reopens on a fresh port (netsim.UDPSock.Reopen).
 func TestMeasureAllocatesNothingPerMessage(t *testing.T) {
 	const period = time.Second
 	perMeasure := func(count int) float64 {
@@ -293,11 +292,11 @@ func TestMeasureAllocatesNothingPerMessage(t *testing.T) {
 
 // TestLateReplyReachesNoLaterCall: a reply that arrives after its call hung
 // up is dropped at the closed socket and reaches no later call on the same
-// Client, although the later call reuses the adapter and its queue. The
+// Client, although the later call reuses the adapter and its socket. The
 // slow target answers 200 ms late, while the next call, to a target that
 // answers 20 ms late, is waiting. Every frame on the segment arrives twice
 // (DupProb 1), in the same event: the copy of a reply that no await takes
-// must not outlive its call in the adapter's queue either.
+// must not outlive its call in the socket's queue either.
 func TestLateReplyReachesNoLaterCall(t *testing.T) {
 	k := sim.NewKernel()
 	t.Cleanup(k.Close)
@@ -335,7 +334,6 @@ func TestLateReplyReachesNoLaterCall(t *testing.T) {
 	c := NewClient(cli, Config{Timeout: 50 * time.Millisecond})
 	var slow, fast [2]bool
 	var rtt [2]time.Duration
-	var queued [2]int
 	var waitFrom time.Duration
 	cli.Spawn("tester", func(p *sim.Proc) {
 		slow[0], _ = c.Reachability(p, "slow", 0)
@@ -343,7 +341,6 @@ func TestLateReplyReachesNoLaterCall(t *testing.T) {
 		waitFrom = p.Now()
 		for i := range fast {
 			fast[i], rtt[i] = c.Reachability(p, "fast", 0)
-			queued[i] = c.idle[0].rq.Len()
 		}
 	})
 	k.RunUntil(time.Second)
@@ -354,9 +351,6 @@ func TestLateReplyReachesNoLaterCall(t *testing.T) {
 		if d < 20*time.Millisecond || d > 30*time.Millisecond {
 			t.Fatalf("fast call %d: rtt %v, want its own echo's", i, d)
 		}
-	}
-	if queued != [2]int{} {
-		t.Fatalf("replies left in the idle adapter's queue after each fast call: %v, want none", queued)
 	}
 	// The slow target got the echo twice and answered both; each answer
 	// arrived twice.

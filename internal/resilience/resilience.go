@@ -38,8 +38,8 @@ const (
 // capped at backoffMax, jittered from rng. A nil Backoff yields zero
 // delays, i.e. the immediate retransmit.
 type Backoff struct {
-	// Waits counts the delays Delay has handed out; Waited is the virtual
-	// time they add up to.
+	// Waits counts the delays Delay has handed out to be slept; Waited is
+	// the virtual time they add up to.
 	Waits  uint64
 	Waited time.Duration
 
@@ -53,11 +53,14 @@ func NewBackoff(rng *rand.Rand) *Backoff {
 	return &Backoff{rng: rng}
 }
 
-// Delay returns the wait before retransmission number attempt (0-based).
-// A nil Backoff returns 0 for every attempt.
-func (b *Backoff) Delay(attempt int) time.Duration {
+// Delay returns the wait before retransmission number attempt (0-based)
+// and whether it ends within room (a negative room is no limit). Only a
+// wait that fits is counted: the caller sleeps it, and gives up where one
+// does not fit, though its jitter is drawn all the same. A nil Backoff
+// returns 0 for every attempt.
+func (b *Backoff) Delay(attempt int, room time.Duration) (time.Duration, bool) {
 	if b == nil {
-		return 0
+		return 0, true
 	}
 	d := backoffBase
 	for i := 0; i < attempt && d < backoffMax; i++ {
@@ -68,9 +71,12 @@ func (b *Backoff) Delay(attempt int) time.Duration {
 		j := (b.rng.Float64() - 0.5) * jitterFrac
 		d = time.Duration(float64(d) * (1 + j))
 	}
+	if room >= 0 && d >= room {
+		return d, false
+	}
 	b.Waits++
 	b.Waited += d
-	return d
+	return d, true
 }
 
 // BreakerState is the circuit breaker state.

@@ -12,21 +12,27 @@ import (
 var schedule = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond,
 	200 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond}
 
+// unbounded is the wait Delay hands out with no limit on it.
+func unbounded(b *Backoff, attempt int) time.Duration {
+	d, _ := b.Delay(attempt, -1)
+	return d
+}
+
 func TestBackoffExponentialCapped(t *testing.T) {
 	b := NewBackoff(nil)
 	for i, w := range schedule {
-		if got := b.Delay(i); got != w {
+		if got := unbounded(b, i); got != w {
 			t.Fatalf("Delay(%d) = %v, want %v", i, got, w)
 		}
 	}
-	if got := b.Delay(30); got != schedule[len(schedule)-1] {
+	if got := unbounded(b, 30); got != schedule[len(schedule)-1] {
 		t.Fatalf("Delay(30) = %v, want the cap", got)
 	}
 }
 
 func TestBackoffNilIsImmediate(t *testing.T) {
 	var b *Backoff
-	if b.Delay(0) != 0 || b.Delay(3) != 0 {
+	if d, ok := b.Delay(3, 0); d != 0 || !ok || unbounded(b, 0) != 0 {
 		t.Fatal("nil backoff must be immediate")
 	}
 }
@@ -37,7 +43,7 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 	a, b := NewBackoff(k.Rand(7)), NewBackoff(k.Rand(7))
 	jittered := false
 	for i, base := range schedule {
-		da, db := a.Delay(i), b.Delay(i)
+		da, db := unbounded(a, i), unbounded(b, i)
 		if da != db {
 			t.Fatalf("jitter nondeterministic at %d: %v vs %v", i, da, db)
 		}
@@ -173,8 +179,12 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 	s.For("late").Failure(7 * time.Second) // created after the reader was bound
 	s.For("late").Failure(7 * time.Second)
 	s.For("late").Allow(7 * time.Second)
-	for i := 0; i < 4; i++ {
-		bo.Delay(i)
+	for i := 0; i < 3; i++ {
+		unbounded(bo, i)
+	}
+	bo.Delay(3, 401*time.Millisecond) // 400ms fits
+	if _, ok := bo.Delay(4, 400*time.Millisecond); ok {
+		t.Fatal("a 400ms wait fit in 400ms: the budget would expire as it ends")
 	}
 
 	var sum BreakerStats
@@ -192,6 +202,6 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 		t.Errorf("Stats() = %+v, want the per-breaker sum %+v", got, sum)
 	}
 	if bo.Waits != 4 || bo.Waited != 750*time.Millisecond {
-		t.Errorf("backoff handed out %d waits totalling %v, want 4 and 750ms", bo.Waits, bo.Waited)
+		t.Errorf("backoff handed out %d waits totalling %v to sleep, want 4 and 750ms (not the refused fifth)", bo.Waits, bo.Waited)
 	}
 }

@@ -86,10 +86,15 @@ func (m *manager) request(t conn, pdu PDU) (*Message, error) {
 	}
 	for attempt := 0; attempt <= m.Retries; attempt++ {
 		if attempt > 0 {
-			if wait := m.Backoff.Delay(attempt - 1); wait > 0 {
-				if hard >= 0 && t.Now()+wait >= hard {
-					break // budget would expire mid-wait: give up now
-				}
+			room := time.Duration(-1)
+			if hard >= 0 {
+				room = hard - t.Now()
+			}
+			wait, ok := m.Backoff.Delay(attempt-1, room)
+			if !ok {
+				break // budget would expire mid-wait: give up now
+			}
+			if wait > 0 {
 				t.Sleep(wait)
 			}
 			m.Stats.Retries++

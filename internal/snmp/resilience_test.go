@@ -36,7 +36,7 @@ func waits(k *sim.Kernel, n int) []time.Duration {
 	twin := resilience.NewBackoff(k.Rand(1))
 	out := make([]time.Duration, n)
 	for i := range out {
-		out[i] = twin.Delay(i)
+		out[i], _ = twin.Delay(i, -1)
 	}
 	return out
 }
@@ -114,13 +114,14 @@ func TestBudgetCapsAttemptsUnderLoss(t *testing.T) {
 	// caller regardless of the configured retry count: with Timeout 100ms,
 	// backoff 50ms ±10 %, and budget 250ms only two of six permitted
 	// attempts fit (0-100ms listen, ~50ms wait, ~150-250ms listen); the
-	// second wait, ~100ms, would end past the budget, so it is not slept.
+	// second wait, ~100ms, would end past the budget, so it is neither
+	// slept nor counted.
 	k, seg, client := lossyFixture(t)
 	client.Timeout = 100 * time.Millisecond
 	client.Retries = 5
 	client.Backoff = resilience.NewBackoff(k.Rand(1))
 	client.Budget = 250 * time.Millisecond
-	w := waits(k, 2)
+	w := waits(k, 1)
 	seg.SetLossProb(1.0)
 
 	var err error
@@ -141,8 +142,8 @@ func TestBudgetCapsAttemptsUnderLoss(t *testing.T) {
 	if s.Requests != 2 || s.Timeouts != 1 {
 		t.Fatalf("stats = %+v, want exactly 2 requests / 1 timeout under budget", s)
 	}
-	if b := client.Backoff; b.Waits != 2 || b.Waited != w[0]+w[1] {
-		t.Fatalf("backoff handed out %d waits, %v in all; want 2, %v", b.Waits, b.Waited, w[0]+w[1])
+	if b := client.Backoff; b.Waits != 1 || b.Waited != w[0] {
+		t.Fatalf("backoff counted %d waits, %v in all; want the one slept, %v", b.Waits, b.Waited, w[0])
 	}
 }
 
