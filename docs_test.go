@@ -18,10 +18,11 @@ import (
 
 // The documents cite three kinds of thing by number — a ROADMAP item, a
 // line of a Go file and a DESIGN section — and every one of those numbers
-// moves; they also cite Go names, as a backticked `pkg.Name`, and names
-// get renamed and deleted. This test fails when a citation names one that
-// no longer exists, and when DESIGN §3, the module inventory, misses a
-// package.
+// moves; they also cite Go names, as a backticked `pkg.Name`, and tests,
+// as a TestX, FuzzX or BenchmarkX (backticked in a document, anywhere in
+// a Go comment), and names get renamed and deleted. This test fails when a
+// citation names one that no longer exists, and when DESIGN §3, the module
+// inventory, misses a package.
 //
 // Scanned: the root documents below, every other *.md, the Makefile,
 // scripts/*.sh, everything under .claude/skills, and the comments of
@@ -41,6 +42,7 @@ var (
 	lineCite    = regexp.MustCompile(`([A-Za-z0-9_./-]+\.go):(\d+)`)
 	designCite  = regexp.MustCompile(`DESIGN(?:\.md)?\s+§(\d+)`)
 	codeSpan    = regexp.MustCompile("`([^`]+)`")
+	testCite    = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*`)
 	// nameCite is a code span that starts with pkg.Name, Name exported:
 	// lower-case "pkg.name" spans are metric names (`sim.events`) and file
 	// names (`sketch.go`), not Go. A brace list may follow
@@ -60,6 +62,8 @@ type docIndex struct {
 	// decls maps a package directory's name (internal/pkg, cmd/pkg, or
 	// deeper) to the names its Go files, tests included, declare.
 	decls map[string]map[string]bool
+	// tests holds the top-level funcs of every _test.go outside bench/.
+	tests map[string]bool
 }
 
 // skipDir reports whether the walk leaves a directory out entirely:
@@ -74,7 +78,8 @@ func skipDir(rel string) bool {
 
 func buildIndex(t *testing.T) *docIndex {
 	t.Helper()
-	ix := &docIndex{items: map[int]bool{}, sections: map[int]bool{}, lines: map[string]int{}, decls: map[string]map[string]bool{}}
+	ix := &docIndex{items: map[int]bool{}, sections: map[int]bool{}, lines: map[string]int{},
+		decls: map[string]map[string]bool{}, tests: map[string]bool{}}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -91,6 +96,11 @@ func buildIndex(t *testing.T) *docIndex {
 			return err
 		}
 		ix.lines[rel] = countLines(b)
+		if strings.HasSuffix(rel, "_test.go") && !strings.HasPrefix(rel, "bench/") {
+			if err := ix.addTests(rel, b); err != nil {
+				return err
+			}
+		}
 		if (strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")) && strings.HasSuffix(rel, ".go") {
 			return ix.addDecls(rel, b)
 		}
@@ -153,6 +163,20 @@ func (ix *docIndex) addDecls(rel string, src []byte) error {
 	return nil
 }
 
+// addTests records the top-level funcs one _test.go file declares.
+func (ix *docIndex) addTests(rel string, src []byte) error {
+	f, err := parser.ParseFile(token.NewFileSet(), rel, src, parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+			ix.tests[fd.Name.Name] = true
+		}
+	}
+	return nil
+}
+
 func countLines(b []byte) int {
 	n := strings.Count(string(b), "\n")
 	if len(b) > 0 && b[len(b)-1] != '\n' {
@@ -194,8 +218,9 @@ func sectionText(design string, n int) string {
 
 // staleCitations returns one message per citation in text that names
 // nothing. name is the file the text came from, for the message; line is
-// the line text starts on.
-func (ix *docIndex) staleCitations(name string, line int, text string) []string {
+// the line text starts on; goComment says text is a Go comment, where a
+// test is cited without backticks.
+func (ix *docIndex) staleCitations(name string, line int, text string, goComment bool) []string {
 	var out []string
 	at := func(off int) string {
 		return fmt.Sprintf("%s:%d", name, line+strings.Count(text[:off], "\n"))
@@ -216,10 +241,23 @@ func (ix *docIndex) staleCitations(name string, line int, text string) []string 
 			out = append(out, fmt.Sprintf("%s: %q: DESIGN.md has no \"## %d.\"", at(m[0]), text[m[0]:m[1]], n))
 		}
 	}
+	testsIn := func(from, to int) {
+		for _, m := range testCite.FindAllStringIndex(text[from:to], -1) {
+			if name := text[from+m[0] : from+m[1]]; !ix.tests[name] {
+				out = append(out, fmt.Sprintf("%s: %s: no _test.go declares it", at(from+m[0]), name))
+			}
+		}
+	}
 	for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
 		if msg := ix.nameProblem(text[m[2]:m[3]]); msg != "" {
 			out = append(out, fmt.Sprintf("%s: %q: %s", at(m[0]), text[m[0]:m[1]], msg))
 		}
+		if !goComment {
+			testsIn(m[2], m[3])
+		}
+	}
+	if goComment {
+		testsIn(0, len(text))
 	}
 	return out
 }
@@ -307,7 +345,7 @@ func scanned(rel string) (scan, goComments bool) {
 // staleIn checks one file's content.
 func (ix *docIndex) staleIn(rel string, src []byte, goComments bool) ([]string, error) {
 	if !goComments {
-		return ix.staleCitations(rel, 1, string(src)), nil
+		return ix.staleCitations(rel, 1, string(src), false), nil
 	}
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, rel, src, parser.ParseComments|parser.SkipObjectResolution)
@@ -316,7 +354,7 @@ func (ix *docIndex) staleIn(rel string, src []byte, goComments bool) ([]string, 
 	}
 	var out []string
 	for _, cg := range f.Comments {
-		out = append(out, ix.staleCitations(rel, fset.Position(cg.Pos()).Line, cg.Text())...)
+		out = append(out, ix.staleCitations(rel, fset.Position(cg.Pos()).Line, cg.Text(), true)...)
 	}
 	return out, nil
 }
@@ -402,6 +440,9 @@ func TestDocCitationKinds(t *testing.T) {
 		{"declared go name and method", "DESIGN.md", "`cots.EnsureAgentOn` and `core.ShardedMonitor.AggregateSketch(m, ids)`", false},
 		{"stale name in a brace list", "DESIGN.md", "`manager.Policy.{MaxLatency, MaxJitter}`", true},
 		{"declared brace list", "DESIGN.md", "`manager.Policy.{RequireReachable, Grace, EvalInterval}`", false},
+		{"undeclared test", "DESIGN.md", "`TestWatermarksDeriveFromQueueCap`", true},
+		{"declared tests", "DESIGN.md", "`go test -run TestDocCitations/x .`, `FuzzSupervise` and `BenchmarkTrapIngest`", false},
+		{"undeclared test in a go comment", "internal/x/x.go", "package x\n\n// TestNoSuchThing holds V.\nvar V = 1\n", true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -23,11 +23,11 @@ func BenchmarkTrapIngest(b *testing.B) {
 	defer k.Close()
 	nw := netsim.New(k, 1)
 	d := New(nw.NewHost("root"), "root", Config{
-		QueueCap:     4096,
-		TrapProcTime: time.Nanosecond,
-		FlushEvery:   time.Hour,
+		QueueCap:       4096,
+		TrapProcTime:   time.Nanosecond,
+		FlushEvery:     time.Hour,
+		CoalesceWindow: 10 * time.Hour, // steady state: every repeat coalesces
 	})
-	d.co.SetWindow(10 * time.Hour) // steady state: every repeat coalesces
 	delivered := uint64(0)
 	d.OnTrap = func(Trap) { delivered++ }
 	d.Start()

@@ -9,11 +9,10 @@
 // management station overrun by trap floods. Every director bounds its
 // trap and record ingest queues with explicit drop accounting, coalesces
 // same-(source, path, direction) threshold traps within a window into one
-// summary trap carrying a count, sheds load under a high-water mark by
-// widening its coalescing window and raising a backpressure level that its
-// descendants read to stretch their re-exports (their parents stretch the
-// liveness deadline to match), and marks upstream data stale via
-// senescence watchdogs rather than serving silently-wrong values.
+// summary trap carrying a count, and marks upstream data stale via
+// senescence watchdogs rather than serving silently-wrong values. Sharding
+// the trap sources across leaves and coalescing repeats at each level is
+// what keeps a storm off the root's queue.
 // When a leaf director dies, its parent re-assigns the orphaned shard to a
 // sibling, which re-adopts the already-deployed agents through the shared
 // cots.AgentRegistry. See DESIGN.md §13.
@@ -82,15 +81,10 @@ type Coalescer struct {
 	Coalesced uint64
 }
 
-// NewCoalescer returns a coalescer with the given base window.
+// NewCoalescer returns a coalescer with the given window.
 func NewCoalescer(window time.Duration) *Coalescer {
 	return &Coalescer{window: window, pending: make(map[coalesceKey]*crun)}
 }
-
-// SetWindow adjusts the coalescing window; pending runs keep their opening
-// time, so widening takes effect immediately and narrowing flushes on the
-// next Flush call.
-func (c *Coalescer) SetWindow(w time.Duration) { c.window = w }
 
 // Offer feeds one trap at virtual time now. Leading edges (new stream or
 // direction change) are appended to the emit buffer immediately;

@@ -33,24 +33,21 @@ type Config struct {
 	// RecordProcTime is the per-record ingest cost of a summary batch
 	// (default 50µs).
 	RecordProcTime time.Duration
-	// CoalesceWindow is the base dedup window; 0 disables coalescing
-	// (the flat-station model). Backpressure widens it up to 4×.
+	// CoalesceWindow is the dedup window; 0 disables coalescing (the
+	// flat-station model).
 	CoalesceWindow time.Duration
 	// FlushEvery is the cadence of the window-expiry sweep (default 50ms).
 	FlushEvery time.Duration
-	// Reexport is the base upward re-export interval (default 250ms).
-	// Backpressure stretches it: a director re-exports every
-	// min(Reexport << L, MaxReexport) (default 8× Reexport), L the highest
-	// backpressure level among itself and its ancestors.
-	Reexport    time.Duration
+	// Reexport is the upward re-export interval (default 250ms).
+	Reexport time.Duration
+	// MaxReexport is held: nothing reads it, the bench module sets it.
 	MaxReexport time.Duration
-	// Supervise is the supervisor cadence: watermark checks, child
-	// liveness, adoption (default 250ms).
+	// Supervise is the supervisor cadence: child liveness and adoption
+	// (default 250ms).
 	Supervise time.Duration
 	// AdoptAfter is how long a child may be silent before its shard is
 	// adopted by a sibling (default 1s). Re-export batches double as
-	// heartbeats, so the deadline stretches with the child's re-export
-	// interval: AdoptAfter × interval / Reexport, never below AdoptAfter.
+	// heartbeats.
 	AdoptAfter time.Duration
 	// TTL and WatchdogEvery drive the senescence watchdog on the local
 	// database (defaults 2s and 250ms): records that stop flowing go
@@ -74,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Reexport <= 0 {
 		c.Reexport = 250 * time.Millisecond
-	}
-	if c.MaxReexport <= 0 {
-		c.MaxReexport = 8 * c.Reexport
 	}
 	if c.Supervise <= 0 {
 		c.Supervise = 250 * time.Millisecond
@@ -121,9 +115,7 @@ type Stats struct {
 	RecordsLost    uint64
 	// Reexports counts upward summary batches sent.
 	Reexports uint64
-	// Stretches counts backpressure escalations (high-water crossings);
 	// Adoptions and Reclaims count failover events.
-	Stretches uint64
 	Adoptions uint64
 	Reclaims  uint64
 }
@@ -189,8 +181,6 @@ type Director struct {
 	// spare holds the buffers of d's batches that the parent has handed
 	// back; d's next re-export takes one instead of allocating.
 	spare []batch
-
-	level int // backpressure level: own high-water crossings
 
 	timers  []sim.Timer
 	started bool
@@ -299,10 +289,10 @@ func (d *Director) applyShares(shares map[*Director][]core.Path, mets []metrics.
 }
 
 // Start starts the subtree's processes: member monitors, the trap queue's
-// server, window flusher, re-export proc (non-top directors), and — on
+// server, window flusher, re-export timer (non-top directors), and — on
 // directors with children — the record queue's server, the supervisor and
-// the senescence watchdog. The two servers are kernel events, not procs
-// (sim.Queue.Serve).
+// the senescence watchdog. All of them are kernel events, none a proc: the
+// two servers run on sim.Queue.Serve, the rest on timers.
 func (d *Director) Start() {
 	if d.started {
 		return
@@ -323,11 +313,23 @@ func (d *Director) Start() {
 		d.dispatch(d.co.Take())
 	}))
 	if d.parent != nil {
-		d.Host.Spawn(d.Name+"-reexport", d.reexportLoop)
+		// Armed one event later, so a tick at an instant it shares with
+		// the parent's supervisor or watchdog runs after them.
+		d.timers = append(d.timers, d.k.After(0, func() {
+			d.timers = append(d.timers, d.k.Every(d.Cfg.Reexport, func() {
+				if d.up() {
+					d.reexport(d.k.Now())
+				}
+			}))
+		}))
 	}
 	if len(d.children) > 0 {
 		d.recQ.Serve(d.running, d.ingestService, d.ingestBatch)
-		d.timers = append(d.timers, d.k.Every(d.Cfg.Supervise, d.supervise))
+		d.timers = append(d.timers, d.k.Every(d.Cfg.Supervise, func() {
+			if d.up() {
+				d.liveness(d.k.Now())
+			}
+		}))
 		d.timers = append(d.timers, d.StartSenescenceWatchdog(d.Cfg.WatchdogEvery, d.Cfg.TTL))
 	}
 }
@@ -400,21 +402,11 @@ func (d *Director) dispatch(ts []Trap) {
 	}
 }
 
-// reexportLoop periodically pushes the director's current view — one
-// measurement per assigned (path, metric) pair plus a merged region sketch
-// per metric — into the parent's bounded record queue. The batch doubles
+// reexport pushes the director's current view — one measurement per
+// assigned (path, metric) pair plus a merged region sketch per metric —
+// into the parent's bounded record queue, every Reexport. The batch doubles
 // as the liveness heartbeat, so it is sent even when empty; a down host
 // sends nothing, which is what the parent's adoption timer watches for.
-func (d *Director) reexportLoop(p *sim.Proc) {
-	for !d.Stopped() {
-		p.Sleep(d.reexportInterval())
-		if !d.up() {
-			continue
-		}
-		d.reexport(p.Now())
-	}
-}
-
 func (d *Director) reexport(now time.Duration) {
 	var b batch
 	if n := len(d.spare); n > 0 {

@@ -142,126 +142,9 @@ func TestTrapDropAccounting(t *testing.T) {
 	}
 }
 
-func TestBackpressureStretchAndRelease(t *testing.T) {
-	k := sim.NewKernel()
-	defer k.Close()
-	nw := netsim.New(k, 1)
-	cfg := Config{
-		QueueCap: 64, TrapProcTime: 10 * time.Millisecond, Supervise: 100 * time.Millisecond,
-		CoalesceWindow: 100 * time.Millisecond,
-	}
-	root, leaves := buildStubTree(k, nw, cfg)
-	root.Start()
-	for i := 0; i < 60; i++ {
-		root.OfferTrap(trap("s", "p", true))
-	}
-	k.RunUntil(350 * time.Millisecond)
-	if root.Stats.Stretches == 0 {
-		t.Fatal("high-water crossing did not raise backpressure")
-	}
-	if leaves[0].reexportInterval() == leaves[0].Cfg.Reexport || leaves[1].reexportInterval() == leaves[1].Cfg.Reexport {
-		t.Fatalf("children not stretched: %v/%v", leaves[0].reexportInterval(), leaves[1].reexportInterval())
-	}
-	if w := root.co.window; w <= cfg.CoalesceWindow {
-		t.Fatalf("coalescing window not widened: %v", w)
-	}
-	if iv := leaves[0].reexportInterval(); iv <= cfg.Reexport {
-		t.Fatalf("re-export interval not stretched: %v", iv)
-	}
-	// Queue drains at 100 traps/s; by 2.5s pressure must have fully released.
-	k.RunUntil(2500 * time.Millisecond)
-	if root.level != 0 || leaves[0].reexportInterval() != leaves[0].Cfg.Reexport {
-		t.Fatalf("pressure not released: level=%d interval=%v", root.level, leaves[0].reexportInterval())
-	}
-	if w := root.co.window; w != cfg.CoalesceWindow {
-		t.Fatalf("window not restored: %v", w)
-	}
-}
-
-// TestWatermarksDeriveFromQueueCap pins the thresholds Config derives: the
-// level rises at a trap-queue depth of QueueCap/4 and not one below, falls at
-// QueueCap/16 and not one above, and the widened window stops at 4×
-// CoalesceWindow however high the level climbs.
-func TestWatermarksDeriveFromQueueCap(t *testing.T) {
-	const base = 100 * time.Millisecond
-	for _, qcap := range []int{16, 64, 256} {
-		k := sim.NewKernel()
-		root, leaves := buildStubTree(k, netsim.New(k, 1), Config{QueueCap: qcap, CoalesceWindow: base})
-		high, low := qcap/4, qcap/16
-		step := func(depth, wantLevel int) {
-			t.Helper()
-			root.trapQ.Drain()
-			for i := 0; i < depth; i++ {
-				root.trapQ.Put(trap("s", "p", true))
-			}
-			root.watermarks()
-			if iv := leaves[0].reexportInterval(); root.level != wantLevel || iv != leaves[0].Cfg.Reexport<<wantLevel {
-				t.Fatalf("cap %d, depth %d: level %d interval %v, want level %d", qcap, depth, root.level, iv, wantLevel)
-			}
-			// Doubling per level, capped at 4× from level 2 up.
-			if w, want := root.co.window, []time.Duration{base, 2 * base, 4 * base, 4 * base}[wantLevel]; w != want {
-				t.Fatalf("cap %d, level %d: window %v, want %v", qcap, wantLevel, w, want)
-			}
-		}
-		step(high-1, 0)
-		for level := 1; level <= maxLevel; level++ {
-			step(high, level)
-		}
-		step(qcap, maxLevel) // no level past maxLevel
-		if root.Stats.Stretches != maxLevel {
-			t.Fatalf("cap %d: Stretches = %d, want %d", qcap, root.Stats.Stretches, maxLevel)
-		}
-		step(low+1, maxLevel)
-		step(low, maxLevel-1)
-		root.trapQ.Drain() // stuffed, never offered: the trap ledger at Close must not count it
-		k.Close()
-	}
-}
-
-// TestGrandchildFollowsHighestAncestorLevel: in a 3-level tree a leaf
-// re-exports at the pace of its most pressed ancestor, whichever tier it
-// sits on; a mid director's lower level does not mask the root's.
-func TestGrandchildFollowsHighestAncestorLevel(t *testing.T) {
-	k := sim.NewKernel()
-	defer k.Close()
-	nw := netsim.New(k, 1)
-	root := New(nw.NewHost("root"), "root", Config{})
-	mid := New(nw.NewHost("mid"), "mid", Config{})
-	leaf := NewLeaf(nw.NewHost("leaf"), "leaf", newStubMember(k), Config{})
-	root.AddChild(mid)
-	mid.AddChild(leaf)
-	press := func(d *Director, depth int) {
-		d.trapQ.Drain()
-		for i := 0; i < depth; i++ {
-			d.trapQ.Put(trap("s", "p", true))
-		}
-		d.watermarks()
-	}
-	want := func(levels string, lvl int) {
-		t.Helper()
-		if iv := leaf.reexportInterval(); iv != leaf.Cfg.Reexport<<lvl {
-			t.Fatalf("%s: leaf interval %v, want %v", levels, iv, leaf.Cfg.Reexport<<lvl)
-		}
-	}
-	full := root.Cfg.QueueCap
-	press(root, full)
-	press(root, full)
-	press(mid, full)
-	want("root 2, mid 1", 2)
-	press(mid, full)
-	press(mid, full)
-	want("root 2, mid 3", 3)
-	press(root, 0)
-	press(root, 0)
-	want("root 0, mid 3", 3)
-	press(mid, 0)
-	want("root 0, mid 2", 2)
-}
-
 // TestRootPressureDoesNotOrphanHealthyLeaves: a root whose trap queue
-// stays full climbs to the top backpressure level and so stretches its
-// leaves' re-exports to 2 s, twice AdoptAfter. The deadline stretches with
-// them, so the parent's own pressure never reads as a child's death.
+// stays full for 10 s still ingests its leaves' re-exports; each leaf
+// re-exports once every Reexport and none is declared dead.
 func TestRootPressureDoesNotOrphanHealthyLeaves(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
@@ -272,13 +155,61 @@ func TestRootPressureDoesNotOrphanHealthyLeaves(t *testing.T) {
 	for i := 0; i < cfg.QueueCap; i++ {
 		root.OfferTrap(trap("s", "p", true))
 	}
-	k.RunUntil(10 * time.Second)
-	if root.level != maxLevel || leaves[0].reexportInterval() != 2*time.Second {
-		t.Fatalf("scenario drifted: root level %d, leaf interval %v", root.level, leaves[0].reexportInterval())
+	const horizon = 10 * time.Second
+	k.RunUntil(horizon)
+	if held := root.trapQ.Len() + root.trapQ.InService(); held != cfg.QueueCap {
+		t.Fatalf("scenario drifted: the root holds %d traps, want a full queue of %d", held, cfg.QueueCap)
+	}
+	for _, l := range leaves {
+		if want := uint64(horizon / root.Cfg.Reexport); l.Stats.Reexports != want {
+			t.Errorf("%s re-exported %d times in %v, want %d", l.Name, l.Stats.Reexports, horizon, want)
+		}
 	}
 	if root.Stats.Adoptions != 0 || root.Stats.Reclaims != 0 {
 		t.Fatalf("healthy leaves failed over under the root's own pressure: %d adoptions, %d reclaims (events: %v)",
 			root.Stats.Adoptions, root.Stats.Reclaims, root.Events)
+	}
+}
+
+// TestReexportRunsNoProc: the whole tree runs in kernel events. A stub
+// tree takes a trap storm while one leaf dies and comes back; the kernel
+// never switches into a proc, and at every Reexport tick each leaf that is
+// up re-exports exactly once and a down one not at all.
+func TestReexportRunsNoProc(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	root, leaves := buildStubTree(k, netsim.New(k, 1), Config{CoalesceWindow: 100 * time.Millisecond})
+	root.Submit(core.Request{Paths: []core.Path{{ID: "p0"}, {ID: "p1"}}})
+	root.Start()
+	for i := 0; i < 400; i++ {
+		k.At(10*time.Millisecond+time.Duration(i)*5*time.Millisecond, func() {
+			leaves[i%2].OfferTrap(trap("s", core.PathID(fmt.Sprint("p", i%4)), i/40%2 == 0))
+		})
+	}
+	k.At(1100*time.Millisecond, func() { leaves[0].Host.SetUp(false) })
+	k.At(2600*time.Millisecond, func() { leaves[0].Host.SetUp(true) })
+	sent := make([]uint64, len(leaves))
+	for tick := 1; tick <= 16; tick++ {
+		at := time.Duration(tick) * root.Cfg.Reexport
+		k.RunUntil(at)
+		for i, l := range leaves {
+			want := sent[i]
+			if l.Host.Up() {
+				want++
+			}
+			if l.Stats.Reexports != want {
+				t.Fatalf("at %v: %s (up %v) has re-exported %d times, want %d", at, l.Name, l.Host.Up(), l.Stats.Reexports, want)
+			}
+			sent[i] = want
+		}
+	}
+	if n := k.ProcSwitches(); n != 0 {
+		t.Fatalf("the tree switched into a proc %d times, want 0", n)
+	}
+	if leaves[0].Stats.TrapsIn == 0 || leaves[0].Stats.TrapsLost == 0 || leaves[1].co.Coalesced == 0 ||
+		root.Stats.Adoptions != 1 || root.Stats.Reclaims != 1 {
+		t.Fatalf("scenario drifted: leaf0 %+v, leaf1 coalesced %d, root %+v (events: %v)",
+			leaves[0].Stats, leaves[1].co.Coalesced, root.Stats, root.Events)
 	}
 }
 
@@ -554,10 +485,9 @@ func TestManagerRunsUnchangedOverTree(t *testing.T) {
 	}
 }
 
-// TestTelemetryReadsOwnersFields drives a 2-leaf tree with small queues (and
-// so the low watermarks QueueCap derives) and a slow root through a short
-// trap storm and reads each director's ledger —
-// Stats, the coalescer's absorbed count and window, both queue depths —
+// TestTelemetryReadsOwnersFields drives a 2-leaf tree with small queues and a
+// slow root through a short trap storm and reads each director's ledger —
+// Stats, the coalescer's absorbed count, both queue depths —
 // straight from its owner, live from a kernel event mid-storm and again
 // after the run. (The tree publishes no instruments of its own; the name
 // dates from when it did.)
@@ -586,9 +516,6 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 			if d.trapQ.Len() > cfg.QueueCap || d.recQ.Len() > cfg.QueueCap {
 				t.Errorf("%s: %s queues %d/%d exceed cap %d", when, d.Name, d.trapQ.Len(), d.recQ.Len(), cfg.QueueCap)
 			}
-			if w := d.co.window; w < cfg.CoalesceWindow || w > 4*cfg.CoalesceWindow {
-				t.Errorf("%s: %s window %v outside [%v, %v]", when, d.Name, w, cfg.CoalesceWindow, 4*cfg.CoalesceWindow)
-			}
 		}
 	}
 	// The storm: 120 traps a leaf in 120 ms, alternating between two paths
@@ -602,17 +529,16 @@ func TestTelemetryReadsOwnersFields(t *testing.T) {
 		})
 	}
 	var midDepth int
-	var midWindow time.Duration
 	k.At(time.Second+110*time.Millisecond, func() {
-		midDepth, midWindow = leaves[0].trapQ.Len(), root.co.window
+		midDepth = leaves[0].trapQ.Len()
 		check("mid-storm", 111)
 	})
 	k.RunUntil(3 * time.Second)
 	check("after the run", 120)
 
 	l0 := leaves[0]
-	if midDepth == 0 || midWindow <= cfg.CoalesceWindow {
-		t.Errorf("scenario drifted: mid-storm leaf0 queue depth %d, root window %v: the live gauges saw nothing", midDepth, midWindow)
+	if midDepth == 0 {
+		t.Errorf("scenario drifted: mid-storm leaf0 queue depth 0: the live gauges saw nothing")
 	}
 	if l0.Stats.TrapsIn != 120 || l0.Stats.TrapsDropped == 0 || l0.co.Coalesced == 0 ||
 		root.Stats.TrapsIn == 0 || root.Stats.RecordsIn == 0 || root.Stats.RecordsDropped == 0 {

@@ -148,15 +148,13 @@ func FuzzTrapCoalesce(f *testing.F) {
 
 // FuzzSupervise drives one parent's liveness decisions without running
 // the kernel: a stub tree of 2–4 leaves takes arbitrary sequences of host
-// failures and revivals, heartbeats, clock advances and root backpressure
-// levels, and after every step the parent runs one supervise tick
-// (liveness). After each tick:
+// failures and revivals, heartbeats and clock advances, and after every
+// step the parent runs one supervise tick (liveness). After each tick:
 //
 //  1. Every submitted path sits in exactly one leaf's assignment, and that
 //     leaf's member has exactly those paths installed.
-//  2. No leaf that was up and heard within its stretched deadline before
-//     the tick — AdoptAfter × (re-export interval / Reexport), at least
-//     AdoptAfter — is adopted by the tick.
+//  2. No leaf that was up and heard within AdoptAfter before the tick is
+//     adopted by the tick.
 //  3. While any leaf is live (up and not declared dead), no dead leaf
 //     holds a path.
 //  4. Once every leaf is up and heard, one tick gives each leaf back
@@ -166,12 +164,10 @@ func FuzzTrapCoalesce(f *testing.F) {
 // further byte is one step: bits 0-2 the operation, bits 3-7 its operand.
 func FuzzSupervise(f *testing.F) {
 	// Seed steps: leaf i down i<<3, up i<<3|1, heard i<<3|2; advance
-	// x·100ms x<<3|3; root level v v<<3|4; all up and heard 5.
+	// x·100ms x<<3|3; all up and heard 5.
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x00, 0x00, 0x2b, 0x0a, 0x2b, 0x0a, 0x2b, 0x0a, 0x01, 0x02, 0x05}) // leaf0 dies, is adopted, returns
 	f.Add([]byte{0x00, 0x00, 0x08, 0x5b, 0x09, 0x0a, 0x05})                         // both die, leaf1 returns first
-	f.Add([]byte{0x02, 0x1c, 0x2b, 0x02, 0x0a, 0x12, 0x1a, 0x2b, 0x2b, 0x0a, 0x2b,  // root pressed: leaves may be slow
-		0x00, 0x5b, 0x5b, 0x5b, 0x5b, 0x5b, 0x5b, 0x04, 0x05})
 	f.Add([]byte{0x01, 0x00, 0x08, 0x10, 0x5b, 0x09, 0x5b, 0x0a, 0x01, 0x5b, 0x05})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -195,7 +191,7 @@ func FuzzSupervise(f *testing.F) {
 			paths = append(paths, core.Path{ID: core.PathID(fmt.Sprintf("p%d", i))})
 		}
 		root.Submit(core.Request{Paths: paths})
-		base, adoptAfter := root.Cfg.Reexport, root.Cfg.AdoptAfter
+		adoptAfter := root.Cfg.AdoptAfter
 
 		ids := func(ps []core.Path) string {
 			var b strings.Builder
@@ -207,11 +203,9 @@ func FuzzSupervise(f *testing.F) {
 		var now time.Duration
 		// healthy lists the leaves invariant 2 protects from the next tick.
 		healthy := func() []*Director {
-			iv := min(base<<root.level, root.Cfg.MaxReexport)
-			deadline := max(adoptAfter, adoptAfter*(iv/base))
 			var out []*Director
 			for _, l := range leaves {
-				if l.Host.Up() && now-l.heard <= deadline {
+				if l.Host.Up() && now-l.heard <= adoptAfter {
 					out = append(out, l)
 				}
 			}
@@ -223,7 +217,7 @@ func FuzzSupervise(f *testing.F) {
 			for _, ev := range root.Events[events:] {
 				for _, l := range before {
 					if strings.Contains(ev, " adopt "+l.Name+"->") {
-						t.Fatalf("healthy %s adopted at %v (level %d, heard %v): %q", l.Name, now, root.level, l.heard, ev)
+						t.Fatalf("healthy %s adopted at %v (heard %v): %q", l.Name, now, l.heard, ev)
 					}
 				}
 			}
@@ -261,8 +255,6 @@ func FuzzSupervise(f *testing.F) {
 				l.heard = now
 			case 3:
 				now += time.Duration(arg) * 100 * time.Millisecond
-			case 4:
-				root.level = arg % (maxLevel + 1)
 			case 5:
 				for _, l := range leaves {
 					l.Host.SetUp(true)

@@ -8,57 +8,9 @@ import (
 	"repro/internal/core"
 )
 
-// supervise is the periodic control loop of a director with children:
-// watermark-driven backpressure on its own queues, then child liveness
-// and shard failover. It is the only function here that reads the kernel.
-func (d *Director) supervise() {
-	if !d.up() {
-		return
-	}
-	d.watermarks()
-	d.liveness(d.k.Now())
-}
-
-// watermarks raises the backpressure level when either ingest queue is a
-// quarter full (the high-water mark, QueueCap/4) and releases it level by
-// level once depth falls back to a sixteenth (the low-water mark,
-// QueueCap/16). Each level doubles the local coalescing window, up to 4×;
-// descendants read the level themselves (reexportInterval).
-func (d *Director) watermarks() {
-	depth := max(d.trapQ.Len(), d.recQ.Len())
-	switch {
-	case depth >= d.Cfg.QueueCap/4 && d.level < maxLevel:
-		d.level++
-		d.Stats.Stretches++
-	case depth <= d.Cfg.QueueCap/16 && d.level > 0:
-		d.level--
-	default:
-		return
-	}
-	if base := d.Cfg.CoalesceWindow; base > 0 {
-		d.co.SetWindow(min(base<<d.level, 4*base))
-	}
-}
-
-// maxLevel bounds backpressure escalation; with doubling schedules three
-// levels span an 8× stretch, which meets the window's 4× cap and any
-// MaxReexport cap up to 8× Reexport.
-const maxLevel = 3
-
-// reexportInterval is Reexport doubled per level of the most pressed
-// director from d up to the root, capped at MaxReexport: a parent's
-// pressure is read where it applies, never copied down the tree.
-func (d *Director) reexportInterval() time.Duration {
-	lvl := 0
-	for a := d; a != nil; a = a.parent {
-		lvl = max(lvl, a.level)
-	}
-	return min(d.Cfg.Reexport<<lvl, d.Cfg.MaxReexport)
-}
-
-// liveness walks the leaf children at virtual time now. A leaf silent past
-// its deadline — AdoptAfter, stretched as far as backpressure stretches its
-// re-exports — is declared dead; a dead one up and heard again reclaims its
+// liveness is the supervisor tick of a director with children, at virtual
+// time now: child liveness and shard failover. A leaf silent past
+// AdoptAfter is declared dead; a dead one up and heard again reclaims its
 // home shard. Then each dead leaf still holding paths hands them to a live
 // sibling, if there is one. An orphaned shard's data goes stale under the
 // senescence watchdog until the adopter's first re-export lands: staleness
@@ -68,8 +20,7 @@ func (d *Director) liveness(now time.Duration) {
 		if c.member == nil {
 			continue
 		}
-		slowdown := float64(c.reexportInterval()) / float64(c.Cfg.Reexport)
-		heard := now-c.heard <= max(d.Cfg.AdoptAfter, time.Duration(slowdown*float64(d.Cfg.AdoptAfter)))
+		heard := now-c.heard <= d.Cfg.AdoptAfter
 		switch {
 		case !c.dead && !heard:
 			c.dead = true
