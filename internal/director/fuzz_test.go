@@ -168,6 +168,8 @@ func FuzzSupervise(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x00, 0x00, 0x2b, 0x0a, 0x2b, 0x0a, 0x2b, 0x0a, 0x01, 0x02, 0x05}) // leaf0 dies, is adopted, returns
 	f.Add([]byte{0x00, 0x00, 0x08, 0x5b, 0x09, 0x0a, 0x05})                         // both die, leaf1 returns first
+	f.Add([]byte{0x02, 0x2b, 0x02, 0x0a, 0x12, 0x1a, 0x2b, 0x2b, 0x0a, 0x2b,        // four leaves, uneven heartbeats, leaf0 dies
+		0x00, 0x5b, 0x5b, 0x5b, 0x5b, 0x5b, 0x5b, 0x05})
 	f.Add([]byte{0x01, 0x00, 0x08, 0x10, 0x5b, 0x09, 0x5b, 0x0a, 0x01, 0x5b, 0x05})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
